@@ -4,29 +4,31 @@ The reference solvers are written line-for-line against the paper's
 algorithms: each step materializes the full post-collision distribution,
 streams it with ``Q`` per-component ``np.roll`` passes, and projects
 moments through ``np.einsum`` contractions that NumPy evaluates as naive
-loops. This module provides drop-in *fused* realizations of the same
-steps that
+loops. This module holds the **one collide-and-project kernel per
+family** that every fast backend steps with — :class:`FusedSTCore`
+(Algorithm 1) and :class:`FusedMRCore` (Algorithm 2, MR-P/MR-R) — which
 
 * evaluate every linear projection (moments -> f, Eq. 11; f -> moments,
   Eqs. 1-3; the Eq. 14 higher-order extension) as a single BLAS ``dgemm``
   over the flattened ``(components, nodes)`` field — for MR-R the
   reconstruction and the higher-order delta collapse into **one** matmul
   against the precomputed block matrix ``[R | E3 | E4]``;
-* keep every intermediate in preallocated scratch buffers, so the hot
-  loop performs zero per-step allocations;
-* write the collided ST populations straight into the retired lattice
-  buffer, eliminating the per-step temporary of the reference solver;
-* stream either through ``np.roll`` slicing or through the
-  :mod:`~repro.accel.tables` single-gather (selectable; rolls win on
-  hosts where sliced copies beat indexed gathers, see
-  ``docs/PERFORMANCE.md``);
+* keep every intermediate, *and every lattice beyond the caller's
+  persistent state*, in buffers the core allocates once, so the hot loop
+  performs zero per-step allocations and callers own no scratch;
 * fold body forcing (Guo's half-force scheme, distribution space for ST
   and the moment-space projection of :mod:`repro.core.forcing` for MR)
-  into the collision stage — a handful of extra FMAs per node against
-  preallocated buffers, no additional field passes;
+  into the collision stage — a handful of extra FMAs per node, no
+  additional field passes;
 * accept a per-node ``tau_field`` in the MR-P collision (the local
-  relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`),
-  so variable-viscosity problems keep the fused round trip.
+  relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`);
+* are **batch-polymorphic**: every array may carry leading batch axes
+  (``f[B, Q, *grid]``, ``m[B, M, *grid]``) and ``tau`` may be a ``(B,)``
+  vector, in which case the relaxation and Guo prefactors become
+  ``(B, 1, 1)`` columns and the dgemms broadcast over the batch. The
+  arithmetic is written once against ``(..., C, N)`` fields; what is
+  genuinely different with a batch axis (the streaming pass and the
+  per-member boundary loop) lives in :mod:`repro.accel.batched`.
 
 Every kernel reproduces the corresponding reference solver to machine
 precision: the collision arithmetic mirrors the reference expressions
@@ -34,12 +36,22 @@ operation-for-operation, and the only deviations are BLAS summation-order
 effects at the level of one ulp per step (pinned by the parity suite in
 ``tests/unit/test_accel_backends.py``).
 
-The classes here are *array-level* cores: they know nothing about
-:class:`~repro.solver.base.Solver`. The solver-facing steppers that
-:func:`repro.accel.make_stepper` hands out, and the distributed per-rank
-steps in :mod:`repro.parallel.decomposition`, both drive these same
-cores, so single-domain and slab-decomposed fused runs share one
-implementation.
+The other layouts and streaming patterns reuse these kernels rather than
+copy them: :mod:`repro.accel.inplace` subclasses them (one lattice),
+:mod:`repro.accel.sparse` binds them to a flat ``(n_fluid,)`` shape.
+
+Core protocol
+-------------
+Cores are array-level: they know nothing about
+:class:`~repro.solver.base.Solver`. Every core in :mod:`repro.accel` is
+built by :func:`repro.accel.make_core`, exposes a read-only ``path``
+(the step variant chosen at construction) and a ``state_lattices``
+count (``Q``-multiples of the documented state footprint), and is
+stepped by ``core.step(state, boundaries, tel, force=, tau_field=,
+time=)``. ``state`` is the caller's persistent array (``f`` for ST,
+``m`` for MR), updated in place; ``time`` is the owner's step clock,
+read only by the parity-alternating lean path of
+:class:`~repro.accel.inplace.InplaceSTCore`.
 """
 
 from __future__ import annotations
@@ -52,36 +64,73 @@ from ..core.collision import _split_trace
 from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
-from .tables import neighbor_table
 
-__all__ = ["FusedSTCore", "FusedMRCore", "STREAM_MODES"]
-
-#: Streaming strategies understood by the fused cores. ``"auto"`` resolves
-#: to ``"roll"``: on every CPU we have measured, NumPy's sliced roll passes
-#: outrun the indexed single-gather (the table gather exists for the Numba
-#: backend, where it fuses into the JIT loop — see docs/PERFORMANCE.md).
-STREAM_MODES = ("auto", "roll", "gather")
+__all__ = ["FusedSTCore", "FusedMRCore"]
 
 
-def _resolve_stream(lat: LatticeDescriptor, shape: tuple[int, ...],
-                    stream: str):
-    """Validate the streaming mode and prebuild the table when needed."""
-    if stream not in STREAM_MODES:
-        raise ValueError(
-            f"unknown streaming mode {stream!r}; expected one of {STREAM_MODES}"
-        )
-    if stream == "auto":
-        stream = "roll"
-    table = neighbor_table(lat, shape) if stream == "gather" else None
-    return stream, table
+def _column(tau):
+    """``tau`` as a broadcast factor over ``(..., C, N)`` fields.
+
+    A scalar stays a float (the single-simulation arithmetic, bit for
+    bit); a ``(B,)`` vector becomes a ``(B, 1, 1)`` per-member column.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    return float(tau) if tau.ndim == 0 else tau[:, None, None]
 
 
-class FusedSTCore:
+def _row(x: np.ndarray, k: int) -> np.ndarray:
+    """Component ``k`` of a ``(..., C, N)`` field as a ``(..., 1, N)`` view.
+
+    Keeping the component axis lets one expression serve both a single
+    simulation and a batch: rows broadcast against scalars, per-member
+    ``(B, 1, 1)`` columns and per-node ``(N,)`` fields alike.
+    """
+    return x[..., k:k + 1, :]
+
+
+class _FusedCore:
+    """Construction and hooks common to the two kernel families."""
+
+    #: Step variant this core runs; the two-lattice cores have only one.
+    path = "dense"
+    #: Full ``Q``-lattices in the documented state footprint of the
+    #: backend (``docs/PERFORMANCE.md``, "state" column).
+    state_lattices = 2
+
+    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
+                 solid_mask: np.ndarray | None):
+        self.lat = lat
+        self.shape = tuple(shape)
+        #: relaxation time as a broadcast factor (see :func:`_column`).
+        self.tau = _column(tau)
+        self.keep = 1.0 - 1.0 / self.tau
+        self.solid_mask = solid_mask
+        #: leading batch axes of every buffer: ``()`` or ``(B,)``.
+        self._lead = np.shape(tau)
+        self._mm = np.ascontiguousarray(lat.moment_matrix)
+
+    def _flat(self, x: np.ndarray | None, components: int):
+        """``x`` viewed as ``(..., components, N)`` (``None`` passes through)."""
+        return None if x is None else x.reshape(
+            self._lead + (components, -1))
+
+    def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
+        """Exact periodic streaming (Eq. 7) as ``Q`` sliced roll passes."""
+        stream_push(self.lat, f, out=out)
+
+    def _apply(self, hook: str, boundaries, f_new: np.ndarray,
+               f_src: np.ndarray) -> None:
+        """Run one boundary hook (``post_stream``/``post_collide``) in order."""
+        for b in boundaries:
+            getattr(b, hook)(self.lat, f_new, f_src)
+
+
+class FusedSTCore(_FusedCore):
     """Fused stream+collide step for the two-lattice ST scheme (BGK).
 
     One step performs, over the flattened ``(Q, N)`` field:
 
-    1. pull streaming into the scratch lattice (roll or table gather);
+    1. pull streaming into the core-owned scratch lattice;
     2. the post-stream boundary hooks (unchanged reference objects);
     3. BGK collision *through moment space*: ``m = P f`` (dgemm), the
        equilibrium as the Eq. 11 reconstruction of
@@ -89,45 +138,36 @@ class FusedSTCore:
        place into the retired lattice buffer — no per-step temporary;
     4. solid-node pinning and the post-collide boundary hooks.
 
-    The two lattice buffers keep fixed roles (``f`` / ``scratch``), so the
-    caller's arrays are updated in place and never swapped.
+    The two lattice buffers keep fixed roles (caller's ``f`` / core
+    scratch), so the caller's array is updated in place, never swapped.
     """
 
-    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...],
-                 tau: float, stream: str = "auto"):
-        self.lat = lat
-        self.shape = tuple(shape)
-        self.tau = float(tau)
-        self.keep = 1.0 - 1.0 / self.tau
-        self.stream_mode, self._table = _resolve_stream(lat, self.shape, stream)
-        n = int(np.prod(self.shape))
+    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
+                 solid_mask: np.ndarray | None = None):
+        super().__init__(lat, shape, tau, solid_mask)
+        lead, n = self._lead, int(np.prod(self.shape))
         m = lat.n_moments
-        self._mm = np.ascontiguousarray(lat.moment_matrix)
         self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
-        self._m = np.empty((m, n))
-        self._meq = np.empty((m, n))
-        self._u = np.empty((lat.d, n))
-        self._feq = np.empty((lat.q, n))
+        self._scratch = np.empty(lead + (lat.q, *self.shape))
+        self._m = np.empty(lead + (m, n))
+        self._meq = np.empty(lead + (m, n))
+        self._u = np.empty(lead + (lat.d, n))
+        self._feq = np.empty(lead + (lat.q, n))
         self._force_bufs = None
-
-    def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
-        if self._table is not None:
-            self._table.gather(f, out=out)
-        else:
-            stream_push(self.lat, f, out=out)
 
     def _ensure_force_bufs(self) -> tuple:
         """Scratch for the fused Guo source (allocated on first forced step)."""
         if self._force_bufs is None:
             lat = self.lat
-            n = self._m.shape[1]
+            lead, n = self._lead, self._m.shape[-1]
             self._force_bufs = (
                 np.ascontiguousarray(lat.c, dtype=np.float64),  # (Q, D)
-                np.empty((lat.q, n)),                           # c . F
-                np.empty((lat.q, n)),                           # c . u
-                np.empty((lat.d, n)),                           # u_a F_a terms
-                np.empty(n),                                    # u . F
-                (1.0 - 0.5 / self.tau) * lat.w[:, None],        # Guo prefactor
+                np.empty(lead + (lat.q, n)),                    # c . F
+                np.empty(lead + (lat.q, n)),                    # c . u
+                np.empty(lead + (lat.d, n)),                    # u_a F_a terms
+                np.empty(lead + (1, n)),                        # u . F
+                # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1) or (B, Q, 1)
+                (1.0 - 0.5 / self.tau) * lat.w[:, None],
             )
         return self._force_bufs
 
@@ -137,14 +177,14 @@ class FusedSTCore:
         Mirrors :func:`repro.core.forcing.guo_source` operation for
         operation (including the division by ``cs2``/``cs4``) so forced
         fused runs track the reference trajectory at the ulp level.
-        Returns the core-owned ``(Q, N)`` source buffer.
+        Returns the core-owned ``(..., Q, N)`` source buffer.
         """
         lat = self.lat
         cmat, cf, cu, uftmp, uf, wpref = self._ensure_force_bufs()
         np.matmul(cmat, ff, out=cf)
         np.matmul(cmat, self._u, out=cu)
         np.multiply(self._u, ff, out=uftmp)
-        np.sum(uftmp, axis=0, out=uf)
+        np.sum(uftmp, axis=-2, keepdims=True, out=uf)
         # S = pref w ((c.F - u.F)/cs2 + (c.u)(c.F)/cs4), built in place:
         # cu becomes the cs4 term, cf the cs2 term.
         cu *= cf
@@ -155,74 +195,78 @@ class FusedSTCore:
         cf *= wpref
         return cf
 
-    def _add_guo_source(self, out: np.ndarray, ff: np.ndarray) -> None:
-        """Add the fused Guo source ``S_i`` for the flat force ``ff``."""
-        out += self._guo_source(ff)
-
     def _moments_and_feq(self, fs: np.ndarray, ff: np.ndarray | None) -> None:
         """Fill ``_m``/``_u``/``_meq``/``_feq`` from the flat lattice ``fs``.
 
         The moment projection, (optionally half-force-shifted) velocity
-        and Eq. 11 equilibrium reconstruction shared by the two-lattice
-        step and the in-place AA steps of
-        :class:`repro.accel.inplace.InplaceSTCore` — one body, so the
-        single-lattice path is collide-identical by construction.
+        and Eq. 11 equilibrium reconstruction behind every ST step of
+        every backend — one body, so the single-lattice, compact and
+        batched paths are collide-identical by construction.
         """
         lat = self.lat
         d = lat.d
-        np.matmul(self._mm, fs, out=self._m)
-        rho = self._m[0]
-        meq = self._meq
-        meq[0] = rho
+        m, meq, u = self._m, self._meq, self._u
+        np.matmul(self._mm, fs, out=m)
+        rho, j = _row(m, 0), m[..., 1:1 + d, :]
+        _row(meq, 0)[...] = rho
         if ff is None:
-            np.divide(self._m[1:1 + d], rho, out=self._u)
-            meq[1:1 + d] = self._m[1:1 + d]
+            np.divide(j, rho, out=u)
+            meq[..., 1:1 + d, :] = j
         else:
             # u = (j + F/2)/rho; the equilibrium momentum is rho u.
-            np.multiply(ff, 0.5, out=self._u)
-            self._u += self._m[1:1 + d]
-            self._u /= rho
-            np.multiply(self._u, rho, out=meq[1:1 + d])
+            np.multiply(ff, 0.5, out=u)
+            u += j
+            u /= rho
+            np.multiply(u, rho, out=meq[..., 1:1 + d, :])
         for k, (a, b) in enumerate(lat.pair_tuples):
-            np.multiply(self._u[a], self._u[b], out=meq[1 + d + k])
-            meq[1 + d + k] *= rho
+            pair = _row(meq, 1 + d + k)
+            np.multiply(_row(u, a), _row(u, b), out=pair)
+            pair *= rho
         np.matmul(self._rc, meq, out=self._feq)
 
-    def step(self, f: np.ndarray, scratch: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
-             force: np.ndarray | None = None) -> None:
+    def _relax(self, src: np.ndarray, dst: np.ndarray,
+               force: np.ndarray | None) -> None:
+        """BGK(+Guo) collision of the streamed lattice ``src`` into ``dst``.
+
+        ``f* = feq + (1 - omega)(f - feq) [+ S]``, solid nodes pinned at
+        rest equilibrium. ``dst`` may alias ``src`` (the in-place AA
+        steps) or be the retired lattice of the two-lattice step.
+        """
+        lat = self.lat
+        fs, out = self._flat(src, lat.q), self._flat(dst, lat.q)
+        ff = self._flat(force, lat.d)
+        self._moments_and_feq(fs, ff)
+        np.subtract(fs, self._feq, out=out)
+        out *= self.keep
+        out += self._feq
+        if ff is not None:
+            out += self._guo_source(ff)
+        if self.solid_mask is not None:
+            dst[..., self.solid_mask] = lat.w[:, None]
+
+    def step(self, f: np.ndarray, boundaries=(), tel=None,
+             force: np.ndarray | None = None, tau_field=None,
+             time: int | None = None) -> None:
         """Advance one step in place (``f`` ends as the new lattice).
 
         ``force`` is an optional ``(D, *grid)`` body-force field; the
         collision then evaluates the equilibrium at Guo's half-force
-        velocity and adds the fused source term.
+        velocity and adds the fused source term. ``tau_field`` and
+        ``time`` belong to the shared core protocol and are unused here.
         """
-        lat = self.lat
+        tel = NULL_TELEMETRY if tel is None else tel
+        scratch = self._scratch
         with tel.phase("stream"):
             self._stream(f, scratch)
         with tel.phase("boundary"):
-            for b in boundaries:
-                b.post_stream(lat, scratch, f)
+            self._apply("post_stream", boundaries, scratch, f)
         with tel.phase("collide"):
-            fs = scratch.reshape(lat.q, -1)
-            ff = None if force is None else force.reshape(lat.d, -1)
-            self._moments_and_feq(fs, ff)
-            # f* = feq + (1 - omega)(f - feq), written into the retired
-            # lattice buffer.
-            out = f.reshape(lat.q, -1)
-            np.subtract(fs, self._feq, out=out)
-            out *= self.keep
-            out += self._feq
-            if ff is not None:
-                self._add_guo_source(out, ff)
-            if solid_mask is not None:
-                f[:, solid_mask] = lat.w[:, None]
+            self._relax(scratch, f, force)
         with tel.phase("boundary"):
-            for b in boundaries:
-                b.post_collide(lat, f, scratch)
+            self._apply("post_collide", boundaries, f, scratch)
 
 
-class FusedMRCore:
+class FusedMRCore(_FusedCore):
     """Fused moment-representation step (MR-P or MR-R, Algorithm 2).
 
     One step goes moments -> f* -> streamed f -> moments with a single
@@ -234,50 +278,38 @@ class FusedMRCore:
     * for MR-R, the collided third/fourth-order Hermite coefficients
       (Eqs. 12-13) are appended to ``G`` so that reconstruction (Eq. 14)
       is the single product ``[R | E3 | E4] @ G``;
-    * streaming via roll or table gather into the scratch lattice;
+    * roll streaming into the second core-owned lattice;
     * boundary hooks, then re-projection ``m = P f`` (dgemm) straight
       back into the caller's moment field.
 
-    The distribution field exists only inside the two scratch lattices
-    owned by the core — the caller's persistent state stays the
-    ``(M, *grid)`` moment field, exactly as in Algorithm 2.
+    The distribution field exists only inside the lattices owned by the
+    core — the caller's persistent state stays the ``(M, *grid)`` moment
+    field, exactly as in Algorithm 2. ``lattices=1`` (subclasses whose
+    streaming needs no second full lattice) skips the streamed buffer.
     """
 
-    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...],
-                 tau: float, scheme: str = "MR-P",
-                 tau_bulk: float | None = None, stream: str = "auto",
-                 f_scratch: np.ndarray | None = None, alloc_f: bool = True):
+    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
+                 scheme: str = "MR-P", tau_bulk: float | None = None,
+                 solid_mask: np.ndarray | None = None, lattices: int = 2):
         if scheme not in ("MR-P", "MR-R"):
             raise ValueError(f"scheme must be MR-P or MR-R, got {scheme!r}")
-        self.lat = lat
-        self.shape = tuple(shape)
-        self.tau = float(tau)
+        super().__init__(lat, shape, tau, solid_mask)
         self.tau_bulk = tau_bulk
-        self.keep = 1.0 - 1.0 / self.tau
         self.scheme = scheme
-        self.stream_mode, self._table = _resolve_stream(lat, self.shape, stream)
-        n = int(np.prod(self.shape))
-        d, m = lat.d, lat.n_moments
-        self._mm = np.ascontiguousarray(lat.moment_matrix)
-        self._u = np.empty((d, n))
-        self._pi_eq = np.empty((lat.n_pairs, n))
-        self._pi_neq = np.empty((lat.n_pairs, n))
-        self._keep_buf = None   # per-node 1 - 1/tau for the tau_field path
-        self._pref_buf = None   # per-node 1 - 1/(2 tau) force prefactor
+        lead, n = self._lead, int(np.prod(self.shape))
+        m = lat.n_moments
+        self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
+        self._u = np.empty(lead + (lat.d, n))
+        self._pi_eq = np.empty(lead + (lat.n_pairs, n))
+        self._pi_neq = np.empty(lead + (lat.n_pairs, n))
+        self._tau_bufs = [None, None]   # per-node keep / prefactor buffers
         self._src_buf = None    # scratch for the moment-space force terms
-        if alloc_f:
-            self._f_star = np.empty((lat.q, *self.shape))
-            if f_scratch is None:
-                f_scratch = np.empty((lat.q, *self.shape))
-            self._f_new = f_scratch
-        else:
-            # Collision-stage-only use (the Numba backend never
-            # materializes the distribution field).
-            self._f_star = self._f_new = None
+        self._f_star = np.empty(lead + (lat.q, *self.shape))
+        self._f_new = np.empty_like(self._f_star) if lattices == 2 else None
 
         if scheme == "MR-P":
             self._rcext = np.ascontiguousarray(lat.reconstruction_matrix)
-            self._g = np.empty((m, n))
+            self._g = np.empty(lead + (m, n))
             self._a34_specs = None
         else:
             s3, s4 = lat.h3_supported, lat.h4_supported
@@ -287,7 +319,7 @@ class FusedMRCore:
             e4 = lat.w[:, None] * lat.h4_reg_cols[:, s4] * w4[None, :]
             self._rcext = np.ascontiguousarray(
                 np.hstack([lat.reconstruction_matrix, e3, e4]))
-            self._g = np.empty((m + s3.size + s4.size, n))
+            self._g = np.empty(lead + (m + s3.size + s4.size, n))
             # Index recipes for the supported recursion columns:
             # a3_abc = rho u_a u_b u_c + keep (u_a Pi_bc + u_b Pi_ac + u_c Pi_ab)
             # a4_abcd = rho u_a u_b u_c u_d + keep sum_6 u_r u_s Pi_pq
@@ -306,116 +338,108 @@ class FusedMRCore:
                 quads.append((quad, terms))
             self._a34_specs = (trip, quads)
 
-    def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
-        if self._table is not None:
-            self._table.gather(f, out=out)
-        else:
-            stream_push(self.lat, f, out=out)
-
     def _collide(self, mf: np.ndarray, force: np.ndarray | None = None,
                  tau_field: np.ndarray | None = None) -> None:
         """Fill the coefficient block ``G`` from the flat moment field.
 
-        ``force`` is an optional flat ``(D, N)`` body-force field: the
-        equilibria are evaluated at Guo's half-force velocity and the
+        ``force`` is an optional flat ``(..., D, N)`` body-force field:
+        the equilibria are evaluated at Guo's half-force velocity and the
         projected source moments (momentum input ``F``, second-moment
         source ``(1 - 1/(2 tau))(u F + F u)``) are added, mirroring
         :func:`repro.core.forcing.apply_moment_space_force`.
 
         ``tau_field`` is an optional flat ``(N,)`` per-node relaxation
-        time (MR-P only); it replaces the scalar ``tau`` in both the
-        relaxation factor and the force prefactor, mirroring the
-        power-law solver's variable-tau collision.
+        time (MR-P, single simulation only); it replaces the scalar
+        ``tau`` in both the relaxation factor and the force prefactor,
+        mirroring the power-law solver's variable-tau collision.
         """
         lat = self.lat
-        d = lat.d
-        rho, j, pi = mf[0], mf[1:1 + d], mf[1 + d:]
-        u = self._u
+        d, n_pairs = lat.d, lat.n_pairs
+        rho, j, pi = _row(mf, 0), mf[..., 1:1 + d, :], mf[..., 1 + d:, :]
+        u, pi_eq, pi_neq = self._u, self._pi_eq, self._pi_neq
         if force is None:
             np.divide(j, rho, out=u)
         else:
             np.multiply(force, 0.5, out=u)
             u += j
             u /= rho
-        if tau_field is None:
-            keep = self.keep
-        else:
-            if self._keep_buf is None:
-                self._keep_buf = np.empty_like(tau_field)
-            keep = self._keep_buf
-            np.divide(-1.0, tau_field, out=keep)
-            keep += 1.0
+        keep, pref = self.keep, self._pref
+        if tau_field is not None:
+            keep = self._per_node(0, -1.0, tau_field)
         for k, (a, b) in enumerate(lat.pair_tuples):
-            np.multiply(u[a], u[b], out=self._pi_eq[k])
-            self._pi_eq[k] *= rho
-        np.subtract(pi, self._pi_eq, out=self._pi_neq)
+            pair = _row(pi_eq, k)
+            np.multiply(_row(u, a), _row(u, b), out=pair)
+            pair *= rho
+        np.subtract(pi, pi_eq, out=pi_neq)
         g = self._g
-        g[0] = rho
+        _row(g, 0)[...] = rho
         if force is None:
-            g[1:1 + d] = j
+            g[..., 1:1 + d, :] = j
         else:
-            np.add(j, force, out=g[1:1 + d])
-        g_pi = g[1 + d:1 + d + lat.n_pairs]
+            np.add(j, force, out=g[..., 1:1 + d, :])
+        g_pi = g[..., 1 + d:1 + d + n_pairs, :]
         if self.tau_bulk is None or tau_field is not None:
             # tau_field implies the plain projective relaxation (the
             # variable-tau reference path has no bulk split either).
-            np.multiply(self._pi_neq, keep, out=g_pi)
-            g_pi += self._pi_eq
+            np.multiply(pi_neq, keep, out=g_pi)
+            g_pi += pi_eq
         else:
-            dev, trace_cols = _split_trace(lat, self._pi_neq)
-            g_pi[:] = (self._pi_eq + self.keep * dev
+            dev, trace_cols = _split_trace(lat, pi_neq)
+            g_pi[:] = (pi_eq + self.keep * dev
                        + (1.0 - 1.0 / self.tau_bulk) * trace_cols)
         if force is not None:
-            self._add_moment_force(g_pi, u, force, tau_field)
+            if tau_field is not None:
+                pref = self._per_node(1, -0.5, tau_field)
+            self._add_moment_force(g_pi, u, force, pref)
         if self._a34_specs is not None:
             trip, quads = self._a34_specs
             keep = self.keep
-            row = 1 + d + lat.n_pairs
+            row = 1 + d + n_pairs
             for (a, b, c), terms in trip:
-                acc = rho * u[a] * u[b] * u[c]
+                acc = rho * _row(u, a) * _row(u, b) * _row(u, c)
                 for v, p in terms:
-                    acc += keep * (u[v] * self._pi_neq[p])
-                g[row] = acc
+                    acc += keep * (_row(u, v) * _row(pi_neq, p))
+                _row(g, row)[...] = acc
                 row += 1
             for (a, b, c, e), terms in quads:
-                acc = rho * u[a] * u[b] * u[c] * u[e]
+                acc = rho * _row(u, a) * _row(u, b) * _row(u, c) * _row(u, e)
                 for r0, r1, p in terms:
-                    acc += keep * (u[r0] * u[r1] * self._pi_neq[p])
-                g[row] = acc
+                    acc += keep * (_row(u, r0) * _row(u, r1)
+                                   * _row(pi_neq, p))
+                _row(g, row)[...] = acc
                 row += 1
 
+    def _per_node(self, slot: int, coeff: float,
+                  tau_field: np.ndarray) -> np.ndarray:
+        """``1 + coeff / tau_field`` in the core-owned per-node buffer ``slot``."""
+        buf = self._tau_bufs[slot]
+        if buf is None:
+            buf = self._tau_bufs[slot] = np.empty_like(tau_field)
+        np.divide(coeff, tau_field, out=buf)
+        buf += 1.0
+        return buf
+
     def _add_moment_force(self, g_pi: np.ndarray, u: np.ndarray,
-                          force: np.ndarray,
-                          tau_field: np.ndarray | None) -> None:
+                          force: np.ndarray, pref) -> None:
         """Add the projected Guo second-moment source to ``g_pi`` in place."""
-        lat = self.lat
-        if tau_field is None:
-            pref = 1.0 - 0.5 / self.tau
-        else:
-            if self._pref_buf is None:
-                self._pref_buf = np.empty_like(tau_field)
-            pref = self._pref_buf
-            np.divide(-0.5, tau_field, out=pref)
-            pref += 1.0
         if self._src_buf is None:
-            self._src_buf = (np.empty(g_pi.shape[1]), np.empty(g_pi.shape[1]))
+            row = g_pi.shape[:-2] + (1, g_pi.shape[-1])
+            self._src_buf = (np.empty(row), np.empty(row))
         src, tmp = self._src_buf
-        for k, (a, b) in enumerate(lat.pair_tuples):
-            np.multiply(u[a], force[b], out=src)
-            np.multiply(u[b], force[a], out=tmp)
+        for k, (a, b) in enumerate(self.lat.pair_tuples):
+            np.multiply(_row(u, a), _row(force, b), out=src)
+            np.multiply(_row(u, b), _row(force, a), out=tmp)
             src += tmp
             src *= pref
-            g_pi[k] += src
+            pair = _row(g_pi, k)
+            pair += src
 
-    def step(self, m: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
-             force: np.ndarray | None = None,
-             tau_field: np.ndarray | None = None) -> None:
-        """Advance the ``(M, *grid)`` moment field one step in place.
+    def _reconstruct(self, m: np.ndarray, force: np.ndarray | None,
+                     tau_field: np.ndarray | None) -> None:
+        """Collide ``m`` in moment space and rebuild ``f*`` (Eq. 11 / 14).
 
-        ``force`` is an optional ``(D, *grid)`` body-force field (the
-        projected Guo coupling); ``tau_field`` an optional ``(*grid,)``
-        per-node relaxation time (MR-P only, see :meth:`_collide`).
+        The shared front half of every MR step: leaves the post-collision
+        distribution in the core-owned ``_f_star`` lattice.
         """
         lat = self.lat
         if tau_field is not None and self.scheme != "MR-P":
@@ -423,22 +447,37 @@ class FusedMRCore:
                 "per-node tau_field collision is implemented for the MR-P "
                 "scheme only"
             )
-        mf = m.reshape(lat.n_moments, -1)
+        self._collide(self._flat(m, lat.n_moments),
+                      force=self._flat(force, lat.d),
+                      tau_field=None if tau_field is None
+                      else tau_field.reshape(-1))
+        np.matmul(self._rcext, self._g, out=self._flat(self._f_star, lat.q))
+
+    def _pin_solids(self, m: np.ndarray) -> None:
+        """Hold solid nodes at the rest moments ``(1, 0, ..., 0)``."""
+        if self.solid_mask is not None:
+            m[..., self.solid_mask] = 0.0
+            m[..., 0, self.solid_mask] = 1.0
+
+    def step(self, m: np.ndarray, boundaries=(), tel=None,
+             force: np.ndarray | None = None,
+             tau_field: np.ndarray | None = None,
+             time: int | None = None) -> None:
+        """Advance the ``(M, *grid)`` moment field one step in place.
+
+        ``force`` is an optional ``(D, *grid)`` body-force field (the
+        projected Guo coupling); ``tau_field`` an optional ``(*grid,)``
+        per-node relaxation time (MR-P only, see :meth:`_collide`).
+        """
+        tel = NULL_TELEMETRY if tel is None else tel
+        lat = self.lat
         with tel.phase("collide"):
-            self._collide(
-                mf,
-                force=None if force is None else force.reshape(lat.d, -1),
-                tau_field=None if tau_field is None
-                else tau_field.reshape(-1))
-            np.matmul(self._rcext, self._g,
-                      out=self._f_star.reshape(lat.q, -1))
+            self._reconstruct(m, force, tau_field)
         with tel.phase("stream"):
             self._stream(self._f_star, self._f_new)
         with tel.phase("boundary"):
-            for b in boundaries:
-                b.post_stream(lat, self._f_new, self._f_star)
+            self._apply("post_stream", boundaries, self._f_new, self._f_star)
         with tel.phase("macroscopic"):
-            np.matmul(self._mm, self._f_new.reshape(lat.q, -1), out=mf)
-            if solid_mask is not None:
-                m[:, solid_mask] = 0.0
-                m[0, solid_mask] = 1.0
+            np.matmul(self._mm, self._flat(self._f_new, lat.q),
+                      out=self._flat(m, lat.n_moments))
+            self._pin_solids(m)

@@ -36,10 +36,12 @@ realization that stays *collide-identical* to the fused cores:
     chunk lands in an L2-sized scratch block via wrap-block slice
     copies and is immediately projected back to moments (one small
     dgemm per slab), eliminating the second lattice's store+load
-    entirely. Supports
-    MR-P/MR-R, solids, moment-space Guo forcing and the per-node
-    ``tau_field`` collision; with boundary objects present the stepper
-    in :mod:`repro.accel` falls back to the two-buffer fused core.
+    entirely. Supports MR-P/MR-R, solids, moment-space Guo forcing and
+    the per-node ``tau_field`` collision; built with boundary objects it
+    runs the inherited two-buffer fused step instead.
+
+Both cores name the variant chosen at construction in ``path``:
+``"lean"`` (boundary-free) or ``"bounded"``.
 
 Layout helpers
 --------------
@@ -124,219 +126,141 @@ def _shift_blocks(shape: tuple[int, ...], c) -> list[tuple[tuple, tuple]]:
     return blocks
 
 
+#: Target node count per gather-project chunk of :class:`InplaceMRCore`
+#: (a ``Q x _TILE`` double block stays L2-resident on the hosts measured).
+_TILE = 65536
+
+
 class InplaceSTCore(FusedSTCore):
     """Single-lattice AA-pattern ST step (BGK, optional Guo forcing).
 
     Subclasses :class:`~repro.accel.fused.FusedSTCore` so the collision
-    arithmetic is *shared code*, not a copy: both paths build moments,
-    velocity, equilibrium and the Guo source through the same
-    ``_moments_and_feq`` / ``_guo_source`` bodies, and the lean steps
-    only change where the relaxed populations land. State convention
-    (time ``t`` = steps completed):
+    arithmetic is *shared code*, not a copy: every path relaxes through
+    the same ``_relax`` body, and the lean steps only change where the
+    relaxed populations land. State convention on the ``"lean"`` path
+    (``time`` = steps completed):
 
-    * even ``t``: ``f`` holds the natural post-collision lattice —
+    * even ``time``: ``f`` holds the natural post-collision lattice —
       bit-identical to the fused two-lattice state;
-    * odd ``t`` (lean mode only): ``f`` holds the *pre-streamed* next
-      input, ``f[i] = roll(f_nat[i], +c_i)`` (AA layout).
+    * odd ``time``: ``f`` holds the *pre-streamed* next input,
+      ``f[i] = roll(f_nat[i], +c_i)`` (AA layout).
 
-    :meth:`step_scatter` advances even -> odd, :meth:`step_local`
-    odd -> even; the caller (see ``repro.accel`` steppers) derives the
-    parity from the solver clock, so checkpoint/resume at any parity is
-    just a matter of restoring the clock. :meth:`step_bounded` is the
-    conservative every-step-natural fallback used whenever boundary
-    objects are present (their hooks see full natural arrays, exactly as
-    in the fused core).
+    The parity comes from the owner's clock (``step(..., time=)``), so
+    checkpoint/resume at any parity is just a matter of restoring the
+    clock. The ``"bounded"`` path — chosen at construction whenever
+    boundary objects are present, whose hooks see full natural arrays —
+    is the inherited two-lattice step against the core-owned scratch; an
+    owner that passes no clock (distributed ranks, whose halo exchange
+    needs the natural layout after every step) gets that step too.
     """
 
+    state_lattices = 1
+
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...],
-                 tau: float, stream: str = "auto",
-                 solid_mask: np.ndarray | None = None,
-                 scatter: str = "auto"):
-        super().__init__(lat, shape, tau, stream=stream)
-        self._scratch = np.empty((lat.q, *self.shape))
+                 tau: float, solid_mask: np.ndarray | None = None,
+                 boundaries=()):
+        super().__init__(lat, shape, tau, solid_mask)
+        self.path = "bounded" if boundaries else "lean"
         self._blocks = [_shift_blocks(self.shape, lat.c[i])
                         for i in range(lat.q)]
-        self.solid_mask = solid_mask
-        if scatter == "auto":
-            # "copy" measures faster on both 2-D and 3-D grids on the
-            # hosts benchmarked so far: its extra contiguous pass is
-            # cheaper than pushing 3-4 elementwise ops through strided
-            # wrap-block views (see docs/ALGORITHMS.md).
-            scatter = "copy"
-        if scatter not in ("fused", "copy"):
-            raise ValueError(f"unknown scatter strategy {scatter!r}")
-        self.scatter = scatter
 
-    def step_scatter(self, f: np.ndarray, tel=NULL_TELEMETRY,
-                     force: np.ndarray | None = None) -> None:
-        """Even-parity lean step: natural ``f_t`` -> AA-layout ``f_{t+1}``.
+    def step(self, f: np.ndarray, boundaries=(), tel=None,
+             force: np.ndarray | None = None, tau_field=None,
+             time: int | None = None) -> None:
+        """Advance the single persistent lattice ``f`` one step in place.
 
-        Streams into core scratch, collides exactly as the fused core,
-        and lands the relaxed populations back shifted by ``+c_i``,
-        pre-streaming the next step. Two scatter strategies (see
-        :attr:`scatter` and the traffic notes in ``docs/ALGORITHMS.md``):
-        ``"fused"`` writes the relaxation directly through the wrap-block
-        destination views (fewest array passes; best when the innermost
-        axis is long relative to the per-view inner-loop overhead, i.e.
-        2-D grids), while ``"copy"`` relaxes in place on the contiguous
-        scratch and then block-copies it shifted (one extra pass, but
-        every elementwise op runs at contiguous speed — the right trade
-        on 3-D grids, where wrap slivers degenerate to one-element inner
-        loops). Solid nodes are pinned at rest equilibrium at their
-        shifted slots; both strategies are bit-identical.
+        Lean even step (natural ``f_t`` -> AA-layout ``f_{t+1}``): stream
+        into core scratch, relax there at contiguous speed, then
+        block-copy the result back shifted by ``+c_i``, pre-streaming
+        the next step (relaxing through the strided destination views
+        instead measured slower everywhere; see ``docs/ALGORITHMS.md``).
+        Lean odd step (AA layout -> natural ``f_{t+2}``): the array
+        already holds the streamed input, so the whole step is one
+        in-place collision — the saved memory pass of the AA pattern.
         """
-        lat = self.lat
-        with tel.phase("stream:gather"):
-            self._stream(f, self._scratch)
-        if self.scatter == "copy":
-            with tel.phase("collide"):
-                fs = self._scratch.reshape(lat.q, -1)
-                ff = None if force is None else force.reshape(lat.d, -1)
-                self._moments_and_feq(fs, ff)
-                np.subtract(fs, self._feq, out=fs)
-                fs *= self.keep
-                fs += self._feq
-                if ff is not None:
-                    self._add_guo_source(fs, ff)
-                if self.solid_mask is not None:
-                    self._scratch[:, self.solid_mask] = lat.w[:, None]
-            with tel.phase("stream:scatter"):
-                for i in range(lat.q):
-                    fi, si = f[i], self._scratch[i]
-                    for dst, src in self._blocks[i]:
-                        fi[dst] = si[src]
+        if self.path != "lean" or time is None:
+            super().step(f, boundaries, tel, force=force)
             return
+        tel = NULL_TELEMETRY if tel is None else tel
+        if time % 2:
+            with tel.phase("collide"):
+                self._relax(f, f, force)
+            return
+        scratch = self._scratch
+        with tel.phase("stream:gather"):
+            self._stream(f, scratch)
         with tel.phase("collide"):
-            fs = self._scratch.reshape(lat.q, -1)
-            ff = None if force is None else force.reshape(lat.d, -1)
-            self._moments_and_feq(fs, ff)
-            cf = None if ff is None else self._guo_source(ff)
-            if self.solid_mask is not None:
-                # Pin pre-scatter: the relax below reads scratch and feq
-                # block-wise, so force the relaxed value (feq would be
-                # overwritten) by making both operands the rest weight.
-                self._scratch[:, self.solid_mask] = lat.w[:, None]
-                self._feq.reshape(lat.q, *self.shape)[
-                    :, self.solid_mask] = lat.w[:, None]
-                if cf is not None:
-                    cf.reshape(lat.q, *self.shape)[:, self.solid_mask] = 0.0
+            self._relax(scratch, scratch, force)
         with tel.phase("stream:scatter"):
-            grid = (lat.q, *self.shape)
-            feq_g = self._feq.reshape(grid)
-            cf_g = None if cf is None else cf.reshape(grid)
-            keep = self.keep
-            for i in range(lat.q):
-                fi, si, ei = f[i], self._scratch[i], feq_g[i]
-                ci = None if cf_g is None else cf_g[i]
+            for i in range(self.lat.q):
+                fi, si = f[i], scratch[i]
                 for dst, src in self._blocks[i]:
-                    # f*(x)[i] -> f[i] at x + c_i: the fused relax
-                    # (and Guo source add), written through the
-                    # roll-shifted destination view.
-                    dview = fi[dst]
-                    np.subtract(si[src], ei[src], out=dview)
-                    dview *= keep
-                    dview += ei[src]
-                    if ci is not None:
-                        dview += ci[src]
-
-    def step_local(self, f: np.ndarray, tel=NULL_TELEMETRY,
-                   force: np.ndarray | None = None) -> None:
-        """Odd-parity lean step: AA-layout ``f_{t+1}`` -> natural ``f_{t+2}``.
-
-        The array already holds the streamed input, so the whole step is
-        one in-place collision — no streaming traversal. This is the
-        saved memory pass of the AA pattern.
-        """
-        lat = self.lat
-        with tel.phase("collide"):
-            fs = f.reshape(lat.q, -1)
-            ff = None if force is None else force.reshape(lat.d, -1)
-            self._moments_and_feq(fs, ff)
-            np.subtract(fs, self._feq, out=fs)
-            fs *= self.keep
-            fs += self._feq
-            if ff is not None:
-                self._add_guo_source(fs, ff)
-            if self.solid_mask is not None:
-                f[:, self.solid_mask] = lat.w[:, None]
-
-    def step_bounded(self, f: np.ndarray, boundaries,
-                     solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
-                     force: np.ndarray | None = None) -> None:
-        """Conservative step for bounded problems (state natural every step).
-
-        Delegates to the two-lattice fused step against the core-owned
-        scratch, so boundary hooks observe exactly the arrays they were
-        written against; the solver's persistent state is still the
-        single lattice.
-        """
-        super().step(f, self._scratch, boundaries, solid_mask, tel,
-                     force=force)
+                    fi[dst] = si[src]
 
 
 class InplaceMRCore(FusedMRCore):
     """Single-buffer moment-representation step (MR-P / MR-R).
 
     Identical collision + reconstruction to
-    :class:`~repro.accel.fused.FusedMRCore` (shared ``_collide``), but
-    the reconstructed distribution lands in **one** core-owned lattice
-    and the streamed re-projection is evaluated slab by slab: the
-    pull-stream of a leading-axis chunk is gathered into an L2-sized
-    buffer with roll-equivalent wrap-block slice copies (no index
-    table — a ``(Q, N)`` int64 table would itself cost a lattice worth
-    of memory), then projected with one small dgemm while still
-    cache-hot. The second distribution buffer — and its full
-    store+load traversal — disappears. Boundary objects are not
-    supported here (their hooks need the full streamed array); the
-    ``"aa"`` stepper falls back to the fused core for bounded problems.
+    :class:`~repro.accel.fused.FusedMRCore` (shared ``_reconstruct``),
+    but on the ``"lean"`` path the reconstructed distribution lands in
+    **one** core-owned lattice and the streamed re-projection is
+    evaluated slab by slab: the pull-stream of a leading-axis chunk is
+    gathered into an L2-sized buffer with roll-equivalent wrap-block
+    slice copies (no index table — a ``(Q, N)`` int64 table would itself
+    cost a lattice worth of memory), then projected with one small dgemm
+    while still cache-hot. The second distribution buffer — and its full
+    store+load traversal — disappears. Boundary hooks need the full
+    streamed array, so a core built with boundary objects takes the
+    ``"bounded"`` path: the inherited two-buffer step, same trajectory,
+    no footprint win yet (see docs/ALGORITHMS.md).
     """
+
+    state_lattices = 1
 
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...],
                  tau: float, scheme: str = "MR-P",
-                 tau_bulk: float | None = None, tile: int = 65536):
+                 tau_bulk: float | None = None,
+                 solid_mask: np.ndarray | None = None, boundaries=()):
+        self.path = "bounded" if boundaries else "lean"
         super().__init__(lat, shape, tau, scheme=scheme, tau_bulk=tau_bulk,
-                         stream="auto", alloc_f=False)
-        self._f = np.empty((lat.q, *self.shape))
-        # Slab decomposition of the pull-stream: ``tile`` is the target
-        # node count per chunk, rounded to whole leading-axis slabs so
-        # every gather is a wrap-block *slice copy* (roll-equivalent; no
-        # index table, which would itself cost a lattice worth of int64).
+                         solid_mask=solid_mask,
+                         lattices=2 if boundaries else 1)
+        if boundaries:
+            return
+        # Slab decomposition of the pull-stream: whole leading-axis
+        # slabs of about ``_TILE`` nodes, so every gather is a wrap-block
+        # *slice copy* (roll-equivalent).
         n0 = self.shape[0]
-        tail = int(np.prod(self.shape[1:], dtype=np.int64)) or 1
-        self._slab = max(1, min(n0, max(int(tile), 1) // tail or 1))
+        self._tail = int(np.prod(self.shape[1:], dtype=np.int64)) or 1
+        self._slab = max(1, min(n0, _TILE // self._tail or 1))
         self._tail_blocks = [_shift_blocks(self.shape[1:], lat.c[i][1:])
                              for i in range(lat.q)]
         self._row_shift = [int(lat.c[i][0]) % n0 for i in range(lat.q)]
         self._gbuf = np.empty((lat.q, self._slab, *self.shape[1:]))
 
-    def step(self, m: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
+    def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
-             tau_field: np.ndarray | None = None) -> None:
+             tau_field: np.ndarray | None = None,
+             time: int | None = None) -> None:
         """Advance the ``(M, *grid)`` moment field one step in place."""
-        lat = self.lat
+        if self.path != "lean":
+            super().step(m, boundaries, tel, force=force,
+                         tau_field=tau_field)
+            return
         if boundaries:
             raise ValueError(
-                "InplaceMRCore supports boundary-free problems only; the "
-                "'aa' stepper uses the two-buffer fused core when boundary "
-                "objects are present"
+                "this InplaceMRCore was built boundary-free (lean path); "
+                "pass the boundary objects at construction for the "
+                "bounded path"
             )
-        if tau_field is not None and self.scheme != "MR-P":
-            raise ValueError(
-                "per-node tau_field collision is implemented for the MR-P "
-                "scheme only"
-            )
-        mf = m.reshape(lat.n_moments, -1)
+        tel = NULL_TELEMETRY if tel is None else tel
+        lat = self.lat
+        mf = self._flat(m, lat.n_moments)
         with tel.phase("collide"):
-            self._collide(
-                mf,
-                force=None if force is None else force.reshape(lat.d, -1),
-                tau_field=None if tau_field is None
-                else tau_field.reshape(-1))
-            np.matmul(self._rcext, self._g, out=self._f.reshape(lat.q, -1))
+            self._reconstruct(m, force, tau_field)
         with tel.phase("stream:project"):
-            n0 = self.shape[0]
-            tail = int(np.prod(self.shape[1:], dtype=np.int64)) or 1
+            n0, tail = self.shape[0], self._tail
             for a0 in range(0, n0, self._slab):
                 a1 = min(a0 + self._slab, n0)
                 rows = a1 - a0
@@ -354,9 +278,7 @@ class InplaceMRCore(FusedMRCore):
                     for gdst, fsrc in pieces:
                         for dst_t, src_t in self._tail_blocks[qi]:
                             gb[qi][(gdst, *dst_t)] = \
-                                self._f[qi][(fsrc, *src_t)]
+                                self._f_star[qi][(fsrc, *src_t)]
                 np.matmul(self._mm, gb.reshape(lat.q, -1),
                           out=mf[:, a0 * tail:a1 * tail])
-            if solid_mask is not None:
-                m[:, solid_mask] = 0.0
-                m[0, solid_mask] = 1.0
+            self._pin_solids(m)

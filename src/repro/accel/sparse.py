@@ -100,40 +100,38 @@ def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
 class _SparseCoreBase:
     """Shared compaction plumbing of the two sparse cores."""
 
+    #: The dense solver field is the only full lattice in the state
+    #: footprint; everything the core owns scales with ``n_fluid``.
+    state_lattices = 1
+
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  boundaries=()):
         self.lat = lat
         self.shape = tuple(solid_mask.shape)
         self.table = MaskedNeighborTable(lat, solid_mask)
         self.lean = boundaries_fold(boundaries)
+        self.path = "lean" if self.lean else "dense-fallback"
         self._bb = (boundaries[0] if (self.lean and boundaries) else None)
         self._mom = _folded_momentum(self.table, lat, self._bb, self.shape)
-        self._ffc = None        # compact (D, n_fluid) force buffer
-        self._fidx = None       # dense gather indices for the force field
-        self._tfc = None        # compact (n_fluid,) tau_field buffer
-        self._tidx = None
+        #: lazily built (compact buffer, dense gather indices) per field
+        self._compact_bufs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _compact_force(self, force: np.ndarray | None) -> np.ndarray | None:
-        """Gather the fluid columns of the dense ``(D, *grid)`` force."""
-        if force is None:
-            return None
-        if self._ffc is None:
-            self._ffc = np.empty((self.lat.d, self.table.n_fluid))
-            self._fidx = self.table.field_idx(self.lat.d)
-        np.take(force.reshape(-1), self._fidx,
-                out=self._ffc.reshape(-1), mode="clip")
-        return self._ffc
+    def _compact(self, name: str, field: np.ndarray | None,
+                 components: int) -> np.ndarray | None:
+        """Gather the fluid columns of a dense ``(components, *grid)`` field.
 
-    def _compact_tau(self, tau_field: np.ndarray | None) -> np.ndarray | None:
-        """Gather the fluid entries of a dense per-node ``tau_field``."""
-        if tau_field is None:
+        ``None`` passes through (no force / no ``tau_field``); the
+        compact ``(components, n_fluid)`` buffer is core-owned.
+        """
+        if field is None:
             return None
-        if self._tfc is None:
-            self._tfc = np.empty(self.table.n_fluid)
-            self._tidx = self.table.fluid_flat
-        np.take(tau_field.reshape(-1), self._tidx,
-                out=self._tfc, mode="clip")
-        return self._tfc
+        if name not in self._compact_bufs:
+            self._compact_bufs[name] = (
+                np.empty((components, self.table.n_fluid)),
+                self.table.field_idx(components))
+        buf, idx = self._compact_bufs[name]
+        np.take(field.reshape(-1), idx, out=buf.reshape(-1), mode="clip")
+        return buf
 
     def _apply_folded(self, fc: np.ndarray, rest: np.ndarray) -> None:
         """Finish the folded links of a freshly gathered compact field.
@@ -169,41 +167,38 @@ class SparseSTCore(_SparseCoreBase):
                  tau: float, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
+        #: the shared kernel bound to the flat compact shape; its scratch
+        #: lattice is the streamed compact field.
         self.arith = FusedSTCore(lat, (n,), tau)
-        self._fc = np.empty((lat.q, n))        # streamed compact field
         self._fc_star = np.empty((lat.q, n))   # post-collision compact field
         self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
         self._dense_scratch = (None if self.lean
                                else np.empty((lat.q, *self.shape)))
 
-    def step(self, f: np.ndarray, boundaries, tel=NULL_TELEMETRY,
-             force: np.ndarray | None = None) -> None:
+    def step(self, f: np.ndarray, boundaries=(), tel=None,
+             force: np.ndarray | None = None, tau_field=None,
+             time: int | None = None) -> None:
         """Advance the dense ``(Q, *grid)`` lattice ``f`` one step in place."""
+        tel = NULL_TELEMETRY if tel is None else tel
         lat = self.lat
         table = self.table
+        fc = self.arith._scratch
         if self.lean:
             with tel.phase("stream"):
-                table.gather_dense(f, self._fc)
-                self._apply_folded(self._fc, self._rest)
+                table.gather_dense(f, fc)
+                self._apply_folded(fc, self._rest)
         else:
             with tel.phase("stream"):
                 stream_push(lat, f, out=self._dense_scratch)
             with tel.phase("boundary"):
-                for b in boundaries:
-                    b.post_stream(lat, self._dense_scratch, f)
+                self.arith._apply("post_stream", boundaries,
+                                  self._dense_scratch, f)
             with tel.phase("stream"):
-                table.compact(self._dense_scratch, self._fc)
+                table.compact(self._dense_scratch, fc)
         with tel.phase("collide"):
-            ffc = self._compact_force(force)
-            arith = self.arith
-            arith._moments_and_feq(self._fc, ffc)
-            out = self._fc_star
-            np.subtract(self._fc, arith._feq, out=out)
-            out *= arith.keep
-            out += arith._feq
-            if ffc is not None:
-                arith._add_guo_source(out, ffc)
-            table.scatter(out, f)
+            self.arith._relax(fc, self._fc_star,
+                              self._compact("force", force, lat.d))
+            table.scatter(self._fc_star, f)
 
 
 class SparseMRCore(_SparseCoreBase):
@@ -222,12 +217,10 @@ class SparseMRCore(_SparseCoreBase):
                  tau_bulk: float | None = None, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
+        #: the shared kernel bound to the flat compact shape; its two
+        #: lattices are the compact post-collision and streamed fields.
         self.arith = FusedMRCore(lat, (n,), tau, scheme=scheme,
-                                 tau_bulk=tau_bulk, alloc_f=False)
-        self._mc = np.empty((lat.n_moments, n))
-        self._fc_star = np.empty((lat.q, n))
-        self._fc = np.empty((lat.q, n))
-        self._midx = self.table.field_idx(lat.n_moments)
+                                 tau_bulk=tau_bulk)
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
         self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
@@ -242,33 +235,33 @@ class SparseMRCore(_SparseCoreBase):
                 (lat.q,) + (1,) * len(self.shape))
             self._dense_new = np.empty_like(self._dense_star)
 
-    def step(self, m: np.ndarray, boundaries, tel=NULL_TELEMETRY,
+    def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
-             tau_field: np.ndarray | None = None) -> None:
+             tau_field: np.ndarray | None = None,
+             time: int | None = None) -> None:
         """Advance the dense ``(M, *grid)`` moment field ``m`` one step in place."""
+        tel = NULL_TELEMETRY if tel is None else tel
         lat = self.lat
         table = self.table
         arith = self.arith
+        fc_star, fc = arith._f_star, arith._f_new
         with tel.phase("collide"):
-            np.take(m.reshape(-1), self._midx,
-                    out=self._mc.reshape(-1), mode="clip")
-            arith._collide(self._mc,
-                           force=self._compact_force(force),
-                           tau_field=self._compact_tau(tau_field))
-            np.matmul(arith._rcext, arith._g, out=self._fc_star)
+            mc = self._compact("m", m, lat.n_moments)
+            arith._reconstruct(mc, self._compact("force", force, lat.d),
+                               self._compact("tau", tau_field, 1))
         if self.lean:
             with tel.phase("stream"):
-                table.gather_compact(self._fc_star, self._fc)
-                self._apply_folded(self._fc, self._rest)
+                table.gather_compact(fc_star, fc)
+                self._apply_folded(fc, self._rest)
         else:
             with tel.phase("stream"):
-                table.scatter(self._fc_star, self._dense_star)
+                table.scatter(fc_star, self._dense_star)
                 stream_push(lat, self._dense_star, out=self._dense_new)
             with tel.phase("boundary"):
-                for b in boundaries:
-                    b.post_stream(lat, self._dense_new, self._dense_star)
+                arith._apply("post_stream", boundaries, self._dense_new,
+                             self._dense_star)
             with tel.phase("stream"):
-                table.compact(self._dense_new, self._fc)
+                table.compact(self._dense_new, fc)
         with tel.phase("macroscopic"):
-            np.matmul(arith._mm, self._fc, out=self._mc)
-            table.scatter(self._mc, m)
+            np.matmul(arith._mm, fc, out=mc)
+            table.scatter(mc, m)

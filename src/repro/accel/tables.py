@@ -10,8 +10,9 @@ the flat source index of every ``(component, node)`` pair once per
 ``(lattice, shape)``, so the whole propagation step collapses into a
 single ``np.take`` gather — the host-side analogue of the index tables
 indirect-addressing GPU kernels stream through
-(:mod:`repro.gpu.kernels.indirect`), and the structure the Numba backend
-JIT-fuses straight into its collide loop.
+(:mod:`repro.gpu.kernels.indirect`). The batched cores stream whole
+ensembles through it; a single dense grid rolls instead (see
+:mod:`repro.accel.batched`).
 
 Tables are cached per ``(lattice name, shape)``; they are pure functions
 of both, so the cache never needs invalidation (``clear_cache`` exists
@@ -201,9 +202,8 @@ class MaskedNeighborTable:
         self.flat_dense = (self.src_comp * self.n_nodes
                            + self.fluid_flat[self.src]).ravel()
         # Flat dense indices of every (component, fluid node) pair — the
-        # one-take compaction map for (Q, N) and (D, N) fields.
-        self.compact_idx = (np.arange(lat.q, dtype=np.intp)[:, None]
-                            * self.n_nodes + self.fluid_flat).ravel()
+        # one-take compaction map of a (Q, N) field.
+        self.compact_idx = self.field_idx(lat.q)
 
     def field_idx(self, n_components: int) -> np.ndarray:
         """Flat dense gather indices compacting an ``(n_components, N)`` field."""

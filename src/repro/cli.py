@@ -108,13 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="check for NaN/Inf/over-speed divergence every N "
                      "steps (0 = off)")
     run.add_argument("--accel", default="reference",
-                     choices=["reference", "fused", "aa", "sparse", "numba"],
+                     choices=["reference", "fused", "aa", "sparse"],
                      help="execution backend for the solver step: the "
                      "reference implementation, the fused NumPy fast "
                      "path, the single-lattice in-place streaming path "
-                     "(aa), the sparse fluid-node-list path for masked "
-                     "geometries, or the numba JIT kernels (optional "
-                     "extra); see docs/PERFORMANCE.md")
+                     "(aa), or the sparse fluid-node-list path for masked "
+                     "geometries; see docs/PERFORMANCE.md")
     run.add_argument("--events", default=None, metavar="DIR",
                      help="append per-rank JSONL event streams "
                      "(heartbeat/progress/phase/checkpoint/watchdog) "
@@ -138,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="also dump the raw profile results as JSON")
     prof.add_argument("--accel", default="reference",
-                      choices=["reference", "fused", "aa", "sparse", "numba",
+                      choices=["reference", "fused", "aa", "sparse",
                                "compare"],
                       help="execution backend to profile, or 'compare' to "
                       "run every available backend on one problem and "
@@ -322,10 +321,6 @@ def _distributed_spec(args, shape):
     from .parallel import RunSpec
 
     accel = getattr(args, "accel", "reference")
-    if accel == "numba":
-        raise ValueError(
-            "--accel numba is single-domain only; distributed runs "
-            "support --accel reference, fused, aa or sparse")
     fault_tolerance = {
         "checkpoint_dir": args.checkpoint_dir,
         "checkpoint_every": args.checkpoint_every,

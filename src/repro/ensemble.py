@@ -47,8 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accel import solver_caps
-from .accel.batched import BatchedFusedMRCore, BatchedFusedSTCore
+from .accel import make_core, solver_caps
 from .core.collision import BGKCollision
 from .obs.manifest import write_manifest
 from .obs.telemetry import NULL_TELEMETRY
@@ -91,10 +90,6 @@ class EnsembleRunner:
         natural state layout (any backend except ``"aa"``), agree on
         ``time``, and be distinct objects. Relaxation time, force fields,
         boundary objects and state are free per member.
-    stream:
-        Streaming mode for the batched core (``"auto"`` resolves to the
-        single-pass table gather; see :mod:`repro.accel.batched`).
-
     Notes
     -----
     Construction rebinds each member's state arrays (``f``/``m``, and
@@ -103,7 +98,7 @@ class EnsembleRunner:
     self-step while enrolled.
     """
 
-    def __init__(self, members: Sequence[Solver], stream: str = "auto"):
+    def __init__(self, members: Sequence[Solver]):
         members = list(members)
         if not members:
             raise ValueError("an ensemble needs at least one member")
@@ -161,9 +156,6 @@ class EnsembleRunner:
         self.shape = tuple(head.domain.shape)
         self.time = head.time
         self.telemetry = NULL_TELEMETRY
-        taus = [m.tau for m in members]
-        solid = head.domain.solid_mask
-        self._solid = solid if solid.any() else None
         self._boundaries = [m.boundaries for m in members]
         self._force = None
         if head.force is not None:
@@ -172,22 +164,17 @@ class EnsembleRunner:
                 self._force[k] = m.force
                 # Rebind so member.set_force(...) keeps driving the batch.
                 m.force = self._force[k]
-        if self.family == "st":
-            self._core = BatchedFusedSTCore(self.lat, self.shape, taus,
-                                            stream=stream)
-            self._f = np.empty((self.batch, self.lat.q, *self.shape))
-            self._scratch = np.empty_like(self._f)
-            for k, m in enumerate(members):
-                self._f[k] = m.f
-                m.f = self._f[k]
-                m._f_streamed = self._scratch[k]
-        else:
-            self._core = BatchedFusedMRCore(self.lat, self.shape, taus,
-                                            scheme=self.scheme, stream=stream)
-            self._m = np.empty((self.batch, self.lat.n_moments, *self.shape))
-            for k, m in enumerate(members):
-                self._m[k] = m.m
-                m.m = self._m[k]
+        # A vector of relaxation times selects the batch axis of the
+        # shared factory; the core owns all distribution scratch.
+        self._core = make_core("fused", caps0, self.lat, head.domain,
+                               [m.tau for m in members])
+        # Persistent ensemble state: f[B, Q, *grid] or m[B, M, *grid],
+        # with each member's own array rebound to its slice.
+        self._field = "f" if self.family == "st" else "m"
+        self._state = np.stack([getattr(m, self._field) for m in members])
+        setattr(self, "_" + self._field, self._state)   # ``_f`` / ``_m``
+        for k, m in enumerate(members):
+            setattr(m, self._field, self._state[k])
 
     def attach_telemetry(self, telemetry) -> "EnsembleRunner":
         """Attach a :class:`~repro.obs.Telemetry` registry (``None`` resets).
@@ -200,12 +187,8 @@ class EnsembleRunner:
 
     def step(self) -> None:
         """Advance every member one lockstep step (one batched kernel pass)."""
-        if self.family == "st":
-            self._core.step(self._f, self._scratch, self._boundaries,
-                            self._solid, self.telemetry, force=self._force)
-        else:
-            self._core.step(self._m, self._boundaries, self._solid,
-                            self.telemetry, force=self._force)
+        self._core.step(self._state, self._boundaries, self.telemetry,
+                        force=self._force)
 
     def run(self, n_steps: int,
             member_callbacks: Sequence[Callable[[Solver], None] | None]
@@ -407,7 +390,6 @@ class SweepResult:
 
 def run_sweep(specs: Sequence[RunSpec], steps: int, max_batch: int = 16,
               out_dir: str | Path | None = None, backend: str = "fused",
-              stream: str = "auto",
               progress: Callable[[str], None] | None = None) -> SweepResult:
     """Execute a sweep: pack, run batched, attribute MLUPS, write manifests.
 
@@ -447,7 +429,7 @@ def run_sweep(specs: Sequence[RunSpec], steps: int, max_batch: int = 16,
             solvers[0].run(int(steps))
             runner = None
         else:
-            runner = EnsembleRunner(solvers, stream=stream)
+            runner = EnsembleRunner(solvers)
             runner.run(int(steps))
         wall = time.perf_counter() - t0
         fluid = [int(s.domain.n_fluid) for s in solvers]

@@ -52,12 +52,16 @@ class RunManifest:
                     **extra) -> "RunManifest":
         """Build a manifest from a live solver (duck-typed: needs ``name``
         or ``scheme``, ``lat``, ``domain`` or ``global_domain``, ``tau``,
-        ``time`` — so distributed solvers work too)."""
+        ``time`` — so distributed solvers work too). A fast-path solver's
+        step variant (``solver.accel_path``) lands in ``extra``."""
         from .. import __version__
 
         domain = getattr(solver, "domain", None)
         if domain is None:
             domain = solver.global_domain
+        accel_path = getattr(solver, "accel_path", None)
+        if accel_path is not None:
+            extra = {"accel_path": accel_path, **extra}
         return cls(
             scheme=getattr(solver, "name", None) or solver.scheme,
             lattice=solver.lat.name,

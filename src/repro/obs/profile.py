@@ -102,6 +102,7 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
     result = {
         "scheme": scheme.upper(),
         "backend": accel,
+        "path": getattr(solver, "accel_path", None),
         "lattice": lat.name,
         "shape": list(shape),
         "tau": tau,
@@ -137,6 +138,8 @@ def format_profile(result: dict) -> str:
     lines = []
     shape = "x".join(str(s) for s in result["shape"])
     backend = result.get("backend", "reference")
+    if result.get("path"):
+        backend += f" ({result['path']} path)"
     lines.append(
         f"{result['scheme']} / {result['lattice']} on {shape} "
         f"({result['n_fluid']:,} fluid nodes), tau = {result['tau']}, "
@@ -212,8 +215,7 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     ``problem`` selects the workload:
 
     ``"periodic"``
-        A fully periodic box, so *all* backends (including the
-        boundary-free numba JIT path) run the identical problem.
+        A fully periodic box: every fast backend takes its lean path.
     ``"forced-channel"``
         The body-force-driven bounce-back channel
         (:func:`repro.solver.presets.forced_channel_problem`) —
@@ -241,9 +243,7 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     precision.
 
     ``backends=None`` selects every backend available in this
-    environment (:func:`repro.accel.available_backends`); the walled
-    problems drop ``"numba"`` from that default (the JIT kernels are
-    periodic-only).
+    environment (:func:`repro.accel.available_backends`).
 
     Every backend first advances ``warmup_steps`` untimed steps (page
     faults, lazy buffer allocation, cache fill) so the MLUPS column
@@ -272,8 +272,6 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
         shape = _default_shape(lat.d)
     if backends is None:
         backends = available_backends()
-        if problem != "periodic":
-            backends = tuple(b for b in backends if b != "numba")
 
     rho0 = u0 = None
     if problem == "periodic":

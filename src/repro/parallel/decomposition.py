@@ -163,6 +163,8 @@ class _RankState:
         self.ghost_left = ghost_left
         self.ghost_right = ghost_right
         self.boundaries = [b.bind(lat, domain_slab, tau) for b in boundaries]
+        #: fast-path core stepping this slab (built on the first step).
+        self.core = None
 
     @property
     def interior(self) -> slice:
@@ -189,6 +191,9 @@ class DistributedSolver:
     #: Name of the per-rank state attribute holding the exchanged field
     #: (``"f"`` for populations, ``"m"`` for moments).
     field_attr: str = "?"
+    #: Kernel-family declaration handed to :mod:`repro.accel` (the same
+    #: dict shape the single-domain solvers declare).
+    accel_caps: dict | None = None
 
     def __init__(self, lat: LatticeDescriptor, global_domain: Domain,
                  tau: float, n_ranks: int, periodic_axis0: bool,
@@ -206,12 +211,6 @@ class DistributedSolver:
         if st_exchange not in ("crossing", "full"):
             raise ValueError("st_exchange must be 'crossing' or 'full'")
         self.st_exchange = st_exchange
-        if accel not in ("reference", "fused", "aa", "sparse"):
-            raise ValueError(
-                f"distributed solvers support accel='reference', 'fused', "
-                f"'aa' or 'sparse', got {accel!r} (the numba backend handles "
-                f"single-domain periodic problems only)"
-            )
         self.accel = accel
 
         rho_g = np.broadcast_to(np.asarray(rho0, dtype=np.float64),
@@ -227,6 +226,8 @@ class DistributedSolver:
             force[:, global_domain.solid_mask] = 0.0
         self.force = force
 
+        from ..accel import check_support
+
         self.ranks: list[_RankState] = []
         self._rank_slices: list[tuple[slice, slice]] = []  # (global, local int.)
         for r in range(n_ranks):
@@ -239,6 +240,10 @@ class DistributedSolver:
             slab = Domain(node_type)
             state = _RankState(lat, slab, boundary_factory(r, n_ranks),
                                tau, bool(gl), bool(gr))
+            # One support matrix with the single-domain solvers: the
+            # same check, against the boundary list this rank steps with.
+            check_support(type(self).__name__, accel, self.accel_caps,
+                          state.boundaries)
             self._init_rank_state(state, rho_g[gsl], np.stack(
                 [u_g[a][gsl] for a in range(lat.d)]))
             if self.force is not None:
@@ -248,19 +253,6 @@ class DistributedSolver:
                 state.force = None
             self.ranks.append(state)
             self._rank_slices.append((slice(start, stop), state.interior))
-
-        if accel == "sparse":
-            # The sparse cores never run post-collide hooks; fail at
-            # construction, matching repro.accel.validate_backend.
-            from ..boundary.base import Boundary
-
-            for state in self.ranks:
-                for b in state.boundaries:
-                    if type(b).post_collide is not Boundary.post_collide:
-                        raise ValueError(
-                            f"accel='sparse' does not support boundaries "
-                            f"with custom post-collide hooks "
-                            f"({type(b).__name__}); use accel='fused'")
 
         # Crossing component sets for ST exchanges.
         cx = lat.c[:, 0]
@@ -273,13 +265,31 @@ class DistributedSolver:
         """Allocate and initialize one rank's field arrays."""
         raise NotImplementedError
 
+    def _rank_step_reference(self, state: _RankState) -> None:
+        """One reference collide+stream step over a rank's slab."""
+        raise NotImplementedError
+
     def _rank_step(self, state: _RankState) -> None:
         """Advance one rank's slab by one collide+stream step.
 
         Ghost planes must already hold the neighbours' halo data (see
-        :meth:`_pack_halo` / :meth:`_unpack_halo`).
+        :meth:`_pack_halo` / :meth:`_unpack_halo`). Fast backends step
+        the slab (ghost planes included, so streaming reads the
+        exchanged halo exactly like the reference pull) through the
+        core :func:`repro.accel.make_core` builds for it. No clock is
+        passed: halo exchange and interior checkpoints need the natural
+        layout after every step.
         """
-        raise NotImplementedError
+        if self.accel == "reference":
+            self._rank_step_reference(state)
+            return
+        if state.core is None:
+            from ..accel import make_core
+
+            state.core = make_core(self.accel, self.accel_caps, self.lat,
+                                   state.domain, self.tau, state.boundaries)
+        state.core.step(getattr(state, self.field_attr), state.boundaries,
+                        force=state.force)
 
     def _pack_halo(self, state: _RankState, direction: str) -> np.ndarray:
         """Copy the edge-plane payload travelling ``direction`` out of a rank.
@@ -371,14 +381,15 @@ class DistributedST(DistributedSolver):
 
     scheme = "ST"
     field_attr = "f"
+    accel_caps = {"family": "st"}
 
     def _init_rank_state(self, state, rho, u):
         """Initialize the rank's populations at equilibrium."""
         state.f = equilibrium(self.lat, rho, u)
-        # The single-lattice and compact cores own their own scratch; every
-        # other path double-buffers through this one.
-        state.scratch = (None if self.accel in ("aa", "sparse")
-                         else np.empty_like(state.f))
+        # The reference step double-buffers through this lattice; the
+        # fast-path cores own their scratch.
+        state.scratch = (np.empty_like(state.f)
+                         if self.accel == "reference" else None)
 
     def _rank_macroscopic(self, state):
         """Density and (half-force-corrected) velocity from populations."""
@@ -413,50 +424,9 @@ class DistributedST(DistributedSolver):
         else:
             state.f[self._send_comps("left"), -1] = buf
 
-    def _rank_step(self, state) -> None:
+    def _rank_step_reference(self, state) -> None:
         """Pull-stream, apply boundaries, BGK/Guo collide one slab."""
         lat = self.lat
-        if self.accel == "fused":
-            core = getattr(state, "accel_core", None)
-            if core is None:
-                from ..accel import FusedSTCore
-
-                core = state.accel_core = FusedSTCore(
-                    lat, state.domain.shape, self.tau)
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
-            core.step(state.f, state.scratch, state.boundaries,
-                      state.accel_solid, force=state.force)
-            return
-        if self.accel == "sparse":
-            # Compact fluid-node-list step over the slab (ghost planes
-            # included, so the folded gather reads the exchanged halo
-            # data exactly like the dense pull).
-            core = getattr(state, "accel_core", None)
-            if core is None:
-                from ..accel import SparseSTCore
-
-                core = state.accel_core = SparseSTCore(
-                    lat, state.domain.solid_mask, self.tau,
-                    boundaries=state.boundaries)
-            core.step(state.f, state.boundaries, force=state.force)
-            return
-        if self.accel == "aa":
-            # Per-rank conservative single-lattice step: the slab state
-            # stays natural every step, so halo exchange and interior
-            # checkpoints are untouched; the rank persists one lattice
-            # (the core's scratch replaces state.scratch).
-            core = getattr(state, "accel_core", None)
-            if core is None:
-                from ..accel import InplaceSTCore
-
-                core = state.accel_core = InplaceSTCore(
-                    lat, state.domain.shape, self.tau)
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
-            core.step_bounded(state.f, state.boundaries, state.accel_solid,
-                              force=state.force)
-            return
         stream_pull(lat, state.f, out=state.scratch)
         for b in state.boundaries:
             b.post_stream(lat, state.scratch, state.f)
@@ -501,16 +471,16 @@ class DistributedMR(DistributedSolver):
         if scheme not in ("MR-P", "MR-R"):
             raise ValueError(f"scheme must be MR-P or MR-R, got {scheme!r}")
         self.scheme = scheme
+        self.accel_caps = {"family": "mr", "scheme": scheme}
         super().__init__(*args, **kwargs)
 
     def _init_rank_state(self, state, rho, u):
         """Initialize the rank's moment field at equilibrium."""
         state.m = equilibrium_moments(self.lat, rho, u)
-        # The single-buffer and compact cores allocate their own lattices,
-        # cutting the rank's distribution scratch from 2 Q-fields to 1 (or
-        # to compact fluid-column buffers).
-        state.scratch = (None if self.accel in ("aa", "sparse")
-                         else np.empty((self.lat.q, *state.domain.shape)))
+        # Streaming target of the reference step; the fast-path cores
+        # own their distribution buffers.
+        state.scratch = (np.empty((self.lat.q, *state.domain.shape))
+                         if self.accel == "reference" else None)
 
     def _rank_macroscopic(self, state):
         """Density and velocity straight from the conserved moments."""
@@ -535,42 +505,9 @@ class DistributedMR(DistributedSolver):
         """Write received moments into a ghost plane."""
         state.m[:, 0 if side == "left" else -1] = buf
 
-    def _rank_step(self, state) -> None:
+    def _rank_step_reference(self, state) -> None:
         """Moment-space collide, reconstruct, push-stream one slab."""
         lat = self.lat
-        if self.accel == "sparse":
-            core = getattr(state, "accel_core", None)
-            if core is None:
-                from ..accel import SparseMRCore
-
-                core = state.accel_core = SparseMRCore(
-                    lat, state.domain.solid_mask, self.tau,
-                    scheme=self.scheme, boundaries=state.boundaries)
-            core.step(state.m, state.boundaries, force=state.force)
-            return
-        if self.accel in ("fused", "aa"):
-            core = getattr(state, "accel_core", None)
-            if core is None:
-                from ..accel import FusedMRCore, InplaceMRCore
-
-                if self.accel == "aa" and not state.boundaries:
-                    # Single-buffer tiled gather-project on this slab
-                    # (ghost planes absorb the periodic wrap, so the
-                    # slab-local neighbour table is exact).
-                    core = InplaceMRCore(lat, state.domain.shape, self.tau,
-                                         scheme=self.scheme)
-                else:
-                    # Bounded ranks (or plain fused) run the two-buffer
-                    # fused core; with accel='aa' it owns both lattices.
-                    core = FusedMRCore(lat, state.domain.shape, self.tau,
-                                       scheme=self.scheme,
-                                       f_scratch=state.scratch)
-                state.accel_core = core
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
-            core.step(state.m, state.boundaries, state.accel_solid,
-                      force=state.force)
-            return
         if self.scheme == "MR-P":
             m_star = collide_moments_projective(lat, state.m, self.tau,
                                                 force=state.force)

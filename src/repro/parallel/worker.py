@@ -241,6 +241,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             "pid": os.getpid(),
             "scheme": solver.scheme,
             "accel": solver.accel,
+            "path": None if state.core is None else state.core.path,
             "steps": n_steps - start_step,
             "start_step": start_step,
             "attempt": attempt,

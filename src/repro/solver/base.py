@@ -24,7 +24,12 @@ __all__ = ["Solver", "SolverDiagnostics"]
 
 
 class SolverDiagnostics:
-    """Lightweight macroscopic diagnostics over the fluid region."""
+    """Lightweight macroscopic diagnostics over the fluid region.
+
+    A short-lived view: :attr:`Solver.diagnostics` builds one per access,
+    so the solver holds no reference back to itself (a stored view made
+    every solver a reference cycle that only the cycle collector freed).
+    """
 
     def __init__(self, solver: "Solver"):
         self._solver = solver
@@ -67,10 +72,10 @@ class Solver(ABC):
         corresponding equilibrium.
     backend:
         Execution backend for :meth:`step`: ``"reference"`` (the
-        scheme's own step method), ``"fused"`` (pure-NumPy fused
-        kernels) or ``"numba"`` (JIT kernels, optional extra). Fast
-        backends reproduce the reference trajectory to machine
-        precision; see :mod:`repro.accel`. Both the backend name and
+        scheme's own step method), ``"fused"``, ``"aa"`` or
+        ``"sparse"`` (pure-NumPy fast paths). Fast backends reproduce
+        the reference trajectory to machine precision; see
+        :mod:`repro.accel`. Both the backend name and
         the solver/feature compatibility matrix are checked eagerly at
         construction time (:func:`repro.accel.validate_backend`), so an
         unsupported combination never fails mid-run.
@@ -111,7 +116,6 @@ class Solver(ABC):
         self.tau = float(tau)
         self.boundaries = [b.bind(lat, domain, tau) for b in boundaries]
         self.time = 0
-        self.diagnostics = SolverDiagnostics(self)
         #: telemetry registry; the disabled singleton by default, so the
         #: instrumented hot loop costs nothing unless one is attached.
         self.telemetry = NULL_TELEMETRY
@@ -160,21 +164,37 @@ class Solver(ABC):
         """One timestep of the scheme's reference implementation."""
 
     def step(self) -> None:
-        """Advance one timestep via the selected execution backend.
-
-        The fast-path stepper object is built lazily on the first step,
-        but the solver/backend compatibility matrix was already checked
-        at construction time, so building it cannot fail for a solver
-        that constructed successfully.
-        """
+        """Advance one timestep via the selected execution backend."""
         if self.backend == "reference":
             self._step_reference()
-            return
+        else:
+            self._fast_stepper().step(self)
+
+    def _fast_stepper(self):
+        """The fast-path stepper (and its core), built on first use.
+
+        The solver/backend compatibility matrix was already checked at
+        construction time, so building it cannot fail for a solver that
+        constructed successfully. The stepper owns every buffer beyond
+        the persistent state and holds no reference to the solver.
+        """
         if self._stepper is None:
             from ..accel import make_stepper
 
             self._stepper = make_stepper(self)
-        self._stepper.step(self)
+        return self._stepper
+
+    @property
+    def accel_path(self) -> str | None:
+        """Step variant of the core stepping this solver (``"dense"``,
+        ``"lean"``, ``"bounded"``, ``"dense-fallback"``); ``None`` on
+        ``"reference"`` and before the first fast-path step builds it."""
+        return None if self._stepper is None else self._stepper.core.path
+
+    @property
+    def diagnostics(self) -> SolverDiagnostics:
+        """Macroscopic diagnostics (mass, momentum, max speed) of this solver."""
+        return SolverDiagnostics(self)
 
     @abstractmethod
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:

@@ -35,11 +35,10 @@ class _MomentSolver(Solver):
         """Set the moment field to the equilibrium of ``(rho, u)``."""
         _, m_eq = self._equilibrium_state(rho, u)
         self.m = m_eq
-        # The single-lattice backend's core owns its own (single)
-        # distribution buffer, and the compact-state sparse core never
-        # materializes a dense one; every other path shares this scratch.
-        self._f_scratch = (None if self.backend in ("aa", "sparse")
-                           else np.empty((self.lat.q, *self.domain.shape)))
+        # Streaming target of the reference step; every fast backend's
+        # core owns its own distribution buffers.
+        self._f_scratch = (np.empty((self.lat.q, *self.domain.shape))
+                           if self.backend == "reference" else None)
 
     def _post_collision_f(self) -> np.ndarray:
         """Post-collision distribution reconstructed from moments."""

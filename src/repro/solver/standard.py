@@ -59,11 +59,10 @@ class STSolver(Solver):
         """Fill the lattice(s) with the equilibrium of ``(rho, u)``."""
         feq, _ = self._equilibrium_state(rho, u)
         self.f = feq                        # current (post-collision) lattice
-        # The single-lattice and compact-state backends keep only ``f``
-        # as persistent dense state (any scratch they need is owned by
-        # their cores).
-        self._f_streamed = (None if self.backend in ("aa", "sparse")
-                            else np.empty_like(feq))
+        # The reference step double-buffers through this lattice; every
+        # fast backend's core owns whatever scratch it needs.
+        self._f_streamed = (np.empty_like(feq)
+                            if self.backend == "reference" else None)
 
     def _aa_layout_is_shifted(self) -> bool:
         """True when ``self.f`` is stored in the component-shifted AA layout.
@@ -173,12 +172,9 @@ class STSolver(Solver):
 
     @property
     def state_values_per_node(self) -> int:
-        """``2Q`` doubles per node, or ``Q`` under ``"aa"``/``"sparse"``."""
-        # Two lattices for the classical scheme; the single-lattice
-        # ``"aa"`` and compact-state ``"sparse"`` backends persist only
-        # ``f`` as dense state (sparse scratch scales with the fluid
-        # count — see docs/ALGORITHMS.md for the footprint/traffic
-        # models).
-        if self.backend in ("aa", "sparse"):
-            return self.lat.q
-        return 2 * self.lat.q
+        """``2Q`` doubles per node for the two-lattice scheme, ``Q`` on the
+        single-lattice and compact-state backends (whose cores say so —
+        see docs/ALGORITHMS.md for the footprint/traffic models)."""
+        if self.backend == "reference":
+            return 2 * self.lat.q
+        return self._fast_stepper().core.state_lattices * self.lat.q

@@ -44,3 +44,40 @@ def random_state(lattice, rng):
     feq = equilibrium(lattice, rho, u)
     f = feq * (1.0 + 0.02 * rng.standard_normal((lattice.q, *grid)))
     return rho, u, f
+
+
+def _field_doubles(*owners, min_size: int) -> int:
+    """Doubles held in node-scale float64 buffers reachable from ``owners``.
+
+    ``owners`` are arrays or :mod:`repro.accel` objects (walked through
+    their attributes, tuples, lists and dicts). Views are resolved to the
+    buffer that owns their memory and each buffer counts once; small
+    operator matrices and integer index tables are not lattice state and
+    are skipped (``min_size`` is the smallest node count that matters).
+    """
+    buffers: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    stack = list(owners)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            if obj.dtype == np.float64 and obj.size >= min_size:
+                buffers[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("repro.accel"):
+            stack.extend(vars(obj).values())
+    return sum(b.size for b in buffers.values())
+
+
+@pytest.fixture
+def field_doubles():
+    """The buffer-inventory counter (see :func:`_field_doubles`)."""
+    return _field_doubles

@@ -90,12 +90,31 @@ class TestEmulatedInplaceParity:
         assert np.abs(rho_r - rho_a).max() < 1e-13
         assert np.abs(u_r - u_a).max() < 1e-13
 
-    def test_aa_ranks_drop_scratch_lattice(self):
-        """aa ranks allocate no second lattice (the footprint saving)."""
-        dist = build_spec("periodic", "ST", 2, accel="aa").build()
-        assert all(state.scratch is None for state in dist.ranks)
-        fused = build_spec("periodic", "ST", 2, accel="fused").build()
-        assert all(state.scratch is not None for state in fused.ranks)
+    def test_aa_ranks_drop_scratch_lattice(self, field_doubles):
+        """A rank owns only its state; the core's buffers are the inventory.
+
+        Same check as ``tests/unit/test_accel_cores.py`` on one slab:
+        boundary-free MR ranks run one distribution lattice lighter
+        under ``aa`` (they gain the gather-project slab, a full slab at
+        this size, so the totals tie), ST ranks trade the rank scratch
+        for the core-owned one (neutral).
+        """
+        for scheme, field in (("ST", "f"), ("MR-P", "m")):
+            for accel in ("fused", "aa"):
+                dist = build_spec("periodic", scheme, 2, accel=accel).build()
+                dist.run(2)
+                state = dist.ranks[0]
+                assert state.scratch is None
+                lat, n = dist.lat, state.domain.n_nodes
+                q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
+                expected = (n * (2 * q + 2 * m + d + q) if scheme == "ST"
+                            else n * (m + 2 * q + m + d + 2 * p))
+                assert field_doubles(getattr(state, field), state.core,
+                                     min_size=n) == expected
+                assert state.core.state_lattices == (1 if accel == "aa"
+                                                     else 2)
+        assert build_spec("periodic", "ST", 2).build().ranks[0].scratch \
+            is not None
 
 
 class TestProcessFused:

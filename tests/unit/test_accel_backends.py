@@ -9,7 +9,7 @@ configuration-matrix error paths of :func:`repro.accel.make_stepper`.
 import numpy as np
 import pytest
 
-from repro.accel import (BACKENDS, HAS_NUMBA, FusedMRCore, available_backends,
+from repro.accel import (BACKENDS, FusedMRCore, available_backends,
                          make_stepper, solver_caps, validate_backend)
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import channel_2d, lid_driven_cavity, periodic_box
@@ -104,22 +104,6 @@ class TestFusedParity:
         drho, du = run_pair(build, "fused")
         assert drho < MACHINE_EPS
         assert du < MACHINE_EPS
-
-    def test_gather_stream_mode_matches_roll(self):
-        """The table-gather stream mode is the same permutation as roll."""
-        lat = get_lattice("D2Q9")
-        shape = (12, 10)
-        rho0, u0 = taylor_green_fields(shape, 0.0, lat.viscosity(0.8), 0.04)
-
-        def run_mode(mode):
-            solver = periodic_problem("MR-P", lat, shape, 0.8,
-                                      rho0=rho0, u0=u0)
-            core = FusedMRCore(lat, shape, 0.8, scheme="MR-P", stream=mode)
-            for _ in range(6):
-                core.step(solver.m, solver.boundaries, None)
-            return solver.m.copy()
-
-        assert np.array_equal(run_mode("roll"), run_mode("gather"))
 
     def test_step_count_and_time_advance(self):
         solver = taylor_green_builder("ST", "D2Q9", (10, 8))("fused")
@@ -256,7 +240,6 @@ class TestBackendValidation:
         avail = available_backends()
         assert set(avail) <= set(BACKENDS)
         assert "reference" in avail and "fused" in avail
-        assert ("numba" in avail) == HAS_NUMBA
 
     def test_reference_backend_needs_no_stepper(self):
         solver = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
@@ -329,40 +312,4 @@ class TestBackendValidation:
         solver = periodic_problem("MR-R", "D2Q9", (8, 8), 0.8)
         tau_field = np.full((8, 8), 0.8)
         with pytest.raises(ValueError, match="MR-P"):
-            core.step(solver.m, [], None, solver.telemetry,
-                      tau_field=tau_field)
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_numba_missing_raises_at_construction(self):
-        """A missing optional extra fails eagerly, not ten minutes in."""
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            periodic_problem("ST", "D2Q9", (8, 8), 0.8, backend="numba")
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaParity:
-    """JIT backend parity — runs only where the optional extra exists."""
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_taylor_green_periodic(self, scheme):
-        drho, du = run_pair(
-            taylor_green_builder(scheme, "D2Q9", (16, 12)), "numba")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
-
-    def test_boundaries_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="periodic"):
-            channel_problem("ST", "D2Q9", (16, 8), backend="numba")
-
-    def test_forced_st_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="does not fuse body forcing"):
-            periodic_problem("ST", "D2Q9", (8, 8), 0.8,
-                             force=np.array([1e-5, 0.0]), backend="numba")
-
-    @pytest.mark.parametrize("scheme", ["MR-P", "MR-R"])
-    def test_forced_mr_parity(self, scheme):
-        """Numba MR shares the NumPy collide, so forcing comes for free."""
-        drho, du = run_pair(
-            forced_periodic_builder(scheme, "D2Q9", (14, 10)), "numba")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+            core.step(solver.m, [], solver.telemetry, tau_field=tau_field)

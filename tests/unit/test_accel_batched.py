@@ -5,7 +5,7 @@ batched ensemble reproduces its own independent ``backend="fused"`` run
 to machine precision — the batch axis is a dispatch-amortization device,
 never a physics change. These tests pin that across ST / MR-P / MR-R,
 D2Q9 and D3Q19, heterogeneous per-member relaxation times and forcing,
-plus the constructor/stream validation and steady-state allocation
+plus the constructor validation and steady-state allocation
 behavior of the cores.
 """
 
@@ -20,6 +20,7 @@ from repro.accel.batched import (
     BatchedFusedSTCore,
     _as_taus,
 )
+from repro.core.streaming import stream_push
 from repro.ensemble import EnsembleRunner
 from repro.lattice import get_lattice
 from repro.solver import forced_channel_problem, periodic_problem
@@ -97,14 +98,16 @@ class TestBatchedParity:
         assert_members_match(solos, members)
 
     def test_roll_stream_matches_gather(self):
-        """Both batched streaming modes are the same pure permutation."""
+        """A batch gathers through the table, a single simulation rolls:
+        the same pure permutation, so members match bit for bit."""
         build = lambda: [periodic_member("MR-P", "D2Q9", (12, 8), tau, k)
                          for k, tau in enumerate((0.7, 1.0))]  # noqa: E731
-        a, b = build(), build()
-        EnsembleRunner(a, stream="gather").run(5)
-        EnsembleRunner(b, stream="roll").run(5)
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.m, mb.m)
+        solos, members = build(), build()
+        for s in solos:
+            s.run(5)
+        EnsembleRunner(members).run(5)
+        for solo, member in zip(solos, members):
+            assert np.array_equal(solo.m, member.m)
 
     @given(taus=st.lists(st.floats(0.55, 1.9), min_size=1, max_size=5))
     @settings(max_examples=10, deadline=None)
@@ -142,22 +145,23 @@ class TestCoreValidation:
             BatchedFusedMRCore(get_lattice("D2Q9"), (8, 8), [0.8],
                                scheme="ST")
 
-    def test_unknown_stream_mode(self):
-        with pytest.raises(ValueError, match="streaming mode"):
-            BatchedFusedSTCore(get_lattice("D2Q9"), (8, 8), [0.8],
-                               stream="teleport")
-
     def test_auto_stream_resolves_to_gather(self):
-        core = BatchedFusedSTCore(get_lattice("D2Q9"), (8, 8), [0.8, 0.9])
-        assert core.stream_mode == "gather"
+        """With a batch axis the core streams through the neighbour table."""
+        lat = get_lattice("D2Q9")
+        core = BatchedFusedSTCore(lat, (8, 8), [0.8, 0.9])
         assert core.batch == 2
+        f = np.random.default_rng(1).standard_normal((2, lat.q, 8, 8))
+        out = np.empty_like(f)
+        core._stream(f, out)
+        for k in range(2):
+            assert np.array_equal(out[k], stream_push(lat, f[k]))
 
     def test_boundary_list_length_mismatch(self):
         lat = get_lattice("D2Q9")
         core = BatchedFusedSTCore(lat, (6, 6), [0.8, 0.9])
         f = np.tile(lat.w[:, None, None], (2, 1, 6, 6))
         with pytest.raises(ValueError, match="boundary lists"):
-            core.step(f, np.empty_like(f), boundaries=[[]])
+            core.step(f, boundaries=[[]])
 
 
 class TestSteadyStateAllocations:
@@ -176,13 +180,12 @@ class TestSteadyStateAllocations:
                                   [0.6 + 0.05 * k for k in range(batch)])
         rng = np.random.default_rng(3)
         f = 1.0 + 0.01 * rng.standard_normal((batch, lat.q, *shape))
-        scratch = np.empty_like(f)
         for _ in range(3):
-            core.step(f, scratch)
+            core.step(f)
         tracemalloc.start()
         try:
             for _ in range(5):
-                core.step(f, scratch)
+                core.step(f)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

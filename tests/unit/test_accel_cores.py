@@ -1,0 +1,230 @@
+"""Contracts of the one core protocol behind every fast backend.
+
+* the buffer inventory — persistent state plus everything a core owns —
+  equals the documented footprint (docs/PERFORMANCE.md "state" column and
+  the realized-allocation table of docs/ALGORITHMS.md); this is the guard
+  behind ``peak_rss_mb``: one stray D3Q19 64^3 lattice is 40 MB;
+* every core names the step variant it runs in ``path``, and the run
+  manifest and ``mrlbm profile`` header record it;
+* a solver is not a reference cycle: dropping the last reference frees
+  it (and its core) without the cycle collector;
+* single-domain and distributed constructors share one support matrix.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.accel import BACKENDS
+from repro.boundary import FullwayBounceBack
+from repro.lattice import get_lattice
+from repro.service.registry import (build_distributed, build_single,
+                                    get_problem, problem_kinds)
+from repro.solver import (channel_problem, forced_channel_problem,
+                          make_solver, periodic_problem)
+
+FAST = ("fused", "aa", "sparse")
+SHAPE = (16, 12)
+
+
+def build(problem, scheme, backend):
+    if problem == "periodic":
+        return periodic_problem(scheme, "D2Q9", SHAPE, 0.8, backend=backend)
+    if problem == "walled":
+        return forced_channel_problem(scheme, "D2Q9", SHAPE, tau=0.8,
+                                      u_max=0.04, backend=backend)
+    return channel_problem(scheme, "D2Q9", SHAPE, tau=0.8, u_max=0.04,
+                           backend=backend)
+
+
+def expected_doubles(backend, scheme, problem, lat, n, nf):
+    """Documented footprint in doubles (see the module docstring).
+
+    ``state`` is the backend matrix's state column; ``scratch`` the
+    moment-sized collide intermediates per column (dense node or compact
+    fluid node), which grow by the Guo source buffers on forced problems.
+    """
+    q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
+    forced = problem == "walled"
+    lean = problem != "inlet-outlet"     # walls alone fold / stay lean
+    if scheme == "ST":
+        scratch = 2 * m + d + q + (2 * q + d + 1 if forced else 0)
+        lattices, persistent = 2 * q, q
+    else:
+        g = m if scheme == "MR-P" else (
+            m + lat.h3_supported.size + lat.h4_supported.size)
+        scratch = g + d + 2 * p + (2 if forced else 0)
+        lattices, persistent = m + 2 * q, m
+    if backend == "sparse":
+        # dense field + compact columns (+ compact force) over n_fluid,
+        # plus the dense streaming lattice(s) of the fallback path
+        compact = (lattices - persistent) + persistent + scratch
+        fallback = 0 if lean else n * (q if scheme == "ST" else 2 * q)
+        return (n * persistent + nf * (compact + (d if forced else 0))
+                + fallback)
+    if backend == "aa" and scheme != "ST" and problem == "periodic":
+        # 2M + Q, plus the gather-project slab (the whole grid when it
+        # is smaller than the L2-sized tile, as here)
+        return n * (lattices - q + scratch) + q * n
+    # fused 2Q / 2M+2Q; aa ST is Q state + Q core scratch on every
+    # path, and bounded aa MR is the two-buffer fused step
+    return n * (lattices + scratch)
+
+
+class TestBufferInventory:
+    @pytest.mark.parametrize("problem", ["periodic", "walled",
+                                         "inlet-outlet"])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
+    @pytest.mark.parametrize("backend", FAST)
+    def test_state_plus_core_matches_documented_footprint(
+            self, backend, scheme, problem, field_doubles):
+        solver = build(problem, scheme, backend)
+        solver.run(2)
+        n, nf = solver.domain.n_nodes, solver.domain.n_fluid
+        state = solver.f if scheme == "ST" else solver.m
+        # a fast backend's solver owns nothing but its persistent state
+        assert getattr(solver, "_f_streamed", None) is None
+        assert getattr(solver, "_f_scratch", None) is None
+        held = field_doubles(state, solver._stepper, min_size=min(n, nf))
+        assert held == expected_doubles(backend, scheme, problem,
+                                        solver.lat, n, nf)
+
+    def test_reference_solver_owns_its_scratch(self):
+        st = build("periodic", "ST", "reference")
+        mr = build("periodic", "MR-P", "reference")
+        assert st._f_streamed.shape == st.f.shape
+        assert mr._f_scratch.shape == (mr.lat.q, *SHAPE)
+
+    @pytest.mark.parametrize("backend,lattices", [
+        ("reference", 2), ("fused", 2), ("aa", 1), ("sparse", 1)])
+    def test_st_state_values_per_node_comes_from_the_core(self, backend,
+                                                          lattices):
+        solver = build("periodic", "ST", backend)
+        assert solver.state_values_per_node == lattices * solver.lat.q
+
+
+def path_of(problem, scheme, backend):
+    """``accel_path`` of a solver once its first step has built the core."""
+    solver = build(problem, scheme, backend)
+    assert solver.accel_path is None
+    return solver.run(1).accel_path
+
+
+class TestPath:
+    """One test per ``path`` value, through the public seam."""
+
+    def test_dense(self):
+        for problem in ("periodic", "inlet-outlet"):
+            assert path_of(problem, "MR-P", "fused") == "dense"
+
+    def test_lean(self):
+        assert path_of("periodic", "ST", "aa") == "lean"
+        assert path_of("periodic", "MR-R", "aa") == "lean"
+        # plain half-way walls fold into the sparse gather table
+        assert path_of("walled", "MR-P", "sparse") == "lean"
+
+    def test_bounded(self):
+        assert path_of("walled", "ST", "aa") == "bounded"
+        assert path_of("inlet-outlet", "MR-P", "aa") == "bounded"
+
+    def test_dense_fallback(self):
+        assert path_of("inlet-outlet", "ST", "sparse") == "dense-fallback"
+
+    def test_reference_has_no_path(self):
+        assert path_of("periodic", "ST", "reference") is None
+
+    def test_path_is_read_only_on_the_solver(self):
+        with pytest.raises(AttributeError):
+            build("periodic", "ST", "fused").accel_path = "lean"
+
+    def test_manifest_records_path(self):
+        from repro.obs.manifest import RunManifest
+
+        solver = build("inlet-outlet", "MR-P", "sparse")
+        solver.run(1)
+        manifest = RunManifest.from_solver(solver, accel="sparse")
+        assert manifest.extra["accel_path"] == "dense-fallback"
+        reference = RunManifest.from_solver(build("periodic", "ST",
+                                                  "reference"))
+        assert "accel_path" not in reference.extra
+
+    def test_profile_header_names_path(self):
+        from repro.obs import format_profile, profile_scheme
+
+        result = profile_scheme("MR-P", "D2Q9", shape=(16, 10), steps=2,
+                                measure_traffic=False, accel="aa")
+        assert result["path"] == "bounded"
+        assert "backend = aa (bounded path)" in format_profile(result)
+
+    def test_rank_cores_carry_path(self):
+        dist = build_distributed("channel", "MR-P", "D2Q9", (24, 12), 3,
+                                 accel="sparse", u_max=0.04)
+        dist.run(1)
+        paths = [state.core.path for state in dist.ranks]
+        # inlet and outlet ranks fall back densely, the interior rank's
+        # plain walls fold
+        assert paths == ["dense-fallback", "lean", "dense-fallback"]
+
+
+class TestSolverIsNotAReferenceCycle:
+    @pytest.mark.parametrize("steps", [0, 2])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_del_frees_solver_without_the_collector(self, backend, scheme,
+                                                    steps):
+        gc.collect()
+        gc.disable()
+        try:
+            solver = build("walled", scheme, backend)
+            solver.run(steps)
+            assert np.isfinite(solver.diagnostics.mass())
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def _constructs(builder):
+    try:
+        builder()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestOneSupportMatrix:
+    @pytest.mark.parametrize("backend", BACKENDS + ("numba", "cuda"))
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
+    @pytest.mark.parametrize("kind", [
+        k for k in problem_kinds()
+        if get_problem(k).single and get_problem(k).distributed])
+    def test_single_and_distributed_constructors_agree(self, kind, scheme,
+                                                       backend):
+        shape = (24, 12)
+        single = _constructs(lambda: build_single(
+            kind, scheme, "D2Q9", shape, backend=backend))
+        ranks = _constructs(lambda: build_distributed(
+            kind, scheme, "D2Q9", shape, 2, accel=backend))
+        assert (single is None) == (ranks is None)
+        if single is not None:
+            assert "backend" in single and "backend" in ranks
+
+    def test_same_rejection_text(self):
+        """A post-collide boundary under ``sparse``: one message, two owners."""
+        from repro.geometry import channel_2d
+        from repro.parallel.decomposition import DistributedST
+
+        lat = get_lattice("D2Q9")
+        domain = channel_2d(16, 10, with_io=False)
+        with pytest.raises(ValueError) as single:
+            make_solver("ST", lat, domain, 0.8,
+                        boundaries=[FullwayBounceBack()], backend="sparse")
+        with pytest.raises(ValueError) as ranks:
+            DistributedST(lat, domain, 0.8, 2, periodic_axis0=True,
+                          boundary_factory=lambda r, n: [FullwayBounceBack()],
+                          accel="sparse")
+        assert (str(single.value).replace("STSolver", "DistributedST")
+                == str(ranks.value))

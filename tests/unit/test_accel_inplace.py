@@ -12,8 +12,8 @@ canonicalization, and the configuration error paths.
 import numpy as np
 import pytest
 
-from repro.accel import available_backends, make_stepper
-from repro.accel.inplace import (InplaceMRCore, InplaceSTCore, aa_to_natural,
+from repro.accel import available_backends
+from repro.accel.inplace import (InplaceMRCore, aa_to_natural,
                                  natural_to_aa)
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
@@ -179,21 +179,6 @@ class TestAALayout:
         assert fast._aa_layout_is_shifted()
         assert np.array_equal(aa_to_natural(fast.lat, fast.f), ref.f)
 
-    def test_scatter_strategies_bit_identical(self):
-        """Both scatter strategies realize the same exact permutation."""
-        build = random_periodic_builder("ST", "D3Q19", (6, 5, 4),
-                                        forced=True, solids=True)
-        states = []
-        for scat in ("fused", "copy"):
-            s = build("aa")
-            s._stepper = make_stepper(s)
-            s._stepper.core = InplaceSTCore(
-                s.lat, s.domain.shape, s.tau,
-                solid_mask=s._stepper._solid, scatter=scat)
-            s.run(5)
-            states.append(s.f.copy())
-        assert np.array_equal(states[0], states[1])
-
     def test_macroscopic_does_not_mutate_state(self):
         """Odd-parity macroscopic() converts a copy, not the live array."""
         s = random_periodic_builder("ST", "D2Q9", (10, 8))("aa")
@@ -259,11 +244,6 @@ class TestInplaceContracts:
         with pytest.raises(ValueError, match="MR-P"):
             core.step(solver.m, [], None,
                       tau_field=np.full((8, 8), 0.8))
-
-    def test_unknown_scatter_strategy_rejected(self):
-        lat = get_lattice("D2Q9")
-        with pytest.raises(ValueError, match="scatter"):
-            InplaceSTCore(lat, (8, 8), 0.8, scatter="teleport")
 
     def test_st_non_bgk_rejected_like_fused(self):
         """aa shares the fused validation rules (ST is BGK-only)."""

@@ -197,7 +197,8 @@ class TestBackendComparison:
         assert "accel = fused" in capsys.readouterr().out
 
     def test_run_distributed_rejects_numba(self, capsys):
-        rc = main(["run", "--scheme", "ST", "--shape", "24,10", "--steps", "2",
-                   "--ranks", "2", "--accel", "numba"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("ERROR:")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scheme", "ST", "--shape", "24,10", "--steps", "2",
+                  "--ranks", "2", "--accel", "numba"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numba'" in capsys.readouterr().err
