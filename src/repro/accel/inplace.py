@@ -40,8 +40,9 @@ realization that stays *collide-identical* to the fused cores:
     the per-node ``tau_field`` collision; built with boundary objects it
     runs the inherited two-buffer fused step instead.
 
-Both cores name the variant chosen at construction in ``path``:
-``"lean"`` (boundary-free) or ``"bounded"``.
+Both cores name the variant they run in ``path``: ``"lean"``
+(boundary-free) or ``"bounded"`` (also a boundary-free ST core once it
+is stepped without a clock).
 
 Layout helpers
 --------------
@@ -149,9 +150,11 @@ class InplaceSTCore(FusedSTCore):
     checkpoint/resume at any parity is just a matter of restoring the
     clock. The ``"bounded"`` path — chosen at construction whenever
     boundary objects are present, whose hooks see full natural arrays —
-    is the inherited two-lattice step against the core-owned scratch; an
+    is the inherited two-lattice step against the core-owned scratch. An
     owner that passes no clock (distributed ranks, whose halo exchange
-    needs the natural layout after every step) gets that step too.
+    needs the natural layout after every step) cannot keep the lean
+    state convention, so its first step moves the core to ``"bounded"``
+    for good and ``path`` reports the step actually taken.
     """
 
     state_lattices = 1
@@ -178,7 +181,9 @@ class InplaceSTCore(FusedSTCore):
         already holds the streamed input, so the whole step is one
         in-place collision — the saved memory pass of the AA pattern.
         """
-        if self.path != "lean" or time is None:
+        if time is None:
+            self.path = "bounded"
+        if self.path != "lean":
             super().step(f, boundaries, tel, force=force)
             return
         tel = NULL_TELEMETRY if tel is None else tel

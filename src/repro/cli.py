@@ -316,6 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _problem_options(args, distributed: bool) -> dict:
+    """The ``run`` flags the chosen problem kind takes, as its options.
+
+    The kinds live in the shared registry (:mod:`repro.service.registry`);
+    the CLI only maps ``--u-max``/``--bc`` onto the kinds that accept
+    them (the porous kind draws its own geometry and takes neither). A
+    distributed channel always runs the node-local ``nebb``
+    reconstruction, whatever ``--bc`` says.
+    """
+    from .service.registry import get_problem
+
+    accepted = get_problem(args.problem).options
+    options = {}
+    if "u_max" in accepted:
+        options["u_max"] = args.u_max
+    if "bc_method" in accepted:
+        options["bc_method"] = "nebb" if distributed else args.bc
+    return options
+
+
 def _distributed_spec(args, shape):
     """Build the :class:`~repro.parallel.RunSpec` for a distributed run."""
     from .parallel import RunSpec
@@ -330,17 +350,10 @@ def _distributed_spec(args, shape):
         "events_dir": getattr(args, "events", None),
         "events_every": getattr(args, "events_every", 25),
     }
-    # The problem kinds live in the shared registry (repro.service.registry),
-    # so the CLI only decides which options each kind takes.  The porous
-    # preset draws its own geometry from a seed and takes no u_max.
-    options: dict = {"u_max": args.u_max}
-    if args.problem == "channel":
-        options["bc_method"] = "nebb"
-    elif args.problem == "porous":
-        options = {}
     return RunSpec(args.problem, args.scheme, args.lattice, shape,
                    args.ranks, tau=args.tau, accel=accel,
-                   options=options, **fault_tolerance)
+                   options=_problem_options(args, distributed=True),
+                   **fault_tolerance)
 
 
 def _cmd_run_distributed(args: argparse.Namespace) -> int:
@@ -479,19 +492,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     shape = tuple(int(s) for s in args.shape.split(","))
     accel = getattr(args, "accel", "reference")
-    # Single-domain dispatch goes through the same problem registry as
-    # the distributed runtime, the sweep engine and the job server; the
-    # CLI only decides which options each kind takes (the porous preset
-    # draws its own geometry from a seed and takes no u_max).
-    options: dict = {"u_max": args.u_max}
-    if args.problem == "channel":
-        options["bc_method"] = args.bc
-    elif args.problem == "porous":
-        options = {}
     try:
         solver = build_single(args.problem, args.scheme, args.lattice,
                               shape, tau=args.tau, backend=accel,
-                              **options)
+                              **_problem_options(args, distributed=False))
     except (ValueError, RuntimeError) as err:
         # Backend validation happens at solver construction (see
         # repro.accel.validate_backend), so an unsupported --accel

@@ -8,6 +8,7 @@ from .domain import (
     Domain,
     channel_2d,
     channel_3d,
+    cylinder_channel_domain,
     cylinder_in_channel,
     lid_driven_cavity,
     periodic_box,
@@ -25,5 +26,6 @@ __all__ = [
     "channel_3d",
     "lid_driven_cavity",
     "cylinder_in_channel",
+    "cylinder_channel_domain",
     "porous_medium",
 ]

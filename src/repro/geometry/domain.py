@@ -37,6 +37,7 @@ __all__ = [
     "channel_3d",
     "lid_driven_cavity",
     "cylinder_in_channel",
+    "cylinder_channel_domain",
     "porous_medium",
 ]
 
@@ -180,6 +181,31 @@ def cylinder_in_channel(nx: int, ny: int, cx: float, cy: float, radius: float,
     nt = np.array(base.node_type)
     x, y = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     nt[(x - cx) ** 2 + (y - cy) ** 2 <= radius ** 2] = SOLID
+    return Domain(nt)
+
+
+def cylinder_channel_domain(lat, shape: tuple[int, ...],
+                            radius: float | None = None) -> Domain:
+    """Walled channel (no I/O planes) with a cylinder obstacle.
+
+    The cylinder sits at ``x = nx/4`` on the channel centreline with
+    default radius ``max(2, ny/8)``; in 3D (``lat.d == 3``) its axis
+    spans ``z``. The deterministic placement means a
+    :class:`~repro.parallel.RunSpec` rebuilds the identical mask on
+    every rank.
+    """
+    if len(shape) != lat.d:
+        raise ValueError(
+            f"shape {shape} does not match lattice dimension {lat.d}")
+    if radius is None:
+        radius = max(2.0, shape[1] / 8.0)
+    plane = cylinder_in_channel(shape[0], shape[1], shape[0] / 4.0,
+                                (shape[1] - 1) / 2.0, float(radius),
+                                with_io=False)
+    if lat.d == 2:
+        return plane
+    nt = np.array(channel_3d(*shape, with_io=False).node_type)
+    nt[plane.solid_mask] = SOLID        # the 2D mask, extruded along z
     return Domain(nt)
 
 

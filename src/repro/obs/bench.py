@@ -209,90 +209,46 @@ def validate_record(d: dict) -> dict:
 
 # -- measurement -----------------------------------------------------------
 
-def _build_cell_solver(cell: BenchCell):
-    """Construct the single-domain solver a cell describes."""
-    from ..solver import (channel_problem, forced_channel_problem,
-                          periodic_problem)
-
-    shape = tuple(cell.shape)
-    if cell.problem == "channel":
-        return channel_problem(cell.scheme, cell.lattice, shape,
-                               tau=cell.tau, backend=cell.backend)
-    if cell.problem == "forced-channel":
-        return forced_channel_problem(cell.scheme, cell.lattice, shape,
-                                      tau=cell.tau, backend=cell.backend)
-    if cell.problem == "periodic":
-        return periodic_problem(cell.scheme, cell.lattice, shape,
-                                tau=cell.tau, backend=cell.backend)
-    if cell.problem == "porous":
-        # Force-driven seeded random porous medium at 85% solid — the
-        # ~15%-fluid regime where the sparse backend's compact state
-        # pays off; dense backends run the same cell for the crossover.
-        import numpy as np
-
-        from ..boundary import HalfwayBounceBack
-        from ..geometry import porous_medium
-        from ..lattice import get_lattice
-        from ..solver.presets import make_solver
-
-        lat = get_lattice(cell.lattice)
-        force = np.zeros(lat.d)
-        force[0] = 1e-6
-        return make_solver(cell.scheme, lat,
-                           porous_medium(shape, solid_fraction=0.85),
-                           cell.tau, boundaries=[HalfwayBounceBack()],
-                           force=force, backend=cell.backend)
-    raise ValueError(f"unknown bench problem {cell.problem!r}")
-
-
-def _time_single(cell: BenchCell, warmup: int) -> tuple[float, int]:
-    """Min-of-k wall time of ``cell.steps`` on one rank: ``(best_s, n_fluid)``."""
-    solver = _build_cell_solver(cell)
+def _best_of(target, cell: BenchCell, warmup: int) -> float:
+    """Min-of-k wall time of ``target.run(cell.steps)`` after a warm-up."""
     if warmup > 0:
-        solver.run(warmup)
+        target.run(warmup)
     best = float("inf")
     for _ in range(max(cell.repeats, 1)):
         t0 = time.perf_counter()
-        solver.run(cell.steps)
+        target.run(cell.steps)
         best = min(best, time.perf_counter() - t0)
-    return best, int(solver.domain.n_fluid)
+    return best
 
 
-def _time_batched(cell: BenchCell, warmup: int) -> tuple[float, int]:
-    """Min-of-k wall time of a ``batch``-member lockstep ensemble.
+def _time_local(cell: BenchCell, warmup: int) -> tuple[float, int]:
+    """Min-of-k wall time in this process: ``(best_s, n_fluid)``.
 
-    Builds ``cell.batch`` members of the cell's problem on the fused
-    backend, enrolls them in an :class:`repro.ensemble.EnsembleRunner`
-    and times ``cell.steps`` lockstep steps. Returns ``(best_s,
-    total_fluid_nodes)`` — the MLUPS computed from it is the ensemble
-    *aggregate* throughput.
+    The cell's problem kind is built at its defaults through the problem
+    table. A ``batch > 1`` cell builds ``cell.batch`` members on the
+    fused backend, enrolls them in an
+    :class:`repro.ensemble.EnsembleRunner` and times lockstep steps; its
+    fluid-node count — hence its MLUPS — is the ensemble *aggregate*.
     """
-    from dataclasses import replace
-
     from ..ensemble import EnsembleRunner
+    from ..service.registry import build_single
 
-    member_cell = replace(cell, backend="fused", batch=1)
-    members = [_build_cell_solver(member_cell) for _ in range(cell.batch)]
-    runner = EnsembleRunner(members)
-    if warmup > 0:
-        runner.run(warmup)
-    best = float("inf")
-    for _ in range(max(cell.repeats, 1)):
-        t0 = time.perf_counter()
-        runner.run(cell.steps)
-        best = min(best, time.perf_counter() - t0)
-    return best, sum(runner.member_fluid_nodes())
+    backend = "fused" if cell.batch > 1 else cell.backend
+    members = [build_single(cell.problem, cell.scheme, cell.lattice,
+                            tuple(cell.shape), tau=cell.tau, backend=backend)
+               for _ in range(cell.batch)]
+    target = EnsembleRunner(members) if cell.batch > 1 else members[0]
+    return (_best_of(target, cell, warmup),
+            sum(int(m.domain.n_fluid) for m in members))
 
 
 def _time_distributed(cell: BenchCell, warmup: int) -> tuple[float, int]:
     """Min-of-k slowest-rank wall time over the process runtime."""
     from ..parallel import RunSpec, run_process
 
-    kind = "periodic" if cell.problem == "periodic" else cell.problem
-    accel = (cell.backend if cell.backend in ("reference", "fused", "aa")
-             else "reference")
-    spec = RunSpec(kind, cell.scheme, cell.lattice, tuple(cell.shape),
-                   cell.ranks, tau=cell.tau, accel=accel)
+    spec = RunSpec(cell.problem, cell.scheme, cell.lattice,
+                   tuple(cell.shape), cell.ranks, tau=cell.tau,
+                   accel=cell.backend)
     best = float("inf")
     n_fluid = 0
     for _ in range(max(cell.repeats, 1)):
@@ -316,12 +272,10 @@ def run_cell(cell: BenchCell, suite: str = "default", device: str = "V100",
     roofline join (:func:`repro.obs.attain.attain_cell`) fills the
     model columns.
     """
-    if cell.batch > 1:
-        best, n_fluid = _time_batched(cell, warmup)
-    elif cell.ranks > 1:
+    if cell.ranks > 1:
         best, n_fluid = _time_distributed(cell, warmup)
     else:
-        best, n_fluid = _time_single(cell, warmup)
+        best, n_fluid = _time_local(cell, warmup)
     mlups = n_fluid * cell.steps / best / 1e6 if best > 0 else 0.0
     att = attain_cell(mlups, cell.scheme, cell.lattice, device=device,
                       host_gbs=host_gbs)

@@ -31,32 +31,23 @@ def _default_shape(ndim: int) -> tuple[int, ...]:
 
 def _build_solver(scheme: str, lattice: str, shape: tuple[int, ...],
                   tau: float, u_max: float, accel: str = "reference"):
-    from ..solver import channel_problem, periodic_problem
+    """The profiled workload: the channel kind, or a periodic box for AA."""
+    from ..service.registry import build_single, setup_problem
     from ..solver.aa import AASolver
-    from ..geometry.domain import periodic_box
-    from ..lattice import get_lattice
-    from ..validation import taylor_green_fields
 
-    if scheme.upper() == "AA":
-        if accel != "reference":
-            raise ValueError(
-                "the AA scheme is the reference single-lattice solver; "
-                "its fast path is the 'aa' *backend* — profile "
-                "--scheme ST/MR-P/MR-R with --accel aa instead"
-            )
-        lat = get_lattice(lattice)
-        if lat.d != 2:
-            solver = AASolver(lat, periodic_box(shape), tau)
-        else:
-            nu = lat.viscosity(tau)
-            rho0, u0 = taylor_green_fields(shape, 0.0, nu, u_max)
-            solver = AASolver(lat, periodic_box(shape), tau,
-                              rho0=rho0, u0=u0)
-        return solver
-    if scheme.upper() in ("ST", "MR-P", "MR-R"):
-        return channel_problem(scheme, lattice, shape, tau=tau, u_max=u_max,
-                               backend=accel)
-    return periodic_problem(scheme, lattice, shape, tau, backend=accel)
+    if scheme.upper() != "AA":
+        return build_single("channel", scheme, lattice, shape, tau=tau,
+                            backend=accel, u_max=u_max)
+    if accel != "reference":
+        raise ValueError(
+            "the AA scheme is the reference single-lattice solver; "
+            "its fast path is the 'aa' *backend* — profile "
+            "--scheme ST/MR-P/MR-R with --accel aa instead"
+        )
+    kind, options = (("taylor-green", {"u_max": u_max}) if len(shape) == 2
+                     else ("periodic", {}))
+    lat, setup = setup_problem(kind, lattice, shape, tau, **options)
+    return AASolver(lat, setup.domain, tau, rho0=setup.rho0, u0=setup.u0)
 
 
 def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
@@ -181,29 +172,6 @@ def format_profile(result: dict) -> str:
     return "\n".join(lines)
 
 
-def _power_law_channel(lattice: str, shape: tuple[int, ...], tau: float,
-                       u_max: float, backend: str):
-    """Force-driven power-law channel for the backend comparison."""
-    from ..boundary import HalfwayBounceBack
-    from ..geometry import channel_2d, channel_3d
-    from ..lattice import get_lattice
-    from ..solver.non_newtonian import PowerLawMRPSolver, power_law_force
-
-    import numpy as np
-
-    lat = get_lattice(lattice)
-    domain = (channel_2d(*shape, with_io=False) if lat.d == 2
-              else channel_3d(*shape, with_io=False))
-    consistency = lat.viscosity(tau)
-    exponent = 0.8
-    force = np.zeros(lat.d)
-    force[0] = power_law_force(u_max, shape[1] - 2, consistency, exponent)
-    return PowerLawMRPSolver(lat, domain, tau,
-                             boundaries=[HalfwayBounceBack()], force=force,
-                             consistency=consistency, exponent=exponent,
-                             backend=backend)
-
-
 def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
                      shape: tuple[int, ...] | None = None, steps: int = 20,
                      tau: float = 0.8, u_max: float = 0.05,
@@ -212,30 +180,17 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
                      warmup_steps: int = 2) -> dict:
     """Run every requested backend on one problem, side by side.
 
-    ``problem`` selects the workload:
-
-    ``"periodic"``
-        A fully periodic box: every fast backend takes its lean path.
-    ``"forced-channel"``
-        The body-force-driven bounce-back channel
-        (:func:`repro.solver.presets.forced_channel_problem`) —
-        exercises the fused Guo-source path.
-    ``"power-law"``
-        A force-driven power-law (variable-tau) channel stepping
-        :class:`~repro.solver.non_newtonian.PowerLawMRPSolver` —
-        exercises the fused per-node ``tau_field`` collision. The
-        ``scheme`` argument is ignored (the solver is MR-P based).
-    ``"cylinder"``
-        A force-driven channel with a staircase cylinder obstacle
-        (:func:`repro.solver.presets.cylinder_channel_problem`) — a
-        masked geometry, so the comparison covers the ``sparse``
-        backend's compact indirect addressing on its home turf while
-        the dense backends pay for the solid nodes.
-    ``"porous"``
-        Force-driven flow through a seeded random porous medium
-        (:func:`repro.solver.presets.porous_channel_problem`) — the
-        ~15%-fluid regime where the ``sparse`` backend's compact state
-        dominates.
+    ``problem`` names a kind of the problem registry
+    (:mod:`repro.service.registry`), built at ``u_max`` where the kind
+    takes it. ``mrlbm profile --accel compare`` offers ``periodic``
+    (every fast backend takes its lean path; started from the
+    Taylor-Green vortex in 2D and a smooth shear field in 3D, so parity
+    is not measured on a rest state), ``forced-channel`` (the fused
+    Guo-source path), ``power-law`` (the per-node ``tau_field``
+    collision; ``scheme`` is ignored, the solver is MR-P based) and the
+    masked geometries ``cylinder`` and ``porous``, where ``sparse`` steps
+    only the fluid-node list while the dense backends pay for the solid
+    nodes.
 
     Each backend's MLUPS comes from its own telemetry registry, and each
     fast backend's end state is compared against the reference run — the
@@ -254,62 +209,34 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
 
     from ..accel import available_backends
     from ..lattice import get_lattice
-    from ..solver import (
-        cylinder_channel_problem,
-        forced_channel_problem,
-        periodic_problem,
-        porous_channel_problem,
-    )
-    from ..validation import taylor_green_fields
+    from ..service.registry import build_single, get_problem
 
-    if problem not in ("periodic", "forced-channel", "power-law", "cylinder",
-                       "porous"):
-        raise ValueError(
-            f"problem must be 'periodic', 'forced-channel', 'power-law', "
-            f"'cylinder' or 'porous', got {problem!r}")
     lat = get_lattice(lattice)
     if shape is None:
         shape = _default_shape(lat.d)
     if backends is None:
         backends = available_backends()
 
-    rho0 = u0 = None
-    if problem == "periodic":
-        if lat.d == 2:
-            nu = lat.viscosity(tau)
-            rho0, u0 = taylor_green_fields(shape, 0.0, nu, u_max)
-        else:
-            # Smooth deterministic shear field so the run is not a trivial
-            # rest state (throughput is data-independent, parity is not).
-            x = [np.linspace(0.0, 2.0 * np.pi, s, endpoint=False)
-                 for s in shape]
-            mesh = np.meshgrid(*x, indexing="ij")
-            rho0 = 1.0
-            u0 = np.zeros((lat.d, *shape))
-            for a in range(lat.d):
-                u0[a] = u_max * np.sin(mesh[(a + 1) % lat.d])
-
-    def build(backend):
-        """Construct the selected problem on one backend."""
-        if problem == "periodic":
-            return periodic_problem(scheme, lattice, shape, tau,
-                                    rho0=rho0, u0=u0, backend=backend)
-        if problem == "forced-channel":
-            return forced_channel_problem(scheme, lattice, shape, tau=tau,
-                                          u_max=u_max, backend=backend)
-        if problem == "cylinder":
-            return cylinder_channel_problem(scheme, lattice, shape, tau=tau,
-                                            u_max=u_max, backend=backend)
-        if problem == "porous":
-            return porous_channel_problem(scheme, lattice, shape, tau=tau,
-                                          backend=backend)
-        return _power_law_channel(lattice, shape, tau, u_max, backend)
+    kind = "taylor-green" if (problem, lat.d) == ("periodic", 2) else problem
+    options = ({"u_max": u_max} if "u_max" in get_problem(kind).options
+               else {})
+    if kind == "periodic":
+        # Smooth deterministic shear field so the run is not a trivial
+        # rest state (throughput is data-independent, parity is not).
+        x = [np.linspace(0.0, 2.0 * np.pi, s, endpoint=False)
+             for s in shape]
+        mesh = np.meshgrid(*x, indexing="ij")
+        u0 = np.zeros((lat.d, *shape))
+        for a in range(lat.d):
+            u0[a] = u_max * np.sin(mesh[(a + 1) % lat.d])
+        options = {"u0": u0}
 
     rows = []
     reference_state = None
     reference_mlups = None
     for backend in backends:
-        solver = build(backend)
+        solver = build_single(kind, scheme, lattice, shape, tau=tau,
+                              backend=backend, **options)
         if warmup_steps > 0:
             solver.run(int(warmup_steps))
         tel = Telemetry(record_spans=False)

@@ -51,8 +51,6 @@ __all__ = [
     "DistributedSolver",
     "DistributedST",
     "DistributedMR",
-    "distributed_channel_problem",
-    "distributed_periodic_problem",
 ]
 
 DOUBLE = 8

@@ -1,147 +1,41 @@
-"""Distributed problem presets mirroring :mod:`repro.solver.presets`."""
+"""The slab-decomposed names of the registered problems.
+
+Every problem is defined once, in :mod:`repro.service.registry`; these
+are :func:`~repro.service.registry.build_distributed` with the kind
+filled in (so defaults are the kind's distributed ones). The registry
+sits above this package (it imports the slab solvers), so they reach it
+at call time.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..boundary import HalfwayBounceBack, Plane, PressureOutlet, VelocityInlet
-from ..geometry import channel_2d, channel_3d, periodic_box, porous_medium
-from ..lattice import LatticeDescriptor, get_lattice
-from ..solver.presets import (
-    channel_body_force,
-    channel_inlet_profile,
-    cylinder_channel_domain,
-)
-from .decomposition import DistributedMR, DistributedST, DistributedSolver
+from ..lattice import LatticeDescriptor
+from .decomposition import DistributedSolver
 
 __all__ = ["distributed_channel_problem", "distributed_periodic_problem",
            "distributed_forced_channel_problem",
            "distributed_cylinder_problem", "distributed_porous_problem"]
 
 
-def _make(scheme: str, lat, domain, tau, n_ranks, periodic, factory,
-          **kwargs) -> DistributedSolver:
-    key = scheme.upper().replace("_", "-")
-    if key == "ST":
-        return DistributedST(lat, domain, tau, n_ranks, periodic, factory,
-                             **kwargs)
-    if key in ("MR-P", "MR-R"):
-        return DistributedMR(lat, domain, tau, n_ranks, periodic, factory,
-                             scheme=key, **kwargs)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _distributed(kind: str):
+    """:func:`~repro.service.registry.build_distributed` under a public name."""
+    def problem(scheme: str, lattice: str | LatticeDescriptor,
+                shape: tuple[int, ...], n_ranks: int, tau: float = 0.8,
+                **options) -> DistributedSolver:
+        from ..service.registry import build_distributed
+
+        return build_distributed(kind, scheme, lattice, shape, n_ranks,
+                                 tau=tau, **options)
+
+    problem.__doc__ = (
+        f"The ``{kind}`` kind cut into ``n_ranks`` streamwise slabs; "
+        f"``options`` are that kind's plus ``accel``/``st_exchange`` (see "
+        f":mod:`repro.service.registry`).")
+    return problem
 
 
-def distributed_channel_problem(scheme: str, lattice: str | LatticeDescriptor,
-                                shape: tuple[int, ...], n_ranks: int,
-                                tau: float = 0.8, u_max: float = 0.04,
-                                bc_method: str = "nebb",
-                                **kwargs) -> DistributedSolver:
-    """The channel proxy app decomposed into streamwise slabs.
-
-    Rank 0 owns the inlet, the last rank the outlet, every rank the wall
-    bounce-back; interior cut faces carry halo exchanges.
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    domain = channel_2d(*shape) if lat.d == 2 else channel_3d(*shape)
-    u_in = channel_inlet_profile(lat, shape, u_max)
-
-    def factory(rank: int, total: int):
-        """Boundary set for one rank: walls everywhere, I/O at the ends."""
-        bcs = [HalfwayBounceBack()]
-        if rank == 0:
-            bcs.append(VelocityInlet(Plane(0, 0), u_in, method=bc_method))
-        if rank == total - 1:
-            bcs.append(PressureOutlet(Plane(0, -1), rho_out=1.0,
-                                      method=bc_method, tangential="zero"))
-        return bcs
-
-    u0 = np.zeros((lat.d, *shape))
-    u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
-    return _make(scheme, lat, domain, tau, n_ranks, periodic=False,
-                 factory=factory, u0=u0, **kwargs)
-
-
-def distributed_forced_channel_problem(
-        scheme: str, lattice: str | LatticeDescriptor,
-        shape: tuple[int, ...], n_ranks: int, tau: float = 0.8,
-        u_max: float = 0.04, **kwargs) -> DistributedSolver:
-    """Body-force-driven channel decomposed into streamwise slabs.
-
-    Mirrors :func:`repro.solver.presets.forced_channel_problem`: periodic
-    along the streamwise axis (wrap-around halo exchange), bounce-back
-    walls on every rank, and a uniform body force sized so the steady
-    Poiseuille/duct flow peaks near ``u_max``. With ``accel="fused"``
-    every rank steps its slab through the fused forced kernels.
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    domain = (channel_2d(*shape, with_io=False) if lat.d == 2
-              else channel_3d(*shape, with_io=False))
-    force = channel_body_force(lat, shape, tau, u_max)
-    return _make(scheme, lat, domain, tau, n_ranks, periodic=True,
-                 factory=lambda r, t: [HalfwayBounceBack()], force=force,
-                 **kwargs)
-
-
-def distributed_cylinder_problem(scheme: str,
-                                 lattice: str | LatticeDescriptor,
-                                 shape: tuple[int, ...], n_ranks: int,
-                                 tau: float = 0.8, u_max: float = 0.04,
-                                 radius: float | None = None,
-                                 **kwargs) -> DistributedSolver:
-    """Force-driven cylinder channel decomposed into streamwise slabs.
-
-    The slab cut planes may pass through the obstacle: half-way
-    bounce-back only reads the ghost-plane node types, which every slab
-    carries, so the decomposition reproduces the single-domain
-    :func:`repro.solver.presets.cylinder_channel_problem` to machine
-    precision for any rank count (pinned by the registry tests).
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    domain = cylinder_channel_domain(lat, shape, radius)
-    force = channel_body_force(lat, shape, tau, u_max)
-    return _make(scheme, lat, domain, tau, n_ranks, periodic=True,
-                 factory=lambda r, t: [HalfwayBounceBack()], force=force,
-                 **kwargs)
-
-
-def distributed_porous_problem(scheme: str, lattice: str | LatticeDescriptor,
-                               shape: tuple[int, ...], n_ranks: int,
-                               tau: float = 0.8, solid_fraction: float = 0.85,
-                               seed: int = 0, force_x: float = 1e-6,
-                               **kwargs) -> DistributedSolver:
-    """Seeded random porous medium decomposed into streamwise slabs.
-
-    The geometry is rebuilt deterministically from ``(shape,
-    solid_fraction, seed)`` on every rank, so only halo faces cross
-    process boundaries — mirroring
-    :func:`repro.solver.presets.porous_channel_problem`.
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(
-            f"shape {shape} does not match lattice dimension {lat.d}")
-    domain = porous_medium(shape, solid_fraction=float(solid_fraction),
-                           seed=int(seed))
-    force = np.zeros(lat.d)
-    force[0] = float(force_x)
-    return _make(scheme, lat, domain, tau, n_ranks, periodic=True,
-                 factory=lambda r, t: [HalfwayBounceBack()], force=force,
-                 **kwargs)
-
-
-def distributed_periodic_problem(scheme: str, lattice: str | LatticeDescriptor,
-                                 shape: tuple[int, ...], n_ranks: int,
-                                 tau: float = 0.8, rho0=1.0,
-                                 u0: np.ndarray | None = None,
-                                 **kwargs) -> DistributedSolver:
-    """A fully periodic box decomposed into slabs (wrap-around exchange)."""
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    return _make(scheme, lat, periodic_box(shape), tau, n_ranks,
-                 periodic=True, factory=lambda r, t: [], rho0=rho0, u0=u0,
-                 **kwargs)
+distributed_channel_problem = _distributed("channel")
+distributed_forced_channel_problem = _distributed("forced-channel")
+distributed_cylinder_problem = _distributed("cylinder")
+distributed_porous_problem = _distributed("porous")
+distributed_periodic_problem = _distributed("periodic")

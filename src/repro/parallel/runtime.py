@@ -106,8 +106,8 @@ class RunSpec:
     Parameters
     ----------
     kind:
-        ``"channel"`` (the paper's proxy app), ``"forced-channel"``
-        (body-force-driven, streamwise-periodic) or ``"periodic"``.
+        A registered problem kind with a distributed form (see
+        :func:`repro.service.registry.problem_kinds`).
     scheme:
         ``"ST"``, ``"MR-P"`` or ``"MR-R"``.
     lattice:
@@ -119,9 +119,9 @@ class RunSpec:
     tau:
         BGK relaxation time.
     options:
-        Extra keyword arguments forwarded to the problem preset
-        (``u_max``, ``bc_method``, ``rho0``, ``u0``, ``force``,
-        ``st_exchange``, ...).
+        The kind's own options (``u_max``, ``bc_method``, ``rho0``,
+        ``u0``, ``force``, ...) plus the distributed builder's
+        ``st_exchange``; any other name is rejected at construction.
     accel:
         Per-rank execution backend, ``"reference"``, ``"fused"``,
         ``"aa"`` or ``"sparse"`` (see :mod:`repro.accel`); every worker
@@ -193,17 +193,24 @@ class RunSpec:
     events_every: int = 25
 
     def __post_init__(self) -> None:
-        """Validate ``kind`` against the problem registry at construction.
+        """Validate ``kind`` and option names against the problem registry.
 
-        An unknown kind used to surface only when :meth:`build` ran —
-        long after the spec had been queued, fingerprinted or pickled.
-        Failing here keeps bad specs out of the system entirely. The
-        check is skipped during unpickling (``__reduce__`` restores
-        fields directly), so forked workers pay nothing.
+        An unknown kind, a kind without a distributed form or an option
+        the kind does not take used to surface only when :meth:`build`
+        ran — long after the spec had been queued, fingerprinted or
+        pickled. Failing here keeps bad specs out of the system
+        entirely. The check is skipped during unpickling
+        (``__reduce__`` restores fields directly), so forked workers pay
+        nothing.
         """
         from ..service.registry import get_problem
 
-        get_problem(self.kind)
+        kind = get_problem(self.kind)
+        if kind.distributed is None:
+            raise ValueError(
+                f"problem kind {self.kind!r} has no distributed form")
+        # ``st_exchange`` is the distributed builder's own argument.
+        kind.check_options(set(self.options) - {"st_exchange"})
 
     def fingerprint(self) -> str:
         """Injective digest of the problem identity (kind + preset options).

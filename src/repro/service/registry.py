@@ -1,45 +1,83 @@
-"""The shared problem registry: one ``kind -> builders`` table for everyone.
+"""The problem table: every kind defined once, both solver forms derived.
 
-Before this module, every entry point open-coded its own problem
-dispatch: ``RunSpec.build()`` hard-wired three distributed presets, the
-sweep engine duplicated the single-domain variants, and the masked
-cylinder/porous geometries existed only inside ``compare_backends``.
-The registry replaces all of that with one table: each
-:class:`ProblemKind` names a problem and carries its distributed and
-single-domain builders, so the CLI, the distributed runtime, the sweep
-engine and the job server all resolve kinds — and reject unknown ones —
-in exactly one place.
+A problem *kind* is one **setup function** ``(lat, shape, tau,
+**options) -> ProblemSetup``; the ones at the bottom of this module are
+the only place in ``src/`` where a registered problem's geometry,
+boundary list and forcing are assembled (a CI gate greps for it).
+:func:`build_single` and :func:`build_distributed` derive the two solver
+forms from that one definition, so they cannot drift apart, and
+everything that runs a problem — the CLI, :meth:`RunSpec.build()
+<repro.parallel.runtime.RunSpec.build>`, the sweep engine, the job
+server, the profiling and benchmark harnesses, the public ``*_problem``
+names of :mod:`repro.solver.presets` and :mod:`repro.parallel.presets` —
+goes through those two functions. A kind's option names are its setup
+function's keyword parameters; any other name is refused when a
+:class:`~repro.parallel.runtime.RunSpec` is constructed and again when a
+solver is built.
 
 Registration is open: downstream code may :func:`register_problem` its
-own kinds (e.g. a site-specific geometry) and they become visible to
-``mrlbm run/serve/submit`` and :class:`~repro.parallel.runtime.RunSpec`
-validation without touching this package.
-
-The default kinds load lazily on first lookup, because their builders
-live in :mod:`repro.solver.presets` / :mod:`repro.parallel.presets`
-while :mod:`repro.parallel.runtime` consults this registry from
-``RunSpec`` — eager imports would be circular.
+own kinds and they become visible to ``mrlbm run/serve/submit`` and
+``RunSpec`` validation without touching this package. The table is
+filled at import, with plain imports: this module sits above
+:mod:`repro.solver` and :mod:`repro.parallel`, whose ``*_problem`` names
+reach it at call time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
+import numpy as np
+
+from ..boundary import HalfwayBounceBack, Plane, PressureOutlet, VelocityInlet
+from ..geometry import (Domain, channel_2d, channel_3d,
+                        cylinder_channel_domain, periodic_box, porous_medium)
+from ..lattice import LatticeDescriptor, get_lattice
+from ..parallel.decomposition import DistributedMR, DistributedST
+from ..solver.non_newtonian import PowerLawMRPSolver, power_law_force
+from ..solver.presets import (channel_body_force, channel_inlet_profile,
+                              make_solver)
+from ..validation.analytic import taylor_green_fields
+
 __all__ = [
+    "ProblemSetup",
     "ProblemKind",
     "register_problem",
     "get_problem",
     "problem_kinds",
     "sweep_kinds",
+    "setup_problem",
     "build_distributed",
     "build_single",
 ]
 
 
 @dataclass(frozen=True)
+class ProblemSetup:
+    """What a setup function returns: one fully assembled problem.
+
+    ``boundaries(rank, n_ranks)`` lists the unbound boundary conditions
+    of one slab of a streamwise decomposition (``boundaries(0, 1)`` is
+    the single-domain list) and ``periodic_axis0`` says whether that
+    axis wraps around. ``solver`` replaces the scheme's solver class for
+    a kind that exists only as a special single-domain solver.
+    """
+
+    domain: Domain
+    periodic_axis0: bool
+    boundaries: Callable[[int, int], list]
+    rho0: np.ndarray | float = 1.0
+    u0: np.ndarray | None = None
+    force: np.ndarray | None = None
+    solver: Callable | None = None
+
+
+@dataclass(frozen=True)
 class ProblemKind:
-    """One registered problem: a name plus its builders.
+    """One registered problem: a name plus its setup function.
 
     Parameters
     ----------
@@ -48,28 +86,39 @@ class ProblemKind:
     description:
         One-line human description, surfaced by ``mrlbm jobs --kinds``
         and the server's ``GET /kinds``.
-    distributed:
-        Builder ``(scheme, lattice, shape, n_ranks, *, tau, accel,
-        **options) -> DistributedSolver``, or ``None`` when the kind has
-        no distributed form.
-    single:
-        Builder ``(scheme, lattice, shape, *, tau, backend, **options)
-        -> Solver``, or ``None`` when the kind has no single-domain
-        form.
+    setup:
+        ``(lat, shape, tau, **options) -> ProblemSetup``; its keyword
+        parameters name the kind's options and their defaults.
     sweepable:
         Whether ``mrlbm sweep`` may expand over this kind (requires a
-        ``single`` builder that accepts ``u_max``).
+        ``u_max`` option).
+    distributed:
+        The option defaults that differ in the distributed form (``{}``:
+        none); ``None`` when the kind has no distributed form.
     """
 
     name: str
     description: str
-    distributed: Callable | None = None
-    single: Callable | None = None
+    setup: Callable[..., ProblemSetup]
     sweepable: bool = False
+    distributed: dict | None = field(default_factory=dict)
+
+    @cached_property
+    def options(self) -> tuple[str, ...]:
+        """The option names this kind accepts, in declaration order."""
+        return tuple(inspect.signature(self.setup).parameters)[3:]
+
+    def check_options(self, names) -> None:
+        """Raise ``ValueError`` if ``names`` holds an option the kind lacks."""
+        unknown = sorted(set(names) - set(self.options))
+        if unknown:
+            raise ValueError(
+                f"problem kind {self.name!r} has no option "
+                f"{', '.join(map(repr, unknown))}; accepted options: "
+                f"{', '.join(self.options) or '(none)'}")
 
 
 _REGISTRY: dict[str, ProblemKind] = {}
-_DEFAULTS_LOADED = False
 
 
 def register_problem(kind: ProblemKind) -> ProblemKind:
@@ -80,94 +129,8 @@ def register_problem(kind: ProblemKind) -> ProblemKind:
     return kind
 
 
-def _taylor_green_fields(lattice: str, shape: tuple[int, ...], tau: float,
-                         u_max: float):
-    """Initial ``(rho0, u0)`` of the 2D Taylor-Green vortex at ``t=0``."""
-    from ..lattice import get_lattice
-    from ..validation import taylor_green_fields
-
-    lat = get_lattice(lattice)
-    if lat.d != 2:
-        raise ValueError(
-            "the taylor-green problem is 2D; pick a D2 lattice "
-            f"(got {lattice})")
-    nu = lat.viscosity(tau)
-    return taylor_green_fields(tuple(shape), 0.0, nu, u_max)
-
-
-def _load_defaults() -> None:
-    """Populate the registry with the built-in kinds (idempotent)."""
-    global _DEFAULTS_LOADED
-    if _DEFAULTS_LOADED:
-        return
-    _DEFAULTS_LOADED = True
-
-    from ..parallel.presets import (
-        distributed_channel_problem,
-        distributed_cylinder_problem,
-        distributed_forced_channel_problem,
-        distributed_periodic_problem,
-        distributed_porous_problem,
-    )
-    from ..solver.presets import (
-        channel_problem,
-        cylinder_channel_problem,
-        forced_channel_problem,
-        periodic_problem,
-        porous_channel_problem,
-    )
-
-    def distributed_taylor_green(scheme, lattice, shape, n_ranks,
-                                 tau=0.8, u_max=0.05, **kwargs):
-        """Distributed 2D Taylor-Green vortex (periodic box + TG fields)."""
-        rho0, u0 = _taylor_green_fields(lattice, shape, tau, float(u_max))
-        return distributed_periodic_problem(scheme, lattice, shape, n_ranks,
-                                            tau=tau, rho0=rho0, u0=u0,
-                                            **kwargs)
-
-    def single_taylor_green(scheme, lattice, shape, tau=0.8, u_max=0.05,
-                            backend="reference", **kwargs):
-        """Single-domain 2D Taylor-Green vortex (periodic box + TG fields)."""
-        rho0, u0 = _taylor_green_fields(lattice, shape, tau, float(u_max))
-        return periodic_problem(scheme, lattice, shape, tau=tau, rho0=rho0,
-                                u0=u0, backend=backend, **kwargs)
-
-    register_problem(ProblemKind(
-        "channel",
-        "rectangular channel with Poiseuille inlet and pressure outlet "
-        "(the paper's proxy app)",
-        distributed=distributed_channel_problem,
-        single=channel_problem, sweepable=True))
-    register_problem(ProblemKind(
-        "forced-channel",
-        "body-force-driven channel, streamwise-periodic, bounce-back walls",
-        distributed=distributed_forced_channel_problem,
-        single=forced_channel_problem, sweepable=True))
-    register_problem(ProblemKind(
-        "periodic",
-        "fully periodic box with caller-supplied initial fields",
-        distributed=distributed_periodic_problem,
-        single=periodic_problem))
-    register_problem(ProblemKind(
-        "taylor-green",
-        "2D Taylor-Green vortex in a periodic box (analytic decay)",
-        distributed=distributed_taylor_green,
-        single=single_taylor_green, sweepable=True))
-    register_problem(ProblemKind(
-        "cylinder",
-        "force-driven channel with a staircase cylinder obstacle",
-        distributed=distributed_cylinder_problem,
-        single=cylinder_channel_problem))
-    register_problem(ProblemKind(
-        "porous",
-        "force-driven flow through a seeded random porous medium",
-        distributed=distributed_porous_problem,
-        single=porous_channel_problem))
-
-
 def get_problem(name: str) -> ProblemKind:
     """Look up a registered kind; raise ``ValueError`` for unknown names."""
-    _load_defaults()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -178,45 +141,246 @@ def get_problem(name: str) -> ProblemKind:
 
 def problem_kinds() -> tuple[str, ...]:
     """Sorted names of every registered kind."""
-    _load_defaults()
     return tuple(sorted(_REGISTRY))
 
 
 def sweep_kinds() -> tuple[str, ...]:
     """Sorted names of the kinds ``mrlbm sweep`` may expand over."""
-    _load_defaults()
     return tuple(sorted(k for k, v in _REGISTRY.items() if v.sweepable))
 
 
-def build_distributed(name: str, scheme: str, lattice: str,
-                      shape: tuple[int, ...], n_ranks: int, *,
-                      tau: float = 0.8, accel: str = "reference",
-                      **options):
-    """Build the distributed solver of a registered kind.
+# -- derivation: one setup, two solver forms ------------------------------
 
-    This is the engine behind :meth:`RunSpec.build`; raises
-    ``ValueError`` for unknown kinds and for kinds without a
-    distributed form.
+def setup_problem(name: str, lattice: str | LatticeDescriptor,
+                  shape: tuple[int, ...], tau: float,
+                  **options) -> tuple[LatticeDescriptor, ProblemSetup]:
+    """Resolve the lattice and run the setup function of kind ``name``.
+
+    Raises ``ValueError`` for an unknown kind, an option the kind does
+    not accept, or a shape of the wrong dimension.
     """
     kind = get_problem(name)
-    if kind.distributed is None:
+    kind.check_options(options)
+    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
+    shape = tuple(shape)
+    if len(shape) != lat.d:
         raise ValueError(
-            f"problem kind {name!r} has no distributed builder")
-    return kind.distributed(scheme, lattice, tuple(shape), int(n_ranks),
-                            tau=tau, accel=accel, **options)
+            f"shape {shape} does not match lattice dimension {lat.d}")
+    return lat, kind.setup(lat, shape, tau, **options)
 
 
-def build_single(name: str, scheme: str, lattice: str,
+def build_single(name: str, scheme: str, lattice: str | LatticeDescriptor,
                  shape: tuple[int, ...], *, tau: float = 0.8,
                  backend: str = "reference", **options):
     """Build the single-domain solver of a registered kind.
 
-    Used by ``mrlbm run`` and the sweep engine; raises ``ValueError``
-    for unknown kinds and for kinds without a single-domain form.
+    ``backend`` selects the execution backend (see :mod:`repro.accel`);
+    ``options`` are the kind's own. Raises ``ValueError`` for unknown
+    kinds, options and schemes.
+    """
+    lat, setup = setup_problem(name, lattice, shape, tau, **options)
+    make = setup.solver or partial(make_solver, scheme)
+    return make(lat, setup.domain, tau, boundaries=setup.boundaries(0, 1),
+                rho0=setup.rho0, u0=setup.u0, force=setup.force,
+                backend=backend)
+
+
+def build_distributed(name: str, scheme: str,
+                      lattice: str | LatticeDescriptor,
+                      shape: tuple[int, ...], n_ranks: int, *,
+                      tau: float = 0.8, accel: str = "reference",
+                      st_exchange: str = "crossing", **options):
+    """Build the slab-decomposed solver of a registered kind.
+
+    This is the engine behind :meth:`RunSpec.build`. Options left unset
+    take the kind's distributed defaults (``ProblemKind.distributed``)
+    before its single-domain ones. Raises ``ValueError`` for unknown
+    kinds, options and schemes, and for kinds without a distributed
+    form.
     """
     kind = get_problem(name)
-    if kind.single is None:
+    if kind.distributed is None:
+        raise ValueError(f"problem kind {name!r} has no distributed form")
+    lat, setup = setup_problem(name, lattice, shape, tau,
+                               **{**kind.distributed, **options})
+    key = scheme.upper().replace("_", "-")
+    if key == "ST":
+        make = DistributedST
+    elif key in ("MR-P", "MR-R"):
+        make = partial(DistributedMR, scheme=key)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return make(lat, setup.domain, tau, int(n_ranks), setup.periodic_axis0,
+                setup.boundaries, rho0=setup.rho0, u0=setup.u0,
+                force=setup.force, st_exchange=st_exchange, accel=accel)
+
+
+# -- the definitions -------------------------------------------------------
+
+def _kind(name: str, description: str, **fields):
+    """Register the decorated setup function as problem kind ``name``."""
+    def register(setup):
+        register_problem(ProblemKind(name, description, setup, **fields))
+        return setup
+    return register
+
+
+def _walled_channel(lat: LatticeDescriptor, shape: tuple[int, ...],
+                    with_io: bool) -> Domain:
+    """Rectangular channel/duct with solid walls, with or without I/O planes."""
+    return (channel_2d if lat.d == 2 else channel_3d)(*shape, with_io=with_io)
+
+
+def _streamwise(lat: LatticeDescriptor, magnitude: float) -> np.ndarray:
+    """Uniform body force of ``magnitude`` along axis 0."""
+    force = np.zeros(lat.d)
+    force[0] = magnitude
+    return force
+
+
+def _driven(domain: Domain, force: np.ndarray,
+            solver: Callable | None = None) -> ProblemSetup:
+    """Streamwise-periodic ``domain`` driven by the body force ``force``.
+
+    Every rank bounces back half-way on all its solid links (walls,
+    obstacle, pore walls); slab cuts may pass through solids, because
+    bounce-back only reads node types and every slab carries its ghosts'.
+    """
+    return ProblemSetup(domain, True,
+                        lambda rank, n_ranks: [HalfwayBounceBack()],
+                        force=force, solver=solver)
+
+
+@_kind("channel",
+       "rectangular channel with Poiseuille inlet and pressure outlet "
+       "(the paper's proxy app)", sweepable=True,
+       distributed={"u_max": 0.04, "bc_method": "nebb",
+                    "outlet_tangential": "zero"})
+def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
+            start_from_profile=True, outlet_tangential="extrapolate"):
+    """The paper's proxy app: a rectangular channel between bounce-back walls.
+
+    "Bounceback boundary conditions at the channel walls and finite
+    difference boundary conditions at the inlet and outlet" (Section 4):
+    a Poiseuille (2D) or duct (3D) inlet profile peaking at ``u_max``
+    and a unit-density pressure outlet. Decomposed, rank 0 owns the
+    inlet, the last rank the outlet, every rank the walls.
+
+    ``bc_method`` is the inlet/outlet reconstruction —
+    ``"regularized-fd"`` (the paper's finite-difference boundaries) or
+    ``"nebb"``; ``outlet_tangential`` the outlet's tangential velocity
+    (``"extrapolate"`` or ``"zero"``). ``start_from_profile``
+    initializes the whole channel with the inlet profile (fast
+    convergence) instead of fluid at rest.
+
+    The distributed form defaults to ``nebb`` / ``zero``: both read the
+    boundary plane only, so the end ranks work at any slab thickness,
+    whereas the finite-difference stencil reads two planes further in
+    (refused on a slab thinner than three) and the extrapolation one.
+    """
+    u_in = channel_inlet_profile(lat, shape, u_max)
+
+    def boundaries(rank: int, n_ranks: int) -> list:
+        # Bounce-back first so the inlet/outlet reconstructions see the
+        # reflected wall-link populations — this matches the fused order
+        # of the virtual-GPU kernels (reflection at scatter time,
+        # reconstruction at finalize time) and is also the physically
+        # consistent choice.
+        bcs = [HalfwayBounceBack()]
+        if rank == 0:
+            bcs.append(VelocityInlet(Plane(axis=0, side=0), u_in,
+                                     method=bc_method))
+        if rank == n_ranks - 1:
+            bcs.append(PressureOutlet(Plane(axis=0, side=-1), rho_out=1.0,
+                                      method=bc_method,
+                                      tangential=outlet_tangential))
+        return bcs
+
+    u0 = None
+    if start_from_profile:
+        u0 = np.zeros((lat.d, *shape))
+        u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
+    return ProblemSetup(_walled_channel(lat, shape, with_io=True), False,
+                        boundaries, u0=u0)
+
+
+@_kind("forced-channel",
+       "body-force-driven channel, streamwise-periodic, bounce-back walls",
+       sweepable=True, distributed={"u_max": 0.04})
+def forced_channel(lat, shape, tau, u_max=0.05):
+    """Body-force-driven channel: periodic streamwise, bounce-back walls.
+
+    The force is sized so the steady Poiseuille/duct flow peaks near
+    ``u_max`` (:func:`~repro.solver.presets.channel_body_force`); MR
+    schemes apply it through the projected Guo forcing, ST through
+    classical Guo.
+    """
+    return _driven(_walled_channel(lat, shape, with_io=False),
+                   channel_body_force(lat, shape, tau, u_max))
+
+
+@_kind("cylinder", "force-driven channel with a staircase cylinder obstacle",
+       distributed={"u_max": 0.04})
+def cylinder(lat, shape, tau, u_max=0.05, radius=None):
+    """Force-driven channel with a staircase cylinder obstacle.
+
+    The forced channel plus the cylinder of
+    :func:`~repro.geometry.cylinder_channel_domain` — the masked-geometry
+    workload the ``sparse`` backend folds into its gather tables.
+    """
+    return _driven(cylinder_channel_domain(lat, shape, radius),
+                   channel_body_force(lat, shape, tau, u_max))
+
+
+@_kind("porous", "force-driven flow through a seeded random porous medium")
+def porous(lat, shape, tau, solid_fraction=0.85, seed=0, force_x=1e-6):
+    """Force-driven flow through a seeded random porous medium.
+
+    Each node is solid with probability ``solid_fraction`` (seeded, so
+    every rank and every resubmission rebuilds the identical
+    microstructure), driven by the uniform streamwise body force
+    ``force_x`` — the ~15%-fluid regime where the ``sparse`` backend's
+    compact state pays off.
+    """
+    return _driven(porous_medium(shape, solid_fraction=float(solid_fraction),
+                                 seed=int(seed)),
+                   _streamwise(lat, float(force_x)))
+
+
+@_kind("periodic", "fully periodic box with caller-supplied initial fields")
+def periodic(lat, shape, tau, rho0=1.0, u0=None, force=None):
+    """Fully periodic box (no boundaries) with caller-supplied fields."""
+    return ProblemSetup(periodic_box(shape), True,
+                        lambda rank, n_ranks: [], rho0, u0, force)
+
+
+@_kind("taylor-green",
+       "2D Taylor-Green vortex in a periodic box (analytic decay)",
+       sweepable=True)
+def taylor_green(lat, shape, tau, u_max=0.05):
+    """2D Taylor-Green vortex at ``t = 0`` in a periodic box."""
+    if lat.d != 2:
         raise ValueError(
-            f"problem kind {name!r} has no single-domain builder")
-    return kind.single(scheme, lattice, tuple(shape), tau=tau,
-                       backend=backend, **options)
+            "the taylor-green problem is 2D; pick a D2 lattice "
+            f"(got {lat.name})")
+    return periodic(lat, shape, tau, *taylor_green_fields(
+        shape, 0.0, lat.viscosity(tau), float(u_max)))
+
+
+@_kind("power-law",
+       "force-driven power-law (variable-tau) channel, single-domain only",
+       distributed=None)
+def power_law(lat, shape, tau, u_max=0.05):
+    """Force-driven power-law (variable-tau) channel, flow index 0.8.
+
+    Steps :class:`~repro.solver.non_newtonian.PowerLawMRPSolver`
+    whatever scheme is asked for (the solver is MR-P based), so the
+    kind has no distributed form; it exercises the per-node
+    ``tau_field`` collision of every backend.
+    """
+    consistency, exponent = lat.viscosity(tau), 0.8
+    force = power_law_force(u_max, shape[1] - 2, consistency, exponent)
+    return _driven(
+        _walled_channel(lat, shape, with_io=False), _streamwise(lat, force),
+        solver=partial(PowerLawMRPSolver, consistency=consistency,
+                       exponent=exponent))

@@ -1,20 +1,18 @@
-"""Preset problem setups mirroring the paper's proxy applications.
+"""Scheme dispatch and the single-domain names of the registered problems.
 
-The paper's performance proxy apps "simulate flow in a rectangular 2D or 3D
-channel, using bounceback boundary conditions at the channel walls and
-finite difference boundary conditions at the inlet and outlet" (Section 4).
-:func:`channel_problem` assembles exactly that: geometry, Poiseuille inlet
-profile, pressure outlet, wall bounce-back, and an initial condition, for
-any of the three schemes.
+Every problem is defined once, in :mod:`repro.service.registry`; the
+``*_problem`` names here are :func:`~repro.service.registry.build_single`
+with the kind filled in, kept because they read well in examples and
+tests. The registry sits above this package (it imports the solver
+classes), so they reach it at call time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..boundary import HalfwayBounceBack, Plane, PressureOutlet, VelocityInlet
-from ..geometry import Domain, channel_2d, channel_3d
-from ..lattice import LatticeDescriptor, get_lattice
+from ..geometry import Domain, cylinder_channel_domain
+from ..lattice import LatticeDescriptor
 from ..validation.analytic import duct_profile, poiseuille_profile
 from .base import Solver
 from .moment import MRPSolver, MRRSolver
@@ -49,101 +47,10 @@ def channel_inlet_profile(lat: LatticeDescriptor, shape: tuple[int, ...],
     3D: exact rectangular-duct profile over the ``ny x nz`` cross-section.
     Returns ``(D, *cross_section_shape)``.
     """
-    if lat.d == 2:
-        prof = poiseuille_profile(shape[1], u_max)
-        u = np.zeros((2, shape[1]))
-        u[0] = prof
-        return u
-    prof = duct_profile(shape[1], shape[2], u_max)
-    u = np.zeros((3, shape[1], shape[2]))
-    u[0] = prof
+    u = np.zeros((lat.d, *shape[1:]))
+    u[0] = (poiseuille_profile(shape[1], u_max) if lat.d == 2
+            else duct_profile(shape[1], shape[2], u_max))
     return u
-
-
-def channel_problem(scheme: str, lattice: str | LatticeDescriptor,
-                    shape: tuple[int, ...], tau: float = 0.8,
-                    u_max: float = 0.05, bc_method: str = "regularized-fd",
-                    start_from_profile: bool = True,
-                    outlet_tangential: str = "extrapolate",
-                    backend: str = "reference") -> Solver:
-    """Build a ready-to-run rectangular channel flow (the paper's proxy app).
-
-    Parameters
-    ----------
-    scheme:
-        ``"ST"``, ``"MR-P"`` or ``"MR-R"``.
-    lattice:
-        Lattice name or descriptor; its dimension must match ``len(shape)``.
-    shape:
-        Grid shape including the one-node solid rim on the walls.
-    tau, u_max:
-        Relaxation time and peak inlet velocity (lattice units).
-    bc_method:
-        Inlet/outlet reconstruction, ``"regularized-fd"`` (the paper's
-        finite-difference boundaries) or ``"nebb"``.
-    start_from_profile:
-        Initialize the whole channel with the inlet profile (fast
-        convergence) instead of fluid at rest.
-    backend:
-        Execution backend (see :mod:`repro.accel`).
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    if lat.d == 2:
-        domain = channel_2d(*shape)
-    else:
-        domain = channel_3d(*shape)
-
-    u_in = channel_inlet_profile(lat, shape, u_max)
-    # Bounce-back first so the inlet/outlet reconstructions see the
-    # reflected wall-link populations — this matches the fused order of the
-    # virtual-GPU kernels (reflection at scatter time, reconstruction at
-    # finalize time) and is also the physically consistent choice.
-    boundaries = [
-        HalfwayBounceBack(),
-        VelocityInlet(Plane(axis=0, side=0), u_in, method=bc_method),
-        PressureOutlet(Plane(axis=0, side=-1), rho_out=1.0, method=bc_method,
-                       tangential=outlet_tangential),
-    ]
-    u0 = None
-    if start_from_profile:
-        u0 = np.zeros((lat.d, *shape))
-        u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
-    return make_solver(scheme, lat, domain, tau, boundaries=boundaries, u0=u0,
-                       backend=backend)
-
-
-def forced_channel_problem(scheme: str, lattice: str | LatticeDescriptor,
-                           shape: tuple[int, ...], tau: float = 0.8,
-                           u_max: float = 0.05,
-                           backend: str = "reference") -> Solver:
-    """Body-force-driven channel: periodic streamwise, bounce-back walls.
-
-    The force magnitude is chosen so the steady plane-Poiseuille (2D) or
-    duct (3D) flow peaks near ``u_max``:
-    ``F = 8 nu u_max / H^2`` with ``H`` the wall-to-wall width (for the 3D
-    duct this slightly overshoots the plane-channel formula, as expected).
-    Uses the projected Guo forcing for MR schemes and classical Guo for ST.
-    ``backend`` selects the execution backend (see :mod:`repro.accel`);
-    the fused kernels fold the Guo source into the collide stage.
-    """
-    import numpy as np
-
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    if lat.d == 2:
-        domain = channel_2d(*shape, with_io=False)
-    else:
-        domain = channel_3d(*shape, with_io=False)
-    h = shape[1] - 2
-    nu = lat.viscosity(tau)
-    force = np.zeros(lat.d)
-    force[0] = 8.0 * nu * u_max / (h * h)
-    return make_solver(scheme, lat, domain, tau,
-                       boundaries=[HalfwayBounceBack()], force=force,
-                       backend=backend)
 
 
 def channel_body_force(lat: LatticeDescriptor, shape: tuple[int, ...],
@@ -151,9 +58,9 @@ def channel_body_force(lat: LatticeDescriptor, shape: tuple[int, ...],
     """Streamwise body force driving a channel to peak near ``u_max``.
 
     The plane-Poiseuille sizing ``F = 8 nu u_max / H^2`` with ``H`` the
-    wall-to-wall width — shared by every force-driven preset (forced
-    channel, cylinder, distributed variants) so single-domain and
-    distributed builders stay bit-identical.
+    wall-to-wall width (for the 3D duct this slightly overshoots the
+    plane-channel formula, as expected) — shared by every force-driven
+    channel kind.
     """
     h = shape[1] - 2
     nu = lat.viscosity(tau)
@@ -162,94 +69,25 @@ def channel_body_force(lat: LatticeDescriptor, shape: tuple[int, ...],
     return force
 
 
-def cylinder_channel_domain(lat: LatticeDescriptor, shape: tuple[int, ...],
-                            radius: float | None = None) -> Domain:
-    """Walled channel (no I/O planes) with a cylinder obstacle.
+def _single(kind: str):
+    """:func:`~repro.service.registry.build_single` under a public name."""
+    def problem(scheme: str, lattice: str | LatticeDescriptor,
+                shape: tuple[int, ...], tau: float = 0.8,
+                backend: str = "reference", **options) -> Solver:
+        from ..service.registry import build_single
 
-    The cylinder sits at ``x = nx/4`` on the channel centreline with
-    default radius ``max(2, ny/8)``; in 3D its axis spans ``z``. The
-    deterministic placement means a :class:`~repro.parallel.RunSpec`
-    rebuilds the identical mask on every rank.
-    """
-    from ..geometry.domain import SOLID
+        return build_single(kind, scheme, lattice, shape, tau=tau,
+                            backend=backend, **options)
 
-    if len(shape) != lat.d:
-        raise ValueError(
-            f"shape {shape} does not match lattice dimension {lat.d}")
-    base = (channel_2d(*shape, with_io=False) if lat.d == 2
-            else channel_3d(*shape, with_io=False))
-    nt = np.array(base.node_type)
-    cx, cy = shape[0] / 4.0, (shape[1] - 1) / 2.0
-    if radius is None:
-        radius = max(2.0, shape[1] / 8.0)
-    x, y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                       indexing="ij")
-    disk = (x - cx) ** 2 + (y - cy) ** 2 <= float(radius) ** 2
-    nt[disk if lat.d == 2 else disk[..., None] & np.ones(shape, bool)] = SOLID
-    return Domain(nt)
+    problem.__doc__ = (
+        f"Single-domain solver of the ``{kind}`` kind on ``backend``; "
+        f"``options`` and their defaults are that kind's (see "
+        f":mod:`repro.service.registry`).")
+    return problem
 
 
-def cylinder_channel_problem(scheme: str, lattice: str | LatticeDescriptor,
-                             shape: tuple[int, ...], tau: float = 0.8,
-                             u_max: float = 0.05,
-                             radius: float | None = None,
-                             backend: str = "reference") -> Solver:
-    """Force-driven channel with a staircase cylinder obstacle.
-
-    Periodic streamwise with half-way bounce-back on the walls *and* the
-    cylinder staircase — the masked-geometry workload the ``sparse``
-    backend folds into its gather tables (see ``mrlbm profile --accel
-    compare --problem cylinder``), now a first-class problem kind shared
-    by the CLI, the distributed runtime and the job server.
-    """
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    domain = cylinder_channel_domain(lat, shape, radius)
-    force = channel_body_force(lat, shape, tau, u_max)
-    return make_solver(scheme, lat, domain, tau,
-                       boundaries=[HalfwayBounceBack()], force=force,
-                       backend=backend)
-
-
-def porous_channel_problem(scheme: str, lattice: str | LatticeDescriptor,
-                           shape: tuple[int, ...], tau: float = 0.8,
-                           solid_fraction: float = 0.85, seed: int = 0,
-                           force_x: float = 1e-6,
-                           backend: str = "reference") -> Solver:
-    """Force-driven flow through a seeded random porous medium.
-
-    Mirrors the benchmark suite's ``porous`` cells: each node is solid
-    with probability ``solid_fraction`` (seeded, so every rank and every
-    resubmission rebuilds the identical microstructure), driven by a
-    uniform streamwise body force ``force_x`` against half-way
-    bounce-back — the ~15%-fluid regime where the ``sparse`` backend's
-    compact state pays off.
-    """
-    from ..geometry import porous_medium
-
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(
-            f"shape {shape} does not match lattice dimension {lat.d}")
-    domain = porous_medium(shape, solid_fraction=float(solid_fraction),
-                           seed=int(seed))
-    force = np.zeros(lat.d)
-    force[0] = float(force_x)
-    return make_solver(scheme, lat, domain, tau,
-                       boundaries=[HalfwayBounceBack()], force=force,
-                       backend=backend)
-
-
-def periodic_problem(scheme: str, lattice: str | LatticeDescriptor,
-                     shape: tuple[int, ...], tau: float = 0.8,
-                     rho0: np.ndarray | float = 1.0,
-                     u0: np.ndarray | None = None,
-                     force: np.ndarray | None = None,
-                     backend: str = "reference") -> Solver:
-    """Fully periodic box (no boundaries) — e.g. for Taylor-Green vortices."""
-    from ..geometry import periodic_box
-
-    lat = get_lattice(lattice) if isinstance(lattice, str) else lattice
-    if len(shape) != lat.d:
-        raise ValueError(f"shape {shape} does not match lattice dimension {lat.d}")
-    return make_solver(scheme, lat, periodic_box(shape), tau, rho0=rho0, u0=u0,
-                       force=force, backend=backend)
+channel_problem = _single("channel")
+forced_channel_problem = _single("forced-channel")
+cylinder_channel_problem = _single("cylinder")
+porous_channel_problem = _single("porous")
+periodic_problem = _single("periodic")

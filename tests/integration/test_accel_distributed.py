@@ -113,6 +113,13 @@ class TestEmulatedInplaceParity:
                                      min_size=n) == expected
                 assert state.core.state_lattices == (1 if accel == "aa"
                                                      else 2)
+                # a rank passes no clock, so a boundary-free aa ST core
+                # takes (and reports) the natural-layout step; MR moments
+                # are natural at every step and stay lean
+                assert state.core.path == {
+                    ("fused", "ST"): "dense", ("fused", "MR-P"): "dense",
+                    ("aa", "ST"): "bounded", ("aa", "MR-P"): "lean",
+                }[accel, scheme]
         assert build_spec("periodic", "ST", 2).build().ranks[0].scratch \
             is not None
 

@@ -118,6 +118,22 @@ class TestValidation:
             assert err.value.status == 400
             assert "unknown problem kind" in str(err.value)
 
+    def test_unknown_option_400_leaves_no_job(self, tmp_path):
+        """A misnamed option or a single-only kind is refused at submit:
+        no job record, no job directory that a later scan could adopt."""
+        with ServerThread(tmp_path / "jobs") as srv:
+            client = ServiceClient(srv.address)
+            for bad, text in [
+                    (payload(kind="porous", options={"u_max": 0.05}),
+                     "accepted options: solid_fraction, seed, force_x"),
+                    (payload(kind="power-law"), "no distributed form")]:
+                with pytest.raises(ServiceError) as err:
+                    client.submit(bad)
+                assert err.value.status == 400
+                assert text in str(err.value)
+            assert client.jobs() == []
+            assert not list((tmp_path / "jobs").glob("job-*"))
+
     def test_unknown_field_400(self, tmp_path):
         with ServerThread(tmp_path / "jobs") as srv:
             with pytest.raises(ServiceError) as err:

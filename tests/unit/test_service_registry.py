@@ -1,10 +1,14 @@
 """The shared problem registry: one kind table for CLI/runtime/sweep/server."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.parallel import RunSpec, distributed_channel_problem
 from repro.service.registry import (
     ProblemKind,
+    ProblemSetup,
     build_distributed,
     build_single,
     get_problem,
@@ -12,6 +16,22 @@ from repro.service.registry import (
     register_problem,
     sweep_kinds,
 )
+from repro.solver import channel_problem
+
+SHAPE = (24, 14)
+
+
+def explicit_options(name):
+    """Every option of a kind, spelled out at its single-domain default."""
+    params = inspect.signature(get_problem(name).setup).parameters
+    return {opt: params[opt].default for opt in get_problem(name).options}
+
+
+def assert_same_fields(dist, single, atol):
+    rho_s, u_s = single.macroscopic()
+    rho_d, u_d = dist.gather_macroscopic()
+    np.testing.assert_allclose(rho_d, rho_s, rtol=0, atol=atol)
+    np.testing.assert_allclose(u_d, u_s, rtol=0, atol=atol)
 
 
 class TestRegistryContents:
@@ -20,7 +40,7 @@ class TestRegistryContents:
     def test_default_kinds_registered(self):
         kinds = problem_kinds()
         for name in ("channel", "forced-channel", "periodic",
-                     "taylor-green", "cylinder", "porous"):
+                     "taylor-green", "cylinder", "porous", "power-law"):
             assert name in kinds
 
     def test_kinds_sorted(self):
@@ -40,13 +60,29 @@ class TestRegistryContents:
             assert get_problem(name).description
 
     def test_custom_registration(self):
-        kind = ProblemKind(name="test-custom", description="a test kind",
-                           distributed=None, single=None)
-        register_problem(kind)
+        """One ``setup=`` function makes a kind buildable in both forms."""
+        def setup(lat, shape, tau, amplitude=0.01):
+            from repro.geometry import periodic_box
+
+            u0 = np.full((lat.d, *shape), float(amplitude))
+            return ProblemSetup(periodic_box(shape), True,
+                                lambda rank, n_ranks: [], u0=u0)
+
+        kind = register_problem(ProblemKind(
+            name="test-custom", description="a test kind", setup=setup))
         try:
             assert get_problem("test-custom") is kind
             assert "test-custom" in problem_kinds()
             assert "test-custom" not in sweep_kinds()
+            assert kind.options == ("amplitude",)
+            single = build_single("test-custom", "ST", "D2Q9", SHAPE,
+                                  amplitude=0.02).run(3)
+            spec = RunSpec("test-custom", "ST", "D2Q9", SHAPE, 2,
+                           options={"amplitude": 0.02})
+            assert_same_fields(spec.build().run(3), single, 1e-13)
+            with pytest.raises(ValueError, match="amplitude"):
+                RunSpec("test-custom", "ST", "D2Q9", SHAPE, 2,
+                        options={"u_max": 0.02})
         finally:
             from repro.service import registry
 
@@ -54,43 +90,54 @@ class TestRegistryContents:
 
 
 class TestRunSpecValidation:
-    """RunSpec construction validates its kind against the registry."""
+    """RunSpec construction validates kind and option names."""
 
     def test_unknown_kind_rejected_at_construction(self):
-        from repro.parallel import RunSpec
-
         with pytest.raises(ValueError, match="unknown problem kind"):
             RunSpec("no-such-problem", "MR-P", "D2Q9", (16, 16), 2)
 
     def test_known_kind_accepted(self):
-        from repro.parallel import RunSpec
-
         spec = RunSpec("cylinder", "ST", "D2Q9", (32, 16), 2)
         assert spec.kind == "cylinder"
 
+    def test_unknown_option_rejected_at_construction(self):
+        """The shown defect: porous takes no ``u_max``; it used to die as
+        a ``TypeError`` inside ``build()``, i.e. in a server worker."""
+        with pytest.raises(ValueError, match="accepted options: "
+                           "solid_fraction, seed, force_x"):
+            RunSpec("porous", "ST", "D2Q9", (16, 16), 2,
+                    options={"u_max": 0.05})
+        with pytest.raises(ValueError, match="'u_max'"):
+            build_single("porous", "ST", "D2Q9", (16, 16), u_max=0.05)
+
+    def test_st_exchange_is_a_builder_argument(self):
+        spec = RunSpec("periodic", "ST", "D2Q9", (16, 16), 2,
+                       options={"st_exchange": "full"})
+        assert spec.build().st_exchange == "full"
+        with pytest.raises(ValueError, match="st_exchange"):
+            build_single("periodic", "ST", "D2Q9", (16, 16),
+                         st_exchange="full")
+
+    def test_single_only_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="no distributed form"):
+            RunSpec("power-law", "MR-P", "D2Q9", (16, 16), 1)
+
 
 class TestBuilders:
-    """Single-domain and distributed builders produce runnable solvers."""
+    """Both forms of every registered kind, derived from one setup."""
 
     def test_build_single_every_kind(self):
-        for name, options in [("channel", {"u_max": 0.03}),
-                              ("forced-channel", {"u_max": 0.03}),
-                              ("taylor-green", {"u_max": 0.03}),
-                              ("cylinder", {"u_max": 0.03}),
-                              ("porous", {})]:
-            solver = build_single(name, "MR-P", "D2Q9", (24, 14),
-                                  tau=0.8, **options)
+        for name in problem_kinds():
+            solver = build_single(name, "MR-P", "D2Q9", SHAPE, tau=0.8)
             solver.run(5)
             rho, u = solver.macroscopic()
             assert np.all(np.isfinite(rho)) and np.all(np.isfinite(u))
 
     def test_build_distributed_every_kind(self):
-        for name, options in [("forced-channel", {"u_max": 0.03}),
-                              ("taylor-green", {"u_max": 0.03}),
-                              ("cylinder", {"u_max": 0.03}),
-                              ("porous", {})]:
-            solver = build_distributed(name, "ST", "D2Q9", (24, 14), 2,
-                                       tau=0.8, **options)
+        for name in problem_kinds():
+            if get_problem(name).distributed is None:
+                continue
+            solver = build_distributed(name, "ST", "D2Q9", SHAPE, 2, tau=0.8)
             solver.run(5)
             rho, u = solver.gather_macroscopic()
             assert np.all(np.isfinite(rho)) and np.all(np.isfinite(u))
@@ -104,15 +151,41 @@ class TestBuilders:
         full = 48 * 24 - 2 * 48          # channel minus the two walls
         assert solver.domain.n_fluid < full
 
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
+    @pytest.mark.parametrize("name", problem_kinds())
+    def test_both_forms_are_one_problem(self, name, scheme):
+        """At the same explicit options the two forms are one problem.
+
+        Driven by the table, so a kind is covered by being registered;
+        a single-only kind must refuse its distributed form at
+        construction instead.
+        """
+        options = explicit_options(name)
+        if get_problem(name).distributed is None:
+            with pytest.raises(ValueError, match="no distributed form"):
+                build_distributed(name, scheme, "D2Q9", SHAPE, 2, **options)
+            return
+        single = build_single(name, scheme, "D2Q9", SHAPE, tau=0.8,
+                              **options).run(10)
+        for n_ranks in (1, 2):
+            dist = build_distributed(name, scheme, "D2Q9", SHAPE, n_ranks,
+                                     tau=0.8, **options).run(10)
+            assert_same_fields(dist, single, 1e-13)
+
     def test_distributed_matches_single_domain(self):
-        """The registry's distributed build reproduces the single build."""
-        single = build_single("forced-channel", "MR-P", "D2Q9", (24, 14),
-                              tau=0.8, u_max=0.03)
-        dist = build_distributed("forced-channel", "MR-P", "D2Q9",
-                                 (24, 14), 2, tau=0.8, u_max=0.03)
-        single.run(20)
-        dist.run(20)
-        rho_s, u_s = single.macroscopic()
-        rho_d, u_d = dist.gather_macroscopic()
-        np.testing.assert_allclose(rho_d, rho_s, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(u_d, u_s, rtol=0, atol=1e-12)
+        """Same, at a non-default option value and over more steps."""
+        single = build_single("forced-channel", "MR-P", "D2Q9", SHAPE,
+                              tau=0.8, u_max=0.03).run(20)
+        dist = build_distributed("forced-channel", "MR-P", "D2Q9", SHAPE, 2,
+                                 tau=0.8, u_max=0.03).run(20)
+        assert_same_fields(dist, single, 1e-12)
+
+    def test_channel_per_form_defaults(self):
+        """The three defaults the distributed channel overrides, pinned."""
+        assert get_problem("channel").distributed == {
+            "u_max": 0.04, "bc_method": "nebb", "outlet_tangential": "zero"}
+        dist = distributed_channel_problem("MR-P", "D2Q9", SHAPE, 2).run(10)
+        single = channel_problem("MR-P", "D2Q9", SHAPE, u_max=0.04,
+                                 bc_method="nebb",
+                                 outlet_tangential="zero").run(10)
+        assert_same_fields(dist, single, 1e-13)

@@ -12,12 +12,14 @@ links, and verifies that
   that contains them.
 
 External links (``http(s)://``, ``mailto:``) are not fetched — CI must
-not flake on someone else's server. Exit code 0 means every internal
-link resolves; 1 lists the broken ones.
+not flake on someone else's server. It also checks that the kinds table
+of ``docs/SERVICE.md`` names exactly the registered problem kinds and
+their options. Exit code 0 means everything agrees; 1 lists the
+problems.
 
-Run from the repository root (CI does)::
+Run from the repository root with the package importable (CI does)::
 
-    python tools/check_docs.py
+    PYTHONPATH=src python tools/check_docs.py
 """
 
 from __future__ import annotations
@@ -103,19 +105,35 @@ def check_file(path: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
     return problems
 
 
+def check_kinds_table() -> list[str]:
+    """Mismatches between the SERVICE.md kinds table and the registry."""
+    from repro.service.registry import get_problem, problem_kinds
+
+    text = (ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+    documented = {}
+    for row in re.findall(r"^\| `([a-z-]+)` +\|[^|]*\|([^|]*)\|", text, re.M):
+        documented[row[0]] = tuple(re.findall(r"`(\w+)`", row[1]))
+    registered = {k: get_problem(k).options for k in problem_kinds()}
+    return [f"docs/SERVICE.md: kinds table says {documented.get(k)} for "
+            f"{k!r}, the registry {registered.get(k)}"
+            for k in sorted(documented.keys() | registered.keys())
+            if documented.get(k) != registered.get(k)]
+
+
 def main() -> int:
     """Check every doc file; print a report and return the exit code."""
     anchor_cache: dict[Path, set[str]] = {}
-    problems: list[str] = []
+    problems: list[str] = check_kinds_table()
     files = doc_files()
     for path in files:
         problems += check_file(path, anchor_cache)
     if problems:
-        print(f"{len(problems)} broken link(s) across {len(files)} files:")
+        print(f"{len(problems)} problem(s) across {len(files)} files:")
         for p in problems:
             print(f"  {p}")
         return 1
-    print(f"OK: all internal links resolve across {len(files)} files")
+    print(f"OK: all internal links resolve across {len(files)} files; "
+          f"the kinds table matches the registry")
     return 0
 
 
