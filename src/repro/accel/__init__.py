@@ -39,7 +39,8 @@ trajectory to machine precision (pinned by
 ``tests/unit/test_accel_backends.py``). :func:`validate_backend` checks
 a solver/backend combination at construction time, :func:`make_stepper`
 binds a backend to a constructed solver, and :func:`make_core` is the
-single factory behind it, the distributed ranks and the ensemble runner.
+single factory behind it and the ensemble runner (a distributed rank is
+a solver, so it comes through :func:`make_stepper` like any other).
 
 Capability handshake
 --------------------
@@ -79,7 +80,6 @@ __all__ = [
     "available_backends",
     "make_core",
     "make_stepper",
-    "check_support",
     "validate_backend",
     "solver_caps",
     "FusedSTCore",
@@ -162,8 +162,13 @@ class _Stepper:
             tau_bulk=None if self.variable_tau
             else getattr(solver, "tau_bulk", None))
 
-    def step(self, solver) -> None:
-        """One fast-path step updating the solver's state array in place."""
+    def step(self, solver, time: int | None) -> None:
+        """One fast-path step updating the solver's state array in place.
+
+        ``time`` is the clock handed to the core: the solver's own, or
+        ``None`` from an owner that needs the natural layout after every
+        step (see :meth:`repro.solver.base.Solver._step_at`).
+        """
         tau_field = None
         if self.variable_tau:
             with solver.telemetry.phase("collide"):
@@ -171,7 +176,7 @@ class _Stepper:
             tau_field = solver.tau_field
         self.core.step(getattr(solver, self._field), solver.boundaries,
                        solver.telemetry, force=solver.force,
-                       tau_field=tau_field, time=solver.time)
+                       tau_field=tau_field, time=time)
 
 
 def solver_caps(solver) -> dict | None:
@@ -185,30 +190,33 @@ def solver_caps(solver) -> dict | None:
     return type(solver).__dict__.get("accel_caps")
 
 
-def check_support(owner: str, backend: str, caps: dict | None, boundaries,
-                  collision=None) -> dict | None:
-    """The one support matrix: raise ``ValueError`` or return ``caps``.
+def validate_backend(solver, backend: str | None = None) -> dict | None:
+    """The one support matrix: raise ``ValueError`` or return the caps.
 
-    Shared by :func:`validate_backend` (single-domain solvers) and
-    :class:`repro.parallel.decomposition.DistributedSolver` (per-rank
-    boundary lists), so both reject the same combinations with the same
-    message. ``owner`` names the rejecting class in that message;
-    ``collision`` is the ST collision operator when already known.
-    Returns ``None`` for ``"reference"``.
+    Called from :class:`~repro.solver.base.Solver` at construction time
+    (and again by :func:`make_stepper`), so unsupported combinations
+    fail fast — never mid-run after setup work has already happened. A
+    distributed rank *is* such a solver (see
+    :mod:`repro.parallel.decomposition`), so ``--ranks N`` rejects
+    exactly the same combinations with the same message. Returns the
+    solver's capability declaration (``None`` for ``"reference"``).
     """
     from ..boundary.base import Boundary
     from ..core.collision import BGKCollision
 
+    backend = solver.backend if backend is None else backend
+
     def reject(why: str) -> ValueError:
         return ValueError(
             f"backend {backend!r} does not support this configuration of "
-            f"{owner}: {why}; use backend='reference'")
+            f"{type(solver).__name__}: {why}; use backend='reference'")
 
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "reference":
         return None
+    caps = solver_caps(solver)
     if caps is None:
         raise reject(
             "the class declares no accel_caps — fast paths are an explicit "
@@ -217,6 +225,9 @@ def check_support(owner: str, backend: str, caps: dict | None, boundaries,
     family = caps.get("family")
     if family not in ("st", "mr"):
         raise reject(f"unknown accel_caps family {family!r}")
+    # The ST collision attribute appears after the base constructor;
+    # STSolver re-validates once it is set (still construction time).
+    collision = getattr(solver, "collision", None)
     if (family == "st" and collision is not None
             and type(collision) is not BGKCollision):
         raise reject("only the plain BGK collision is fused for ST")
@@ -224,7 +235,7 @@ def check_support(owner: str, backend: str, caps: dict | None, boundaries,
         # The compact-state step has no post-collide stage on the dense
         # field, so boundaries that hook it (full-way bounce-back) have
         # nowhere to run; everything else folds or falls back densely.
-        for b in boundaries:
+        for b in solver.boundaries:
             if type(b).post_collide is not Boundary.post_collide:
                 raise reject(
                     f"{type(b).__name__} customizes the post-collide hook, "
@@ -232,24 +243,6 @@ def check_support(owner: str, backend: str, caps: dict | None, boundaries,
     # "aa" shares the fused matrix: bounded configurations run its
     # conservative fused-identical path, so no extra restrictions apply.
     return caps
-
-
-def validate_backend(solver, backend: str | None = None) -> dict | None:
-    """Check the solver/backend matrix; raise *before* any kernel runs.
-
-    Called from :class:`~repro.solver.base.Solver` at construction time
-    (and again by :func:`make_stepper`), so unsupported combinations
-    fail fast — never mid-run after setup work has already happened.
-    Returns the solver's capability declaration (``None`` for
-    ``"reference"``); raises :class:`ValueError` otherwise.
-    """
-    # The ST collision attribute appears after the base constructor;
-    # STSolver re-validates once it is set (still construction time).
-    return check_support(
-        type(solver).__name__,
-        solver.backend if backend is None else backend,
-        solver_caps(solver), solver.boundaries,
-        collision=getattr(solver, "collision", None))
 
 
 def make_stepper(solver, backend: str | None = None):

@@ -358,7 +358,7 @@ def _distributed_spec(args, shape):
 
 def _cmd_run_distributed(args: argparse.Namespace) -> int:
     """Handle ``mrlbm run --ranks N [--backend {emulated,process}]``."""
-    from .parallel import ParallelRuntimeError, run_process
+    from .parallel import ParallelRuntimeError, ProcessRuntime
 
     wants_fault_tolerance = bool(args.resume or args.checkpoint_dir
                                  or args.max_restarts)
@@ -380,9 +380,13 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
 
     try:
         spec = _distributed_spec(args, shape)
-        solver = spec.build()
+        # One build serves the header, the run and the manifest: the
+        # process runtime's own solver is the parent's shape oracle.
+        runtime = ProcessRuntime(spec) if backend == "process" else None
+        solver = runtime.solver if runtime else spec.build()
     except (ValueError, RuntimeError) as err:
-        # unsupported accel/solver combination — fail before any rank runs
+        # bad spec or unsupported accel/solver combination — fail before
+        # any rank runs
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
     n_fluid = solver.global_domain.n_fluid
@@ -393,9 +397,9 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     report = None
-    if backend == "process":
+    if runtime is not None:
         try:
-            result = run_process(spec, args.steps)
+            result = runtime.run(args.steps)
         except KeyboardInterrupt:
             # The runtime's interrupt path has already terminated the
             # rank processes and unlinked every shared-memory block;
@@ -475,7 +479,6 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
         mpath = (args.manifest or
                  (manifest_path_for(args.output) if args.output
                   else "run.manifest.json"))
-        solver.time = args.steps
         write_manifest(mpath, solver, problem=args.problem,
                        u_max=args.u_max, backend=backend, ranks=args.ranks,
                        command="mrlbm run")

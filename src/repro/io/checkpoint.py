@@ -88,9 +88,9 @@ def save_checkpoint(path: str | Path, solver: Solver,
     if isinstance(solver, STSolver):
         # Always written in the natural layout: at odd times the lean
         # single-lattice backend stores a component-shifted state, and
-        # ``_checkpoint_state`` un-streams it, so checkpoints stay
-        # loadable by any backend at any parity.
-        payload["f"] = solver._checkpoint_state()
+        # ``_natural_f`` un-streams it, so checkpoints stay loadable by
+        # any backend at any parity.
+        payload["f"] = solver._natural_f()
     elif isinstance(solver, (MRPSolver, MRRSolver)):
         payload["m"] = solver.m
     else:  # pragma: no cover - future solvers
@@ -306,12 +306,7 @@ def reshard_field(global_field: np.ndarray, decomp, rank: int) -> np.ndarray:
     values under periodic wrap; they are overwritten by the first halo
     exchange, but starting finite keeps watchdogs and diagnostics sane.
     """
-    nx = global_field.shape[1]
-    start, stop = decomp.bounds(rank)
-    gl = 1 if decomp.has_left(rank) else 0
-    gr = 1 if decomp.has_right(rank) else 0
-    gsl = [(start - gl + k) % nx for k in range(stop - start + gl + gr)]
-    return global_field[:, gsl].copy()
+    return global_field[:, decomp.ghosted(rank)].copy()
 
 
 def validate_checkpoint_manifest(manifest: dict, *, scheme: str, lattice: str,

@@ -10,6 +10,13 @@ protocol (see ``docs/PARALLEL.md``):
   ``multiprocessing.shared_memory`` with barrier-synchronized halo
   exchanges (:func:`run_process` / :class:`ProcessRuntime`).
 
+In both, a rank *is* the single-domain solver of the scheme
+(:mod:`repro.solver`) on its ghosted slab: this package owns the
+decomposition, the halo codec and the exchange, and contains no physics
+— every construction-time check of ``Solver`` therefore holds per rank.
+Multi-speed lattices are refused at construction (the halo is one node
+wide).
+
 The process backend is fault tolerant: cohorts write coordinated
 distributed checkpoints, restart from them (``RunSpec.resume_from`` /
 ``mrlbm run --resume``, including with a different rank count), and the

@@ -9,23 +9,35 @@ slabs along the streamwise axis, each rank owns a slab plus one-node
 ghost layers, and every step performs an explicit halo exchange whose
 volume is accounted exactly.
 
+**A rank is a solver.** ``dist.ranks[r]`` is the very
+:class:`~repro.solver.STSolver` / :class:`~repro.solver.MRPSolver` /
+:class:`~repro.solver.MRRSolver` a single-domain run constructs, built
+on the rank's ghosted slab of the global domain, initial fields and
+force: one implementation of each scheme, every construction-time check
+of :class:`~repro.solver.base.Solver` holds per rank, and a slab differs
+from the whole domain only in *what crosses its faces*. The classes here
+own exactly that — :class:`SlabDecomposition`,
+:class:`CommunicationReport`, the halo codec, the exchange round — and
+name no collision, streaming routine or :mod:`repro.accel` core.
+
 The moment representation changes the exchange payload: an ST rank must
 receive the neighbour's post-collision *populations* crossing the cut
 (5 of 19 for D3Q19 per direction, or all Q in naive implementations),
 whereas an MR rank receives the neighbour's ghost *moments* (M = 10) and
-reconstructs the crossing populations locally — trading a little
-recomputation for less network traffic, exactly the compression the paper
-exploits against DRAM.
+reconstructs the crossing populations locally (exact, thanks to the
+regularization) — trading a little recomputation for less network
+traffic, exactly the compression the paper exploits against DRAM.
 
-Both backends drive the same per-rank primitives defined here —
+Both backends drive the same per-rank primitives —
 :meth:`DistributedSolver._pack_halo`, :meth:`DistributedSolver._unpack_halo`
-and :meth:`DistributedSolver._rank_step` — so the emulated exchange and
-the shared-memory exchange move bit-identical payloads
-(see ``docs/PARALLEL.md``).
+and the rank solver's own step — so the emulated exchange and the
+shared-memory exchange move bit-identical payloads
+(see ``docs/PARALLEL.md``). The ghost layer is one node wide, so a
+multi-speed lattice is refused at construction (:func:`check_halo_width`).
 
 Correctness: a distributed run over any number of ranks reproduces the
-single-domain reference solver to machine precision (tested for periodic
-and channel problems, all three schemes, both backends).
+single-domain solver of the same backend (tested for every registered
+kind, all three schemes, both backends).
 """
 
 from __future__ import annotations
@@ -34,20 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..boundary import Boundary
-from ..core.collision import (
-    collide_moments_projective,
-    collide_moments_recursive,
-)
-from ..core.equilibrium import equilibrium, equilibrium_moments
-from ..core.moments import f_from_moments, macroscopic, moments_from_f
-from ..core.streaming import stream_pull, stream_push
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
+from ..solver import SCHEMES, Solver
 
 __all__ = [
     "CommunicationReport",
     "SlabDecomposition",
+    "check_halo_width",
     "DistributedSolver",
     "DistributedST",
     "DistributedMR",
@@ -124,6 +130,14 @@ class SlabDecomposition:
         width = base + (1 if rank < rem else 0)
         return start, start + width
 
+    def ghosted(self, rank: int) -> list[int]:
+        """Global axis-0 indices of a rank's slab, ghost planes included
+        (wrapping around when periodic)."""
+        start, stop = self.bounds(rank)
+        return [k % self.global_shape[0]
+                for k in range(start - self.has_left(rank),
+                               stop + self.has_right(rank))]
+
     def has_left(self, rank: int) -> bool:
         """Whether the rank exchanges across its low-x face."""
         return self.periodic or rank > 0
@@ -149,49 +163,35 @@ class SlabDecomposition:
         return out
 
 
-class _RankState:
-    """Per-rank slab arrays and local boundary conditions."""
+def check_halo_width(lat: LatticeDescriptor) -> None:
+    """Refuse a lattice the one-node ghost layer cannot carry.
 
-    def __init__(self, lat: LatticeDescriptor, domain_slab: Domain,
-                 boundaries: list[Boundary], tau: float,
-                 ghost_left: bool, ghost_right: bool):
-        self.lat = lat
-        self.domain = domain_slab
-        self.tau = tau
-        self.ghost_left = ghost_left
-        self.ghost_right = ghost_right
-        self.boundaries = [b.bind(lat, domain_slab, tau) for b in boundaries]
-        #: fast-path core stepping this slab (built on the first step).
-        self.core = None
-
-    @property
-    def interior(self) -> slice:
-        """Axis-0 slice selecting the owned (non-ghost) planes."""
-        lo = 1 if self.ghost_left else 0
-        hi = -1 if self.ghost_right else None
-        return slice(lo, hi)
-
-    def n_interior_fluid(self) -> int:
-        """Number of fluid nodes this rank owns (ghost planes excluded)."""
-        return int((~self.domain.solid_mask[self.interior]).sum())
+    Shared by :class:`DistributedSolver` and
+    :class:`~repro.parallel.runtime.RunSpec`, so a multi-speed lattice
+    is rejected when the spec is written down, not after a wrong field
+    has been computed.
+    """
+    reach = int(np.abs(lat.c[:, 0]).max())
+    if reach > 1:
+        raise ValueError(
+            f"{lat.name} is a multi-speed lattice (|c_x| up to {reach}): "
+            f"the slab decomposition exchanges a halo 1 node wide, so "
+            f"populations would jump over the ghost plane; run it "
+            f"single-domain")
 
 
 class DistributedSolver:
     """Base class: slab setup, halo-exchange bookkeeping, gathering.
 
-    Subclasses provide four per-rank primitives — :meth:`_init_rank_state`,
-    :meth:`_pack_halo`, :meth:`_unpack_halo` and :meth:`_rank_step` — from
-    which both :meth:`step` (the emulated backend) and the multiprocess
+    ``ranks[r]`` is the single-domain solver of the scheme
+    (``SCHEMES[scheme]``) on rank ``r``'s ghosted slab. Subclasses add
+    the halo codec — :meth:`field`, :meth:`_pack_halo`,
+    :meth:`_unpack_halo`, :meth:`halo_values_per_direction` — from which
+    both :meth:`step` (the emulated backend) and the multiprocess
     runtime in :mod:`repro.parallel.runtime` are assembled.
     """
 
     scheme: str = "?"
-    #: Name of the per-rank state attribute holding the exchanged field
-    #: (``"f"`` for populations, ``"m"`` for moments).
-    field_attr: str = "?"
-    #: Kernel-family declaration handed to :mod:`repro.accel` (the same
-    #: dict shape the single-domain solvers declare).
-    accel_caps: dict | None = None
 
     def __init__(self, lat: LatticeDescriptor, global_domain: Domain,
                  tau: float, n_ranks: int, periodic_axis0: bool,
@@ -199,6 +199,7 @@ class DistributedSolver:
                  force: np.ndarray | None = None,
                  st_exchange: str = "crossing",
                  accel: str = "reference"):
+        check_halo_width(lat)
         self.lat = lat
         self.global_domain = global_domain
         self.tau = float(tau)
@@ -211,85 +212,33 @@ class DistributedSolver:
         self.st_exchange = st_exchange
         self.accel = accel
 
-        rho_g = np.broadcast_to(np.asarray(rho0, dtype=np.float64),
-                                global_domain.shape).copy()
-        u_g = (np.zeros((lat.d, *global_domain.shape)) if u0 is None
-               else np.array(u0, dtype=np.float64))
-        rho_g[global_domain.solid_mask] = 1.0
-        u_g[:, global_domain.solid_mask] = 0.0
-        if force is not None:
-            from ..core.forcing import normalize_force
-
-            force = normalize_force(lat, force, global_domain.shape)
-            force[:, global_domain.solid_mask] = 0.0
-        self.force = force
-
-        from ..accel import check_support
-
-        self.ranks: list[_RankState] = []
-        self._rank_slices: list[tuple[slice, slice]] = []  # (global, local int.)
+        # Global fields are only cut here (a uniform force vector passes
+        # through); the rank solvers normalize and validate their slabs
+        # exactly like a single-domain run.
+        rho_g = np.broadcast_to(rho0, global_domain.shape)
+        self.ranks: list[Solver] = []
         for r in range(n_ranks):
-            start, stop = self.decomp.bounds(r)
-            gl = 1 if self.decomp.has_left(r) else 0
-            gr = 1 if self.decomp.has_right(r) else 0
-            gsl = [(start - gl + k) % global_domain.shape[0]
-                   for k in range(stop - start + gl + gr)]
-            node_type = global_domain.node_type[gsl]
-            slab = Domain(node_type)
-            state = _RankState(lat, slab, boundary_factory(r, n_ranks),
-                               tau, bool(gl), bool(gr))
-            # One support matrix with the single-domain solvers: the
-            # same check, against the boundary list this rank steps with.
-            check_support(type(self).__name__, accel, self.accel_caps,
-                          state.boundaries)
-            self._init_rank_state(state, rho_g[gsl], np.stack(
-                [u_g[a][gsl] for a in range(lat.d)]))
-            if self.force is not None:
-                state.force = np.stack([self.force[a][gsl]
-                                        for a in range(lat.d)])
-            else:
-                state.force = None
-            self.ranks.append(state)
-            self._rank_slices.append((slice(start, stop), state.interior))
-
+            gsl = self.decomp.ghosted(r)
+            self.ranks.append(SCHEMES[self.scheme](
+                lat, Domain(global_domain.node_type[gsl]), tau,
+                boundaries=boundary_factory(r, n_ranks),
+                rho0=rho_g[gsl],
+                u0=None if u0 is None else np.asarray(u0)[:, gsl],
+                force=(force if np.ndim(force) < 2
+                       else np.asarray(force)[:, gsl]),
+                backend=accel))
         # Crossing component sets for ST exchanges.
         cx = lat.c[:, 0]
-        self._right_going = np.where(cx > 0)[0]
-        self._left_going = np.where(cx < 0)[0]
+        self._right_going = np.flatnonzero(cx > 0)
+        self._left_going = np.flatnonzero(cx < 0)
 
-    # -- subclass hooks --------------------------------------------------
-    def _init_rank_state(self, state: _RankState, rho: np.ndarray,
-                         u: np.ndarray) -> None:
-        """Allocate and initialize one rank's field arrays."""
+    # -- subclass hooks: the halo codec -----------------------------------
+    def field(self, rank: Solver) -> np.ndarray:
+        """The exchanged state array of a rank solver (``f`` or ``m``),
+        ghost planes included, in the natural layout."""
         raise NotImplementedError
 
-    def _rank_step_reference(self, state: _RankState) -> None:
-        """One reference collide+stream step over a rank's slab."""
-        raise NotImplementedError
-
-    def _rank_step(self, state: _RankState) -> None:
-        """Advance one rank's slab by one collide+stream step.
-
-        Ghost planes must already hold the neighbours' halo data (see
-        :meth:`_pack_halo` / :meth:`_unpack_halo`). Fast backends step
-        the slab (ghost planes included, so streaming reads the
-        exchanged halo exactly like the reference pull) through the
-        core :func:`repro.accel.make_core` builds for it. No clock is
-        passed: halo exchange and interior checkpoints need the natural
-        layout after every step.
-        """
-        if self.accel == "reference":
-            self._rank_step_reference(state)
-            return
-        if state.core is None:
-            from ..accel import make_core
-
-            state.core = make_core(self.accel, self.accel_caps, self.lat,
-                                   state.domain, self.tau, state.boundaries)
-        state.core.step(getattr(state, self.field_attr), state.boundaries,
-                        force=state.force)
-
-    def _pack_halo(self, state: _RankState, direction: str) -> np.ndarray:
+    def _pack_halo(self, rank: Solver, direction: str) -> np.ndarray:
         """Copy the edge-plane payload travelling ``direction`` out of a rank.
 
         ``direction`` is ``"right"`` (data for the high-x neighbour's low-x
@@ -298,8 +247,7 @@ class DistributedSolver:
         """
         raise NotImplementedError
 
-    def _unpack_halo(self, state: _RankState, side: str,
-                     buf: np.ndarray) -> None:
+    def _unpack_halo(self, rank: Solver, side: str, buf: np.ndarray) -> None:
         """Write a received payload into the ``side`` (``"left"``/``"right"``)
         ghost plane of a rank."""
         raise NotImplementedError
@@ -309,6 +257,16 @@ class DistributedSolver:
         raise NotImplementedError
 
     # -- common API -------------------------------------------------------
+    def interior(self, rank: int) -> slice:
+        """Axis-0 slice selecting a rank's owned (non-ghost) planes."""
+        return slice(int(self.decomp.has_left(rank)),
+                     -1 if self.decomp.has_right(rank) else None)
+
+    def n_interior_fluid(self, rank: int) -> int:
+        """Number of fluid nodes a rank owns (ghost planes excluded)."""
+        return int(self.ranks[rank].domain.fluid_mask[
+            self.interior(rank)].sum())
+
     def _exchange(self) -> None:
         """One emulated halo-exchange round: pack all faces, then unpack.
 
@@ -318,30 +276,31 @@ class DistributedSolver:
         ``comm.steps``.
         """
         packed: dict[tuple[int, str], np.ndarray] = {}
-        for r, state in enumerate(self.ranks):
+        for r, rank in enumerate(self.ranks):
             if self.decomp.has_right(r):
-                buf = self._pack_halo(state, "right")
+                buf = self._pack_halo(rank, "right")
                 packed[r, "right"] = buf
                 self.comm.record(buf.size)
             if self.decomp.has_left(r):
-                buf = self._pack_halo(state, "left")
+                buf = self._pack_halo(rank, "left")
                 packed[r, "left"] = buf
                 self.comm.record(buf.size)
-        for r, state in enumerate(self.ranks):
+        for r, rank in enumerate(self.ranks):
             if self.decomp.has_left(r):
-                self._unpack_halo(state, "left",
+                self._unpack_halo(rank, "left",
                                   packed[self.decomp.left_of(r), "right"])
             if self.decomp.has_right(r):
-                self._unpack_halo(state, "right",
+                self._unpack_halo(rank, "right",
                                   packed[self.decomp.right_of(r), "left"])
         self.comm.steps += 1
 
     def step(self) -> None:
-        """Advance the whole decomposition by one step (exchange, then
-        per-rank collide+stream)."""
+        """Advance the whole decomposition by one step: exchange, then
+        every rank's own collide+stream over its ghosted slab — stepped
+        without a clock, see :meth:`repro.solver.base.Solver._step_at`."""
         self._exchange()
-        for state in self.ranks:
-            self._rank_step(state)
+        for rank in self.ranks:
+            rank._step_at(None)
 
     def run(self, n_steps: int) -> "DistributedSolver":
         """Advance ``n_steps`` steps and return self."""
@@ -354,15 +313,12 @@ class DistributedSolver:
         """Assemble the global (rho, u) fields from all ranks."""
         rho = np.empty(self.global_domain.shape)
         u = np.empty((self.lat.d, *self.global_domain.shape))
-        for state, (gsl, isl) in zip(self.ranks, self._rank_slices):
-            r_loc, u_loc = self._rank_macroscopic(state)
+        for r, rank in enumerate(self.ranks):
+            gsl, isl = slice(*self.decomp.bounds(r)), self.interior(r)
+            r_loc, u_loc = rank.macroscopic()
             rho[gsl] = r_loc[isl]
             u[:, gsl] = u_loc[:, isl]
         return rho, u
-
-    def _rank_macroscopic(self, state: _RankState):
-        """Density and velocity over one rank's slab (ghosts included)."""
-        raise NotImplementedError
 
     def communication_values_per_face(self) -> int:
         """Doubles exchanged per cut face per step (both directions)."""
@@ -378,26 +334,10 @@ class DistributedST(DistributedSolver):
     """
 
     scheme = "ST"
-    field_attr = "f"
-    accel_caps = {"family": "st"}
 
-    def _init_rank_state(self, state, rho, u):
-        """Initialize the rank's populations at equilibrium."""
-        state.f = equilibrium(self.lat, rho, u)
-        # The reference step double-buffers through this lattice; the
-        # fast-path cores own their scratch.
-        state.scratch = (np.empty_like(state.f)
-                         if self.accel == "reference" else None)
-
-    def _rank_macroscopic(self, state):
-        """Density and (half-force-corrected) velocity from populations."""
-        if state.force is None:
-            return macroscopic(self.lat, state.f)
-        from ..core.forcing import half_force_velocity
-
-        rho = state.f.sum(axis=0)
-        j = np.einsum("qa,q...->a...", self.lat.c.astype(float), state.f)
-        return rho, half_force_velocity(self.lat, rho, j, state.force)
+    def field(self, rank):
+        """The rank's population lattice."""
+        return rank.f
 
     def _send_comps(self, direction: str) -> np.ndarray:
         """Population components shipped in one direction of travel."""
@@ -409,46 +349,18 @@ class DistributedST(DistributedSolver):
         """Crossing (or full-Q) populations of one edge plane."""
         return len(self._send_comps("right")) * self.decomp.face_nodes
 
-    def _pack_halo(self, state, direction):
+    def _pack_halo(self, rank, direction):
         """Copy the outgoing edge plane of crossing populations."""
         comps = self._send_comps(direction)
         src = -2 if direction == "right" else 1
-        return np.ascontiguousarray(state.f[comps, src])
+        return np.ascontiguousarray(rank.f[comps, src])
 
-    def _unpack_halo(self, state, side, buf):
+    def _unpack_halo(self, rank, side, buf):
         """Write received crossing populations into a ghost plane."""
         if side == "left":
-            state.f[self._send_comps("right"), 0] = buf
+            rank.f[self._send_comps("right"), 0] = buf
         else:
-            state.f[self._send_comps("left"), -1] = buf
-
-    def _rank_step_reference(self, state) -> None:
-        """Pull-stream, apply boundaries, BGK/Guo collide one slab."""
-        lat = self.lat
-        stream_pull(lat, state.f, out=state.scratch)
-        for b in state.boundaries:
-            b.post_stream(lat, state.scratch, state.f)
-        if state.force is None:
-            from ..core.collision import BGKCollision
-
-            f_star = BGKCollision(self.tau)(lat, state.scratch)
-        else:
-            from ..core.equilibrium import equilibrium as _eq
-            from ..core.forcing import guo_source, half_force_velocity
-
-            f = state.scratch
-            rho = f.sum(axis=0)
-            j = np.einsum("qa,q...->a...", lat.c.astype(float), f)
-            u = half_force_velocity(lat, rho, j, state.force)
-            feq = _eq(lat, rho, u)
-            f_star = (f + (feq - f) / self.tau
-                      + guo_source(lat, u, state.force, self.tau))
-        solid = state.domain.solid_mask
-        if solid.any():
-            f_star[:, solid] = lat.w[:, None]
-        for b in state.boundaries:
-            b.post_collide(lat, f_star, state.scratch)
-        state.f, state.scratch = f_star, state.f
+            rank.f[self._send_comps("left"), -1] = buf
 
 
 class DistributedMR(DistributedSolver):
@@ -461,64 +373,27 @@ class DistributedMR(DistributedSolver):
     and trading arithmetic for bandwidth vs crossing-only ST.
     """
 
-    field_attr = "m"
-
     def __init__(self, *args, scheme: str = "MR-P", **kwargs):
         """Build an MR decomposition; ``scheme`` picks the reconstruction
         (``"MR-P"`` projective, ``"MR-R"`` recursive)."""
         if scheme not in ("MR-P", "MR-R"):
             raise ValueError(f"scheme must be MR-P or MR-R, got {scheme!r}")
         self.scheme = scheme
-        self.accel_caps = {"family": "mr", "scheme": scheme}
         super().__init__(*args, **kwargs)
 
-    def _init_rank_state(self, state, rho, u):
-        """Initialize the rank's moment field at equilibrium."""
-        state.m = equilibrium_moments(self.lat, rho, u)
-        # Streaming target of the reference step; the fast-path cores
-        # own their distribution buffers.
-        state.scratch = (np.empty((self.lat.q, *state.domain.shape))
-                         if self.accel == "reference" else None)
-
-    def _rank_macroscopic(self, state):
-        """Density and velocity straight from the conserved moments."""
-        rho = state.m[0]
-        j = state.m[1:1 + self.lat.d]
-        if state.force is None:
-            return rho, j / rho
-        from ..core.forcing import half_force_velocity
-
-        return rho, half_force_velocity(self.lat, rho, j, state.force)
+    def field(self, rank):
+        """The rank's moment field."""
+        return rank.m
 
     def halo_values_per_direction(self) -> int:
         """All M moments of one edge plane."""
         return self.lat.n_moments * self.decomp.face_nodes
 
-    def _pack_halo(self, state, direction):
+    def _pack_halo(self, rank, direction):
         """Copy the outgoing edge plane of the moment field."""
         src = -2 if direction == "right" else 1
-        return np.ascontiguousarray(state.m[:, src])
+        return np.ascontiguousarray(rank.m[:, src])
 
-    def _unpack_halo(self, state, side, buf):
+    def _unpack_halo(self, rank, side, buf):
         """Write received moments into a ghost plane."""
-        state.m[:, 0 if side == "left" else -1] = buf
-
-    def _rank_step_reference(self, state) -> None:
-        """Moment-space collide, reconstruct, push-stream one slab."""
-        lat = self.lat
-        if self.scheme == "MR-P":
-            m_star = collide_moments_projective(lat, state.m, self.tau,
-                                                force=state.force)
-            f_star = f_from_moments(lat, m_star)
-        else:
-            f_star = collide_moments_recursive(lat, state.m, self.tau,
-                                               force=state.force)
-        f_new = stream_push(lat, f_star, out=state.scratch)
-        for b in state.boundaries:
-            b.post_stream(lat, f_new, f_star)
-        state.m = moments_from_f(lat, f_new)
-        solid = state.domain.solid_mask
-        if solid.any():
-            state.m[:, solid] = 0.0
-            state.m[0, solid] = 1.0
-        state.scratch = f_star
+        rank.m[:, 0 if side == "left" else -1] = buf

@@ -67,8 +67,10 @@ from ..io.checkpoint import (
     load_manifest_for_resume,
     validate_checkpoint_manifest,
 )
+from ..lattice import get_lattice
 from ..obs.merge import merge_rank_reports
-from .decomposition import CommunicationReport, DistributedSolver
+from .decomposition import (CommunicationReport, DistributedSolver,
+                            check_halo_width)
 from .faults import FaultSpec, normalize_fault
 
 __all__ = [
@@ -193,15 +195,17 @@ class RunSpec:
     events_every: int = 25
 
     def __post_init__(self) -> None:
-        """Validate ``kind`` and option names against the problem registry.
+        """Validate everything that can be checked without building.
 
-        An unknown kind, a kind without a distributed form or an option
-        the kind does not take used to surface only when :meth:`build`
-        ran — long after the spec had been queued, fingerprinted or
-        pickled. Failing here keeps bad specs out of the system
-        entirely. The check is skipped during unpickling
-        (``__reduce__`` restores fields directly), so forked workers pay
-        nothing.
+        An unknown kind, a kind without a distributed form, an option
+        the kind does not take, an unknown lattice, a shape of the wrong
+        dimension, ``tau <= 1/2`` or a lattice the one-node halo cannot
+        carry used to surface only when :meth:`build` ran — long after
+        the spec had been queued, fingerprinted or pickled, and for some
+        of them as a traceback (or a wrong result) in a worker. Failing
+        here keeps bad specs out of the system entirely. The check is
+        skipped during unpickling (``__reduce__`` restores fields
+        directly), so forked workers pay nothing.
         """
         from ..service.registry import get_problem
 
@@ -211,6 +215,13 @@ class RunSpec:
                 f"problem kind {self.kind!r} has no distributed form")
         # ``st_exchange`` is the distributed builder's own argument.
         kind.check_options(set(self.options) - {"st_exchange"})
+        lat = get_lattice(self.lattice)
+        if len(self.shape) != lat.d:
+            raise ValueError(f"shape {tuple(self.shape)} does not match "
+                             f"lattice dimension {lat.d}")
+        if not self.tau > 0.5:
+            raise ValueError(f"tau must exceed 1/2, got {self.tau}")
+        check_halo_width(lat)
 
     def fingerprint(self) -> str:
         """Injective digest of the problem identity (kind + preset options).
@@ -376,14 +387,11 @@ def _build_plan(solver: DistributedSolver) -> ShmPlan:
     """Lay out the shared-memory blocks for one run (names only)."""
     prefix = f"{SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(3)}"
     fields, lefts, rights = [], [], []
-    payload = None
+    # One directed face payload: its components over one cut plane.
+    payload = (solver.halo_values_per_direction() // solver.decomp.face_nodes,
+               *solver.global_domain.shape[1:])
     for r, state in enumerate(solver.ranks):
-        fshape = getattr(state, solver.field_attr).shape
-        fields.append((f"{prefix}-f{r}", tuple(fshape)))
-        if payload is None and (solver.decomp.has_right(r)
-                                or solver.decomp.has_left(r)):
-            direction = "right" if solver.decomp.has_right(r) else "left"
-            payload = tuple(solver._pack_halo(state, direction).shape)
+        fields.append((f"{prefix}-f{r}", tuple(solver.field(state).shape)))
         lefts.append((f"{prefix}-l{r}", payload)
                      if solver.decomp.has_left(r) else None)
         rights.append((f"{prefix}-r{r}", payload)
@@ -700,11 +708,11 @@ class ProcessRuntime:
                 raise ParallelRuntimeError(failures)
 
             # Gather: copy each rank's shared slab into the parent's
-            # emulated states, then reuse its gather path.
+            # rank solvers, then reuse their gather path.
             for r, state in enumerate(solver.ranks):
                 name, shape = plan.field[r]
                 view = shm_view(blocks[name], shape)
-                getattr(state, solver.field_attr)[...] = view
+                solver.field(state)[...] = view
                 del view
             rho, u = solver.gather_macroscopic()
 

@@ -12,9 +12,11 @@ barrier-synchronized SPMD loop for its single rank:
    planes (writes touch only this rank's memory, so no locks are needed);
 4. **barrier** — everyone is done reading, buffers may be overwritten
    next step;
-5. **compute** — the per-rank collide+stream
-   (:meth:`~repro.parallel.decomposition.DistributedSolver._rank_step`),
-   then publish the slab field to the rank's shared block.
+5. **compute** — the rank solver's own collide+stream (the rank *is*
+   the single-domain solver of the scheme on its ghosted slab, stepped
+   without a clock; its ``stream``/``collide``/``boundary``/
+   ``macroscopic`` phases land under ``step/compute/...`` in the rank
+   report), then publish the slab field to the rank's shared block.
 
 Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
 
@@ -83,16 +85,16 @@ from .runtime import (
 __all__ = ["worker_main"]
 
 
-def _resume_state(spec: RunSpec, solver, state, rank: int,
+def _resume_state(spec: RunSpec, solver, rank: int,
                   resume_dir: str) -> None:
     """Load this rank's slab from a checkpoint, re-sharding as needed."""
     _, slabs = load_distributed_checkpoint(resume_dir)
     global_field = assemble_global_field(slabs, tuple(spec.shape))
     slab = reshard_field(global_field, solver.decomp, rank)
-    getattr(state, solver.field_attr)[...] = slab
+    solver.field(solver.ranks[rank])[...] = slab
 
 
-def _write_checkpoint(spec: RunSpec, solver, state, rank: int, step: int,
+def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
                       barrier, barrier_timeout: float) -> None:
     """Cooperatively snapshot the cohort's state after ``step`` steps.
 
@@ -103,10 +105,10 @@ def _write_checkpoint(spec: RunSpec, solver, state, rank: int, step: int,
     that resume logic ignores.
     """
     step_dir = checkpoint_step_dir(spec.checkpoint_dir, step)
-    field = getattr(state, solver.field_attr)
+    field = solver.field(solver.ranks[rank])
     start, stop = solver.decomp.bounds(rank)
     save_rank_slab(step_dir, rank,
-                   np.ascontiguousarray(field[:, state.interior]),
+                   np.ascontiguousarray(field[:, solver.interior(rank)]),
                    start=start, stop=stop, step=step,
                    scheme=solver.scheme, lattice=solver.lat.name)
     barrier.wait(timeout=barrier_timeout)
@@ -119,16 +121,6 @@ def _write_checkpoint(spec: RunSpec, solver, state, rank: int, step: int,
         ).write(step_dir / "manifest.json")
         mark_checkpoint_complete(step_dir)
         prune_checkpoints(spec.checkpoint_dir, keep=spec.checkpoint_keep)
-
-
-def _check_health(solver, state, rank: int, step: int) -> None:
-    """Watchdog pass over this rank's interior slab (raises on divergence)."""
-    rho, u = solver._rank_macroscopic(state)
-    interior = state.interior
-    check_fields(rho[interior], u[:, interior],
-                 state.domain.fluid_mask[interior],
-                 context={"rank": rank, "step": step,
-                          "scheme": solver.scheme})
 
 
 def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
@@ -163,14 +155,17 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
         solver = spec.build()
         decomp = solver.decomp
         state = solver.ranks[rank]
+        interior = solver.interior(rank)
+        n_fluid = solver.n_interior_fluid(rank)
         tel = Telemetry(record_spans=False)
+        state.attach_telemetry(tel)
 
         if resume_dir:
             with tel.phase("resume"):
-                _resume_state(spec, solver, state, rank, resume_dir)
+                _resume_state(spec, solver, rank, resume_dir)
 
         fview = _view_of(plan.field[rank])
-        fview[...] = getattr(state, solver.field_attr)
+        fview[...] = solver.field(state)
 
         has_l, has_r = decomp.has_left(rank), decomp.has_right(rank)
         send_l = _view_of(plan.send_left[rank]) if has_l else None
@@ -189,20 +184,19 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 EventStream(spec.events_dir, rank=rank, attempt=attempt),
                 every=spec.events_every or 25, n_steps=n_steps,
                 start_step=start_step, telemetry=tel,
-                n_fluid=state.n_interior_fluid())
+                n_fluid=n_fluid)
             emitter.start(pid=os.getpid(), scheme=solver.scheme,
                           lattice=solver.lat.name, accel=solver.accel,
-                          n_fluid=state.n_interior_fluid(),
+                          n_fluid=n_fluid,
                           resumed=bool(resume_dir))
         for step in range(start_step, n_steps):
             if checkpointing and step > start_step and step % ckpt_every == 0:
                 with tel.phase("checkpoint"):
-                    _write_checkpoint(spec, solver, state, rank, step,
+                    _write_checkpoint(spec, solver, rank, step,
                                       barrier, barrier_timeout)
                 if emitter is not None:
                     emitter.checkpoint(step, spec.checkpoint_dir)
-            maybe_inject(fault, rank, step, attempt,
-                         getattr(state, solver.field_attr))
+            maybe_inject(fault, rank, step, attempt, solver.field(state))
             with tel.phase("step"):
                 with tel.phase("pack"):
                     if send_r is not None:
@@ -221,14 +215,18 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 with tel.phase("barrier"):
                     barrier.wait(timeout=barrier_timeout)
                 with tel.phase("compute"):
-                    solver._rank_step(state)
+                    state._step_at(None)
                 with tel.phase("publish"):
-                    fview[...] = getattr(state, solver.field_attr)
+                    fview[...] = solver.field(state)
             solver.comm.steps += 1
             tel.count("steps")
             if watch_every and (step + 1) % watch_every == 0:
                 with tel.phase("watchdog"):
-                    _check_health(solver, state, rank, step + 1)
+                    rho, u = state.macroscopic()
+                    check_fields(rho[interior], u[:, interior],
+                                 state.domain.fluid_mask[interior],
+                                 context={"rank": rank, "step": step + 1,
+                                          "scheme": solver.scheme})
                 if emitter is not None:
                     emitter.watchdog(step + 1, ok=True)
             if emitter is not None:
@@ -241,11 +239,11 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             "pid": os.getpid(),
             "scheme": solver.scheme,
             "accel": solver.accel,
-            "path": None if state.core is None else state.core.path,
+            "path": state.accel_path,
             "steps": n_steps - start_step,
             "start_step": start_step,
             "attempt": attempt,
-            "n_fluid": state.n_interior_fluid(),
+            "n_fluid": n_fluid,
             "wall_s": tel.phase_total("step"),
             "exchange_wait_s": tel.phase_total("step/barrier"),
             "comm": solver.comm.to_dict(),

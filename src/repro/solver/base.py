@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..boundary import Boundary
-from ..core.equilibrium import equilibrium, equilibrium_moments
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
@@ -90,12 +89,6 @@ class Solver(ABC):
                  u0: np.ndarray | None = None,
                  force: np.ndarray | None = None,
                  backend: str = "reference"):
-        from ..accel import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.backend = backend
         self._stepper = None
         if domain.ndim != lat.d:
@@ -145,14 +138,14 @@ class Solver(ABC):
         u_init = np.array(u_init)
         u_init[:, solid] = 0.0
         self._initialize(rho_init, u_init)
-        # Fail fast: check the solver/backend feature matrix now, not on
-        # the first step. Subclasses that finish configuring themselves
-        # after this constructor (e.g. STSolver's collision operator)
-        # re-validate once configured — still construction time.
-        if self.backend != "reference":
-            from ..accel import validate_backend
+        # Fail fast: check the backend name and the solver/backend
+        # feature matrix now, not on the first step. Subclasses that
+        # finish configuring themselves after this constructor (e.g.
+        # STSolver's collision operator) re-validate once configured —
+        # still construction time.
+        from ..accel import validate_backend
 
-            validate_backend(self)
+        validate_backend(self)
 
     # -- scheme-specific ------------------------------------------------
     @abstractmethod
@@ -165,10 +158,22 @@ class Solver(ABC):
 
     def step(self) -> None:
         """Advance one timestep via the selected execution backend."""
+        self._step_at(self.time)
+
+    def _step_at(self, time: int | None) -> None:
+        """One step with the fast-path core's clock reading ``time``.
+
+        :meth:`step` passes the solver's own clock. A distributed rank
+        (:mod:`repro.parallel.decomposition`) is stepped with ``None``:
+        it has no clock of its own, and its halo exchange and interior
+        checkpoints need the natural layout after *every* step, which is
+        what a core does when it is handed no time (see
+        :class:`repro.accel.inplace.InplaceSTCore`).
+        """
         if self.backend == "reference":
             self._step_reference()
         else:
-            self._fast_stepper().step(self)
+            self._fast_stepper().step(self, time)
 
     def _fast_stepper(self):
         """The fast-path stepper (and its core), built on first use.
@@ -307,7 +312,3 @@ class Solver(ABC):
         """Apply every bound boundary's post-collide rule, in list order."""
         for b in self.boundaries:
             b.post_collide(self.lat, f_star, f_post_stream)
-
-    def _equilibrium_state(self, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(f_eq, m_eq)`` equilibrium pair for the given fields."""
-        return equilibrium(self.lat, rho, u), equilibrium_moments(self.lat, rho, u)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.collision import collide_moments_projective, collide_moments_recursive
+from ..core.equilibrium import equilibrium_moments
 from ..core.moments import f_from_moments, moments_from_f, velocity_from_moments
 from ..core.streaming import stream_push
 from .base import Solver
@@ -33,8 +34,7 @@ class _MomentSolver(Solver):
 
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
         """Set the moment field to the equilibrium of ``(rho, u)``."""
-        _, m_eq = self._equilibrium_state(rho, u)
-        self.m = m_eq
+        self.m = equilibrium_moments(self.lat, rho, u)
         # Streaming target of the reference step; every fast backend's
         # core owns its own distribution buffers.
         self._f_scratch = (np.empty((self.lat.q, *self.domain.shape))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.collision import BGKCollision, CollisionOperator
+from ..core.equilibrium import equilibrium
+from ..core.moments import macroscopic
 from ..core.streaming import stream_pull
 from .base import Solver
 
@@ -50,29 +52,28 @@ class STSolver(Solver):
         # The base constructor validated before ``collision`` existed;
         # re-check now that the operator is known (still construction
         # time, so non-BGK + fast backend fails here, not mid-run).
-        if self.backend != "reference":
-            from ..accel import validate_backend
+        from ..accel import validate_backend
 
-            validate_backend(self)
+        validate_backend(self)
 
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
         """Fill the lattice(s) with the equilibrium of ``(rho, u)``."""
-        feq, _ = self._equilibrium_state(rho, u)
-        self.f = feq                        # current (post-collision) lattice
+        self.f = equilibrium(self.lat, rho, u)   # current (post-collision)
         # The reference step double-buffers through this lattice; every
         # fast backend's core owns whatever scratch it needs.
-        self._f_streamed = (np.empty_like(feq)
+        self._f_streamed = (np.empty_like(self.f)
                             if self.backend == "reference" else None)
 
     def _aa_layout_is_shifted(self) -> bool:
         """True when ``self.f`` is stored in the component-shifted AA layout.
 
-        Only the lean (boundary-free) single-lattice path pre-streams the
-        state, and only at odd times; every other configuration keeps the
-        natural layout at all times.
+        Only a core on the ``"lean"`` single-lattice path pre-streams
+        the state, and only at odd times. The core owns that rule: one
+        stepped without a clock (a distributed rank) has left the lean
+        path for good and is never un-streamed.
         """
-        return (self.backend == "aa" and not self.boundaries
-                and self.time % 2 == 1)
+        return (self.backend == "aa" and self.time % 2 == 1
+                and self._fast_stepper().core.path == "lean")
 
     def _natural_f(self) -> np.ndarray:
         """The natural-layout lattice regardless of backend and parity.
@@ -86,10 +87,6 @@ class STSolver(Solver):
 
             return aa_to_natural(self.lat, self.f)
         return self.f
-
-    def _checkpoint_state(self) -> np.ndarray:
-        """Persistent state in the backend-independent natural layout."""
-        return self._natural_f()
 
     def _restore_state(self, f: np.ndarray) -> None:
         """Adopt a natural-layout checkpoint payload (``self.time`` is set)."""
@@ -133,13 +130,10 @@ class STSolver(Solver):
         own ``1 - omega/2``.
         """
         from ..core.collision import TRTCollision
-        from ..core.equilibrium import equilibrium
-        from ..core.forcing import guo_source, half_force_velocity
+        from ..core.forcing import guo_source
 
         lat = self.lat
-        rho = f.sum(axis=0)
-        j = np.einsum("qa,q...->a...", lat.c.astype(np.float64), f)
-        u = half_force_velocity(lat, rho, j, self.force)
+        rho, u = self._density_velocity(f)
         feq = equilibrium(lat, rho, u)
         if isinstance(self.collision, TRTCollision):
             op = self.collision
@@ -157,11 +151,8 @@ class STSolver(Solver):
         return (f + omega * (feq - f)
                 + guo_source(lat, u, self.force, self.tau))
 
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` from the natural-layout lattice (half-force aware)."""
-        from ..core.moments import macroscopic
-
-        f = self._natural_f()
+    def _density_velocity(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` of a natural-layout lattice (half-force aware)."""
         if self.force is None:
             return macroscopic(self.lat, f)
         from ..core.forcing import half_force_velocity
@@ -169,6 +160,10 @@ class STSolver(Solver):
         rho = f.sum(axis=0)
         j = np.einsum("qa,q...->a...", self.lat.c.astype(np.float64), f)
         return rho, half_force_velocity(self.lat, rho, j, self.force)
+
+    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` from the natural-layout lattice (half-force aware)."""
+        return self._density_velocity(self._natural_f())
 
     @property
     def state_values_per_node(self) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,16 @@ def _field_doubles(*owners, min_size: int) -> int:
 def field_doubles():
     """The buffer-inventory counter (see :func:`_field_doubles`)."""
     return _field_doubles
+
+
+@pytest.fixture
+def leaked_segments():
+    """Callable listing the runtime's shared-memory segments still in
+    ``/dev/shm`` (every one is named ``mrlbm-...``; there must be none
+    once a run — or a refused run — has returned)."""
+    def listing() -> list[str]:
+        if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
+            return []
+        return sorted(n for n in os.listdir("/dev/shm")
+                      if n.startswith("mrlbm"))
+    return listing

@@ -99,29 +99,31 @@ class TestEmulatedInplaceParity:
         this size, so the totals tie), ST ranks trade the rank scratch
         for the core-owned one (neutral).
         """
-        for scheme, field in (("ST", "f"), ("MR-P", "m")):
+        for scheme, field, scratch in (("ST", "f", "_f_streamed"),
+                                       ("MR-P", "m", "_f_scratch")):
             for accel in ("fused", "aa"):
                 dist = build_spec("periodic", scheme, 2, accel=accel).build()
                 dist.run(2)
                 state = dist.ranks[0]
-                assert state.scratch is None
+                # the rank solver's reference-only buffer
+                assert getattr(state, scratch) is None
                 lat, n = dist.lat, state.domain.n_nodes
                 q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
                 expected = (n * (2 * q + 2 * m + d + q) if scheme == "ST"
                             else n * (m + 2 * q + m + d + 2 * p))
-                assert field_doubles(getattr(state, field), state.core,
+                core = state._stepper.core
+                assert field_doubles(getattr(state, field), core,
                                      min_size=n) == expected
-                assert state.core.state_lattices == (1 if accel == "aa"
-                                                     else 2)
+                assert core.state_lattices == (1 if accel == "aa" else 2)
                 # a rank passes no clock, so a boundary-free aa ST core
                 # takes (and reports) the natural-layout step; MR moments
                 # are natural at every step and stay lean
-                assert state.core.path == {
+                assert state.accel_path == {
                     ("fused", "ST"): "dense", ("fused", "MR-P"): "dense",
                     ("aa", "ST"): "bounded", ("aa", "MR-P"): "lean",
                 }[accel, scheme]
-        assert build_spec("periodic", "ST", 2).build().ranks[0].scratch \
-            is not None
+        assert build_spec("periodic", "ST", 2).build().ranks[0] \
+            ._f_streamed is not None
 
 
 class TestProcessFused:

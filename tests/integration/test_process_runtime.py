@@ -109,6 +109,25 @@ class TestMergedReport:
         assert report["comm"]["bytes_per_step"] == pytest.approx(
             result.comm.bytes_per_step())
 
+    def test_rank_reports_say_where_compute_went(self):
+        """A rank is a solver with the rank's telemetry attached, so its
+        own phases nest under ``step/compute`` in every rank summary and
+        in the merged report."""
+        steps, ranks = 6, 2
+        spec = RunSpec("forced-channel", "MR-P", "D2Q9", (24, 12), ranks,
+                       accel="fused")
+        result = run_process(spec, steps)
+        for phases in ([rep["summary"]["phases"] for rep in result.per_rank]
+                       + [result.report["phases"]]):
+            inner = {name: rec for name, rec in phases.items()
+                     if name.startswith("step/compute/")}
+            assert {"step/compute/collide", "step/compute/stream"} <= set(inner)
+            assert (sum(rec["total_s"] for rec in inner.values())
+                    <= phases["step/compute"]["total_s"])
+        merged = result.report["phases"]
+        assert merged["step/compute/collide"]["calls"] == steps * ranks
+        assert merged["step/compute"]["calls"] == steps * ranks
+
     def test_solver_time_and_comm_advance(self):
         spec = RunSpec("periodic", "ST", "D2Q9", (24, 10), 2, tau=0.8)
         runtime = ProcessRuntime(spec)

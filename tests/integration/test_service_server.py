@@ -119,14 +119,24 @@ class TestValidation:
             assert "unknown problem kind" in str(err.value)
 
     def test_unknown_option_400_leaves_no_job(self, tmp_path):
-        """A misnamed option or a single-only kind is refused at submit:
-        no job record, no job directory that a later scan could adopt."""
+        """A misnamed option, a single-only kind, a lattice the one-node
+        halo cannot carry, a negative viscosity, an unknown lattice or a
+        shape of the wrong dimension is refused at submit: no job record,
+        no job directory that a later scan could adopt."""
         with ServerThread(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             for bad, text in [
                     (payload(kind="porous", options={"u_max": 0.05}),
                      "accepted options: solid_fraction, seed, force_x"),
-                    (payload(kind="power-law"), "no distributed form")]:
+                    (payload(kind="power-law"), "no distributed form"),
+                    (payload(kind="periodic", lattice="D3Q39",
+                             shape=[12, 8, 8], n_ranks=2, options={}),
+                     "halo 1 node wide"),
+                    (payload(tau=0.4, accel="fused"),
+                     "tau must exceed 1/2"),
+                    (payload(lattice="D7Q7"), "unknown lattice"),
+                    (payload(shape=[24, 14, 8]),
+                     "does not match lattice dimension 2")]:
                 with pytest.raises(ServiceError) as err:
                     client.submit(bad)
                 assert err.value.status == 400

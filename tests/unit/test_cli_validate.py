@@ -1,4 +1,7 @@
-"""Unit test for the ``mrlbm validate`` physics smoke command."""
+"""Unit tests for the ``mrlbm validate`` physics smoke command and for
+the input validation of ``mrlbm run --ranks N``."""
+
+import pytest
 
 from repro.cli import main
 
@@ -10,3 +13,36 @@ def test_validate_fast_passes(capsys):
     assert out.count("PASS") == 6          # 3 schemes x 2 flows
     assert "FAIL" not in out
     assert "all validations passed" in out
+
+
+@pytest.mark.parametrize("backend", ["emulated", "process"])
+@pytest.mark.parametrize("accel", ["reference", "fused"])
+@pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
+def test_distributed_run_refuses_negative_viscosity(scheme, accel, backend,
+                                                    capsys, leaked_segments):
+    """``--tau 0.4 --ranks 2`` used to run to exit 0 (ST, fused) or die
+    with a traceback after the header (MR-P): now one ERROR line, exit 2,
+    before the header and before any rank is forked."""
+    rc = main(["run", "--problem", "forced-channel", "--scheme", scheme,
+               "--shape", "24,12", "--ranks", "2", "--steps", "5",
+               "--tau", "0.4", "--accel", accel, "--backend", backend])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "ERROR: tau must exceed 1/2, got 0.4\n"
+    assert captured.out == ""
+    assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("backend", ["emulated", "process"])
+def test_distributed_run_refuses_multispeed_lattice(backend, capsys,
+                                                    leaked_segments):
+    """``--lattice D3Q39 --ranks 2`` used to print MLUPS for a wrong
+    field (the same command without ``--ranks`` was always refused)."""
+    rc = main(["run", "--lattice", "D3Q39", "--shape", "12,8,8", "--steps",
+               "3", "--ranks", "2", "--backend", backend])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("ERROR: D3Q39 is a multi-speed lattice")
+    assert "halo 1 node wide" in captured.err
+    assert captured.out == ""
+    assert leaked_segments() == []

@@ -35,6 +35,71 @@ class TestParallelErrors:
                                          st_exchange="compressed")
 
 
+class TestDistributedFailsClosed:
+    """What the distributed form cannot run is refused when it is written
+    down — at ``RunSpec(...)`` and at ``build_distributed(...)`` — never
+    after a wrong field (or a traceback in a worker) has been produced."""
+
+    SPEC = {"kind": "forced-channel", "scheme": "MR-P", "lattice": "D2Q9",
+            "shape": (24, 12), "n_ranks": 2}
+
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_multispeed_lattice_exceeds_the_halo(self, scheme, n_ranks):
+        """One ghost plane cannot carry |c_x| = 3 (periodic D3Q39 used to
+        run and return a field 1e-3 off the single-domain one)."""
+        from repro.service.registry import build_distributed, build_single
+
+        with pytest.raises(ValueError, match="D3Q39.*halo 1 node wide"):
+            build_distributed("periodic", scheme, "D3Q39", (12, 8, 8),
+                              n_ranks)
+        # the single-domain periodic form is unaffected
+        build_single("periodic", scheme, "D3Q39", (12, 8, 8)).run(1)
+
+    @pytest.mark.parametrize("fields,text", [
+        ({"kind": "periodic", "lattice": "D3Q39", "shape": (12, 8, 8)},
+         "D3Q39.*halo 1 node wide"),
+        ({"tau": 0.4}, "tau must exceed 1/2, got 0.4"),
+        ({"tau": 0.5}, "tau must exceed 1/2"),
+        ({"tau": float("nan")}, "tau must exceed 1/2"),
+        ({"lattice": "D7Q7"}, "unknown lattice 'D7Q7'"),
+        ({"shape": (24, 12, 8)}, "does not match lattice dimension 2"),
+    ])
+    def test_runspec_checks_scalars_without_building(self, fields, text):
+        from repro.parallel import RunSpec
+
+        with pytest.raises(ValueError, match=text):
+            RunSpec(**{**self.SPEC, **fields})
+
+    def test_runspec_and_solver_word_tau_alike(self):
+        from repro.parallel import RunSpec
+        from repro.service.registry import build_single
+
+        with pytest.raises(ValueError) as spec:
+            RunSpec(**{**self.SPEC, "tau": 0.4})
+        with pytest.raises(ValueError) as solver:
+            build_single("forced-channel", "MR-P", "D2Q9", (24, 12), tau=0.4)
+        assert str(spec.value) == str(solver.value)
+
+    @pytest.mark.parametrize("accel", ["reference", "fused"])
+    def test_every_rank_checks_what_the_solver_checks(self, accel):
+        """The constructor is guarded too, not only the spec: a rank is a
+        ``Solver`` and refuses ``tau <= 1/2`` like one."""
+        from repro.service.registry import build_distributed
+
+        with pytest.raises(ValueError, match="tau must exceed 1/2"):
+            build_distributed("forced-channel", "ST", "D2Q9", (24, 12), 2,
+                              tau=0.4, accel=accel)
+
+    def test_unpickling_skips_the_checks(self):
+        import pickle
+
+        from repro.parallel import RunSpec
+
+        spec = RunSpec(**self.SPEC)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+
 class TestMemoryErrors:
     def test_bad_itemsize(self):
         from repro.gpu.memory import GlobalArray, MemoryTracker
