@@ -12,35 +12,33 @@ one collide-and-project kernel per scheme family
 ``"reference"``
     The solvers' own step methods — the validated baseline.
 ``"fused"``
-    Dense layout, two-lattice pull streaming: BLAS-backed moment
-    projections, preallocated buffers, no post-collision temporary.
+    Dense layout, natural order after every step: BLAS moment
+    projections, cache-blocked collision and, on boundary-free problems
+    (``path == "lean"``), a sliding window of leading-axis slabs that
+    keeps no lattice beside the state. Boundary objects see whole
+    arrays, so their problems take the same step over one slab that is
+    the whole grid (``"bounded"``).
 ``"aa"``
-    Dense layout, single-lattice in-place streaming
-    (:mod:`repro.accel.inplace`): one persistent lattice (half the ST
-    state footprint), and on boundary-free problems one streaming
-    traversal per step *pair* instead of one per step — the
-    memory-traffic model is derived in ``docs/ALGORITHMS.md``. Bounded
-    problems take a conservative fused-identical path.
+    Dense layout, single-lattice in-place streaming for ST
+    (:mod:`repro.accel.inplace`): one streaming traversal per step
+    *pair* on boundary-free problems (model: ``docs/ALGORITHMS.md``).
+    MR problems, whose state is the moment field, take the fused core.
 ``"sparse"``
-    Fluid-node-list layout (:mod:`repro.accel.sparse`): the working
-    state shrinks to the index list of a
-    :class:`~repro.accel.tables.MaskedNeighborTable`, streaming is one
-    bounce-back-folded gather, and the collision dgemms run over
-    ``n_fluid`` columns instead of the dense grid. Boundaries with
-    custom post-collide hooks (full-way bounce-back) are rejected.
+    Fluid-node-list layout (:mod:`repro.accel.sparse`): state compacted
+    over a :class:`~repro.accel.tables.MaskedNeighborTable`, streaming
+    as one bounce-back-folded gather, collision over ``n_fluid``
+    columns. Boundaries with custom post-collide hooks are rejected.
 
-A third axis, *batch width*, is not a backend name: handing
-:func:`make_core` a vector of relaxation times yields the lockstep
-ensemble cores of :mod:`repro.accel.batched`
-(:class:`repro.ensemble.EnsembleRunner` does).
+*Batch width* is a third axis, not a backend name: a vector of
+relaxation times handed to :func:`make_core` yields the lockstep
+ensemble cores of :mod:`repro.accel.batched`.
 
 Every backend is always available and reproduces the reference
-trajectory to machine precision (pinned by
-``tests/unit/test_accel_backends.py``). :func:`validate_backend` checks
-a solver/backend combination at construction time, :func:`make_stepper`
-binds a backend to a constructed solver, and :func:`make_core` is the
-single factory behind it and the ensemble runner (a distributed rank is
-a solver, so it comes through :func:`make_stepper` like any other).
+trajectory to machine precision (``tests/unit/test_accel_backends.py``).
+:func:`validate_backend` checks a solver/backend combination at
+construction time, :func:`make_stepper` binds a backend to a solver
+(a distributed rank is one), and :func:`make_core` is the single
+factory behind it and the ensemble runner.
 
 Capability handshake
 --------------------
@@ -70,33 +68,19 @@ import numpy as np
 
 from .batched import BatchedFusedMRCore, BatchedFusedSTCore
 from .fused import FusedMRCore, FusedSTCore
-from .inplace import InplaceMRCore, InplaceSTCore, aa_to_natural, natural_to_aa
+from .inplace import InplaceSTCore, aa_to_natural, natural_to_aa
 from .sparse import SparseMRCore, SparseSTCore
 from .tables import (MaskedNeighborTable, NeighborTable, clear_cache,
                      neighbor_table, stream_gather)
 
 __all__ = [
-    "BACKENDS",
-    "available_backends",
-    "make_core",
-    "make_stepper",
-    "validate_backend",
-    "solver_caps",
-    "FusedSTCore",
-    "FusedMRCore",
-    "BatchedFusedSTCore",
-    "BatchedFusedMRCore",
-    "InplaceSTCore",
-    "InplaceMRCore",
-    "natural_to_aa",
-    "aa_to_natural",
-    "SparseSTCore",
-    "SparseMRCore",
-    "NeighborTable",
-    "MaskedNeighborTable",
-    "neighbor_table",
-    "stream_gather",
-    "clear_cache",
+    "BACKENDS", "available_backends", "make_core", "make_stepper",
+    "validate_backend", "solver_caps",
+    "FusedSTCore", "FusedMRCore", "BatchedFusedSTCore", "BatchedFusedMRCore",
+    "InplaceSTCore", "natural_to_aa", "aa_to_natural",
+    "SparseSTCore", "SparseMRCore",
+    "NeighborTable", "MaskedNeighborTable", "neighbor_table",
+    "stream_gather", "clear_cache",
 ]
 
 #: Recognized backend names.
@@ -105,7 +89,7 @@ BACKENDS = ("reference", "fused", "aa", "sparse")
 #: Core class per (layout/streaming backend, kernel family).
 _CORES = {
     ("fused", "st"): FusedSTCore, ("fused", "mr"): FusedMRCore,
-    ("aa", "st"): InplaceSTCore, ("aa", "mr"): InplaceMRCore,
+    ("aa", "st"): InplaceSTCore, ("aa", "mr"): FusedMRCore,
     ("sparse", "st"): SparseSTCore, ("sparse", "mr"): SparseMRCore,
 }
 
@@ -124,7 +108,7 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
     ``boundaries`` the bound boundary objects the core will be stepped
     with (they select its ``path``). A *vector* ``tau`` selects the
     batch axis: ``B`` lockstep simulations sharing ``domain``, dense
-    two-lattice layout only. The returned core owns every buffer beyond
+    ``"bounded"`` step only. The returned core owns every buffer beyond
     the caller's persistent state and follows the protocol of
     :mod:`repro.accel.fused`.
     """
@@ -141,8 +125,7 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
         cls = _CORES[backend, family]
         if family == "mr":
             kwargs["tau_bulk"] = tau_bulk
-        if backend != "fused":
-            kwargs["boundaries"] = boundaries
+        kwargs["boundaries"] = boundaries
     if backend == "sparse":
         return cls(lat, solid, tau, **kwargs)
     return cls(lat, domain.shape, tau,
@@ -240,8 +223,8 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
                 raise reject(
                     f"{type(b).__name__} customizes the post-collide hook, "
                     "which the compact-state sparse step does not run")
-    # "aa" shares the fused matrix: bounded configurations run its
-    # conservative fused-identical path, so no extra restrictions apply.
+    # "aa" shares the fused matrix: bounded configurations run the
+    # fused step itself, so no extra restrictions apply.
     return caps
 
 

@@ -1,38 +1,33 @@
 """The batch axis: one kernel invocation, N simulations.
 
 On small and medium domains the per-step cost of the fused fast path is
-dominated by fixed Python dispatch — a couple dozen NumPy calls whose
-per-call overhead dwarfs the arithmetic once the grid fits in cache.
-That is exactly the regime of parameter sweeps and ensembles, where the
-workload is *many independent small simulations*, not one big one.
+fixed Python dispatch — a couple dozen NumPy calls whose overhead dwarfs
+the arithmetic once the grid fits in cache. That is the regime of
+parameter sweeps and ensembles: *many independent small simulations*.
 
 The fused kernels of :mod:`repro.accel.fused` are batch-polymorphic:
 given a ``(B,)`` vector of relaxation times they size every buffer
-``(B, C, N)``, the moment projections and reconstructions become
-stacked-column dgemms (``np.matmul`` broadcasts ``(M, Q) @ (B, Q, N)``)
-and each member keeps its own ``τ_k`` through ``(B, 1, 1)`` prefactor
-columns. This module adds only what a batch axis genuinely changes:
+``(B, C, N)``, the dgemms broadcast ``(M, Q) @ (B, Q, N)`` and each
+member keeps its own ``τ_k`` through ``(B, 1, 1)`` prefactor columns.
+This module adds only what a batch axis genuinely changes:
 
 * **streaming** is one flat gather — the
   :class:`~repro.accel.tables.NeighborTable` indices applied to the
-  ``(B, Q·N)`` view in a single ``np.take``. A single simulation rolls
-  (contiguous slice copies beat the indexed gather on every host
+  ``(B, Q·N)`` view in a single ``np.take``. A single simulation copies
+  wrap blocks (contiguous slices beat the indexed gather on every host
   measured); with a batch axis the gather amortizes its index pass over
-  all members while rolls would pay ``B x Q x D`` dispatched slice
-  copies — the exact overhead the batch axis exists to remove;
+  all members where block copies would pay ``B x Q x 2^D`` dispatches;
 * **boundary hooks** are per-member state (objects bound to
   member-specific τ/profiles), so they run member by member on array
   views — an ``O(surface)`` loop riding on ``O(volume)`` batched stages.
 
-Per-member arithmetic is operation-for-operation that of the
-single-simulation cores on the member's contiguous block, so every
-member reproduces its independent fused run to machine precision
-(pinned by ``tests/unit/test_accel_batched.py``). The lattice, grid
-shape and solid geometry are shared across a batch; per-node
-``tau_field`` collision and the ``tau_bulk`` trace split stay
-single-simulation features. The solver-facing driver is
-:class:`repro.ensemble.EnsembleRunner`; solvers opt in through the
-``batched: True`` flag of their ``accel_caps`` (see :mod:`repro.accel`).
+Per-member arithmetic is that of the single-simulation cores on the
+member's contiguous block, so every member reproduces its independent
+fused run to machine precision (``tests/unit/test_accel_batched.py``).
+Lattice, grid shape and solid geometry are shared across a batch;
+``tau_field`` and ``tau_bulk`` stay single-simulation features. The
+solver-facing driver is :class:`repro.ensemble.EnsembleRunner`; solvers
+opt in through ``batched: True`` in their ``accel_caps``.
 """
 
 from __future__ import annotations
@@ -108,8 +103,3 @@ class BatchedFusedMRCore(_BatchAxis, FusedMRCore):
     ``tau_field`` collision and the ``tau_bulk`` trace split are not
     batched (see the module docstring).
     """
-
-    def __init__(self, lat, shape: tuple[int, ...], taus,
-                 scheme: str = "MR-P", solid_mask: np.ndarray | None = None):
-        super().__init__(lat, shape, taus, scheme=scheme,
-                         solid_mask=solid_mask)

@@ -13,9 +13,12 @@ family** that every fast backend steps with — :class:`FusedSTCore`
   over the flattened ``(components, nodes)`` field — for MR-R the
   reconstruction and the higher-order delta collapse into **one** matmul
   against the precomputed block matrix ``[R | E3 | E4]``;
-* keep every intermediate, *and every lattice beyond the caller's
-  persistent state*, in buffers the core allocates once, so the hot loop
-  performs zero per-step allocations and callers own no scratch;
+* are **cache-blocked the way the paper's column kernel is** (Algorithm
+  2, Fig. 1): the collide bodies run over column chunks of ``_CHUNK``
+  nodes in chunk-wide buffers, and a boundary-free grid is stepped as a
+  sliding window of leading-axis slabs, so between the caller's state
+  being read and written no ``(Q, N)`` intermediate ever reaches DRAM —
+  and none is allocated: every buffer is the core's, sized once;
 * fold body forcing (Guo's half-force scheme, distribution space for ST
   and the moment-space projection of :mod:`repro.core.forcing` for MR)
   into the collision stage — a handful of extra FMAs per node, no
@@ -37,16 +40,17 @@ effects at the level of one ulp per step (pinned by the parity suite in
 ``tests/unit/test_accel_backends.py``).
 
 The other layouts and streaming patterns reuse these kernels rather than
-copy them: :mod:`repro.accel.inplace` subclasses them (one lattice),
-:mod:`repro.accel.sparse` binds them to a flat ``(n_fluid,)`` shape.
+copy them: :mod:`repro.accel.inplace` subclasses the ST one (AA
+pattern), :mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)``
+shape, :mod:`repro.accel.batched` adds a batch axis.
 
 Core protocol
 -------------
 Cores are array-level: they know nothing about
 :class:`~repro.solver.base.Solver`. Every core in :mod:`repro.accel` is
 built by :func:`repro.accel.make_core`, exposes a read-only ``path``
-(the step variant chosen at construction) and a ``state_lattices``
-count (``Q``-multiples of the documented state footprint), and is
+(the step variant chosen at construction from the boundary list) and a
+``state_lattices`` count (whole ``Q``-lattices the step keeps), and is
 stepped by ``core.step(state, boundaries, tel, force=, tau_field=,
 time=)``. ``state`` is the caller's persistent array (``f`` for ST,
 ``m`` for MR), updated in place; ``time`` is the owner's step clock,
@@ -61,11 +65,25 @@ import itertools
 import numpy as np
 
 from ..core.collision import _split_trace
-from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
 
 __all__ = ["FusedSTCore", "FusedMRCore"]
+
+
+#: Nodes per collide chunk and per sliding-window slab — the one blocking
+#: constant of the dense cores. Sized for the measured host (machine
+#: profile: L1 48 KiB, L2 2 MiB per core): a collide body keeps about three
+#: ``(Q, _CHUNK)`` blocks of doubles live (populations, equilibrium or
+#: coefficients, moments + velocity), and on D3Q19 that is
+#: ``3 x 19 x 4096 x 8 B = 1.8 MiB <= 2 MiB`` — where the 65,536-node tile
+#: this replaces held ``19 x 65536 x 8 B = 10 MB`` per block.
+_CHUNK = 4096
+#: Doubles appended to a buffer row whose stride would otherwise be a
+#: multiple of 4 KiB: rows at such a stride (2 MiB exactly on a 64^3
+#: lattice) all map to the same cache sets, and a ``(Q, chunk)`` block of
+#: them thrashes the moment a dgemm walks it column-wise.
+_PAD = 8
 
 
 def _column(tau):
@@ -88,17 +106,66 @@ def _row(x: np.ndarray, k: int) -> np.ndarray:
     return x[..., k:k + 1, :]
 
 
-class _FusedCore:
-    """Construction and hooks common to the two kernel families."""
+def _rows(lead: tuple, components: int, width: int) -> np.ndarray:
+    """A ``lead + (components, width)`` buffer off 4 KiB row strides."""
+    pad = 0 if (width * 8) % 4096 else _PAD
+    return np.empty(lead + (components, width + pad))[..., :width]
 
-    #: Step variant this core runs; the two-lattice cores have only one.
-    path = "dense"
-    #: Full ``Q``-lattices in the documented state footprint of the
-    #: backend (``docs/PERFORMANCE.md``, "state" column).
-    state_lattices = 2
+
+def _shift_blocks(shape: tuple[int, ...], c) -> list[tuple[tuple, tuple]]:
+    """Slice-pair decomposition of ``dst = roll(src, +c)`` over ``shape``.
+
+    Returns ``(dst, src)`` tuples of per-axis slices such that assigning
+    ``dst[...] = src[...]`` block by block reproduces ``np.roll`` with
+    shift ``c`` exactly — at most ``2**d`` contiguous wrap blocks, each a
+    plain view, so streaming is slice copies with zero temporaries.
+    """
+    per_axis: list[list[tuple[slice, slice]]] = []
+    for size, comp in zip(shape, c):
+        s = int(comp) % size
+        if s == 0:
+            per_axis.append([(slice(None), slice(None))])
+        else:
+            per_axis.append([
+                (slice(s, None), slice(0, size - s)),
+                (slice(0, s), slice(size - s, None)),
+            ])
+    blocks: list[tuple[tuple, tuple]] = [((), ())]
+    for segments in per_axis:
+        blocks = [(dst + (d,), src + (s,))
+                  for dst, src in blocks for d, s in segments]
+    return blocks
+
+
+def _copy_blocks(plan, src: np.ndarray, dst: np.ndarray) -> None:
+    """Run a :meth:`_FusedCore._stream_plan`: ``dst[d] = src[s]`` per block."""
+    for d, s in plan:
+        dst[d] = src[s]
+
+
+class _FusedCore:
+    """Construction, slab geometry and hooks common to the two families.
+
+    A core built boundary-free and without a batch axis is ``"lean"``:
+    it steps a sliding window of leading-axis *slabs* (about ``_CHUNK``
+    nodes each, never thinner than the lattice's ``reach``) — the host
+    transplant of the paper's column kernel (Algorithm 2, Fig. 1) — and
+    no lattice-sized buffer exists beside the caller's state. Boundary
+    hooks and the batch gather need whole lattices, so every other core
+    is ``"bounded"``: the same step over a single slab that is the whole
+    grid. A lean grid of fewer than two slabs steps that way too.
+    """
+
+    #: Lean cores slide; a subclass that needs whole lattices opts out.
+    _slides = True
+
+    @property
+    def state_lattices(self) -> int:
+        """Whole ``Q``-lattices the step keeps (the bounded step: two)."""
+        return self._lean_lattices if self.path == "lean" else 2
 
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
-                 solid_mask: np.ndarray | None):
+                 solid_mask: np.ndarray | None, boundaries=()):
         self.lat = lat
         self.shape = tuple(shape)
         #: relaxation time as a broadcast factor (see :func:`_column`).
@@ -107,16 +174,73 @@ class _FusedCore:
         self.solid_mask = solid_mask
         #: leading batch axes of every buffer: ``()`` or ``(B,)``.
         self._lead = np.shape(tau)
+        #: step variant this core runs (see the class docstring).
+        self.path = "bounded" if boundaries or self._lead else "lean"
         self._mm = np.ascontiguousarray(lat.moment_matrix)
+        #: nodes per leading-axis plane
+        self._tail = int(np.prod(self.shape[1:], dtype=np.int64))
+        #: columns of every chunk-wide collide intermediate
+        self._width = min(self.shape[0] * self._tail, _CHUNK)
+        self._win = None    # slabs, stream plans and buffers (first step)
 
     def _flat(self, x: np.ndarray | None, components: int):
         """``x`` viewed as ``(..., components, N)`` (``None`` passes through)."""
         return None if x is None else x.reshape(
             self._lead + (components, -1))
 
+    def _window(self, boundaries=()) -> tuple:
+        """``(slabs, stream plans, *buffers)`` of the step, built on first use.
+
+        ``slabs`` are the leading-axis row ranges ``[a0, a1)`` the window
+        visits; the subclass adds its plans and buffers. A lean core
+        refuses boundary objects it was not built with.
+        """
+        if boundaries and self.path == "lean":
+            raise ValueError(
+                "this core was built boundary-free (lean path); pass the "
+                "boundary objects at construction for the bounded path")
+        if self._win is None:
+            n0 = self.shape[0]
+            rows = max(self.lat.reach, _CHUNK // self._tail)
+            k = (max(n0 // rows, 1)
+                 if self._slides and self.path == "lean" else 1)
+            slabs = [(n0 * i // k, n0 * (i + 1) // k) for i in range(k)]
+            self._win = (slabs, *self._build_window(
+                slabs, max(a1 - a0 for a0, a1 in slabs)))
+        return self._win
+
+    def _stream_plan(self, a0: int, a1: int, source_rows: int) -> list:
+        """Block copies that pull-stream rows ``[a0, a1)`` (Eq. 7).
+
+        ``dst[i, x - a0] = src[i, (x - c_i0) mod source_rows]`` with the
+        trailing axes rolled by ``c_i``; the source is the lattice or a
+        ring of ``source_rows`` planes holding row ``x`` at ``x mod
+        source_rows``. Rows wrap at most once and the trailing axes go
+        through :func:`_shift_blocks`: slice copies, ``np.roll`` exactly.
+        """
+        plan, rows = [], a1 - a0
+        for i, c in enumerate(self.lat.c):
+            src0 = (a0 - int(c[0])) % source_rows
+            first = min(rows, source_rows - src0)
+            pieces = [(slice(0, first), slice(src0, src0 + first))]
+            if first < rows:
+                pieces.append((slice(first, rows), slice(0, rows - first)))
+            for dst0, from0 in pieces:
+                plan += [((i, dst0, *d), (i, from0, *s))
+                         for d, s in _shift_blocks(self.shape[1:], c[1:])]
+        return plan
+
+    def _planes(self, rows: int | None) -> np.ndarray:
+        """``(Q, rows, *tail)`` distribution planes; ``None``: a whole lattice."""
+        q = self.lat.q
+        if rows is None:
+            return np.empty(self._lead + (q, *self.shape))
+        return _rows((), q, rows * self._tail).reshape(q, rows,
+                                                       *self.shape[1:])
+
     def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Exact periodic streaming (Eq. 7) as ``Q`` sliced roll passes."""
-        stream_push(self.lat, f, out=out)
+        """Exact periodic streaming (Eq. 7) of a whole lattice, block by block."""
+        _copy_blocks(self._window()[1][0], f, out)
 
     def _apply(self, hook: str, boundaries, f_new: np.ndarray,
                f_src: np.ndarray) -> None:
@@ -126,64 +250,65 @@ class _FusedCore:
 
 
 class FusedSTCore(_FusedCore):
-    """Fused stream+collide step for the two-lattice ST scheme (BGK).
+    """Fused stream+collide step for the ST scheme (BGK, Algorithm 1).
 
-    One step performs, over the flattened ``(Q, N)`` field:
+    Per slab: (1) pull streaming into a core-owned slab buffer; (2) BGK
+    collision *through moment space*, chunk by chunk — ``m = P f``
+    (dgemm), the equilibrium as the Eq. 11 reconstruction of
+    ``[rho, j, rho u u]`` (dgemm), the relaxation in place; (3) the
+    relaxed slab goes back into ``f`` one slab late, once the next slab
+    has been gathered and nothing reads those rows again (the paper's
+    delayed write-back; the last slab wraps onto the first rows and is
+    gathered before anything is written).
 
-    1. pull streaming into the core-owned scratch lattice;
-    2. the post-stream boundary hooks (unchanged reference objects);
-    3. BGK collision *through moment space*: ``m = P f`` (dgemm), the
-       equilibrium as the Eq. 11 reconstruction of
-       ``[rho, j, rho u u]`` (dgemm), and the relaxation written in
-       place into the retired lattice buffer — no per-step temporary;
-    4. solid-node pinning and the post-collide boundary hooks.
-
-    The two lattice buffers keep fixed roles (caller's ``f`` / core
-    scratch), so the caller's array is updated in place, never swapped.
+    On the single-slab ``"bounded"`` form the slab buffer is a scratch
+    lattice and the boundary hooks run on it (post-stream) and on ``f``
+    (post-collide), as in the reference step. Either way ``f`` is
+    updated in place and holds the natural layout.
     """
 
+    _lean_lattices = 1      # the persistent lattice itself
+
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
-                 solid_mask: np.ndarray | None = None):
-        super().__init__(lat, shape, tau, solid_mask)
-        lead, n = self._lead, int(np.prod(self.shape))
-        m = lat.n_moments
+                 solid_mask: np.ndarray | None = None, boundaries=()):
+        super().__init__(lat, shape, tau, solid_mask, boundaries)
+        lead, w, m = self._lead, self._width, lat.n_moments
         self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
-        self._scratch = np.empty(lead + (lat.q, *self.shape))
-        self._m = np.empty(lead + (m, n))
-        self._meq = np.empty(lead + (m, n))
-        self._u = np.empty(lead + (lat.d, n))
-        self._feq = np.empty(lead + (lat.q, n))
-        self._force_bufs = None
+        self._x = _rows(lead, lat.q, w)
+        self._m = _rows(lead, m, w)      # moments, then equilibrium moments
+        self._u = _rows(lead, lat.d, w)
+        self._feq = _rows(lead, lat.q, w)
+        self._force_bufs = (        # chunk scratch of the fused Guo source
+            np.ascontiguousarray(lat.c, dtype=np.float64),      # (Q, D)
+            _rows(lead, lat.q, w),                              # c . F
+            _rows(lead, lat.q, w),                              # c . u
+            _rows(lead, lat.d, w),                              # u_a F_a terms
+            _rows(lead, 1, w),                                  # u . F
+            # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1) or (B, Q, 1)
+            (1.0 - 0.5 / self.tau) * lat.w[:, None],
+        )
 
-    def _ensure_force_bufs(self) -> tuple:
-        """Scratch for the fused Guo source (allocated on first forced step)."""
-        if self._force_bufs is None:
-            lat = self.lat
-            lead, n = self._lead, self._m.shape[-1]
-            self._force_bufs = (
-                np.ascontiguousarray(lat.c, dtype=np.float64),  # (Q, D)
-                np.empty(lead + (lat.q, n)),                    # c . F
-                np.empty(lead + (lat.q, n)),                    # c . u
-                np.empty(lead + (lat.d, n)),                    # u_a F_a terms
-                np.empty(lead + (1, n)),                        # u . F
-                # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1) or (B, Q, 1)
-                (1.0 - 0.5 / self.tau) * lat.w[:, None],
-            )
-        return self._force_bufs
+    def _build_window(self, slabs: list, rows: int) -> tuple:
+        """Stream plans out of ``f`` and the slab buffers (at most three)."""
+        n0, k = self.shape[0], len(slabs)
+        return ([self._stream_plan(a0, a1, n0) for a0, a1 in slabs],
+                [self._planes(rows if k > 1 else None)
+                 for _ in range(min(k, 3))])
 
-    def _guo_source(self, ff: np.ndarray) -> np.ndarray:
-        """Build the fused Guo source ``S_i`` for the flat force ``ff``.
+    def _guo_source(self, u: np.ndarray, ff: np.ndarray) -> np.ndarray:
+        """Build the fused Guo source ``S_i`` for one chunk of force ``ff``.
 
         Mirrors :func:`repro.core.forcing.guo_source` operation for
         operation (including the division by ``cs2``/``cs4``) so forced
         fused runs track the reference trajectory at the ulp level.
-        Returns the core-owned ``(..., Q, N)`` source buffer.
+        Returns a view of the core-owned ``(..., Q, chunk)`` buffer.
         """
-        lat = self.lat
-        cmat, cf, cu, uftmp, uf, wpref = self._ensure_force_bufs()
+        lat, w = self.lat, u.shape[-1]
+        cmat, cf, cu, uftmp, uf, wpref = self._force_bufs
+        cf, cu, uftmp, uf = (b[..., :w] for b in (cf, cu, uftmp, uf))
         np.matmul(cmat, ff, out=cf)
-        np.matmul(cmat, self._u, out=cu)
-        np.multiply(self._u, ff, out=uftmp)
+        np.matmul(cmat, u, out=cu)
+        np.multiply(u, ff, out=uftmp)
         np.sum(uftmp, axis=-2, keepdims=True, out=uf)
         # S = pref w ((c.F - u.F)/cs2 + (c.u)(c.F)/cs4), built in place:
         # cu becomes the cs4 term, cf the cs2 term.
@@ -195,8 +320,8 @@ class FusedSTCore(_FusedCore):
         cf *= wpref
         return cf
 
-    def _moments_and_feq(self, fs: np.ndarray, ff: np.ndarray | None) -> None:
-        """Fill ``_m``/``_u``/``_meq``/``_feq`` from the flat lattice ``fs``.
+    def _moments_and_feq(self, fs: np.ndarray, ff: np.ndarray | None):
+        """``(u, feq)`` chunk views for the flat lattice chunk ``fs``.
 
         The moment projection, (optionally half-force-shifted) velocity
         and Eq. 11 equilibrium reconstruction behind every ST step of
@@ -204,45 +329,56 @@ class FusedSTCore(_FusedCore):
         batched paths are collide-identical by construction.
         """
         lat = self.lat
-        d = lat.d
-        m, meq, u = self._m, self._meq, self._u
+        d, w = lat.d, fs.shape[-1]
+        m, u, feq = (b[..., :w] for b in (self._m, self._u, self._feq))
         np.matmul(self._mm, fs, out=m)
         rho, j = _row(m, 0), m[..., 1:1 + d, :]
-        _row(meq, 0)[...] = rho
         if ff is None:
             np.divide(j, rho, out=u)
-            meq[..., 1:1 + d, :] = j
         else:
             # u = (j + F/2)/rho; the equilibrium momentum is rho u.
             np.multiply(ff, 0.5, out=u)
             u += j
             u /= rho
-            np.multiply(u, rho, out=meq[..., 1:1 + d, :])
+            np.multiply(u, rho, out=j)
+        # ST never reads Pi: its rows of m become rho u u, and m is meq
         for k, (a, b) in enumerate(lat.pair_tuples):
-            pair = _row(meq, 1 + d + k)
+            pair = _row(m, 1 + d + k)
             np.multiply(_row(u, a), _row(u, b), out=pair)
             pair *= rho
-        np.matmul(self._rc, meq, out=self._feq)
+        np.matmul(self._rc, m, out=feq)
+        return u, feq
 
     def _relax(self, src: np.ndarray, dst: np.ndarray,
                force: np.ndarray | None) -> None:
         """BGK(+Guo) collision of the streamed lattice ``src`` into ``dst``.
 
-        ``f* = feq + (1 - omega)(f - feq) [+ S]``, solid nodes pinned at
-        rest equilibrium. ``dst`` may alias ``src`` (the in-place AA
-        steps) or be the retired lattice of the two-lattice step.
+        ``f* = feq + (1 - omega)(f - feq) [+ S]`` over column chunks of
+        ``_CHUNK`` nodes in a contiguous chunk buffer, so every
+        intermediate lives and dies in cache (a smaller field is one
+        chunk: the unblocked arithmetic). ``dst`` may alias ``src``.
         """
-        lat = self.lat
-        fs, out = self._flat(src, lat.q), self._flat(dst, lat.q)
-        ff = self._flat(force, lat.d)
-        self._moments_and_feq(fs, ff)
-        np.subtract(fs, self._feq, out=out)
-        out *= self.keep
-        out += self._feq
-        if ff is not None:
-            out += self._guo_source(ff)
+        q = self.lat.q
+        fs, out = self._flat(src, q), self._flat(dst, q)
+        ff = self._flat(force, self.lat.d)
+        n = fs.shape[-1]
+        for c0 in range(0, n, _CHUNK):
+            cols = slice(c0, c0 + _CHUNK)
+            fc = None if ff is None else ff[..., cols]
+            x = self._x[..., :min(_CHUNK, n - c0)]
+            np.copyto(x, fs[..., cols])
+            u, feq = self._moments_and_feq(x, fc)
+            x -= feq
+            x *= self.keep
+            x += feq
+            if fc is not None:
+                x += self._guo_source(u, fc)
+            np.copyto(out[..., cols], x)
+
+    def _pin_solids(self, f: np.ndarray) -> None:
+        """Hold solid nodes at the rest equilibrium ``w_i``."""
         if self.solid_mask is not None:
-            dst[..., self.solid_mask] = lat.w[:, None]
+            f[..., self.solid_mask] = self.lat.w[:, None]
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None,
@@ -255,61 +391,91 @@ class FusedSTCore(_FusedCore):
         ``time`` belong to the shared core protocol and are unused here.
         """
         tel = NULL_TELEMETRY if tel is None else tel
-        scratch = self._scratch
-        with tel.phase("stream"):
-            self._stream(f, scratch)
-        with tel.phase("boundary"):
-            self._apply("post_stream", boundaries, scratch, f)
+        slabs, plans, bufs = self._window(boundaries)
+        last = len(slabs) - 1
+        if not last:
+            scratch = bufs[0]
+            with tel.phase("stream"):
+                self._stream(f, scratch)
+            with tel.phase("boundary"):
+                self._apply("post_stream", boundaries, scratch, f)
+            with tel.phase("collide"):
+                self._relax(scratch, f, force)
+                self._pin_solids(f)
+            with tel.phase("boundary"):
+                self._apply("post_collide", boundaries, f, scratch)
+            return
+
+        def gather(s: int, buf: np.ndarray) -> None:
+            with tel.phase("stream"):
+                _copy_blocks(plans[s], f, buf)
+
+        def relax(s: int, buf: np.ndarray) -> None:
+            a0, a1 = slabs[s]
+            with tel.phase("collide"):
+                self._relax(buf[:, :a1 - a0], f[:, a0:a1],
+                            None if force is None else force[:, a0:a1])
+
+        # The last slab reads the first rows through the periodic wrap:
+        # gather it while they are still old, relax it at the very end.
+        gather(last, bufs[-1])
+        gather(0, bufs[0])
+        for s in range(last):
+            if s + 1 < last:
+                gather(s + 1, bufs[(s + 1) % 2])
+            relax(s, bufs[s % 2])
+        relax(last, bufs[-1])
         with tel.phase("collide"):
-            self._relax(scratch, f, force)
-        with tel.phase("boundary"):
-            self._apply("post_collide", boundaries, f, scratch)
+            self._pin_solids(f)
 
 
 class FusedMRCore(_FusedCore):
     """Fused moment-representation step (MR-P or MR-R, Algorithm 2).
 
-    One step goes moments -> f* -> streamed f -> moments with a single
-    dgemm at each linear boundary of the pipeline:
+    Moments -> f* -> streamed f -> moments, one dgemm at each linear
+    boundary of the pipeline:
 
-    * moment-space collision (Eq. 10, mirroring the reference arithmetic
-      exactly, including the optional ``tau_bulk`` trace split) into the
-      coefficient block ``G``;
-    * for MR-R, the collided third/fourth-order Hermite coefficients
-      (Eqs. 12-13) are appended to ``G`` so that reconstruction (Eq. 14)
-      is the single product ``[R | E3 | E4] @ G``;
-    * roll streaming into the second core-owned lattice;
-    * boundary hooks, then re-projection ``m = P f`` (dgemm) straight
-      back into the caller's moment field.
+    * moment-space collision (Eq. 10, the reference arithmetic including
+      the optional ``tau_bulk`` trace split) into the coefficient block
+      ``G``, chunk by chunk; for MR-R the collided third/fourth-order
+      Hermite coefficients (Eqs. 12-13) are appended to ``G``, so the
+      reconstruction (Eq. 14) is the single product ``[R | E3 | E4] @ G``;
+    * ``f*`` lands in a *ring* of leading-axis planes running ``reach``
+      planes ahead of the slab being streamed, so the moments a slab
+      overwrites have already been collided (the first ``reach`` planes
+      of ``f*`` are kept for the periodic wrap of the last slab);
+    * the slab is pull-streamed out of the ring and re-projected
+      ``m = P f`` (dgemm) straight into the caller's moment field.
 
-    The distribution field exists only inside the lattices owned by the
-    core — the caller's persistent state stays the ``(M, *grid)`` moment
-    field, exactly as in Algorithm 2. ``lattices=1`` (subclasses whose
-    streaming needs no second full lattice) skips the streamed buffer.
+    The distribution exists only inside that window; the persistent
+    state is the ``(M, *grid)`` moment field, as in Algorithm 2. On the
+    single-slab ``"bounded"`` form ring and slab are two whole lattices
+    and the boundary hooks run between them.
     """
+
+    _lean_lattices = 0      # the state is the moment field
 
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
                  scheme: str = "MR-P", tau_bulk: float | None = None,
-                 solid_mask: np.ndarray | None = None, lattices: int = 2):
+                 solid_mask: np.ndarray | None = None, boundaries=()):
         if scheme not in ("MR-P", "MR-R"):
             raise ValueError(f"scheme must be MR-P or MR-R, got {scheme!r}")
-        super().__init__(lat, shape, tau, solid_mask)
+        super().__init__(lat, shape, tau, solid_mask, boundaries)
         self.tau_bulk = tau_bulk
         self.scheme = scheme
-        lead, n = self._lead, int(np.prod(self.shape))
-        m = lat.n_moments
+        lead, w, m = self._lead, self._width, lat.n_moments
         self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
-        self._u = np.empty(lead + (lat.d, n))
-        self._pi_eq = np.empty(lead + (lat.n_pairs, n))
-        self._pi_neq = np.empty(lead + (lat.n_pairs, n))
-        self._tau_bufs = [None, None]   # per-node keep / prefactor buffers
-        self._src_buf = None    # scratch for the moment-space force terms
-        self._f_star = np.empty(lead + (lat.q, *self.shape))
-        self._f_new = np.empty_like(self._f_star) if lattices == 2 else None
+        self._u = _rows(lead, lat.d, w)
+        self._uu = _rows(lead, lat.n_pairs, w)      # u_a u_b
+        self._pi_eq = _rows(lead, lat.n_pairs, w)
+        self._pi_neq = _rows(lead, lat.n_pairs, w)
+        # per-node keep / force-prefactor rows, moment-space force scratch
+        self._tau_bufs = _rows((), 2, w)
+        self._src_buf = _rows(lead, 2, w)
 
         if scheme == "MR-P":
             self._rcext = np.ascontiguousarray(lat.reconstruction_matrix)
-            self._g = np.empty(lead + (m, n))
+            self._g = _rows(lead, m, w)
             self._a34_specs = None
         else:
             s3, s4 = lat.h3_supported, lat.h4_supported
@@ -319,44 +485,80 @@ class FusedMRCore(_FusedCore):
             e4 = lat.w[:, None] * lat.h4_reg_cols[:, s4] * w4[None, :]
             self._rcext = np.ascontiguousarray(
                 np.hstack([lat.reconstruction_matrix, e3, e4]))
-            self._g = np.empty(lead + (m + s3.size + s4.size, n))
-            # Index recipes for the supported recursion columns:
+            self._g = _rows(lead, m + s3.size + s4.size, w)
+            # Recipes for the supported recursion columns (rows of G):
             # a3_abc = rho u_a u_b u_c + keep (u_a Pi_bc + u_b Pi_ac + u_c Pi_ab)
-            # a4_abcd = rho u_a u_b u_c u_d + keep sum_6 u_r u_s Pi_pq
-            trip = [(t, [(t[0], lat.pair_index(t[1], t[2])),
-                         (t[1], lat.pair_index(t[0], t[2])),
-                         (t[2], lat.pair_index(t[0], t[1]))])
-                    for t in (lat.triple_tuples[k] for k in s3)]
-            quads = []
-            for k in s4:
-                quad = lat.quad_tuples[k]
-                terms = []
-                for pos in itertools.combinations(range(4), 2):
-                    rest = [quad[i] for i in range(4) if i not in pos]
-                    terms.append((rest[0], rest[1],
-                                  lat.pair_index(quad[pos[0]], quad[pos[1]])))
-                quads.append((quad, terms))
-            self._a34_specs = (trip, quads)
+            # a4_abcd = rho u_a u_b u_c u_d + keep sum_6 (u_r u_s) Pi_pq
+            # The velocity products are built left to right and shared by
+            # prefix (rho u_x u_x serves xxy, xxz, xxyy, xxzz); a term that
+            # occurs twice in a column is evaluated once and added twice.
+            # Same operations in the same order as the naive sums, fewer.
+            targets = []
+            for t in ([lat.triple_tuples[k] for k in s3]
+                      + [lat.quad_tuples[k] for k in s4]):
+                pairs = list(itertools.combinations(range(len(t)), 2))
+                if len(t) == 3:         # the reference adds u_a Pi_bc first
+                    pairs.reverse()
+                targets.append((t, [
+                    (tuple(t[i] for i in range(len(t)) if i not in pos),
+                     lat.pair_index(t[pos[0]], t[pos[1]])) for pos in pairs]))
+            # each product lives in its column of G or, a proper prefix,
+            # in a scratch row: index tuple -> (in G, row)
+            where, products = {}, []    # (dst, src or None for rho, axis)
+            for i, (t, _) in enumerate(targets):
+                for n in range(1, len(t) + 1):
+                    if t[:n] not in where:
+                        where[t[:n]] = ((True, m + i) if n == len(t) else
+                                        (False, len(where) - i))
+                        products.append((where[t[:n]], where.get(t[:n - 1]),
+                                         t[n - 1]))
+            # (G row, a4?, distinct terms as (row of u — a4: of u_a u_b —,
+            # row of Pi_neq), order of adds)
+            sums = []
+            for t, terms in targets:
+                distinct = list(dict.fromkeys(terms))
+                sums.append((
+                    where[t][1], len(t) == 4,
+                    [(axes[0] if len(t) == 3 else lat.pair_index(*axes), p)
+                     for axes, p in distinct],
+                    [distinct.index(term) for term in terms]))
+            self._a34_specs = (products, sums)
+            self._a34_bufs = (
+                _rows(lead, len(where) - len(targets), w),
+                _rows(lead, max(len(d) for _, _, d, _ in sums), w))
+
+    def _build_window(self, slabs: list, rows: int) -> tuple:
+        """Stream plans out of the ``f*`` ring, ring, slab and wrap planes.
+
+        With one slab the ring *is* the whole ``f*`` lattice (it wraps on
+        itself); with more it holds the tallest slab plus ``reach``
+        planes either side.
+        """
+        whole = len(slabs) == 1
+        planes = self.shape[0] if whole else rows + 2 * self.lat.reach
+        return ([self._stream_plan(a0, a1, planes) for a0, a1 in slabs],
+                self._planes(None if whole else planes),
+                self._planes(None if whole else rows),
+                None if whole else self._planes(self.lat.reach))
 
     def _collide(self, mf: np.ndarray, force: np.ndarray | None = None,
-                 tau_field: np.ndarray | None = None) -> None:
-        """Fill the coefficient block ``G`` from the flat moment field.
+                 tau_field: np.ndarray | None = None) -> np.ndarray:
+        """Coefficient block ``G`` of one flat chunk of the moment field.
 
-        ``force`` is an optional flat ``(..., D, N)`` body-force field:
-        the equilibria are evaluated at Guo's half-force velocity and the
-        projected source moments (momentum input ``F``, second-moment
-        source ``(1 - 1/(2 tau))(u F + F u)``) are added, mirroring
-        :func:`repro.core.forcing.apply_moment_space_force`.
-
-        ``tau_field`` is an optional flat ``(N,)`` per-node relaxation
-        time (MR-P, single simulation only); it replaces the scalar
-        ``tau`` in both the relaxation factor and the force prefactor,
-        mirroring the power-law solver's variable-tau collision.
+        With a flat ``(..., D, N)`` ``force`` the equilibria are evaluated
+        at Guo's half-force velocity and the projected source moments
+        (momentum input ``F``, second-moment source ``(1 - 1/(2 tau))(u F
+        + F u)``) are added, mirroring
+        :func:`repro.core.forcing.apply_moment_space_force`. A flat
+        ``(N,)`` ``tau_field`` (MR-P, single simulation) replaces ``tau``
+        in the relaxation factor and the force prefactor, as in the
+        power-law solver. Returns a view of the core-owned chunk buffer.
         """
         lat = self.lat
-        d, n_pairs = lat.d, lat.n_pairs
+        d, n_pairs, w = lat.d, lat.n_pairs, mf.shape[-1]
         rho, j, pi = _row(mf, 0), mf[..., 1:1 + d, :], mf[..., 1 + d:, :]
-        u, pi_eq, pi_neq = self._u, self._pi_eq, self._pi_neq
+        u, uu, pi_eq, pi_neq, g = (b[..., :w] for b in (
+            self._u, self._uu, self._pi_eq, self._pi_neq, self._g))
         if force is None:
             np.divide(j, rho, out=u)
         else:
@@ -367,11 +569,9 @@ class FusedMRCore(_FusedCore):
         if tau_field is not None:
             keep = self._per_node(0, -1.0, tau_field)
         for k, (a, b) in enumerate(lat.pair_tuples):
-            pair = _row(pi_eq, k)
-            np.multiply(_row(u, a), _row(u, b), out=pair)
-            pair *= rho
+            np.multiply(_row(u, a), _row(u, b), out=_row(uu, k))
+        np.multiply(uu, rho, out=pi_eq)
         np.subtract(pi, pi_eq, out=pi_neq)
-        g = self._g
         _row(g, 0)[...] = rho
         if force is None:
             g[..., 1:1 + d, :] = j
@@ -392,29 +592,28 @@ class FusedMRCore(_FusedCore):
                 pref = self._per_node(1, -0.5, tau_field)
             self._add_moment_force(g_pi, u, force, pref)
         if self._a34_specs is not None:
-            trip, quads = self._a34_specs
+            products, sums = self._a34_specs
+            pre, tmp = (b[..., :w] for b in self._a34_bufs)
+            for (in_g, row), src, a in products:
+                np.multiply(rho if src is None else
+                            _row(g if src[0] else pre, src[1]), _row(u, a),
+                            out=_row(g if in_g else pre, row))
             keep = self.keep
-            row = 1 + d + n_pairs
-            for (a, b, c), terms in trip:
-                acc = rho * _row(u, a) * _row(u, b) * _row(u, c)
-                for v, p in terms:
-                    acc += keep * (_row(u, v) * _row(pi_neq, p))
-                _row(g, row)[...] = acc
-                row += 1
-            for (a, b, c, e), terms in quads:
-                acc = rho * _row(u, a) * _row(u, b) * _row(u, c) * _row(u, e)
-                for r0, r1, p in terms:
-                    acc += keep * (_row(u, r0) * _row(u, r1)
-                                   * _row(pi_neq, p))
-                _row(g, row)[...] = acc
-                row += 1
+            for row, a4, distinct, order in sums:
+                factor = uu if a4 else u
+                for k, (r, p) in enumerate(distinct):
+                    term = _row(tmp, k)
+                    np.multiply(_row(factor, r), _row(pi_neq, p), out=term)
+                    term *= keep
+                acc = _row(g, row)
+                for k in order:
+                    acc += _row(tmp, k)
+        return g
 
     def _per_node(self, slot: int, coeff: float,
                   tau_field: np.ndarray) -> np.ndarray:
         """``1 + coeff / tau_field`` in the core-owned per-node buffer ``slot``."""
-        buf = self._tau_bufs[slot]
-        if buf is None:
-            buf = self._tau_bufs[slot] = np.empty_like(tau_field)
+        buf = self._tau_bufs[slot, :tau_field.shape[-1]]
         np.divide(coeff, tau_field, out=buf)
         buf += 1.0
         return buf
@@ -422,10 +621,7 @@ class FusedMRCore(_FusedCore):
     def _add_moment_force(self, g_pi: np.ndarray, u: np.ndarray,
                           force: np.ndarray, pref) -> None:
         """Add the projected Guo second-moment source to ``g_pi`` in place."""
-        if self._src_buf is None:
-            row = g_pi.shape[:-2] + (1, g_pi.shape[-1])
-            self._src_buf = (np.empty(row), np.empty(row))
-        src, tmp = self._src_buf
+        src, tmp = (_row(self._src_buf[..., :u.shape[-1]], k) for k in (0, 1))
         for k, (a, b) in enumerate(self.lat.pair_tuples):
             np.multiply(_row(u, a), _row(force, b), out=src)
             np.multiply(_row(u, b), _row(force, a), out=tmp)
@@ -434,12 +630,15 @@ class FusedMRCore(_FusedCore):
             pair = _row(g_pi, k)
             pair += src
 
-    def _reconstruct(self, m: np.ndarray, force: np.ndarray | None,
+    def _reconstruct(self, m: np.ndarray, out: np.ndarray,
+                     force: np.ndarray | None,
                      tau_field: np.ndarray | None) -> None:
-        """Collide ``m`` in moment space and rebuild ``f*`` (Eq. 11 / 14).
+        """Collide ``m`` in moment space and rebuild ``f*`` into ``out``.
 
-        The shared front half of every MR step: leaves the post-collision
-        distribution in the core-owned ``_f_star`` lattice.
+        The shared front half of every MR step (Eq. 11 / 14), over column
+        chunks of ``_CHUNK`` nodes so ``G`` and its inputs stay in cache.
+        All arguments cover the same nodes: a whole grid, a slab of it,
+        or a compact ``(n_fluid,)`` column list.
         """
         lat = self.lat
         if tau_field is not None and self.scheme != "MR-P":
@@ -447,11 +646,15 @@ class FusedMRCore(_FusedCore):
                 "per-node tau_field collision is implemented for the MR-P "
                 "scheme only"
             )
-        self._collide(self._flat(m, lat.n_moments),
-                      force=self._flat(force, lat.d),
-                      tau_field=None if tau_field is None
-                      else tau_field.reshape(-1))
-        np.matmul(self._rcext, self._g, out=self._flat(self._f_star, lat.q))
+        mf, of = self._flat(m, lat.n_moments), self._flat(out, lat.q)
+        ff = self._flat(force, lat.d)
+        tf = None if tau_field is None else tau_field.reshape(-1)
+        for c0 in range(0, mf.shape[-1], _CHUNK):
+            cols = slice(c0, c0 + _CHUNK)
+            g = self._collide(mf[..., cols],
+                              None if ff is None else ff[..., cols],
+                              None if tf is None else tf[cols])
+            np.matmul(self._rcext, g, out=of[..., cols])
 
     def _pin_solids(self, m: np.ndarray) -> None:
         """Hold solid nodes at the rest moments ``(1, 0, ..., 0)``."""
@@ -471,13 +674,49 @@ class FusedMRCore(_FusedCore):
         """
         tel = NULL_TELEMETRY if tel is None else tel
         lat = self.lat
-        with tel.phase("collide"):
-            self._reconstruct(m, force, tau_field)
-        with tel.phase("stream"):
-            self._stream(self._f_star, self._f_new)
-        with tel.phase("boundary"):
-            self._apply("post_stream", boundaries, self._f_new, self._f_star)
+        slabs, plans, ring, slab, wrap = self._window(boundaries)
+        mf = self._flat(m, lat.n_moments)
+        if wrap is None:
+            with tel.phase("collide"):
+                self._reconstruct(m, ring, force, tau_field)
+            with tel.phase("stream"):
+                self._stream(ring, slab)
+            with tel.phase("boundary"):
+                self._apply("post_stream", boundaries, slab, ring)
+            with tel.phase("macroscopic"):
+                np.matmul(self._mm, self._flat(slab, lat.q), out=mf)
+                self._pin_solids(m)
+            return
+        n0, reach, planes = self.shape[0], lat.reach, ring.shape[1]
+
+        def fill(lo: int, hi: int, at: int) -> None:
+            """``f*`` of rows ``[lo, hi)`` into the ring from plane ``at``."""
+            while lo < hi:
+                p = at % planes
+                top = min(hi, lo + planes - p)
+                self._reconstruct(
+                    m[:, lo:top], ring[:, p:p + top - lo],
+                    None if force is None else force[:, lo:top],
+                    None if tau_field is None else tau_field[lo:top])
+                lo, at = top, at + top - lo
+
+        done = 0
+        for s, (a0, a1) in enumerate(slabs):
+            with tel.phase("collide"):
+                if s == 0:
+                    fill(n0 - reach, n0, -reach)
+                top = min(a1 + reach, n0)
+                fill(done, top, done)
+                done = top
+                if s == 0:
+                    wrap[...] = ring[:, :reach]
+                elif a1 + reach > n0:
+                    for i in range(reach):
+                        ring[:, (n0 + i) % planes] = wrap[:, i]
+            with tel.phase("stream"):
+                _copy_blocks(plans[s], ring, slab)
+            with tel.phase("macroscopic"):
+                np.matmul(self._mm, self._flat(slab[:, :a1 - a0], lat.q),
+                          out=mf[:, a0 * self._tail:a1 * self._tail])
         with tel.phase("macroscopic"):
-            np.matmul(self._mm, self._flat(self._f_new, lat.q),
-                      out=self._flat(m, lat.n_moments))
             self._pin_solids(m)

@@ -1,49 +1,39 @@
 """Sparse-geometry compact-state kernels (the ``"sparse"`` backend).
 
 Every other host backend streams dense rectangular ``(Q, *grid)`` arrays,
-so a domain that is 10% fluid — cylinder arrays, porous media — spends
-~90% of its bandwidth and its collision FLOPs on solid nodes whose state
-is pinned anyway. Following the fluid-node index lists of Tomczak &
-Szafran's sparse-geometry GPU LBM (see PAPERS.md), the cores here compact
-the working state to ``(Q, n_fluid)`` over a
+so a domain that is 10% fluid spends ~90% of its bandwidth and FLOPs on
+solid nodes whose state is pinned anyway. Following the fluid-node index
+lists of Tomczak & Szafran's sparse-geometry GPU LBM (PAPERS.md), the
+cores here compact the working state to ``(Q, n_fluid)`` over a
 :class:`~repro.accel.tables.MaskedNeighborTable` and run the *same*
-collision arithmetic as the fused backend — literally the same
+collision arithmetic as the fused backend — literally the
 :class:`~repro.accel.fused.FusedSTCore` / ``FusedMRCore`` methods, bound
-to a flat ``(n_fluid,)`` shape — over fluid columns only:
+to a flat ``(n_fluid,)`` shape:
 
 * **streaming** is one ``np.take`` through the masked table, whose
   solid-source links are *bounce-back-folded*: the gather itself realizes
   half-way bounce-back, so walls cost nothing on top of propagation;
-* **collision** (moment projection, equilibrium reconstruction, BGK /
-  MR-P / MR-R relaxation, Guo forcing, per-node ``tau_field``) runs as
+* **collision** (every feature of the fused kernels) runs as chunked
   BLAS dgemms over ``n_fluid`` columns instead of ``N``;
-* the **dense solver state** (``solver.f`` for ST, ``solver.m`` for MR)
-  stays authoritative: fluid columns are gathered at the top of the step
-  and scattered back at the bottom, so checkpoints, monitors, forces and
-  the distributed ghost exchange see exactly the arrays they always saw.
-  Solid columns are never touched and keep their pinned rest values from
-  initialization — bit-identical to the fused kernels' per-step pinning.
+* the **dense solver state** (``solver.f`` / ``solver.m``) stays
+  authoritative: fluid columns are gathered at the top of the step and
+  scattered back at the bottom, so checkpoints, monitors, forces and the
+  ghost exchange see the arrays they always saw. Solid columns are never
+  touched and keep their pinned rest values from initialization.
 
 Boundary handling has two tiers. A boundary list that is empty or a
 single plain :class:`~repro.boundary.HalfwayBounceBack` (moving walls
 included) folds entirely into the gather table — the *lean* path, which
 never materializes a dense distribution field. Any other post-stream
-boundary (velocity inlets, pressure outlets, ...) routes the step through
-a *dense fallback* that scatters, streams densely, runs the unchanged
-hook objects, and re-compacts — collision still runs compact, so the
-geometry win survives partial boundary coverage. Boundaries with custom
-post-collide hooks (full-way bounce-back) are rejected up front by
-:func:`repro.accel.validate_backend`.
+boundary routes the step through a *dense fallback* that scatters,
+streams densely, runs the unchanged hook objects and re-compacts;
+collision still runs compact. Boundaries with custom post-collide hooks
+are rejected up front by :func:`repro.accel.validate_backend`.
 
-Traffic model (docs/ALGORITHMS.md derives the full version): the lean ST
-step moves ``3 Q + D`` doubles per *fluid* node plus ``Q`` 8-byte table
-indices, against ``4 Q`` doubles per *dense* node for the fused
-two-lattice step — so compact streaming wins whenever the fluid fraction
-``phi`` is below roughly ``4Q / (3Q + D + Q_idx)``, i.e. for every
-``phi < ~0.9`` geometry, with the gap widening linearly as ``phi`` drops.
-
-Machine-precision parity with the fused backend on masked problems is
-pinned by ``tests/unit/test_accel_sparse.py`` and the hypothesis suite in
+The traffic model (``3 Q + D`` doubles and ``Q`` table indices per
+*fluid* node against the dense cost per *dense* node) is derived in
+docs/ALGORITHMS.md; machine-precision parity with the fused backend on
+masked problems is pinned by ``tests/unit/test_accel_sparse.py`` and
 ``tests/property/test_props_sparse.py``.
 """
 
@@ -155,21 +145,19 @@ class _SparseCoreBase:
 class SparseSTCore(_SparseCoreBase):
     """Compact-state fused ST step (two-lattice BGK over fluid nodes only).
 
-    The lean step is: one folded gather straight from the dense lattice
-    into the compact streamed field, the fused moment-space BGK collision
-    over ``n_fluid`` columns (shared :class:`FusedSTCore` arithmetic, so
-    the trajectory matches the fused backend to machine precision), and
-    one scatter of the post-collision values back into the dense fluid
-    columns. Solid columns of ``f`` keep their pinned ``w_i`` forever.
+    The lean step is one folded gather straight from the dense lattice
+    into the compact streamed field, the shared :class:`FusedSTCore`
+    collision over ``n_fluid`` columns, and one scatter back into the
+    dense fluid columns. Solid columns of ``f`` keep their pinned ``w_i``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  tau: float, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
-        #: the shared kernel bound to the flat compact shape; its scratch
-        #: lattice is the streamed compact field.
+        #: the shared collide kernel (bound to the flat compact shape)
         self.arith = FusedSTCore(lat, (n,), tau)
+        self._fc = np.empty((lat.q, n))        # streamed compact field
         self._fc_star = np.empty((lat.q, n))   # post-collision compact field
         self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
         self._dense_scratch = (None if self.lean
@@ -182,7 +170,7 @@ class SparseSTCore(_SparseCoreBase):
         tel = NULL_TELEMETRY if tel is None else tel
         lat = self.lat
         table = self.table
-        fc = self.arith._scratch
+        fc = self._fc
         if self.lean:
             with tel.phase("stream"):
                 table.gather_dense(f, fc)
@@ -204,12 +192,11 @@ class SparseSTCore(_SparseCoreBase):
 class SparseMRCore(_SparseCoreBase):
     """Compact-state fused MR step (MR-P / MR-R over fluid nodes only).
 
-    Algorithm 2 with every stage restricted to the compact node list:
-    moment-space collision and Eq. 11/14 reconstruction as dgemms over
-    ``n_fluid`` columns (shared :class:`FusedMRCore` arithmetic), one
-    folded compact gather for streaming + bounce-back, and the Eq. 1-3
-    re-projection scattered back into the dense moment field. Solid
-    columns of ``m`` keep their pinned ``(1, 0, ..., 0)`` forever.
+    Algorithm 2 restricted to the compact node list: the shared
+    :class:`FusedMRCore` collision and Eq. 11/14 reconstruction over
+    ``n_fluid`` columns, one folded compact gather for streaming +
+    bounce-back, and the Eq. 1-3 re-projection scattered back into the
+    dense moment field. Solid columns keep their pinned ``(1, 0, ..., 0)``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -217,10 +204,11 @@ class SparseMRCore(_SparseCoreBase):
                  tau_bulk: float | None = None, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
-        #: the shared kernel bound to the flat compact shape; its two
-        #: lattices are the compact post-collision and streamed fields.
+        #: the shared collide kernel (bound to the flat compact shape)
         self.arith = FusedMRCore(lat, (n,), tau, scheme=scheme,
                                  tau_bulk=tau_bulk)
+        #: compact post-collision and streamed fields
+        self._fc_star, self._fc = np.empty((2, lat.q, n))
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
         self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
@@ -244,10 +232,11 @@ class SparseMRCore(_SparseCoreBase):
         lat = self.lat
         table = self.table
         arith = self.arith
-        fc_star, fc = arith._f_star, arith._f_new
+        fc_star, fc = self._fc_star, self._fc
         with tel.phase("collide"):
             mc = self._compact("m", m, lat.n_moments)
-            arith._reconstruct(mc, self._compact("force", force, lat.d),
+            arith._reconstruct(mc, fc_star,
+                               self._compact("force", force, lat.d),
                                self._compact("tau", tau_field, 1))
         if self.lean:
             with tel.phase("stream"):

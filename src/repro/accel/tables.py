@@ -1,18 +1,16 @@
 """Precomputed periodic neighbor-index tables for streaming gathers.
 
-Exact streaming (paper Eq. 7) on a periodic grid is a fixed permutation of
-the lattice sites: component ``i`` of the streamed field at node ``x`` is
-the pre-stream value at ``x - c_i`` (push and pull use the same
-displacement, see :mod:`repro.core.streaming`). The reference solvers
-realize that permutation as ``Q`` separate ``np.roll`` passes — up to
-``D`` slice copies *per component*. A :class:`NeighborTable` precomputes
-the flat source index of every ``(component, node)`` pair once per
-``(lattice, shape)``, so the whole propagation step collapses into a
-single ``np.take`` gather — the host-side analogue of the index tables
+Exact streaming (paper Eq. 7) on a periodic grid is a fixed permutation:
+component ``i`` of the streamed field at node ``x`` is the pre-stream
+value at ``x - c_i`` (push and pull share the displacement, see
+:mod:`repro.core.streaming`). A :class:`NeighborTable` precomputes the
+flat source index of every ``(component, node)`` pair once per
+``(lattice, shape)``, so the whole propagation step is a single
+``np.take`` — the host-side analogue of the index tables
 indirect-addressing GPU kernels stream through
 (:mod:`repro.gpu.kernels.indirect`). The batched cores stream whole
-ensembles through it; a single dense grid rolls instead (see
-:mod:`repro.accel.batched`).
+ensembles through it; a single dense grid copies wrap blocks instead
+(:mod:`repro.accel.fused`).
 
 Tables are cached per ``(lattice name, shape)``; they are pure functions
 of both, so the cache never needs invalidation (``clear_cache`` exists
@@ -70,12 +68,9 @@ class NeighborTable:
     def _owned_out(self, f: np.ndarray) -> np.ndarray:
         """A table-owned ``(Q, *shape)`` buffer that does not alias ``f``.
 
-        Keeps a two-deep ring per dtype so the hot ping-pong idiom
-        ``f = table.gather(f)`` stabilizes at two buffers after warm-up
-        instead of allocating a fresh field every call (the
-        per-call-allocation hot-path bug); any buffer aliasing ``f`` —
-        e.g. the one handed out on the previous call — is skipped, never
-        clobbered.
+        A two-deep ring per dtype, so ``f = table.gather(f)`` stabilizes
+        at two buffers instead of allocating a field per call; a buffer
+        aliasing ``f`` (the one handed out last) is skipped.
         """
         bufs = self._scratch.setdefault(f.dtype, [])
         for buf in bufs:
@@ -89,17 +84,13 @@ class NeighborTable:
     def gather(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stream a ``(Q, *shape)`` (or ``(Q, N)``) field in one gather.
 
-        Equivalent to :func:`repro.core.streaming.stream_push` (and, by
-        the shared-displacement convention, ``stream_pull``) — the result
-        is a pure permutation, so it matches the roll-based reference
-        bit for bit. ``out`` must not alias ``f``.
-
-        When ``out`` is omitted the result lands in a **table-owned**
-        reusable buffer (a two-deep per-dtype ring): it stays valid until
-        the second subsequent ``out=None`` gather of the same dtype, which
-        supports ``f = table.gather(f)`` ping-ponging with zero
-        steady-state allocations. Callers that need the result to outlive
-        that window must pass their own ``out`` (or copy).
+        Equivalent to :func:`repro.core.streaming.stream_push` bit for
+        bit (a pure permutation). ``out`` must not alias ``f``; when it
+        is omitted the result lands in a **table-owned** buffer (a
+        two-deep per-dtype ring) that stays valid until the second
+        subsequent ``out=None`` gather of the same dtype — enough for
+        ``f = table.gather(f)`` ping-ponging with zero steady-state
+        allocations.
         """
         if out is None:
             out = self._owned_out(f)
@@ -115,24 +106,19 @@ class NeighborTable:
 class MaskedNeighborTable:
     """Compact fluid-node streaming table with bounce-back-folded solid links.
 
-    The dense :class:`NeighborTable` realizes periodic streaming over the
-    *whole* rectangular grid; on a domain that is mostly solid that wastes
-    most of every pass. This table compacts the fluid-like nodes (fluid +
-    inlet + outlet, i.e. ``~solid``) into one index list of length
-    ``n_fluid`` — the indirect-addressing layout of Tomczak & Szafran's
-    sparse-geometry GPU LBM — and precomputes, per ``(component, compact
-    node)`` pair, where the streamed value comes from:
+    Compacts the fluid-like nodes (``~solid``) into one index list of
+    length ``n_fluid`` — the indirect-addressing layout of Tomczak &
+    Szafran's sparse-geometry GPU LBM — and precomputes, per
+    ``(component, compact node)`` pair, where the streamed value comes from:
 
     * a **fluid-source link** gathers component ``q`` from the compact
-      index of the periodic neighbour ``x - c_q``, exactly the Eq. 7
-      displacement of the dense table;
+      index of the periodic neighbour ``x - c_q`` (the Eq. 7 displacement);
     * a **solid-source link** is *folded*: it gathers component
-      ``opposite[q]`` from the *same* compact node, which is precisely the
-      half-way bounce-back pull
-      (:class:`repro.boundary.HalfwayBounceBack.post_stream` reflects
-      ``f_source[opposite[q]]`` at the target node). Cores that stream a
-      problem *without* a bounce-back boundary overwrite those entries with
-      the rest-equilibrium weights instead (see :attr:`solid_links`),
+      ``opposite[q]`` from the *same* compact node, which is the half-way
+      bounce-back pull of
+      :class:`repro.boundary.HalfwayBounceBack.post_stream`. Cores that
+      stream a problem *without* a bounce-back boundary overwrite those
+      entries with the rest-equilibrium weights (see :attr:`solid_links`),
       matching the dense kernels' pinned solid nodes.
 
     Attributes

@@ -223,7 +223,7 @@ class MRKernel:
         self.tracker = tracker if tracker is not None else MemoryTracker()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         lat = problem.lat
-        if np.abs(lat.c).max() > 1:
+        if lat.reach > 1:
             raise ValueError(
                 f"{lat.name} is a multi-speed lattice: the MR column kernel "
                 f"uses one-node cross halos and a (w_t+2)-row ring, which "

@@ -75,6 +75,10 @@ class LatticeDescriptor:
     h4_reg_cols: np.ndarray = field(default=None)
     moment_matrix: np.ndarray = field(default=None)     # (M, Q)
     reconstruction_matrix: np.ndarray = field(default=None)  # (Q, M)
+    #: Largest ``|c_ia|`` over all velocities and axes: how many planes a
+    #: population crosses per step (1 on the standard lattices, 3 on
+    #: D3Q39) — the halo a slab needs and the depth of a streaming window.
+    reach: int = field(default=None)
 
     # ------------------------------------------------------------------
     # Basic sizes
@@ -310,4 +314,5 @@ def build_descriptor(name: str, c: Sequence[Sequence[int]], w: Sequence[float],
         h4_reg_cols=_freeze(h4_reg),
         moment_matrix=_freeze(moment_matrix),
         reconstruction_matrix=_freeze(recon),
+        reach=int(np.abs(c_arr).max()),
     )

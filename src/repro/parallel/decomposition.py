@@ -171,7 +171,7 @@ def check_halo_width(lat: LatticeDescriptor) -> None:
     is rejected when the spec is written down, not after a wrong field
     has been computed.
     """
-    reach = int(np.abs(lat.c[:, 0]).max())
+    reach = lat.reach
     if reach > 1:
         raise ValueError(
             f"{lat.name} is a multi-speed lattice (|c_x| up to {reach}): "

@@ -97,10 +97,10 @@ class Solver(ABC):
             )
         if tau <= 0.5:
             raise ValueError(f"tau must exceed 1/2, got {tau}")
-        if domain.solid_mask.any() and np.abs(lat.c).max() > 1:
+        if domain.solid_mask.any() and lat.reach > 1:
             raise ValueError(
                 f"{lat.name} is a multi-speed lattice (|c| up to "
-                f"{np.abs(lat.c).max()}): populations would jump across "
+                f"{lat.reach}): populations would jump across "
                 f"one-node walls; only periodic (solid-free) domains are "
                 f"supported for multi-speed lattices"
             )
@@ -191,8 +191,8 @@ class Solver(ABC):
 
     @property
     def accel_path(self) -> str | None:
-        """Step variant of the core stepping this solver (``"dense"``,
-        ``"lean"``, ``"bounded"``, ``"dense-fallback"``); ``None`` on
+        """Step variant of the core stepping this solver (``"lean"``,
+        ``"bounded"``, ``"dense-fallback"``); ``None`` on
         ``"reference"`` and before the first fast-path step builds it."""
         return None if self._stepper is None else self._stepper.core.path
 

@@ -93,11 +93,11 @@ class TestEmulatedInplaceParity:
     def test_aa_ranks_drop_scratch_lattice(self, field_doubles):
         """A rank owns only its state; the core's buffers are the inventory.
 
-        Same check as ``tests/unit/test_accel_cores.py`` on one slab:
-        boundary-free MR ranks run one distribution lattice lighter
-        under ``aa`` (they gain the gather-project slab, a full slab at
-        this size, so the totals tie), ST ranks trade the rank scratch
-        for the core-owned one (neutral).
+        Same check as ``tests/unit/test_accel_cores.py`` on one slab of
+        the decomposition. A rank this small is a single window slab, so
+        ``fused`` and ``aa`` hold the same buffers: the streamed slab for
+        ST, the ``f*`` ring and the streamed slab for MR, each a whole
+        lattice here (on a grid of several slabs they are a few planes).
         """
         for scheme, field, scratch in (("ST", "f", "_f_streamed"),
                                        ("MR-P", "m", "_f_scratch")):
@@ -109,17 +109,21 @@ class TestEmulatedInplaceParity:
                 assert getattr(state, scratch) is None
                 lat, n = dist.lat, state.domain.n_nodes
                 q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
-                expected = (n * (2 * q + 2 * m + d + q) if scheme == "ST"
-                            else n * (m + 2 * q + m + d + 2 * p))
+                expected = (
+                    n * (2 * q + q + m + d + q + (2 * q + d + 1))
+                    if scheme == "ST"
+                    else n * (m + 2 * q + m + d + 3 * p + 2 + 2))
                 core = state._stepper.core
                 assert field_doubles(getattr(state, field), core,
                                      min_size=n) == expected
-                assert core.state_lattices == (1 if accel == "aa" else 2)
+                # boundary-free: one persistent lattice for ST, none
+                # beside the moments for MR
+                assert core.state_lattices == (1 if scheme == "ST" else 0)
                 # a rank passes no clock, so a boundary-free aa ST core
-                # takes (and reports) the natural-layout step; MR moments
-                # are natural at every step and stay lean
+                # takes (and reports) the natural-layout step; the
+                # sliding-window steps are natural at every step
                 assert state.accel_path == {
-                    ("fused", "ST"): "dense", ("fused", "MR-P"): "dense",
+                    ("fused", "ST"): "lean", ("fused", "MR-P"): "lean",
                     ("aa", "ST"): "bounded", ("aa", "MR-P"): "lean",
                 }[accel, scheme]
         assert build_spec("periodic", "ST", 2).build().ranks[0] \

@@ -43,19 +43,22 @@ def expected_doubles(backend, scheme, problem, lat, n, nf):
     """Documented footprint in doubles (see the module docstring).
 
     ``state`` is the backend matrix's state column; ``scratch`` the
-    moment-sized collide intermediates per column (dense node or compact
-    fluid node), which grow by the Guo source buffers on forced problems.
+    collide intermediates per *chunk* column — at most ``_CHUNK`` columns
+    wide, so the whole (dense or compact) field at this size.
     """
     q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
     forced = problem == "walled"
     lean = problem != "inlet-outlet"     # walls alone fold / stay lean
     if scheme == "ST":
-        scratch = 2 * m + d + q + (2 * q + d + 1 if forced else 0)
+        # chunk input, moments (they become the equilibrium moments), u,
+        # feq, and the Guo source rows (chunk-wide, so always there)
+        scratch = q + m + d + q + (2 * q + d + 1)
         lattices, persistent = 2 * q, q
     else:
-        g = m if scheme == "MR-P" else (
-            m + lat.h3_supported.size + lat.h4_supported.size)
-        scratch = g + d + 2 * p + (2 if forced else 0)
+        # MR-R: G grows by the 2 + 1 supported recursion columns of D2Q9
+        # and the recursion keeps 3 prefix products and 3 term rows
+        g = m if scheme == "MR-P" else m + 3 + 6
+        scratch = g + d + 3 * p + 2 + 2   # + force and per-node tau rows
         lattices, persistent = m + 2 * q, m
     if backend == "sparse":
         # dense field + compact columns (+ compact force) over n_fluid,
@@ -64,12 +67,10 @@ def expected_doubles(backend, scheme, problem, lat, n, nf):
         fallback = 0 if lean else n * (q if scheme == "ST" else 2 * q)
         return (n * persistent + nf * (compact + (d if forced else 0))
                 + fallback)
-    if backend == "aa" and scheme != "ST" and problem == "periodic":
-        # 2M + Q, plus the gather-project slab (the whole grid when it
-        # is smaller than the L2-sized tile, as here)
-        return n * (lattices - q + scratch) + q * n
-    # fused 2Q / 2M+2Q; aa ST is Q state + Q core scratch on every
-    # path, and bounded aa MR is the two-buffer fused step
+    # One slab at this size, so every dense step holds whole lattices:
+    # ST is f + the streamed slab (2Q), MR is m + the f* ring + the
+    # streamed slab (M + 2Q), on the lean and the bounded path alike. A
+    # grid of several slabs keeps only a window (test_accel_blocked.py).
     return n * (lattices + scratch)
 
 
@@ -98,11 +99,15 @@ class TestBufferInventory:
         assert mr._f_scratch.shape == (mr.lat.q, *SHAPE)
 
     @pytest.mark.parametrize("backend,lattices", [
-        ("reference", 2), ("fused", 2), ("aa", 1), ("sparse", 1)])
+        ("reference", 2), ("fused", 1), ("aa", 1), ("sparse", 1)])
     def test_st_state_values_per_node_comes_from_the_core(self, backend,
                                                           lattices):
         solver = build("periodic", "ST", backend)
         assert solver.state_values_per_node == lattices * solver.lat.q
+        # hooks need the streamed lattice whole: bounded fused keeps two
+        walled = build("walled", "ST", backend)
+        assert walled.state_values_per_node == (
+            2 if backend == "fused" else lattices) * walled.lat.q
 
 
 def path_of(problem, scheme, backend):
@@ -115,9 +120,10 @@ def path_of(problem, scheme, backend):
 class TestPath:
     """One test per ``path`` value, through the public seam."""
 
-    def test_dense(self):
-        for problem in ("periodic", "inlet-outlet"):
-            assert path_of(problem, "MR-P", "fused") == "dense"
+    def test_fused_is_lean_or_bounded(self):
+        for scheme in ("ST", "MR-P"):
+            assert path_of("periodic", scheme, "fused") == "lean"
+            assert path_of("inlet-outlet", scheme, "fused") == "bounded"
 
     def test_lean(self):
         assert path_of("periodic", "ST", "aa") == "lean"

@@ -12,9 +12,8 @@ canonicalization, and the configuration error paths.
 import numpy as np
 import pytest
 
-from repro.accel import available_backends
-from repro.accel.inplace import (InplaceMRCore, aa_to_natural,
-                                 natural_to_aa)
+from repro.accel import FusedMRCore, available_backends
+from repro.accel.inplace import aa_to_natural, natural_to_aa
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
@@ -228,18 +227,23 @@ class TestInplaceContracts:
         st_fused = periodic_problem("ST", "D2Q9", (8, 8), 0.8,
                                     backend="fused")
         assert st_aa.state_values_per_node == st_aa.lat.q
-        assert st_fused.state_values_per_node == 2 * st_fused.lat.q
+        # boundary-free, fused slides a window over its one lattice too
+        assert st_fused.state_values_per_node == st_fused.lat.q
+        walled = [forced_channel_problem("ST", "D2Q9", (8, 8), tau=0.8,
+                                         u_max=0.04, backend=backend)
+                  for backend in ("aa", "fused")]
+        assert [s.state_values_per_node for s in walled] == [9, 18]
 
     def test_mr_core_rejects_boundaries(self):
         lat = get_lattice("D2Q9")
-        core = InplaceMRCore(lat, (8, 8), 0.8, scheme="MR-P")
+        core = FusedMRCore(lat, (8, 8), 0.8, scheme="MR-P")
         solver = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
         with pytest.raises(ValueError, match="boundary"):
             core.step(solver.m, [HalfwayBounceBack()], None)
 
     def test_mr_core_guards_tau_field_to_mrp(self):
         lat = get_lattice("D2Q9")
-        core = InplaceMRCore(lat, (8, 8), 0.8, scheme="MR-R")
+        core = FusedMRCore(lat, (8, 8), 0.8, scheme="MR-R")
         solver = periodic_problem("MR-R", "D2Q9", (8, 8), 0.8)
         with pytest.raises(ValueError, match="MR-P"):
             core.step(solver.m, [], None,

@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Pass and temporary audit of a fast-path step (ROADMAP item 1a).
+
+For each scheme on a periodic box this prints what one step of the chosen
+backend holds and moves, measured three ways that need no cooperation
+from the core, so the same file audits any commit
+(``PYTHONPATH=<checkout>/src python tools/audit_passes.py``):
+
+* **buffers** — every float64 array reachable from the stepper, in units
+  of one ``(Q, N)`` lattice: those at least ``N`` doubles long are
+  *grid-scale* (each is a DRAM round trip whenever a pass touches it),
+  the rest are the cache-resident window;
+* **temporaries** — ``tracemalloc``'s peak over one warm step, same unit
+  (NumPy registers its data allocations with tracemalloc);
+* **passes** — the phase timers of ``repro.obs.Telemetry`` converted into
+  *values per node at copy speed*: ``seconds x copy bandwidth / (8 B x N)``,
+  with the bandwidth of a large ``np.copyto`` measured in the same run
+  and counted read + written, so one unit is one double read or written
+  per node by a kernel that does nothing else. Arithmetic on cached
+  chunks is time too, so this is an upper bound on the traffic.
+
+The last column is the host model of docs/ALGORITHMS.md for the path the
+core reports; the audit is how that table is kept honest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import time
+import tracemalloc
+
+import numpy as np
+
+from repro.obs import Telemetry
+from repro.service.registry import build_single
+
+SCHEMES = ("ST", "MR-P", "MR-R")
+
+
+def model_values(path: str | None, backend: str, scheme: str, q: int,
+                 m: int) -> str:
+    """Grid-scale values moved per node per step (docs/ALGORITHMS.md)."""
+    if path == "lean" and backend == "aa" and scheme == "ST":
+        return f"6Q, 2Q alternating = {6 * q}, {2 * q}"
+    if path == "lean":
+        return f"2Q = {2 * q}" if scheme == "ST" else f"2M = {2 * m}"
+    if path in ("bounded", "dense"):
+        return f"4Q = {4 * q}"
+    return "-"
+
+
+def float_buffers(*owners) -> list[np.ndarray]:
+    """Distinct float64 base buffers reachable from ``owners``."""
+    found: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    stack = list(owners)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+                found[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("repro.accel"):
+            stack.extend(vars(obj).values())
+    return list(found.values())
+
+
+def copy_gbs(mb: int = 256, repeats: int = 5) -> float:
+    """Copy bandwidth of this host in GB/s, read + written."""
+    n = mb * 1024 * 1024 // 8
+    src, dst = np.ones(n), np.zeros(n)
+    best = min(_timed(np.copyto, dst, src) for _ in range(repeats))
+    return 2.0 * n * 8 / best / 1e9
+
+
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def audit(scheme: str, lattice: str, shape: tuple[int, ...], backend: str,
+          steps: int, gbs: float) -> dict:
+    """Measure one scheme; returns the row as a dict."""
+    rng = np.random.default_rng(0)
+    u0 = 0.02 * rng.standard_normal((len(shape), *shape)).clip(-1, 1)
+    solver = build_single("periodic", scheme, lattice, shape, tau=0.8,
+                          backend=backend, u0=u0)
+    solver.run(2)
+    lat, n = solver.lat, int(np.prod(shape))
+    state = solver.f if scheme == "ST" else solver.m
+    owned = [b for b in float_buffers(solver._stepper) if b is not state]
+    lattice_doubles = lat.q * n
+    gc.collect()
+    tracemalloc.start()
+    solver.run(1)
+    base, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    solver.run(1)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    tel = Telemetry(record_spans=False)
+    solver.attach_telemetry(tel)
+    solver.run(steps)
+    solver.attach_telemetry(None)
+    phases = {name.split("/", 1)[1]: stats.total / steps
+              for name, stats in tel.phases.items() if "/" in name}
+    per_value = 8.0 * n / (gbs * 1e9)       # seconds per value per node
+    return {
+        "scheme": scheme, "path": solver.accel_path,
+        "state": state.size / lattice_doubles,
+        "grid": sum(b.size for b in owned if b.size >= n) / lattice_doubles,
+        "window": sum(b.size for b in owned if b.size < n) / lattice_doubles,
+        "temporaries": max(peak - base, 0) / 8 / lattice_doubles,
+        "phases_ms": {k: v * 1e3 for k, v in phases.items()},
+        "values": {k: v / per_value for k, v in phases.items()},
+        "model": model_values(solver.accel_path, backend, scheme, lat.q,
+                              lat.n_moments),
+        "q": lat.q,
+    }
+
+
+def main() -> int:
+    """Entry point."""
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--lattice", default="D3Q19")
+    ap.add_argument("--shape", default="64,64,64")
+    ap.add_argument("--backend", default="fused")
+    ap.add_argument("--steps", type=int, default=8)
+    args = ap.parse_args()
+    shape = tuple(int(x) for x in args.shape.split(","))
+    gbs = copy_gbs()
+    print(f"# {args.lattice} {'x'.join(map(str, shape))} backend="
+          f"{args.backend}; copy bandwidth {gbs:.1f} GB/s (read + written)")
+    print("# buffers and temporaries in (Q, N) lattices; values = doubles "
+          "per node per step at copy speed")
+    print("| scheme | path | state | core grid-scale | core window | "
+          "step temporaries | phase ms/step | values/node (measured) | "
+          "of which Q | model |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
+    for scheme in SCHEMES:
+        row = audit(scheme, args.lattice, shape, args.backend, args.steps,
+                    gbs)
+        total = sum(row["values"].values())
+        ms = ", ".join(f"{k} {v:.1f}" for k, v in row["phases_ms"].items()
+                       if v >= 0.05)
+        print(f"| {row['scheme']} | {row['path']} | {row['state']:.2f} | "
+              f"{row['grid']:.2f} | {row['window']:.3f} | "
+              f"{row['temporaries']:.3f} | {ms} | {total:.0f} | "
+              f"{total / row['q']:.1f} Q | {row['model']} |")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
