@@ -26,9 +26,10 @@ from .checkpoint import (
     save_rank_slab,
     validate_checkpoint_manifest,
 )
-from .snapshots import load_fields, save_fields, write_vtk
+from .snapshots import load_fields, save_archive, save_fields, write_vtk
 
 __all__ = [
+    "save_archive",
     "save_fields",
     "load_fields",
     "write_vtk",

@@ -31,7 +31,6 @@ cuts it into the (possibly different) new decomposition's slabs.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import warnings
 from pathlib import Path
@@ -39,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ..solver import MRPSolver, MRRSolver, Solver, STSolver
+from .snapshots import save_archive
 
 __all__ = [
     "save_checkpoint",
@@ -72,7 +72,6 @@ def save_checkpoint(path: str | Path, solver: Solver,
     to the checkpoint at :func:`~repro.obs.manifest_path_for`'s location.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if manifest:
         from ..obs.manifest import manifest_path_for, write_manifest
 
@@ -95,8 +94,7 @@ def save_checkpoint(path: str | Path, solver: Solver,
         payload["m"] = solver.m
     else:  # pragma: no cover - future solvers
         raise TypeError(f"cannot checkpoint solver type {type(solver).__name__}")
-    np.savez_compressed(path, **payload)
-    return path
+    return save_archive(path, **payload)
 
 
 def restore_checkpoint(path: str | Path, solver: Solver) -> Solver:
@@ -147,19 +145,14 @@ def save_rank_slab(step_dir: str | Path, rank: int, field: np.ndarray, *,
 
     ``field`` is the rank's ``(C, width, *rest)`` interior payload
     (populations for ST, moments for MR); ``[start, stop)`` are its
-    global axis-0 bounds. Write-to-temp + ``os.replace`` keeps a crash
-    mid-write from leaving a plausible-looking but torn rank file.
+    global axis-0 bounds. :func:`~repro.io.snapshots.save_archive` keeps
+    a crash mid-write from leaving a plausible-looking but torn rank file.
     """
-    step_dir = Path(step_dir)
-    step_dir.mkdir(parents=True, exist_ok=True)
-    final = step_dir / f"rank{rank:04d}.npz"
-    tmp = step_dir / f".rank{rank:04d}.tmp.npz"
-    np.savez_compressed(
-        tmp, field=field, start=np.asarray(start), stop=np.asarray(stop),
+    return save_archive(
+        Path(step_dir) / f"rank{rank:04d}.npz", field=field,
+        start=np.asarray(start), stop=np.asarray(stop),
         rank=np.asarray(rank), step=np.asarray(step),
         scheme=np.asarray(scheme), lattice=np.asarray(lattice))
-    os.replace(tmp, final)
-    return final
 
 
 def load_rank_slab(path: str | Path) -> dict:

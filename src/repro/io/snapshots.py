@@ -1,27 +1,55 @@
-"""Simulation snapshot output: compressed NumPy archives and legacy VTK.
+"""Simulation snapshot output: NumPy archives and legacy VTK.
 
-The npz writer is the native round-trippable format (used by the
-checkpoint machinery); the VTK legacy writer produces STRUCTURED_POINTS
+:func:`save_archive` is the one ``.npz`` writer of the package — field
+snapshots, single-domain checkpoints, distributed rank slabs and the job
+server's sealed results all go through it, uncompressed (zlib over
+float64 fields ran at 16 MB/s to save two thirds of a file written
+once) and atomically (a crash mid-write never leaves a torn file under
+the final name). ``np.load`` reads compressed archives of earlier
+versions unchanged. The VTK legacy writer produces STRUCTURED_POINTS
 files loadable by ParaView/VisIt for the examples.
 """
 
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_fields", "load_fields", "write_vtk"]
+__all__ = ["save_archive", "save_fields", "load_fields", "write_vtk"]
+
+
+def save_archive(path: str | Path, **arrays) -> Path:
+    """Atomically write ``arrays`` to an uncompressed ``.npz`` archive.
+
+    The archive is written under a temporary name in the target
+    directory (created when missing) and moved into place with
+    ``os.replace``, so readers see the previous file or the complete new
+    one, never a torn one; a failed write removes its temporary. As with
+    ``np.savez``, ``.npz`` is appended to a name that lacks it. Returns
+    the path written.
+    """
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def save_fields(path: str | Path, rho: np.ndarray, u: np.ndarray,
                 time: int = 0, **extra: np.ndarray) -> Path:
     """Save macroscopic fields (plus arbitrary extras) to an ``.npz``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, rho=rho, u=u, time=np.asarray(time), **extra)
-    return path
+    return save_archive(path, rho=rho, u=u, time=np.asarray(time), **extra)
 
 
 def load_fields(path: str | Path) -> dict[str, np.ndarray]:

@@ -21,26 +21,12 @@ virtual-GPU kernels, the bench harness and the CLI (see
   model-predicted ceiling per measured cell);
 * :class:`EventStream` / :func:`follow_events` — the per-rank JSONL
   event bus behind ``mrlbm watch``.
+
+The profiling, bench and attainment harnesses are resolved on first use
+of their names; a run that only measures itself does not import them.
 """
 
-from .attain import attain_cell, attainment_note, measure_host_bandwidth
-from .bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchCell,
-    BenchRecord,
-    append_records,
-    compare_to_baseline,
-    default_suite,
-    format_comparison,
-    format_records,
-    load_trajectory,
-    records_from_comparison,
-    run_cell,
-    run_suite,
-    trajectory_path,
-    validate_record,
-    validate_trajectory,
-)
+from .._lazy import lazy_exports
 from .events import (
     EventStream,
     RunEventEmitter,
@@ -60,11 +46,20 @@ from .exporters import (
 )
 from .manifest import RunManifest, load_manifest, manifest_path_for, write_manifest
 from .merge import merge_rank_reports
-from .profile import (PROFILE_SCHEMES, compare_backends,
-                      format_backend_comparison, format_profile,
-                      profile_scheme)
 from .telemetry import NULL_TELEMETRY, NullTelemetry, PhaseStats, Span, Telemetry
 from .watchdog import SOUND_SPEED, StabilityError, StabilityWatchdog, check_fields
+
+__getattr__ = lazy_exports(__name__, {
+    "attain": ("attain_cell", "attainment_note", "measure_host_bandwidth"),
+    "bench": ("BENCH_SCHEMA_VERSION", "BenchCell", "BenchRecord",
+              "append_records", "compare_to_baseline", "default_suite",
+              "format_comparison", "format_records", "load_trajectory",
+              "records_from_comparison", "run_cell", "run_suite",
+              "trajectory_path", "validate_record", "validate_trajectory"),
+    "profile": ("PROFILE_SCHEMES", "compare_backends",
+                "format_backend_comparison", "format_profile",
+                "profile_scheme"),
+})
 
 __all__ = [
     "Telemetry",

@@ -3,11 +3,12 @@
 This module turns the emulated decomposition of
 :mod:`repro.parallel.decomposition` into genuinely concurrent execution:
 every :class:`~repro.parallel.decomposition.SlabDecomposition` rank runs
-as a real OS process (``multiprocessing``), its slab field and its
-one-node halo face buffers live in ``multiprocessing.shared_memory``
-blocks, and the collide -> exchange -> stream cadence is synchronized by a
-``multiprocessing.Barrier`` (two waits per step; see ``docs/PARALLEL.md``
-for the protocol proof sketch).
+as a real OS process (``multiprocessing``) that owns its slab state
+privately; only its one-node halo face buffers and one global ``(rho,
+u)`` output block, written once by every rank after its last step, live
+in ``multiprocessing.shared_memory``, and the collide -> exchange ->
+stream cadence is synchronized by a ``multiprocessing.Barrier`` (two
+waits per step; see ``docs/PARALLEL.md`` for the protocol proof sketch).
 
 The payload on the "wire" (the shared face buffers) is exactly what the
 emulated backend accounts: ST ranks ship the crossing populations of the
@@ -101,9 +102,10 @@ FINGERPRINT_VERSION = 2
 class RunSpec:
     """Picklable description of a distributed problem.
 
-    Workers rebuild the *same* deterministic initial condition from this
-    spec on their side of the fork/spawn, so only halo faces — never
-    initial fields — cross process boundaries during a run.
+    Built once, in the parent: forked workers step the rank they
+    inherit, workers of another start method rebuild the *same*
+    deterministic initial condition from the spec — so only halo faces
+    and the final ``(rho, u)`` cross process boundaries during a run.
 
     Parameters
     ----------
@@ -337,75 +339,64 @@ class ProcessRunResult:
     failure_history: list = field(default_factory=list)
 
 
-def attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing shared-memory block without adopting ownership.
-
-    Attaching re-registers the name with the process tree's (single,
-    inherited) resource tracker — a harmless set-add; ownership stays
-    with the creating parent, which unlinks (and thereby unregisters)
-    every segment exactly once in its cleanup path.
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
 def shm_view(shm: shared_memory.SharedMemory,
              shape: tuple[int, ...]) -> np.ndarray:
     """A float64 ndarray view over a shared-memory block."""
     return np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
 
 
-def _nbytes(shape: tuple[int, ...]) -> int:
-    """Byte size of a float64 array of the given shape."""
-    return int(np.prod(shape)) * 8
-
-
 @dataclass
 class ShmPlan:
     """Names and shapes of every shared block of one run (picklable).
 
-    Per rank: the canonical slab field block (``f`` for ST, ``m`` for MR,
-    refreshed by the worker after every step so the parent can snapshot
-    or gather at any barrier-consistent point) and up to two directed
-    send buffers holding one face payload each.
+    One global ``(1 + D, *shape)`` output block — ``rho`` then ``u``,
+    each rank writing its own interior planes once, after its last step
+    — and per rank up to two directed send buffers holding one face
+    payload each. A rank's slab state is private to its process.
     """
 
     prefix: str
-    field: list[tuple[str, tuple[int, ...]]]
+    output: tuple[str, tuple[int, ...]]
     send_left: list[tuple[str, tuple[int, ...]] | None]
     send_right: list[tuple[str, tuple[int, ...]] | None]
 
+    def entries(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every ``(name, shape)`` block of the plan."""
+        return [self.output, *filter(None, (*self.send_left,
+                                            *self.send_right))]
+
     def all_names(self) -> list[str]:
         """Every segment name in the plan."""
-        out = [name for name, _ in self.field]
-        for entry in (*self.send_left, *self.send_right):
-            if entry is not None:
-                out.append(entry[0])
-        return out
+        return [name for name, _ in self.entries()]
 
 
 def _build_plan(solver: DistributedSolver) -> ShmPlan:
     """Lay out the shared-memory blocks for one run (names only)."""
     prefix = f"{SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(3)}"
-    fields, lefts, rights = [], [], []
+    shape = solver.global_domain.shape
     # One directed face payload: its components over one cut plane.
     payload = (solver.halo_values_per_direction() // solver.decomp.face_nodes,
-               *solver.global_domain.shape[1:])
-    for r, state in enumerate(solver.ranks):
-        fields.append((f"{prefix}-f{r}", tuple(solver.field(state).shape)))
-        lefts.append((f"{prefix}-l{r}", payload)
-                     if solver.decomp.has_left(r) else None)
-        rights.append((f"{prefix}-r{r}", payload)
-                      if solver.decomp.has_right(r) else None)
-    return ShmPlan(prefix, fields, lefts, rights)
+               *shape[1:])
+    ranks = range(len(solver.ranks))
+    return ShmPlan(
+        prefix, (f"{prefix}-out", (1 + solver.lat.d, *shape)),
+        [(f"{prefix}-l{r}", payload) if solver.decomp.has_left(r) else None
+         for r in ranks],
+        [(f"{prefix}-r{r}", payload) if solver.decomp.has_right(r) else None
+         for r in ranks])
 
 
 class ProcessRuntime:
     """Run a :class:`RunSpec` on real worker processes over shared memory.
 
-    The parent keeps its own emulated solver instance purely as the
-    *shape and gather oracle*: it never steps it, but reuses its slab
-    layout to allocate shared blocks and, after the workers finish, to
-    assemble the global fields from the per-rank shared slabs.
+    The parent builds the spec once — every construction-time refusal
+    fires here, before any fork — and never steps or writes the solver:
+    it is the *shape oracle* the shared blocks are laid out from and,
+    under ``fork``, the pristine initial state every worker cohort (first
+    launch or retry) inherits copy-on-write, along with the mapped
+    blocks; workers of any other start method rebuild from the pickled
+    spec and attach by name. The ranks gather, each writing its own
+    interior ``macroscopic()`` into the shared output block.
 
     Parameters
     ----------
@@ -445,14 +436,9 @@ class ProcessRuntime:
         """Create every shared segment of the plan (parent owns them)."""
         blocks: dict[str, shared_memory.SharedMemory] = {}
         try:
-            for name, shape in plan.field:
+            for name, shape in plan.entries():
                 blocks[name] = shared_memory.SharedMemory(
-                    create=True, name=name, size=_nbytes(shape))
-            for entry in (*plan.send_left, *plan.send_right):
-                if entry is not None:
-                    name, shape = entry
-                    blocks[name] = shared_memory.SharedMemory(
-                        create=True, name=name, size=_nbytes(shape))
+                    create=True, name=name, size=int(np.prod(shape)) * 8)
         except Exception:
             self._destroy_blocks(blocks)
             raise
@@ -613,7 +599,6 @@ class ProcessRuntime:
         if spec.resume_from:
             resume_dir, start_step = self._resolve_resume(
                 spec.resume_from, n_steps)
-        initial_resume = resume_dir is not None
 
         failure_history: list[list[WorkerFailure]] = []
         attempt = 0
@@ -640,10 +625,9 @@ class ProcessRuntime:
                         spec.resume_from, n_steps)
                 time.sleep(restart_backoff * attempt)
                 continue
-            if initial_resume or spec.resume_from:
-                self.solver.time = n_steps
-            else:
-                self.solver.time += n_steps
+            # Labels of the last run; every run starts from scratch.
+            self.solver.time = n_steps
+            self.solver.comm = result.comm
             result.restarts = attempt
             result.failure_history = failure_history
             report = result.report
@@ -659,9 +643,13 @@ class ProcessRuntime:
         """Launch one worker cohort and harvest it (one retry attempt)."""
         from .worker import worker_main
 
-        spec, solver = self.spec, self.solver
-        plan = self.plan = _build_plan(solver)
+        spec = self.spec
+        plan = self.plan = _build_plan(self.solver)
         blocks = self._create_blocks(plan)
+        # Only ``fork`` hands a worker its arguments unpickled; under any
+        # other start method it builds the spec and attaches by name.
+        inherited = ((self.solver, blocks)
+                     if self._ctx.get_start_method() == "fork" else ())
         barrier = self._ctx.Barrier(spec.n_ranks)
         errq = self._ctx.Queue()
         resq = self._ctx.Queue()
@@ -669,7 +657,8 @@ class ProcessRuntime:
             self._ctx.Process(
                 target=worker_main, name=f"mrlbm-rank{r}",
                 args=(spec, r, n_steps, plan, barrier, errq, resq,
-                      self.barrier_timeout, start_step, attempt, resume_dir),
+                      self.barrier_timeout, start_step, attempt, resume_dir,
+                      *inherited),
                 daemon=True)
             for r in range(spec.n_ranks)
         ]
@@ -707,24 +696,17 @@ class ProcessRuntime:
                         for r in missing]
                 raise ParallelRuntimeError(failures)
 
-            # Gather: copy each rank's shared slab into the parent's
-            # rank solvers, then reuse their gather path.
-            for r, state in enumerate(solver.ranks):
-                name, shape = plan.field[r]
-                view = shm_view(blocks[name], shape)
-                solver.field(state)[...] = view
-                del view
-            rho, u = solver.gather_macroscopic()
+            # The ranks gathered: copy the global fields out of the
+            # output block before it is unlinked.
+            out = shm_view(blocks[plan.output[0]], plan.output[1])
+            rho, u = out[0].copy(), out[1:].copy()
+            del out
 
-            comm = CommunicationReport()
             per_rank = [results[r] for r in range(spec.n_ranks)]
-            for rep in per_rank:
-                comm.merge(CommunicationReport(
-                    bytes_sent=rep["comm"]["bytes_sent"],
-                    messages=rep["comm"]["messages"],
-                    steps=rep["comm"]["steps"]))
-            solver.comm.merge(comm)
             report = merge_rank_reports(per_rank, wall_s=wall)
+            comm = CommunicationReport(**{
+                k: report["comm"][k]
+                for k in ("bytes_sent", "messages", "steps")})
             return ProcessRunResult(rho=rho, u=u, comm=comm, report=report,
                                     per_rank=per_rank, steps=n_steps,
                                     n_ranks=spec.n_ranks, wall_s=wall,

@@ -1,8 +1,9 @@
 """Worker-process entry point for the multiprocess slab runtime.
 
-Each worker rebuilds the deterministic problem from the pickled
-:class:`~repro.parallel.runtime.RunSpec`, adopts the shared-memory blocks
-named in the :class:`~repro.parallel.runtime.ShmPlan`, and then runs the
+Each worker steps one rank of the solver the parent built (inherited
+copy-on-write under ``fork``, rebuilt from the pickled
+:class:`~repro.parallel.runtime.RunSpec` otherwise), adopts the blocks of
+the :class:`~repro.parallel.runtime.ShmPlan` (``attach``), and runs the
 barrier-synchronized SPMD loop for its single rank:
 
 1. **pack** — copy the outgoing edge planes into this rank's own send
@@ -16,7 +17,11 @@ barrier-synchronized SPMD loop for its single rank:
    the single-domain solver of the scheme on its ghosted slab, stepped
    without a clock; its ``stream``/``collide``/``boundary``/
    ``macroscopic`` phases land under ``step/compute/...`` in the rank
-   report), then publish the slab field to the rank's shared block.
+   report). The slab state never leaves the process.
+
+After its last step the rank writes its own interior ``macroscopic()``
+into the global output block (``gather``): with the halo faces, all the
+field data that crosses a process boundary.
 
 Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
 
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import os
 import traceback
+from multiprocessing import shared_memory
 from threading import BrokenBarrierError
 
 import numpy as np
@@ -73,14 +79,9 @@ from ..obs import Telemetry
 from ..obs.events import EventStream, RunEventEmitter
 from ..obs.manifest import RunManifest
 from ..obs.watchdog import check_fields
+from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
-from .runtime import (
-    FINGERPRINT_VERSION,
-    RunSpec,
-    ShmPlan,
-    attach_shm,
-    shm_view,
-)
+from .runtime import FINGERPRINT_VERSION, RunSpec, ShmPlan, shm_view
 
 __all__ = ["worker_main"]
 
@@ -126,7 +127,9 @@ def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
 def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 barrier, errq, resq, barrier_timeout: float,
                 start_step: int = 0, attempt: int = 0,
-                resume_dir: str | None = None) -> None:
+                resume_dir: str | None = None,
+                solver: DistributedSolver | None = None,
+                blocks: dict | None = None) -> None:
     """Run one rank of a distributed problem from ``start_step`` to the end.
 
     Invoked in a child process by
@@ -135,7 +138,8 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
     and the ``errq``/``resq`` queues. ``start_step``/``resume_dir``
     continue a checkpointed trajectory; ``attempt`` numbers the
     supervised-retry attempt (0 = first launch) and arms fault
-    injection.
+    injection. A forked worker inherits the parent's unstepped ``solver``
+    and mapped ``blocks``; without them it builds and attaches by name.
     """
     shms = []
     views = []
@@ -143,20 +147,31 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
     emitter = None
 
     def _view_of(entry):
-        """Attach a planned block and wrap it as an ndarray view."""
+        """A planned block as an ndarray view.
+
+        A forked worker uses the parent's mappings and so never calls
+        the resource tracker, whose lock another thread of the parent (a
+        second server job) may have held at fork time. Any other worker
+        attaches by name; the parent stays the owner and unlinks.
+        """
         name, shape = entry
-        shm = attach_shm(name)
-        shms.append(shm)
+        if blocks is not None:
+            shm = blocks[name]
+        else:
+            shm = shared_memory.SharedMemory(name=name)
+            shms.append(shm)
         view = shm_view(shm, shape)
         views.append(view)
         return view
 
     try:
-        solver = spec.build()
+        if solver is None:
+            solver = spec.build()
         decomp = solver.decomp
         state = solver.ranks[rank]
         interior = solver.interior(rank)
         n_fluid = solver.n_interior_fluid(rank)
+        comm = CommunicationReport()     # this run's, not the parent's
         tel = Telemetry(record_spans=False)
         state.attach_telemetry(tel)
 
@@ -164,16 +179,15 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             with tel.phase("resume"):
                 _resume_state(spec, solver, rank, resume_dir)
 
-        fview = _view_of(plan.field[rank])
-        fview[...] = solver.field(state)
-
-        has_l, has_r = decomp.has_left(rank), decomp.has_right(rank)
-        send_l = _view_of(plan.send_left[rank]) if has_l else None
-        send_r = _view_of(plan.send_right[rank]) if has_r else None
-        recv_l = (_view_of(plan.send_right[decomp.left_of(rank)])
-                  if has_l else None)
-        recv_r = (_view_of(plan.send_left[decomp.right_of(rank)])
-                  if has_r else None)
+        with tel.phase("attach"):
+            out = _view_of(plan.output)
+            has_l, has_r = decomp.has_left(rank), decomp.has_right(rank)
+            send_l = _view_of(plan.send_left[rank]) if has_l else None
+            send_r = _view_of(plan.send_right[rank]) if has_r else None
+            recv_l = (_view_of(plan.send_right[decomp.left_of(rank)])
+                      if has_l else None)
+            recv_r = (_view_of(plan.send_left[decomp.right_of(rank)])
+                      if has_r else None)
 
         fault = normalize_fault(spec.fault)
         ckpt_every = int(spec.checkpoint_every or 0)
@@ -201,10 +215,10 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 with tel.phase("pack"):
                     if send_r is not None:
                         send_r[...] = solver._pack_halo(state, "right")
-                        solver.comm.record(send_r.size)
+                        comm.record(send_r.size)
                     if send_l is not None:
                         send_l[...] = solver._pack_halo(state, "left")
-                        solver.comm.record(send_l.size)
+                        comm.record(send_l.size)
                 with tel.phase("barrier"):
                     barrier.wait(timeout=barrier_timeout)
                 with tel.phase("unpack"):
@@ -216,9 +230,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                     barrier.wait(timeout=barrier_timeout)
                 with tel.phase("compute"):
                     state._step_at(None)
-                with tel.phase("publish"):
-                    fview[...] = solver.field(state)
-            solver.comm.steps += 1
+            comm.steps += 1
             tel.count("steps")
             if watch_every and (step + 1) % watch_every == 0:
                 with tel.phase("watchdog"):
@@ -232,6 +244,11 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             if emitter is not None:
                 emitter.maybe(step + 1)
 
+        with tel.phase("gather"):
+            rho, u = state.macroscopic()
+            owned = slice(*decomp.bounds(rank))
+            out[0, owned] = rho[interior]
+            out[1:, owned] = u[:, interior]
         if emitter is not None:
             emitter.end(n_steps, steps=n_steps - start_step)
         resq.put({
@@ -246,7 +263,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             "n_fluid": n_fluid,
             "wall_s": tel.phase_total("step"),
             "exchange_wait_s": tel.phase_total("step/barrier"),
-            "comm": solver.comm.to_dict(),
+            "comm": comm.to_dict(),
             "summary": tel.summary(),
         })
     except BrokenBarrierError:

@@ -20,10 +20,13 @@ service (ROADMAP open item 2):
     endpoints over the scheduler.
 :mod:`repro.service.client`
     The blocking client behind ``mrlbm submit`` / ``mrlbm jobs``.
+
+Only the registry is imported with the package: every ``RunSpec`` and
+``build_single`` call reaches it, while the scheduler, server and client
+(``asyncio``, ``http.client``) are resolved on first use of their names.
 """
 
-from .client import ServiceClient, ServiceError
-from .jobs import Job, JobScheduler, job_key, spec_from_dict
+from .._lazy import lazy_exports
 from .registry import (
     ProblemKind,
     build_distributed,
@@ -33,7 +36,12 @@ from .registry import (
     register_problem,
     sweep_kinds,
 )
-from .server import JobServer
+
+__getattr__ = lazy_exports(__name__, {
+    "client": ("ServiceClient", "ServiceError"),
+    "jobs": ("Job", "JobScheduler", "job_key", "spec_from_dict"),
+    "server": ("JobServer",),
+})
 
 __all__ = [
     "ProblemKind",

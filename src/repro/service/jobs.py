@@ -31,8 +31,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from ..io.snapshots import save_archive
 from ..obs.manifest import RunManifest
 from ..parallel.runtime import FINGERPRINT_VERSION, RunSpec
 
@@ -331,8 +330,7 @@ class JobScheduler:
         runtime = ProcessRuntime(run_spec)
         outcome = runtime.run(job.n_steps, run_timeout=self.run_timeout)
 
-        np.savez_compressed(job.dir / "fields.npz",
-                            rho=outcome.rho, u=outcome.u)
+        save_archive(job.dir / "fields.npz", rho=outcome.rho, u=outcome.u)
         fingerprint = spec.fingerprint()
         result = {
             "job_key": job.key,

@@ -96,3 +96,14 @@ def leaked_segments():
         return sorted(n for n in os.listdir("/dev/shm")
                       if n.startswith("mrlbm"))
     return listing
+
+
+@pytest.fixture
+def refuse_to_build():
+    """Stand-in for ``RunSpec.build`` once a ``ProcessRuntime`` has built
+    its spec in the parent: patched in before ``run()``, it fails the run
+    of any forked worker that rebuilds instead of stepping what it
+    inherited."""
+    def refuse(self):
+        raise AssertionError("a worker rebuilt the spec it should inherit")
+    return refuse

@@ -18,6 +18,7 @@ kills, hangs, or corrupts one of them mid-run through
   still converge once the fault stops firing.
 """
 
+import multiprocessing as mp
 import os
 import time
 
@@ -27,6 +28,7 @@ import pytest
 from repro.parallel import (
     FaultSpec,
     ParallelRuntimeError,
+    ProcessRuntime,
     RunSpec,
     run_process,
 )
@@ -68,6 +70,25 @@ class TestKillRecovery:
         assert result.restarts == 1
         assert result.failure_history  # the killed attempt is on record
         assert _max_err(result, clean) < 1e-12
+        assert not _shm_segments()
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="forked workers inherit the parent's build")
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_retry_forks_from_the_parents_unstepped_build(
+            self, tmp_path, monkeypatch, refuse_to_build, scheme):
+        """No worker of any attempt builds: the retried cohort inherits
+        the same pristine solver the killed one did."""
+        clean = run_process(_spec(scheme, 2), 10)
+        runtime = ProcessRuntime(
+            _spec(scheme, 2, checkpoint_dir=str(tmp_path / "ck"),
+                  checkpoint_every=4, max_restarts=1,
+                  fault=FaultSpec(rank=1, step=6, kind="kill")), **FAST)
+        monkeypatch.setattr(RunSpec, "build", refuse_to_build)
+        result = runtime.run(10)
+        assert result.restarts == 1 and result.start_step == 4
+        assert np.array_equal(result.rho, clean.rho)
+        assert np.array_equal(result.u, clean.u)
         assert not _shm_segments()
 
     def test_kill_without_checkpoint_restarts_from_scratch(self, tmp_path):

@@ -76,6 +76,25 @@ class TestSaveKillResume:
         assert resumed.start_step == 3
         assert _max_err(resumed, clean) < 1e-12
 
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_resume_from_compressed_rank_files(self, tmp_path, scheme):
+        """Rank files used to be ``np.savez_compressed``; a directory
+        written that way resumes to the same bits as today's."""
+        ck = tmp_path / "ck"
+        run_process(_spec(scheme, 2, checkpoint_dir=str(ck),
+                          checkpoint_every=4), 5)
+        resumed = run_process(_spec(scheme, 3, resume_from=str(ck)), 9)
+        for rank_file in ck.glob("step-*/rank*.npz"):
+            with np.load(rank_file) as data:
+                arrays = dict(data)
+            size = rank_file.stat().st_size
+            np.savez_compressed(rank_file, **arrays)
+            assert rank_file.stat().st_size < size
+        again = run_process(_spec(scheme, 3, resume_from=str(ck)), 9)
+        assert again.start_step == resumed.start_step == 4
+        assert np.array_equal(again.rho, resumed.rho)
+        assert np.array_equal(again.u, resumed.u)
+
     def test_resumed_solver_time_is_total_steps(self, tmp_path):
         from repro.parallel import ProcessRuntime
 

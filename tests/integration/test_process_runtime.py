@@ -7,7 +7,10 @@ and the failure paths — worker exception propagation, barrier unwinding
 and shared-memory cleanup (no leaked ``/dev/shm`` segments).
 """
 
+import dataclasses
+import multiprocessing as mp
 import os
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -22,6 +25,10 @@ from repro.solver import channel_problem, periodic_problem
 from repro.validation import taylor_green_fields
 
 SCHEMES = ["ST", "MR-P", "MR-R"]
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="forked workers inherit the parent's build; no fork here")
 
 
 def _leaked_segments() -> list[str]:
@@ -104,8 +111,13 @@ class TestMergedReport:
         # All interior fluid nodes are owned exactly once.
         assert report["n_fluid"] == 24 * 10
         for phase in ("step", "step/pack", "step/barrier", "step/unpack",
-                      "step/compute", "step/publish"):
+                      "step/compute"):
             assert report["phases"][phase]["calls"] > 0
+        # Set-up and tear-down are phases of their own, outside ``step``;
+        # nothing is published per step.
+        for phase in ("attach", "gather"):
+            assert report["phases"][phase]["calls"] == 2
+        assert "step/publish" not in report["phases"]
         assert report["comm"]["bytes_per_step"] == pytest.approx(
             result.comm.bytes_per_step())
 
@@ -134,6 +146,91 @@ class TestMergedReport:
         runtime.run(3)
         assert runtime.solver.time == 3
         assert runtime.solver.comm.steps == 3
+
+
+    def test_repeated_runs_do_not_accumulate(self):
+        """Every ``run`` starts from the spec's initial condition, so the
+        second call returns the same fields under the same labels."""
+        spec = RunSpec("periodic", "ST", "D2Q9", (24, 10), 2, tau=0.8)
+        runtime = ProcessRuntime(spec)
+        first, second = runtime.run(3), runtime.run(3)
+        assert np.array_equal(first.rho, second.rho)
+        assert np.array_equal(first.u, second.u)
+        assert runtime.solver.time == 3
+        assert first.comm == second.comm == runtime.solver.comm
+        assert runtime.solver.comm == spec.build().run(3).comm
+
+
+class TestOneBuildPerRank:
+    """The parent's build is the only one under ``fork``, nothing but
+    faces and the final ``(rho, u)`` is shared, and the ranks gather."""
+
+    @needs_fork
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_forked_workers_never_build(self, monkeypatch, tmp_path,
+                                        refuse_to_build, scheme, n_ranks):
+        spec = RunSpec("channel", scheme, "D2Q9", (24, 10), n_ranks, tau=0.8,
+                       accel="fused", options={"u_max": 0.04})
+        clean = run_process(spec, 9)
+        ck = str(tmp_path / "ck")
+        parent, register = os.getpid(), resource_tracker.register
+
+        def parent_only(name, rtype):
+            """A forked rank uses the parent's mapped blocks: it must not
+            call the tracker, whose lock a sibling job thread of the
+            server may have held at fork time (it would block forever)."""
+            assert os.getpid() == parent, "a forked worker attached a block"
+            register(name, rtype)
+
+        for leg in (spec,
+                    dataclasses.replace(spec, checkpoint_dir=ck,
+                                        checkpoint_every=4),
+                    dataclasses.replace(spec, resume_from=ck)):
+            runtime = ProcessRuntime(leg)
+            with monkeypatch.context() as patch:
+                patch.setattr(RunSpec, "build", refuse_to_build)
+                patch.setattr(resource_tracker, "register", parent_only)
+                result = runtime.run(9)
+            assert np.array_equal(result.rho, clean.rho)
+            assert np.array_equal(result.u, clean.u)
+        assert result.start_step == 8
+        # ... and the parent's build is still the unstepped initial state.
+        pristine = spec.build()
+        for mine, fresh in zip(runtime.solver.ranks, pristine.ranks):
+            assert np.array_equal(runtime.solver.field(mine),
+                                  pristine.field(fresh))
+
+    def test_spawned_workers_rebuild_the_same_run(self):
+        spec = RunSpec("channel", "MR-P", "D2Q9", (24, 10), 2, tau=0.8,
+                       accel="fused", options={"u_max": 0.04})
+        forked = run_process(spec, 6)
+        spawned = run_process(spec, 6, start_method="spawn")
+        assert np.array_equal(forked.rho, spawned.rho)
+        assert np.array_equal(forked.u, spawned.u)
+        assert forked.comm == spawned.comm
+
+    @pytest.mark.parametrize("kind, n_ranks, faces", [
+        ("periodic", 1, 2), ("periodic", 3, 6),
+        ("channel", 1, 0), ("channel", 3, 4)])
+    def test_plan_is_one_output_block_plus_faces(self, leaked_segments,
+                                                 kind, n_ranks, faces):
+        shape = (24, 10)
+        runtime = ProcessRuntime(RunSpec(kind, "MR-P", "D2Q9", shape,
+                                         n_ranks, tau=0.8))
+        runtime.run(2)
+        plan = runtime.plan
+        assert plan.output[1] == (3, *shape)
+        assert len(plan.all_names()) == len(set(plan.all_names())) \
+            == 1 + faces <= 1 + 2 * n_ranks
+        assert leaked_segments() == []
+
+        failing = ProcessRuntime(dataclasses.replace(
+            runtime.spec, fault={"rank": 0, "step": 1}))
+        with pytest.raises(ParallelRuntimeError):
+            failing.run(4, run_timeout=120.0)
+        assert len(failing.plan.all_names()) == 1 + faces
+        assert leaked_segments() == []
 
 
 class TestFailurePaths:

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -73,6 +79,29 @@ class TestCommands:
         assert "backend = process" in out
         assert "cohort:" in out
         assert out_file.exists() and metrics.exists()
+
+    def test_distributed_run_imports_only_what_runs(self, tmp_path):
+        """A process-backend run needs no HTTP stack and no bench
+        harness: ``repro.service`` and ``repro.obs`` resolve those names
+        on first use, and nothing on this path uses them."""
+        code = (
+            "import sys; from repro.cli import main\n"
+            "rc = main(['run', '--problem', 'channel', '--shape', '24,10',"
+            " '--steps', '4', '--ranks', '2', '--backend', 'process',"
+            " '--metrics', 'm.jsonl', '--output', 'out.npz'])\n"
+            "heavy = ['asyncio', 'http.client', 'ssl', 'repro.obs.bench',"
+            " 'repro.obs.profile', 'repro.service.jobs',"
+            " 'repro.service.server', 'repro.service.client']\n"
+            "print(rc, [m for m in heavy if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "out.npz").exists()
 
     def test_run_distributed_taylor_green(self, capsys):
         rc = main(["run", "--problem", "taylor-green", "--scheme", "MR-R",

@@ -1,13 +1,18 @@
 """Unit tests for snapshot and checkpoint I/O."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.io import (
     load_fields,
+    load_rank_slab,
     restore_checkpoint,
+    save_archive,
     save_checkpoint,
     save_fields,
+    save_rank_slab,
     write_vtk,
 )
 from repro.solver import make_solver, periodic_problem
@@ -104,3 +109,81 @@ class TestCheckpoints:
         st = save_checkpoint(tmp_path / "st.npz", self._solver("ST", 1))
         mr = save_checkpoint(tmp_path / "mr.npz", self._solver("MR-P", 1))
         assert mr.stat().st_size < st.stat().st_size
+
+
+class TestOneArchiveWriter:
+    """Every ``.npz`` the package writes goes through ``save_archive``:
+    uncompressed, atomic, and readable next to compressed archives of
+    earlier versions."""
+
+    @staticmethod
+    def _write(kind, directory, value):
+        """Write one archive of the given kind holding ``value``."""
+        if kind == "fields":
+            return save_fields(directory / "out.npz", np.full((4, 3), value),
+                               np.zeros((2, 4, 3)))
+        if kind == "checkpoint":
+            solver = periodic_problem("MR-P", "D2Q9", (6, 5), tau=0.8,
+                                      rho0=value)
+            return save_checkpoint(directory / "ck.npz", solver)
+        return save_rank_slab(directory, 0, np.full((9, 3, 4), value),
+                              start=0, stop=3, step=2, scheme="ST",
+                              lattice="D2Q9")
+
+    @pytest.mark.parametrize("kind", ["fields", "checkpoint", "rank_slab"])
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path,
+                                                       monkeypatch, kind):
+        path = self._write(kind, tmp_path, 1.0)
+        before = path.read_bytes()
+
+        def torn(fh, **arrays):
+            fh.write(b"PK half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.io.snapshots.np.savez", torn)
+        with pytest.raises(OSError, match="disk full"):
+            self._write(kind, tmp_path, 2.0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("kind", ["fields", "checkpoint", "rank_slab"])
+    def test_archives_are_stored_not_deflated(self, tmp_path, kind):
+        path = self._write(kind, tmp_path, 1.0)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+
+    def test_suffix_and_directories_are_supplied(self, tmp_path):
+        path = save_archive(tmp_path / "deep" / "er" / "snap", a=np.arange(3))
+        assert path == tmp_path / "deep" / "er" / "snap.npz"
+        assert np.array_equal(np.load(path)["a"], [0, 1, 2])
+
+    def test_compressed_archives_of_earlier_versions_still_load(
+            self, tmp_path, rng):
+        """Until this writer existed every archive was
+        ``np.savez_compressed``; those files must read back bit for bit."""
+        rho, u = rng.standard_normal((6, 5)), rng.standard_normal((2, 6, 5))
+        np.savez_compressed(tmp_path / "old.npz", rho=rho, u=u,
+                            time=np.asarray(7))
+        old = load_fields(tmp_path / "old.npz")
+        new = load_fields(save_fields(tmp_path / "new.npz", rho, u, time=7))
+        assert old.keys() == new.keys()
+        assert all(np.array_equal(old[k], new[k]) for k in old)
+
+        solver = periodic_problem("ST", "D2Q9", (6, 5), tau=0.8,
+                                  rho0=1 + 0.01 * rho)
+        solver.run(3)
+        with np.load(save_checkpoint(tmp_path / "ck.npz", solver)) as data:
+            np.savez_compressed(tmp_path / "ck-old.npz", **data)
+        fresh = periodic_problem("ST", "D2Q9", (6, 5), tau=0.8)
+        restore_checkpoint(tmp_path / "ck-old.npz", fresh)
+        assert fresh.time == 3 and np.array_equal(fresh.f, solver.f)
+
+        slab = save_rank_slab(tmp_path, 1, u, start=2, stop=8, step=5,
+                              scheme="MR-P", lattice="D2Q9")
+        with np.load(slab) as data:
+            np.savez_compressed(tmp_path / "rank-old.npz", **data)
+        old, new = (load_rank_slab(tmp_path / "rank-old.npz"),
+                    load_rank_slab(slab))
+        assert np.array_equal(old.pop("field"), new.pop("field"))
+        assert old == new

@@ -304,3 +304,20 @@ class TestWatchdog:
     def test_invalid_cadence(self):
         with pytest.raises(ValueError):
             StabilityWatchdog(every=0)
+
+
+@pytest.mark.parametrize("package, lazy", [
+    ("repro.obs", "run_suite"), ("repro.service", "JobScheduler")])
+def test_lazily_resolved_exports_behave_like_attributes(package, lazy):
+    """``repro.obs`` and ``repro.service`` import their heavy submodules
+    on first use of a name; the export list reads as it always did."""
+    import importlib
+
+    module = importlib.import_module(package)
+    assert lazy in module.__all__
+    assert all(getattr(module, name) is not None for name in module.__all__)
+    assert vars(module)[lazy] is getattr(module, lazy)      # cached
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        module.nope
+    with pytest.raises(ImportError):
+        exec(f"from {package} import nope")
