@@ -3,15 +3,11 @@
 Every benchmark writes its rendered artefact (table or figure series) to
 ``benchmarks/results/`` so the reproduction output is inspectable after a
 run, and asserts the *shape* bands from DESIGN.md (who wins, by roughly
-what factor) rather than exact MFLUPS. Throughput benchmarks additionally
-emit a machine-readable ``.json`` twin of each ``.txt`` artefact using the
-:mod:`repro.obs.bench` record schema, so external tooling (and ``mrlbm
-bench``'s trajectory files) share one format.
+what factor) rather than exact MFLUPS.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -32,28 +28,6 @@ def write_result(results_dir):
     def _write(name: str, text: str) -> Path:
         path = results_dir / name
         path.write_text(text if text.endswith("\n") else text + "\n")
-        return path
-
-    return _write
-
-
-@pytest.fixture
-def write_bench_records(results_dir):
-    """Callable writing a ``compare_backends`` result as schema-valid JSON.
-
-    Converts the comparison into :mod:`repro.obs.bench` records (one per
-    backend, validated against ``RECORD_SCHEMA``) and writes them under
-    ``benchmarks/results/<name>.json`` next to the rendered text artefact.
-    """
-    from repro.obs import BENCH_SCHEMA_VERSION, records_from_comparison
-
-    def _write(name: str, result: dict) -> Path:
-        records = records_from_comparison(result, suite="paper-bench")
-        path = results_dir / name
-        path.write_text(json.dumps(
-            {"schema_version": BENCH_SCHEMA_VERSION, "suite": "paper-bench",
-             "records": records},
-            indent=2, sort_keys=True) + "\n")
         return path
 
     return _write

@@ -10,55 +10,46 @@ only; CI asserts the conservative band so a loaded runner cannot flake
 the suite, and the rendered artefact records the actual numbers.
 """
 
-import json
-
-from repro.obs.bench import BenchCell, format_records, run_cell
 from repro.obs.profile import compare_backends, format_backend_comparison
 
 
 class TestSparseThroughput:
-    def test_porous_sparse_speedup(self, write_result, results_dir):
+    def test_porous_sparse_speedup(self, write_result):
         """Sparse clears >=1.5x over fused on a <=15%-fluid porous cell."""
-        cells = [
-            BenchCell("MR-P", "D2Q9", backend, "porous", (192, 192),
-                      steps=10, repeats=3)
-            for backend in ("fused", "sparse")
-        ]
-        records = [run_cell(cell, suite="paper-bench") for cell in cells]
-        write_result("sparse_mlups_porous_d2q9.txt", format_records(records))
-        (results_dir / "sparse_mlups_porous_d2q9.json").write_text(
-            json.dumps({"records": [r.to_dict() for r in records]},
-                       indent=2, sort_keys=True) + "\n")
+        result = compare_backends("MR-P", "D2Q9", shape=(192, 192), steps=30,
+                                  problem="porous",
+                                  backends=("reference", "fused", "sparse"))
+        write_result("sparse_mlups_porous_d2q9.txt",
+                     format_backend_comparison(result))
 
-        fused, sparse = records
-        phi = fused.n_fluid / (192 * 192)
+        rows = {row["backend"]: row for row in result["backends"]}
+        fused, sparse = rows["fused"], rows["sparse"]
+        phi = fused["n_fluid"] / (192 * 192)
         assert phi <= 0.15 + 1e-9, phi
-        assert sparse.n_fluid == fused.n_fluid
-        assert sparse.mlups >= 1.5 * fused.mlups, (
-            f"sparse {sparse.mlups:.2f} MLUPS vs fused {fused.mlups:.2f}")
+        assert sparse["n_fluid"] == fused["n_fluid"]
+        assert sparse["max_abs_diff"] < 1e-13
+        assert sparse["mlups"] >= 1.5 * fused["mlups"], (
+            f"sparse {sparse['mlups']:.2f} MLUPS vs "
+            f"fused {fused['mlups']:.2f}")
 
-    def test_porous_sparse_speedup_d3q19(self, write_result, results_dir):
+    def test_porous_sparse_speedup_d3q19(self, write_result):
         """The 3D compact gather keeps the band on D3Q19."""
-        cells = [
-            BenchCell("ST", "D3Q19", backend, "porous", (40, 40, 40),
-                      steps=8, repeats=3)
-            for backend in ("fused", "sparse")
-        ]
-        records = [run_cell(cell, suite="paper-bench") for cell in cells]
-        write_result("sparse_mlups_porous_d3q19.txt", format_records(records))
-        fused, sparse = records
-        assert fused.n_fluid / 40 ** 3 <= 0.16
-        assert sparse.mlups >= 1.5 * fused.mlups
+        result = compare_backends("ST", "D3Q19", shape=(40, 40, 40), steps=24,
+                                  problem="porous",
+                                  backends=("reference", "fused", "sparse"))
+        write_result("sparse_mlups_porous_d3q19.txt",
+                     format_backend_comparison(result))
+        rows = {row["backend"]: row for row in result["backends"]}
+        assert rows["fused"]["n_fluid"] / 40 ** 3 <= 0.16
+        assert rows["sparse"]["mlups"] >= 1.5 * rows["fused"]["mlups"]
 
-    def test_cylinder_comparison_covers_sparse(self, write_result,
-                                               write_bench_records):
+    def test_cylinder_comparison_covers_sparse(self, write_result):
         """``compare_backends(problem="cylinder")`` runs the sparse backend
         on a masked obstacle at machine parity with the reference."""
         result = compare_backends("MR-R", "D2Q9", shape=(128, 66), steps=12,
                                   problem="cylinder")
         write_result("backend_mlups_cylinder_d2q9.txt",
                      format_backend_comparison(result))
-        write_bench_records("backend_mlups_cylinder_d2q9.json", result)
         rows = {row["backend"]: row for row in result["backends"]}
         assert result["problem"] == "cylinder"
         assert {"reference", "fused", "sparse"} <= set(rows)

@@ -1,8 +1,8 @@
 """Package exports that import their submodule on first use (PEP 562).
 
 ``repro.service`` and ``repro.obs`` re-export names from submodules most
-entry points never run (an asyncio HTTP server and its client; the bench
-trajectory, attainment and profiling harnesses). Importing those with
+entry points never run (an asyncio HTTP server and its client; the
+profiling harness). Importing those with
 the package made every ``mrlbm run``, every spawned rank and every
 ``build_single`` cell pay for them; a package that assigns
 ``__getattr__ = lazy_exports(__name__, {...})`` keeps the names — and its

@@ -22,7 +22,7 @@ from ..lattice import get_lattice
 from ..solver.presets import channel_inlet_profile
 
 __all__ = ["TrafficMeasurement", "measure_channel_traffic",
-           "measurement_shape", "publish_measurement"]
+           "measurement_shape"]
 
 
 @dataclass(frozen=True)
@@ -99,20 +99,6 @@ def measure_channel_traffic(scheme: str, lattice: str, device: str = "V100",
     cache[key] = asdict(meas)
     _store_cache(cache)
     return meas
-
-
-def publish_measurement(telemetry, meas: TrafficMeasurement,
-                        prefix: str = "traffic") -> None:
-    """Publish a traffic measurement into a telemetry registry as gauges,
-    namespaced ``traffic.<SCHEME>.<lattice>.*`` so multi-scheme bench runs
-    coexist in one registry."""
-    if not telemetry.enabled:
-        return
-    ns = f"{prefix}.{meas.scheme}.{meas.lattice}"
-    telemetry.gauge(f"{ns}.dram_bytes_per_node", meas.dram_bytes_per_node)
-    telemetry.gauge(f"{ns}.dram_read_per_node", meas.dram_read_per_node)
-    telemetry.gauge(f"{ns}.dram_write_per_node", meas.dram_write_per_node)
-    telemetry.gauge(f"{ns}.logical_bytes_per_node", meas.logical_bytes_per_node)
 
 
 def _measure_channel_traffic(scheme, lattice, device, shape, tile_cross,

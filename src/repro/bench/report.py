@@ -13,9 +13,6 @@ from pathlib import Path
 
 __all__ = ["build_report", "write_report"]
 
-_PAPER_SPEEDUPS = {("V100", "D2Q9"): 1.32, ("MI100", "D2Q9"): 1.38,
-                   ("V100", "D3Q19"): 1.46, ("MI100", "D3Q19"): 1.14}
-
 
 def _md_table(headers: list[str], rows: list[list]) -> str:
     out = ["| " + " | ".join(headers) + " |",

@@ -22,6 +22,7 @@ from ..perf import (
 )
 from .figures import _mr_tile
 from .measure import measure_channel_traffic
+from .tables import _plateau_shape
 
 __all__ = ["footprint_summary", "speedup_summary", "intensity_summary"]
 
@@ -55,10 +56,6 @@ def footprint_summary(n_nodes: int = 15_000_000) -> list[dict]:
             "paper_gb": 0.35 if lname == "D2Q9" else 0.47,
         })
     return rows
-
-
-def _plateau_shape(ndim: int) -> tuple[int, ...]:
-    return (4096, 4096) if ndim == 2 else (256, 256, 256)
 
 
 def _plateau_mflups(device, lattice: str, scheme: str) -> float:

@@ -4,8 +4,6 @@ Subcommands
 -----------
 ``run``      Run a channel or Taylor-Green simulation with any scheme.
 ``profile``  Per-phase time/traffic breakdown for a short workload.
-``bench``    Run the standard benchmark matrix, append to the BENCH_*.json
-             trajectory and compare against the stored baseline.
 ``watch``    Tail the per-rank JSONL event streams of a (live) run dir.
 ``sweep``    Expand a parameter grid into an ensemble and run member
              batches of same-shape simulations through one fused kernel
@@ -22,6 +20,9 @@ Subcommands
 ``figures``  Regenerate the paper's Figures 2-3 (text rendering).
 ``summary``  Regenerate the headline claims (footprint, speedups, MR-R cost).
 ``devices``  Show the modelled GPU devices.
+``validate`` Quick physics validation (Taylor-Green + Poiseuille).
+``report``   Write the full reproduction report.
+``tune``     Rank MR tile configurations on a modelled device.
 
 ``run`` takes observability flags (see ``docs/observability.md``):
 ``--metrics out.jsonl`` streams per-report-interval metric records,
@@ -54,6 +55,11 @@ from pathlib import Path
 __all__ = ["main", "build_parser"]
 
 
+def _shape(text: str) -> tuple[int, ...]:
+    """``argparse`` type of ``--shape``: ``"64,34,34"`` -> ``(64, 34, 34)``."""
+    return tuple(int(s) for s in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mrlbm",
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a simulation")
     run.add_argument("--scheme", default="MR-P", choices=["ST", "MR-P", "MR-R"])
     run.add_argument("--lattice", default="D2Q9")
-    run.add_argument("--shape", default="128,66",
+    run.add_argument("--shape", type=_shape, default="128,66",
                      help="comma-separated grid shape, e.g. 128,66 or 64,34,34")
     run.add_argument("--problem", default="channel",
                      choices=["channel", "forced-channel", "taylor-green",
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--scheme", default="MR-P",
                       choices=["ST", "MR-P", "MR-R", "AA", "all"])
     prof.add_argument("--lattice", default="D2Q9")
-    prof.add_argument("--shape", default=None,
+    prof.add_argument("--shape", type=_shape, default=None,
                       help="comma-separated grid shape (default: small 2D/3D)")
     prof.add_argument("--steps", type=int, default=40)
     prof.add_argument("--tau", type=float, default=0.8)
@@ -150,30 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(variable-tau) channel, a channel with a "
                       "cylinder obstacle, or a random porous medium "
                       "(masked geometries)")
-
-    bench = sub.add_parser(
-        "bench", help="run the benchmark matrix; append to the "
-        "BENCH_<suite>.json trajectory and flag regressions")
-    bench.add_argument("--suite", default="default",
-                       help="suite name (selects the trajectory file)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke matrix: same cells, shrunk "
-                       "shapes/steps, a few seconds total")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="trajectory file (default BENCH_<suite>.json "
-                       "in the current directory)")
-    bench.add_argument("--device", default="V100",
-                       help="modelled GPU for the roofline column")
-    bench.add_argument("--threshold", type=float, default=0.15,
-                       metavar="REL", help="relative regression threshold "
-                       "(widened per cell by the baseline's own spread)")
-    bench.add_argument("--report-only", action="store_true",
-                       help="print regressions but exit 0 (CI smoke mode)")
-    bench.add_argument("--no-append", action="store_true",
-                       help="measure and compare without writing the "
-                       "trajectory")
-    bench.add_argument("--json", default=None, metavar="PATH",
-                       help="also dump the new records + verdicts as JSON")
 
     watch = sub.add_parser(
         "watch", help="tail the per-rank event streams of a run directory")
@@ -266,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--scheme", default="MR-P",
                      choices=["ST", "MR-P", "MR-R"])
     sbm.add_argument("--lattice", default="D2Q9")
-    sbm.add_argument("--shape", default="64,34",
+    sbm.add_argument("--shape", type=_shape, default="64,34",
                      help="comma-separated grid shape")
     sbm.add_argument("--steps", type=int, default=500)
     sbm.add_argument("--tau", type=float, default=0.8)
@@ -310,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="rank MR tile configurations")
     tune.add_argument("--lattice", default="D3Q19")
     tune.add_argument("--device", default="V100")
-    tune.add_argument("--shape", default="256,256,256")
+    tune.add_argument("--shape", type=_shape, default="256,256,256")
     tune.add_argument("--scheme", default="MR-P", choices=["MR-P", "MR-R"])
     tune.add_argument("--top", type=int, default=10)
     return p
@@ -336,7 +318,7 @@ def _problem_options(args, distributed: bool) -> dict:
     return options
 
 
-def _distributed_spec(args, shape):
+def _distributed_spec(args):
     """Build the :class:`~repro.parallel.RunSpec` for a distributed run."""
     from .parallel import RunSpec
 
@@ -350,7 +332,7 @@ def _distributed_spec(args, shape):
         "events_dir": getattr(args, "events", None),
         "events_every": getattr(args, "events_every", 25),
     }
-    return RunSpec(args.problem, args.scheme, args.lattice, shape,
+    return RunSpec(args.problem, args.scheme, args.lattice, args.shape,
                    args.ranks, tau=args.tau, accel=accel,
                    options=_problem_options(args, distributed=True),
                    **fault_tolerance)
@@ -367,7 +349,6 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
     if wants_fault_tolerance and backend != "process":
         raise SystemExit("--checkpoint-dir/--resume/--max-restarts need "
                          "--backend process")
-    shape = tuple(int(s) for s in args.shape.split(","))
     if getattr(args, "trace", None):
         print("note: --trace applies to single-domain runs only; "
               "ignored for distributed backends", file=sys.stderr)
@@ -379,7 +360,7 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
               "backend; ignored", file=sys.stderr)
 
     try:
-        spec = _distributed_spec(args, shape)
+        spec = _distributed_spec(args)
         # One build serves the header, the run and the manifest: the
         # process runtime's own solver is the parent's shape oracle.
         runtime = ProcessRuntime(spec) if backend == "process" else None
@@ -390,7 +371,7 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
     n_fluid = solver.global_domain.n_fluid
-    print(f"{args.scheme} / {args.lattice} on {shape} "
+    print(f"{args.scheme} / {args.lattice} on {args.shape} "
           f"({n_fluid:,} fluid nodes), tau = {args.tau}, "
           f"{args.ranks} rank(s), backend = {backend}, "
           f"accel = {spec.accel}")
@@ -493,11 +474,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             or args.checkpoint_dir or args.max_restarts):
         return _cmd_run_distributed(args)
 
-    shape = tuple(int(s) for s in args.shape.split(","))
     accel = getattr(args, "accel", "reference")
     try:
         solver = build_single(args.problem, args.scheme, args.lattice,
-                              shape, tau=args.tau, backend=accel,
+                              args.shape, tau=args.tau, backend=accel,
                               **_problem_options(args, distributed=False))
     except (ValueError, RuntimeError) as err:
         # Backend validation happens at solver construction (see
@@ -570,7 +550,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         callback_interval = args.report_interval
 
-    print(f"{args.scheme} / {args.lattice} on {shape} "
+    print(f"{args.scheme} / {args.lattice} on {args.shape} "
           f"({n_fluid:,} fluid nodes), tau = {args.tau}, "
           f"accel = {accel}")
     try:
@@ -637,9 +617,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import PROFILE_SCHEMES, format_profile, profile_scheme
     from .obs.profile import compare_backends, format_backend_comparison
 
-    shape = None
-    if args.shape:
-        shape = tuple(int(s) for s in args.shape.split(","))
     schemes = PROFILE_SCHEMES if args.scheme == "all" else (args.scheme,)
     accel = getattr(args, "accel", "reference")
     results = []
@@ -652,16 +629,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                       "path is the 'aa' backend column of the ST/MR rows")
                 continue
             result = compare_backends(scheme, lattice=args.lattice,
-                                      shape=shape, steps=args.steps,
+                                      shape=args.shape, steps=args.steps,
                                       tau=args.tau,
                                       problem=getattr(args, "problem",
                                                       "periodic"))
             results.append(result)
             print(format_backend_comparison(result))
             continue
-        result = profile_scheme(scheme, lattice=args.lattice, shape=shape,
-                                steps=args.steps, tau=args.tau,
-                                device=args.device,
+        result = profile_scheme(scheme, lattice=args.lattice,
+                                shape=args.shape, steps=args.steps,
+                                tau=args.tau, device=args.device,
                                 measure_traffic=not args.no_traffic,
                                 accel=accel)
         results.append(result)
@@ -671,65 +648,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
         Path(args.json).write_text(_json.dumps(results, indent=2))
         print(f"\nwrote {args.json}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .obs import (
-        append_records,
-        compare_to_baseline,
-        default_suite,
-        format_comparison,
-        format_records,
-        load_trajectory,
-        run_suite,
-        trajectory_path,
-    )
-
-    cells = default_suite(quick=args.quick)
-    mode = "quick" if args.quick else "full"
-    print(f"benchmark suite '{args.suite}' ({mode}, {len(cells)} cells, "
-          f"roofline device {args.device})")
-
-    def progress(record):
-        d = record.to_dict()
-        print(f"  {d['scheme']:8s} {d['lattice']:6s} {d['backend']:9s} "
-              f"{d['problem']:14s} ranks={d['ranks']} -> "
-              f"{d['mlups']:8.2f} MLUPS ({d['attainment']:.0%} of host bw)")
-
-    records = run_suite(cells, suite=args.suite, device=args.device,
-                        progress=progress)
-    print()
-    print(format_records(records))
-
-    path = Path(args.out) if args.out else trajectory_path(args.suite)
-    try:
-        doc = load_trajectory(path)
-    except ValueError as err:
-        print(f"ERROR: corrupt trajectory {path}: {err}", file=sys.stderr)
-        return 2
-    result = compare_to_baseline(doc["records"], records,
-                                 rel_threshold=args.threshold)
-    print()
-    print(format_comparison(result))
-
-    if not args.no_append:
-        append_records(path, records)
-        print(f"\nappended {len(records)} records to {path} "
-              f"({len(doc['records']) + len(records)} total)")
-    if args.json:
-        import json as _json
-
-        Path(args.json).write_text(_json.dumps({
-            "records": [r.to_dict() for r in records],
-            "comparison": result,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {args.json}")
-
-    if result["regressions"] and not args.report_only:
-        print(f"\nFAIL: {result['regressions']} regression(s) beyond the "
-              f"noise-aware threshold", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -888,8 +806,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
         lattices = [s.strip() for s in args.lattice.split(",") if s.strip()]
-        shapes = [tuple(int(v) for v in part.split(","))
-                  for part in args.shape.split(";") if part.strip()]
+        shapes = [_shape(part) for part in args.shape.split(";")
+                  if part.strip()]
         taus = [float(v) for v in args.tau.split(",") if v.strip()]
         u_maxes = [float(v) for v in args.u_max.split(",") if v.strip()]
         specs, dropped = expand_sweep(args.problem, schemes, lattices,
@@ -980,7 +898,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     payload: dict = {
         "kind": args.kind, "scheme": args.scheme, "lattice": args.lattice,
-        "shape": [int(s) for s in args.shape.split(",")],
+        "shape": list(args.shape),
         "steps": args.steps, "tau": args.tau, "n_ranks": args.ranks,
         "accel": args.accel, "options": options,
     }
@@ -1076,9 +994,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     lat = get_lattice(args.lattice)
     device = get_device(args.device)
-    shape = tuple(int(s) for s in args.shape.split(","))
-    ranking = sweep_tiles(lat, shape, device, scheme=args.scheme)
-    print(f"{args.scheme} / {lat.name} on {device.name}, domain {shape} "
+    ranking = sweep_tiles(lat, args.shape, device, scheme=args.scheme)
+    print(f"{args.scheme} / {lat.name} on {device.name}, domain {args.shape} "
           f"({len(ranking)} legal configurations)\n")
     print(f"{'tile':>10s} {'w_t':>4s} {'threads':>8s} {'shared':>9s} "
           f"{'blk/SM':>7s} {'MFLUPS':>9s} {'bound':>8s}")
@@ -1086,7 +1003,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         occ = cand.prediction.occupancy
         from .perf import mr_launch_config
 
-        cfg = mr_launch_config(lat, shape, cand.tile_cross, cand.w_t)
+        cfg = mr_launch_config(lat, args.shape, cand.tile_cross, cand.w_t)
         print(f"{str(cand.tile_cross):>10s} {cand.w_t:4d} "
               f"{cfg.threads_per_block:8d} "
               f"{cfg.shared_bytes_per_block / 1024:8.1f}K "
@@ -1157,7 +1074,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "profile": _cmd_profile,
-        "bench": _cmd_bench,
         "watch": _cmd_watch,
         "tables": _cmd_tables,
         "figures": _cmd_figures,

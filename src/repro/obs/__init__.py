@@ -1,8 +1,7 @@
 """Observability layer: telemetry, exporters, manifests, watchdog, profiling.
 
 A unified measurement substrate shared by the reference solvers, the
-virtual-GPU kernels, the bench harness and the CLI (see
-``docs/observability.md``):
+virtual-GPU kernels and the CLI (see ``docs/observability.md``):
 
 * :class:`Telemetry` — counters, gauges, hierarchical phase timers and
   derived throughput (MLUPS, effective sector GB/s);
@@ -14,16 +13,11 @@ virtual-GPU kernels, the bench harness and the CLI (see
 * :class:`StabilityWatchdog` — cadence-sampled NaN/Inf/over-speed abort
   with a structured report;
 * :func:`profile_scheme` — the harness behind ``mrlbm profile``;
-* :class:`BenchRecord` / :func:`run_suite` / :func:`compare_to_baseline`
-  — the benchmark trajectory + regression sentinel behind
-  ``mrlbm bench``;
-* :func:`attain_cell` — the roofline attribution join (% of
-  model-predicted ceiling per measured cell);
 * :class:`EventStream` / :func:`follow_events` — the per-rank JSONL
   event bus behind ``mrlbm watch``.
 
-The profiling, bench and attainment harnesses are resolved on first use
-of their names; a run that only measures itself does not import them.
+The profiling harness is resolved on first use of its names; a run that
+only measures itself does not import it.
 """
 
 from .._lazy import lazy_exports
@@ -50,12 +44,6 @@ from .telemetry import NULL_TELEMETRY, NullTelemetry, PhaseStats, Span, Telemetr
 from .watchdog import SOUND_SPEED, StabilityError, StabilityWatchdog, check_fields
 
 __getattr__ = lazy_exports(__name__, {
-    "attain": ("attain_cell", "attainment_note", "measure_host_bandwidth"),
-    "bench": ("BENCH_SCHEMA_VERSION", "BenchCell", "BenchRecord",
-              "append_records", "compare_to_baseline", "default_suite",
-              "format_comparison", "format_records", "load_trajectory",
-              "records_from_comparison", "run_cell", "run_suite",
-              "trajectory_path", "validate_record", "validate_trajectory"),
     "profile": ("PROFILE_SCHEMES", "compare_backends",
                 "format_backend_comparison", "format_profile",
                 "profile_scheme"),
@@ -85,26 +73,6 @@ __all__ = [
     "format_backend_comparison",
     "PROFILE_SCHEMES",
     "merge_rank_reports",
-    # bench trajectory + regression sentinel
-    "BENCH_SCHEMA_VERSION",
-    "BenchCell",
-    "BenchRecord",
-    "append_records",
-    "compare_to_baseline",
-    "default_suite",
-    "format_comparison",
-    "format_records",
-    "load_trajectory",
-    "records_from_comparison",
-    "run_cell",
-    "run_suite",
-    "trajectory_path",
-    "validate_record",
-    "validate_trajectory",
-    # roofline attribution
-    "attain_cell",
-    "attainment_note",
-    "measure_host_bandwidth",
     # live run event streams
     "EventStream",
     "RunEventEmitter",

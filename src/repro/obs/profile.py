@@ -192,10 +192,10 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     only the fluid-node list while the dense backends pay for the solid
     nodes.
 
-    Each backend's MLUPS comes from its own telemetry registry, and each
-    fast backend's end state is compared against the reference run — the
-    ``max_abs_diff`` column is the measured parity, expected at machine
-    precision.
+    Each backend's MLUPS comes from its own telemetry registry (counted
+    over the row's ``n_fluid`` fluid nodes), and each fast backend's end
+    state is compared against the reference run — the ``max_abs_diff``
+    column is the measured parity, expected at machine precision.
 
     ``backends=None`` selects every backend available in this
     environment (:func:`repro.accel.available_backends`).
@@ -252,6 +252,7 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
                 if reference_state is not None else float("nan"))
         rows.append({
             "backend": backend,
+            "n_fluid": int(solver.domain.n_fluid),
             "mlups": mlups,
             "speedup": (mlups / reference_mlups)
             if reference_mlups else float("nan"),

@@ -2,8 +2,8 @@
 
 The paper's argument is quantitative — bytes per fluid lattice update,
 sector-level DRAM traffic, MLUPS — so the repo needs a measurement
-substrate that every layer (reference solvers, virtual-GPU kernels, bench
-harness, CLI) can feed. A :class:`Telemetry` object collects
+substrate that every layer (reference solvers, virtual-GPU kernels, CLI)
+can feed. A :class:`Telemetry` object collects
 
 * **counters** — monotonically accumulated values (steps, launches, bytes),
 * **gauges** — last-written values (current max speed, effective GB/s),

@@ -21,7 +21,6 @@ from .model import PerformanceModel, Prediction, mr_launch_config, st_launch_con
 from .sweep import TileCandidate, best_tile, enumerate_tiles, sweep_tiles
 from .roofline import (
     bytes_per_flup,
-    roofline_bandwidth_table,
     roofline_mflups,
     values_per_update,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "bytes_per_flup",
     "values_per_update",
     "roofline_mflups",
-    "roofline_bandwidth_table",
     "TileCandidate",
     "enumerate_tiles",
     "sweep_tiles",

@@ -18,7 +18,6 @@ __all__ = [
     "values_per_update",
     "bytes_per_flup",
     "roofline_mflups",
-    "roofline_bandwidth_table",
 ]
 
 DOUBLE = 8
@@ -49,15 +48,3 @@ def roofline_mflups(device: GPUDevice, lat: LatticeDescriptor, scheme: str) -> f
     """Eq. 15: peak MFLUPS for a pattern on a device (paper Table 3)."""
     return device.bandwidth_bytes_per_s / (1e6 * bytes_per_flup(lat, scheme))
 
-
-def roofline_bandwidth_table(device: GPUDevice, lattices, schemes=("ST", "MR")) -> dict:
-    """Roofline estimates for a device over lattices x schemes.
-
-    Returns ``{(lattice_name, scheme): mflups}`` — the content of paper
-    Table 3 when called with (D2Q9, D3Q19) x (ST, MR).
-    """
-    out = {}
-    for lat in lattices:
-        for scheme in schemes:
-            out[(lat.name, scheme)] = roofline_mflups(device, lat, scheme)
-    return out

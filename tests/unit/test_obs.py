@@ -307,7 +307,7 @@ class TestWatchdog:
 
 
 @pytest.mark.parametrize("package, lazy", [
-    ("repro.obs", "run_suite"), ("repro.service", "JobScheduler")])
+    ("repro.obs", "profile_scheme"), ("repro.service", "JobScheduler")])
 def test_lazily_resolved_exports_behave_like_attributes(package, lazy):
     """``repro.obs`` and ``repro.service`` import their heavy submodules
     on first use of a name; the export list reads as it always did."""

@@ -124,22 +124,6 @@ class TestCLI:
         assert s.telemetry is NULL_TELEMETRY
 
 
-class TestBenchPublish:
-    def test_publish_measurement_gauges(self):
-        from repro.bench.measure import TrafficMeasurement, publish_measurement
-
-        meas = TrafficMeasurement(
-            scheme="MR-P", lattice="D2Q9", device="V100", shape=(4, 4),
-            dram_bytes_per_node=96.0, dram_read_per_node=48.0,
-            dram_write_per_node=48.0, logical_bytes_per_node=101.0,
-            n_nodes=16)
-        tel = Telemetry()
-        publish_measurement(tel, meas)
-        assert tel.gauges["traffic.MR-P.D2Q9.dram_bytes_per_node"] == 96.0
-        publish_measurement(__import__("repro.obs", fromlist=["NULL_TELEMETRY"]
-                                       ).NULL_TELEMETRY, meas)  # no-op
-
-
 class TestBackendComparison:
     def test_compare_backends_rows(self):
         from repro.obs import compare_backends, format_backend_comparison
