@@ -15,19 +15,18 @@ one collide-and-project kernel per scheme family
     Dense layout, natural order after every step: BLAS moment
     projections, cache-blocked collision and, on boundary-free problems
     (``path == "lean"``), a sliding window of leading-axis slabs that
-    keeps no lattice beside the state. Boundary objects see whole
-    arrays, so their problems take the same step over one slab that is
-    the whole grid (``"bounded"``).
+    keeps no lattice beside the state; boundary objects see whole
+    arrays, so their problems step one slab, the grid (``"bounded"``).
 ``"aa"``
     Dense layout, single-lattice in-place streaming for ST
-    (:mod:`repro.accel.inplace`): one streaming traversal per step
-    *pair* on boundary-free problems (model: ``docs/ALGORITHMS.md``).
-    MR problems, whose state is the moment field, take the fused core.
+    (:mod:`repro.accel.inplace`, model in ``docs/ALGORITHMS.md``); MR
+    problems, whose state is the moment field, take the fused core.
 ``"sparse"``
-    Fluid-node-list layout (:mod:`repro.accel.sparse`): state compacted
-    over a :class:`~repro.accel.tables.MaskedNeighborTable`, streaming
-    as one bounce-back-folded gather, collision over ``n_fluid``
-    columns. Boundaries with custom post-collide hooks are rejected.
+    Fluid-node-list layout (:mod:`repro.accel.sparse`): the state lives
+    compacted over a :class:`~repro.accel.tables.MaskedNeighborTable`
+    between steps, streaming is one bounce-back-folded gather, collision
+    runs over ``n_fluid`` columns, and ``solver.f`` / ``solver.m`` are
+    materialised on access. Custom post-collide hooks are rejected.
 
 *Batch width* is a third axis, not a backend name: a vector of
 relaxation times handed to :func:`make_core` yields the lockstep
@@ -138,7 +137,7 @@ class _Stepper:
     def __init__(self, solver, backend: str, caps: dict):
         self.backend = backend
         self.variable_tau = bool(caps.get("variable_tau"))
-        self._field = "f" if caps["family"] == "st" else "m"
+        self._field = "_f" if caps["family"] == "st" else "_m"
         self.core = make_core(
             backend, caps, solver.lat, solver.domain, solver.tau,
             solver.boundaries,
@@ -146,7 +145,8 @@ class _Stepper:
             else getattr(solver, "tau_bulk", None))
 
     def step(self, solver, time: int | None) -> None:
-        """One fast-path step updating the solver's state array in place.
+        """One fast-path step on the solver's private state array (the
+        ``f`` / ``m`` accessor is for everybody else: see :meth:`looked`).
 
         ``time`` is the clock handed to the core: the solver's own, or
         ``None`` from an owner that needs the natural layout after every
@@ -160,6 +160,21 @@ class _Stepper:
         self.core.step(getattr(solver, self._field), solver.boundaries,
                        solver.telemetry, force=solver.force,
                        tau_field=tau_field, time=time)
+
+    def looked(self, solver, force: bool = False) -> None:
+        """The solver's dense state (or body ``force``) is being looked at.
+
+        Whoever looks may also write: the ``sparse`` cores, which keep
+        the state to themselves between steps, scatter what is pending
+        into the dense array once (the ``sync`` phase) and reload from
+        it on their next step. Every other core steps the array itself.
+        """
+        if self.backend != "sparse":
+            return
+        if force:
+            self.core.force_loaded = False
+        else:
+            self.core.sync(getattr(solver, self._field), solver.telemetry)
 
 
 def solver_caps(solver) -> dict | None:

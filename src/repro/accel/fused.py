@@ -34,15 +34,12 @@ family** that every fast backend steps with — :class:`FusedSTCore`
   per-member boundary loop) lives in :mod:`repro.accel.batched`.
 
 Every kernel reproduces the corresponding reference solver to machine
-precision: the collision arithmetic mirrors the reference expressions
-operation-for-operation, and the only deviations are BLAS summation-order
-effects at the level of one ulp per step (pinned by the parity suite in
-``tests/unit/test_accel_backends.py``).
-
-The other layouts and streaming patterns reuse these kernels rather than
-copy them: :mod:`repro.accel.inplace` subclasses the ST one (AA
-pattern), :mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)``
-shape, :mod:`repro.accel.batched` adds a batch axis.
+precision: the arithmetic mirrors the reference expressions operation
+for operation, up to BLAS summation order at one ulp per step (pinned by
+``tests/unit/test_accel_backends.py``). The other layouts reuse these
+kernels rather than copy them: :mod:`repro.accel.inplace` subclasses the
+ST one (AA pattern), :mod:`repro.accel.sparse` binds both to a flat
+``(n_fluid,)`` shape, :mod:`repro.accel.batched` adds a batch axis.
 
 Core protocol
 -------------
@@ -53,9 +50,10 @@ built by :func:`repro.accel.make_core`, exposes a read-only ``path``
 ``state_lattices`` count (whole ``Q``-lattices the step keeps), and is
 stepped by ``core.step(state, boundaries, tel, force=, tau_field=,
 time=)``. ``state`` is the caller's persistent array (``f`` for ST,
-``m`` for MR), updated in place; ``time`` is the owner's step clock,
-read only by the parity-alternating lean path of
-:class:`~repro.accel.inplace.InplaceSTCore`.
+``m`` for MR), updated in place — or, by a core that keeps the state to
+itself between steps (``sparse``), when its ``sync(state)`` is called;
+``time`` is the owner's step clock, read only by the parity-alternating
+lean path of :class:`~repro.accel.inplace.InplaceSTCore`.
 """
 
 from __future__ import annotations
@@ -76,8 +74,7 @@ __all__ = ["FusedSTCore", "FusedMRCore"]
 #: profile: L1 48 KiB, L2 2 MiB per core): a collide body keeps about three
 #: ``(Q, _CHUNK)`` blocks of doubles live (populations, equilibrium or
 #: coefficients, moments + velocity), and on D3Q19 that is
-#: ``3 x 19 x 4096 x 8 B = 1.8 MiB <= 2 MiB`` — where the 65,536-node tile
-#: this replaces held ``19 x 65536 x 8 B = 10 MB`` per block.
+#: ``3 x 19 x 4096 x 8 B = 1.8 MiB <= 2 MiB``.
 _CHUNK = 4096
 #: Doubles appended to a buffer row whose stride would otherwise be a
 #: multiple of 4 KiB: rows at such a stride (2 MiB exactly on a 64^3

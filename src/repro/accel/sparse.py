@@ -1,12 +1,12 @@
 """Sparse-geometry compact-state kernels (the ``"sparse"`` backend).
 
-Every other host backend streams dense rectangular ``(Q, *grid)`` arrays,
-so a domain that is 10% fluid spends ~90% of its bandwidth and FLOPs on
-solid nodes whose state is pinned anyway. Following the fluid-node index
-lists of Tomczak & Szafran's sparse-geometry GPU LBM (PAPERS.md), the
-cores here compact the working state to ``(Q, n_fluid)`` over a
+Every other host backend streams dense ``(Q, *grid)`` arrays, so a domain
+that is 10% fluid spends ~90% of its bandwidth on solid nodes whose state
+is pinned anyway. Following the fluid-node index lists of Tomczak &
+Szafran's sparse-geometry GPU LBM (PAPERS.md), the cores here keep the
+state as ``(Q | M, n_fluid)`` over a
 :class:`~repro.accel.tables.MaskedNeighborTable` and run the *same*
-collision arithmetic as the fused backend — literally the
+collision arithmetic as the fused backend — the
 :class:`~repro.accel.fused.FusedSTCore` / ``FusedMRCore`` methods, bound
 to a flat ``(n_fluid,)`` shape:
 
@@ -15,26 +15,21 @@ to a flat ``(n_fluid,)`` shape:
   half-way bounce-back, so walls cost nothing on top of propagation;
 * **collision** (every feature of the fused kernels) runs as chunked
   BLAS dgemms over ``n_fluid`` columns instead of ``N``;
-* the **dense solver state** (``solver.f`` / ``solver.m``) stays
-  authoritative: fluid columns are gathered at the top of the step and
-  scattered back at the bottom, so checkpoints, monitors, forces and the
-  ghost exchange see the arrays they always saw. Solid columns are never
-  touched and keep their pinned rest values from initialization.
+* **the compact state is the state** between steps: ``solver.f`` /
+  ``solver.m`` are materialised when somebody looks (:meth:`sync`, one
+  scatter) and reloaded on the next step, because whoever looks may
+  also write; the compact body force is reloaded after ``set_force``
+  only. Solid columns keep their pinned rest values throughout.
 
-Boundary handling has two tiers. A boundary list that is empty or a
-single plain :class:`~repro.boundary.HalfwayBounceBack` (moving walls
-included) folds entirely into the gather table — the *lean* path, which
-never materializes a dense distribution field. Any other post-stream
-boundary routes the step through a *dense fallback* that scatters,
-streams densely, runs the unchanged hook objects and re-compacts;
-collision still runs compact. Boundaries with custom post-collide hooks
-are rejected up front by :func:`repro.accel.validate_backend`.
-
-The traffic model (``3 Q + D`` doubles and ``Q`` table indices per
-*fluid* node against the dense cost per *dense* node) is derived in
-docs/ALGORITHMS.md; machine-precision parity with the fused backend on
-masked problems is pinned by ``tests/unit/test_accel_sparse.py`` and
-``tests/property/test_props_sparse.py``.
+A boundary list that is empty or a single plain
+:class:`~repro.boundary.HalfwayBounceBack` (moving walls included) folds
+entirely into the gather table — the *lean* path, no dense distribution
+field at all. Any other post-stream boundary routes the step through a
+*dense fallback* that streams densely, runs the unchanged hook objects
+and re-compacts; collision still runs compact. Custom post-collide hooks
+are rejected by :func:`repro.accel.validate_backend`. Traffic model:
+docs/ALGORITHMS.md; parity: ``tests/unit/test_accel_sparse.py``,
+``tests/property/test_props_sparse*.py``.
 """
 
 from __future__ import annotations
@@ -53,10 +48,9 @@ __all__ = ["SparseSTCore", "SparseMRCore", "boundaries_fold"]
 def boundaries_fold(boundaries) -> bool:
     """True when the boundary list folds entirely into the gather table.
 
-    Foldable means no boundaries at all, or exactly one plain
+    No boundaries at all, or exactly one plain
     :class:`~repro.boundary.HalfwayBounceBack` (exact type — a subclass
-    may override its hooks). Anything else routes the step through the
-    dense fallback that runs the unchanged hook objects.
+    may override its hooks); anything else takes the dense fallback.
     """
     from ..boundary.bounceback import HalfwayBounceBack
 
@@ -67,23 +61,20 @@ def boundaries_fold(boundaries) -> bool:
 
 def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
                      bb, shape: tuple[int, ...]):
-    """Compact per-component moving-wall momentum terms of a bound wall.
+    """Compact ``(q, targets, values)`` moving-wall momentum terms of a wall.
 
-    Reuses the bound boundary's own precomputed link targets and
-    ``2 w_i rho0 (c_i . u_w) / cs2`` values (both enumerated in C order,
-    matching the compact node order), so the folded adds are value- and
-    order-identical to the dense hook's.
+    Reuses the boundary's own link targets and ``2 w_i rho0 (c_i . u_w) /
+    cs2`` values (C order, as the compact node list), so the folded adds
+    are value- and order-identical to the dense hook's.
     """
-    if bb is None or bb.wall_velocity is None:
-        return None
     terms = []
+    if bb is None or bb.wall_velocity is None:
+        return terms
     for q in range(lat.q):
         idx, mom = bb._targets[q], bb._momentum[q]
-        if idx is None or mom is None:
-            terms.append(None)
-            continue
-        flat = np.ravel_multi_index(idx, shape)
-        terms.append((table.dense_to_compact[flat], np.asarray(mom)))
+        if idx is not None and mom is not None:
+            flat = np.ravel_multi_index(idx, shape)
+            terms.append((q, table.dense_to_compact[flat], np.asarray(mom)))
     return terms
 
 
@@ -93,6 +84,13 @@ class _SparseCoreBase:
     #: The dense solver field is the only full lattice in the state
     #: footprint; everything the core owns scales with ``n_fluid``.
     state_lattices = 1
+    #: True while the compact ``_state`` is ahead of the dense array: set
+    #: by a step that wrote no dense state, cleared by :meth:`sync`; a
+    #: step that finds it False reloads from the array first.
+    resident = False
+    #: False until the compact force mirrors ``solver.force`` again
+    #: (``set_force`` clears it through ``_Stepper.looked``).
+    force_loaded = False
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  boundaries=()):
@@ -103,62 +101,69 @@ class _SparseCoreBase:
         self.path = "lean" if self.lean else "dense-fallback"
         self._bb = (boundaries[0] if (self.lean and boundaries) else None)
         self._mom = _folded_momentum(self.table, lat, self._bb, self.shape)
-        #: lazily built (compact buffer, dense gather indices) per field
-        self._compact_bufs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: lazily built compact ``(components, n_fluid)`` buffer per field
+        self._compact_bufs: dict[str, np.ndarray] = {}
 
     def _compact(self, name: str, field: np.ndarray | None,
                  components: int) -> np.ndarray | None:
-        """Gather the fluid columns of a dense ``(components, *grid)`` field.
-
-        ``None`` passes through (no force / no ``tau_field``); the
-        compact ``(components, n_fluid)`` buffer is core-owned.
-        """
+        """Gather the fluid columns of a dense ``(components, *grid)`` field
+        (``None`` passes through) into a core-owned compact buffer."""
         if field is None:
             return None
-        if name not in self._compact_bufs:
-            self._compact_bufs[name] = (
-                np.empty((components, self.table.n_fluid)),
-                self.table.field_idx(components))
-        buf, idx = self._compact_bufs[name]
-        np.take(field.reshape(-1), idx, out=buf.reshape(-1), mode="clip")
-        return buf
+        buf = self._compact_bufs.get(name)
+        if buf is None:
+            buf = self._compact_bufs[name] = np.empty(
+                (components, self.table.n_fluid))
+        return self.table.compact(field, buf)
+
+    def _force(self, force: np.ndarray | None) -> np.ndarray | None:
+        """The compact body force, re-gathered only after ``set_force``."""
+        if force is None or self.force_loaded:
+            return self._compact_bufs.get("force")
+        self.force_loaded = True
+        return self._compact("force", force, self.lat.d)
+
+    def sync(self, dense: np.ndarray, tel=NULL_TELEMETRY) -> None:
+        """Scatter pending compact state into ``dense``; reload next step."""
+        if self.resident:
+            with tel.phase("sync"):
+                self.table.scatter(self._state, dense)
+            tel.count("syncs")
+            self.resident = False
 
     def _apply_folded(self, fc: np.ndarray, rest: np.ndarray) -> None:
         """Finish the folded links of a freshly gathered compact field.
 
-        Without a bounce-back wall the folded reflections are overwritten
-        with the rest values ``rest[q]`` — exactly what the dense kernels
-        stream out of their pinned solid nodes. With a moving wall the
-        precomputed momentum terms are added on top of the reflections.
+        Without a bounce-back wall the reflections are overwritten with
+        ``rest[q]`` — what the dense kernels stream out of their pinned
+        solid nodes; a moving wall adds its momentum terms on top.
         """
         if self._bb is None:
             for q, links in enumerate(self.table.solid_links):
                 if links.size:
                     fc[q, links] = rest[q]
-        elif self._mom is not None:
-            for q, term in enumerate(self._mom):
-                if term is not None:
-                    tgt, mom = term
-                    fc[q, tgt] += mom
+        else:
+            for q, tgt, mom in self._mom:
+                fc[q, tgt] += mom
 
 
 class SparseSTCore(_SparseCoreBase):
     """Compact-state fused ST step (two-lattice BGK over fluid nodes only).
 
-    The lean step is one folded gather straight from the dense lattice
-    into the compact streamed field, the shared :class:`FusedSTCore`
-    collision over ``n_fluid`` columns, and one scatter back into the
-    dense fluid columns. Solid columns of ``f`` keep their pinned ``w_i``.
+    The lean step is one folded gather of the compact post-collision
+    field (the state) into the streamed one and the shared
+    :class:`FusedSTCore` collision over ``n_fluid`` columns. The dense
+    fallback streams ``f`` itself and scatters back every step. Solid
+    columns of ``f`` keep their pinned ``w_i``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  tau: float, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
-        #: the shared collide kernel (bound to the flat compact shape)
-        self.arith = FusedSTCore(lat, (n,), tau)
+        self.arith = FusedSTCore(lat, (n,), tau)    # the shared kernel
         self._fc = np.empty((lat.q, n))        # streamed compact field
-        self._fc_star = np.empty((lat.q, n))   # post-collision compact field
+        self._state = self._fc_star = np.empty((lat.q, n))  # f*: lean state
         self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
         self._dense_scratch = (None if self.lean
                                else np.empty((lat.q, *self.shape)))
@@ -166,14 +171,14 @@ class SparseSTCore(_SparseCoreBase):
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None,
              time: int | None = None) -> None:
-        """Advance the dense ``(Q, *grid)`` lattice ``f`` one step in place."""
+        """Advance one step; dense ``f`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
-        lat = self.lat
-        table = self.table
-        fc = self._fc
+        lat, table, fc = self.lat, self.table, self._fc
         if self.lean:
             with tel.phase("stream"):
-                table.gather_dense(f, fc)
+                if not self.resident:
+                    table.compact(f, self._fc_star)
+                table.gather_compact(self._fc_star, fc)
                 self._apply_folded(fc, self._rest)
         else:
             with tel.phase("stream"):
@@ -184,19 +189,21 @@ class SparseSTCore(_SparseCoreBase):
             with tel.phase("stream"):
                 table.compact(self._dense_scratch, fc)
         with tel.phase("collide"):
-            self.arith._relax(fc, self._fc_star,
-                              self._compact("force", force, lat.d))
-            table.scatter(self._fc_star, f)
+            self.arith._relax(fc, self._fc_star, self._force(force))
+            if self.lean:
+                self.resident = True
+            else:
+                table.scatter(self._fc_star, f)
 
 
 class SparseMRCore(_SparseCoreBase):
     """Compact-state fused MR step (MR-P / MR-R over fluid nodes only).
 
-    Algorithm 2 restricted to the compact node list: the shared
-    :class:`FusedMRCore` collision and Eq. 11/14 reconstruction over
-    ``n_fluid`` columns, one folded compact gather for streaming +
-    bounce-back, and the Eq. 1-3 re-projection scattered back into the
-    dense moment field. Solid columns keep their pinned ``(1, 0, ..., 0)``.
+    Algorithm 2 on the compact node list: the shared :class:`FusedMRCore`
+    collision and Eq. 11/14 reconstruction over ``n_fluid`` columns, one
+    folded compact gather for streaming + bounce-back, and the Eq. 1-3
+    re-projection into the compact moments — the state on both paths.
+    Solid columns of the dense ``m`` keep their pinned ``(1, 0, ..., 0)``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -204,20 +211,18 @@ class SparseMRCore(_SparseCoreBase):
                  tau_bulk: float | None = None, boundaries=()):
         super().__init__(lat, solid_mask, boundaries)
         n = self.table.n_fluid
-        #: the shared collide kernel (bound to the flat compact shape)
         self.arith = FusedMRCore(lat, (n,), tau, scheme=scheme,
                                  tau_bulk=tau_bulk)
         #: compact post-collision and streamed fields
         self._fc_star, self._fc = np.empty((2, lat.q, n))
+        self._state = np.empty((lat.n_moments, n))     # compact moments
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
         self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
-        if self.lean:
-            self._dense_star = self._dense_new = None
-        else:
-            # Dense fallback pair; solid columns of the post-collision
-            # field hold the rest reconstruction permanently, matching
-            # the fused kernels' pinned-moment reconstruction.
+        self._dense_star = self._dense_new = None
+        if not self.lean:
+            # Dense fallback pair; solid columns of f* hold the rest
+            # reconstruction for good, as the fused kernels' pinned moments.
             self._dense_star = np.empty((lat.q, *self.shape))
             self._dense_star[...] = self._rest.reshape(
                 (lat.q,) + (1,) * len(self.shape))
@@ -227,16 +232,14 @@ class SparseMRCore(_SparseCoreBase):
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None,
              time: int | None = None) -> None:
-        """Advance the dense ``(M, *grid)`` moment field ``m`` one step in place."""
+        """Advance one step; dense ``m`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
-        lat = self.lat
-        table = self.table
-        arith = self.arith
-        fc_star, fc = self._fc_star, self._fc
+        lat, table, arith = self.lat, self.table, self.arith
+        fc_star, fc, mc = self._fc_star, self._fc, self._state
         with tel.phase("collide"):
-            mc = self._compact("m", m, lat.n_moments)
-            arith._reconstruct(mc, fc_star,
-                               self._compact("force", force, lat.d),
+            if not self.resident:
+                table.compact(m, mc)
+            arith._reconstruct(mc, fc_star, self._force(force),
                                self._compact("tau", tau_field, 1))
         if self.lean:
             with tel.phase("stream"):
@@ -253,4 +256,4 @@ class SparseMRCore(_SparseCoreBase):
                 table.compact(self._dense_new, fc)
         with tel.phase("macroscopic"):
             np.matmul(arith._mm, fc, out=mc)
-            table.scatter(mc, m)
+            self.resident = True

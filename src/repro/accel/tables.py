@@ -10,11 +10,9 @@ flat source index of every ``(component, node)`` pair once per
 indirect-addressing GPU kernels stream through
 (:mod:`repro.gpu.kernels.indirect`). The batched cores stream whole
 ensembles through it; a single dense grid copies wrap blocks instead
-(:mod:`repro.accel.fused`).
-
-Tables are cached per ``(lattice name, shape)``; they are pure functions
-of both, so the cache never needs invalidation (``clear_cache`` exists
-for tests and memory-conscious callers).
+(:mod:`repro.accel.fused`). Tables are cached per ``(lattice name,
+shape)`` and are pure functions of both (``clear_cache`` exists for
+tests and memory-conscious callers).
 """
 
 from __future__ import annotations
@@ -113,20 +111,19 @@ class MaskedNeighborTable:
 
     * a **fluid-source link** gathers component ``q`` from the compact
       index of the periodic neighbour ``x - c_q`` (the Eq. 7 displacement);
-    * a **solid-source link** is *folded*: it gathers component
-      ``opposite[q]`` from the *same* compact node, which is the half-way
-      bounce-back pull of
+    * a **solid-source link** is *folded*: it gathers ``opposite[q]``
+      from the *same* compact node, the half-way bounce-back pull of
       :class:`repro.boundary.HalfwayBounceBack.post_stream`. Cores that
-      stream a problem *without* a bounce-back boundary overwrite those
-      entries with the rest-equilibrium weights (see :attr:`solid_links`),
-      matching the dense kernels' pinned solid nodes.
+      stream *without* a bounce-back boundary overwrite those entries
+      with the rest weights (:attr:`solid_links`), as the dense kernels'
+      pinned solid nodes would.
 
     Attributes
     ----------
     fluid_flat:
         ``(n_fluid,)`` flat dense node indices of the compact list, in C
-        order — the scatter/gather map between dense ``(Q, *shape)``
-        fields and compact ``(Q, n_fluid)`` fields.
+        order — the map behind :meth:`compact` (dense → compact: a
+        core's reload) and :meth:`scatter` (compact → dense: its sync).
     dense_to_compact:
         ``(n_nodes,)`` inverse map (``-1`` at solid nodes).
     src / src_comp:
@@ -134,16 +131,10 @@ class MaskedNeighborTable:
         link (bounce-back-folded at solid links).
     flat_compact:
         ``src_comp * n_fluid + src`` — one ``np.take`` over a raveled
-        compact ``(Q, n_fluid)`` field performs the whole (folded)
-        propagation step.
-    flat_dense:
-        The same gather expressed against the raveled dense ``(Q,
-        n_nodes)`` field, so a core whose persistent state is dense can
-        fuse compaction and streaming into a single ``np.take``.
+        compact field is the whole (folded) propagation step.
     solid_links:
-        Per-component arrays of compact target indices whose source node
-        is solid — the folded links. Used for the rest-equilibrium
-        overwrite and for moving-wall momentum terms.
+        Per-component compact target indices whose source node is solid
+        (the folded links): rest overwrite, moving-wall momentum terms.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray):
@@ -185,16 +176,17 @@ class MaskedNeighborTable:
             self.src[q, links] = self_idx[links]
             self.src_comp[q, links] = lat.opposite[q]
         self.flat_compact = (self.src_comp * self.n_fluid + self.src).ravel()
-        self.flat_dense = (self.src_comp * self.n_nodes
-                           + self.fluid_flat[self.src]).ravel()
-        # Flat dense indices of every (component, fluid node) pair — the
-        # one-take compaction map of a (Q, N) field.
-        self.compact_idx = self.field_idx(lat.q)
+        # One-take compaction maps of (C, N) fields, per component count.
+        self._field_idx: dict[int, np.ndarray] = {}
 
     def field_idx(self, n_components: int) -> np.ndarray:
-        """Flat dense gather indices compacting an ``(n_components, N)`` field."""
-        return (np.arange(n_components, dtype=np.intp)[:, None]
+        """Flat gather indices compacting an ``(n_components, N)`` field."""
+        idx = self._field_idx.get(n_components)
+        if idx is None:
+            idx = self._field_idx[n_components] = (
+                np.arange(n_components, dtype=np.intp)[:, None]
                 * self.n_nodes + self.fluid_flat).ravel()
+        return idx
 
     def gather_compact(self, fc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Stream a compact ``(Q, n_fluid)`` field (folded links included)."""
@@ -202,16 +194,10 @@ class MaskedNeighborTable:
                 mode="clip")
         return out
 
-    def gather_dense(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Stream a dense ``(Q, *shape)`` field straight into compact form."""
-        np.take(f.reshape(-1), self.flat_dense, out=out.reshape(-1),
-                mode="clip")
-        return out
-
     def compact(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gather the fluid columns of a dense ``(Q, *shape)`` field."""
-        np.take(f.reshape(-1), self.compact_idx, out=out.reshape(-1),
-                mode="clip")
+        """Gather the fluid columns of a dense ``(C, *shape)`` field."""
+        np.take(f.reshape(-1), self.field_idx(out.shape[0]),
+                out=out.reshape(-1), mode="clip")
         return out
 
     def scatter(self, fc: np.ndarray, f: np.ndarray) -> np.ndarray:

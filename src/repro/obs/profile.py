@@ -94,6 +94,10 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
         "scheme": scheme.upper(),
         "backend": accel,
         "path": getattr(solver, "accel_path", None),
+        # how often the dense state was materialised for a reader (only
+        # "sparse" keeps it elsewhere between steps; see the `sync` phase)
+        "syncs": (int(tel.counters.get("syncs", 0)) if accel == "sparse"
+                  else None),
         "lattice": lat.name,
         "shape": list(shape),
         "tau": tau,
@@ -131,6 +135,8 @@ def format_profile(result: dict) -> str:
     backend = result.get("backend", "reference")
     if result.get("path"):
         backend += f" ({result['path']} path)"
+    if result.get("syncs") is not None:
+        backend += f", {result['syncs']} state syncs"
     lines.append(
         f"{result['scheme']} / {result['lattice']} on {shape} "
         f"({result['n_fluid']:,} fluid nodes), tau = {result['tau']}, "

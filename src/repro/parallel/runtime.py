@@ -134,9 +134,9 @@ class RunSpec:
         state stays in the natural layout at every step — halo exchange,
         interior checkpoints and odd/even resume points all behave
         exactly as with the two-lattice backends. The ``"sparse"``
-        workers compact their slab to its fluid-node list but keep the
-        dense slab arrays authoritative, so the exchange and checkpoint
-        protocols are untouched.
+        workers step their slab's fluid-node list and materialise the
+        dense slab array whenever the exchange or a checkpoint reads
+        it, so both protocols are untouched.
     fault:
         Deterministic fault injection: a
         :class:`~repro.parallel.faults.FaultSpec` (or a plain dict of

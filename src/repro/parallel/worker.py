@@ -210,7 +210,8 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                                       barrier, barrier_timeout)
                 if emitter is not None:
                     emitter.checkpoint(step, spec.checkpoint_dir)
-            maybe_inject(fault, rank, step, attempt, solver.field(state))
+            if fault is not None:     # looking at the field is not free
+                maybe_inject(fault, rank, step, attempt, solver.field(state))
             with tel.phase("step"):
                 with tel.phase("pack"):
                     if send_r is not None:

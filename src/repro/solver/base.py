@@ -22,6 +22,27 @@ from ..obs.telemetry import NULL_TELEMETRY
 __all__ = ["Solver", "SolverDiagnostics"]
 
 
+def _dense_state(slot: str, what: str) -> property:
+    """The accessor of a dense state array kept in attribute ``slot``.
+
+    Reading it and rebinding it both tell the fast-path stepper that the
+    array is being looked at (:meth:`Solver._looked`), so the array is
+    current when it is handed out and a write into it — or a new array
+    bound in its place — is what the next step starts from.
+    """
+    def get(self) -> np.ndarray:
+        self._looked()
+        return getattr(self, slot)
+
+    def rebind(self, value: np.ndarray) -> None:
+        self._looked()
+        setattr(self, slot, value)
+
+    return property(get, rebind, doc=(
+        f"{what}, current at the moment of access (see the *State "
+        "access* notes of :class:`Solver`)."))
+
+
 class SolverDiagnostics:
     """Lightweight macroscopic diagnostics over the fluid region.
 
@@ -78,6 +99,21 @@ class Solver(ABC):
         the solver/feature compatibility matrix are checked eagerly at
         construction time (:func:`repro.accel.validate_backend`), so an
         unsupported combination never fails mid-run.
+
+    State access
+    ------------
+    The dense state (``solver.f`` for ST, ``solver.m`` for MR) is
+    *current at the moment of access*: a backend may keep the state in
+    a layout of its own between steps (``"sparse"`` steps the compact
+    fluid-node list and touches no dense array) and materialises it
+    when the attribute is read. The array keeps its identity
+    (``solver.f is solver.f`` across steps), but a reference *held*
+    across a step is not refreshed until the attribute is read again —
+    the reference backend rebinds ``f`` / ``m`` every step, so that was
+    always so. Writes are seen by the very next step when they go
+    through the attribute: ``solver.f[...] = x``, ``solver.f = x``,
+    ``restore_checkpoint``. ``solver.force`` is read-only (NumPy raises
+    on an in-place write); :meth:`set_force` is the writer.
     """
 
     #: short scheme label used by benchmarks ("ST", "MR-P", "MR-R")
@@ -117,9 +153,10 @@ class Solver(ABC):
         else:
             from ..core.forcing import normalize_force
 
-            self.force = normalize_force(lat, force, domain.shape)
+            force = normalize_force(lat, force, domain.shape)
             # No body force inside walls.
-            self.force[:, domain.solid_mask] = 0.0
+            force[:, domain.solid_mask] = 0.0
+            self.force = force
 
         rho_init = np.broadcast_to(np.asarray(rho0, dtype=np.float64), domain.shape)
         if u0 is None:
@@ -188,6 +225,26 @@ class Solver(ABC):
 
             self._stepper = make_stepper(self)
         return self._stepper
+
+    def _looked(self, force: bool = False) -> None:
+        """Tell the fast-path stepper the dense state (or the body
+        ``force``) is being looked at — and possibly written."""
+        if self._stepper is not None:
+            self._stepper.looked(self, force)
+
+    @property
+    def force(self) -> np.ndarray | None:
+        """The body force ``(D, *grid)``, or ``None``; read-only outside
+        :meth:`set_force`, so no core can hold a stale copy of it."""
+        return self._force
+
+    @force.setter
+    def force(self, value: np.ndarray | None) -> None:
+        if value is not None:
+            value = value.view()
+            value.flags.writeable = False
+        self._force = value
+        self._looked(force=True)
 
     @property
     def accel_path(self) -> str | None:
@@ -281,7 +338,9 @@ class Solver(ABC):
         call before each step with the instantaneous force. Solid nodes
         are automatically zeroed. The solver must have been constructed
         with a force (the schemes select their forced code paths at
-        construction time).
+        construction time). This is the one writer of ``solver.force``:
+        the array itself is read-only, so a backend that mirrors it
+        (``"sparse"`` keeps a compact copy) reloads exactly when told.
         """
         if self.force is None:
             raise ValueError(
@@ -292,7 +351,11 @@ class Solver(ABC):
 
         new = normalize_force(self.lat, force, self.domain.shape)
         new[:, self.domain.solid_mask] = 0.0
-        self.force[...] = new
+        held = self._force
+        held.flags.writeable = True
+        held[...] = new
+        held.flags.writeable = False
+        self._looked(force=True)
 
     def velocity(self) -> np.ndarray:
         """The current velocity field ``u`` of shape ``(D, *grid)``."""

@@ -24,13 +24,15 @@ from ..core.collision import collide_moments_projective, collide_moments_recursi
 from ..core.equilibrium import equilibrium_moments
 from ..core.moments import f_from_moments, moments_from_f, velocity_from_moments
 from ..core.streaming import stream_push
-from .base import Solver
+from .base import Solver, _dense_state
 
 __all__ = ["MRPSolver", "MRRSolver"]
 
 
 class _MomentSolver(Solver):
     """Shared state handling for the two MR schemes."""
+
+    m = _dense_state("_m", "The moment field ``(M, *grid)``")
 
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
         """Set the moment field to the equilibrium of ``(rho, u)``."""

@@ -14,7 +14,7 @@ from ..core.collision import BGKCollision, CollisionOperator
 from ..core.equilibrium import equilibrium
 from ..core.moments import macroscopic
 from ..core.streaming import stream_pull
-from .base import Solver
+from .base import Solver, _dense_state
 
 __all__ = ["STSolver"]
 
@@ -33,6 +33,8 @@ class STSolver(Solver):
     #: ``batched`` additionally certifies lockstep ensemble execution
     #: (:class:`repro.ensemble.EnsembleRunner`).
     accel_caps = {"family": "st", "batched": True}
+
+    f = _dense_state("_f", "The population lattice ``(Q, *grid)``")
 
     def __init__(self, *args, collision: CollisionOperator | None = None, **kwargs):
         self._collision_override = collision

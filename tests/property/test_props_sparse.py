@@ -102,13 +102,15 @@ class TestTableIdentities:
     @given(masked_lattice(), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_folded_links_realize_halfway_bounce_back(self, ml, seed):
-        """``gather_dense`` equals the dense pull everywhere a link's
+        """``compact`` then ``gather_compact`` (the one reload path of
+        the sparse cores) equals the dense pull everywhere a link's
         source is fluid, and equals the half-way reflection (opposite
         component, same node) everywhere the source is solid."""
         lat, solid = ml
         table = MaskedNeighborTable(lat, solid)
         f = random_field(lat, solid.shape, seed)
-        got = table.gather_dense(f, np.empty((lat.q, table.n_fluid)))
+        fc = table.compact(f, np.empty((lat.q, table.n_fluid)))
+        got = table.gather_compact(fc, np.empty_like(fc))
         pulled = table.compact(stream_push(lat, f),
                                np.empty((lat.q, table.n_fluid)))
         flat = f.reshape(lat.q, -1)

@@ -1,0 +1,263 @@
+"""Property-based tests (hypothesis): looking must not change the trajectory.
+
+The ``sparse`` cores keep the compact ``(Q | M, n_fluid)`` state between
+steps and materialise ``solver.f`` / ``solver.m`` only when the attribute
+is read (:mod:`repro.accel.sparse`). The oracle is metamorphic: a random
+sequence of public operations is applied to
+
+* a ``sparse`` solver (*lazy*: it looks only where the sequence looks),
+* a ``sparse`` twin whose state is read after **every** step (*eager*:
+  the reload-every-step path, which is what the cores did before the
+  compact state became the state), and
+* a ``fused`` third,
+
+and every observation of the first must be ``np.array_equal`` to the
+second and within the 1e-13 of ``test_props_sparse.py`` of the third
+(compact and dense dgemms cut their columns differently, so ``sparse``
+against ``fused`` was never bit-exact).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.accel import MaskedNeighborTable
+from repro.boundary import HalfwayBounceBack
+from repro.io import restore_checkpoint, save_checkpoint
+from repro.lattice import get_lattice
+from repro.obs import Telemetry
+from repro.parallel import ProcessRuntime, RunSpec
+from repro.service.registry import build_single, setup_problem
+from repro.solver import make_solver
+
+TAU = 0.8
+SCHEMES = ["ST", "MR-P", "MR-R"]
+#: thin and prime extents on purpose: chunk tails, one-plane interiors
+SHAPES = {"D2Q9": [(7, 5), (11, 6), (5, 13)],
+          "D3Q19": [(5, 5, 4), (7, 4, 5)]}
+
+
+def _moving_wall(scheme, lattice, shape, backend, seed):
+    """Forced channel whose top wall moves: folded momentum terms."""
+    lat, setup = setup_problem("forced-channel", lattice, shape, TAU,
+                               u_max=0.03)
+    wall = np.zeros((lat.d, *shape))
+    wall[0][:, -1] = 0.04
+    return make_solver(scheme, lat, setup.domain, TAU,
+                       boundaries=[HalfwayBounceBack(wall_velocity=wall)],
+                       force=setup.force, backend=backend)
+
+
+def _porous(scheme, lattice, shape, backend, seed):
+    return build_single("porous", scheme, lattice, shape, tau=TAU,
+                        backend=backend, solid_fraction=0.45, seed=seed,
+                        force_x=2e-5)
+
+
+def _channel(scheme, lattice, shape, backend, seed):
+    return build_single("channel", scheme, lattice, shape, tau=TAU,
+                        backend=backend, u_max=0.03, bc_method="nebb")
+
+
+#: problem -> (builder, the ``accel_path`` its sparse core must report)
+PROBLEMS = {"porous": (_porous, "lean"),
+            "moving-wall": (_moving_wall, "lean"),
+            "channel": (_channel, "dense-fallback")}
+
+
+def state_of(solver):
+    return solver.f if solver.name == "ST" else solver.m
+
+
+def fields(solver):
+    rho, u = solver.macroscopic()
+    return np.concatenate([rho[None], u])
+
+
+# One operation of a sequence: (name, argument).
+OPS = st.one_of(
+    st.tuples(st.just("run"), st.integers(1, 3)),
+    st.tuples(st.just("macroscopic"), st.none()),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("poke"), st.integers(0, 2**16)),
+    st.tuples(st.just("set_force"), st.floats(0.5, 2.0)),
+    st.tuples(st.just("checkpoint"), st.integers(1, 2)),
+    st.tuples(st.just("telemetry"), st.booleans()),
+)
+
+
+def apply(solver, ops, tmp, every_step=False):
+    """Apply ``ops`` to ``solver``; returns everything that was observed."""
+    seen = []
+    fluid = np.argwhere(solver.domain.fluid_mask)
+
+    def run(k):
+        if not every_step:
+            solver.run(k)
+            return
+        for _ in range(k):
+            solver.run(1)
+            state_of(solver)            # a look: scatter now, reload next
+
+    for n, (op, arg) in enumerate(ops):
+        if op == "run":
+            run(arg)
+        elif op == "macroscopic":
+            seen.append(fields(solver))
+        elif op == "read":
+            seen.append(state_of(solver).copy())
+        elif op == "poke":
+            node = tuple(fluid[arg % len(fluid)])
+            state_of(solver)[(0, *node)] += 1e-3
+        elif op == "set_force":
+            if solver.force is not None:
+                solver.set_force(arg * solver.force)
+        elif op == "checkpoint":
+            path = save_checkpoint(tmp / f"{id(solver)}-{n}.npz", solver)
+            run(arg)
+            restore_checkpoint(path, solver)
+        elif op == "telemetry":
+            solver.attach_telemetry(Telemetry() if arg else None)
+    run(1)
+    seen.append(fields(solver))
+    seen.append(state_of(solver).copy())
+    return seen
+
+
+def assert_same_story(lazy, eager, dense, fluid):
+    assert len(lazy) == len(eager) == len(dense)
+    for a, b, c in zip(lazy, eager, dense):
+        assert np.array_equal(a, b)
+        assert np.abs(a[:, fluid] - c[:, fluid]).max() < 1e-13
+
+
+class TestLookingDoesNotChangeTheTrajectory:
+    @pytest.mark.parametrize("lattice", ["D2Q9", "D3Q19"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_random_operation_sequences(self, tmp_path_factory, problem,
+                                        scheme, lattice, data):
+        build, path = PROBLEMS[problem]
+        shape = data.draw(st.sampled_from(SHAPES[lattice]))
+        seed = data.draw(st.integers(0, 2**16))
+        ops = data.draw(st.lists(OPS, min_size=2, max_size=8))
+        tmp = tmp_path_factory.mktemp("ckpt")
+        lazy, eager, dense = (build(scheme, lattice, shape, backend, seed)
+                              for backend in ("sparse", "sparse", "fused"))
+        seen = [apply(lazy, ops, tmp), apply(eager, ops, tmp, every_step=True),
+                apply(dense, ops, tmp)]
+        assert lazy.accel_path == eager.accel_path == path
+        assert_same_story(*seen, lazy.domain.fluid_mask)
+
+    @given(ops=st.lists(OPS, min_size=2, max_size=6))
+    @settings(max_examples=10, deadline=None)
+    def test_power_law_variable_tau(self, tmp_path_factory, ops):
+        """``_update_relaxation`` reads ``m`` every step by itself."""
+        tmp = tmp_path_factory.mktemp("ckpt")
+        lazy, eager, dense = (
+            build_single("power-law", "MR-P", "D2Q9", (9, 7), tau=TAU,
+                         backend=backend, u_max=0.03)
+            for backend in ("sparse", "sparse", "fused"))
+        seen = [apply(lazy, ops, tmp), apply(eager, ops, tmp, every_step=True),
+                apply(dense, ops, tmp)]
+        assert_same_story(*seen, lazy.domain.fluid_mask)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_womersley_set_force_every_step(self, scheme):
+        """A pulsatile force is seen by the very next step, read or not."""
+        solvers = [build_single("forced-channel", scheme, "D2Q9", (12, 9),
+                                tau=TAU, backend="sparse", u_max=0.03)
+                   for _ in range(2)]
+        amplitude = solvers[0].force[0].max()
+        for step in range(12):
+            drive = [amplitude * np.cos(0.4 * step), 0.0]
+            for solver in solvers:
+                solver.set_force(drive)
+                solver.run(1)
+            state_of(solvers[1])
+        assert np.array_equal(state_of(solvers[0]), state_of(solvers[1]))
+        assert np.array_equal(fields(solvers[0]), fields(solvers[1]))
+
+    def test_force_is_read_only_outside_set_force(self):
+        solver = build_single("forced-channel", "ST", "D2Q9", (8, 7),
+                              tau=TAU, backend="sparse")
+        with pytest.raises(ValueError, match="read-only"):
+            solver.force[0] += 1e-6
+        held = solver.force
+        solver.set_force([1e-6, 0.0])
+        assert solver.force is held and not held.flags.writeable
+
+
+class TestRanksOnSparse:
+    """A rank looks every step (halo pack and unpack): the reload path."""
+
+    @staticmethod
+    def single(kind, scheme, shape, steps, **options):
+        solver = build_single(kind, scheme, "D2Q9", shape, tau=TAU,
+                              backend="sparse", **options)
+        return fields(solver.run(steps))
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", ["forced-channel", "channel"])
+    def test_emulated_ranks_match_single_domain(self, kind, scheme, ranks):
+        options = {"u_max": 0.03}
+        if kind == "channel":       # boundary-plane-only reconstructions
+            options.update(bc_method="nebb", outlet_tangential="zero")
+        spec = RunSpec(kind, scheme, "D2Q9", (13, 9), ranks, tau=TAU,
+                       accel="sparse", options=options)
+        rho, u = spec.build().run(9).gather_macroscopic()
+        want = self.single(kind, scheme, (13, 9), 9, **options)
+        assert np.abs(np.concatenate([rho[None], u]) - want).max() < 1e-13
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_process_ranks_match_emulated(self, scheme, ranks,
+                                          leaked_segments):
+        spec = RunSpec("forced-channel", scheme, "D2Q9", (13, 9), ranks,
+                       tau=TAU, accel="sparse", options={"u_max": 0.03})
+        result = ProcessRuntime(spec).run(7)
+        rho, u = spec.build().run(7).gather_macroscopic()
+        assert np.array_equal(result.rho, rho)
+        assert np.array_equal(result.u, u)
+        assert leaked_segments() == []
+
+
+class TestTheMechanism:
+    """Not just the result: which dense-state passes a step makes."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_run_touches_no_dense_state(self, monkeypatch, scheme):
+        solver = build_single("porous", scheme, "D2Q9", (16, 12), tau=TAU,
+                              backend="sparse", solid_fraction=0.4, seed=1)
+        solver.run(1)                   # builds the core, loads the state
+        calls = {"scatter": 0, "compact": 0}
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _inner=getattr(MaskedNeighborTable, name)):
+                calls[_name] += 1
+                return _inner(self, *args)
+            monkeypatch.setattr(MaskedNeighborTable, name, counted)
+        tel = Telemetry()
+        solver.attach_telemetry(tel).run(10)
+        assert calls == {"scatter": 0, "compact": 0}
+        assert "syncs" not in tel.counters
+        first = solver.macroscopic()
+        assert calls == {"scatter": 1, "compact": 0}
+        assert tel.counters["syncs"] == 1 and tel.phases["sync"].calls == 1
+        again = solver.macroscopic()    # nothing pending: no second scatter
+        assert calls == {"scatter": 1, "compact": 0}
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert state_of(solver) is state_of(solver)
+
+    def test_rebinding_the_state_is_seen_by_the_next_step(self):
+        lat = get_lattice("D2Q9")
+        a, b = (build_single("porous", "MR-P", lat, (10, 9), tau=TAU,
+                             backend="sparse", solid_fraction=0.4, seed=2)
+                for _ in range(2))
+        a.run(3)
+        b.run(5)
+        b.m = a.m.copy()
+        assert np.array_equal(b.run(2).m, a.run(2).m)

@@ -163,6 +163,17 @@ class TestPath:
                                 measure_traffic=False, accel="aa")
         assert result["path"] == "bounded"
         assert "backend = aa (bounded path)" in format_profile(result)
+        assert "syncs" not in format_profile(result)
+
+    def test_profile_header_counts_sparse_syncs(self):
+        """Nobody reads the state of a profiled run: 0 of 3 steps synced."""
+        from repro.obs import format_profile, profile_scheme
+
+        result = profile_scheme("ST", "D2Q9", shape=(16, 10), steps=3,
+                                measure_traffic=False, accel="sparse")
+        assert result["syncs"] == 0
+        assert ("backend = sparse (dense-fallback path), 0 state syncs"
+                in format_profile(result))
 
     def test_rank_cores_carry_path(self):
         dist = build_distributed("channel", "MR-P", "D2Q9", (24, 12), 3,

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Pass and temporary audit of a fast-path step (ROADMAP item 1a).
 
-For each scheme on a periodic box this prints what one step of the chosen
-backend holds and moves, measured three ways that need no cooperation
-from the core, so the same file audits any commit
-(``PYTHONPATH=<checkout>/src python tools/audit_passes.py``):
+For each scheme on one registered problem (``--kind``, a periodic box by
+default; ``--option k=v`` sets the kind's options) this prints what one
+step of the chosen backend holds and moves, measured three ways that
+need no cooperation from the core, so the same file audits any commit
+(``PYTHONPATH=<checkout>/src python tools/audit_passes.py``). On a masked
+problem ``N`` is the number of *fluid* nodes — the updates a step is for:
 
 * **buffers** — every float64 array reachable from the stepper, in units
   of one ``(Q, N)`` lattice: those at least ``N`` doubles long are
   *grid-scale* (each is a DRAM round trip whenever a pass touches it),
-  the rest are the cache-resident window;
+  the rest are the cache-resident window; integer index tables are
+  listed beside them in the same unit;
 * **temporaries** — ``tracemalloc``'s peak over one warm step, same unit
   (NumPy registers its data allocations with tracemalloc);
 * **passes** — the phase timers of ``repro.obs.Telemetry`` converted into
@@ -32,6 +35,7 @@ import tracemalloc
 
 import numpy as np
 
+from repro.cli import _parse_option
 from repro.obs import Telemetry
 from repro.service.registry import build_single
 
@@ -41,6 +45,11 @@ SCHEMES = ("ST", "MR-P", "MR-R")
 def model_values(path: str | None, backend: str, scheme: str, q: int,
                  m: int) -> str:
     """Grid-scale values moved per node per step (docs/ALGORITHMS.md)."""
+    if backend == "sparse":         # per fluid node, index reads included
+        if path != "lean":
+            return "-"
+        return (f"4Q + Q idx = {5 * q}" if scheme == "ST"
+                else f"4Q + 2M + Q idx = {5 * q + 2 * m}")
     if path == "lean" and backend == "aa" and scheme == "ST":
         return f"6Q, 2Q alternating = {6 * q}, {2 * q}"
     if path == "lean":
@@ -50,8 +59,8 @@ def model_values(path: str | None, backend: str, scheme: str, q: int,
     return "-"
 
 
-def float_buffers(*owners) -> list[np.ndarray]:
-    """Distinct float64 base buffers reachable from ``owners``."""
+def buffers(*owners, dtype=np.float64) -> list[np.ndarray]:
+    """Distinct base buffers of ``dtype`` reachable from ``owners``."""
     found: dict[int, np.ndarray] = {}
     seen: set[int] = set()
     stack = list(owners)
@@ -63,7 +72,7 @@ def float_buffers(*owners) -> list[np.ndarray]:
         if isinstance(obj, np.ndarray):
             while obj.base is not None:
                 obj = obj.base
-            if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+            if isinstance(obj, np.ndarray) and obj.dtype == dtype:
                 found[id(obj)] = obj
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
@@ -89,16 +98,21 @@ def _timed(fn, *args) -> float:
 
 
 def audit(scheme: str, lattice: str, shape: tuple[int, ...], backend: str,
-          steps: int, gbs: float) -> dict:
+          steps: int, gbs: float, kind: str = "periodic",
+          options: dict | None = None) -> dict:
     """Measure one scheme; returns the row as a dict."""
-    rng = np.random.default_rng(0)
-    u0 = 0.02 * rng.standard_normal((len(shape), *shape)).clip(-1, 1)
-    solver = build_single("periodic", scheme, lattice, shape, tau=0.8,
-                          backend=backend, u0=u0)
+    options = dict(options or {})
+    if kind == "periodic" and "u0" not in options:
+        rng = np.random.default_rng(0)
+        options["u0"] = 0.02 * rng.standard_normal(
+            (len(shape), *shape)).clip(-1, 1)
+    solver = build_single(kind, scheme, lattice, shape, tau=0.8,
+                          backend=backend, **options)
     solver.run(2)
-    lat, n = solver.lat, int(np.prod(shape))
+    lat, n = solver.lat, int(solver.domain.n_fluid)
     state = solver.f if scheme == "ST" else solver.m
-    owned = [b for b in float_buffers(solver._stepper) if b is not state]
+    owned = [b for b in buffers(solver._stepper) if b is not state]
+    tables = buffers(solver._stepper, dtype=np.intp)
     lattice_doubles = lat.q * n
     gc.collect()
     tracemalloc.start()
@@ -120,6 +134,7 @@ def audit(scheme: str, lattice: str, shape: tuple[int, ...], backend: str,
         "state": state.size / lattice_doubles,
         "grid": sum(b.size for b in owned if b.size >= n) / lattice_doubles,
         "window": sum(b.size for b in owned if b.size < n) / lattice_doubles,
+        "tables": sum(b.size for b in tables if b.size >= n) / lattice_doubles,
         "temporaries": max(peak - base, 0) / 8 / lattice_doubles,
         "phases_ms": {k: v * 1e3 for k, v in phases.items()},
         "values": {k: v / per_value for k, v in phases.items()},
@@ -136,25 +151,32 @@ def main() -> int:
     ap.add_argument("--shape", default="64,64,64")
     ap.add_argument("--backend", default="fused")
     ap.add_argument("--steps", type=int, default=8)
+    ap.add_argument("--kind", default="periodic",
+                    help="registered problem kind (default: periodic)")
+    ap.add_argument("--option", action="append", default=[],
+                    metavar="K=V", help="an option of the kind (repeatable)")
     args = ap.parse_args()
     shape = tuple(int(x) for x in args.shape.split(","))
+    options = dict(_parse_option(item) for item in args.option)
     gbs = copy_gbs()
-    print(f"# {args.lattice} {'x'.join(map(str, shape))} backend="
-          f"{args.backend}; copy bandwidth {gbs:.1f} GB/s (read + written)")
-    print("# buffers and temporaries in (Q, N) lattices; values = doubles "
-          "per node per step at copy speed")
+    print(f"# {args.kind} {args.lattice} {'x'.join(map(str, shape))} "
+          f"backend={args.backend}; copy bandwidth {gbs:.1f} GB/s "
+          "(read + written)")
+    print("# N = fluid nodes; buffers, tables and temporaries in (Q, N) "
+          "lattices; values = doubles per node per step at copy speed")
     print("| scheme | path | state | core grid-scale | core window | "
-          "step temporaries | phase ms/step | values/node (measured) | "
-          "of which Q | model |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "index tables | step temporaries | phase ms/step | "
+          "values/node (measured) | of which Q | model |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for scheme in SCHEMES:
         row = audit(scheme, args.lattice, shape, args.backend, args.steps,
-                    gbs)
+                    gbs, args.kind, options)
         total = sum(row["values"].values())
         ms = ", ".join(f"{k} {v:.1f}" for k, v in row["phases_ms"].items()
                        if v >= 0.05)
         print(f"| {row['scheme']} | {row['path']} | {row['state']:.2f} | "
               f"{row['grid']:.2f} | {row['window']:.3f} | "
+              f"{row['tables']:.2f} | "
               f"{row['temporaries']:.3f} | {ms} | {total:.0f} | "
               f"{total / row['q']:.1f} Q | {row['model']} |")
     return 0
