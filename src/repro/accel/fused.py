@@ -62,6 +62,7 @@ import itertools
 
 import numpy as np
 
+from ..core.blocking import _CHUNK   # per collide chunk and window slab
 from ..core.collision import _split_trace
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
@@ -69,13 +70,6 @@ from ..obs.telemetry import NULL_TELEMETRY
 __all__ = ["FusedSTCore", "FusedMRCore"]
 
 
-#: Nodes per collide chunk and per sliding-window slab — the one blocking
-#: constant of the dense cores. Sized for the measured host (machine
-#: profile: L1 48 KiB, L2 2 MiB per core): a collide body keeps about three
-#: ``(Q, _CHUNK)`` blocks of doubles live (populations, equilibrium or
-#: coefficients, moments + velocity), and on D3Q19 that is
-#: ``3 x 19 x 4096 x 8 B = 1.8 MiB <= 2 MiB``.
-_CHUNK = 4096
 #: Doubles appended to a buffer row whose stride would otherwise be a
 #: multiple of 4 KiB: rows at such a stride (2 MiB exactly on a 64^3
 #: lattice) all map to the same cache sets, and a ``(Q, chunk)`` block of

@@ -19,7 +19,11 @@ to a flat ``(n_fluid,)`` shape:
   ``solver.m`` are materialised when somebody looks (:meth:`sync`, one
   scatter) and reloaded on the next step, because whoever looks may
   also write; the compact body force is reloaded after ``set_force``
-  only. Solid columns keep their pinned rest values throughout.
+  only. Solid columns keep their pinned rest values throughout;
+* **what a core holds scales with the fluid**: compact fields, the
+  folded gather, the solid-link lists, the compaction maps it uses and
+  the node list — only that list's inverse is dense-node-sized
+  (docs/ALGORITHMS.md, *Realized allocations*).
 
 A boundary list that is empty or a single plain
 :class:`~repro.boundary.HalfwayBounceBack` (moving walls included) folds

@@ -10,12 +10,16 @@ flat source index of every ``(component, node)`` pair once per
 indirect-addressing GPU kernels stream through
 (:mod:`repro.gpu.kernels.indirect`). The batched cores stream whole
 ensembles through it; a single dense grid copies wrap blocks instead
-(:mod:`repro.accel.fused`). Tables are cached per ``(lattice name,
-shape)`` and are pure functions of both (``clear_cache`` exists for
-tests and memory-conscious callers).
+(:mod:`repro.accel.fused`). A dense table is ``2Q`` indices per node, so
+:func:`neighbor_table` shares one per ``(lattice name, shape)`` among the
+cores that hold it and keeps none alive itself; a
+:class:`MaskedNeighborTable` is built from its fluid rows alone, without
+a dense one (inventory: docs/ALGORITHMS.md, *Realized allocations*).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -28,16 +32,11 @@ __all__ = ["NeighborTable", "MaskedNeighborTable", "neighbor_table",
 class NeighborTable:
     """Flat gather indices realizing periodic streaming for one grid.
 
-    Attributes
-    ----------
-    src:
-        ``(Q, N)`` array of flat node indices with
-        ``streamed[q].ravel()[n] == f[q].ravel()[src[q, n]]`` — i.e. the
-        source node of the Eq. 7 displacement under periodic wrap.
-    flat:
-        ``src`` with per-component offsets ``q * N`` added, so one
-        ``np.take`` over the raveled ``(Q, N)`` field performs the whole
-        propagation step in a single gather pass.
+    ``src`` is ``(Q, N)`` with ``streamed[q].ravel()[n] ==
+    f[q].ravel()[src[q, n]]`` (the source node of the Eq. 7 displacement
+    under periodic wrap); ``flat`` is ``src`` with the component offsets
+    ``q * N`` added, so one ``np.take`` over the raveled ``(Q, N)``
+    field is the whole propagation step.
     """
 
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...]):
@@ -48,19 +47,18 @@ class NeighborTable:
         self.lat_name = lat.name
         self.shape = tuple(int(s) for s in shape)
         self.n_nodes = int(np.prod(self.shape))
-        coords = np.indices(self.shape).reshape(lat.d, self.n_nodes)
-        src = np.zeros((lat.q, self.n_nodes), dtype=np.intp)
-        strides = np.ones(lat.d, dtype=np.intp)
-        for a in range(lat.d - 2, -1, -1):
-            strides[a] = strides[a + 1] * self.shape[a + 1]
+        # Open per-axis coordinate rows, broadcast by the wrap-mode ravel:
+        # no (D, N) coordinate array.
+        grid = np.ogrid[tuple(slice(size) for size in self.shape)]
+        src = np.empty((lat.q, *self.shape), dtype=np.intp)
         for q in range(lat.q):
-            for a in range(lat.d):
-                src[q] += ((coords[a] - lat.c[q, a]) % self.shape[a]) * strides[a]
-        self.src = src
-        self.flat = (src + (np.arange(lat.q, dtype=np.intp)[:, None]
-                            * self.n_nodes)).ravel()
-        # Table-owned reusable output buffers for ``gather(..., out=None)``
-        # calls, keyed by dtype (see :meth:`_owned_out`).
+            src[q] = np.ravel_multi_index(
+                [x - c for x, c in zip(grid, lat.c[q])], self.shape,
+                mode="wrap")
+        self.src = src.reshape(lat.q, self.n_nodes)
+        self.flat = np.add(self.src, np.arange(lat.q, dtype=np.intp)[:, None]
+                           * self.n_nodes).reshape(-1)
+        # Reusable ``gather(..., out=None)`` outputs (:meth:`_owned_out`).
         self._scratch: dict[np.dtype, list[np.ndarray]] = {}
 
     def _owned_out(self, f: np.ndarray) -> np.ndarray:
@@ -82,21 +80,18 @@ class NeighborTable:
     def gather(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stream a ``(Q, *shape)`` (or ``(Q, N)``) field in one gather.
 
-        Equivalent to :func:`repro.core.streaming.stream_push` bit for
-        bit (a pure permutation). ``out`` must not alias ``f``; when it
-        is omitted the result lands in a **table-owned** buffer (a
-        two-deep per-dtype ring) that stays valid until the second
-        subsequent ``out=None`` gather of the same dtype — enough for
-        ``f = table.gather(f)`` ping-ponging with zero steady-state
-        allocations.
+        :func:`repro.core.streaming.stream_push` bit for bit (a pure
+        permutation). ``out`` must not alias ``f``; omitted, the result
+        lands in a **table-owned** buffer (:meth:`_owned_out`) that stays
+        valid until the second subsequent ``out=None`` gather of its
+        dtype: ``f = table.gather(f)`` ping-pongs without allocating.
         """
         if out is None:
             out = self._owned_out(f)
         if out is f or np.shares_memory(f, out):
             raise ValueError("gather cannot stream in place: out aliases f")
-        # mode="clip" is semantically a no-op (the indices are in-range
-        # by construction) but skips NumPy's bounce-buffer path for
-        # out= takes.
+        # mode="clip": a no-op on in-range indices that skips NumPy's
+        # bounce-buffer path for out= takes.
         np.take(f.reshape(-1), self.flat, out=out.reshape(-1), mode="clip")
         return out
 
@@ -115,26 +110,15 @@ class MaskedNeighborTable:
       from the *same* compact node, the half-way bounce-back pull of
       :class:`repro.boundary.HalfwayBounceBack.post_stream`. Cores that
       stream *without* a bounce-back boundary overwrite those entries
-      with the rest weights (:attr:`solid_links`), as the dense kernels'
-      pinned solid nodes would.
+      with the rest weights, as the dense kernels' pinned solids would.
 
-    Attributes
-    ----------
-    fluid_flat:
-        ``(n_fluid,)`` flat dense node indices of the compact list, in C
-        order — the map behind :meth:`compact` (dense → compact: a
-        core's reload) and :meth:`scatter` (compact → dense: its sync).
-    dense_to_compact:
-        ``(n_nodes,)`` inverse map (``-1`` at solid nodes).
-    src / src_comp:
-        ``(Q, n_fluid)`` compact source index and source component per
-        link (bounce-back-folded at solid links).
-    flat_compact:
-        ``src_comp * n_fluid + src`` — one ``np.take`` over a raveled
-        compact field is the whole (folded) propagation step.
-    solid_links:
-        Per-component compact target indices whose source node is solid
-        (the folded links): rest overwrite, moving-wall momentum terms.
+    What it holds is ``fluid_flat`` / ``dense_to_compact`` (the compact
+    node list in C order and its ``(n_nodes,)`` inverse, ``-1`` at
+    solids — the maps behind :meth:`compact` and :meth:`scatter`),
+    ``flat_compact`` (``src_comp * n_fluid + src``: one ``np.take`` over
+    a raveled compact field is the whole folded propagation step) and
+    ``solid_links`` (per component, the compact targets whose source
+    node is solid: rest overwrite, moving-wall momentum terms).
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray):
@@ -147,37 +131,42 @@ class MaskedNeighborTable:
         self.lat_name = lat.name
         self.shape = solid.shape
         self.n_nodes = int(solid.size)
-        fluid = ~solid
-        self.fluid_flat = np.flatnonzero(fluid.ravel())
-        self.n_fluid = int(self.fluid_flat.size)
-        if self.n_fluid == 0:
+        self.fluid_flat = np.flatnonzero(~solid.ravel())
+        self.n_fluid = n = int(self.fluid_flat.size)
+        if n == 0:
             raise ValueError("mask has no fluid nodes to compact")
         self.dense_to_compact = np.full(self.n_nodes, -1, dtype=np.intp)
-        self.dense_to_compact[self.fluid_flat] = np.arange(
-            self.n_fluid, dtype=np.intp)
+        self.dense_to_compact[self.fluid_flat] = np.arange(n, dtype=np.intp)
 
-        # Dense flat index of the periodic source node x - c_q for every
-        # compact node x (same arithmetic as NeighborTable, restricted to
-        # the fluid rows).
-        dense = neighbor_table(lat, self.shape)
-        src_dense = dense.src[:, self.fluid_flat]          # (Q, n_fluid)
-        src_is_solid = ~fluid.ravel()[src_dense]
-
-        self.src = self.dense_to_compact[src_dense]
-        self.src_comp = np.broadcast_to(
-            np.arange(lat.q, dtype=np.intp)[:, None],
-            self.src.shape).copy()
+        # NeighborTable's arithmetic on the fluid rows only: the periodic
+        # source node x - c_q of every compact node x, one component row
+        # at a time.
+        coords = np.unravel_index(self.fluid_flat, self.shape)
+        flat = np.empty((lat.q, n), dtype=np.intp)
         self.solid_links: list[np.ndarray] = []
-        self_idx = np.arange(self.n_fluid, dtype=np.intp)
         for q in range(lat.q):
-            links = np.flatnonzero(src_is_solid[q])
+            src_dense = np.ravel_multi_index(
+                [x - c for x, c in zip(coords, lat.c[q])], self.shape,
+                mode="wrap")
+            src = self.dense_to_compact[src_dense]      # -1: solid source
+            links = np.flatnonzero(src < 0)
             self.solid_links.append(links)
+            np.add(src, q * n, out=flat[q])
             # Fold: pull opposite[q] at the target node itself.
-            self.src[q, links] = self_idx[links]
-            self.src_comp[q, links] = lat.opposite[q]
-        self.flat_compact = (self.src_comp * self.n_fluid + self.src).ravel()
+            flat[q, links] = lat.opposite[q] * n + links
+        self.flat_compact = flat.reshape(-1)
         # One-take compaction maps of (C, N) fields, per component count.
         self._field_idx: dict[int, np.ndarray] = {}
+
+    @property
+    def src(self) -> np.ndarray:
+        """``(Q, n_fluid)`` compact source index per link (folded: itself)."""
+        return (self.flat_compact % self.n_fluid).reshape(-1, self.n_fluid)
+
+    @property
+    def src_comp(self) -> np.ndarray:
+        """``(Q, n_fluid)`` source component per link (folded: opposite)."""
+        return (self.flat_compact // self.n_fluid).reshape(-1, self.n_fluid)
 
     def field_idx(self, n_components: int) -> np.ndarray:
         """Flat gather indices compacting an ``(n_components, N)`` field."""
@@ -206,12 +195,13 @@ class MaskedNeighborTable:
         return f
 
 
-#: Cache of built tables, keyed by (lattice name, grid shape).
-_CACHE: dict[tuple[str, tuple[int, ...]], NeighborTable] = {}
+#: Tables alive somewhere, by (lattice name, grid shape): a table lasts as
+#: long as a core holds it, and same-shape cores alive together share it.
+_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def neighbor_table(lat: LatticeDescriptor, shape: tuple[int, ...]) -> NeighborTable:
-    """Build (or fetch the cached) :class:`NeighborTable` for a grid."""
+    """Build (or fetch the shared live) :class:`NeighborTable` for a grid."""
     key = (lat.name, tuple(int(s) for s in shape))
     table = _CACHE.get(key)
     if table is None:
@@ -220,11 +210,15 @@ def neighbor_table(lat: LatticeDescriptor, shape: tuple[int, ...]) -> NeighborTa
 
 
 def clear_cache() -> None:
-    """Drop all cached tables (tests / memory-conscious callers)."""
+    """Forget every shared table (holders keep theirs; tests)."""
     _CACHE.clear()
 
 
 def stream_gather(lat: LatticeDescriptor, f: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Table-driven drop-in for :func:`repro.core.streaming.stream_push`."""
+    """Table-driven drop-in for :func:`repro.core.streaming.stream_push`.
+
+    Holds no table: one is built per call unless the caller keeps the
+    grid's :func:`neighbor_table` alive.
+    """
     return neighbor_table(lat, f.shape[1:]).gather(f, out=out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import LatticeDescriptor
+from .blocking import _blocks
 from .moments import pack_moments
 
 __all__ = [
@@ -30,6 +31,19 @@ def _as_velocity_field(lat: LatticeDescriptor, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _flat_fields(lat: LatticeDescriptor, rho, u) -> tuple:
+    """``(grid, rho, u)`` with the fields flattened to ``(N,)`` / ``(D, N)``.
+
+    The grid is that of ``u``; ``rho`` (a scalar, or anything that
+    broadcasts against the grid) is broadcast to it.
+    """
+    u = _as_velocity_field(lat, u)
+    rho = np.asarray(rho, dtype=np.float64)
+    grid = np.broadcast_shapes(rho.shape, u.shape[1:])
+    return (grid, np.broadcast_to(rho, grid).reshape(-1),
+            np.broadcast_to(u, (lat.d, *grid)).reshape(lat.d, -1))
+
+
 def equilibrium(lat: LatticeDescriptor, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Second-order equilibrium distribution (paper Eq. 4).
 
@@ -37,28 +51,38 @@ def equilibrium(lat: LatticeDescriptor, rho: np.ndarray, u: np.ndarray) -> np.nd
     which is exactly the Hermite form
     ``w_i (H0 rho + H1.rho u / cs2 + H2 : rho u u / (2 cs4))``.
 
-    Parameters have shapes ``grid`` (rho) and ``(D, *grid)`` (u); the result
-    has shape ``(Q, *grid)``.
+    Parameters have shapes ``grid`` (rho; a scalar is broadcast) and
+    ``(D, *grid)`` (u); the result has shape ``(Q, *grid)``. The
+    expression is evaluated over column blocks (:mod:`.blocking`)
+    straight into the result, so a lattice-sized call allocates its
+    result and block-wide temporaries, not five lattices.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    u = _as_velocity_field(lat, u)
-    cu = np.einsum("qa,a...->q...", lat.c.astype(np.float64), u)
-    usq = np.einsum("a...,a...->...", u, u)
-    return lat.w.reshape((-1,) + (1,) * rho.ndim) * rho * (
-        1.0 + cu / lat.cs2 + cu * cu / (2.0 * lat.cs4) - usq / (2.0 * lat.cs2)
-    )
+    grid, rho, u = _flat_fields(lat, rho, u)
+    c, w = lat.c.astype(np.float64), lat.w[:, None]
+    feq = np.empty((lat.q, rho.size))
+    for cols in _blocks(rho.size):
+        ub = u[:, cols]
+        cu = np.einsum("qa,a...->q...", c, ub)
+        usq = np.einsum("a...,a...->...", ub, ub)
+        np.multiply(w * rho[cols], (
+            1.0 + cu / lat.cs2 + cu * cu / (2.0 * lat.cs4) - usq / (2.0 * lat.cs2)
+        ), out=feq[:, cols])
+    return feq.reshape(lat.q, *grid)
 
 
 def equilibrium_moments(lat: LatticeDescriptor, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Equilibrium M-vector: ``[rho, rho u, (rho u u)_distinct]``.
 
     The Hermite second moment of Eq. 4 equilibrium is ``Pi_eq = rho u u``
-    (paper, below Eq. 10).
+    (paper, below Eq. 10). Shapes and blocking as :func:`equilibrium`.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    u = _as_velocity_field(lat, u)
-    pi_cols = np.stack([rho * u[a] * u[b] for a, b in lat.pair_tuples], axis=0)
-    return pack_moments(lat, rho, rho * u, pi_cols)
+    grid, rho, u = _flat_fields(lat, rho, u)
+    m = np.empty((lat.n_moments, rho.size))
+    for cols in _blocks(rho.size):
+        rb, ub = rho[cols], u[:, cols]
+        pi_cols = np.stack([rb * ub[a] * ub[b] for a, b in lat.pair_tuples], axis=0)
+        m[:, cols] = pack_moments(lat, rb, rb * ub, pi_cols)
+    return m.reshape(lat.n_moments, *grid)
 
 
 def a3_equilibrium_cols(lat: LatticeDescriptor, rho: np.ndarray, u: np.ndarray) -> np.ndarray:

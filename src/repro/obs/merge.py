@@ -24,6 +24,8 @@ The merged report is what ``mrlbm run --backend process`` prints and what
 
 from __future__ import annotations
 
+from .telemetry import peak_rss_mb
+
 __all__ = ["merge_rank_reports"]
 
 
@@ -121,8 +123,10 @@ def merge_rank_reports(per_rank: list[dict],
     dict
         JSON-serializable report with aggregated ``phases``,
         ``counters``, ``comm``, per-rank and cohort ``mlups``, the
-        ``imbalance`` attribution block (see :func:`_imbalance`), and
-        the original ``per_rank`` records for drill-down.
+        ``imbalance`` attribution block (see :func:`_imbalance`),
+        ``peak_rss_mb`` / ``peak_rss_process`` (the largest peak resident
+        set among the ranks and the merging process, and whose it is),
+        and the original ``per_rank`` records for drill-down.
     """
     reports = sorted(per_rank, key=lambda rep: rep.get("rank") or 0)
     steps = max((rep.get("steps") or 0 for rep in reports), default=0)
@@ -156,6 +160,12 @@ def merge_rank_reports(per_rank: list[dict],
     ]
     aggregate_mlups = (n_fluid_total * steps / slowest / 1e6
                        if slowest > 0 else 0.0)
+    # Memory: the largest peak among the ranks and the merging (parent)
+    # process, and whose it is.
+    peaks = {f"rank {rep.get('rank')}": rep["summary"]["peak_rss_mb"]
+             for rep in reports if "peak_rss_mb" in rep.get("summary", {})}
+    peaks["parent"] = peak_rss_mb()
+    peak_process = max(peaks, key=peaks.get)
 
     return {
         "n_ranks": len(reports),
@@ -167,6 +177,8 @@ def merge_rank_reports(per_rank: list[dict],
         "mlups_per_rank": mlups_per_rank,
         "comm": comm,
         "imbalance": _imbalance(reports),
+        "peak_rss_mb": peaks[peak_process],
+        "peak_rss_process": peak_process,
         "phases": _merge_phases([rep.get("summary", {}) for rep in reports]),
         "counters": counters,
         "per_rank": reports,

@@ -17,7 +17,7 @@ Reported throughputs:
 
 from __future__ import annotations
 
-from .telemetry import Telemetry
+from .telemetry import Telemetry, peak_rss_mb
 
 __all__ = ["profile_scheme", "format_profile", "compare_backends",
            "format_backend_comparison", "PROFILE_SCHEMES"]
@@ -105,6 +105,7 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
         "n_fluid": int(n_fluid),
         "host_seconds": step_total,
         "host_mlups": host_mlups,
+        "peak_rss_mb": peak_rss_mb(),
         "phases": phases,
         "device": device,
         "traffic": None,
@@ -137,6 +138,8 @@ def format_profile(result: dict) -> str:
         backend += f" ({result['path']} path)"
     if result.get("syncs") is not None:
         backend += f", {result['syncs']} state syncs"
+    if result.get("peak_rss_mb"):
+        backend += f", peak RSS {result['peak_rss_mb']:.0f} MB"
     lines.append(
         f"{result['scheme']} / {result['lattice']} on {shape} "
         f"({result['n_fluid']:,} fluid nodes), tau = {result['tau']}, "

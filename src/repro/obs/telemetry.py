@@ -21,6 +21,7 @@ empty ``with`` block.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,23 @@ __all__ = [
     "NULL_TELEMETRY",
     "PhaseStats",
     "Span",
+    "peak_rss_mb",
 ]
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set of this process so far, in MB (``ru_maxrss``).
+
+    A measurement of the process, not a result of the run: it belongs in
+    reports, never in anything fingerprinted or compared for equality.
+    0.0 where the platform has no ``getrusage``.
+    """
+    try:
+        import resource
+    except ImportError:
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss    # KiB; macOS: B
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
 
 
 @dataclass
@@ -275,10 +292,14 @@ class Telemetry:
         return nbytes / total / 1e9
 
     def summary(self) -> dict:
-        """JSON-serializable snapshot of counters, gauges and phases."""
+        """JSON-serializable snapshot: counters, gauges, phases, peak RSS.
+
+        ``peak_rss_mb`` is :func:`peak_rss_mb` of this process, now.
+        """
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "phases": {k: v.to_dict() for k, v in sorted(self.phases.items())},
             "n_spans": len(self.spans),
+            "peak_rss_mb": peak_rss_mb(),
         }

@@ -158,11 +158,14 @@ class Solver(ABC):
             force[:, domain.solid_mask] = 0.0
             self.force = force
 
-        rho_init = np.broadcast_to(np.asarray(rho0, dtype=np.float64), domain.shape)
+        # Private copies (the caller's arrays are not written): the
+        # (1 + D, N) inputs are all a build holds beside its state.
+        rho_init = np.array(np.broadcast_to(
+            np.asarray(rho0, dtype=np.float64), domain.shape))
         if u0 is None:
             u_init = np.zeros((lat.d, *domain.shape))
         else:
-            u_init = np.asarray(u0, dtype=np.float64)
+            u_init = np.array(u0, dtype=np.float64)
             if u_init.shape != (lat.d, *domain.shape):
                 raise ValueError(
                     f"u0 must have shape {(lat.d, *domain.shape)}, got {u_init.shape}"
@@ -170,9 +173,7 @@ class Solver(ABC):
         # Solid nodes start (and are kept) at rest equilibrium so that no
         # NaN/Inf can ever leak out of unused regions.
         solid = domain.solid_mask
-        rho_init = np.array(rho_init)
         rho_init[solid] = 1.0
-        u_init = np.array(u_init)
         u_init[:, solid] = 0.0
         self._initialize(rho_init, u_init)
         # Fail fast: check the backend name and the solver/backend

@@ -121,6 +121,20 @@ class TestMergedReport:
         assert report["comm"]["bytes_per_step"] == pytest.approx(
             result.comm.bytes_per_step())
 
+    def test_report_says_which_process_set_the_memory_peak(self):
+        """Every rank summary carries its process's peak RSS; the merged
+        report carries the largest of ranks and parent, and names it."""
+        spec = RunSpec("periodic", "MR-P", "D2Q9", (24, 10), 2, tau=0.8)
+        result = run_process(spec, 3)
+        ranks = {f"rank {rep['rank']}": rep["summary"]["peak_rss_mb"]
+                 for rep in result.per_rank}
+        assert len(ranks) == 2 and min(ranks.values()) > 0
+        report = result.report
+        assert report["peak_rss_process"] in {*ranks, "parent"}
+        assert report["peak_rss_mb"] >= max(ranks.values())
+        if report["peak_rss_process"] != "parent":
+            assert report["peak_rss_mb"] == ranks[report["peak_rss_process"]]
+
     def test_rank_reports_say_where_compute_went(self):
         """A rank is a solver with the rank's telemetry attached, so its
         own phases nest under ``step/compute`` in every rank summary and

@@ -89,6 +89,40 @@ class TestCacheAndValidation:
         with pytest.raises(ValueError, match="dimension"):
             NeighborTable(lat, (6, 6))
 
+    def test_cache_keeps_no_table_alive(self):
+        """Regression: the cache was a plain dict and pinned ``2Q`` indices
+        per node for every shape a batched core ever streamed, for the
+        life of the process. A table now lives as long as a core holds
+        it; same-shape cores alive together still share one."""
+        import gc
+
+        from repro.accel import make_core, tables
+        from repro.geometry import periodic_box
+
+        lat, domain = get_lattice("D2Q9"), periodic_box((12, 10))
+        st = make_core("fused", {"family": "st"}, lat, domain, [0.7, 0.9])
+        mr = make_core("fused", {"family": "mr", "scheme": "MR-P"}, lat,
+                       domain, [0.8, 0.6, 0.9])
+        assert st._table is mr._table is neighbor_table(lat, (12, 10))
+        assert len(tables._CACHE) == 1
+        del st
+        gc.collect()
+        assert len(tables._CACHE) == 1         # mr still holds it
+        del mr
+        gc.collect()
+        assert len(tables._CACHE) == 0
+
+    def test_stream_gather_holds_nothing(self):
+        from repro.accel import tables
+
+        lat = get_lattice("D2Q9")
+        f = random_field(lat, (6, 4), seed=8)
+        assert np.array_equal(stream_gather(lat, f), stream_push(lat, f))
+        assert len(tables._CACHE) == 0
+        held = neighbor_table(lat, (6, 4))     # kept alive: reused
+        stream_gather(lat, f)
+        assert list(tables._CACHE.values()) == [held]
+
 
 class TestOwnedBufferReuse:
     """Regression: gather(out=None) must not allocate a fresh field per

@@ -98,3 +98,54 @@ class TestExtendedEquilibrium:
         a4 = a4_equilibrium_cols(lattice, rho, u)
         for k, (a, b, c, e) in enumerate(lattice.quad_tuples):
             assert np.allclose(a4[k], rho * u[a] * u[b] * u[c] * u[e])
+
+
+class TestScalarDensity:
+    """Regression: ``equilibrium(lat, 1.0, u)`` — the call ``Solver(rho0=1.0)``
+    invites. The weights used to be reshaped by ``rho.ndim`` (0 for a
+    scalar) and so broadcast along the *last grid axis*: silently wrong
+    populations on a grid whose last extent equals ``Q``, an opaque
+    broadcast error on any other."""
+
+    @staticmethod
+    def fields(grid):
+        from repro.lattice import get_lattice
+
+        lat = get_lattice("D2Q9")
+        u = np.zeros((lat.d, *grid))
+        u[0] = 0.01
+        u[1] = np.linspace(-0.02, 0.02, grid[1])
+        return lat, u
+
+    @pytest.mark.parametrize("grid", [(5, 9), (5, 7)],
+                             ids=["last-extent-is-Q", "last-extent-is-not-Q"])
+    @pytest.mark.parametrize("fn", [equilibrium, equilibrium_moments,
+                                    equilibrium_extended],
+                             ids=lambda fn: fn.__name__)
+    def test_scalar_equals_grid_of_that_scalar(self, fn, grid):
+        lat, u = self.fields(grid)
+        for rho in (1.0, 0.97, np.float64(1.25), np.array(1.1)):
+            full = fn(lat, np.full(grid, float(rho)), u)
+            assert full.shape[1:] == grid
+            assert np.array_equal(fn(lat, rho, u), full)
+
+    def test_density_broadcasts_against_the_grid(self):
+        lat, u = self.fields((5, 9))
+        row = np.linspace(0.9, 1.1, 9)              # one value per column
+        full = np.broadcast_to(row, (5, 9)).copy()
+        assert np.array_equal(equilibrium(lat, row, u),
+                              equilibrium(lat, full, u))
+        assert np.array_equal(equilibrium_moments(lat, row, u),
+                              equilibrium_moments(lat, full, u))
+
+    def test_grid_shaped_density_is_the_whole_array_expression(self,
+                                                               lattice,
+                                                               random_state):
+        """The blocked evaluation is the one-expression Eq. 4 bit for bit."""
+        rho, u, _ = random_state
+        cu = np.einsum("qa,a...->q...", lattice.c.astype(np.float64), u)
+        usq = np.einsum("a...,a...->...", u, u)
+        whole = lattice.w.reshape((-1,) + (1,) * rho.ndim) * rho * (
+            1.0 + cu / lattice.cs2 + cu * cu / (2.0 * lattice.cs4)
+            - usq / (2.0 * lattice.cs2))
+        assert np.array_equal(equilibrium(lattice, rho, u), whole)

@@ -75,6 +75,18 @@ class TestMergeEdgeCases:
         # wait falls back to the (absent) barrier phase -> zero share
         assert report["imbalance"]["exchange_wait_s"] == 0.0
 
+    def test_memory_peak_names_its_process(self):
+        """Largest ``peak_rss_mb`` among ranks and the merging process;
+        ranks that report none (old workers) fall back to the parent."""
+        big = rank_report(1)
+        big["summary"]["peak_rss_mb"] = 1e9
+        report = merge_rank_reports([rank_report(0), big])
+        assert (report["peak_rss_process"], report["peak_rss_mb"]) == (
+            "rank 1", 1e9)
+        report = merge_rank_reports([rank_report(0)])
+        assert report["peak_rss_process"] == "parent"
+        assert report["peak_rss_mb"] > 0
+
     def test_parent_wall_overrides_slowest(self):
         report = merge_rank_reports([rank_report(0)], wall_s=9.0)
         assert report["wall_s"] == 9.0

@@ -15,6 +15,11 @@ problem ``N`` is the number of *fluid* nodes — the updates a step is for:
   listed beside them in the same unit;
 * **temporaries** — ``tracemalloc``'s peak over one warm step, same unit
   (NumPy registers its data allocations with tracemalloc);
+* **process** — what the stepper walk cannot see, in MB: ``tracemalloc``'s
+  peak over the build (``build_single`` to a returned solver), what is
+  live after the first step (state, core, tables, the problem's own
+  arrays), and the arrays held by module-level caches of ``repro.*`` —
+  memory no solver owns and no solver's death frees;
 * **passes** — the phase timers of ``repro.obs.Telemetry`` converted into
   *values per node at copy speed*: ``seconds x copy bandwidth / (8 B x N)``,
   with the bandwidth of a large ``np.copyto`` measured in the same run
@@ -30,8 +35,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -60,7 +67,8 @@ def model_values(path: str | None, backend: str, scheme: str, q: int,
 
 
 def buffers(*owners, dtype=np.float64) -> list[np.ndarray]:
-    """Distinct base buffers of ``dtype`` reachable from ``owners``."""
+    """Distinct base buffers of ``dtype`` (``None``: any) reachable from
+    ``owners``."""
     found: dict[int, np.ndarray] = {}
     seen: set[int] = set()
     stack = list(owners)
@@ -72,15 +80,28 @@ def buffers(*owners, dtype=np.float64) -> list[np.ndarray]:
         if isinstance(obj, np.ndarray):
             while obj.base is not None:
                 obj = obj.base
-            if isinstance(obj, np.ndarray) and obj.dtype == dtype:
+            if isinstance(obj, np.ndarray) and dtype in (None, obj.dtype):
                 found[id(obj)] = obj
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
-        elif isinstance(obj, dict):
+        elif isinstance(obj, (dict, weakref.WeakValueDictionary)):
             stack.extend(obj.values())
         elif type(obj).__module__.startswith("repro.accel"):
             stack.extend(vars(obj).values())
     return list(found.values())
+
+
+def module_cache_bytes() -> int:
+    """Bytes of arrays reachable from module-level containers of ``repro.*``.
+
+    Containers only (dicts, weak-value dicts, lists): a module constant
+    that *is* an array is data, not a cache.
+    """
+    caches = [value for name, module in list(sys.modules.items())
+              if name.startswith("repro") and module is not None
+              for value in vars(module).values()
+              if isinstance(value, (dict, list, weakref.WeakValueDictionary))]
+    return sum(b.nbytes for b in buffers(*caches, dtype=None))
 
 
 def copy_gbs(mb: int = 256, repeats: int = 5) -> float:
@@ -106,16 +127,22 @@ def audit(scheme: str, lattice: str, shape: tuple[int, ...], backend: str,
         rng = np.random.default_rng(0)
         options["u0"] = 0.02 * rng.standard_normal(
             (len(shape), *shape)).clip(-1, 1)
+    gc.collect()
+    tracemalloc.start()
+    start, _ = tracemalloc.get_traced_memory()
     solver = build_single(kind, scheme, lattice, shape, tau=0.8,
                           backend=backend, **options)
-    solver.run(2)
+    _, build_peak = tracemalloc.get_traced_memory()
+    solver.run(1)
+    gc.collect()
+    live, _ = tracemalloc.get_traced_memory()
+    solver.run(1)
     lat, n = solver.lat, int(solver.domain.n_fluid)
     state = solver.f if scheme == "ST" else solver.m
     owned = [b for b in buffers(solver._stepper) if b is not state]
     tables = buffers(solver._stepper, dtype=np.intp)
     lattice_doubles = lat.q * n
     gc.collect()
-    tracemalloc.start()
     solver.run(1)
     base, _ = tracemalloc.get_traced_memory()
     tracemalloc.reset_peak()
@@ -136,6 +163,9 @@ def audit(scheme: str, lattice: str, shape: tuple[int, ...], backend: str,
         "window": sum(b.size for b in owned if b.size < n) / lattice_doubles,
         "tables": sum(b.size for b in tables if b.size >= n) / lattice_doubles,
         "temporaries": max(peak - base, 0) / 8 / lattice_doubles,
+        "build_peak_mb": (build_peak - start) / 1e6,
+        "live_mb": (live - start) / 1e6,
+        "caches_mb": module_cache_bytes() / 1e6,
         "phases_ms": {k: v * 1e3 for k, v in phases.items()},
         "values": {k: v / per_value for k, v in phases.items()},
         "model": model_values(solver.accel_path, backend, scheme, lat.q,
@@ -165,9 +195,10 @@ def main() -> int:
     print("# N = fluid nodes; buffers, tables and temporaries in (Q, N) "
           "lattices; values = doubles per node per step at copy speed")
     print("| scheme | path | state | core grid-scale | core window | "
-          "index tables | step temporaries | phase ms/step | "
+          "index tables | step temporaries | build peak MB | "
+          "live after step 1 MB | module caches MB | phase ms/step | "
           "values/node (measured) | of which Q | model |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|" + "---|" * 14)
     for scheme in SCHEMES:
         row = audit(scheme, args.lattice, shape, args.backend, args.steps,
                     gbs, args.kind, options)
@@ -177,7 +208,9 @@ def main() -> int:
         print(f"| {row['scheme']} | {row['path']} | {row['state']:.2f} | "
               f"{row['grid']:.2f} | {row['window']:.3f} | "
               f"{row['tables']:.2f} | "
-              f"{row['temporaries']:.3f} | {ms} | {total:.0f} | "
+              f"{row['temporaries']:.3f} | {row['build_peak_mb']:.1f} | "
+              f"{row['live_mb']:.1f} | {row['caches_mb']:.1f} | "
+              f"{ms} | {total:.0f} | "
               f"{total / row['q']:.1f} Q | {row['model']} |")
     return 0
 
