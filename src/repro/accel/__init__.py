@@ -13,10 +13,10 @@ one collide-and-project kernel per scheme family
     The solvers' own step methods — the validated baseline.
 ``"fused"``
     Dense layout, natural order after every step: BLAS moment
-    projections, cache-blocked collision and, on boundary-free problems
-    (``path == "lean"``), a sliding window of leading-axis slabs that
-    keeps no lattice beside the state; boundary objects see whole
-    arrays, so their problems step one slab, the grid (``"bounded"``).
+    projections, cache-blocked collision and (``path == "lean"``) a
+    sliding window of leading-axis slabs that carries the row-local
+    boundary hooks and keeps no lattice beside the state; hooks that
+    need whole arrays step one slab, the grid (``"bounded"``).
 ``"aa"``
     Dense layout, single-lattice in-place streaming for ST
     (:mod:`repro.accel.inplace`, model in ``docs/ALGORITHMS.md``); MR
@@ -43,22 +43,18 @@ Capability handshake
 --------------------
 Fast paths are not inferred from the class hierarchy: a solver class
 opts in by declaring an ``accel_caps`` dict **in its own class body**
-(inherited declarations do not count, so a subclass that overrides
-physics is rejected until it certifies its own compatibility)::
+(a subclass that overrides physics is rejected until it certifies
+itself)::
 
     accel_caps = {"family": "st"}                       # STSolver
-    accel_caps = {"family": "mr", "scheme": "MR-P"}     # MRPSolver
     accel_caps = {"family": "mr", "scheme": "MR-P",
                   "variable_tau": True}                 # PowerLawMRPSolver
 
-``family`` selects the kernel family (``"st"`` two-lattice BGK,
-``"mr"`` moment representation with ``scheme`` ``"MR-P"``/``"MR-R"``).
-``variable_tau: True`` means the solver exposes a grid-shaped
-``tau_field`` and an ``_update_relaxation()`` hook, and the stepper
-runs the per-node relaxation path each step. ``batched: True``
-certifies the solver for lockstep ensemble execution — its state arrays
-may be rebound to batch-array views and stepped by
-:class:`repro.ensemble.EnsembleRunner` instead of its own step method.
+``family`` selects the kernel family (``"st"`` two-lattice BGK, ``"mr"``
+with ``scheme`` ``"MR-P"``/``"MR-R"``); ``variable_tau`` means a
+grid-shaped ``tau_field`` plus an ``_update_relaxation()`` hook the
+stepper runs each step; ``batched`` certifies the solver for lockstep
+execution by :class:`repro.ensemble.EnsembleRunner`.
 """
 
 from __future__ import annotations
@@ -105,11 +101,11 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
     ``caps`` is an ``accel_caps`` declaration (``family``, and ``scheme``
     for MR); ``domain`` supplies the grid shape and solid geometry;
     ``boundaries`` the bound boundary objects the core will be stepped
-    with (they select its ``path``). A *vector* ``tau`` selects the
-    batch axis: ``B`` lockstep simulations sharing ``domain``, dense
-    ``"bounded"`` step only. The returned core owns every buffer beyond
-    the caller's persistent state and follows the protocol of
-    :mod:`repro.accel.fused`.
+    with (they select its ``path``; a lean core slides their hooks). A
+    *vector* ``tau`` selects the batch axis: ``B`` lockstep simulations
+    sharing ``domain``, dense ``"bounded"`` step only. The returned core
+    owns every buffer beyond the caller's persistent state and follows
+    the protocol of :mod:`repro.accel.fused`.
     """
     family = caps["family"]
     kwargs = {} if family == "st" else {"scheme": caps["scheme"]}

@@ -1,15 +1,13 @@
 """The batch axis: one kernel invocation, N simulations.
 
 On small and medium domains the per-step cost of the fused fast path is
-fixed Python dispatch — a couple dozen NumPy calls whose overhead dwarfs
-the arithmetic once the grid fits in cache. That is the regime of
-parameter sweeps and ensembles: *many independent small simulations*.
-
-The fused kernels of :mod:`repro.accel.fused` are batch-polymorphic:
-given a ``(B,)`` vector of relaxation times they size every buffer
-``(B, C, N)``, the dgemms broadcast ``(M, Q) @ (B, Q, N)`` and each
-member keeps its own ``τ_k`` through ``(B, 1, 1)`` prefactor columns.
-This module adds only what a batch axis genuinely changes:
+fixed Python dispatch — the regime of parameter sweeps and ensembles:
+*many independent small simulations*. The fused kernels of
+:mod:`repro.accel.fused` are batch-polymorphic: given a ``(B,)`` vector
+of relaxation times they size every buffer ``(B, C, N)``, the dgemms
+broadcast ``(M, Q) @ (B, Q, N)`` and each member keeps its own ``τ_k``
+through ``(B, 1, 1)`` prefactor columns. This module adds only what a
+batch axis genuinely changes:
 
 * **streaming** is one flat gather — the
   :class:`~repro.accel.tables.NeighborTable` indices applied to the
@@ -62,8 +60,8 @@ class _BatchAxis:
         self._table = neighbor_table(lat, tuple(shape))
         super().__init__(lat, shape, self.taus, **kwargs)
 
-    def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Stream the whole ensemble in one flat table gather."""
+    def _gather(self, plan, f: np.ndarray, out: np.ndarray) -> None:
+        """One flat table gather streams the ensemble (no block ``plan``)."""
         # mode="clip" is semantically a no-op (the table indices are
         # in-range by construction) but skips NumPy's bounce-buffer
         # path for out= takes — measurably faster on large batches.

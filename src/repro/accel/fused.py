@@ -15,45 +15,43 @@ family** that every fast backend steps with — :class:`FusedSTCore`
   against the precomputed block matrix ``[R | E3 | E4]``;
 * are **cache-blocked the way the paper's column kernel is** (Algorithm
   2, Fig. 1): the collide bodies run over column chunks of ``_CHUNK``
-  nodes in chunk-wide buffers, and a boundary-free grid is stepped as a
-  sliding window of leading-axis slabs, so between the caller's state
-  being read and written no ``(Q, N)`` intermediate ever reaches DRAM —
-  and none is allocated: every buffer is the core's, sized once;
+  nodes in chunk-wide buffers, and the grid is stepped as a sliding
+  window of leading-axis slabs that carries the boundary hooks with it,
+  so between the caller's state being read and written no ``(Q, N)``
+  intermediate ever reaches DRAM — and none is allocated: every buffer
+  is the core's, sized once;
 * fold body forcing (Guo's half-force scheme, distribution space for ST
   and the moment-space projection of :mod:`repro.core.forcing` for MR)
   into the collision stage — a handful of extra FMAs per node, no
   additional field passes;
 * accept a per-node ``tau_field`` in the MR-P collision (the local
   relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`);
-* are **batch-polymorphic**: every array may carry leading batch axes
-  (``f[B, Q, *grid]``, ``m[B, M, *grid]``) and ``tau`` may be a ``(B,)``
-  vector, in which case the relaxation and Guo prefactors become
-  ``(B, 1, 1)`` columns and the dgemms broadcast over the batch. The
-  arithmetic is written once against ``(..., C, N)`` fields; what is
-  genuinely different with a batch axis (the streaming pass and the
-  per-member boundary loop) lives in :mod:`repro.accel.batched`.
+* are **batch-polymorphic**: arrays may carry leading batch axes
+  (``f[B, Q, *grid]``, ``m[B, M, *grid]``) under a ``(B,)`` vector
+  ``tau``; the arithmetic is written once against ``(..., C, N)``
+  fields, and what a batch axis really changes (streaming, per-member
+  boundaries) lives in :mod:`repro.accel.batched`.
 
-Every kernel reproduces the corresponding reference solver to machine
-precision: the arithmetic mirrors the reference expressions operation
-for operation, up to BLAS summation order at one ulp per step (pinned by
-``tests/unit/test_accel_backends.py``). The other layouts reuse these
-kernels rather than copy them: :mod:`repro.accel.inplace` subclasses the
-ST one (AA pattern), :mod:`repro.accel.sparse` binds both to a flat
-``(n_fluid,)`` shape, :mod:`repro.accel.batched` adds a batch axis.
+Every kernel mirrors the reference expressions operation for operation,
+up to BLAS summation order at one ulp per step
+(``tests/unit/test_accel_backends.py``). The other layouts reuse these
+kernels: :mod:`repro.accel.inplace` subclasses the ST one (AA pattern),
+:mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)`` shape,
+:mod:`repro.accel.batched` adds a batch axis.
 
 Core protocol
 -------------
 Cores are array-level: they know nothing about
 :class:`~repro.solver.base.Solver`. Every core in :mod:`repro.accel` is
 built by :func:`repro.accel.make_core`, exposes a read-only ``path``
-(the step variant chosen at construction from the boundary list) and a
-``state_lattices`` count (whole ``Q``-lattices the step keeps), and is
-stepped by ``core.step(state, boundaries, tel, force=, tau_field=,
-time=)``. ``state`` is the caller's persistent array (``f`` for ST,
-``m`` for MR), updated in place — or, by a core that keeps the state to
-itself between steps (``sparse``), when its ``sync(state)`` is called;
-``time`` is the owner's step clock, read only by the parity-alternating
-lean path of :class:`~repro.accel.inplace.InplaceSTCore`.
+(the step variant its boundary list selected) and a ``state_lattices``
+count (whole ``Q``-lattices the step keeps), and is stepped by
+``core.step(state, boundaries, tel, force=, tau_field=, time=)``.
+``state`` is the caller's persistent array (``f`` for ST, ``m`` for MR),
+updated in place — or, by a core that keeps the state to itself between
+steps (``sparse``), when its ``sync(state)`` is called; ``time`` is the
+owner's clock, read only by the parity-alternating lean path of
+:class:`~repro.accel.inplace.InplaceSTCore`.
 """
 
 from __future__ import annotations
@@ -62,7 +60,8 @@ import itertools
 
 import numpy as np
 
-from ..core.blocking import _CHUNK   # per collide chunk and window slab
+from ..boundary.base import Boundary
+from ..core.blocking import _CHUNK, _SLAB_CHUNKS   # collide chunk, window slab
 from ..core.collision import _split_trace
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
@@ -128,23 +127,21 @@ def _shift_blocks(shape: tuple[int, ...], c) -> list[tuple[tuple, tuple]]:
     return blocks
 
 
-def _copy_blocks(plan, src: np.ndarray, dst: np.ndarray) -> None:
-    """Run a :meth:`_FusedCore._stream_plan`: ``dst[d] = src[s]`` per block."""
-    for d, s in plan:
-        dst[d] = src[s]
-
-
 class _FusedCore:
     """Construction, slab geometry and hooks common to the two families.
 
-    A core built boundary-free and without a batch axis is ``"lean"``:
-    it steps a sliding window of leading-axis *slabs* (about ``_CHUNK``
-    nodes each, never thinner than the lattice's ``reach``) — the host
-    transplant of the paper's column kernel (Algorithm 2, Fig. 1) — and
-    no lattice-sized buffer exists beside the caller's state. Boundary
-    hooks and the batch gather need whole lattices, so every other core
-    is ``"bounded"``: the same step over a single slab that is the whole
-    grid. A lean grid of fewer than two slabs steps that way too.
+    An unbatched core whose boundaries all have a row extent
+    (:meth:`repro.boundary.Boundary.slab_hooks`; none is fine) is
+    ``"lean"``: it steps a sliding window of leading-axis *slabs* (about
+    ``_CHUNK`` nodes — ``_SLAB_CHUNKS`` chunks of planes smaller than one
+    — never thinner than the lattice's ``reach``) and runs each slab's
+    ``post_stream`` hooks in list order on the slab buffer right after
+    its gather: the host transplant of the paper's column kernel
+    (Algorithm 2, Fig. 1), no lattice-sized buffer beside the caller's
+    state. Batches, ``post_collide`` hooks and boundaries that need
+    whole lattices are ``"bounded"``: the same step over one slab that
+    is the whole grid, which a lean grid of fewer than two slabs (or of
+    edge slabs thinner than a boundary's stencil) takes too.
     """
 
     #: Lean cores slide; a subclass that needs whole lattices opts out.
@@ -162,42 +159,61 @@ class _FusedCore:
         #: relaxation time as a broadcast factor (see :func:`_column`).
         self.tau = _column(tau)
         self.keep = 1.0 - 1.0 / self.tau
-        self.solid_mask = solid_mask
         #: leading batch axes of every buffer: ``()`` or ``(B,)``.
         self._lead = np.shape(tau)
-        #: step variant this core runs (see the class docstring).
-        self.path = "bounded" if boundaries or self._lead else "lean"
         self._mm = np.ascontiguousarray(lat.moment_matrix)
         #: nodes per leading-axis plane
         self._tail = int(np.prod(self.shape[1:], dtype=np.int64))
         #: columns of every chunk-wide collide intermediate
         self._width = min(self.shape[0] * self._tail, _CHUNK)
-        self._win = None    # slabs, stream plans and buffers (first step)
+        self._boundaries = tuple(boundaries)
+        #: row ranges ``[a0, a1)`` the window visits; per slab its hooks
+        self._slabs, self._hooks = self._cut()
+        self.path = "bounded" if self._hooks is None else "lean"
+        # flat solid nodes per slab, pinned as the slab is written
+        solid = np.flatnonzero(False if solid_mask is None else solid_mask)
+        edges = np.searchsorted(
+            solid, [0] + [a1 * self._tail for _, a1 in self._slabs])
+        self._pins = [solid[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        self._win = None    # stream plans and buffers (first step)
+
+    def _cut(self) -> tuple[list, list | None]:
+        """``(slabs, hooks per slab)``; hooks ``None``: the bounded step."""
+        n0, bcs = self.shape[0], self._boundaries
+        width = _CHUNK * (_SLAB_CHUNKS if self._tail < _CHUNK else 1)
+        rows = max(self.lat.reach, width // self._tail)
+        k = max(n0 // rows, 1) if self._slides else 1
+        cuttable = not (self._lead or (bcs and not self._slides) or any(
+            type(b).post_collide is not Boundary.post_collide for b in bcs))
+        while cuttable:  # coarsen until no stencil is deeper than a slab
+            slabs = [(n0 * i // k, n0 * (i + 1) // k) for i in range(k)]
+            per = [b.slab_hooks(self.lat, slabs) for b in bcs]
+            if None not in per:
+                return slabs, [[p[s] for p in per if p[s] is not None]
+                               for s in range(k)]
+            cuttable, k = k > 1, k // 2
+        return [(0, n0)], None
+
+    def _span(self, lo: int, hi: int) -> tuple:
+        """Index of leading-axis rows ``[lo, hi)`` of a ``(..., C, *grid)``."""
+        return (..., slice(lo, hi)) + (slice(None),) * (len(self.shape) - 1)
 
     def _flat(self, x: np.ndarray | None, components: int):
         """``x`` viewed as ``(..., components, N)`` (``None`` passes through)."""
         return None if x is None else x.reshape(
             self._lead + (components, -1))
 
-    def _window(self, boundaries=()) -> tuple:
-        """``(slabs, stream plans, *buffers)`` of the step, built on first use.
-
-        ``slabs`` are the leading-axis row ranges ``[a0, a1)`` the window
-        visits; the subclass adds its plans and buffers. A lean core
-        refuses boundary objects it was not built with.
-        """
-        if boundaries and self.path == "lean":
+    def _window(self, boundaries=None) -> tuple:
+        """``(slabs, stream plans, *buffers)`` of the step, built on first
+        use; a lean core refuses a boundary list it was not built with."""
+        if (boundaries is not None and self._hooks is not None
+                and tuple(boundaries) != self._boundaries):
             raise ValueError(
-                "this core was built boundary-free (lean path); pass the "
-                "boundary objects at construction for the bounded path")
+                "this core slides the boundary hooks it was built with "
+                "(lean path); build a core for another boundary list")
         if self._win is None:
-            n0 = self.shape[0]
-            rows = max(self.lat.reach, _CHUNK // self._tail)
-            k = (max(n0 // rows, 1)
-                 if self._slides and self.path == "lean" else 1)
-            slabs = [(n0 * i // k, n0 * (i + 1) // k) for i in range(k)]
-            self._win = (slabs, *self._build_window(
-                slabs, max(a1 - a0 for a0, a1 in slabs)))
+            self._win = (self._slabs, *self._build_window(
+                self._slabs, max(a1 - a0 for a0, a1 in self._slabs)))
         return self._win
 
     def _stream_plan(self, a0: int, a1: int, source_rows: int) -> list:
@@ -229,9 +245,14 @@ class _FusedCore:
         return _rows((), q, rows * self._tail).reshape(q, rows,
                                                        *self.shape[1:])
 
+    def _gather(self, plan: list, src: np.ndarray, dst: np.ndarray) -> None:
+        """Run a :meth:`_stream_plan`: ``dst[d] = src[s]`` block by block."""
+        for d, s in plan:
+            dst[d] = src[s]
+
     def _stream(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Exact periodic streaming (Eq. 7) of a whole lattice, block by block."""
-        _copy_blocks(self._window()[1][0], f, out)
+        """Exact periodic streaming (Eq. 7) of a whole lattice."""
+        self._gather(self._window()[1][0], f, out)
 
     def _apply(self, hook: str, boundaries, f_new: np.ndarray,
                f_src: np.ndarray) -> None:
@@ -239,12 +260,30 @@ class _FusedCore:
         for b in boundaries:
             getattr(b, hook)(self.lat, f_new, f_src)
 
+    def _post_stream(self, s: int, boundaries, f_new: np.ndarray,
+                     f_src: np.ndarray, tel) -> None:
+        """Slab ``s``'s hooks on its freshly gathered buffer, in list order."""
+        if self._hooks is None:
+            with tel.phase("boundary"):
+                self._apply("post_stream", boundaries, f_new, f_src)
+        elif self._hooks[s]:
+            with tel.phase("boundary"):
+                for hook in self._hooks[s]:
+                    hook(f_new, f_src)
+
+    def _pin(self, state: np.ndarray, s: int = 0) -> None:
+        """Hold slab ``s``'s solid nodes of the flat ``state`` at rest."""
+        if self._pins[s].size:
+            state[..., self._pins[s]] = self._rest
+
 
 class FusedSTCore(_FusedCore):
     """Fused stream+collide step for the ST scheme (BGK, Algorithm 1).
 
-    Per slab: (1) pull streaming into a core-owned slab buffer; (2) BGK
-    collision *through moment space*, chunk by chunk — ``m = P f``
+    Per slab: (1) pull streaming into a core-owned slab buffer, then
+    the slab's ``post_stream`` hooks on it, with ``f`` — whose rows of
+    that slab are not yet written — as the post-collision source; (2)
+    BGK collision *through moment space*, chunk by chunk — ``m = P f``
     (dgemm), the equilibrium as the Eq. 11 reconstruction of
     ``[rho, j, rho u u]`` (dgemm), the relaxation in place; (3) the
     relaxed slab goes back into ``f`` one slab late, once the next slab
@@ -252,10 +291,10 @@ class FusedSTCore(_FusedCore):
     delayed write-back; the last slab wraps onto the first rows and is
     gathered before anything is written).
 
-    On the single-slab ``"bounded"`` form the slab buffer is a scratch
-    lattice and the boundary hooks run on it (post-stream) and on ``f``
-    (post-collide), as in the reference step. Either way ``f`` is
-    updated in place and holds the natural layout.
+    With a single slab the buffer is a scratch lattice; on the
+    ``"bounded"`` form the hooks are the boundaries' whole-lattice ones,
+    post-collide on ``f`` included, as in the reference step. Either way
+    ``f`` is updated in place and holds the natural layout.
     """
 
     _lean_lattices = 1      # the persistent lattice itself
@@ -264,6 +303,7 @@ class FusedSTCore(_FusedCore):
                  solid_mask: np.ndarray | None = None, boundaries=()):
         super().__init__(lat, shape, tau, solid_mask, boundaries)
         lead, w, m = self._lead, self._width, lat.n_moments
+        self._rest = lat.w[:, None]         # solid nodes: rest equilibrium
         self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
         self._x = _rows(lead, lat.q, w)
         self._m = _rows(lead, m, w)      # moments, then equilibrium moments
@@ -366,11 +406,6 @@ class FusedSTCore(_FusedCore):
                 x += self._guo_source(u, fc)
             np.copyto(out[..., cols], x)
 
-    def _pin_solids(self, f: np.ndarray) -> None:
-        """Hold solid nodes at the rest equilibrium ``w_i``."""
-        if self.solid_mask is not None:
-            f[..., self.solid_mask] = self.lat.w[:, None]
-
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None,
              time: int | None = None) -> None:
@@ -384,40 +419,34 @@ class FusedSTCore(_FusedCore):
         tel = NULL_TELEMETRY if tel is None else tel
         slabs, plans, bufs = self._window(boundaries)
         last = len(slabs) - 1
-        if not last:
-            scratch = bufs[0]
-            with tel.phase("stream"):
-                self._stream(f, scratch)
-            with tel.phase("boundary"):
-                self._apply("post_stream", boundaries, scratch, f)
-            with tel.phase("collide"):
-                self._relax(scratch, f, force)
-                self._pin_solids(f)
-            with tel.phase("boundary"):
-                self._apply("post_collide", boundaries, f, scratch)
-            return
+        flat = self._flat(f, self.lat.q)
 
         def gather(s: int, buf: np.ndarray) -> None:
             with tel.phase("stream"):
-                _copy_blocks(plans[s], f, buf)
+                self._gather(plans[s], f, buf)
+            self._post_stream(s, boundaries, buf, f, tel)
 
         def relax(s: int, buf: np.ndarray) -> None:
             a0, a1 = slabs[s]
+            rows = self._span(a0, a1)
             with tel.phase("collide"):
-                self._relax(buf[:, :a1 - a0], f[:, a0:a1],
-                            None if force is None else force[:, a0:a1])
+                self._relax(buf[self._span(0, a1 - a0)], f[rows],
+                            None if force is None else force[rows])
+                self._pin(flat, s)
 
         # The last slab reads the first rows through the periodic wrap:
         # gather it while they are still old, relax it at the very end.
         gather(last, bufs[-1])
-        gather(0, bufs[0])
+        if last:
+            gather(0, bufs[0])
         for s in range(last):
             if s + 1 < last:
                 gather(s + 1, bufs[(s + 1) % 2])
             relax(s, bufs[s % 2])
         relax(last, bufs[-1])
-        with tel.phase("collide"):
-            self._pin_solids(f)
+        if self._hooks is None:
+            with tel.phase("boundary"):
+                self._apply("post_collide", boundaries, f, bufs[0])
 
 
 class FusedMRCore(_FusedCore):
@@ -438,10 +467,11 @@ class FusedMRCore(_FusedCore):
     * the slab is pull-streamed out of the ring and re-projected
       ``m = P f`` (dgemm) straight into the caller's moment field.
 
-    The distribution exists only inside that window; the persistent
-    state is the ``(M, *grid)`` moment field, as in Algorithm 2. On the
-    single-slab ``"bounded"`` form ring and slab are two whole lattices
-    and the boundary hooks run between them.
+    The distribution exists only inside that window, walls and
+    inlet/outlet included (a slab's ``post_stream`` hooks run on the
+    gathered slab, the ring their post-collision source); the state is
+    the ``(M, *grid)`` moment field, as in Algorithm 2. With a single
+    slab, ring and slab are two whole lattices.
     """
 
     _lean_lattices = 0      # the state is the moment field
@@ -455,6 +485,7 @@ class FusedMRCore(_FusedCore):
         self.tau_bulk = tau_bulk
         self.scheme = scheme
         lead, w, m = self._lead, self._width, lat.n_moments
+        self._rest = np.eye(m)[:, :1]       # solid nodes: (1, 0, ..., 0)
         self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
         self._u = _rows(lead, lat.d, w)
         self._uu = _rows(lead, lat.n_pairs, w)      # u_a u_b
@@ -647,12 +678,6 @@ class FusedMRCore(_FusedCore):
                               None if tf is None else tf[cols])
             np.matmul(self._rcext, g, out=of[..., cols])
 
-    def _pin_solids(self, m: np.ndarray) -> None:
-        """Hold solid nodes at the rest moments ``(1, 0, ..., 0)``."""
-        if self.solid_mask is not None:
-            m[..., self.solid_mask] = 0.0
-            m[..., 0, self.solid_mask] = 1.0
-
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None,
@@ -667,47 +692,39 @@ class FusedMRCore(_FusedCore):
         lat = self.lat
         slabs, plans, ring, slab, wrap = self._window(boundaries)
         mf = self._flat(m, lat.n_moments)
-        if wrap is None:
-            with tel.phase("collide"):
-                self._reconstruct(m, ring, force, tau_field)
-            with tel.phase("stream"):
-                self._stream(ring, slab)
-            with tel.phase("boundary"):
-                self._apply("post_stream", boundaries, slab, ring)
-            with tel.phase("macroscopic"):
-                np.matmul(self._mm, self._flat(slab, lat.q), out=mf)
-                self._pin_solids(m)
-            return
-        n0, reach, planes = self.shape[0], lat.reach, ring.shape[1]
+        n0, reach, tail = self.shape[0], lat.reach, self._tail
+        planes = n0 if wrap is None else ring.shape[1]
 
         def fill(lo: int, hi: int, at: int) -> None:
             """``f*`` of rows ``[lo, hi)`` into the ring from plane ``at``."""
             while lo < hi:
                 p = at % planes
                 top = min(hi, lo + planes - p)
+                rows = self._span(lo, top)
                 self._reconstruct(
-                    m[:, lo:top], ring[:, p:p + top - lo],
-                    None if force is None else force[:, lo:top],
-                    None if tau_field is None else tau_field[lo:top])
+                    m[rows], ring[self._span(p, p + top - lo)],
+                    None if force is None else force[rows],
+                    None if tau_field is None else tau_field[rows])
                 lo, at = top, at + top - lo
 
         done = 0
         for s, (a0, a1) in enumerate(slabs):
             with tel.phase("collide"):
-                if s == 0:
+                if s == 0 and wrap is not None:
                     fill(n0 - reach, n0, -reach)
                 top = min(a1 + reach, n0)
                 fill(done, top, done)
                 done = top
-                if s == 0:
+                if wrap is not None and s == 0:
                     wrap[...] = ring[:, :reach]
-                elif a1 + reach > n0:
+                elif a1 + reach > n0 and wrap is not None:
                     for i in range(reach):
                         ring[:, (n0 + i) % planes] = wrap[:, i]
             with tel.phase("stream"):
-                _copy_blocks(plans[s], ring, slab)
+                self._gather(plans[s], ring, slab)
+            self._post_stream(s, boundaries, slab, ring, tel)
             with tel.phase("macroscopic"):
-                np.matmul(self._mm, self._flat(slab[:, :a1 - a0], lat.q),
-                          out=mf[:, a0 * self._tail:a1 * self._tail])
-        with tel.phase("macroscopic"):
-            self._pin_solids(m)
+                np.matmul(self._mm,
+                          self._flat(slab[self._span(0, a1 - a0)], lat.q),
+                          out=mf[..., a0 * tail:a1 * tail])
+                self._pin(mf, s)

@@ -16,9 +16,8 @@ state is the moment field, and the sliding-window step of
 :class:`~repro.accel.fused.FusedMRCore` never holds a whole distribution
 lattice, so ``"aa"`` steps MR problems with that core.
 
-The core names the variant it runs in ``path``: ``"lean"``
-(boundary-free) or ``"bounded"`` (also a boundary-free core once it is
-stepped without a clock).
+``path`` names the variant the core runs: ``"lean"`` (boundary-free)
+or ``"bounded"`` (also any core once it is stepped without a clock).
 
 At odd times the lean ST state is stored component-shifted ("AA
 layout"); :func:`natural_to_aa` / :func:`aa_to_natural` are the exact
@@ -86,11 +85,10 @@ class InplaceSTCore(FusedSTCore):
     The parity comes from the owner's clock (``step(..., time=)``), so
     checkpoint/resume at any parity only restores the clock. The
     ``"bounded"`` path — chosen at construction when boundary objects
-    are present — is the inherited whole-lattice step against the
-    core-owned scratch. An owner that passes no clock (a distributed
-    rank, whose halo exchange needs the natural layout after every step)
-    cannot keep the lean convention: its first step moves the core to
-    ``"bounded"`` for good, and ``path`` reports the step actually taken.
+    are present — is the inherited one-slab step against the core-owned
+    scratch. An owner that passes no clock (a distributed rank, whose
+    halo exchange needs the natural layout after every step) moves the
+    core to ``"bounded"`` for good; ``path`` reports the step taken.
     """
 
     #: one persistent lattice on every path (the scratch is the core's)
@@ -120,13 +118,13 @@ class InplaceSTCore(FusedSTCore):
         if time % 2:
             with tel.phase("collide"):
                 self._relax(f, f, force)
-                self._pin_solids(f)
+                self._pin(self._flat(f, self.lat.q))
             return
         scratch = self._window()[2][0]
         with tel.phase("stream:gather"):
             self._stream(f, scratch)
         with tel.phase("collide"):
             self._relax(scratch, scratch, force)
-            self._pin_solids(scratch)
+            self._pin(self._flat(scratch, self.lat.q))
         with tel.phase("stream:scatter"):
             self._stream(scratch, f)

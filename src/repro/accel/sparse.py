@@ -30,10 +30,9 @@ A boundary list that is empty or a single plain
 entirely into the gather table — the *lean* path, no dense distribution
 field at all. Any other post-stream boundary routes the step through a
 *dense fallback* that streams densely, runs the unchanged hook objects
-and re-compacts; collision still runs compact. Custom post-collide hooks
-are rejected by :func:`repro.accel.validate_backend`. Traffic model:
-docs/ALGORITHMS.md; parity: ``tests/unit/test_accel_sparse.py``,
-``tests/property/test_props_sparse*.py``.
+and re-compacts; collision still runs compact. Post-collide hooks are
+rejected by :func:`repro.accel.validate_backend`. Traffic model:
+docs/ALGORITHMS.md; parity: ``tests/property/test_props_sparse*.py``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ Boundaries hook into two points of the LBM update cycle:
 A boundary must first be bound to a lattice/domain/relaxation-time triple
 via :meth:`Boundary.bind`, which precomputes index arrays so that the apply
 hooks are pure vectorized scatter/gather operations.
+
+A bound boundary may also have a *row extent*: :meth:`Boundary.slab_hooks`
+cuts its ``post_stream`` by leading-axis row, so a sliding-window core
+(:mod:`repro.accel.fused`) can run it slab by slab on the window's own
+buffers and never needs the two whole lattices the plain hook is handed.
 """
 
 from __future__ import annotations
@@ -72,3 +77,38 @@ class Boundary:
     def post_collide(self, lat: LatticeDescriptor, f_star: np.ndarray,
                      f_post_stream: np.ndarray) -> None:
         """Mutate ``f_star`` in place after collision (default: no-op)."""
+
+    def slab_hooks(self, lat: LatticeDescriptor,
+                   slabs: list[tuple[int, int]]) -> list | None:
+        """``post_stream`` cut at the leading-axis row ranges ``slabs``.
+
+        ``slabs`` are consecutive ranges ``[a0, a1)`` covering axis 0. A
+        boundary that can work on one of them at a time returns a list
+        with one entry per slab: ``None`` where it touches no row, else
+        a callable ``hook(f_new, f_src)`` doing exactly what
+        :meth:`post_stream` does to those rows. ``f_new`` is a
+        ``(Q, rows, *tail)`` buffer holding the streamed row ``x`` at
+        ``x - a0`` — every row of the slab, and no other row may be read
+        or written; ``f_src`` holds the post-collision row ``x`` at
+        ``x mod f_src.shape[1]`` for the slab's own rows at least. Both
+        are C-contiguous below the component axis and keep their layout
+        from step to step, so a hook may index them flat
+        (:func:`flat_view`).
+
+        Returns ``None`` when the boundary has no row extent — the
+        default: it needs whole lattices — or cannot be cut at *these*
+        slabs (a stencil deeper than the edge slab).
+        """
+        return None
+
+
+def flat_view(a: np.ndarray) -> np.ndarray:
+    """The allocation under a ``(Q, rows, *tail)`` buffer as a 1-D view.
+
+    Element ``(i, r, t)`` sits at ``i * (a.strides[0] // 8) + r * tail +
+    t``: component rows may be padded apart, the planes below them are
+    contiguous. What a slab hook gathers from and scatters into with one
+    index array per boundary.
+    """
+    span = (a.shape[0] - 1) * (a.strides[0] // a.itemsize) + a[0].size
+    return np.lib.stride_tricks.as_strided(a, (span,), (a.itemsize,))

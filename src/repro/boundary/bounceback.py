@@ -18,9 +18,48 @@ import numpy as np
 
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
-from .base import Boundary
+from .base import Boundary, flat_view
 
 __all__ = ["HalfwayBounceBack", "FullwayBounceBack"]
+
+
+class _SlabLinks:
+    """The bounce-back links whose fluid node lies in one slab of rows.
+
+    One gather out of the post-collision source and one scatter into the
+    slab buffer for all directions together, through flat indices into
+    the two allocations (see :meth:`Boundary.slab_hooks`); built on the
+    first call, when the buffers' layout is known, and nothing is
+    allocated afterwards. The writes are those of
+    :meth:`HalfwayBounceBack.post_stream` to disjoint targets.
+    """
+
+    def __init__(self, a0: int, links: tuple, opposite: np.ndarray,
+                 momentum: np.ndarray | None, vals: np.ndarray):
+        self._a0, self._links, self._opposite = a0, links, opposite
+        self._momentum, self._vals = momentum, vals
+        self._new = self._src = None
+
+    def _index(self, f_new: np.ndarray, f_src: np.ndarray) -> None:
+        comp, row, rest = self._links
+        plane = f_new[0, 0].size
+        self._to = (comp * (f_new.strides[0] // 8)
+                    + (row - self._a0) * plane + rest)
+        self._from = (self._opposite[comp] * (f_src.strides[0] // 8)
+                      + row % f_src.shape[1] * plane + rest)
+        self._links = None
+
+    def __call__(self, f_new: np.ndarray, f_src: np.ndarray) -> None:
+        if self._links is not None:
+            self._index(f_new, f_src)
+        if f_new is not self._new:
+            self._new, self._flat_new = f_new, flat_view(f_new)
+        if f_src is not self._src:
+            self._src, self._flat_src = f_src, flat_view(f_src)
+        np.take(self._flat_src, self._from, out=self._vals, mode="clip")
+        if self._momentum is not None:
+            self._vals += self._momentum
+        self._flat_new[self._to] = self._vals
 
 
 class HalfwayBounceBack(Boundary):
@@ -53,6 +92,7 @@ class HalfwayBounceBack(Boundary):
                 raise ValueError(
                     f"wall_velocity must have shape {(lat.d, *domain.shape)}, got {uw.shape}"
                 )
+        self._tail = domain.shape[1:]
         self._targets = []
         self._momentum = []
         for i in range(lat.q):
@@ -87,6 +127,40 @@ class HalfwayBounceBack(Boundary):
             if mom is not None:
                 vals = vals + mom
             f_new[i][idx] = vals
+
+    def slab_hooks(self, lat: LatticeDescriptor,
+                   slabs: list[tuple[int, int]]) -> list | None:
+        """The link lists cut by the leading row of their fluid node.
+
+        ``np.nonzero`` returns each direction's links sorted by row, so
+        one stable sort by row over all directions makes every slab's
+        links a ``searchsorted`` slice. A subclass may have changed what
+        ``post_stream`` does: only the exact class is cut.
+        """
+        if type(self) is not HalfwayBounceBack:
+            return None
+        live = [i for i, idx in enumerate(self._targets) if idx is not None]
+        if not live:
+            return [None] * len(slabs)
+        row = np.concatenate([self._targets[i][0] for i in live])
+        order = np.argsort(row, kind="stable")
+        row = row[order]
+        comp = np.repeat(live, [self._targets[i][0].size for i in live])[order]
+        rest = np.concatenate([
+            np.ravel_multi_index(self._targets[i][1:], self._tail)
+            for i in live])[order]
+        moving = self.wall_velocity is not None
+        if moving:
+            momentum = np.concatenate(
+                [self._momentum[i] for i in live])[order]
+        cuts = np.searchsorted(row, [a0 for a0, _ in slabs] + [slabs[-1][1]])
+        vals = np.empty(int(np.diff(cuts).max()))
+        hooks = []
+        for (a0, _), lo, hi in zip(slabs, cuts[:-1], cuts[1:]):
+            hooks.append(None if lo == hi else _SlabLinks(
+                a0, (comp[lo:hi], row[lo:hi], rest[lo:hi]), lat.opposite,
+                momentum[lo:hi].copy() if moving else None, vals[:hi - lo]))
+        return hooks
 
 
 class FullwayBounceBack(Boundary):

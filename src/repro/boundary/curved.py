@@ -28,7 +28,11 @@ half-way reflection and stays first-order on curved surfaces.
 
 This is a generic post-stream hook: it runs unmodified under the
 ``reference``/``fused``/``aa`` backends and through the ``sparse``
-backend's dense fallback path.
+backend's dense fallback path. It declares no row extent
+(:meth:`~repro.boundary.Boundary.slab_hooks`): ``last_force`` is one
+float reduction over all links per application, and per-slab partial
+sums would change its last bits, so its problems step the ``bounded``
+whole-lattice path.
 """
 
 from __future__ import annotations

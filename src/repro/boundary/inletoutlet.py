@@ -22,6 +22,8 @@ pressure outlet inverts the same relation for ``u_n`` given ``rho``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..core.equilibrium import equilibrium
@@ -94,6 +96,30 @@ class _FaceBoundary(Boundary):
         self._active = domain.node_type[face] != SOLID
         self._unknown, self._tangential, self._known = _classify(lat, self.plane)
         return self
+
+    def _depth(self) -> int:
+        """Planes the reconstruction reads, the face's own included."""
+        return 3 if self.method == "regularized-fd" else 1
+
+    def slab_hooks(self, lat: LatticeDescriptor,
+                   slabs: list[tuple[int, int]]) -> list | None:
+        """A face of axis 0 belongs to the first or the last slab only.
+
+        The hook is this boundary bound to the slab's own extent, so the
+        face and the planes its stencil reads are found from the slab
+        buffer's edge. A face of another axis crosses every slab — the
+        finite-difference strain takes tangential differences along
+        axis 0 over slab edges — and has no row extent.
+        """
+        a0, a1 = slabs[self.plane.side]
+        if self.plane.axis != 0 or a1 - a0 < self._depth():
+            return None
+        local = copy.copy(self)
+        local._shape = (a1 - a0, *self._shape[1:])
+        hooks = [None] * len(slabs)
+        hooks[self.plane.side] = lambda f_new, f_src: local.post_stream(
+            lat, f_new[:, :a1 - a0], f_src)
+        return hooks
 
     # -- helpers ------------------------------------------------------
     def _face_view(self, f: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -198,6 +224,11 @@ class PressureOutlet(_FaceBoundary):
             raise ValueError(f"tangential must be 'zero' or 'extrapolate', got {tangential!r}")
         self.rho_out = float(rho_out)
         self.tangential = tangential
+
+    def _depth(self) -> int:
+        """The extrapolated tangential velocity reads one plane further in."""
+        return max(super()._depth(),
+                   2 if self.tangential == "extrapolate" else 1)
 
     def post_stream(self, lat: LatticeDescriptor, f_new: np.ndarray,
                     f_source: np.ndarray) -> None:

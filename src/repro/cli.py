@@ -61,6 +61,10 @@ def _shape(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every --problem list is the registry's, so a new kind is offered
+    # by run/profile/sweep the moment it is registered
+    from .service.registry import problem_kinds, sweep_kinds
+
     p = argparse.ArgumentParser(
         prog="mrlbm",
         description="Moment representation of regularized LBM (SC'23 reproduction)",
@@ -73,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shape", type=_shape, default="128,66",
                      help="comma-separated grid shape, e.g. 128,66 or 64,34,34")
     run.add_argument("--problem", default="channel",
-                     choices=["channel", "forced-channel", "taylor-green",
-                              "cylinder", "porous"])
+                     choices=problem_kinds())
     run.add_argument("--tau", type=float, default=0.8)
     run.add_argument("--u-max", type=float, default=0.05)
     run.add_argument("--steps", type=int, default=1000)
@@ -148,14 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="execution backend to profile, or 'compare' to "
                       "run every available backend on one problem and "
                       "report MLUPS side by side")
-    prof.add_argument("--problem", default="periodic",
-                      choices=["periodic", "forced-channel", "power-law",
-                               "cylinder", "porous"],
-                      help="workload for --accel compare: a periodic box, "
-                      "a body-force-driven channel, the power-law "
-                      "(variable-tau) channel, a channel with a "
-                      "cylinder obstacle, or a random porous medium "
-                      "(masked geometries)")
+    prof.add_argument("--problem", default=None, choices=problem_kinds(),
+                      help="workload for --accel compare (default: "
+                      "periodic): any registered problem kind, e.g. the "
+                      "paper's channel, the power-law (variable-tau) "
+                      "channel, or the masked geometries cylinder and "
+                      "porous; refused without --accel compare (the "
+                      "per-phase profile steps the channel proxy app)")
 
     watch = sub.add_parser(
         "watch", help="tail the per-rank event streams of a run directory")
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="expand a parameter grid into an ensemble and run "
         "member batches through one fused kernel (see docs/TUTORIAL.md)")
     swp.add_argument("--problem", default="taylor-green",
-                     choices=["taylor-green", "forced-channel", "channel"])
+                     choices=sweep_kinds())
     swp.add_argument("--scheme", default="MR-P",
                      help="comma-separated scheme list, e.g. MR-P,MR-R,ST")
     swp.add_argument("--lattice", default="D2Q9",
@@ -619,6 +621,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     schemes = PROFILE_SCHEMES if args.scheme == "all" else (args.scheme,)
     accel = getattr(args, "accel", "reference")
+    problem = args.problem
+    if problem is not None and accel != "compare":
+        print("ERROR: --problem selects the workload of --accel compare; "
+              f"--accel {accel} profiles the channel proxy app and would "
+              "ignore it", file=sys.stderr)
+        return 2
     results = []
     for i, scheme in enumerate(schemes):
         if i:
@@ -628,11 +636,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 print("AA: reference-only scheme; the single-lattice fast "
                       "path is the 'aa' backend column of the ST/MR rows")
                 continue
-            result = compare_backends(scheme, lattice=args.lattice,
-                                      shape=args.shape, steps=args.steps,
-                                      tau=args.tau,
-                                      problem=getattr(args, "problem",
-                                                      "periodic"))
+            try:
+                result = compare_backends(scheme, lattice=args.lattice,
+                                          shape=args.shape, steps=args.steps,
+                                          tau=args.tau,
+                                          problem=problem or "periodic")
+            except ValueError as err:   # e.g. taylor-green on a D3 lattice
+                print(f"ERROR: {err}", file=sys.stderr)
+                return 2
             results.append(result)
             print(format_backend_comparison(result))
             continue

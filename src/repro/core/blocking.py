@@ -20,6 +20,15 @@ __all__: list[str] = []
 #: ``3 x 19 x 4096 x 8 B = 1.8 MiB <= 2 MiB``.
 _CHUNK = 4096
 
+#: Chunks per window slab where one leading-axis plane is smaller than a
+#: chunk. A slab costs a fixed ``Q x 2^(D-1)`` block copies and a few
+#: dozen calls whatever its height, so one-chunk slabs of thin planes
+#: (48 x 48: 56% of a chunk each) pay that once per 2,304 nodes; eight
+#: chunks amortise it (measured flat from about five up, docs/
+#: PERFORMANCE.md) while the window stays a few MB. A plane of a chunk
+#: or more already is a slab and is not grouped.
+_SLAB_CHUNKS = 8
+
 
 def _blocks(n: int) -> list[slice]:
     """Column slices of at most ``_CHUNK`` nodes that cover ``range(n)``."""

@@ -66,9 +66,14 @@ def cases(table):
 
 
 def run_core(monkeypatch, chunk, lattice, shape, scheme, variant,
-             steps=STEPS):
-    """Step a core built and run under ``_CHUNK = chunk``; ``(state, core)``."""
+             steps=STEPS, group=1):
+    """Step a core built and run under ``_CHUNK = chunk``; ``(state, core)``.
+
+    ``group`` is ``_SLAB_CHUNKS``, the chunks per slab of sub-chunk
+    planes: 1 keeps one-chunk slabs, so thin test grids hold several.
+    """
     monkeypatch.setattr(fused, "_CHUNK", chunk)
+    monkeypatch.setattr(fused, "_SLAB_CHUNKS", group)
     lat = get_lattice(lattice)
     rng = np.random.default_rng([int(lattice[3:]), *shape])
     lead = (3,) if variant == "batch" else ()
@@ -178,6 +183,7 @@ def test_lean_core_refuses_boundaries_it_was_not_built_with(monkeypatch,
 def test_checkpoint_resume_mid_run_on_the_lean_path(monkeypatch, tmp_path,
                                                     scheme, backend):
     monkeypatch.setattr(fused, "_CHUNK", CHUNK)
+    monkeypatch.setattr(fused, "_SLAB_CHUNKS", 1)
     shape = (9, 2, 4)
     u0 = 0.03 * np.random.default_rng(5).standard_normal((3, *shape))
 

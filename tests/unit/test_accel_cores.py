@@ -104,10 +104,21 @@ class TestBufferInventory:
                                                           lattices):
         solver = build("periodic", "ST", backend)
         assert solver.state_values_per_node == lattices * solver.lat.q
-        # hooks need the streamed lattice whole: bounded fused keeps two
+        # the window carries the walls: row-local hooks cost no lattice
         walled = build("walled", "ST", backend)
-        assert walled.state_values_per_node == (
-            2 if backend == "fused" else lattices) * walled.lat.q
+        assert walled.state_values_per_node == lattices * walled.lat.q
+
+    def test_post_collide_hooks_keep_the_streamed_lattice_whole(self):
+        """Full-way bounce-back reads the pre-collision lattice after the
+        collision: the bounded fused step keeps two."""
+        from repro.geometry import channel_2d
+
+        lat = get_lattice("D2Q9")
+        solver = make_solver("ST", lat, channel_2d(*SHAPE, with_io=False),
+                             0.8, boundaries=[FullwayBounceBack()],
+                             backend="fused")
+        assert solver.state_values_per_node == 2 * lat.q
+        assert solver.accel_path == "bounded"
 
 
 def path_of(problem, scheme, backend):
@@ -123,7 +134,10 @@ class TestPath:
     def test_fused_is_lean_or_bounded(self):
         for scheme in ("ST", "MR-P"):
             assert path_of("periodic", scheme, "fused") == "lean"
-            assert path_of("inlet-outlet", scheme, "fused") == "bounded"
+            # walls, inlet and outlet have a row extent: the window
+            # carries them
+            assert path_of("walled", scheme, "fused") == "lean"
+            assert path_of("inlet-outlet", scheme, "fused") == "lean"
 
     def test_lean(self):
         assert path_of("periodic", "ST", "aa") == "lean"
@@ -132,8 +146,19 @@ class TestPath:
         assert path_of("walled", "MR-P", "sparse") == "lean"
 
     def test_bounded(self):
+        # the AA scatter needs the whole relaxed lattice
         assert path_of("walled", "ST", "aa") == "bounded"
-        assert path_of("inlet-outlet", "MR-P", "aa") == "bounded"
+        # MR problems step the fused core on "aa": lean, walls and all
+        assert path_of("inlet-outlet", "MR-P", "aa") == "lean"
+        # a post-collide hook has no row extent
+        from repro.geometry import channel_2d
+
+        for scheme in ("ST", "MR-P"):
+            solver = make_solver(
+                scheme, get_lattice("D2Q9"),
+                channel_2d(*SHAPE, with_io=False), 0.8,
+                boundaries=[FullwayBounceBack()], backend="fused")
+            assert solver.run(1).accel_path == "bounded"
 
     def test_dense_fallback(self):
         assert path_of("inlet-outlet", "ST", "sparse") == "dense-fallback"
@@ -161,8 +186,8 @@ class TestPath:
 
         result = profile_scheme("MR-P", "D2Q9", shape=(16, 10), steps=2,
                                 measure_traffic=False, accel="aa")
-        assert result["path"] == "bounded"
-        assert "backend = aa (bounded path)" in format_profile(result)
+        assert result["path"] == "lean"
+        assert "backend = aa (lean path)" in format_profile(result)
         assert "syncs" not in format_profile(result)
 
     def test_profile_header_counts_sparse_syncs(self):

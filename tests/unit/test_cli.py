@@ -26,6 +26,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "MRT"])
 
+    def test_problem_lists_are_the_registry(self):
+        """No hand-written kind list: what is registered is offered."""
+        from repro.service.registry import problem_kinds, sweep_kinds
+
+        parser = build_parser()
+        for command, kinds in (("run", problem_kinds()),
+                               ("profile", problem_kinds()),
+                               ("sweep", sweep_kinds())):
+            for kind in kinds:
+                args = parser.parse_args([command, "--problem", kind])
+                assert args.problem == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sweep", "--problem", "porous"])
+
 
 class TestCommands:
     def test_devices(self, capsys):
@@ -144,6 +158,23 @@ class TestCommands:
                   "--ranks", "2", "--accel", "numba"])
         assert exc.value.code == 2
         assert "invalid choice: 'numba'" in capsys.readouterr().err
+
+    def test_profile_compare_takes_any_registered_problem(self, capsys):
+        rc = main(["profile", "--accel", "compare", "--problem", "channel",
+                   "--scheme", "MR-P", "--shape", "24,12", "--steps", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "(channel)" in out and "fused" in out
+
+    def test_profile_refuses_a_problem_it_would_ignore(self, capsys):
+        """Only ``--accel compare`` picks its workload; silently profiling
+        the channel under another kind's name would be a wrong answer."""
+        rc = main(["profile", "--problem", "porous", "--no-traffic"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--problem" in captured.err and "compare" in captured.err
 
     def test_run_vtk_output(self, tmp_path):
         out_file = tmp_path / "final.vtk"

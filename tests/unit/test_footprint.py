@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accel import MaskedNeighborTable, NeighborTable, tables
+from repro.boundary import FullwayBounceBack
 from repro.core import blocking, equilibrium, equilibrium_moments
 from repro.lattice import get_lattice
 from repro.service.registry import setup_problem
@@ -35,8 +36,11 @@ MB = 1e6
 SCHEMES = ("ST", "MR-P", "MR-R")
 
 
-def traced_build(kind, scheme, lattice, shape, backend, steps, **options):
+def traced_build(kind, scheme, lattice, shape, backend, steps,
+                 boundaries=None, **options):
     """Build and step one problem under ``tracemalloc``.
+
+    ``boundaries`` replaces the kind's own (unbound) boundary list.
 
     The problem's own arrays (geometry, masks, unbound boundary objects,
     the caller's ``u0``) exist before tracing starts; what is counted is
@@ -46,7 +50,8 @@ def traced_build(kind, scheme, lattice, shape, backend, steps, **options):
     """
     lat, setup = setup_problem(kind, lattice, shape, 0.8, **options)
     setup.domain.solid_mask, setup.domain.fluid_mask       # cached masks
-    boundaries = setup.boundaries(0, 1)
+    if boundaries is None:
+        boundaries = setup.boundaries(0, 1)
     gc.collect()
     tracemalloc.start()
     try:
@@ -75,13 +80,17 @@ def problem_bytes(solver) -> int:
 
 # -- the table ---------------------------------------------------------------
 
-#: 33 chunks of D2Q9: a lattice is 33 x the chunk-wide buffers' unit.
-SHAPE = (384, 352)
+#: 66 chunks of D2Q9: a lattice is 66 x the chunk-wide buffers' unit.
+SHAPE = (768, 352)
 _U0 = 0.02 * np.random.default_rng(0).standard_normal((2, *SHAPE)).clip(-1, 1)
 #: row of the table -> (backend, problem kind, its options, expected path)
 ROWS = {
     "fused-lean": ("fused", "periodic", {"u0": _U0}, "lean"),
-    "fused-bounded": ("fused", "channel", {}, "bounded"),
+    # walls, inlet and outlet ride in the window ...
+    "fused-walled": ("fused", "channel", {}, "lean"),
+    # ... a post-collide hook (full-way bounce-back) needs whole lattices
+    "fused-bounded": ("fused", "forced-channel",
+                      {"boundaries": [FullwayBounceBack()]}, "bounded"),
     "aa": ("aa", "periodic", {"u0": _U0}, "lean"),
     "sparse-lean": ("sparse", "porous",
                     {"solid_fraction": 0.7, "seed": 3}, "lean"),
@@ -96,7 +105,7 @@ def table_doubles_per_node(row: str, st_family: bool, q: int, m: int, d: int,
     ``phi`` is the fluid fraction, ``links`` the solid-source links per
     dense node (``<= (Q - 1) phi``), ``d`` the force rows (0 unforced).
     """
-    if row == "fused-lean":
+    if row in ("fused-lean", "fused-walled"):
         return q if st_family else m
     if row == "fused-bounded":
         return 2 * q if st_family else m + 2 * q
@@ -130,10 +139,11 @@ def test_a_run_holds_what_the_table_says(row, scheme):
     figure = table_doubles_per_node(
         row, scheme == "ST", q, m, 0 if solver.force is None else lat.d,
         solver.domain.n_fluid / n, links)
-    # Fixed slack: the chunk-wide collide buffers and the sliding window,
-    # a dozen (Q, _CHUNK) blocks whatever the grid (a third of a lattice
-    # here, so a figure off by one lattice fails either way).
-    slack = 12 * q * blocking._CHUNK * 8
+    # Fixed slack, in (Q, _CHUNK) blocks whatever the grid: the chunk-wide
+    # collide buffers (under 8) and the sliding window — at most three
+    # slabs of _SLAB_CHUNKS chunks, these planes being smaller than one.
+    # Half a lattice here, so a figure off by one lattice fails either way.
+    slack = (8 + 3 * blocking._SLAB_CHUNKS) * q * blocking._CHUNK * 8
     held = live - problem_bytes(solver)
     assert held <= figure * node + slack
     # ... and the table is not padded: what it lists is really there.
