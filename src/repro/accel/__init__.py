@@ -18,9 +18,10 @@ one collide-and-project kernel per scheme family
     boundary hooks and keeps no lattice beside the state; hooks that
     need whole arrays step one slab, the grid (``"bounded"``).
 ``"aa"``
-    Dense layout, single-lattice in-place streaming for ST
-    (:mod:`repro.accel.inplace`, model in ``docs/ALGORITHMS.md``); MR
-    problems, whose state is the moment field, take the fused core.
+    Dense layout, single-lattice in-place streaming for boundary-free
+    ST (:mod:`repro.accel.inplace`, model in ``docs/ALGORITHMS.md``;
+    ``solver.f`` is made natural on access); walled ST and all MR
+    problems, whose windows hold one lattice / none, take the fused core.
 ``"sparse"``
     Fluid-node-list layout (:mod:`repro.accel.sparse`): the state lives
     compacted over a :class:`~repro.accel.tables.MaskedNeighborTable`
@@ -63,16 +64,16 @@ import numpy as np
 
 from .batched import BatchedFusedMRCore, BatchedFusedSTCore
 from .fused import FusedMRCore, FusedSTCore
-from .inplace import InplaceSTCore, aa_to_natural, natural_to_aa
+from .inplace import InplaceSTCore
 from .sparse import SparseMRCore, SparseSTCore
 from .tables import (MaskedNeighborTable, NeighborTable, clear_cache,
                      neighbor_table, stream_gather)
 
 __all__ = [
     "BACKENDS", "available_backends", "make_core", "make_stepper",
-    "validate_backend", "solver_caps",
+    "check_backend", "validate_backend", "solver_caps",
     "FusedSTCore", "FusedMRCore", "BatchedFusedSTCore", "BatchedFusedMRCore",
-    "InplaceSTCore", "natural_to_aa", "aa_to_natural",
+    "InplaceSTCore",
     "SparseSTCore", "SparseMRCore",
     "NeighborTable", "MaskedNeighborTable", "neighbor_table",
     "stream_gather", "clear_cache",
@@ -117,6 +118,10 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
                 f"layout without tau_bulk, got backend={backend!r}")
         cls = BatchedFusedSTCore if family == "st" else BatchedFusedMRCore
     else:
+        if backend == "aa" and boundaries:
+            # the AA pattern pre-streams a boundary-free lattice; the
+            # fused window carries walls over one lattice too
+            backend = "fused"
         cls = _CORES[backend, family]
         if family == "mr":
             kwargs["tau_bulk"] = tau_bulk
@@ -131,7 +136,6 @@ class _Stepper:
     """Binds one core to a solver: the same call for every backend."""
 
     def __init__(self, solver, backend: str, caps: dict):
-        self.backend = backend
         self.variable_tau = bool(caps.get("variable_tau"))
         self._field = "_f" if caps["family"] == "st" else "_m"
         self.core = make_core(
@@ -140,14 +144,9 @@ class _Stepper:
             tau_bulk=None if self.variable_tau
             else getattr(solver, "tau_bulk", None))
 
-    def step(self, solver, time: int | None) -> None:
+    def step(self, solver) -> None:
         """One fast-path step on the solver's private state array (the
-        ``f`` / ``m`` accessor is for everybody else: see :meth:`looked`).
-
-        ``time`` is the clock handed to the core: the solver's own, or
-        ``None`` from an owner that needs the natural layout after every
-        step (see :meth:`repro.solver.base.Solver._step_at`).
-        """
+        ``f`` / ``m`` accessor is for everybody else: see :meth:`looked`)."""
         tau_field = None
         if self.variable_tau:
             with solver.telemetry.phase("collide"):
@@ -155,18 +154,17 @@ class _Stepper:
             tau_field = solver.tau_field
         self.core.step(getattr(solver, self._field), solver.boundaries,
                        solver.telemetry, force=solver.force,
-                       tau_field=tau_field, time=time)
+                       tau_field=tau_field)
 
     def looked(self, solver, force: bool = False) -> None:
         """The solver's dense state (or body ``force``) is being looked at.
 
-        Whoever looks may also write: the ``sparse`` cores, which keep
-        the state to themselves between steps, scatter what is pending
-        into the dense array once (the ``sync`` phase) and reload from
-        it on their next step. Every other core steps the array itself.
+        Whoever looks may also write: a core that keeps the state in a
+        layout of its own between steps (compact fluid columns, a
+        pre-streamed lattice) puts what is pending into the dense array
+        once (the ``sync`` phase) and starts its next step from it, one
+        that mirrors the force reloads it; for the others both are no-ops.
         """
-        if self.backend != "sparse":
-            return
         if force:
             self.core.force_loaded = False
         else:
@@ -182,6 +180,13 @@ def solver_caps(solver) -> dict | None:
     the module docstring).
     """
     return type(solver).__dict__.get("accel_caps")
+
+
+def check_backend(backend: str) -> None:
+    """Refuse a backend name that is not one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
 def validate_backend(solver, backend: str | None = None) -> dict | None:
@@ -205,9 +210,7 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
             f"backend {backend!r} does not support this configuration of "
             f"{type(solver).__name__}: {why}; use backend='reference'")
 
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    check_backend(backend)
     if backend == "reference":
         return None
     caps = solver_caps(solver)
@@ -234,7 +237,7 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
                 raise reject(
                     f"{type(b).__name__} customizes the post-collide hook, "
                     "which the compact-state sparse step does not run")
-    # "aa" shares the fused matrix: bounded configurations run the
+    # "aa" shares the fused matrix: walled configurations run the
     # fused step itself, so no extra restrictions apply.
     return caps
 

@@ -46,12 +46,12 @@ Cores are array-level: they know nothing about
 built by :func:`repro.accel.make_core`, exposes a read-only ``path``
 (the step variant its boundary list selected) and a ``state_lattices``
 count (whole ``Q``-lattices the step keeps), and is stepped by
-``core.step(state, boundaries, tel, force=, tau_field=, time=)``.
-``state`` is the caller's persistent array (``f`` for ST, ``m`` for MR),
-updated in place — or, by a core that keeps the state to itself between
-steps (``sparse``), when its ``sync(state)`` is called; ``time`` is the
-owner's clock, read only by the parity-alternating lean path of
-:class:`~repro.accel.inplace.InplaceSTCore`.
+``core.step(state, boundaries, tel, force=, tau_field=)``. ``state`` is
+the caller's persistent array (``f`` for ST, ``m`` for MR), updated in
+place; ``core.sync(state, tel)`` is called whenever somebody else looks
+at it, so a core may keep the state in a layout of its own between
+steps (``sparse``: compact columns; ``aa``: a pre-streamed lattice) and
+put it right then. The cores here never do: their ``sync`` is a no-op.
 """
 
 from __future__ import annotations
@@ -146,6 +146,8 @@ class _FusedCore:
 
     #: Lean cores slide; a subclass that needs whole lattices opts out.
     _slides = True
+    #: Core protocol: cleared on ``set_force``, for cores that mirror it.
+    force_loaded = False
 
     @property
     def state_lattices(self) -> int:
@@ -183,7 +185,7 @@ class _FusedCore:
         width = _CHUNK * (_SLAB_CHUNKS if self._tail < _CHUNK else 1)
         rows = max(self.lat.reach, width // self._tail)
         k = max(n0 // rows, 1) if self._slides else 1
-        cuttable = not (self._lead or (bcs and not self._slides) or any(
+        cuttable = not (self._lead or any(
             type(b).post_collide is not Boundary.post_collide for b in bcs))
         while cuttable:  # coarsen until no stencil is deeper than a slab
             slabs = [(n0 * i // k, n0 * (i + 1) // k) for i in range(k)]
@@ -193,6 +195,9 @@ class _FusedCore:
                                for s in range(k)]
             cuttable, k = k > 1, k // 2
         return [(0, n0)], None
+
+    def sync(self, state: np.ndarray, tel=NULL_TELEMETRY) -> None:
+        """Core protocol: ``state`` is being looked at. It is current."""
 
     def _span(self, lo: int, hi: int) -> tuple:
         """Index of leading-axis rows ``[lo, hi)`` of a ``(..., C, *grid)``."""
@@ -407,14 +412,13 @@ class FusedSTCore(_FusedCore):
             np.copyto(out[..., cols], x)
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
-             force: np.ndarray | None = None, tau_field=None,
-             time: int | None = None) -> None:
+             force: np.ndarray | None = None, tau_field=None) -> None:
         """Advance one step in place (``f`` ends as the new lattice).
 
         ``force`` is an optional ``(D, *grid)`` body-force field; the
         collision then evaluates the equilibrium at Guo's half-force
-        velocity and adds the fused source term. ``tau_field`` and
-        ``time`` belong to the shared core protocol and are unused here.
+        velocity and adds the fused source term. ``tau_field`` belongs
+        to the shared core protocol and is unused here.
         """
         tel = NULL_TELEMETRY if tel is None else tel
         slabs, plans, bufs = self._window(boundaries)
@@ -680,8 +684,7 @@ class FusedMRCore(_FusedCore):
 
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
-             tau_field: np.ndarray | None = None,
-             time: int | None = None) -> None:
+             tau_field: np.ndarray | None = None) -> None:
         """Advance the ``(M, *grid)`` moment field one step in place.
 
         ``force`` is an optional ``(D, *grid)`` body-force field (the

@@ -1,124 +1,100 @@
-"""Single-lattice in-place streaming cores (the ``"aa"`` backend).
+"""Single-lattice in-place streaming for ST (the ``"aa"`` backend).
 
-The AA pattern (Bailey; the reference :class:`repro.solver.aa.AASolver`
-and the memory-traffic model in ``docs/ALGORITHMS.md``) streams a single
-lattice in place by alternating two step flavours. This module brings it
-into the backend seam as an array-level realization that stays
-*collide-identical* to the fused cores:
+The AA pattern (Bailey; Wittmann et al., PAPERS.md; the reference
+:class:`repro.solver.aa.AASolver`; traffic model in
+``docs/ALGORITHMS.md``) streams one lattice in place by alternating two
+step flavours: an even step leaves the relaxed populations
+*pre-streamed*, so the odd step that follows needs no streaming pass —
+one propagation traversal per step *pair*. :class:`InplaceSTCore` is its
+array-level realization, collide-identical to the fused core.
 
-:class:`InplaceSTCore` keeps one persistent lattice and alternates an
-even step that leaves the relaxed populations *pre-streamed* with an odd
-step that therefore needs no streaming pass at all — one propagation
-traversal per step *pair* (the class docstring has the state convention).
-
-The moment representation needs no core of its own here: its persistent
-state is the moment field, and the sliding-window step of
-:class:`~repro.accel.fused.FusedMRCore` never holds a whole distribution
-lattice, so ``"aa"`` steps MR problems with that core.
-
-``path`` names the variant the core runs: ``"lean"`` (boundary-free)
-or ``"bounded"`` (also any core once it is stepped without a clock).
-
-At odd times the lean ST state is stored component-shifted ("AA
-layout"); :func:`natural_to_aa` / :func:`aa_to_natural` are the exact
-permutations between it and the natural layout that checkpoints
-(:mod:`repro.io.checkpoint`, always natural) and the odd-parity
-:meth:`repro.solver.standard.STSolver.macroscopic` go through.
+How an odd step is stored is this module's business alone: like the
+compact arrays of :mod:`repro.accel.sparse`, the shifted lattice is a
+core-private buffer state that :meth:`InplaceSTCore.sync` puts right
+when somebody looks, so ``solver.f`` is natural on every backend at
+every step. ``"aa"`` means the boundary-free ST pattern only:
+:func:`repro.accel.make_core` steps walled ST and all MR problems with
+the fused cores, whose windows hold one lattice / none.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
 from .fused import FusedSTCore
 
-__all__ = [
-    "InplaceSTCore",
-    "natural_to_aa",
-    "aa_to_natural",
-]
-
-
-def natural_to_aa(lat: LatticeDescriptor, f: np.ndarray) -> np.ndarray:
-    """Natural post-collision state -> component-shifted AA layout.
-
-    ``out[i] = roll(f[i], +c_i)`` — the pull-stream displacement applied
-    eagerly, i.e. exactly the array the lean even-parity step of
-    :class:`InplaceSTCore` leaves behind. Pure permutation per
-    component, hence bit-exact and inverted by :func:`aa_to_natural`.
-    """
-    out = np.empty_like(f)
-    stream_push(lat, f, out=out)
-    return out
-
-
-def aa_to_natural(lat: LatticeDescriptor, f: np.ndarray) -> np.ndarray:
-    """Component-shifted AA layout -> natural state (inverse roll).
-
-    ``out[i] = roll(f[i], -c_i)``, undoing :func:`natural_to_aa`
-    exactly. Used to canonicalize odd-time checkpoints and to evaluate
-    macroscopic fields at odd parity without mutating the solver state.
-    """
-    axes = tuple(range(f.ndim - 1))
-    out = np.empty_like(f)
-    for i in range(lat.q):
-        out[i] = np.roll(f[i], shift=tuple(-lat.c[i]), axis=axes)
-    return out
+__all__ = ["InplaceSTCore"]
 
 
 class InplaceSTCore(FusedSTCore):
     """Single-lattice AA-pattern ST step (BGK, optional Guo forcing).
 
-    Subclasses :class:`~repro.accel.fused.FusedSTCore`, so every path
-    relaxes through the same chunked ``_relax`` body and the lean steps
-    only change where the relaxed populations land. State convention on
-    the ``"lean"`` path (``time`` = steps completed):
+    Every flavour relaxes the same streamed input through the inherited
+    chunked ``_relax`` — bit-identical fields — and differs in where the
+    result lands (``path`` reports the step taken):
 
-    * even ``time``: ``f`` holds the natural post-collision lattice —
-      bit-identical to the fused state;
-    * odd ``time``: ``f`` holds the *pre-streamed* next input,
-      ``f[i] = roll(f_nat[i], +c_i)`` (AA layout).
-
-    The parity comes from the owner's clock (``step(..., time=)``), so
-    checkpoint/resume at any parity only restores the clock. The
-    ``"bounded"`` path — chosen at construction when boundary objects
-    are present — is the inherited one-slab step against the core-owned
-    scratch. An owner that passes no clock (a distributed rank, whose
-    halo exchange needs the natural layout after every step) moves the
-    core to ``"bounded"`` for good; ``path`` reports the step taken.
+    * *even* — natural ``f`` in, shifted out (``"lean"``);
+    * *odd* — shifted in, one in-place collision, natural out
+      (``"lean"``): the AA pattern's saved pass;
+    * *natural* — the state was looked at since the last step (a rank's
+      halo exchange, a monitor), so whoever looks keeps getting a natural
+      lattice: the inherited one-slab step (``"bounded"``).
     """
 
     #: one persistent lattice on every path (the scratch is the core's)
     state_lattices = 1
     #: the pre-streaming scatter needs the whole relaxed lattice at once
     _slides = False
+    #: ``f`` holds the pre-streamed next input, ``roll(f_nat[i], +c_i)``
+    _shifted = False
+    #: the state was handed out since the previous step
+    _looked = False
+
+    def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
+                 solid_mask: np.ndarray | None = None, boundaries=()):
+        if boundaries:
+            raise ValueError(
+                "the AA pattern pre-streams a boundary-free lattice; "
+                "make_core steps walled 'aa' problems with FusedSTCore")
+        super().__init__(lat, shape, tau, solid_mask)
+
+    def sync(self, f: np.ndarray, tel=NULL_TELEMETRY) -> None:
+        """``f`` is being looked at: un-stream it if it is shifted (the
+        pull plan run backwards into the scratch, one copy back: exact,
+        no new buffer). The next step starts from what ``f`` then holds.
+        """
+        self._looked = True
+        if self._shifted:
+            _, (plan,), (scratch,) = self._window()
+            with tel.phase("sync"):
+                for dst, src in plan:
+                    scratch[src] = f[dst]
+                f[...] = scratch
+            tel.count("syncs")
+            self._shifted = False
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
-             force: np.ndarray | None = None, tau_field=None,
-             time: int | None = None) -> None:
+             force: np.ndarray | None = None, tau_field=None) -> None:
         """Advance the single persistent lattice ``f`` one step in place.
 
-        Lean even step (natural ``f_t`` -> AA-layout ``f_{t+1}``): stream
-        into core scratch, relax there, then block-copy the result back
-        shifted by ``+c_i``, pre-streaming the next step (relaxing through
-        the strided destination views measured slower everywhere; see
-        ``docs/ALGORITHMS.md``). Lean odd step (AA layout -> natural
-        ``f_{t+2}``): the array already holds the streamed input, so the
-        step is one in-place collision — the AA pattern's saved pass.
+        The even step streams into core scratch, relaxes there and
+        block-copies the result back shifted by ``+c_i`` (relaxing
+        through the strided destination views measured slower
+        everywhere; see ``docs/ALGORITHMS.md``).
         """
-        if time is None:
-            self.path = "bounded"
-        if self.path != "lean":
+        looked, self._looked = self._looked, False
+        self.path = "bounded" if looked else "lean"
+        if looked:
             super().step(f, boundaries, tel, force=force)
             return
         tel = NULL_TELEMETRY if tel is None else tel
-        if time % 2:
+        if self._shifted:
             with tel.phase("collide"):
                 self._relax(f, f, force)
                 self._pin(self._flat(f, self.lat.q))
+            self._shifted = False
             return
         scratch = self._window()[2][0]
         with tel.phase("stream:gather"):
@@ -128,3 +104,4 @@ class InplaceSTCore(FusedSTCore):
             self._pin(self._flat(scratch, self.lat.q))
         with tel.phase("stream:scatter"):
             self._stream(scratch, f)
+        self._shifted = True

@@ -172,8 +172,7 @@ class SparseSTCore(_SparseCoreBase):
                                else np.empty((lat.q, *self.shape)))
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
-             force: np.ndarray | None = None, tau_field=None,
-             time: int | None = None) -> None:
+             force: np.ndarray | None = None, tau_field=None) -> None:
         """Advance one step; dense ``f`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
         lat, table, fc = self.lat, self.table, self._fc
@@ -233,8 +232,7 @@ class SparseMRCore(_SparseCoreBase):
 
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
-             tau_field: np.ndarray | None = None,
-             time: int | None = None) -> None:
+             tau_field: np.ndarray | None = None) -> None:
         """Advance one step; dense ``m`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
         lat, table, arith = self.lat, self.table, self.arith

@@ -86,8 +86,7 @@ class EnsembleRunner:
     members:
         The enrolled solvers. All must certify ``batched`` capability in
         their own ``accel_caps``, share lattice / grid shape / scheme
-        family (and MR scheme) / solid geometry / forcing presence, be in
-        natural state layout (any backend except ``"aa"``), agree on
+        family (and MR scheme) / solid geometry / forcing presence, agree on
         ``time``, and be distinct objects. Relaxation time, force fields,
         boundary objects and state are free per member.
     Notes
@@ -124,11 +123,6 @@ class EnsembleRunner:
                 raise ValueError(
                     f"ensemble members must share one grid shape; got "
                     f"{tuple(head.domain.shape)} and {tuple(m.domain.shape)}")
-            if m.backend == "aa":
-                raise ValueError(
-                    "members on the single-lattice 'aa' backend cannot be "
-                    "enrolled: their state may be in the component-shifted "
-                    "layout; build ensemble members with backend='fused'")
             if m.time != head.time:
                 raise ValueError(
                     "ensemble members must agree on time before enrolment "

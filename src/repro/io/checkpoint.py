@@ -85,11 +85,7 @@ def save_checkpoint(path: str | Path, solver: Solver,
         "node_type": solver.domain.node_type,
     }
     if isinstance(solver, STSolver):
-        # Always written in the natural layout: at odd times the lean
-        # single-lattice backend stores a component-shifted state, and
-        # ``_natural_f`` un-streams it, so checkpoints stay loadable by
-        # any backend at any parity.
-        payload["f"] = solver._natural_f()
+        payload["f"] = solver.f
     elif isinstance(solver, (MRPSolver, MRRSolver)):
         payload["m"] = solver.m
     else:  # pragma: no cover - future solvers
@@ -114,10 +110,7 @@ def restore_checkpoint(path: str | Path, solver: Solver) -> Solver:
             raise ValueError("checkpoint domain does not match solver domain")
         solver.time = int(data["time"])
         if isinstance(solver, STSolver):
-            # ``_restore_state`` re-shifts the natural payload when the
-            # target is the lean single-lattice backend at odd parity
-            # (time has been set above, so the parity is known).
-            solver._restore_state(data["f"])
+            solver.f[...] = data["f"]
         else:
             solver.m[...] = data["m"]
     return solver

@@ -94,8 +94,8 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
         "scheme": scheme.upper(),
         "backend": accel,
         "path": getattr(solver, "accel_path", None),
-        # how often the dense state was materialised for a reader (only
-        # "sparse" keeps it elsewhere between steps; see the `sync` phase)
+        # how often the dense state was materialised for a reader (shown
+        # for "sparse", which never steps the dense array; `sync` phase)
         "syncs": (int(tel.counters.get("syncs", 0)) if accel == "sparse"
                   else None),
         "lattice": lat.name,

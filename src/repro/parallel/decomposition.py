@@ -296,11 +296,10 @@ class DistributedSolver:
 
     def step(self) -> None:
         """Advance the whole decomposition by one step: exchange, then
-        every rank's own collide+stream over its ghosted slab — stepped
-        without a clock, see :meth:`repro.solver.base.Solver._step_at`."""
+        every rank's own collide+stream over its ghosted slab."""
         self._exchange()
         for rank in self.ranks:
-            rank._step_at(None)
+            rank.step()
 
     def run(self, n_steps: int) -> "DistributedSolver":
         """Advance ``n_steps`` steps and return self."""

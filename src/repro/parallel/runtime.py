@@ -71,7 +71,7 @@ from ..io.checkpoint import (
 from ..lattice import get_lattice
 from ..obs.merge import merge_rank_reports
 from .decomposition import (CommunicationReport, DistributedSolver,
-                            check_halo_width)
+                            SlabDecomposition, check_halo_width)
 from .faults import FaultSpec, normalize_fault
 
 __all__ = [
@@ -128,15 +128,12 @@ class RunSpec:
         ``st_exchange``; any other name is rejected at construction.
     accel:
         Per-rank execution backend, ``"reference"``, ``"fused"``,
-        ``"aa"`` or ``"sparse"`` (see :mod:`repro.accel`); every worker
-        steps its slab through the selected kernels. The ``"aa"``
-        workers run the conservative single-lattice step, so their slab
-        state stays in the natural layout at every step — halo exchange,
-        interior checkpoints and odd/even resume points all behave
-        exactly as with the two-lattice backends. The ``"sparse"``
-        workers step their slab's fluid-node list and materialise the
-        dense slab array whenever the exchange or a checkpoint reads
-        it, so both protocols are untouched.
+        ``"aa"`` or ``"sparse"`` (see :mod:`repro.accel`): the name is
+        checked here, the combination when the ranks are built. A rank
+        reads its state through ``solver.f`` / ``solver.m`` like anybody
+        else, so a backend that keeps it in a layout of its own between
+        steps (``"sparse"``, boundary-free ``"aa"``) puts it right when
+        the exchange or a checkpoint looks, at odd and even steps alike.
     fault:
         Deterministic fault injection: a
         :class:`~repro.parallel.faults.FaultSpec` (or a plain dict of
@@ -199,17 +196,18 @@ class RunSpec:
     def __post_init__(self) -> None:
         """Validate everything that can be checked without building.
 
-        An unknown kind, a kind without a distributed form, an option
-        the kind does not take, an unknown lattice, a shape of the wrong
-        dimension, ``tau <= 1/2`` or a lattice the one-node halo cannot
-        carry used to surface only when :meth:`build` ran — long after
-        the spec had been queued, fingerprinted or pickled, and for some
-        of them as a traceback (or a wrong result) in a worker. Failing
-        here keeps bad specs out of the system entirely. The check is
-        skipped during unpickling (``__reduce__`` restores fields
-        directly), so forked workers pay nothing.
+        An unknown kind, scheme or ``accel`` name, a kind without a
+        distributed form, an option the kind does not take, an unknown
+        lattice, a shape of the wrong dimension, ``tau <= 1/2``, a
+        lattice the one-node halo cannot carry or a rank count the grid
+        cannot be cut into used to surface only when :meth:`build` ran
+        — long after the spec had been queued, fingerprinted or pickled,
+        and for some of them as a traceback (or a wrong result) in a
+        worker. Failing here keeps bad specs out of the system entirely.
+        The check is skipped during unpickling (``__reduce__`` restores
+        fields directly), so forked workers pay nothing.
         """
-        from ..service.registry import get_problem
+        from ..service.registry import check_names, get_problem
 
         kind = get_problem(self.kind)
         if kind.distributed is None:
@@ -217,6 +215,7 @@ class RunSpec:
                 f"problem kind {self.kind!r} has no distributed form")
         # ``st_exchange`` is the distributed builder's own argument.
         kind.check_options(set(self.options) - {"st_exchange"})
+        check_names(self.scheme, self.accel)
         lat = get_lattice(self.lattice)
         if len(self.shape) != lat.d:
             raise ValueError(f"shape {tuple(self.shape)} does not match "
@@ -224,6 +223,7 @@ class RunSpec:
         if not self.tau > 0.5:
             raise ValueError(f"tau must exceed 1/2, got {self.tau}")
         check_halo_width(lat)
+        SlabDecomposition(tuple(self.shape), self.n_ranks, periodic=False)
 
     def fingerprint(self) -> str:
         """Injective digest of the problem identity (kind + preset options).

@@ -230,7 +230,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 with tel.phase("barrier"):
                     barrier.wait(timeout=barrier_timeout)
                 with tel.phase("compute"):
-                    state._step_at(None)
+                    state.step()
             comm.steps += 1
             tel.count("steps")
             if watch_every and (step + 1) % watch_every == 0:

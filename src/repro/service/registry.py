@@ -39,7 +39,7 @@ from ..lattice import LatticeDescriptor, get_lattice
 from ..parallel.decomposition import DistributedMR, DistributedST
 from ..solver.non_newtonian import PowerLawMRPSolver, power_law_force
 from ..solver.presets import (channel_body_force, channel_inlet_profile,
-                              make_solver)
+                              make_solver, scheme_key)
 from ..validation.analytic import taylor_green_fields
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "problem_kinds",
     "sweep_kinds",
     "setup_problem",
+    "check_names",
     "build_distributed",
     "build_single",
 ]
@@ -169,6 +170,19 @@ def setup_problem(name: str, lattice: str | LatticeDescriptor,
     return lat, kind.setup(lat, shape, tau, **options)
 
 
+def check_names(scheme: str, backend: str) -> str:
+    """Refuse an unknown scheme or backend name in the solvers' own words.
+
+    What :class:`~repro.parallel.runtime.RunSpec` can say about the two
+    before anything is built; returns the canonical scheme name.
+    """
+    # here, so a server or CLI client that builds nothing loads no kernels
+    from ..accel import check_backend
+
+    check_backend(backend)
+    return scheme_key(scheme)
+
+
 def build_single(name: str, scheme: str, lattice: str | LatticeDescriptor,
                  shape: tuple[int, ...], *, tau: float = 0.8,
                  backend: str = "reference", **options):
@@ -203,13 +217,9 @@ def build_distributed(name: str, scheme: str,
         raise ValueError(f"problem kind {name!r} has no distributed form")
     lat, setup = setup_problem(name, lattice, shape, tau,
                                **{**kind.distributed, **options})
-    key = scheme.upper().replace("_", "-")
-    if key == "ST":
-        make = DistributedST
-    elif key in ("MR-P", "MR-R"):
-        make = partial(DistributedMR, scheme=key)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    key = check_names(scheme, accel)
+    make = (DistributedST if key == "ST"
+            else partial(DistributedMR, scheme=key))
     return make(lat, setup.domain, tau, int(n_ranks), setup.periodic_axis0,
                 setup.boundaries, rho0=setup.rho0, u0=setup.u0,
                 force=setup.force, st_exchange=st_exchange, accel=accel)

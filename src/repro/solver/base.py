@@ -103,9 +103,11 @@ class Solver(ABC):
     State access
     ------------
     The dense state (``solver.f`` for ST, ``solver.m`` for MR) is
-    *current at the moment of access*: a backend may keep the state in
-    a layout of its own between steps (``"sparse"`` steps the compact
-    fluid-node list and touches no dense array) and materialises it
+    *current at the moment of access* — the natural layout of the
+    reference step, on every backend at every step: a backend may keep
+    the state in a layout of its own between steps (``"sparse"`` steps
+    the compact fluid-node list and touches no dense array, ``"aa"``
+    leaves an odd step's lattice pre-streamed) and puts it right
     when the attribute is read. The array keeps its identity
     (``solver.f is solver.f`` across steps), but a reference *held*
     across a step is not refreshed until the attribute is read again —
@@ -196,22 +198,10 @@ class Solver(ABC):
 
     def step(self) -> None:
         """Advance one timestep via the selected execution backend."""
-        self._step_at(self.time)
-
-    def _step_at(self, time: int | None) -> None:
-        """One step with the fast-path core's clock reading ``time``.
-
-        :meth:`step` passes the solver's own clock. A distributed rank
-        (:mod:`repro.parallel.decomposition`) is stepped with ``None``:
-        it has no clock of its own, and its halo exchange and interior
-        checkpoints need the natural layout after *every* step, which is
-        what a core does when it is handed no time (see
-        :class:`repro.accel.inplace.InplaceSTCore`).
-        """
         if self.backend == "reference":
             self._step_reference()
         else:
-            self._fast_stepper().step(self, time)
+            self._fast_stepper().step(self)
 
     def _fast_stepper(self):
         """The fast-path stepper (and its core), built on first use.

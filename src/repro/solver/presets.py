@@ -18,10 +18,10 @@ from .base import Solver
 from .moment import MRPSolver, MRRSolver
 from .standard import STSolver
 
-__all__ = ["SCHEMES", "make_solver", "channel_problem", "periodic_problem",
-           "forced_channel_problem", "cylinder_channel_problem",
-           "porous_channel_problem", "channel_body_force",
-           "cylinder_channel_domain"]
+__all__ = ["SCHEMES", "scheme_key", "make_solver", "channel_problem",
+           "periodic_problem", "forced_channel_problem",
+           "cylinder_channel_problem", "porous_channel_problem",
+           "channel_body_force", "cylinder_channel_domain"]
 
 SCHEMES: dict[str, type[Solver]] = {
     "ST": STSolver,
@@ -30,13 +30,18 @@ SCHEMES: dict[str, type[Solver]] = {
 }
 
 
-def make_solver(scheme: str, lat: LatticeDescriptor, domain: Domain, tau: float,
-                **kwargs) -> Solver:
-    """Instantiate a solver by paper scheme name (``ST``/``MR-P``/``MR-R``)."""
+def scheme_key(scheme: str) -> str:
+    """Canonical name of a paper scheme — the one refusal of an unknown one."""
     key = scheme.upper().replace("_", "-")
     if key not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
-    return SCHEMES[key](lat, domain, tau, **kwargs)
+    return key
+
+
+def make_solver(scheme: str, lat: LatticeDescriptor, domain: Domain, tau: float,
+                **kwargs) -> Solver:
+    """Instantiate a solver by paper scheme name (``ST``/``MR-P``/``MR-R``)."""
+    return SCHEMES[scheme_key(scheme)](lat, domain, tau, **kwargs)
 
 
 def channel_inlet_profile(lat: LatticeDescriptor, shape: tuple[int, ...],

@@ -66,39 +66,6 @@ class STSolver(Solver):
         self._f_streamed = (np.empty_like(self.f)
                             if self.backend == "reference" else None)
 
-    def _aa_layout_is_shifted(self) -> bool:
-        """True when ``self.f`` is stored in the component-shifted AA layout.
-
-        Only a core on the ``"lean"`` single-lattice path pre-streams
-        the state, and only at odd times. The core owns that rule: one
-        stepped without a clock (a distributed rank) has left the lean
-        path for good and is never un-streamed.
-        """
-        return (self.backend == "aa" and self.time % 2 == 1
-                and self._fast_stepper().core.path == "lean")
-
-    def _natural_f(self) -> np.ndarray:
-        """The natural-layout lattice regardless of backend and parity.
-
-        Returns ``self.f`` itself when it is already natural; at odd lean
-        AA parity it un-streams into a fresh array (pure — the solver
-        state is not touched).
-        """
-        if self._aa_layout_is_shifted():
-            from ..accel.inplace import aa_to_natural
-
-            return aa_to_natural(self.lat, self.f)
-        return self.f
-
-    def _restore_state(self, f: np.ndarray) -> None:
-        """Adopt a natural-layout checkpoint payload (``self.time`` is set)."""
-        if self._aa_layout_is_shifted():
-            from ..accel.inplace import natural_to_aa
-
-            self.f[...] = natural_to_aa(self.lat, np.asarray(f))
-        else:
-            self.f[...] = f
-
     def _step_reference(self) -> None:
         """One Algorithm 1 step: pull-stream, boundaries, collide, swap."""
         tel = self.telemetry
@@ -154,7 +121,7 @@ class STSolver(Solver):
                 + guo_source(lat, u, self.force, self.tau))
 
     def _density_velocity(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` of a natural-layout lattice (half-force aware)."""
+        """``(rho, u)`` of the lattice ``f`` (half-force aware)."""
         if self.force is None:
             return macroscopic(self.lat, f)
         from ..core.forcing import half_force_velocity
@@ -164,8 +131,8 @@ class STSolver(Solver):
         return rho, half_force_velocity(self.lat, rho, j, self.force)
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` from the natural-layout lattice (half-force aware)."""
-        return self._density_velocity(self._natural_f())
+        """``(rho, u)`` of the current lattice (half-force aware)."""
+        return self._density_velocity(self.f)
 
     @property
     def state_values_per_node(self) -> int:

@@ -119,9 +119,10 @@ class TestEmulatedInplaceParity:
                 # boundary-free: one persistent lattice for ST, none
                 # beside the moments for MR
                 assert core.state_lattices == (1 if scheme == "ST" else 0)
-                # a rank passes no clock, so a boundary-free aa ST core
-                # takes (and reports) the natural-layout step; the
-                # sliding-window steps are natural at every step
+                # a rank's halo exchange looks every step, so a
+                # boundary-free aa ST core takes (and reports) the
+                # natural-layout step; the sliding-window steps are
+                # natural at every step
                 assert state.accel_path == {
                     ("fused", "ST"): "lean", ("fused", "MR-P"): "lean",
                     ("aa", "ST"): "bounded", ("aa", "MR-P"): "lean",

@@ -6,9 +6,10 @@
   ``Solver`` holds per rank;
 * the distributed classes hold no physics (no reference step, no
   macroscopic evaluation, no state initialisation of their own);
-* a boundary-free ``aa`` ST rank — the one configuration whose
-  single-domain core keeps a shifted layout at odd times — is in the
-  natural layout after *every* step, emulated and process.
+* a boundary-free ``aa`` ST rank — the one configuration whose core
+  may leave a pre-streamed lattice between steps — takes the natural
+  step because its halo exchange looks every step, emulated and
+  process, and is un-streamed at most once.
 
 What the distributed form refuses at construction (multi-speed
 lattices, ``tau <= 1/2``) is pinned in ``tests/unit/test_error_paths.py``
@@ -21,6 +22,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.obs import Telemetry
 from repro.parallel import (DistributedMR, DistributedST, ProcessRuntime,
                             RunSpec)
 from repro.service.registry import (build_distributed, build_single,
@@ -59,7 +61,8 @@ def test_distributed_classes_hold_no_physics(cls):
 
 
 class TestClocklessAARank:
-    """The case the clock seam exists for."""
+    """A rank's halo exchange looks at its state every step, so an
+    ``aa`` rank steps natural lattices without being told to."""
 
     def single_slabs(self, dist, steps):
         single = build_single("periodic", "ST", "D2Q9", SHAPE, backend="aa",
@@ -79,11 +82,16 @@ class TestClocklessAARank:
         dist = build_distributed("periodic", "ST", "D2Q9", SHAPE, 3,
                                  accel="aa", u0=self.u0())
         assert not any(rank.boundaries for rank in dist.ranks)
+        tels = [Telemetry() for _ in dist.ranks]
+        for rank, tel in zip(dist.ranks, tels):
+            rank.attach_telemetry(tel)
         dist.run(steps)
         for r, (rank, (rho_s, u_s)) in enumerate(
                 zip(dist.ranks, self.single_slabs(dist, steps))):
             assert rank.accel_path == "bounded"
-            assert rank._natural_f() is rank.f
+            # only the first step, taken before anybody had looked,
+            # left a pre-streamed lattice to put right
+            assert tels[r].counters["syncs"] == 1
             rho, u = rank.macroscopic()
             isl = dist.interior(r)
             assert np.array_equal(rho[isl], rho_s)

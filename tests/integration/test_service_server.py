@@ -120,8 +120,9 @@ class TestValidation:
 
     def test_unknown_option_400_leaves_no_job(self, tmp_path):
         """A misnamed option, a single-only kind, a lattice the one-node
-        halo cannot carry, a negative viscosity, an unknown lattice or a
-        shape of the wrong dimension is refused at submit: no job record,
+        halo cannot carry, a negative viscosity, an unknown lattice,
+        scheme or backend, a shape of the wrong dimension or a rank count
+        the grid cannot be cut into is refused at submit: no job record,
         no job directory that a later scan could adopt."""
         with ServerThread(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
@@ -135,6 +136,14 @@ class TestValidation:
                     (payload(tau=0.4, accel="fused"),
                      "tau must exceed 1/2"),
                     (payload(lattice="D7Q7"), "unknown lattice"),
+                    (payload(scheme="XX"), "unknown scheme 'XX'; expected "
+                     "one of ['MR-P', 'MR-R', 'ST']"),
+                    (payload(accel="bogus"), "unknown backend 'bogus'; "
+                     "expected one of ('reference', 'fused', 'aa', "
+                     "'sparse')"),
+                    (payload(n_ranks=0), "need at least one rank"),
+                    (payload(n_ranks=9), "9 slabs need a global extent of "
+                     "at least 27 along axis 0, got 24"),
                     (payload(shape=[24, 14, 8]),
                      "does not match lattice dimension 2")]:
                 with pytest.raises(ServiceError) as err:

@@ -1,27 +1,31 @@
 """Property-based tests (hypothesis): looking must not change the trajectory.
 
-The ``sparse`` cores keep the compact ``(Q | M, n_fluid)`` state between
-steps and materialise ``solver.f`` / ``solver.m`` only when the attribute
-is read (:mod:`repro.accel.sparse`). The oracle is metamorphic: a random
-sequence of public operations is applied to
+``solver.f`` / ``solver.m`` is the one door to the state: a core may keep
+it in a layout of its own between steps — the ``sparse`` cores the
+compact ``(Q | M, n_fluid)`` columns (:mod:`repro.accel.sparse`), the
+boundary-free ``aa`` core a pre-streamed lattice at odd steps
+(:mod:`repro.accel.inplace`) — and puts it right when the attribute is
+read. The oracle is metamorphic: on every backend a random sequence of
+public operations is applied to
 
-* a ``sparse`` solver (*lazy*: it looks only where the sequence looks),
-* a ``sparse`` twin whose state is read after **every** step (*eager*:
-  the reload-every-step path, which is what the cores did before the
-  compact state became the state), and
-* a ``fused`` third,
+* a solver (*lazy*: it looks only where the sequence looks),
+* a twin whose state is read after **every** step (*eager*: the
+  reload / natural-step path), and
+* a ``reference`` third,
 
 and every observation of the first must be ``np.array_equal`` to the
-second and within the 1e-13 of ``test_props_sparse.py`` of the third
-(compact and dense dgemms cut their columns differently, so ``sparse``
-against ``fused`` was never bit-exact).
+second and within 1e-13 of the third (compact, dense and reference
+contractions cut their sums differently, so that was never bit-exact).
+The deterministic classes below pin the same contract step by step,
+across checkpoints between every ordered pair of backends, and by
+counting what a look costs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel import MaskedNeighborTable
+from repro.accel import BACKENDS, MaskedNeighborTable
 from repro.boundary import HalfwayBounceBack
 from repro.io import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
@@ -59,10 +63,19 @@ def _channel(scheme, lattice, shape, backend, seed):
                         backend=backend, u_max=0.03, bc_method="nebb")
 
 
+def _periodic(scheme, lattice, shape, backend, seed):
+    """No boundaries: the one problem ``aa`` steps with its own ST core."""
+    lat = get_lattice(lattice)
+    u0 = 0.03 * np.random.default_rng(seed).standard_normal((lat.d, *shape))
+    return build_single("periodic", scheme, lat, shape, tau=TAU,
+                        backend=backend, u0=u0)
+
+
 #: problem -> (builder, the ``accel_path`` its sparse core must report)
 PROBLEMS = {"porous": (_porous, "lean"),
             "moving-wall": (_moving_wall, "lean"),
-            "channel": (_channel, "dense-fallback")}
+            "channel": (_channel, "dense-fallback"),
+            "periodic": (_periodic, "lean")}
 
 
 def state_of(solver):
@@ -132,23 +145,25 @@ def assert_same_story(lazy, eager, dense, fluid):
 
 
 class TestLookingDoesNotChangeTheTrajectory:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("lattice", ["D2Q9", "D3Q19"])
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_random_operation_sequences(self, tmp_path_factory, problem,
-                                        scheme, lattice, data):
-        build, path = PROBLEMS[problem]
+                                        scheme, lattice, backend, data):
+        build, sparse_path = PROBLEMS[problem]
         shape = data.draw(st.sampled_from(SHAPES[lattice]))
         seed = data.draw(st.integers(0, 2**16))
         ops = data.draw(st.lists(OPS, min_size=2, max_size=8))
         tmp = tmp_path_factory.mktemp("ckpt")
-        lazy, eager, dense = (build(scheme, lattice, shape, backend, seed)
-                              for backend in ("sparse", "sparse", "fused"))
+        lazy, eager, ref = (build(scheme, lattice, shape, b, seed)
+                            for b in (backend, backend, "reference"))
         seen = [apply(lazy, ops, tmp), apply(eager, ops, tmp, every_step=True),
-                apply(dense, ops, tmp)]
-        assert lazy.accel_path == eager.accel_path == path
+                apply(ref, ops, tmp)]
+        if backend == "sparse":
+            assert lazy.accel_path == eager.accel_path == sparse_path
         assert_same_story(*seen, lazy.domain.fluid_mask)
 
     @given(ops=st.lists(OPS, min_size=2, max_size=6))
@@ -164,11 +179,12 @@ class TestLookingDoesNotChangeTheTrajectory:
                 apply(dense, ops, tmp)]
         assert_same_story(*seen, lazy.domain.fluid_mask)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_womersley_set_force_every_step(self, scheme):
+    def test_womersley_set_force_every_step(self, scheme, backend):
         """A pulsatile force is seen by the very next step, read or not."""
         solvers = [build_single("forced-channel", scheme, "D2Q9", (12, 9),
-                                tau=TAU, backend="sparse", u_max=0.03)
+                                tau=TAU, backend=backend, u_max=0.03)
                    for _ in range(2)]
         amplitude = solvers[0].force[0].max()
         for step in range(12):
@@ -188,6 +204,65 @@ class TestLookingDoesNotChangeTheTrajectory:
         held = solver.force
         solver.set_force([1e-6, 0.0])
         assert solver.force is held and not held.flags.writeable
+
+
+class TestOneDoor:
+    """``solver.f`` / ``solver.m`` is the reference's natural state on every
+    backend at every step; what is written through it steps next."""
+
+    @staticmethod
+    def build(problem, scheme, backend):
+        lattice, shape = (("D3Q19", (5, 5, 4)) if problem.endswith("3d")
+                          else ("D2Q9", (11, 6)))
+        return PROBLEMS[problem.removesuffix("3d")][0](
+            scheme, lattice, shape, backend, 3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("problem", ["periodic", "periodic3d", "channel"])
+    def test_natural_at_every_step(self, problem, scheme, backend):
+        """Nobody looks before the end, so ``aa`` is caught mid-pair."""
+        ref = self.build(problem, scheme, "reference")
+        fluid = ref.domain.fluid_mask
+        for steps in range(1, 6):
+            ref.run(1)
+            fast = self.build(problem, scheme, backend).run(steps)
+            diff = np.abs(state_of(fast) - state_of(ref))[:, fluid]
+            assert diff.max() < 1e-13
+            assert np.abs(fields(fast) - fields(ref))[:, fluid].max() < 1e-13
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_write_is_what_steps_next(self, steps, scheme, backend):
+        a, twin, donor = (self.build("periodic", scheme, b)
+                          for b in (backend, backend, "reference"))
+        for solver in (a, twin, donor):
+            solver.run(steps)
+        held = state_of(twin)
+        held[...] = held.copy()         # rewriting it in place: nothing
+        state_of(a)[...] = state_of(donor.run(2))   # another state: adopted
+        assert np.abs(state_of(a.run(3)) - state_of(donor.run(3))).max() < 1e-13
+        untouched = self.build("periodic", scheme, backend).run(steps + 2)
+        assert np.array_equal(state_of(twin.run(2)), state_of(untouched))
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    @pytest.mark.parametrize("target", BACKENDS)
+    @pytest.mark.parametrize("source", BACKENDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_checkpoint_across_backends(self, tmp_path, scheme, source,
+                                        target, steps):
+        first = self.build("periodic", scheme, source).run(steps)
+        path = save_checkpoint(tmp_path / "ck.npz", first)
+        resumed = self.build("periodic", scheme, target)
+        restore_checkpoint(path, resumed)
+        assert resumed.time == steps
+        assert np.array_equal(state_of(resumed), state_of(first))
+        straight = self.build("periodic", scheme, target).run(steps + 3)
+        got, want = state_of(resumed.run(3)), state_of(straight)
+        if {source, target} <= {"fused", "aa"} or source == target:
+            assert np.array_equal(got, want)    # one kernel
+        assert np.abs(got - want).max() < 1e-13
 
 
 class TestRanksOnSparse:
@@ -251,6 +326,19 @@ class TestTheMechanism:
         assert calls == {"scatter": 1, "compact": 0}
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
         assert state_of(solver) is state_of(solver)
+
+    def test_aa_unstreams_once_per_odd_look(self):
+        solver = _periodic("ST", "D2Q9", (16, 12), "aa", 1)
+        tel = Telemetry()
+        solver.attach_telemetry(tel).run(5)
+        assert solver.accel_path == "lean" and "syncs" not in tel.counters
+        assert solver.f is solver.f     # one un-stream, however many looks
+        assert tel.counters["syncs"] == 1 and tel.phases["sync"].calls == 1
+        assert solver.run(1).accel_path == "bounded"    # looked: natural step
+        assert solver.run(2).accel_path == "lean"       # unobserved: AA pair
+        solver.macroscopic()            # even step: nothing to put right
+        assert tel.counters["syncs"] == 1
+        assert solver.state_values_per_node == solver.lat.q
 
     def test_rebinding_the_state_is_seen_by_the_next_step(self):
         lat = get_lattice("D2Q9")

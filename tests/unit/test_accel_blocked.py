@@ -192,13 +192,13 @@ def test_checkpoint_resume_mid_run_on_the_lean_path(monkeypatch, tmp_path,
                             backend=backend, u0=u0)
 
     def state(solver):
-        return solver._natural_f() if scheme == "ST" else solver.m
+        return solver.f if scheme == "ST" else solver.m
 
     straight = build().run(7)
     assert straight.accel_path == "lean"
     if not (backend == "aa" and scheme == "ST"):    # AA keeps its scratch
         assert n_slabs(straight._stepper.core) == 2
-    first = build().run(3)          # odd time: the AA layout is shifted
+    first = build().run(3)          # odd time: AA holds a shifted lattice
     path = save_checkpoint(tmp_path / "ck.npz", first)
     resumed = build()
     restore_checkpoint(path, resumed)

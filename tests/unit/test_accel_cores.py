@@ -82,7 +82,9 @@ class TestBufferInventory:
     def test_state_plus_core_matches_documented_footprint(
             self, backend, scheme, problem, field_doubles):
         solver = build(problem, scheme, backend)
-        solver.run(2)
+        # an odd count: reading the state below makes the boundary-free
+        # ``aa`` core un-stream, through the scratch it already owns
+        solver.run(3)
         n, nf = solver.domain.n_nodes, solver.domain.n_fluid
         state = solver.f if scheme == "ST" else solver.m
         # a fast backend's solver owns nothing but its persistent state
@@ -146,9 +148,9 @@ class TestPath:
         assert path_of("walled", "MR-P", "sparse") == "lean"
 
     def test_bounded(self):
-        # the AA scatter needs the whole relaxed lattice
-        assert path_of("walled", "ST", "aa") == "bounded"
-        # MR problems step the fused core on "aa": lean, walls and all
+        # walled ST and MR problems step the fused cores on "aa": lean,
+        # walls and all (tests/unit/test_accel_paths.py has the table)
+        assert path_of("walled", "ST", "aa") == "lean"
         assert path_of("inlet-outlet", "MR-P", "aa") == "lean"
         # a post-collide hook has no row extent
         from repro.geometry import channel_2d

@@ -2,18 +2,18 @@
 
 The in-place streaming cores of :mod:`repro.accel.inplace` promise
 machine-precision agreement with the two-lattice fused backend at every
-even step (and, through the natural-layout canonicalization, for every
-macroscopic evaluation at odd steps too), across the full feature
-matrix: boundaries, solids, Guo forcing and the per-node variable-tau
-collision. These tests pin that contract, the AA-layout checkpoint
-canonicalization, and the configuration error paths.
+step, across the full feature matrix: boundaries, solids, Guo forcing
+and the per-node variable-tau collision. These tests pin that contract,
+checkpoints at either parity, and the configuration error paths (how an
+odd step is stored is private to the core:
+``tests/property/test_props_sparse_state.py`` pins what ``solver.f``
+shows instead).
 """
 
 import numpy as np
 import pytest
 
 from repro.accel import FusedMRCore, available_backends
-from repro.accel.inplace import aa_to_natural, natural_to_aa
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
@@ -155,40 +155,8 @@ class TestInplaceParity:
         assert np.array_equal(ref.f, fast.f)
 
 
-class TestAALayout:
-    """The component-shifted layout and its canonicalization helpers."""
-
-    @pytest.mark.parametrize("lattice_name,shape", [
-        ("D2Q9", (9, 7)),
-        ("D3Q19", (6, 5, 4)),
-    ])
-    def test_layout_round_trip_is_bit_exact(self, lattice_name, shape):
-        lat = get_lattice(lattice_name)
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal((lat.q, *shape))
-        assert np.array_equal(aa_to_natural(lat, natural_to_aa(lat, f)), f)
-        assert np.array_equal(natural_to_aa(lat, aa_to_natural(lat, f)), f)
-
-    def test_odd_time_state_is_shifted(self):
-        """At odd lean times the persistent array is the AA layout."""
-        build = random_periodic_builder("ST", "D2Q9", (12, 10))
-        ref, fast = build("fused"), build("aa")
-        ref.run(5)
-        fast.run(5)
-        assert fast._aa_layout_is_shifted()
-        assert np.array_equal(aa_to_natural(fast.lat, fast.f), ref.f)
-
-    def test_macroscopic_does_not_mutate_state(self):
-        """Odd-parity macroscopic() converts a copy, not the live array."""
-        s = random_periodic_builder("ST", "D2Q9", (10, 8))("aa")
-        s.run(3)
-        before = s.f.copy()
-        s.macroscopic()
-        assert np.array_equal(s.f, before)
-
-
 class TestInplaceCheckpoint:
-    """Checkpoints are written natural-layout at any parity."""
+    """Checkpoints hold the natural lattice at any parity."""
 
     @pytest.mark.parametrize("steps", [3, 5])
     def test_odd_step_round_trip_bit_exact(self, tmp_path, steps):

@@ -34,6 +34,34 @@ def test_distributed_run_refuses_negative_viscosity(scheme, accel, backend,
 
 
 @pytest.mark.parametrize("backend", ["emulated", "process"])
+@pytest.mark.parametrize("ranks,text", [
+    ("0", "need at least one rank"),
+    ("9", "9 slabs need a global extent of at least 27 along axis 0, got 24"),
+])
+def test_distributed_run_refuses_rank_counts(ranks, text, backend, capsys,
+                                             leaked_segments):
+    """``RunSpec`` says it, before the header and before any fork."""
+    rc = main(["run", "--problem", "forced-channel", "--shape", "24,12",
+               "--ranks", ranks, "--steps", "5", "--backend", backend])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"ERROR: {text}\n"
+    assert captured.out == ""
+    assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("flag,value", [("--scheme", "XX"),
+                                        ("--accel", "bogus")])
+def test_unknown_scheme_and_accel_names_exit_2(flag, value, capsys):
+    """The parser's ``choices`` meet them first: exit 2, the name shown."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--problem", "forced-channel", "--shape", "24,12",
+              "--ranks", "2", "--steps", "5", flag, value])
+    assert exit_.value.code == 2
+    assert repr(value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["emulated", "process"])
 def test_distributed_run_refuses_multispeed_lattice(backend, capsys,
                                                     leaked_segments):
     """``--lattice D3Q39 --ranks 2`` used to print MLUPS for a wrong

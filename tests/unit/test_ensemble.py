@@ -70,10 +70,17 @@ class TestEnrolment:
             EnsembleRunner([tg_member(shape=(12, 10)),
                             tg_member(shape=(10, 12))])
 
-    def test_rejects_aa_backend_members(self):
-        with pytest.raises(ValueError, match="'aa' backend"):
-            EnsembleRunner([tg_member("ST", backend="aa"),
-                            tg_member("ST", backend="aa")])
+    def test_enrols_aa_backend_members_at_an_odd_step(self):
+        """How ``aa`` stores an odd step is the core's business: enrolment
+        reads ``member.f``, which is the natural lattice on every backend."""
+        taus = (0.7, 0.9)
+        members = [tg_member("ST", tau=t, backend="aa").run(3) for t in taus]
+        alone = [tg_member("ST", tau=t, backend="fused").run(3 + 4)
+                 for t in taus]
+        EnsembleRunner(members).run(4)
+        for member, solo in zip(members, alone):
+            assert member.time == solo.time
+            assert np.array_equal(member.f, solo.f)
 
     def test_rejects_time_skew(self):
         a, b = tg_member(), tg_member()

@@ -81,6 +81,36 @@ class TestDistributedFailsClosed:
             build_single("forced-channel", "MR-P", "D2Q9", (24, 12), tau=0.4)
         assert str(spec.value) == str(solver.value)
 
+    @pytest.mark.parametrize("fields,text,single", [
+        ({"scheme": "XX"}, "unknown scheme 'XX'; expected one of "
+         "['MR-P', 'MR-R', 'ST']", True),
+        ({"accel": "bogus"}, "unknown backend 'bogus'; expected one of "
+         "('reference', 'fused', 'aa', 'sparse')", True),
+        ({"n_ranks": 0}, "need at least one rank", False),
+        ({"n_ranks": 9}, "9 slabs need a global extent of at least 27 "
+         "along axis 0, got 24", False),
+    ])
+    def test_runspec_refuses_names_and_rank_counts_in_the_builders_words(
+            self, fields, text, single):
+        """``RunSpec("channel", "XX", ..., accel="bogus")`` used to
+        construct, and became a 202 + job directory + failed job."""
+        from repro.parallel import RunSpec
+        from repro.service.registry import build_distributed, build_single
+
+        spec = {**self.SPEC, "accel": "reference", **fields}
+        with pytest.raises(ValueError) as from_spec:
+            RunSpec(**spec)
+        with pytest.raises(ValueError) as from_ranks:
+            build_distributed(spec["kind"], spec["scheme"], spec["lattice"],
+                              spec["shape"], spec["n_ranks"],
+                              accel=spec["accel"])
+        assert str(from_spec.value) == str(from_ranks.value) == text
+        if single:      # a rank count is nothing a single domain has
+            with pytest.raises(ValueError) as from_solver:
+                build_single(spec["kind"], spec["scheme"], spec["lattice"],
+                             spec["shape"], backend=spec["accel"])
+            assert str(from_solver.value) == text
+
     @pytest.mark.parametrize("accel", ["reference", "fused"])
     def test_every_rank_checks_what_the_solver_checks(self, accel):
         """The constructor is guarded too, not only the spec: a rank is a

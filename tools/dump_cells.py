@@ -4,15 +4,16 @@
     PYTHONPATH=<checkout>/src python tools/dump_cells.py --out DIR
     python tools/dump_cells.py --compare DIR_A DIR_B
 
-A *cell* is ``(kind, scheme, lattice/shape, backend, mode)`` with kind
-from ``problem_kinds()``, backend from ``repro.accel.BACKENDS`` and mode
-``single`` or ``{1, 2, 3}`` ranks on the emulated or the process runtime.
-Each admitted cell is run ``--steps`` steps and its state (natural
-layout), ``rho`` / ``u``, ``accel_path`` and every boundary
-``last_force`` are recorded; a refused cell records the refusal's
-message. "Bit-identical to the parent" in a PR is ``--compare`` of this
-file's output under the two checkouts: it imports only names both have,
-so the same file runs against any commit of the round.
+A *cell* is ``(kind, scheme, lattice/shape, backend, mode, steps)`` with
+kind from ``problem_kinds()``, backend from ``repro.accel.BACKENDS``, mode
+``single`` or ``{1, 2, 3}`` ranks on the emulated or the process runtime
+and steps from ``--steps`` (by default an odd and an even count: a
+single-lattice backend stores the two differently). Each admitted cell's
+state (``solver.f`` / ``solver.m``), ``rho`` / ``u``, ``accel_path`` and
+every boundary ``last_force`` are recorded; a refused cell records the
+refusal's message. "Bit-identical to the parent" in a PR is ``--compare``
+of this file's output under the two checkouts: it imports only names
+both have, so the same file runs against any commit of the round.
 
 Small grids are stepped with ``_CHUNK`` lowered to 32 (set before
 anything is built, inherited by forked ranks) so that they slide over
@@ -28,7 +29,9 @@ the last bits and are listed with their largest difference.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -75,8 +78,11 @@ def _run_cell(kind, scheme, lattice, shape, backend, mode, options, steps):
         solver = build_single(kind, scheme, lattice, shape, backend=backend,
                               **options)
         solver.run(steps)
+        # checkouts from before ``solver.f`` was natural on every
+        # backend un-stream an odd ``aa`` step through this method
         natural = getattr(solver, "_natural_f", None)
-        _record(arrays, "state", natural() if natural else solver.m)
+        _record(arrays, "state", natural() if natural
+                else solver.f if solver.name == "ST" else solver.m)
         rho, u = solver.macroscopic()
         for k, b in enumerate(solver.boundaries):
             if getattr(b, "last_force", None) is not None:
@@ -104,7 +110,7 @@ def _run_cell(kind, scheme, lattice, shape, backend, mode, options, steps):
     return arrays, path
 
 
-def dump(out: Path, steps: int, big: bool) -> int:
+def dump(out: Path, steps: list[int], big: bool) -> int:
     import repro.accel.fused as fused
     import repro.core.blocking as blocking
     from repro.accel import BACKENDS
@@ -122,15 +128,16 @@ def dump(out: Path, steps: int, big: bool) -> int:
             for k, options in enumerate(_options(kind, lattice, shape)):
                 for scheme in SCHEMES:
                     for backend in (("fused",) if heavy else BACKENDS):
-                        for mode in MODES:
+                        for mode, n in itertools.product(
+                                MODES, (3,) if heavy else steps):
                             cell = "/".join((
                                 kind + (f"#{k}" if k else ""), scheme,
                                 lattice, "x".join(map(str, shape)), backend,
-                                mode))
+                                mode, str(n)))
                             try:
                                 arrays, path = _run_cell(
                                     kind, scheme, lattice, shape, backend,
-                                    mode, options, 3 if heavy else steps)
+                                    mode, options, n)
                             except ValueError as err:
                                 index[cell] = {"refused": str(err)}
                                 continue
@@ -151,7 +158,7 @@ def dump(out: Path, steps: int, big: bool) -> int:
 def compare(a: Path, b: Path) -> int:
     ia, ib = (json.loads((d / "cells.json").read_text()) for d in (a, b))
     sa, sb = (np.load(d / "arrays.npz") for d in (a, b))
-    identical = paths = 0
+    identical, paths = 0, collections.Counter()
     rounding, broken = [], []
     for cell in sorted(set(ia) | set(ib)):
         ca, cb = ia.get(cell), ib.get(cell)
@@ -164,7 +171,10 @@ def compare(a: Path, b: Path) -> int:
             else:
                 identical += 1
             continue
-        paths += ca["path"] != cb["path"]
+        if ca["path"] != cb["path"]:
+            kind, scheme, _, _, backend, mode, _ = cell.split("/")
+            paths[f"{kind} {scheme} {backend} {mode}: "
+                  f"{ca['path']} -> {cb['path']}"] += 1
         if ca["arrays"] != cb["arrays"]:
             broken.append(f"{cell}: array names differ")
             continue
@@ -185,9 +195,10 @@ def compare(a: Path, b: Path) -> int:
     print(f"{len(ia)} / {len(ib)} cells: {identical} identical "
           f"({sum('refused' in c for c in ia.values())} refusals among "
           f"them), {len(rounding)} within BLAS-tail rounding (plane not a "
-          f"multiple of 8), {len(broken)} broken; {paths} report another "
-          f"accel_path")
-    for line in rounding + broken:
+          f"multiple of 8), {len(broken)} broken; {sum(paths.values())} "
+          f"report another accel_path")
+    for line in rounding + broken + [f"{change} ({n} cells)"
+                                     for change, n in sorted(paths.items())]:
         print(" ", line)
     return 1 if broken else 0
 
@@ -196,7 +207,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="dump into this directory")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
-    parser.add_argument("--steps", type=int, default=5)
+    parser.add_argument("--steps", type=int, nargs="+", default=[5, 4],
+                        help="step counts of every small cell (default: "
+                        "an odd and an even one)")
     parser.add_argument("--skip-big", action="store_true",
                         help="leave out the 128x48x48 ranks2-shape cells")
     args = parser.parse_args(argv)
