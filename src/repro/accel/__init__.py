@@ -20,14 +20,18 @@ one collide-and-project kernel per scheme family
 ``"aa"``
     Dense layout, single-lattice in-place streaming for boundary-free
     ST (:mod:`repro.accel.inplace`, model in ``docs/ALGORITHMS.md``;
-    ``solver.f`` is made natural on access); walled ST and all MR
-    problems, whose windows hold one lattice / none, take the fused core.
+    ``solver.f`` is made natural on access).
 ``"sparse"``
     Fluid-node-list layout (:mod:`repro.accel.sparse`): the state lives
     compacted over a :class:`~repro.accel.tables.MaskedNeighborTable`
     between steps, streaming is one bounce-back-folded gather, collision
     runs over ``n_fluid`` columns, and ``solver.f`` / ``solver.m`` are
-    materialised on access. Custom post-collide hooks are rejected.
+    materialised on access.
+
+A layout core ``carries`` only some boundary lists (``aa``: none;
+``sparse``: those that fold into its gather table); :func:`make_core`
+steps any other list — and every ``aa`` MR problem — with the family's
+fused core, whose window carries them all.
 
 *Batch width* is a third axis, not a backend name: a vector of
 relaxation times handed to :func:`make_core` yields the lockstep
@@ -67,16 +71,15 @@ from .fused import FusedMRCore, FusedSTCore
 from .inplace import InplaceSTCore
 from .sparse import SparseMRCore, SparseSTCore
 from .tables import (MaskedNeighborTable, NeighborTable, clear_cache,
-                     neighbor_table, stream_gather)
+                     neighbor_table)
 
 __all__ = [
-    "BACKENDS", "available_backends", "make_core", "make_stepper",
+    "BACKENDS", "make_core", "make_stepper",
     "check_backend", "validate_backend", "solver_caps",
     "FusedSTCore", "FusedMRCore", "BatchedFusedSTCore", "BatchedFusedMRCore",
     "InplaceSTCore",
     "SparseSTCore", "SparseMRCore",
-    "NeighborTable", "MaskedNeighborTable", "neighbor_table",
-    "stream_gather", "clear_cache",
+    "NeighborTable", "MaskedNeighborTable", "neighbor_table", "clear_cache",
 ]
 
 #: Recognized backend names.
@@ -88,11 +91,6 @@ _CORES = {
     ("aa", "st"): InplaceSTCore, ("aa", "mr"): FusedMRCore,
     ("sparse", "st"): SparseSTCore, ("sparse", "mr"): SparseMRCore,
 }
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this environment (all of :data:`BACKENDS`)."""
-    return BACKENDS
 
 
 def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
@@ -118,11 +116,9 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
                 f"layout without tau_bulk, got backend={backend!r}")
         cls = BatchedFusedSTCore if family == "st" else BatchedFusedMRCore
     else:
-        if backend == "aa" and boundaries:
-            # the AA pattern pre-streams a boundary-free lattice; the
-            # fused window carries walls over one lattice too
-            backend = "fused"
         cls = _CORES[backend, family]
+        if not cls.carries(boundaries):
+            backend, cls = "fused", _CORES["fused", family]
         if family == "mr":
             kwargs["tau_bulk"] = tau_bulk
         kwargs["boundaries"] = boundaries
@@ -200,7 +196,6 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
     exactly the same combinations with the same message. Returns the
     solver's capability declaration (``None`` for ``"reference"``).
     """
-    from ..boundary.base import Boundary
     from ..core.collision import BGKCollision
 
     backend = solver.backend if backend is None else backend
@@ -228,17 +223,8 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
     if (family == "st" and collision is not None
             and type(collision) is not BGKCollision):
         raise reject("only the plain BGK collision is fused for ST")
-    if backend == "sparse":
-        # The compact-state step has no post-collide stage on the dense
-        # field, so boundaries that hook it (full-way bounce-back) have
-        # nowhere to run; everything else folds or falls back densely.
-        for b in solver.boundaries:
-            if type(b).post_collide is not Boundary.post_collide:
-                raise reject(
-                    f"{type(b).__name__} customizes the post-collide hook, "
-                    "which the compact-state sparse step does not run")
-    # "aa" shares the fused matrix: walled configurations run the
-    # fused step itself, so no extra restrictions apply.
+    # Every fast backend admits the fused matrix: a boundary list its
+    # layout core does not carry steps the fused core (make_core).
     return caps
 
 

@@ -43,9 +43,11 @@ Core protocol
 -------------
 Cores are array-level: they know nothing about
 :class:`~repro.solver.base.Solver`. Every core in :mod:`repro.accel` is
-built by :func:`repro.accel.make_core`, exposes a read-only ``path``
-(the step variant its boundary list selected) and a ``state_lattices``
-count (whole ``Q``-lattices the step keeps), and is stepped by
+built by :func:`repro.accel.make_core`, refuses a boundary list its
+static ``carries(boundaries)`` rejects (the cores here carry every one),
+exposes a read-only ``path`` (the step variant its boundary list
+selected) and a ``state_lattices`` count (whole ``Q``-lattices the step
+keeps), and is stepped by
 ``core.step(state, boundaries, tel, force=, tau_field=)``. ``state`` is
 the caller's persistent array (``f`` for ST, ``m`` for MR), updated in
 place; ``core.sync(state, tel)`` is called whenever somebody else looks
@@ -178,6 +180,11 @@ class _FusedCore:
             solid, [0] + [a1 * self._tail for _, a1 in self._slabs])
         self._pins = [solid[lo:hi] for lo, hi in zip(edges, edges[1:])]
         self._win = None    # stream plans and buffers (first step)
+
+    @staticmethod
+    def carries(boundaries) -> bool:
+        """Core protocol: the window steps every boundary list."""
+        return True
 
     def _cut(self) -> tuple[list, list | None]:
         """``(slabs, hooks per slab)``; hooks ``None``: the bounded step."""

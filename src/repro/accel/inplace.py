@@ -52,9 +52,14 @@ class InplaceSTCore(FusedSTCore):
     #: the state was handed out since the previous step
     _looked = False
 
+    @staticmethod
+    def carries(boundaries) -> bool:
+        """Core protocol: the AA pattern steps no boundary list."""
+        return not boundaries
+
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
                  solid_mask: np.ndarray | None = None, boundaries=()):
-        if boundaries:
+        if not self.carries(boundaries):
             raise ValueError(
                 "the AA pattern pre-streams a boundary-free lattice; "
                 "make_core steps walled 'aa' problems with FusedSTCore")

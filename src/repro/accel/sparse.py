@@ -25,13 +25,13 @@ to a flat ``(n_fluid,)`` shape:
   the node list — only that list's inverse is dense-node-sized
   (docs/ALGORITHMS.md, *Realized allocations*).
 
-A boundary list that is empty or a single plain
-:class:`~repro.boundary.HalfwayBounceBack` (moving walls included) folds
-entirely into the gather table — the *lean* path, no dense distribution
-field at all. Any other post-stream boundary routes the step through a
-*dense fallback* that streams densely, runs the unchanged hook objects
-and re-compacts; collision still runs compact. Post-collide hooks are
-rejected by :func:`repro.accel.validate_backend`. Traffic model:
+The cores carry the boundary lists that fold entirely into the gather
+table (:func:`boundaries_fold`: none, or a single plain
+:class:`~repro.boundary.HalfwayBounceBack`, moving walls included) and
+refuse any other at construction: :func:`repro.accel.make_core` steps
+those — inlet/outlet, curved walls, post-collide hooks — with the
+family's fused core, whose window carries every list. So ``path`` is
+always ``"lean"``: no dense distribution field at all. Traffic model:
 docs/ALGORITHMS.md; parity: ``tests/property/test_props_sparse*.py``.
 """
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
 from .fused import FusedMRCore, FusedSTCore
@@ -53,7 +52,7 @@ def boundaries_fold(boundaries) -> bool:
 
     No boundaries at all, or exactly one plain
     :class:`~repro.boundary.HalfwayBounceBack` (exact type — a subclass
-    may override its hooks); anything else takes the dense fallback.
+    may override its hooks); the sparse cores carry exactly these lists.
     """
     from ..boundary.bounceback import HalfwayBounceBack
 
@@ -84,6 +83,9 @@ def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
 class _SparseCoreBase:
     """Shared compaction plumbing of the two sparse cores."""
 
+    #: Core protocol: the folded gather is the only step there is.
+    path = "lean"
+    carries = staticmethod(boundaries_fold)
     #: The dense solver field is the only full lattice in the state
     #: footprint; everything the core owns scales with ``n_fluid``.
     state_lattices = 1
@@ -97,12 +99,15 @@ class _SparseCoreBase:
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  boundaries=()):
+        if not self.carries(boundaries):
+            raise ValueError(
+                "the sparse gather table folds no boundary or one plain "
+                "HalfwayBounceBack only; make_core steps other lists with "
+                "the fused core")
         self.lat = lat
         self.shape = tuple(solid_mask.shape)
         self.table = MaskedNeighborTable(lat, solid_mask)
-        self.lean = boundaries_fold(boundaries)
-        self.path = "lean" if self.lean else "dense-fallback"
-        self._bb = (boundaries[0] if (self.lean and boundaries) else None)
+        self._bb = boundaries[0] if boundaries else None
         self._mom = _folded_momentum(self.table, lat, self._bb, self.shape)
         #: lazily built compact ``(components, n_fluid)`` buffer per field
         self._compact_bufs: dict[str, np.ndarray] = {}
@@ -153,11 +158,10 @@ class _SparseCoreBase:
 class SparseSTCore(_SparseCoreBase):
     """Compact-state fused ST step (two-lattice BGK over fluid nodes only).
 
-    The lean step is one folded gather of the compact post-collision
-    field (the state) into the streamed one and the shared
-    :class:`FusedSTCore` collision over ``n_fluid`` columns. The dense
-    fallback streams ``f`` itself and scatters back every step. Solid
-    columns of ``f`` keep their pinned ``w_i``.
+    One folded gather of the compact post-collision field (the state)
+    into the streamed one and the shared :class:`FusedSTCore` collision
+    over ``n_fluid`` columns. Solid columns of ``f`` keep their pinned
+    ``w_i``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -166,36 +170,22 @@ class SparseSTCore(_SparseCoreBase):
         n = self.table.n_fluid
         self.arith = FusedSTCore(lat, (n,), tau)    # the shared kernel
         self._fc = np.empty((lat.q, n))        # streamed compact field
-        self._state = self._fc_star = np.empty((lat.q, n))  # f*: lean state
+        self._state = self._fc_star = np.empty((lat.q, n))  # f*: the state
         self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
-        self._dense_scratch = (None if self.lean
-                               else np.empty((lat.q, *self.shape)))
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None) -> None:
         """Advance one step; dense ``f`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
-        lat, table, fc = self.lat, self.table, self._fc
-        if self.lean:
-            with tel.phase("stream"):
-                if not self.resident:
-                    table.compact(f, self._fc_star)
-                table.gather_compact(self._fc_star, fc)
-                self._apply_folded(fc, self._rest)
-        else:
-            with tel.phase("stream"):
-                stream_push(lat, f, out=self._dense_scratch)
-            with tel.phase("boundary"):
-                self.arith._apply("post_stream", boundaries,
-                                  self._dense_scratch, f)
-            with tel.phase("stream"):
-                table.compact(self._dense_scratch, fc)
+        table, fc = self.table, self._fc
+        with tel.phase("stream"):
+            if not self.resident:
+                table.compact(f, self._fc_star)
+            table.gather_compact(self._fc_star, fc)
+            self._apply_folded(fc, self._rest)
         with tel.phase("collide"):
             self.arith._relax(fc, self._fc_star, self._force(force))
-            if self.lean:
-                self.resident = True
-            else:
-                table.scatter(self._fc_star, f)
+            self.resident = True
 
 
 class SparseMRCore(_SparseCoreBase):
@@ -204,7 +194,7 @@ class SparseMRCore(_SparseCoreBase):
     Algorithm 2 on the compact node list: the shared :class:`FusedMRCore`
     collision and Eq. 11/14 reconstruction over ``n_fluid`` columns, one
     folded compact gather for streaming + bounce-back, and the Eq. 1-3
-    re-projection into the compact moments — the state on both paths.
+    re-projection into the compact moments — the state.
     Solid columns of the dense ``m`` keep their pinned ``(1, 0, ..., 0)``.
     """
 
@@ -221,40 +211,22 @@ class SparseMRCore(_SparseCoreBase):
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
         self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
-        self._dense_star = self._dense_new = None
-        if not self.lean:
-            # Dense fallback pair; solid columns of f* hold the rest
-            # reconstruction for good, as the fused kernels' pinned moments.
-            self._dense_star = np.empty((lat.q, *self.shape))
-            self._dense_star[...] = self._rest.reshape(
-                (lat.q,) + (1,) * len(self.shape))
-            self._dense_new = np.empty_like(self._dense_star)
 
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None) -> None:
         """Advance one step; dense ``m`` is current after :meth:`sync`."""
         tel = NULL_TELEMETRY if tel is None else tel
-        lat, table, arith = self.lat, self.table, self.arith
+        table, arith = self.table, self.arith
         fc_star, fc, mc = self._fc_star, self._fc, self._state
         with tel.phase("collide"):
             if not self.resident:
                 table.compact(m, mc)
             arith._reconstruct(mc, fc_star, self._force(force),
                                self._compact("tau", tau_field, 1))
-        if self.lean:
-            with tel.phase("stream"):
-                table.gather_compact(fc_star, fc)
-                self._apply_folded(fc, self._rest)
-        else:
-            with tel.phase("stream"):
-                table.scatter(fc_star, self._dense_star)
-                stream_push(lat, self._dense_star, out=self._dense_new)
-            with tel.phase("boundary"):
-                arith._apply("post_stream", boundaries, self._dense_new,
-                             self._dense_star)
-            with tel.phase("stream"):
-                table.compact(self._dense_new, fc)
+        with tel.phase("stream"):
+            table.gather_compact(fc_star, fc)
+            self._apply_folded(fc, self._rest)
         with tel.phase("macroscopic"):
             np.matmul(arith._mm, fc, out=mc)
             self.resident = True

@@ -26,7 +26,7 @@ import numpy as np
 from ..lattice import LatticeDescriptor
 
 __all__ = ["NeighborTable", "MaskedNeighborTable", "neighbor_table",
-           "clear_cache", "stream_gather"]
+           "clear_cache"]
 
 
 class NeighborTable:
@@ -212,13 +212,3 @@ def neighbor_table(lat: LatticeDescriptor, shape: tuple[int, ...]) -> NeighborTa
 def clear_cache() -> None:
     """Forget every shared table (holders keep theirs; tests)."""
     _CACHE.clear()
-
-
-def stream_gather(lat: LatticeDescriptor, f: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Table-driven drop-in for :func:`repro.core.streaming.stream_push`.
-
-    Holds no table: one is built per call unless the caller keeps the
-    grid's :func:`neighbor_table` alive.
-    """
-    return neighbor_table(lat, f.shape[1:]).gather(f, out=out)

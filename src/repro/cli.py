@@ -61,8 +61,10 @@ def _shape(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # every --problem list is the registry's, so a new kind is offered
-    # by run/profile/sweep the moment it is registered
+    # every --problem list is the registry's and every --accel list the
+    # backend tuple, so a new kind or backend is offered the moment it
+    # exists
+    from .accel import BACKENDS
     from .service.registry import problem_kinds, sweep_kinds
 
     p = argparse.ArgumentParser(
@@ -116,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--watchdog", type=int, default=0, metavar="N",
                      help="check for NaN/Inf/over-speed divergence every N "
                      "steps (0 = off)")
-    run.add_argument("--accel", default="reference",
-                     choices=["reference", "fused", "aa", "sparse"],
+    run.add_argument("--accel", default="reference", choices=BACKENDS,
                      help="execution backend for the solver step: the "
                      "reference implementation, the fused NumPy fast "
                      "path, the single-lattice in-place streaming path "
@@ -146,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="also dump the raw profile results as JSON")
     prof.add_argument("--accel", default="reference",
-                      choices=["reference", "fused", "aa", "sparse",
-                               "compare"],
+                      choices=BACKENDS + ("compare",),
                       help="execution backend to profile, or 'compare' to "
                       "run every available backend on one problem and "
                       "report MLUPS side by side")
@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--steps", type=int, default=500)
     sbm.add_argument("--tau", type=float, default=0.8)
     sbm.add_argument("--ranks", type=int, default=1)
-    sbm.add_argument("--accel", default="reference",
-                     choices=["reference", "fused", "aa", "sparse"])
+    sbm.add_argument("--accel", default="reference", choices=BACKENDS)
     sbm.add_argument("--option", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="extra problem option forwarded to the "

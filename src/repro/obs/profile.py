@@ -90,14 +90,14 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
             "share": (stats.total / step_total) if step_total > 0 else 0.0,
         })
 
+    path = solver.accel_path
     result = {
         "scheme": scheme.upper(),
         "backend": accel,
-        "path": getattr(solver, "accel_path", None),
-        # how often the dense state was materialised for a reader (shown
-        # for "sparse", which never steps the dense array; `sync` phase)
-        "syncs": (int(tel.counters.get("syncs", 0)) if accel == "sparse"
-                  else None),
+        "path": path,
+        # how often a core put the dense state right for a reader (`sync`
+        # phase); None on the reference step, which has no core
+        "syncs": None if path is None else int(tel.counters.get("syncs", 0)),
         "lattice": lat.name,
         "shape": list(shape),
         "tau": tau,
@@ -206,8 +206,8 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     state is compared against the reference run — the ``max_abs_diff``
     column is the measured parity, expected at machine precision.
 
-    ``backends=None`` selects every backend available in this
-    environment (:func:`repro.accel.available_backends`).
+    ``backends=None`` selects every backend of
+    :data:`repro.accel.BACKENDS`.
 
     Every backend first advances ``warmup_steps`` untimed steps (page
     faults, lazy buffer allocation, cache fill) so the MLUPS column
@@ -216,7 +216,7 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     """
     import numpy as np
 
-    from ..accel import available_backends
+    from ..accel import BACKENDS
     from ..lattice import get_lattice
     from ..service.registry import build_single, get_problem
 
@@ -224,7 +224,7 @@ def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
     if shape is None:
         shape = _default_shape(lat.d)
     if backends is None:
-        backends = available_backends()
+        backends = BACKENDS
 
     kind = "taylor-green" if (problem, lat.d) == ("periodic", 2) else problem
     options = ({"u_max": u_max} if "u_max" in get_problem(kind).options

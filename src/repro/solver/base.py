@@ -239,8 +239,8 @@ class Solver(ABC):
 
     @property
     def accel_path(self) -> str | None:
-        """Step variant of the core stepping this solver (``"lean"``,
-        ``"bounded"``, ``"dense-fallback"``); ``None`` on
+        """Step variant of the core stepping this solver (``"lean"`` or
+        ``"bounded"``, on every fast backend); ``None`` on
         ``"reference"`` and before the first fast-path step builds it."""
         return None if self._stepper is None else self._stepper.core.path
 

@@ -9,8 +9,8 @@ configuration-matrix error paths of :func:`repro.accel.make_stepper`.
 import numpy as np
 import pytest
 
-from repro.accel import (BACKENDS, FusedMRCore, available_backends,
-                         make_stepper, solver_caps, validate_backend)
+from repro.accel import (FusedMRCore, make_stepper, solver_caps,
+                         validate_backend)
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import channel_2d, lid_driven_cavity, periodic_box
 from repro.lattice import get_lattice
@@ -235,11 +235,6 @@ class TestBackendValidation:
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown backend"):
             periodic_problem("ST", "D2Q9", (8, 8), 0.8, backend="cuda")
-
-    def test_available_backends_subset(self):
-        avail = available_backends()
-        assert set(avail) <= set(BACKENDS)
-        assert "reference" in avail and "fused" in avail
 
     def test_reference_backend_needs_no_stepper(self):
         solver = periodic_problem("ST", "D2Q9", (8, 8), 0.8)

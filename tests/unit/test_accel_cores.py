@@ -48,7 +48,6 @@ def expected_doubles(backend, scheme, problem, lat, n, nf):
     """
     q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
     forced = problem == "walled"
-    lean = problem != "inlet-outlet"     # walls alone fold / stay lean
     if scheme == "ST":
         # chunk input, moments (they become the equilibrium moments), u,
         # feq, and the Guo source rows (chunk-wide, so always there)
@@ -60,13 +59,11 @@ def expected_doubles(backend, scheme, problem, lat, n, nf):
         g = m if scheme == "MR-P" else m + 3 + 6
         scratch = g + d + 3 * p + 2 + 2   # + force and per-node tau rows
         lattices, persistent = m + 2 * q, m
-    if backend == "sparse":
-        # dense field + compact columns (+ compact force) over n_fluid,
-        # plus the dense streaming lattice(s) of the fallback path
+    if backend == "sparse" and problem != "inlet-outlet":
+        # dense field + compact columns (+ compact force) over n_fluid;
+        # inlet and outlet do not fold: that list steps the fused core
         compact = (lattices - persistent) + persistent + scratch
-        fallback = 0 if lean else n * (q if scheme == "ST" else 2 * q)
-        return (n * persistent + nf * (compact + (d if forced else 0))
-                + fallback)
+        return n * persistent + nf * (compact + (d if forced else 0))
     # One slab at this size, so every dense step holds whole lattices:
     # ST is f + the streamed slab (2Q), MR is m + the f* ring + the
     # streamed slab (M + 2Q), on the lean and the bounded path alike. A
@@ -162,8 +159,11 @@ class TestPath:
                 boundaries=[FullwayBounceBack()], backend="fused")
             assert solver.run(1).accel_path == "bounded"
 
-    def test_dense_fallback(self):
-        assert path_of("inlet-outlet", "ST", "sparse") == "dense-fallback"
+    def test_unfolded_list_steps_the_fused_core(self):
+        # inlet and outlet do not fold into the sparse gather table: the
+        # fused window carries them, as on "fused"
+        for scheme in ("ST", "MR-P"):
+            assert path_of("inlet-outlet", scheme, "sparse") == "lean"
 
     def test_reference_has_no_path(self):
         assert path_of("periodic", "ST", "reference") is None
@@ -178,7 +178,7 @@ class TestPath:
         solver = build("inlet-outlet", "MR-P", "sparse")
         solver.run(1)
         manifest = RunManifest.from_solver(solver, accel="sparse")
-        assert manifest.extra["accel_path"] == "dense-fallback"
+        assert manifest.extra["accel_path"] == "lean"
         reference = RunManifest.from_solver(build("periodic", "ST",
                                                   "reference"))
         assert "accel_path" not in reference.extra
@@ -189,27 +189,34 @@ class TestPath:
         result = profile_scheme("MR-P", "D2Q9", shape=(16, 10), steps=2,
                                 measure_traffic=False, accel="aa")
         assert result["path"] == "lean"
-        assert "backend = aa (lean path)" in format_profile(result)
-        assert "syncs" not in format_profile(result)
+        assert ("backend = aa (lean path), 0 state syncs"
+                in format_profile(result))
+        reference = profile_scheme("MR-P", "D2Q9", shape=(16, 10), steps=2,
+                                   measure_traffic=False)
+        assert reference["path"] is reference["syncs"] is None
+        assert "syncs" not in format_profile(reference)
 
     def test_profile_header_counts_sparse_syncs(self):
-        """Nobody reads the state of a profiled run: 0 of 3 steps synced."""
+        """Nobody reads the state of a profiled run: 0 of 3 steps synced,
+        whichever backend steps it."""
         from repro.obs import format_profile, profile_scheme
 
-        result = profile_scheme("ST", "D2Q9", shape=(16, 10), steps=3,
-                                measure_traffic=False, accel="sparse")
-        assert result["syncs"] == 0
-        assert ("backend = sparse (dense-fallback path), 0 state syncs"
-                in format_profile(result))
+        for accel in ("fused", "aa", "sparse"):
+            result = profile_scheme("ST", "D2Q9", shape=(16, 10), steps=3,
+                                    measure_traffic=False, accel=accel)
+            assert result["syncs"] == 0
+            assert (f"backend = {accel} (lean path), 0 state syncs"
+                    in format_profile(result))
 
     def test_rank_cores_carry_path(self):
         dist = build_distributed("channel", "MR-P", "D2Q9", (24, 12), 3,
                                  accel="sparse", u_max=0.04)
         dist.run(1)
-        paths = [rank.accel_path for rank in dist.ranks]
-        # inlet and outlet ranks fall back densely, the interior rank's
-        # plain walls fold
-        assert paths == ["dense-fallback", "lean", "dense-fallback"]
+        # inlet and outlet ranks step the fused window, the interior
+        # rank's plain walls fold into its compact gather
+        assert [(rank.accel_path, rank._stepper.core.state_lattices)
+                for rank in dist.ranks] == [("lean", 0), ("lean", 1),
+                                            ("lean", 0)]
 
 
 class TestSolverIsNotAReferenceCycle:
@@ -256,19 +263,25 @@ class TestOneSupportMatrix:
         if single is not None:
             assert "backend" in single and "backend" in ranks
 
-    def test_same_rejection_text(self):
-        """A post-collide boundary under ``sparse``: one message — the
-        rank that refuses is the single-domain solver itself."""
+    def test_same_rejection_text(self, monkeypatch):
+        """A TRT ST solver under ``sparse``: one message — the rank that
+        refuses is the single-domain solver itself."""
+        from functools import partial
+
+        from repro.core.collision import TRTCollision
         from repro.geometry import channel_2d
         from repro.parallel.decomposition import DistributedST
+        from repro.solver import SCHEMES, STSolver
 
         lat = get_lattice("D2Q9")
         domain = channel_2d(16, 10, with_io=False)
-        with pytest.raises(ValueError) as single:
-            make_solver("ST", lat, domain, 0.8,
-                        boundaries=[FullwayBounceBack()], backend="sparse")
+        trt = TRTCollision(0.8)
+        with pytest.raises(ValueError, match="plain BGK") as single:
+            make_solver("ST", lat, domain, 0.8, collision=trt,
+                        backend="sparse")
+        # every rank is built as SCHEMES["ST"]: make that the TRT solver
+        monkeypatch.setitem(SCHEMES, "ST", partial(STSolver, collision=trt))
         with pytest.raises(ValueError) as ranks:
             DistributedST(lat, domain, 0.8, 2, periodic_axis0=True,
-                          boundary_factory=lambda r, n: [FullwayBounceBack()],
-                          accel="sparse")
+                          boundary_factory=lambda r, n: [], accel="sparse")
         assert str(single.value) == str(ranks.value)

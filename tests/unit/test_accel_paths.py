@@ -11,10 +11,12 @@ MR-R, single-domain and on each rank of a two-rank decomposition
 * a boundary-free ``aa`` ST *rank* reports ``bounded``: its halo
   exchange looks at the state every step, so the core takes the natural
   step (the single-domain run, which nobody looks at, stays ``lean``);
-* the curved-wall Schäfer–Turek cylinder (the row after the kinds; the
-  ``cylinder`` *kind* is a staircase and folds) fails open on purpose:
-  ``InterpolatedBounceBack`` has no row extent and does not fold into
-  the gather table, so MR-P / MR-R on ``sparse`` take ``dense-fallback``.
+* a boundary list the ``sparse`` gather table cannot fold steps the
+  fused core: ``channel`` (inlet and outlet) reads as on ``fused``, and
+  the curved-wall Schäfer–Turek cylinder (the rows after the kinds; the
+  ``cylinder`` *kind* is a staircase and folds), whose
+  ``InterpolatedBounceBack`` has no row extent, is ``bounded`` on every
+  backend.
 """
 
 import re

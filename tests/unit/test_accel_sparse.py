@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.accel import BACKENDS, SparseMRCore, SparseSTCore, solver_caps
+from repro.accel import (BACKENDS, FusedMRCore, FusedSTCore, SparseMRCore,
+                         SparseSTCore, make_core, solver_caps)
 from repro.accel.sparse import boundaries_fold
 from repro.boundary import FullwayBounceBack, HalfwayBounceBack
-from repro.geometry import (Domain, cylinder_in_channel, lid_driven_cavity,
-                            porous_medium)
+from repro.geometry import Domain, lid_driven_cavity, porous_medium
 from repro.lattice import get_lattice
-from repro.solver import (STSolver, channel_problem, forced_channel_problem,
-                          make_solver)
+from repro.service.registry import build_distributed, build_single
+from repro.solver import STSolver, forced_channel_problem, make_solver
+from repro.validation.cylinder import schafer_turek_case
 
 
 def masked_domain(shape, fraction=0.4, seed=3):
@@ -35,6 +36,27 @@ def run_pair(build, steps=5):
     return float(np.abs(states[0][:, ~solid] - states[1][:, ~solid]).max())
 
 
+def state_of(solver):
+    return solver.f if solver.name == "ST" else solver.m
+
+
+def assert_is_the_fused_cell(build, steps=5):
+    """``build(backend)`` -> solvers; on ``sparse`` each is the ``fused``
+    one: same core class, path, lattices, state and ``last_force``."""
+    sparse, fused = (build(backend) for backend in ("sparse", "fused"))
+    for a, b in zip(sparse, fused, strict=True):
+        a.run(steps)
+        b.run(steps)
+        assert type(a._stepper.core) is type(b._stepper.core)
+        assert a.accel_path == b.accel_path
+        assert (a._stepper.core.state_lattices
+                == b._stepper.core.state_lattices)
+        assert np.array_equal(state_of(a), state_of(b))
+        for ba, bb in zip(a.boundaries, b.boundaries, strict=True):
+            if getattr(ba, "last_force", None) is not None:
+                assert np.array_equal(ba.last_force, bb.last_force)
+
+
 class TestRegistration:
     def test_backend_listed(self):
         assert "sparse" in BACKENDS
@@ -53,11 +75,19 @@ class TestRegistration:
                      boundaries=[HalfwayBounceBack()], backend="sparse")
         assert s.state_values_per_node == lat.q
 
-    def test_fullway_rejected_at_construction(self):
+    def test_fullway_steps_the_fused_bounded_core(self):
         lat = get_lattice("D2Q9")
-        with pytest.raises(ValueError, match="post-collide"):
-            make_solver("ST", lat, masked_domain((8, 6)), 0.8,
-                        boundaries=[FullwayBounceBack()], backend="sparse")
+
+        def build(backend):
+            return [make_solver(scheme, lat, masked_domain((8, 6)), 0.8,
+                                boundaries=[FullwayBounceBack()],
+                                backend=backend)
+                    for scheme in ("ST", "MR-P")]
+
+        assert_is_the_fused_cell(build)
+        assert {s.accel_path for s in build("sparse")} == {None}
+        assert [s.run(1).accel_path for s in build("sparse")] == [
+            "bounded", "bounded"]
 
     def test_boundaries_fold_predicate(self):
         assert boundaries_fold([])
@@ -140,40 +170,56 @@ class TestLeanPathParity:
 
 
 class TestDenseFallbackParity:
-    @pytest.mark.parametrize("scheme", ["ST", "MR-R"])
+    """A boundary list the gather table cannot fold steps the fused core:
+    on ``sparse`` such a problem *is* its ``fused`` cell, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_channel_with_inlet_outlet(self, scheme):
-        """Inlet/outlet hooks route through the dense fallback at parity."""
-
-        def build(backend):
-            return channel_problem(scheme, "D2Q9", (20, 12), tau=0.8,
-                                   u_max=0.04, backend=backend)
-
-        assert run_pair(build, steps=6) < 1e-13
+        for bc in ("regularized-fd", "nebb"):
+            options = {"u_max": 0.04, "bc_method": bc}
+            assert_is_the_fused_cell(lambda backend: [build_single(
+                "channel", scheme, "D2Q9", (20, 12), backend=backend,
+                **options)], steps=6)
+            for ranks in (1, 2):
+                assert_is_the_fused_cell(lambda backend: build_distributed(
+                    "channel", scheme, "D2Q9", (20, 12), ranks,
+                    accel=backend, **options).ranks, steps=6)
+            # three ranks: the interior one's plain walls fold, so its
+            # compact step feeds the others' halos (machine precision)
+            sparse, fused = (build_distributed(
+                "channel", scheme, "D2Q9", (20, 12), 3, accel=backend,
+                **options).run(6) for backend in ("sparse", "fused"))
+            assert [isinstance(r._stepper.core, (SparseSTCore, SparseMRCore))
+                    for r in sparse.ranks] == [False, True, False]
+            assert [r.accel_path for r in sparse.ranks] == ["lean"] * 3
+            a, b = (np.concatenate([rho[None], u]) for rho, u in (
+                sparse.gather_macroscopic(), fused.gather_macroscopic()))
+            assert np.abs(a - b).max() < 1e-13
 
     def test_cylinder_channel(self):
-        domain = cylinder_in_channel(24, 14, 6.0, 6.5, 3.0, with_io=False)
-        lat = get_lattice("D2Q9")
-        force = np.zeros(2)
-        force[0] = 2e-6
-
-        def build(backend):
-            return make_solver("MR-P", lat, domain, 0.8,
-                               boundaries=[HalfwayBounceBack()], force=force,
-                               backend=backend)
-
-        assert run_pair(build, steps=10) < 1e-13
+        """The curved Schäfer–Turek wall: Bouzidi has no row extent, so
+        both step the bounded fused core; the drag is the same too."""
+        for scheme in ("ST", "MR-P", "MR-R"):
+            assert_is_the_fused_cell(lambda backend: [schafer_turek_case(
+                d=4, scheme=scheme, backend=backend, curved=True).solver],
+                steps=4)
 
     def test_fallback_flag_matches_boundaries(self):
+        """The sparse cores carry what folds and refuse the rest, which
+        ``make_core`` hands to the family's fused core."""
         lat = get_lattice("D2Q9")
         solid = np.zeros((10, 8), bool)
         solid[:, 0] = solid[:, -1] = True
-        lean = SparseSTCore(lat, solid, 0.8,
-                            boundaries=[HalfwayBounceBack()])
-        assert lean.lean
-        fallback = SparseMRCore(lat, solid, 0.8, scheme="MR-P",
-                                boundaries=[HalfwayBounceBack(),
-                                            HalfwayBounceBack()])
-        assert not fallback.lean
+        two = [HalfwayBounceBack(), HalfwayBounceBack()]
+        assert SparseSTCore(lat, solid, 0.8,
+                            boundaries=[HalfwayBounceBack()]).path == "lean"
+        with pytest.raises(ValueError, match="fused core"):
+            SparseMRCore(lat, solid, 0.8, scheme="MR-P", boundaries=two)
+        domain = Domain(solid.astype(np.int8))
+        for caps, cls in (({"family": "st"}, FusedSTCore),
+                          ({"family": "mr", "scheme": "MR-P"}, FusedMRCore)):
+            core = make_core("sparse", caps, lat, domain, 0.8, two)
+            assert type(core) is cls
 
 
 class TestDistributedSparse:
@@ -190,13 +236,19 @@ class TestDistributedSparse:
             states.append(np.concatenate([rho[None], u]))
         assert np.abs(states[0] - states[1]).max() < 1e-13
 
-    def test_post_collide_boundary_rejected(self):
+    def test_post_collide_steps_the_fused_core(self):
         from repro.geometry import channel_2d
         from repro.parallel.decomposition import DistributedST
 
         lat = get_lattice("D2Q9")
-        with pytest.raises(ValueError, match="post-collide"):
-            DistributedST(lat, channel_2d(16, 10, with_io=False), 0.8, 2,
-                          periodic_axis0=True,
-                          boundary_factory=lambda r, n: [FullwayBounceBack()],
-                          accel="sparse")
+
+        def build(backend):
+            return DistributedST(
+                lat, channel_2d(16, 10, with_io=False), 0.8, 2,
+                periodic_axis0=True,
+                boundary_factory=lambda r, n: [FullwayBounceBack()],
+                accel=backend).ranks
+
+        assert_is_the_fused_cell(build)
+        assert [r.run(1).accel_path for r in build("sparse")] == [
+            "bounded", "bounded"]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accel import (NeighborTable, clear_cache, neighbor_table,
-                         stream_gather)
+from repro.accel import NeighborTable, clear_cache, neighbor_table
 from repro.core.streaming import stream_push
 from repro.lattice import get_lattice
 
@@ -35,11 +34,6 @@ class TestGatherEquivalence:
         expected = stream_push(lat, f)
         got = neighbor_table(lat, shape).gather(f)
         assert np.array_equal(got, expected)
-
-    def test_stream_gather_convenience(self):
-        lat = get_lattice("D2Q9")
-        f = random_field(lat, (6, 4), seed=1)
-        assert np.array_equal(stream_gather(lat, f), stream_push(lat, f))
 
     def test_gather_into_preallocated_out(self):
         lat = get_lattice("D2Q9")
@@ -111,17 +105,6 @@ class TestCacheAndValidation:
         del mr
         gc.collect()
         assert len(tables._CACHE) == 0
-
-    def test_stream_gather_holds_nothing(self):
-        from repro.accel import tables
-
-        lat = get_lattice("D2Q9")
-        f = random_field(lat, (6, 4), seed=8)
-        assert np.array_equal(stream_gather(lat, f), stream_push(lat, f))
-        assert len(tables._CACHE) == 0
-        held = neighbor_table(lat, (6, 4))     # kept alive: reused
-        stream_gather(lat, f)
-        assert list(tables._CACHE.values()) == [held]
 
 
 class TestOwnedBufferReuse:

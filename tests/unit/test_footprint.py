@@ -94,7 +94,6 @@ ROWS = {
     "aa": ("aa", "periodic", {"u0": _U0}, "lean"),
     "sparse-lean": ("sparse", "porous",
                     {"solid_fraction": 0.7, "seed": 3}, "lean"),
-    "sparse-dense-fallback": ("sparse", "channel", {}, "dense-fallback"),
 }
 
 
@@ -111,16 +110,11 @@ def table_doubles_per_node(row: str, st_family: bool, q: int, m: int, d: int,
         return 2 * q if st_family else m + 2 * q
     if row == "aa":
         return 2 * q if st_family else m
-    # both sparse rows: the node list, its inverse, the solid-link lists
+    # sparse: the node list, its inverse, the solid-link lists
     shared = phi + 1 + links
-    if row == "sparse-lean":
-        compact_and_idx = ((2 * q + d) + (2 * q + d) if st_family
-                           else (2 * q + m + d) + (q + m + d))
-        return (q if st_family else m) + compact_and_idx * phi + shared
     compact_and_idx = ((2 * q + d) + (2 * q + d) if st_family
-                       else (2 * q + m + d) + (2 * q + m + d))
-    return ((2 * q if st_family else m + 2 * q)
-            + compact_and_idx * phi + shared)
+                       else (2 * q + m + d) + (q + m + d))
+    return (q if st_family else m) + compact_and_idx * phi + shared
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -25,7 +25,7 @@ tighter).
 import numpy as np
 import pytest
 
-from repro.accel import FusedMRCore, available_backends, stream_gather
+from repro.accel import BACKENDS, FusedMRCore, neighbor_table
 from repro.core.equilibrium import equilibrium
 from repro.core.forcing import guo_source
 from repro.core.moments import f_from_moments, macroscopic, moments_from_f
@@ -195,7 +195,8 @@ class TestStreamingInverse:
     def test_gather_matches_roll_streaming(self, lattice, seed):
         lat = get_lattice(lattice)
         _, _, f = _random_state(lat, seed)
-        assert np.array_equal(stream_gather(lat, f), stream_push(lat, f))
+        assert np.array_equal(neighbor_table(lat, f.shape[1:]).gather(f),
+                              stream_push(lat, f))
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
@@ -287,7 +288,7 @@ class TestForceProjection:
         assert np.abs(m1 - m2).max() < TOL
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
 @pytest.mark.parametrize("lattice", LATTICES)
 class TestBackendProperties:

@@ -8,7 +8,10 @@ A *cell* is ``(kind, scheme, lattice/shape, backend, mode, steps)`` with
 kind from ``problem_kinds()``, backend from ``repro.accel.BACKENDS``, mode
 ``single`` or ``{1, 2, 3}`` ranks on the emulated or the process runtime
 and steps from ``--steps`` (by default an odd and an even count: a
-single-lattice backend stores the two differently). Each admitted cell's
+single-lattice backend stores the two differently). The curved-wall
+Schäfer–Turek case (``schafer_turek_case(curved=True)``, the one
+boundary without a row extent; not a registered kind, so single-domain
+only) adds a cell per scheme, backend and step count. Each admitted cell's
 state (``solver.f`` / ``solver.m``), ``rho`` / ``u``, ``accel_path`` and
 every boundary ``last_force`` are recorded; a refused cell records the
 refusal's message. "Bit-identical to the parent" in a PR is ``--compare``
@@ -46,6 +49,8 @@ GRIDS = (
     ("D3Q27", (48, 4, 4), 32),
 )
 BIG = ("D3Q19", (128, 48, 48), None)        # perfbench's ranks2 problem
+#: cell kind and cylinder diameter (nodes) of the curved Schäfer–Turek case
+CURVED = ("schafer-turek-curved", 4)
 MODES = ("single",) + tuple(
     f"{runtime}-{n}" for runtime in ("emulated", "process") for n in (1, 2, 3))
 
@@ -69,45 +74,73 @@ def _record(arrays: dict, name: str, value) -> None:
     arrays[name] = value
 
 
+def _run_single(solver, steps):
+    """``(arrays, path)`` of one single-domain cell."""
+    arrays: dict = {}
+    solver.run(steps)
+    # checkouts from before ``solver.f`` was natural on every
+    # backend un-stream an odd ``aa`` step through this method
+    natural = getattr(solver, "_natural_f", None)
+    _record(arrays, "state", natural() if natural
+            else solver.f if solver.name == "ST" else solver.m)
+    rho, u = solver.macroscopic()
+    for k, b in enumerate(solver.boundaries):
+        if getattr(b, "last_force", None) is not None:
+            _record(arrays, f"last_force{k}", b.last_force)
+    _record(arrays, "rho", rho)
+    _record(arrays, "u", u)
+    return arrays, solver.accel_path
+
+
 def _run_cell(kind, scheme, lattice, shape, backend, mode, options, steps):
     """``(arrays, path)`` of one admitted cell (raises ``ValueError``)."""
     from repro.service.registry import build_distributed, build_single
 
-    arrays: dict = {}
     if mode == "single":
-        solver = build_single(kind, scheme, lattice, shape, backend=backend,
-                              **options)
-        solver.run(steps)
-        # checkouts from before ``solver.f`` was natural on every
-        # backend un-stream an odd ``aa`` step through this method
-        natural = getattr(solver, "_natural_f", None)
-        _record(arrays, "state", natural() if natural
-                else solver.f if solver.name == "ST" else solver.m)
-        rho, u = solver.macroscopic()
-        for k, b in enumerate(solver.boundaries):
-            if getattr(b, "last_force", None) is not None:
-                _record(arrays, f"last_force{k}", b.last_force)
-        path = solver.accel_path
+        return _run_single(build_single(kind, scheme, lattice, shape,
+                                        backend=backend, **options), steps)
+    arrays: dict = {}
+    runtime, n = mode.split("-")
+    if runtime == "emulated":
+        dist = build_distributed(kind, scheme, lattice, shape, int(n),
+                                 accel=backend, **options)
+        dist.run(steps)
+        rho, u = dist.gather_macroscopic()
+        for r, rank in enumerate(dist.ranks):
+            _record(arrays, f"rank{r}", dist.field(rank))
+        path = ",".join(str(rank.accel_path) for rank in dist.ranks)
     else:
-        runtime, n = mode.split("-")
-        if runtime == "emulated":
-            dist = build_distributed(kind, scheme, lattice, shape, int(n),
-                                     accel=backend, **options)
-            dist.run(steps)
-            rho, u = dist.gather_macroscopic()
-            for r, rank in enumerate(dist.ranks):
-                _record(arrays, f"rank{r}", dist.field(rank))
-            path = ",".join(str(rank.accel_path) for rank in dist.ranks)
-        else:
-            from repro.parallel.runtime import ProcessRuntime, RunSpec
+        from repro.parallel.runtime import ProcessRuntime, RunSpec
 
-            spec = RunSpec(kind, scheme, lattice, shape, int(n),
-                           options=options, accel=backend)
-            result = ProcessRuntime(spec).run(steps)
-            rho, u, path = result.rho, result.u, None
+        spec = RunSpec(kind, scheme, lattice, shape, int(n),
+                       options=options, accel=backend)
+        result = ProcessRuntime(spec).run(steps)
+        rho, u, path = result.rho, result.u, None
     _record(arrays, "rho", rho)
     _record(arrays, "u", u)
     return arrays, path
+
+
+def _curved_cells(steps: list[int], index: dict, store: dict) -> None:
+    """The curved Schäfer–Turek cells, single-domain (see the module doc)."""
+    from repro.accel import BACKENDS
+    from repro.validation.cylinder import schafer_turek_case
+
+    kind, d = CURVED
+    for scheme, backend, n in itertools.product(SCHEMES, BACKENDS, steps):
+        try:
+            solver = schafer_turek_case(d=d, scheme=scheme, backend=backend,
+                                        curved=True).solver
+            cell = "/".join((kind, scheme, solver.lat.name,
+                             "x".join(map(str, solver.domain.shape)),
+                             backend, "single", str(n)))
+            arrays, path = _run_single(solver, n)
+        except ValueError as err:
+            index[f"{kind}/{scheme}/{backend}/{n}"] = {"refused": str(err)}
+            continue
+        index[cell] = {"path": path, "arrays": sorted(arrays)}
+        for name, value in arrays.items():
+            store[f"{cell}|{name}"] = value
 
 
 def dump(out: Path, steps: list[int], big: bool) -> int:
@@ -147,6 +180,9 @@ def dump(out: Path, steps: list[int], big: bool) -> int:
                                 store[f"{cell}|{name}"] = value
                 print(f"{lattice} {shape} {kind}: {len(index)} cells",
                       file=sys.stderr)
+    for module in (fused, blocking):
+        module._CHUNK = shipped
+    _curved_cells(steps, index, store)
     np.savez(out / "arrays.npz", **store)
     (out / "cells.json").write_text(json.dumps(index, indent=1, sort_keys=True))
     refused = sum("refused" in c for c in index.values())
