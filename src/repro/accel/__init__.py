@@ -38,7 +38,7 @@ relaxation times handed to :func:`make_core` yields the lockstep
 ensemble cores of :mod:`repro.accel.batched`.
 
 Every backend is always available and reproduces the reference
-trajectory to machine precision (``tests/unit/test_accel_backends.py``).
+trajectory by one tolerance rule (``tests/property/test_conformance.py``).
 :func:`validate_backend` checks a solver/backend combination at
 construction time, :func:`make_stepper` binds a backend to a solver
 (a distributed rank is one), and :func:`make_core` is the single

@@ -21,7 +21,7 @@ batch axis genuinely changes:
 
 Per-member arithmetic is that of the single-simulation cores on the
 member's contiguous block, so every member reproduces its independent
-fused run to machine precision (``tests/unit/test_accel_batched.py``).
+fused run bit for bit (``tests/property/test_conformance.py``'s rule).
 Lattice, grid shape and solid geometry are shared across a batch;
 ``tau_field`` and ``tau_bulk`` stay single-simulation features. The
 solver-facing driver is :class:`repro.ensemble.EnsembleRunner`; solvers

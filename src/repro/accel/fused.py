@@ -34,7 +34,7 @@ family** that every fast backend steps with — :class:`FusedSTCore`
 
 Every kernel mirrors the reference expressions operation for operation,
 up to BLAS summation order at one ulp per step
-(``tests/unit/test_accel_backends.py``). The other layouts reuse these
+(``tests/property/test_conformance.py``). The other layouts reuse these
 kernels: :mod:`repro.accel.inplace` subclasses the ST one (AA pattern),
 :mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)`` shape,
 :mod:`repro.accel.batched` adds a batch axis.

@@ -32,7 +32,7 @@ refuse any other at construction: :func:`repro.accel.make_core` steps
 those — inlet/outlet, curved walls, post-collide hooks — with the
 family's fused core, whose window carries every list. So ``path`` is
 always ``"lean"``: no dense distribution field at all. Traffic model:
-docs/ALGORITHMS.md; parity: ``tests/property/test_props_sparse*.py``.
+docs/ALGORITHMS.md; parity: ``tests/property/test_conformance.py``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ collisions, ``tau_bulk`` splits and per-node ``tau_field`` relaxation do
 not. Members must share the lattice, grid shape, scheme and solid
 geometry; relaxation time, forcing fields, boundary objects and initial
 conditions are free per member. Each member reproduces its independent
-``backend="fused"`` run to machine precision (pinned by
-``tests/unit/test_accel_batched.py``).
+``backend="fused"`` run bit for bit (the tolerance rule of
+``tests/property/test_conformance.py``).
 
 On top of the runner, this module provides the sweep machinery behind
 ``mrlbm sweep``: :func:`expand_sweep` turns a parameter grid into

@@ -209,10 +209,7 @@ class RunSpec:
         """
         from ..service.registry import check_names, get_problem
 
-        kind = get_problem(self.kind)
-        if kind.distributed is None:
-            raise ValueError(
-                f"problem kind {self.kind!r} has no distributed form")
+        kind = get_problem(self.kind, distributed=True)
         # ``st_exchange`` is the distributed builder's own argument.
         kind.check_options(set(self.options) - {"st_exchange"})
         check_names(self.scheme, self.accel)

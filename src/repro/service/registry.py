@@ -130,14 +130,19 @@ def register_problem(kind: ProblemKind) -> ProblemKind:
     return kind
 
 
-def get_problem(name: str) -> ProblemKind:
-    """Look up a registered kind; raise ``ValueError`` for unknown names."""
+def get_problem(name: str, distributed: bool = False) -> ProblemKind:
+    """Look up a registered kind; raise ``ValueError`` for unknown names.
+
+    With ``distributed``, refuse a kind without a distributed form too."""
     try:
-        return _REGISTRY[name]
+        kind = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown problem kind {name!r}; registered kinds: "
             f"{', '.join(problem_kinds())}") from None
+    if distributed and kind.distributed is None:
+        raise ValueError(f"problem kind {name!r} has no distributed form")
+    return kind
 
 
 def problem_kinds() -> tuple[str, ...]:
@@ -212,9 +217,7 @@ def build_distributed(name: str, scheme: str,
     kinds, options and schemes, and for kinds without a distributed
     form.
     """
-    kind = get_problem(name)
-    if kind.distributed is None:
-        raise ValueError(f"problem kind {name!r} has no distributed form")
+    kind = get_problem(name, distributed=True)
     lat, setup = setup_problem(name, lattice, shape, tau,
                                **{**kind.distributed, **options})
     key = check_names(scheme, accel)

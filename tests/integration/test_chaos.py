@@ -33,6 +33,8 @@ from repro.parallel import (
     run_process,
 )
 
+from test_conformance import assert_agree, fields
+
 pytestmark = pytest.mark.chaos
 
 SHAPE = (24, 10)
@@ -52,8 +54,11 @@ def _shm_segments():
                   if n.startswith("mrlbm"))
 
 
-def _max_err(a, b):
-    return max(np.abs(a.rho - b.rho).max(), np.abs(a.u - b.u).max())
+def assert_same_fields(result, clean):
+    """A recovered ``reference`` run is the clean one, bit for bit (the
+    conformance matrix's tolerance rule)."""
+    assert_agree(fields(result.rho, result.u), fields(clean.rho, clean.u),
+                 exact=True)
 
 
 class TestKillRecovery:
@@ -69,7 +74,7 @@ class TestKillRecovery:
         result = run_process(spec, 10, **FAST)
         assert result.restarts == 1
         assert result.failure_history  # the killed attempt is on record
-        assert _max_err(result, clean) < 1e-12
+        assert_same_fields(result, clean)
         assert not _shm_segments()
 
     @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
@@ -98,7 +103,7 @@ class TestKillRecovery:
         result = run_process(spec, 8, **FAST)
         assert result.restarts == 1
         assert result.start_step == 0
-        assert _max_err(result, clean) < 1e-12
+        assert_same_fields(result, clean)
 
     def test_restart_budget_exhaustion_raises(self):
         # attempt=None arms the fault on every attempt: unrecoverable.
@@ -142,7 +147,7 @@ class TestHangRecovery:
                                      hang_s=120.0))
         result = run_process(spec, 10, **FAST)
         assert result.restarts == 1
-        assert _max_err(result, clean) < 1e-12
+        assert_same_fields(result, clean)
         assert not _shm_segments()
 
 
@@ -159,7 +164,7 @@ class TestCorruptionRecovery:
         assert result.restarts == 1
         assert any(f.exc_type == "StabilityError"
                    for att in result.failure_history for f in att)
-        assert _max_err(result, clean) < 1e-12
+        assert_same_fields(result, clean)
 
     def test_corrupt_without_watchdog_or_retry_fails_loud(self):
         # Without the watchdog the NaNs still blow up the moment any

@@ -1,16 +1,18 @@
-"""Integration: distributed slab decomposition vs single-domain solvers."""
+"""Integration: distributed slab decomposition vs single-domain solvers.
+
+That a decomposed run is its single-domain run is the conformance
+matrix's rank-count column (``tests/property/test_conformance.py``): the
+equivalence ids below check its ``reference`` cells on their own grids
+and rank counts.
+"""
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    DistributedST,
-    SlabDecomposition,
-    distributed_channel_problem,
-    distributed_periodic_problem,
-)
-from repro.solver import channel_problem, forced_channel_problem, periodic_problem
+from repro.parallel import SlabDecomposition, distributed_periodic_problem
 from repro.validation import taylor_green_fields
+
+from test_conformance import Cell, check_rank_counts_agree
 
 SCHEMES = ["ST", "MR-P", "MR-R"]
 
@@ -46,32 +48,14 @@ class TestPeriodicEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     def test_matches_reference_2d(self, scheme, n_ranks):
-        shape, tau = (30, 12), 0.8
-        rho0, u0 = taylor_green_fields(shape, 0.0, 0.1, 0.04)
-        ref = periodic_problem(scheme, "D2Q9", shape, tau, rho0=rho0, u0=u0)
-        dist = distributed_periodic_problem(scheme, "D2Q9", shape, n_ranks,
-                                            tau, rho0=rho0, u0=u0)
-        ref.run(6)
-        dist.run(6)
-        rg, ug = dist.gather_macroscopic()
-        rr, ur = ref.macroscopic()
-        assert np.abs(rg - rr).max() < 1e-13
-        assert np.abs(ug - ur).max() < 1e-13
+        check_rank_counts_agree(Cell("taylor-green", scheme, "D2Q9",
+                                     "reference", f"emulated-{n_ranks}",
+                                     shape=(30, 12)))
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     def test_matches_reference_3d(self, scheme):
-        shape, tau = (12, 6, 5), 0.8
-        rng = np.random.default_rng(0)
-        rho0 = 1 + 0.02 * rng.standard_normal(shape)
-        u0 = 0.02 * rng.standard_normal((3, *shape))
-        ref = periodic_problem(scheme, "D3Q19", shape, tau, rho0=rho0, u0=u0)
-        dist = distributed_periodic_problem(scheme, "D3Q19", shape, 3, tau,
-                                            rho0=rho0, u0=u0)
-        ref.run(4)
-        dist.run(4)
-        rg, ug = dist.gather_macroscopic()
-        rr, ur = ref.macroscopic()
-        assert np.abs(ug - ur).max() < 1e-13
+        check_rank_counts_agree(Cell("periodic", scheme, "D3Q19", "reference",
+                                     "emulated-3", shape=(12, 6, 5)))
 
     def test_full_vs_crossing_exchange_identical_physics(self):
         shape, tau = (24, 10), 0.8
@@ -83,8 +67,8 @@ class TestPeriodicEquivalence:
                                          rho0=rho0, u0=u0, st_exchange="full")
         a.run(5)
         b.run(5)
-        assert np.abs(a.gather_macroscopic()[1]
-                      - b.gather_macroscopic()[1]).max() < 1e-14
+        assert np.array_equal(a.gather_macroscopic()[1],
+                              b.gather_macroscopic()[1])
         assert a.comm.bytes_sent < b.comm.bytes_sent
 
 
@@ -92,16 +76,8 @@ class TestChannelEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n_ranks", [2, 4])
     def test_matches_reference(self, scheme, n_ranks):
-        shape = (32, 14)
-        ref = channel_problem(scheme, "D2Q9", shape, tau=0.9, u_max=0.04,
-                              bc_method="nebb", outlet_tangential="zero")
-        dist = distributed_channel_problem(scheme, "D2Q9", shape, n_ranks,
-                                           tau=0.9, u_max=0.04)
-        ref.run(6)
-        dist.run(6)
-        rg, ug = dist.gather_macroscopic()
-        rr, ur = ref.macroscopic()
-        assert np.abs(ug - ur).max() < 1e-13
+        check_rank_counts_agree(Cell("channel", scheme, "D2Q9", "reference",
+                                     f"emulated-{n_ranks}", shape=(32, 14)))
 
     def test_forced_periodic_distributed(self):
         """Body forcing works across slabs: exact momentum budget."""
@@ -115,25 +91,9 @@ class TestChannelEquivalence:
         assert px == pytest.approx(18 * 12 * fx * 5.5, rel=1e-8)
 
     def test_forced_channel_distributed_matches_reference(self):
-        ref = forced_channel_problem("ST", "D2Q9", (18, 12), tau=0.9,
-                                     u_max=0.03)
-        fx = ref.force[0].max()
-        from repro.parallel import DistributedST
-        from repro.geometry import channel_2d
-        from repro.boundary import HalfwayBounceBack
-        from repro.lattice import get_lattice
-
-        dist = DistributedST(
-            get_lattice("D2Q9"), channel_2d(18, 12, with_io=False), 0.9,
-            n_ranks=3, periodic_axis0=True,
-            boundary_factory=lambda r, t: [HalfwayBounceBack()],
-            force=np.array([fx, 0.0]),
-        )
-        ref.run(30)
-        dist.run(30)
-        rg, ug = dist.gather_macroscopic()
-        rr, ur = ref.macroscopic()
-        assert np.abs(ug - ur).max() < 1e-13
+        check_rank_counts_agree(Cell("forced-channel", "ST", "D2Q9",
+                                     "reference", "emulated-3",
+                                     shape=(18, 12)))
 
 
 class TestCommunicationVolume:

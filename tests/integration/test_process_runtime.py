@@ -1,8 +1,10 @@
 """Integration: the multiprocess slab runtime vs the reference solvers.
 
-Covers the acceptance bar of the runtime: machine-precision equivalence
-with the single-domain solvers for every scheme, agreement (fields and
-byte accounting) with the emulated backend, the merged telemetry report,
+Covers the acceptance bar of the runtime: equivalence with the
+single-domain solvers for every scheme (the conformance matrix's
+``process`` cells, ``tests/property/test_conformance.py``), agreement
+(fields and byte accounting) with the emulated backend, the merged
+telemetry report,
 and the failure paths — worker exception propagation, barrier unwinding
 and shared-memory cleanup (no leaked ``/dev/shm`` segments).
 """
@@ -21,8 +23,9 @@ from repro.parallel import (
     RunSpec,
     run_process,
 )
-from repro.solver import channel_problem, periodic_problem
 from repro.validation import taylor_green_fields
+
+from test_conformance import Cell, check_rank_counts_agree
 
 SCHEMES = ["ST", "MR-P", "MR-R"]
 
@@ -40,34 +43,16 @@ def _leaked_segments() -> list[str]:
 
 
 class TestChannelEquivalence:
-    """`--backend process` must match the single-domain solver exactly."""
+    """`--backend process` is the single-domain solver, by the rule."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_matches_single_domain(self, scheme):
-        shape, tau = (32, 14), 0.9
-        spec = RunSpec("channel", scheme, "D2Q9", shape, 2, tau=tau,
-                       options={"u_max": 0.04})
-        result = run_process(spec, 6)
-        ref = channel_problem(scheme, "D2Q9", shape, tau=tau, u_max=0.04,
-                              bc_method="nebb", outlet_tangential="zero")
-        ref.run(6)
-        rr, ur = ref.macroscopic()
-        assert np.abs(result.rho - rr).max() < 1e-13
-        assert np.abs(result.u - ur).max() < 1e-13
-        assert not _leaked_segments()
+        check_rank_counts_agree(Cell("channel", scheme, "D2Q9", "reference",
+                                     "process-2", shape=(32, 14)))
 
     def test_three_ranks_periodic_3d(self):
-        shape, tau = (12, 6, 5), 0.8
-        rng = np.random.default_rng(0)
-        rho0 = 1 + 0.02 * rng.standard_normal(shape)
-        u0 = 0.02 * rng.standard_normal((3, *shape))
-        spec = RunSpec("periodic", "MR-P", "D3Q19", shape, 3, tau=tau,
-                       options={"rho0": rho0, "u0": u0})
-        result = run_process(spec, 4)
-        ref = periodic_problem("MR-P", "D3Q19", shape, tau, rho0=rho0, u0=u0)
-        ref.run(4)
-        _, ur = ref.macroscopic()
-        assert np.abs(result.u - ur).max() < 1e-13
+        check_rank_counts_agree(Cell("periodic", "MR-P", "D3Q19", "reference",
+                                     "process-3", shape=(12, 6, 5)))
 
 
 class TestBackendAgreement:
@@ -81,8 +66,8 @@ class TestBackendAgreement:
         result = run_process(spec, 5)
         emu = spec.build().run(5)
         rg, ug = emu.gather_macroscopic()
-        assert np.abs(result.rho - rg).max() < 1e-14
-        assert np.abs(result.u - ug).max() < 1e-14
+        assert np.array_equal(result.rho, rg)
+        assert np.array_equal(result.u, ug)
         assert result.comm.bytes_sent == emu.comm.bytes_sent
 
     def test_comm_accounting_matches_emulated(self):

@@ -1,0 +1,665 @@
+"""The conformance matrix: every backend against one oracle, by one rule.
+
+The cells are generated, never listed: every registered problem kind
+(:func:`~repro.service.registry.problem_kinds`) × scheme × lattice ×
+backend (:data:`repro.accel.BACKENDS`) × mode — single-domain, 1, 2 or
+3 emulated ranks, or 2 ranks on the process runtime. A kind registered
+later, or a backend added to or dropped from ``BACKENDS``, changes the
+cells without an edit here. A cell is *refused* where the registry says
+so (a kind without a distributed form, a setup that rejects the
+lattice), and must then fail with one ``ValueError`` text at every door
+that builds it: ``build_single`` / ``build_distributed``, ``RunSpec``,
+``mrlbm run`` and the job server's ``spec_from_dict``.
+
+Every admitted cell is stepped ``STEPS`` times from the kind's own
+initial state (an option named ``rho0``, ``u0`` or ``force`` gets a
+seeded field, so periodic boxes move and are forced), and
+
+* agrees with the same cell on every other backend, and — every rank
+  count — with the single-domain run of the kind's distributed options,
+  by the tolerance rule below;
+* conserves mass on a domain closed along axis 0 and gains exactly
+  ``N F`` of momentum per step where no boundary acts;
+* single-domain: resumes from a checkpoint taken at an even and at an
+  odd step, on its own backend and on the next one (unless its
+  relaxation lags a step behind its state: a checkpoint holds ``f`` /
+  ``m`` only), and steps the same when its state is read after every
+  step;
+* reports the ``accel_path`` and ``state_lattices`` of the table in
+  docs/PERFORMANCE.md (*Which path a problem takes*), single-domain and
+  on each rank of two.
+
+Two checks need no oracle: the lattice's mirror and rotation symmetry,
+and the idempotence of the regularisation every MR backend steps with
+(Latt & Chopard). A hypothesis test re-runs random cells on thin, prime,
+slab ± 1 extents whose cross-section is not a multiple of eight, with
+the window's chunk lowered so that small grids slide.
+
+The tolerance rule
+------------------
+Two runs of one cell agree **bit for bit** when they cut every BLAS
+product into the same columns; otherwise to ``ULPS`` machine epsilons
+per step of the compared values' magnitude (a sum over nodes: of the
+summed values'). Same columns means:
+
+* ``reference`` against ``reference``, in any decomposition: its
+  ``einsum`` contractions cut nothing;
+* the same layout cut into the same pieces: dense cores stepping the
+  same slabs of the same ranks (two dense backends, or a run and its
+  process-runtime twin), compact cores the same fluid columns;
+* dense layouts cut anywhere, when the leading-axis plane is a multiple
+  of eight nodes. Elsewhere BLAS rounds the last ``n mod 8`` columns of
+  a product by another kernel, and a slab or rank cut moves which nodes
+  those are.
+
+A compact core (fluid columns over a ``MaskedNeighborTable``) cuts its
+products over ``n_fluid`` columns and ``reference`` contracts with
+``einsum``: against any other layout they are held to the tolerance.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import os
+import re
+import tempfile
+from dataclasses import dataclass, replace
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import repro.accel.fused as fused
+from repro.accel import BACKENDS, MaskedNeighborTable
+from repro.boundary import HalfwayBounceBack
+from repro.cli import main as cli_main
+from repro.core.equilibrium import equilibrium
+from repro.core.moments import f_from_moments, macroscopic, moments_from_f
+from repro.core.regularization import (hermite_delta_higher_order,
+                                       hermite_delta_second_order,
+                                       pi_neq_cols_from_f,
+                                       recursive_a3_neq_cols,
+                                       recursive_a4_neq_cols,
+                                       regularize_projective)
+from repro.geometry import Domain
+from repro.io import restore_checkpoint, save_checkpoint
+from repro.lattice import get_lattice
+from repro.parallel import ProcessRuntime, RunSpec
+from repro.service.jobs import spec_from_dict
+from repro.service.registry import (ProblemKind, build_distributed,
+                                    build_single, get_problem, problem_kinds,
+                                    register_problem, setup_problem)
+from repro.solver import SCHEMES as SOLVERS
+from repro.solver import make_solver
+from repro.validation.cylinder import schafer_turek_case
+
+SCHEMES = tuple(SOLVERS)
+#: one cross-section a multiple of eight nodes, one not
+SHAPES = {"D2Q9": (13, 8), "D3Q19": (9, 5, 4)}
+MODES = ("single", "emulated-1", "emulated-2", "emulated-3", "process-2")
+TAU, STEPS = 0.8, 5
+
+# -- the tolerance rule (module docstring) ------------------------------------
+
+ULPS = 64
+EPS = float(np.finfo(np.float64).eps)
+
+
+def tolerance(steps: int = STEPS, scale: float = 1.0) -> float:
+    """What two runs that may round differently may differ by: ``ULPS``
+    epsilons per step of the magnitude ``scale`` (at least 1)."""
+    return ULPS * EPS * steps * max(scale, 1.0)
+
+
+def assert_agree(a, b, exact: bool, steps: int = STEPS, scale=None):
+    """``a`` agrees with ``b`` bit for bit, or to :func:`tolerance` of
+    ``scale`` (default: the largest magnitude in ``b``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    worst = float(np.abs(a - b).max()) if a.shape == b.shape else np.inf
+    if exact:
+        assert np.array_equal(a, b), f"not bit for bit: {worst:.2e}"
+    else:
+        bound = tolerance(steps, np.abs(b).max() if scale is None else scale)
+        assert worst <= bound, f"{worst:.2e} > {bound:.2e}"
+
+
+@dataclass
+class Run:
+    """What one stepped cell leaves behind."""
+
+    before: np.ndarray          # (rho, u) stacked, before the first step
+    after: np.ndarray           # ... after the last
+    layout: str                 # "reference", "dense" or "compact"
+    cuts: tuple                 # per rank: its core's slabs or fluid columns
+    plane: int                  # nodes per leading-axis plane
+    paths: tuple = ()           # "`accel_path` state_lattices" per rank
+    state: np.ndarray | None = None     # solver.f / solver.m, single-domain
+
+
+def bit_exact(a: Run, b: Run) -> bool:
+    """The rule: whether two runs of one cell cut the same columns."""
+    if a.layout != b.layout:
+        return False
+    if a.layout == "reference" or a.cuts == b.cuts:
+        return True
+    return a.layout == "dense" and a.plane % 8 == 0
+
+
+# -- cells --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Cell:
+    """One point of the matrix; ``shape`` and ``chunk`` default to the
+    lattice's :data:`SHAPES` and the shipped window constant."""
+
+    kind: str
+    scheme: str
+    lattice: str
+    backend: str
+    mode: str = "single"
+    shape: tuple | None = None
+    chunk: int | None = None
+
+    @property
+    def ranks(self) -> int:
+        return 0 if self.mode == "single" else int(self.mode.split("-")[1])
+
+    @property
+    def grid(self) -> tuple:
+        return self.shape or SHAPES[self.lattice]
+
+    def __str__(self) -> str:
+        extents = "x".join(map(str, self.grid))
+        return "-".join([self.kind, self.scheme, self.lattice, extents,
+                         self.backend, self.mode])
+
+
+def cells(lattices=tuple(SHAPES)) -> list[Cell]:
+    """Every cell the registry, the schemes and ``BACKENDS`` span."""
+    return [Cell(*axes) for axes in itertools.product(
+        problem_kinds(), SCHEMES, lattices, BACKENDS, MODES)]
+
+
+def options(cell: Cell, distributed: bool = False) -> dict:
+    """The cell's kind options: seeded fields for the ones named below,
+    the kind's distributed defaults underneath when ``distributed``."""
+    kind = get_problem(cell.kind)
+    d, grid = get_lattice(cell.lattice).d, cell.grid
+    rng = np.random.default_rng(7)
+    seeded = {"rho0": lambda: 1 + 0.02 * rng.standard_normal(grid),
+              "u0": lambda: 0.03 * rng.standard_normal((d, *grid)),
+              "force": lambda: np.r_[1.2e-5, np.zeros(d - 1)]}
+    chosen = {name: make() for name, make in seeded.items()
+              if name in kind.options}
+    return {**kind.distributed, **chosen} if distributed else chosen
+
+
+def refused(cell: Cell) -> bool:
+    """Whether the registry refuses the cell (nothing is stepped)."""
+    if cell.ranks and get_problem(cell.kind).distributed is None:
+        return True
+    try:
+        setup_problem(cell.kind, cell.lattice, cell.grid, TAU,
+                      **options(cell))
+    except ValueError:
+        return True
+    return False
+
+
+def split(all_cells: list[Cell]) -> tuple[list[Cell], list[Cell]]:
+    """``(admitted, refused)``."""
+    verdicts = [refused(c) for c in all_cells]
+    return ([c for c, no in zip(all_cells, verdicts) if not no],
+            [c for c, no in zip(all_cells, verdicts) if no])
+
+
+ADMITTED, REFUSED = split(cells())
+SINGLE = [c for c in ADMITTED if c.mode == "single"]
+
+
+def ids(cell_list):
+    return pytest.mark.parametrize("cell", cell_list, ids=str)
+
+
+# -- running a cell -----------------------------------------------------------
+
+@contextlib.contextmanager
+def window(chunk: int | None):
+    """Step under a lowered window chunk (one chunk to a slab)."""
+    saved = fused._CHUNK, fused._SLAB_CHUNKS
+    if chunk:
+        fused._CHUNK, fused._SLAB_CHUNKS = chunk, 1
+    try:
+        yield
+    finally:
+        fused._CHUNK, fused._SLAB_CHUNKS = saved
+
+
+def columns(solvers) -> tuple[str, tuple]:
+    """``(layout, cuts)`` of the cores that step ``solvers`` (the ranks)."""
+    cores = [s._stepper.core for s in solvers if s._stepper is not None]
+    if not cores:
+        return "reference", ()
+    tables = [getattr(c, "table", None) for c in cores]
+    cuts = tuple(t.n_fluid if isinstance(t, MaskedNeighborTable)
+                 else tuple(c._slabs) for c, t in zip(cores, tables))
+    compact = any(isinstance(t, MaskedNeighborTable) for t in tables)
+    return "compact" if compact else "dense", cuts
+
+
+def fields(rho, u) -> np.ndarray:
+    return np.concatenate([rho[None], u])
+
+
+def state_of(solver) -> np.ndarray:
+    return solver.f if solver.name == "ST" else solver.m
+
+
+def path_of(solver) -> str:
+    return f"`{solver.accel_path}` {solver._stepper.core.state_lattices}"
+
+
+def build(cell: Cell, distributed: bool = False):
+    """The cell's solver (``distributed``: single-domain, distributed
+    options); a distributed cell's emulated solver."""
+    if cell.ranks:
+        return build_distributed(cell.kind, cell.scheme, cell.lattice,
+                                 cell.grid, cell.ranks, tau=TAU,
+                                 accel=cell.backend, **options(cell))
+    return build_single(cell.kind, cell.scheme, cell.lattice, cell.grid,
+                        tau=TAU, backend=cell.backend,
+                        **options(cell, distributed))
+
+
+@cache
+def run(cell: Cell, distributed: bool = False) -> Run:
+    """Step one cell ``STEPS`` times (cached: runs are deterministic)."""
+    plane = int(np.prod(cell.grid[1:]))
+    if cell.mode.startswith("process"):
+        twin = run(replace(cell, mode=f"emulated-{cell.ranks}"))
+        with window(cell.chunk):
+            result = ProcessRuntime(spec(cell)).run(STEPS)
+        assert not [n for n in os.listdir("/dev/shm")
+                    if n.startswith("mrlbm")], "leaked shared memory"
+        after = fields(result.rho, result.u)
+        after.setflags(write=False)
+        return replace(twin, after=after, paths=())
+    with window(cell.chunk):
+        solver = build(cell, distributed)
+        if cell.ranks:
+            before = fields(*solver.gather_macroscopic())
+            solver.run(STEPS)
+            ranks = solver.ranks
+            after = fields(*solver.gather_macroscopic())
+        else:
+            before = fields(*solver.macroscopic())
+            ranks = [solver.run(STEPS)]
+            after = fields(*solver.macroscopic())
+    paths = tuple(path_of(r) for r in ranks if r._stepper is not None)
+    state = None if cell.ranks else state_of(solver).copy()
+    for array in (before, after, state):     # one result for every caller
+        if array is not None:
+            array.setflags(write=False)
+    return Run(before, after, *columns(ranks), plane, paths, state)
+
+
+def spec(cell: Cell) -> RunSpec:
+    return RunSpec(cell.kind, cell.scheme, cell.lattice, cell.grid,
+                   cell.ranks, tau=TAU, accel=cell.backend,
+                   options=options(cell))
+
+
+# -- the checks (the legacy suites call these on cells of their own) ----------
+
+def check_backends_agree(cell: Cell) -> None:
+    """The cell agrees with itself on every backend, by the rule."""
+    mine = run(cell)
+    for backend in BACKENDS:
+        other = run(replace(cell, backend=backend))
+        assert_agree(mine.after, other.after, bit_exact(mine, other))
+
+
+def check_rank_counts_agree(cell: Cell) -> None:
+    """A decomposed cell is its single-domain run, by the rule."""
+    mine = run(cell)
+    single = run(replace(cell, mode="single"), distributed=True)
+    assert_agree(mine.after, single.after, bit_exact(mine, single))
+    if cell.mode.startswith("process"):
+        twin = run(replace(cell, mode=f"emulated-{cell.ranks}"))
+        assert np.array_equal(mine.after, twin.after)
+
+
+def check_conservation(cell: Cell) -> None:
+    """Mass on a domain closed along axis 0; ``N F`` of momentum per step
+    where no boundary acts."""
+    lat, setup = setup_problem(cell.kind, cell.lattice, cell.grid, TAU,
+                               **options(cell, distributed=bool(cell.ranks)))
+    mine = run(cell)
+    nodes = int(np.prod(cell.grid))
+    if setup.periodic_axis0:
+        assert_agree(mine.after[0].sum(), mine.before[0].sum(), False)
+    if setup.periodic_axis0 and not setup.boundaries(0, 1):
+        axes = tuple(range(1, lat.d + 1))
+        momenta = [f[0] * f[1:] for f in (mine.after, mine.before)]
+        gained = momenta[0].sum(axis=axes) - momenta[1].sum(axis=axes)
+        force = np.zeros(lat.d) if setup.force is None else setup.force
+        per_node = np.reshape(force, (lat.d, -1)).mean(axis=1)
+        assert_agree(gained, STEPS * nodes * per_node, False,
+                     scale=np.abs(momenta[1]).sum())
+
+
+def check_resume(cell: Cell, at: int, target: str) -> None:
+    """Save at step ``at`` on the cell's backend, restore on ``target``,
+    finish; it is the straight ``target`` run, by the rule."""
+    with window(cell.chunk), tempfile.TemporaryDirectory() as tmp:
+        first = build(cell).run(at)
+        path = save_checkpoint(Path(tmp) / "ck.npz", first)
+        resumed = build(replace(cell, backend=target))
+        restore_checkpoint(path, resumed)
+        assert resumed.time == at
+        assert np.array_equal(state_of(resumed), state_of(first))
+        resumed.run(STEPS - at)
+    straight = run(replace(cell, backend=target))
+    assert_agree(state_of(resumed), straight.state,
+                 bit_exact(run(cell), straight))
+
+
+def check_looking_changes_nothing(cell: Cell) -> None:
+    """Reading the state after every step is the blind run, bit for bit."""
+    with window(cell.chunk):
+        solver = build(cell)
+        for _ in range(STEPS):
+            solver.run(1)
+            state_of(solver)
+            solver.macroscopic()
+    assert np.array_equal(state_of(solver), run(cell).state)
+
+
+# -- the path table -----------------------------------------------------------
+
+CURVED = "Schäfer–Turek, curved"
+FAST = BACKENDS[1:]
+#: table column of (scheme is ST, mode)
+COLUMN = {(True, "single"): 0, (False, "single"): 1,
+          (True, "rank of 2"): 2, (False, "rank of 2"): 3}
+
+
+def documented() -> dict:
+    """``{(kind, backend): [cell, cell, cell, cell]}`` of the doc table."""
+    text = (Path(__file__).parents[2] / "docs" / "PERFORMANCE.md").read_text(
+        encoding="utf-8")
+    table = text.split("<!-- accel_path table -->")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `?([^|`]+)`? \| `(\w+)` \|(.*)\|$", table, re.M)
+    return {(kind, backend): [c.strip() for c in cells.split("|")]
+            for kind, backend, cells in rows}
+
+
+TABLE = documented()
+
+
+def check_table_covers_every_kind() -> None:
+    kinds = list(problem_kinds()) + [CURVED]
+    assert sorted(TABLE) == sorted((k, b) for k in kinds for b in FAST)
+
+
+def documented_path(kind: str, scheme: str, backend: str, mode: str) -> str:
+    """The table cell of ``kind`` × ``backend`` (``mode``: "single" or
+    "rank of 2")."""
+    return TABLE[kind, backend][COLUMN[scheme == "ST", mode]]
+
+
+def check_path(kind: str, scheme: str, backend: str, mode: str) -> None:
+    """The documented path is what the solvers report after two steps, on
+    the 48×16 D2Q9 grid the table was written for."""
+    expected = documented_path(kind, scheme, backend, mode)
+    if kind == CURVED:
+        if mode != "single":
+            assert expected == "—"          # a validation case, not a kind
+            return
+        solvers = [schafer_turek_case(d=4, scheme=scheme, backend=backend,
+                                      curved=True).solver.run(2)]
+    elif expected == "refused":
+        with pytest.raises(ValueError, match="no distributed form"):
+            build_distributed(kind, scheme, "D2Q9", (48, 16), 2,
+                              accel=backend)
+        return
+    elif mode == "single":
+        solvers = [build_single(kind, scheme, "D2Q9", (48, 16),
+                                backend=backend).run(2)]
+    else:
+        solvers = build_distributed(kind, scheme, "D2Q9", (48, 16), 2,
+                                    accel=backend).run(2).ranks
+    assert [path_of(s) for s in solvers] == [expected] * len(solvers)
+
+
+# -- refusals -----------------------------------------------------------------
+
+def refusals(cell: Cell) -> dict:
+    """The message every door that builds ``cell`` fails with."""
+    said = {}
+
+    def door(name, attempt):
+        try:
+            attempt()
+        except ValueError as err:
+            said[name] = str(err)
+        else:
+            said[name] = None
+
+    def cli():
+        argv = ["run", "--problem", cell.kind, "--scheme", cell.scheme,
+                "--lattice", cell.lattice, "--shape",
+                ",".join(map(str, cell.grid)), "--steps", "1",
+                "--accel", cell.backend]
+        if cell.ranks:
+            argv += ["--ranks", str(cell.ranks),
+                     "--backend", cell.mode.split("-")[0]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 2
+        line = err.getvalue()
+        assert line.startswith("ERROR: ") and line.count("\n") == 1, line
+        raise ValueError(line[len("ERROR: "):-1])
+
+    door("builder", lambda: build(cell))
+    door("cli", cli)
+    if cell.ranks:
+        door("RunSpec", lambda: spec(cell).build())
+        door("spec_from_dict", lambda: spec_from_dict({
+            "kind": cell.kind, "scheme": cell.scheme,
+            "lattice": cell.lattice, "shape": list(cell.grid),
+            "n_ranks": cell.ranks, "accel": cell.backend, "steps": 1,
+        })[0].build())
+    return said
+
+
+# -- the matrix ---------------------------------------------------------------
+
+@ids(ADMITTED)
+def test_backends_agree(cell):
+    check_backends_agree(cell)
+
+
+@ids([c for c in ADMITTED if c.ranks])
+def test_rank_counts_agree(cell):
+    check_rank_counts_agree(cell)
+
+
+@ids([c for c in ADMITTED if not c.mode.startswith("process")])
+def test_conservation(cell):
+    check_conservation(cell)
+
+
+def resumable(cell: Cell) -> bool:
+    """A checkpoint holds ``f`` / ``m``: a solver whose relaxation lags a
+    step behind its state (``tau_field``) resumes onto another trajectory."""
+    return not hasattr(build(cell), "tau_field")
+
+
+@pytest.mark.parametrize("at", [2, 3], ids=["even", "odd"])
+@ids([c for c in SINGLE if resumable(c)])
+def test_resume(cell, at):
+    nxt = BACKENDS[(BACKENDS.index(cell.backend) + 1) % len(BACKENDS)]
+    for target in (cell.backend, nxt):
+        check_resume(cell, at, target)
+
+
+@ids(SINGLE)
+def test_looking_changes_nothing(cell):
+    check_looking_changes_nothing(cell)
+
+
+@ids([c for c in ADMITTED if c.backend != BACKENDS[0]
+      and c.mode in ("single", "emulated-2")])
+def test_path_is_documented(cell):
+    mode = "single" if cell.mode == "single" else "rank of 2"
+    expected = documented_path(cell.kind, cell.scheme, cell.backend, mode)
+    assert run(cell).paths == (expected,) * max(cell.ranks, 1)
+
+
+@ids(REFUSED)
+def test_refused_alike_at_every_door(cell):
+    said = refusals(cell)
+    assert None not in said.values(), said
+    assert len(set(said.values())) == 1, said
+
+
+def test_a_registered_kind_joins_the_matrix():
+    """No edit here: a kind the registry learns is checked like the rest."""
+    periodic = get_problem("periodic")
+    name = "conformance-probe"
+    register_problem(ProblemKind(name, "a throwaway kind", periodic.setup,
+                                 distributed=None))
+    try:
+        admitted, refused = split([c for c in cells() if c.kind == name])
+        assert {c.mode for c in admitted} == {"single"}
+        assert len(admitted) == len(SCHEMES) * len(SHAPES) * len(BACKENDS)
+        assert {c.mode for c in refused} == set(MODES) - {"single"}
+        check_backends_agree(replace(admitted[0], backend=BACKENDS[-1]))
+        assert len(set(refusals(refused[0]).values())) == 1
+    finally:
+        from repro.service import registry
+
+        del registry._REGISTRY[name]
+
+
+# -- oracle-free checks -------------------------------------------------------
+
+def regularize(lat, scheme: str, f: np.ndarray) -> np.ndarray:
+    """The scheme's regularisation: projective (MR-P) or recursive (MR-R)."""
+    if scheme == "MR-P":
+        return regularize_projective(lat, f)
+    rho, u = macroscopic(lat, f)
+    pi_neq = pi_neq_cols_from_f(lat, f, rho, u)
+    return (equilibrium(lat, rho, u) + hermite_delta_second_order(lat, pi_neq)
+            + hermite_delta_higher_order(lat, recursive_a3_neq_cols(
+                lat, u, pi_neq), recursive_a4_neq_cols(lat, u, pi_neq)))
+
+
+@ids([c for c in SINGLE if c.scheme != "ST"])
+def test_regularisation_is_idempotent(cell):
+    """The moments a backend keeps lie in the regularised subspace: the
+    scheme's regularisation of their reconstruction is a projection that
+    returns the same moments, and applied twice is applied once."""
+    lat = get_lattice(cell.lattice)
+    m = run(cell).state
+    once = regularize(lat, cell.scheme, f_from_moments(lat, m))
+    assert_agree(moments_from_f(lat, once), m, False, steps=1)
+    assert_agree(regularize(lat, cell.scheme, once), once, False, steps=1)
+
+
+def mirrored(x: np.ndarray, axis: int, vector: bool) -> np.ndarray:
+    """Reflect a scalar or ``(D, *grid)`` vector field across ``axis``."""
+    y = np.flip(x, axis=axis + vector).copy()
+    if vector:
+        y[axis] *= -1
+    return y
+
+
+def swapped(x: np.ndarray, vector: bool) -> np.ndarray:
+    """Exchange grid axes 0 and 1 (and the two velocity components)."""
+    y = np.swapaxes(x, vector, vector + 1).copy()
+    if vector:
+        y[[0, 1]] = y[[1, 0]]
+    return y
+
+
+def rotated(x: np.ndarray, vector: bool) -> np.ndarray:
+    """A quarter turn in the plane of axes 0 and 1."""
+    return mirrored(swapped(x, vector), 0, vector)
+
+
+def symmetries(d: int) -> dict:
+    """The reflections across each axis and a quarter turn."""
+    return {**{f"mirror-{a}": (lambda x, v, a=a: mirrored(x, a, v))
+               for a in range(d)}, "rotate": rotated}
+
+
+@pytest.mark.parametrize("lattice,symmetry", [
+    (lattice, move) for lattice in SHAPES
+    for move in symmetries(get_lattice(lattice).d)])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lattice_symmetry(scheme, backend, lattice, symmetry):
+    """Stepping a reflected (rotated) forced state among random
+    bounce-back obstacles is the reflection (rotation) of stepping it."""
+    lat, grid = get_lattice(lattice), SHAPES[lattice]
+    g = symmetries(lat.d)[symmetry]
+    rng = np.random.default_rng(5)
+    solid = rng.random(grid) < 0.15
+    rho0 = 1 + 0.02 * rng.standard_normal(grid)
+    u0 = 0.03 * rng.standard_normal((lat.d, *grid))
+    force = np.broadcast_to(np.r_[1e-5, 2e-6, np.zeros(lat.d - 2)][
+        (slice(None),) + (None,) * lat.d], (lat.d, *grid))
+
+    def stepped(solid, rho0, u0, force):
+        return make_solver(scheme, lat, Domain(solid.astype(np.int8)), TAU,
+                           boundaries=[HalfwayBounceBack()],
+                           rho0=rho0, u0=u0, force=force,
+                           backend=backend).run(STEPS).macroscopic()
+
+    rho, u = stepped(solid, rho0, u0, force)
+    rho_g, u_g = stepped(g(solid, False), g(rho0, False), g(u0, True),
+                         g(force, True))
+    assert_agree(fields(rho_g, u_g), fields(g(rho, False), g(u, True)), False)
+
+
+# -- random extents -----------------------------------------------------------
+
+CHUNK = 16
+#: cross-sections, none a multiple of eight nodes
+TAILS = {"D2Q9": [(5,), (6,), (7,), (9,), (11,), (13,)],
+         "D3Q19": [(4, 5), (5, 5), (5, 6), (4, 7)]}
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_extents(data):
+    """A random cell on a thin, prime or slab ± 1 leading extent, the
+    window sliding over one ``CHUNK`` to a slab: it agrees with every
+    backend and its rank counts, and reading it changes nothing."""
+    lattice = data.draw(st.sampled_from(list(TAILS)))
+    tail = data.draw(st.sampled_from(TAILS[lattice]))
+    slab = max(1, CHUNK // int(np.prod(tail)))
+    n0 = data.draw(st.one_of(
+        st.sampled_from([3, 4, 5, 7, 11, 13, 17, 19, 23]),
+        st.builds(lambda k, off: k * slab + off, st.integers(2, 6),
+                  st.sampled_from([-1, 1]))))
+    cell = Cell(data.draw(st.sampled_from(problem_kinds())),
+                data.draw(st.sampled_from(SCHEMES)), lattice,
+                data.draw(st.sampled_from(BACKENDS)),
+                data.draw(st.sampled_from(MODES[:4])), (n0, *tail), CHUNK)
+    assume(cell.ranks * 3 <= n0 and not refused(cell))
+    _, setup = setup_problem(cell.kind, lattice, cell.grid, TAU,
+                             **options(cell))
+    assume(setup.domain.n_fluid > 0)
+    check_backends_agree(cell)
+    if cell.ranks:
+        check_rank_counts_agree(cell)
+    else:
+        check_looking_changes_nothing(cell)

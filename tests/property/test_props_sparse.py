@@ -8,8 +8,9 @@ Three invariant families pin the compact-state machinery of
 * **table identities** — the masked neighbor table is a valid indexed
   permutation whose folded links realize half-way bounce-back exactly;
 * **backend parity** — the sparse solver trajectory matches the fused
-  backend to machine precision on random masked problems (the headline
-  guarantee of docs/PERFORMANCE.md).
+  backend on random masks, by the conformance matrix's tolerance rule
+  (``tests/property/test_conformance.py``; the registered kinds are its
+  cells).
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.boundary import HalfwayBounceBack
 from repro.core.streaming import stream_push
 from repro.geometry import Domain
 from repro.lattice import get_lattice
+
+from test_conformance import assert_agree
 
 LATTICES = ["D2Q9", "D3Q19"]
 GRIDS = {"D2Q9": (6, 5), "D3Q19": (4, 3, 3)}
@@ -139,8 +142,8 @@ class TestSparseFusedParity:
            st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_random_mask_trajectories_match(self, ml, scheme, seed):
-        """Sparse and fused runs agree to machine precision on a random
-        masked periodic box with bounce-back obstacles."""
+        """Sparse and fused runs agree on a random masked periodic box
+        with bounce-back obstacles."""
         from repro.solver import make_solver
 
         lat, solid = ml
@@ -161,5 +164,5 @@ class TestSparseFusedParity:
             rho, u = s.macroscopic()
             states.append(np.concatenate([rho[None], u]))
         fluid = ~solid
-        diff = np.abs(states[0][:, fluid] - states[1][:, fluid]).max()
-        assert diff < 1e-13, diff
+        assert_agree(states[1][:, fluid], states[0][:, fluid], exact=False,
+                     steps=3)

@@ -14,11 +14,12 @@ public operations is applied to
 * a ``reference`` third,
 
 and every observation of the first must be ``np.array_equal`` to the
-second and within 1e-13 of the third (compact, dense and reference
-contractions cut their sums differently, so that was never bit-exact).
-The deterministic classes below pin the same contract step by step,
-across checkpoints between every ordered pair of backends, and by
-counting what a look costs.
+second and agree with the third by the conformance matrix's tolerance
+rule (``tests/property/test_conformance.py``: compact, dense and
+reference contractions cut their sums differently). The deterministic
+classes below pin the same contract step by step, across checkpoints
+between every ordered pair of backends, and by counting what a look
+costs.
 """
 
 import numpy as np
@@ -30,9 +31,11 @@ from repro.boundary import HalfwayBounceBack
 from repro.io import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
 from repro.obs import Telemetry
-from repro.parallel import ProcessRuntime, RunSpec
 from repro.service.registry import build_single, setup_problem
 from repro.solver import make_solver
+
+from test_conformance import (Cell, assert_agree, check_rank_counts_agree,
+                              check_resume)
 
 TAU = 0.8
 SCHEMES = ["ST", "MR-P", "MR-R"]
@@ -138,11 +141,11 @@ def apply(solver, ops, tmp, every_step=False):
     return seen
 
 
-def assert_same_story(lazy, eager, dense, fluid):
+def assert_same_story(lazy, eager, dense, fluid, steps):
     assert len(lazy) == len(eager) == len(dense)
     for a, b, c in zip(lazy, eager, dense):
         assert np.array_equal(a, b)
-        assert np.abs(a[:, fluid] - c[:, fluid]).max() < 1e-13
+        assert_agree(a[:, fluid], c[:, fluid], exact=False, steps=steps)
 
 
 class TestLookingDoesNotChangeTheTrajectory:
@@ -165,7 +168,7 @@ class TestLookingDoesNotChangeTheTrajectory:
                 apply(ref, ops, tmp)]
         if backend == "sparse":
             assert lazy.accel_path == eager.accel_path == sparse_path
-        assert_same_story(*seen, lazy.domain.fluid_mask)
+        assert_same_story(*seen, lazy.domain.fluid_mask, lazy.time)
 
     @given(ops=st.lists(OPS, min_size=2, max_size=6))
     @settings(max_examples=10, deadline=None)
@@ -178,7 +181,7 @@ class TestLookingDoesNotChangeTheTrajectory:
             for backend in ("sparse", "sparse", "fused"))
         seen = [apply(lazy, ops, tmp), apply(eager, ops, tmp, every_step=True),
                 apply(dense, ops, tmp)]
-        assert_same_story(*seen, lazy.domain.fluid_mask)
+        assert_same_story(*seen, lazy.domain.fluid_mask, lazy.time)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -228,9 +231,10 @@ class TestOneDoor:
         for steps in range(1, 6):
             ref.run(1)
             fast = self.build(problem, scheme, backend).run(steps)
-            diff = np.abs(state_of(fast) - state_of(ref))[:, fluid]
-            assert diff.max() < 1e-13
-            assert np.abs(fields(fast) - fields(ref))[:, fluid].max() < 1e-13
+            assert_agree(state_of(fast)[:, fluid], state_of(ref)[:, fluid],
+                         exact=False, steps=steps)
+            assert_agree(fields(fast)[:, fluid], fields(ref)[:, fluid],
+                         exact=False, steps=steps)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -243,7 +247,8 @@ class TestOneDoor:
         held = state_of(twin)
         held[...] = held.copy()         # rewriting it in place: nothing
         state_of(a)[...] = state_of(donor.run(2))   # another state: adopted
-        assert np.abs(state_of(a.run(3)) - state_of(donor.run(3))).max() < 1e-13
+        assert_agree(state_of(a.run(3)), state_of(donor.run(3)), exact=False,
+                     steps=3)
         untouched = self.build("periodic", scheme, backend).run(steps + 2)
         assert np.array_equal(state_of(twin.run(2)), state_of(untouched))
 
@@ -251,54 +256,27 @@ class TestOneDoor:
     @pytest.mark.parametrize("target", BACKENDS)
     @pytest.mark.parametrize("source", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_checkpoint_across_backends(self, tmp_path, scheme, source,
-                                        target, steps):
-        first = self.build("periodic", scheme, source).run(steps)
-        path = save_checkpoint(tmp_path / "ck.npz", first)
-        resumed = self.build("periodic", scheme, target)
-        restore_checkpoint(path, resumed)
-        assert resumed.time == steps
-        assert np.array_equal(state_of(resumed), state_of(first))
-        straight = self.build("periodic", scheme, target).run(steps + 3)
-        got, want = state_of(resumed.run(3)), state_of(straight)
-        if {source, target} <= {"fused", "aa"} or source == target:
-            assert np.array_equal(got, want)    # one kernel
-        assert np.abs(got - want).max() < 1e-13
+    def test_checkpoint_across_backends(self, scheme, source, target, steps):
+        check_resume(Cell("periodic", scheme, "D2Q9", source, shape=(11, 6)),
+                     at=steps, target=target)
 
 
 class TestRanksOnSparse:
     """A rank looks every step (halo pack and unpack): the reload path."""
 
-    @staticmethod
-    def single(kind, scheme, shape, steps, **options):
-        solver = build_single(kind, scheme, "D2Q9", shape, tau=TAU,
-                              backend="sparse", **options)
-        return fields(solver.run(steps))
-
     @pytest.mark.parametrize("ranks", [1, 2, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind", ["forced-channel", "channel"])
     def test_emulated_ranks_match_single_domain(self, kind, scheme, ranks):
-        options = {"u_max": 0.03}
-        if kind == "channel":       # boundary-plane-only reconstructions
-            options.update(bc_method="nebb", outlet_tangential="zero")
-        spec = RunSpec(kind, scheme, "D2Q9", (13, 9), ranks, tau=TAU,
-                       accel="sparse", options=options)
-        rho, u = spec.build().run(9).gather_macroscopic()
-        want = self.single(kind, scheme, (13, 9), 9, **options)
-        assert np.abs(np.concatenate([rho[None], u]) - want).max() < 1e-13
+        check_rank_counts_agree(Cell(kind, scheme, "D2Q9", "sparse",
+                                     f"emulated-{ranks}", shape=(13, 9)))
 
     @pytest.mark.parametrize("ranks", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
-    def test_process_ranks_match_emulated(self, scheme, ranks,
-                                          leaked_segments):
-        spec = RunSpec("forced-channel", scheme, "D2Q9", (13, 9), ranks,
-                       tau=TAU, accel="sparse", options={"u_max": 0.03})
-        result = ProcessRuntime(spec).run(7)
-        rho, u = spec.build().run(7).gather_macroscopic()
-        assert np.array_equal(result.rho, rho)
-        assert np.array_equal(result.u, u)
-        assert leaked_segments() == []
+    def test_process_ranks_match_emulated(self, scheme, ranks):
+        check_rank_counts_agree(Cell("forced-channel", scheme, "D2Q9",
+                                     "sparse", f"process-{ranks}",
+                                     shape=(13, 9)))
 
 
 class TestTheMechanism:

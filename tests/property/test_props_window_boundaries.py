@@ -11,8 +11,9 @@ slide over several slabs, with ``_SLAB_CHUNKS`` as shipped.
 Equality is ``np.array_equal`` wherever planes and chunk are multiples
 of eight nodes; elsewhere BLAS rounds the last ``n mod 8`` columns of a
 product by another kernel, so cutting a field there moves which nodes
-see that rounding (``tests/unit/test_accel_blocked.py``): one rounding
-per step, bounded at 1e-13 here.
+see that rounding (``tests/unit/test_accel_blocked.py``) — the
+conformance matrix's tolerance rule, ``tests/property/test_conformance
+.py``, which this module applies.
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ from repro.service.registry import (build_distributed, build_single,
                                     get_problem, problem_kinds,
                                     setup_problem)
 from repro.solver import make_solver
+
+from test_conformance import assert_agree
 
 CHUNK, WHOLE, TAU, STEPS = 32, 10 ** 9, 0.8, 5
 SCHEMES = ("ST", "MR-P", "MR-R")
@@ -178,10 +181,8 @@ class TestSlidingEqualsOneSlab:
             assert slabs[0][1] - slabs[0][0] >= depth
             assert slabs[-1][1] - slabs[-1][0] >= outlet
         assert slid.accel_path == "lean"
-        if int(np.prod(tail)) % 8 == 0:
-            assert np.array_equal(state_of(slid), state_of(whole))
-        else:
-            assert np.abs(state_of(slid) - state_of(whole)).max() < 1e-13
+        assert_agree(state_of(slid), state_of(whole),
+                     exact=int(np.prod(tail)) % 8 == 0, steps=3)
 
 
 class TestHookOrder:
@@ -262,9 +263,9 @@ class TestWhoStaysBounded:
         assert fast.accel_path == "bounded" and n_slabs(fast) == 1
         assert fast._stepper.core.state_lattices == 2
         slow = build("reference").run(4)
-        assert np.abs(fast.boundaries[1].last_force
-                      - slow.boundaries[1].last_force).max() < 1e-15
-        assert np.abs(fast.m - slow.m).max() < 1e-13
+        assert_agree(fast.boundaries[1].last_force,
+                     slow.boundaries[1].last_force, exact=False, steps=4)
+        assert_agree(fast.m, slow.m, exact=False, steps=4)
 
     @pytest.mark.parametrize("method", ["regularized-fd", "nebb"])
     def test_a_face_of_another_axis(self, monkeypatch, method):

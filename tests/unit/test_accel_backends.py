@@ -1,9 +1,13 @@
-"""Parity and validation tests for the fast-path execution backends.
+"""Backend parity on validation cases, and construction-time validation.
 
-Every backend must reproduce the reference solvers to machine precision;
-these tests pin that contract on the repo's validation cases
-(Taylor-Green, Poiseuille channel, lid-driven cavity) and exercise the
-configuration-matrix error paths of :func:`repro.accel.make_stepper`.
+Registered kinds are the conformance matrix's
+(``tests/property/test_conformance.py``): the ids below that name one
+check its cell on their own extents. The others build a case the
+registry does not have — the lid-driven cavity, the bulk-viscosity
+split, a time-dependent force, power-law flow indices other than the
+kind's — and hold ``fused`` to ``reference`` by the matrix's tolerance
+rule. :class:`TestBackendValidation` pins what
+:func:`repro.accel.validate_backend` refuses, and when.
 """
 
 import numpy as np
@@ -12,40 +16,25 @@ import pytest
 from repro.accel import (FusedMRCore, make_stepper, solver_caps,
                          validate_backend)
 from repro.boundary import HalfwayBounceBack
-from repro.geometry import channel_2d, lid_driven_cavity, periodic_box
+from repro.geometry import (channel_2d, channel_3d, lid_driven_cavity,
+                            periodic_box)
 from repro.lattice import get_lattice
-from repro.solver import (MRPSolver, PowerLawMRPSolver, channel_problem,
-                          forced_channel_problem, make_solver,
+from repro.service.registry import build_single
+from repro.solver import (MRPSolver, PowerLawMRPSolver, make_solver,
                           periodic_problem)
 from repro.solver.non_newtonian import power_law_force
 from repro.validation import taylor_green_fields
 
+from test_conformance import Cell, assert_agree, check_backends_agree, fields
+
 SCHEMES = ("ST", "MR-P", "MR-R")
-MACHINE_EPS = 1e-13
 
 
-def run_pair(build, backend, steps=8):
-    """Run reference and ``backend`` from identical state; return max diffs."""
-    ref = build("reference")
-    fast = build(backend)
-    ref.run(steps)
-    fast.run(steps)
-    rho_r, u_r = ref.macroscopic()
-    rho_f, u_f = fast.macroscopic()
-    return (float(np.abs(rho_r - rho_f).max()),
-            float(np.abs(u_r - u_f).max()))
-
-
-def taylor_green_builder(scheme, lattice_name, shape, tau=0.8):
-    lat = get_lattice(lattice_name)
-    if lat.d == 2:
-        rho0, u0 = taylor_green_fields(shape, 0.0, lat.viscosity(tau), 0.04)
-    else:
-        rng = np.random.default_rng(7)
-        rho0 = 1 + 0.02 * rng.standard_normal(shape)
-        u0 = 0.03 * rng.standard_normal((lat.d, *shape))
-    return lambda backend: periodic_problem(scheme, lat, shape, tau,
-                                            rho0=rho0, u0=u0, backend=backend)
+def assert_fused_is_reference(build, steps=8):
+    """``build(backend)`` stepped on ``fused`` is its ``reference`` run."""
+    ref, fast = build("reference").run(steps), build("fused").run(steps)
+    assert_agree(fields(*fast.macroscopic()), fields(*ref.macroscopic()),
+                 exact=False, steps=steps)
 
 
 def cavity_builder(scheme, n=10, tau=0.8):
@@ -53,12 +42,8 @@ def cavity_builder(scheme, n=10, tau=0.8):
     wall_u = np.zeros((2, n, n))
     wall_u[0, :, -1] = 0.05
     bcs = [HalfwayBounceBack(wall_velocity=wall_u)]
-
-    def build(backend):
-        return make_solver(scheme, lat, lid_driven_cavity(n), tau,
-                           boundaries=bcs, backend=backend)
-
-    return build
+    return lambda backend: make_solver(scheme, lat, lid_driven_cavity(n), tau,
+                                       boundaries=bcs, backend=backend)
 
 
 class TestFusedParity:
@@ -68,76 +53,36 @@ class TestFusedParity:
         ("D3Q19", (8, 7, 6)),
     ])
     def test_taylor_green_periodic(self, scheme, lattice_name, shape):
-        """Fused == reference on periodic boxes, to machine precision."""
-        drho, du = run_pair(
-            taylor_green_builder(scheme, lattice_name, shape), "fused")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        """Every backend agrees on vortices (2D) and random states (3D)."""
+        kind = "taylor-green" if lattice_name == "D2Q9" else "periodic"
+        check_backends_agree(Cell(kind, scheme, lattice_name, "fused",
+                                  shape=shape))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_poiseuille_channel(self, scheme):
-        """Fused == reference with inlet/outlet + wall boundaries."""
-        drho, du = run_pair(
-            lambda backend: channel_problem(scheme, "D2Q9", (24, 12),
-                                            tau=0.8, u_max=0.04,
-                                            backend=backend), "fused")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        """... with inlet/outlet + wall boundaries."""
+        check_backends_agree(Cell("channel", scheme, "D2Q9", "fused",
+                                  shape=(24, 12)))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_lid_driven_cavity(self, scheme):
         """Fused == reference with solid nodes and a moving-wall BC."""
-        drho, du = run_pair(cavity_builder(scheme), "fused", steps=12)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        assert_fused_is_reference(cavity_builder(scheme), steps=12)
 
     def test_bulk_viscosity_split(self):
         """The two-relaxation trace split is fused identically."""
         lat = get_lattice("D2Q9")
         rho0, u0 = taylor_green_fields((16, 12), 0.0, lat.viscosity(0.8),
                                        0.04)
-
-        def build(backend):
-            return MRPSolver(lat, periodic_box((16, 12)), 0.8, tau_bulk=1.1,
-                             rho0=rho0, u0=u0, backend=backend)
-
-        drho, du = run_pair(build, "fused")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        assert_fused_is_reference(lambda backend: MRPSolver(
+            lat, periodic_box((16, 12)), 0.8, tau_bulk=1.1, rho0=rho0, u0=u0,
+            backend=backend))
 
     def test_step_count_and_time_advance(self):
-        solver = taylor_green_builder("ST", "D2Q9", (10, 8))("fused")
+        solver = build_single("taylor-green", "ST", "D2Q9", (10, 8),
+                              backend="fused")
         solver.run(5)
         assert solver.time == 5
-
-
-def forced_periodic_builder(scheme, lattice_name, shape, tau=0.8):
-    """Forced periodic box with a random non-trivial initial state."""
-    lat = get_lattice(lattice_name)
-    rng = np.random.default_rng(3)
-    u0 = 0.03 * (rng.random((lat.d, *shape)) - 0.5)
-    force = np.zeros(lat.d)
-    force[0] = 1.2e-5
-    return lambda backend: make_solver(scheme, lat, periodic_box(shape), tau,
-                                       u0=u0, force=force, backend=backend)
-
-
-def power_law_channel_builder(lattice_name, exponent, tau=0.7, u_max=0.02):
-    """Force-driven power-law channel (the fused variable-tau path)."""
-    lat = get_lattice(lattice_name)
-    shape = (16, 12) if lat.d == 2 else (8, 8, 6)
-    if lat.d == 2:
-        domain = channel_2d(*shape, with_io=False)
-    else:
-        from repro.geometry import channel_3d
-
-        domain = channel_3d(*shape, with_io=False)
-    consistency = lat.viscosity(tau)
-    force = np.zeros(lat.d)
-    force[0] = power_law_force(u_max, shape[1] - 2, consistency, exponent)
-    return lambda backend: PowerLawMRPSolver(
-        lat, domain, tau, boundaries=[HalfwayBounceBack()], force=force,
-        consistency=consistency, exponent=exponent, backend=backend)
 
 
 class TestFusedForcedParity:
@@ -149,11 +94,8 @@ class TestFusedForcedParity:
         ("D3Q19", (7, 6, 5)),
     ])
     def test_forced_periodic(self, scheme, lattice_name, shape):
-        """Fused == reference on forced periodic boxes."""
-        drho, du = run_pair(
-            forced_periodic_builder(scheme, lattice_name, shape), "fused")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        check_backends_agree(Cell("periodic", scheme, lattice_name, "fused",
+                                  shape=shape))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("lattice_name,shape", [
@@ -161,25 +103,37 @@ class TestFusedForcedParity:
         ("D3Q19", (8, 8, 6)),
     ])
     def test_forced_channel(self, scheme, lattice_name, shape):
-        """Fused == reference on body-force-driven bounce-back channels."""
-        drho, du = run_pair(
-            lambda backend: forced_channel_problem(
-                scheme, lattice_name, shape, tau=0.7, u_max=0.03,
-                backend=backend), "fused", steps=10)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        check_backends_agree(Cell("forced-channel", scheme, lattice_name,
+                                  "fused", shape=shape))
 
     def test_time_dependent_force(self):
         """set_force between steps reaches the fused kernels too."""
-        build = forced_periodic_builder("MR-P", "D2Q9", (12, 10))
-        ref, fast = build("reference"), build("fused")
+        lat = get_lattice("D2Q9")
+        u0 = 0.03 * (np.random.default_rng(3).random((2, 12, 10)) - 0.5)
+        ref, fast = (make_solver("MR-P", lat, periodic_box((12, 10)), 0.8,
+                                 u0=u0, force=np.array([1.2e-5, 0.0]),
+                                 backend=backend)
+                     for backend in ("reference", "fused"))
         for t in range(6):
             f = np.array([1e-5 * np.cos(0.3 * t), 0.5e-5 * np.sin(0.3 * t)])
             ref.set_force(f)
             fast.set_force(f)
             ref.step()
             fast.step()
-        assert np.abs(ref.m - fast.m).max() < MACHINE_EPS
+        assert_agree(fast.m, ref.m, exact=False, steps=6)
+
+
+def power_law_channel_builder(lattice_name, exponent, tau=0.7, u_max=0.02):
+    """Force-driven power-law channel (the fused variable-tau path)."""
+    lat = get_lattice(lattice_name)
+    shape = (16, 12) if lat.d == 2 else (8, 8, 6)
+    domain = (channel_2d if lat.d == 2 else channel_3d)(*shape, with_io=False)
+    consistency = lat.viscosity(tau)
+    force = np.zeros(lat.d)
+    force[0] = power_law_force(u_max, shape[1] - 2, consistency, exponent)
+    return lambda backend: PowerLawMRPSolver(
+        lat, domain, tau, boundaries=[HalfwayBounceBack()], force=force,
+        consistency=consistency, exponent=exponent, backend=backend)
 
 
 class TestFusedVariableTauParity:
@@ -189,38 +143,22 @@ class TestFusedVariableTauParity:
     @pytest.mark.parametrize("exponent", [0.7, 1.3])
     def test_power_law_poiseuille(self, lattice_name, exponent):
         """Fused == reference for shear-thinning and shear-thickening."""
-        drho, du = run_pair(
-            power_law_channel_builder(lattice_name, exponent), "fused",
-            steps=10)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        assert_fused_is_reference(
+            power_law_channel_builder(lattice_name, exponent), steps=10)
 
     def test_unforced_power_law_periodic(self):
         """Variable-tau collision without forcing is fused identically."""
         lat = get_lattice("D2Q9")
-        rng = np.random.default_rng(11)
-        u0 = 0.04 * (rng.random((2, 14, 10)) - 0.5)
-
-        def build(backend):
-            return PowerLawMRPSolver(lat, periodic_box((14, 10)), 0.8, u0=u0,
-                                     consistency=0.06, exponent=0.8,
-                                     backend=backend)
-
-        drho, du = run_pair(build, "fused")
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        u0 = 0.04 * (np.random.default_rng(11).random((2, 14, 10)) - 0.5)
+        assert_fused_is_reference(lambda backend: PowerLawMRPSolver(
+            lat, periodic_box((14, 10)), 0.8, u0=u0, consistency=0.06,
+            exponent=0.8, backend=backend))
 
     def test_tau_field_tracks_reference(self):
         """The relaxation field itself matches after several steps."""
         build = power_law_channel_builder("D2Q9", 0.7)
-        ref, fast = build("reference"), build("fused")
-        ref.run(8)
-        fast.run(8)
-        # The relaxation field is a nonlinear function of the strain rate
-        # (exponent (n-1)/n), which amplifies ulp-level state differences;
-        # compare it with a relative tolerance rather than MACHINE_EPS.
-        rel = np.abs(ref.tau_field - fast.tau_field) / np.abs(ref.tau_field)
-        assert rel.max() < 1e-12
+        ref, fast = build("reference").run(8), build("fused").run(8)
+        assert_agree(fast.tau_field, ref.tau_field, exact=False, steps=8)
 
     def test_apparent_viscosity_masks_solids(self):
         """apparent_viscosity reports NaN inside walls, finite in fluid."""

@@ -2,11 +2,13 @@
 
 The contract of :mod:`repro.accel.batched` is that every member of a
 batched ensemble reproduces its own independent ``backend="fused"`` run
-to machine precision — the batch axis is a dispatch-amortization device,
-never a physics change. These tests pin that across ST / MR-P / MR-R,
-D2Q9 and D3Q19, heterogeneous per-member relaxation times and forcing,
-plus the constructor validation and steady-state allocation
-behavior of the cores.
+bit for bit — a member's block is cut into the columns of its solo run,
+so the conformance matrix's tolerance rule
+(``tests/property/test_conformance.py``) allows no rounding; the batch
+axis is a dispatch-amortization device, never a physics change. These
+tests pin that across ST / MR-P / MR-R, D2Q9 and D3Q19, heterogeneous
+per-member relaxation times and forcing, plus the constructor
+validation and steady-state allocation behavior of the cores.
 """
 
 import tracemalloc
@@ -26,8 +28,9 @@ from repro.lattice import get_lattice
 from repro.solver import forced_channel_problem, periodic_problem
 from repro.validation import taylor_green_fields
 
+from test_conformance import assert_agree, fields
+
 SCHEMES = ("ST", "MR-P", "MR-R")
-MACHINE_EPS = 1e-15
 
 
 def periodic_member(scheme, lattice_name, shape, tau, seed):
@@ -45,12 +48,10 @@ def periodic_member(scheme, lattice_name, shape, tau, seed):
 
 
 def assert_members_match(solos, members):
-    """Every enrolled member matches its independent twin to <= 1e-15."""
+    """Every enrolled member is its independent twin, bit for bit."""
     for solo, member in zip(solos, members):
-        rho_s, u_s = solo.macroscopic()
-        rho_m, u_m = member.macroscopic()
-        assert float(np.abs(rho_s - rho_m).max()) <= MACHINE_EPS
-        assert float(np.abs(u_s - u_m).max()) <= MACHINE_EPS
+        assert_agree(fields(*member.macroscopic()),
+                     fields(*solo.macroscopic()), exact=True)
 
 
 class TestBatchedParity:

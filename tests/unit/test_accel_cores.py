@@ -146,7 +146,7 @@ class TestPath:
 
     def test_bounded(self):
         # walled ST and MR problems step the fused cores on "aa": lean,
-        # walls and all (tests/unit/test_accel_paths.py has the table)
+        # walls and all (tests/property/test_conformance.py checks the table)
         assert path_of("walled", "ST", "aa") == "lean"
         assert path_of("inlet-outlet", "MR-P", "aa") == "lean"
         # a post-collide hook has no row extent

@@ -1,9 +1,11 @@
 """Parity and contract tests for the single-lattice ``"aa"`` backend.
 
 The in-place streaming cores of :mod:`repro.accel.inplace` promise
-machine-precision agreement with the two-lattice fused backend at every
-step, across the full feature matrix: boundaries, solids, Guo forcing
-and the per-node variable-tau collision. These tests pin that contract,
+bit-for-bit agreement with the two-lattice fused backend at every step
+(they cut the same columns: the conformance matrix's tolerance rule,
+``tests/property/test_conformance.py``), across the full feature
+matrix: boundaries, solids, Guo forcing and the per-node variable-tau
+collision. These tests pin that contract,
 checkpoints at either parity, and the configuration error paths (how an
 odd step is stored is private to the core:
 ``tests/property/test_props_sparse_state.py`` pins what ``solver.f``
@@ -21,20 +23,16 @@ from repro.lattice import get_lattice
 from repro.solver import (channel_problem, forced_channel_problem,
                           make_solver, periodic_problem)
 
+from test_conformance import assert_agree, fields
+
 SCHEMES = ("ST", "MR-P", "MR-R")
-MACHINE_EPS = 1e-13
 
 
-def run_pair(build, steps=8, against="fused"):
-    """Run ``against`` and the aa backend from identical state; max diffs."""
-    ref = build(against)
-    fast = build("aa")
-    ref.run(steps)
-    fast.run(steps)
-    rho_r, u_r = ref.macroscopic()
-    rho_f, u_f = fast.macroscopic()
-    return (float(np.abs(rho_r - rho_f).max()),
-            float(np.abs(u_r - u_f).max()))
+def assert_aa_is_fused(build, steps=8):
+    """``build(backend)`` stepped on ``aa`` is its ``fused`` run."""
+    fused, aa = build("fused").run(steps), build("aa").run(steps)
+    assert_agree(fields(*aa.macroscopic()), fields(*fused.macroscopic()),
+                 exact=True)
 
 
 def random_periodic_builder(scheme, lattice_name, shape, tau=0.8,
@@ -55,7 +53,7 @@ def random_periodic_builder(scheme, lattice_name, shape, tau=0.8,
 
 
 class TestInplaceParity:
-    """aa == fused to machine precision on the full feature matrix."""
+    """aa == fused, bit for bit, on the full feature matrix."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("lattice_name,shape", [
@@ -65,10 +63,8 @@ class TestInplaceParity:
     @pytest.mark.parametrize("steps", [7, 8])
     def test_periodic_even_and_odd(self, scheme, lattice_name, shape, steps):
         """Periodic boxes match at even *and* odd step counts."""
-        drho, du = run_pair(
+        assert_aa_is_fused(
             random_periodic_builder(scheme, lattice_name, shape), steps=steps)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("lattice_name,shape", [
@@ -77,10 +73,8 @@ class TestInplaceParity:
     ])
     def test_forced_periodic(self, scheme, lattice_name, shape):
         """The Guo source survives the scatter/local step split."""
-        drho, du = run_pair(random_periodic_builder(
+        assert_aa_is_fused(random_periodic_builder(
             scheme, lattice_name, shape, forced=True))
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("lattice_name,shape", [
@@ -89,30 +83,24 @@ class TestInplaceParity:
     ])
     def test_lean_solids(self, scheme, lattice_name, shape):
         """Solid pinning lands on the right (shifted) nodes in lean mode."""
-        drho, du = run_pair(random_periodic_builder(
+        assert_aa_is_fused(random_periodic_builder(
             scheme, lattice_name, shape, solids=True))
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_poiseuille_channel_fallback(self, scheme):
         """Bounded problems take the conservative path, still exact."""
-        drho, du = run_pair(
+        assert_aa_is_fused(
             lambda backend: channel_problem(scheme, "D2Q9", (24, 12),
                                             tau=0.8, u_max=0.04,
                                             backend=backend))
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_forced_channel(self, scheme):
         """Body-forced bounce-back channels (fallback + Guo source)."""
-        drho, du = run_pair(
+        assert_aa_is_fused(
             lambda backend: forced_channel_problem(
                 scheme, "D2Q9", (20, 12), tau=0.7, u_max=0.03,
                 backend=backend), steps=10)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_lid_driven_cavity(self, scheme):
@@ -122,12 +110,10 @@ class TestInplaceParity:
         wall_u = np.zeros((2, n, n))
         wall_u[0, :, -1] = 0.05
         bcs = [HalfwayBounceBack(wall_velocity=wall_u)]
-        drho, du = run_pair(
+        assert_aa_is_fused(
             lambda backend: make_solver(scheme, lat, lid_driven_cavity(n),
                                         0.8, boundaries=bcs,
                                         backend=backend), steps=12)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
 
     def test_variable_tau_power_law(self):
         """The per-node tau_field path reaches the aa MR core too."""
@@ -142,9 +128,7 @@ class TestInplaceParity:
                                      consistency=0.06, exponent=0.8,
                                      backend=backend)
 
-        drho, du = run_pair(build)
-        assert drho < MACHINE_EPS
-        assert du < MACHINE_EPS
+        assert_aa_is_fused(build)
 
     def test_even_step_state_is_bit_exact(self):
         """Even-time lattice state equals fused bit for bit, not just eps."""

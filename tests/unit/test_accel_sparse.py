@@ -1,4 +1,11 @@
-"""Unit tests for the sparse fluid-node-list backend (repro.accel.sparse)."""
+"""Unit tests for the sparse fluid-node-list backend (repro.accel.sparse).
+
+Its parity on the registered kinds is the conformance matrix's
+(``tests/property/test_conformance.py``): the ids below that name a kind
+check the matrix cell on their own extents. What is the backend's own —
+which lists it carries, that every other list steps the fused core, the
+folded moving-wall momentum — is pinned here.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +14,13 @@ from repro.accel import (BACKENDS, FusedMRCore, FusedSTCore, SparseMRCore,
                          SparseSTCore, make_core, solver_caps)
 from repro.accel.sparse import boundaries_fold
 from repro.boundary import FullwayBounceBack, HalfwayBounceBack
-from repro.geometry import Domain, lid_driven_cavity, porous_medium
+from repro.geometry import Domain, lid_driven_cavity
 from repro.lattice import get_lattice
 from repro.service.registry import build_distributed, build_single
-from repro.solver import STSolver, forced_channel_problem, make_solver
+from repro.solver import STSolver, make_solver
 from repro.validation.cylinder import schafer_turek_case
+
+from test_conformance import Cell, assert_agree, check_backends_agree, fields
 
 
 def masked_domain(shape, fraction=0.4, seed=3):
@@ -20,20 +29,6 @@ def masked_domain(shape, fraction=0.4, seed=3):
     nt[rng.random(shape) < fraction] = 1
     nt.flat[0] = 0
     return Domain(nt)
-
-
-def run_pair(build, steps=5):
-    """Run fused vs sparse instances of one problem; return the max
-    absolute macroscopic difference over fluid nodes."""
-    states = []
-    solid = None
-    for backend in ("fused", "sparse"):
-        s = build(backend)
-        s.run(steps)
-        rho, u = s.macroscopic()
-        states.append(np.concatenate([rho[None], u]))
-        solid = s.domain.solid_mask
-    return float(np.abs(states[0][:, ~solid] - states[1][:, ~solid]).max())
 
 
 def state_of(solver):
@@ -100,73 +95,34 @@ class TestRegistration:
 class TestLeanPathParity:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_porous_bounceback(self, scheme):
-        """Folded bounce-back gather matches the fused dense step."""
-        lat = get_lattice("D2Q9")
-        domain = porous_medium((16, 14), solid_fraction=0.5, seed=1)
-
-        def build(backend):
-            rng = np.random.default_rng(11)
-            u0 = 0.03 * rng.standard_normal((2, 16, 14))
-            return make_solver(scheme, lat, domain, 0.8,
-                               boundaries=[HalfwayBounceBack()], u0=u0,
-                               backend=backend)
-
-        assert run_pair(build) < 1e-13
+        """Folded bounce-back gather matches the dense step."""
+        check_backends_agree(Cell("porous", scheme, "D2Q9", "sparse",
+                                  shape=(16, 14)))
 
     def test_d3q19_cylinder_mask(self):
-        lat = get_lattice("D3Q19")
-        domain = masked_domain((8, 7, 6), fraction=0.35, seed=5)
-
-        def build(backend):
-            return make_solver("MR-P", lat, domain, 0.7,
-                               boundaries=[HalfwayBounceBack()],
-                               backend=backend)
-
-        assert run_pair(build) < 1e-13
+        check_backends_agree(Cell("cylinder", "MR-P", "D3Q19", "sparse",
+                                  shape=(8, 7, 6)))
 
     def test_moving_wall_momentum_folds(self):
         """The lid-driven cavity's moving-wall momentum terms fold into
         the gather at parity with the dense hook."""
         lat = get_lattice("D2Q9")
-        domain = lid_driven_cavity(12)
         lid = np.zeros((2, 12, 12))
         lid[0, :, -1] = 0.08
-
-        def build(backend):
-            return make_solver("MR-R", lat, domain, 0.8,
-                               boundaries=[HalfwayBounceBack(
-                                   wall_velocity=lid)],
-                               backend=backend)
-
-        assert run_pair(build, steps=8) < 1e-13
+        sparse, fused = (make_solver(
+            "MR-R", lat, lid_driven_cavity(12), 0.8,
+            boundaries=[HalfwayBounceBack(wall_velocity=lid)],
+            backend=backend).run(8) for backend in ("sparse", "fused"))
+        assert_agree(fields(*sparse.macroscopic()),
+                     fields(*fused.macroscopic()), exact=False, steps=8)
 
     def test_guo_forcing(self):
-        def build(backend):
-            return forced_channel_problem("MR-P", "D2Q9", (16, 10), tau=0.8,
-                                          u_max=0.04, backend=backend)
-
-        assert run_pair(build) < 1e-13
+        check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse",
+                                  shape=(16, 10)))
 
     def test_variable_tau_power_law(self):
-        from repro.solver.non_newtonian import PowerLawMRPSolver
-
-        lat = get_lattice("D2Q9")
-        from repro.geometry import channel_2d
-
-        domain = channel_2d(14, 10, with_io=False)
-        force = np.zeros(2)
-        force[0] = 1e-5
-
-        def build(backend):
-            rng = np.random.default_rng(7)
-            u0 = 0.02 * rng.standard_normal((2, 14, 10))
-            u0[:, domain.solid_mask] = 0.0
-            return PowerLawMRPSolver(lat, domain, 0.8,
-                                     boundaries=[HalfwayBounceBack()],
-                                     force=force, consistency=0.1,
-                                     exponent=0.8, u0=u0, backend=backend)
-
-        assert run_pair(build) < 1e-13
+        check_backends_agree(Cell("power-law", "MR-P", "D2Q9", "sparse",
+                                  shape=(14, 10)))
 
 
 class TestDenseFallbackParity:
@@ -192,9 +148,9 @@ class TestDenseFallbackParity:
             assert [isinstance(r._stepper.core, (SparseSTCore, SparseMRCore))
                     for r in sparse.ranks] == [False, True, False]
             assert [r.accel_path for r in sparse.ranks] == ["lean"] * 3
-            a, b = (np.concatenate([rho[None], u]) for rho, u in (
-                sparse.gather_macroscopic(), fused.gather_macroscopic()))
-            assert np.abs(a - b).max() < 1e-13
+            assert_agree(fields(*sparse.gather_macroscopic()),
+                         fields(*fused.gather_macroscopic()), exact=False,
+                         steps=6)
 
     def test_cylinder_channel(self):
         """The curved Schäfer–Turek wall: Bouzidi has no row extent, so
@@ -224,17 +180,8 @@ class TestDenseFallbackParity:
 
 class TestDistributedSparse:
     def test_emulated_forced_channel_matches_reference(self):
-        from repro.parallel import RunSpec
-
-        states = []
-        for accel in ("reference", "sparse"):
-            spec = RunSpec("forced-channel", "MR-P", "D2Q9", (32, 18), 2,
-                           tau=0.8, accel=accel, options={"u_max": 0.04})
-            s = spec.build()
-            s.run(20)
-            rho, u = s.gather_macroscopic()
-            states.append(np.concatenate([rho[None], u]))
-        assert np.abs(states[0] - states[1]).max() < 1e-13
+        check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse",
+                                  "emulated-2", shape=(32, 18)))
 
     def test_post_collide_steps_the_fused_core(self):
         from repro.geometry import channel_2d

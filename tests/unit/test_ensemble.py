@@ -32,6 +32,8 @@ from repro.solver import (
 )
 from repro.validation import taylor_green_fields
 
+from test_conformance import assert_agree, fields
+
 
 def tg_member(scheme="MR-P", shape=(12, 10), tau=0.8, u_max=0.04,
               backend="fused"):
@@ -233,7 +235,7 @@ class TestRunSweep:
             assert row["mlups"] > 0
 
     def test_sweep_parity_with_solo_runs(self):
-        """Sweep members end bit-comparable to their independent runs."""
+        """Sweep members end bit for bit on their independent runs."""
         specs, _ = expand_sweep("forced-channel", ["MR-P"], ["D2Q9"],
                                 [(16, 10)], [0.7, 1.0])
         run_sweep_members = [build_sweep_member(s) for s in specs]
@@ -242,10 +244,8 @@ class TestRunSweep:
         for spec, member in zip(specs, run_sweep_members):
             solo = build_sweep_member(spec)
             solo.run(6)
-            rho_s, u_s = solo.macroscopic()
-            rho_m, u_m = member.macroscopic()
-            assert float(np.abs(rho_s - rho_m).max()) <= 1e-15
-            assert float(np.abs(u_s - u_m).max()) <= 1e-15
+            assert_agree(fields(*member.macroscopic()),
+                         fields(*solo.macroscopic()), exact=True)
 
     def test_singleton_chunk_runs_directly(self, tmp_path):
         specs, _ = expand_sweep("taylor-green", ["MR-P"], ["D2Q9"],

@@ -14,12 +14,13 @@ the schemes are built on:
 * push streaming on a periodic domain is a permutation, undone exactly by
   the inverse displacement — and the table-driven gather used by the
   accel backends is the same permutation;
-* every available accel backend reproduces the reference trajectory and
-  its conservation laws on random initial conditions.
+* every accel backend reproduces the reference trajectory and its
+  conservation laws on random forced periodic boxes (the ``periodic``
+  cells of the conformance matrix, ``tests/property/test_conformance.py``,
+  on this module's grids, by its tolerance rule).
 
 Each property is exercised on both paper lattices (D2Q9, D3Q19) and
-several seeds; tolerances are machine precision (1e-12 absolute or
-tighter).
+several seeds; the algebraic identities hold to 1e-12 absolute.
 """
 
 import numpy as np
@@ -41,6 +42,8 @@ from repro.core.streaming import stream_push
 from repro.lattice import get_lattice
 from repro.obs.watchdog import SOUND_SPEED
 from repro.solver import periodic_problem
+
+from test_conformance import Cell, check_backends_agree, check_conservation
 
 LATTICES = ["D2Q9", "D3Q19"]
 SEEDS = [0, 1, 2, 3]
@@ -294,34 +297,13 @@ class TestForceProjection:
 class TestBackendProperties:
     """Every accel backend preserves the reference physics on random ICs."""
 
-    SEED, STEPS, TAU = 7, 5, 0.8
-
-    def _problem(self, scheme, lattice, backend):
-        lat = get_lattice(lattice)
-        grid = (12, 8) if lat.d == 2 else (8, 6, 5)
-        rng = np.random.default_rng(self.SEED)
-        rho0 = 1.0 + 0.02 * rng.standard_normal(grid)
-        u0 = 0.02 * rng.standard_normal((lat.d, *grid))
-        return periodic_problem(scheme, lattice, grid, self.TAU,
-                                rho0=rho0, u0=u0, backend=backend)
+    @staticmethod
+    def cell(backend, scheme, lattice):
+        grid = (12, 8) if lattice == "D2Q9" else (8, 6, 5)
+        return Cell("periodic", scheme, lattice, backend, shape=grid)
 
     def test_matches_reference_trajectory(self, backend, scheme, lattice):
-        fast = self._problem(scheme, lattice, backend)
-        ref = self._problem(scheme, lattice, "reference")
-        fast.run(self.STEPS)
-        ref.run(self.STEPS)
-        rho_f, u_f = fast.macroscopic()
-        rho_r, u_r = ref.macroscopic()
-        assert np.abs(rho_f - rho_r).max() < TOL
-        assert np.abs(u_f - u_r).max() < TOL
+        check_backends_agree(self.cell(backend, scheme, lattice))
 
     def test_conserves_mass_and_momentum(self, backend, scheme, lattice):
-        solver = self._problem(scheme, lattice, backend)
-        rho0, u0 = solver.macroscopic()
-        mass0 = rho0.sum()
-        mom0 = (rho0 * u0).sum(axis=tuple(range(1, u0.ndim)))
-        solver.run(self.STEPS)
-        rho, u = solver.macroscopic()
-        assert abs(rho.sum() - mass0) < TOL * rho0.size
-        mom = (rho * u).sum(axis=tuple(range(1, u.ndim)))
-        assert np.abs(mom - mom0).max() < TOL * rho0.size
+        check_conservation(self.cell(backend, scheme, lattice))

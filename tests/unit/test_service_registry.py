@@ -18,6 +18,8 @@ from repro.service.registry import (
 )
 from repro.solver import channel_problem
 
+from test_conformance import assert_agree, fields
+
 SHAPE = (24, 14)
 
 
@@ -27,11 +29,11 @@ def explicit_options(name):
     return {opt: params[opt].default for opt in get_problem(name).options}
 
 
-def assert_same_fields(dist, single, atol):
-    rho_s, u_s = single.macroscopic()
-    rho_d, u_d = dist.gather_macroscopic()
-    np.testing.assert_allclose(rho_d, rho_s, rtol=0, atol=atol)
-    np.testing.assert_allclose(u_d, u_s, rtol=0, atol=atol)
+def assert_same_fields(dist, single):
+    """A ``reference`` decomposition is its single-domain run, bit for bit
+    (the conformance matrix's tolerance rule)."""
+    assert_agree(fields(*dist.gather_macroscopic()),
+                 fields(*single.macroscopic()), exact=True)
 
 
 class TestRegistryContents:
@@ -79,7 +81,7 @@ class TestRegistryContents:
                                   amplitude=0.02).run(3)
             spec = RunSpec("test-custom", "ST", "D2Q9", SHAPE, 2,
                            options={"amplitude": 0.02})
-            assert_same_fields(spec.build().run(3), single, 1e-13)
+            assert_same_fields(spec.build().run(3), single)
             with pytest.raises(ValueError, match="amplitude"):
                 RunSpec("test-custom", "ST", "D2Q9", SHAPE, 2,
                         options={"u_max": 0.02})
@@ -170,7 +172,7 @@ class TestBuilders:
         for n_ranks in (1, 2):
             dist = build_distributed(name, scheme, "D2Q9", SHAPE, n_ranks,
                                      tau=0.8, **options).run(10)
-            assert_same_fields(dist, single, 1e-13)
+            assert_same_fields(dist, single)
 
     def test_distributed_matches_single_domain(self):
         """Same, at a non-default option value and over more steps."""
@@ -178,7 +180,7 @@ class TestBuilders:
                               tau=0.8, u_max=0.03).run(20)
         dist = build_distributed("forced-channel", "MR-P", "D2Q9", SHAPE, 2,
                                  tau=0.8, u_max=0.03).run(20)
-        assert_same_fields(dist, single, 1e-12)
+        assert_same_fields(dist, single)
 
     def test_channel_per_form_defaults(self):
         """The three defaults the distributed channel overrides, pinned."""
@@ -188,4 +190,4 @@ class TestBuilders:
         single = channel_problem("MR-P", "D2Q9", SHAPE, u_max=0.04,
                                  bc_method="nebb",
                                  outlet_tangential="zero").run(10)
-        assert_same_fields(dist, single, 1e-13)
+        assert_same_fields(dist, single)
