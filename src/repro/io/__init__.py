@@ -13,14 +13,13 @@ from ..obs.manifest import (
     write_manifest,
 )
 from .checkpoint import (
-    assemble_global_field,
     checkpoint_step,
     checkpoint_step_dir,
     latest_checkpoint,
     load_distributed_checkpoint,
     load_rank_slab,
     prune_checkpoints,
-    reshard_field,
+    read_slab,
     restore_checkpoint,
     save_checkpoint,
     save_rank_slab,
@@ -42,8 +41,7 @@ __all__ = [
     "latest_checkpoint",
     "prune_checkpoints",
     "load_distributed_checkpoint",
-    "assemble_global_field",
-    "reshard_field",
+    "read_slab",
     "validate_checkpoint_manifest",
     "RunManifest",
     "write_manifest",

@@ -20,12 +20,11 @@ steps::
 
 A step directory without its ``COMPLETE`` marker is a torn checkpoint
 (a rank died mid-write) and is never resumed from. Rank files hold the
-*interior* planes only — ghost planes are reconstructed from the global
-field on restore, and are overwritten by the first halo exchange of the
+*interior* planes only — ghost planes are filled from the neighbouring
+files on restore, and are overwritten by the first halo exchange of the
 resumed run before any kernel reads them, so restarts are bit-exact for
-any rank count: :func:`assemble_global_field` tiles the saved interiors
-back into the global ``(C, *shape)`` array and :func:`reshard_field`
-cuts it into the (possibly different) new decomposition's slabs.
+any rank count: :func:`read_slab` copies each slab of the (possibly
+different) new decomposition out of the rank files that hold its planes.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ __all__ = [
     "prune_checkpoints",
     "load_manifest_for_resume",
     "load_distributed_checkpoint",
-    "assemble_global_field",
-    "reshard_field",
+    "read_slab",
     "validate_checkpoint_manifest",
 ]
 
@@ -241,6 +239,40 @@ def load_manifest_for_resume(step_dir: str | Path) -> dict:
     return json.loads((step_dir / "manifest.json").read_text(encoding="utf-8"))
 
 
+def _rank_files(step_dir: Path, extent: int | None = None
+                ) -> list[tuple[Path, int, int]]:
+    """``(path, start, stop)`` of every rank file of a complete step
+    directory, in axis-0 order, read from the files' small members only.
+
+    Raises ``FileNotFoundError`` for a missing/torn directory and
+    ``ValueError`` when the files do not tile axis 0 (up to ``extent``,
+    when given).
+    """
+    if not is_checkpoint_complete(step_dir):
+        raise FileNotFoundError(
+            f"{step_dir} is not a complete checkpoint (no "
+            f"{COMPLETE_MARKER} marker; the writing run may have died "
+            "mid-checkpoint)")
+    files = []
+    for path in step_dir.glob("rank*.npz"):
+        with np.load(path) as data:
+            files.append((int(data["rank"]), path, int(data["start"]),
+                          int(data["stop"])))
+    if not files:
+        raise ValueError(f"{step_dir} holds no rank slab files")
+    stop = 0
+    for rank, _, start, end in sorted(files):
+        if start != stop:
+            raise ValueError(
+                f"rank files in {step_dir} do not tile the domain: rank "
+                f"{rank} starts at {start}, expected {stop}")
+        stop = end
+    if extent is not None and stop != extent:
+        raise ValueError(f"rank files cover axis 0 up to {stop}, global "
+                         f"extent is {extent}")
+    return [entry[1:] for entry in sorted(files)]
+
+
 def load_distributed_checkpoint(step_dir: str | Path) -> tuple[dict, list[dict]]:
     """Load a complete step directory: ``(manifest dict, rank slabs)``.
 
@@ -248,51 +280,37 @@ def load_distributed_checkpoint(step_dir: str | Path) -> tuple[dict, list[dict]]
     ``ValueError`` when the rank files do not tile the global domain.
     """
     step_dir = Path(step_dir)
-    if not is_checkpoint_complete(step_dir):
-        raise FileNotFoundError(
-            f"{step_dir} is not a complete checkpoint (no "
-            f"{COMPLETE_MARKER} marker; the writing run may have died "
-            "mid-checkpoint)")
+    files = _rank_files(step_dir)
     manifest = json.loads(
         (step_dir / "manifest.json").read_text(encoding="utf-8"))
-    slabs = [load_rank_slab(p) for p in sorted(step_dir.glob("rank*.npz"))]
-    if not slabs:
-        raise ValueError(f"{step_dir} holds no rank slab files")
-    slabs.sort(key=lambda s: s["rank"])
-    stop = 0
-    for s in slabs:
-        if s["start"] != stop:
-            raise ValueError(
-                f"rank files in {step_dir} do not tile the domain: rank "
-                f"{s['rank']} starts at {s['start']}, expected {stop}")
-        stop = s["stop"]
-    return manifest, slabs
+    return manifest, [load_rank_slab(path) for path, _, _ in files]
 
 
-def assemble_global_field(slabs: list[dict],
-                          global_shape: tuple[int, ...]) -> np.ndarray:
-    """Tile per-rank interior slabs back into the global ``(C, *shape)``."""
-    c = slabs[0]["field"].shape[0]
-    out = np.empty((c, *global_shape), dtype=np.float64)
-    for s in slabs:
-        out[:, s["start"]:s["stop"]] = s["field"]
-    if slabs[-1]["stop"] != global_shape[0]:
-        raise ValueError(
-            f"rank files cover axis 0 up to {slabs[-1]['stop']}, global "
-            f"extent is {global_shape[0]}")
-    return out
+def read_slab(step_dir: str | Path, decomp, rank: int,
+              out: np.ndarray) -> None:
+    """Fill ``out`` with rank ``rank``'s slab from a checkpoint.
 
-
-def reshard_field(global_field: np.ndarray, decomp, rank: int) -> np.ndarray:
-    """Cut one rank's slab (ghost planes included) out of a global field.
-
-    ``decomp`` is a :class:`~repro.parallel.decomposition.SlabDecomposition`
-    of the *resumed* run — it need not match the decomposition that wrote
-    the checkpoint. Ghost planes are filled with the neighbours' edge
-    values under periodic wrap; they are overwritten by the first halo
-    exchange, but starting finite keeps watchdogs and diagnostics sane.
+    ``out`` is the rank's ghosted ``(C, planes, *rest)`` slab and
+    ``decomp`` the :class:`~repro.parallel.decomposition.SlabDecomposition`
+    of the *resumed* run — it need not match the one that wrote the
+    checkpoint. Only the rank files holding some of the slab's planes
+    are loaded, one at a time, and only those planes are copied, so a
+    resume holds the slab plus one rank file whatever the two rank
+    counts. Ghost planes get the neighbours' values (wrapping when
+    periodic); the first halo exchange overwrites them, but starting
+    finite keeps watchdogs and diagnostics sane.
     """
-    return global_field[:, decomp.ghosted(rank)].copy()
+    extent = decomp.global_shape[0]
+    planes = np.arange(extent)[decomp.ghosted(rank)]
+    for path, start, stop in _rank_files(Path(step_dir), extent):
+        wanted = [(k, g - start) for k, g in enumerate(planes)
+                  if start <= g < stop]
+        if wanted:
+            with np.load(path) as data:
+                field = data["field"]
+            for k, row in wanted:
+                out[:, k] = field[:, row]
+            del field               # before the next file is loaded
 
 
 def validate_checkpoint_manifest(manifest: dict, *, scheme: str, lattice: str,

@@ -5,8 +5,10 @@ snapshots, single-domain checkpoints, distributed rank slabs and the job
 server's sealed results all go through it, uncompressed (zlib over
 float64 fields ran at 16 MB/s to save two thirds of a file written
 once) and atomically (a crash mid-write never leaves a torn file under
-the final name). ``np.load`` reads compressed archives of earlier
-versions unchanged. The VTK legacy writer produces STRUCTURED_POINTS
+the final name), and streamed: a member is written in pieces of at
+most :data:`_BLOCK` bytes, never as one member-sized ``bytes`` (NumPy's
+own writer makes pieces of 16 MB). ``np.load`` reads compressed archives
+of earlier versions unchanged. The VTK legacy writer produces STRUCTURED_POINTS
 files loadable by ParaView/VisIt for the examples.
 """
 
@@ -14,11 +16,35 @@ from __future__ import annotations
 
 import io
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 __all__ = ["save_archive", "save_fields", "load_fields", "write_vtk"]
+
+#: Largest piece of array data :func:`save_archive` copies at a time.
+_BLOCK = 1 << 20
+
+
+def _write_npy(fh, array: np.ndarray) -> None:
+    """Write ``array`` as the bytes ``np.save`` would, data in pieces.
+
+    The version 1.0 header, then the data in the header's order; a piece
+    is at most :data:`_BLOCK` bytes, a view of the array where that is
+    contiguous and a copy where it is not.
+    """
+    if array.dtype.hasobject or array.dtype.kind not in "biufcmMSUV":
+        npy.write_array(fh, array, version=(1, 0))    # pickled, as np.save
+        return
+    header = npy.header_data_from_array_1_0(array)
+    npy.write_array_header_1_0(fh, header)
+    for piece in np.nditer(
+            array, flags=["external_loop", "buffered", "zerosize_ok"],
+            buffersize=max(_BLOCK // max(array.itemsize, 1), 1),
+            order="F" if header["fortran_order"] else "C"):
+        fh.write(np.ascontiguousarray(piece).view(np.uint8))
 
 
 def save_archive(path: str | Path, **arrays) -> Path:
@@ -27,9 +53,10 @@ def save_archive(path: str | Path, **arrays) -> Path:
     The archive is written under a temporary name in the target
     directory (created when missing) and moved into place with
     ``os.replace``, so readers see the previous file or the complete new
-    one, never a torn one; a failed write removes its temporary. As with
-    ``np.savez``, ``.npz`` is appended to a name that lacks it. Returns
-    the path written.
+    one, never a torn one; a failed write removes its temporary. Every
+    member holds the bytes ``np.savez`` would write, and as with it
+    ``.npz`` is appended to a name that lacks it. Returns the path
+    written.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -37,8 +64,13 @@ def save_archive(path: str | Path, **arrays) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        with open(tmp, "wb") as fh, \
+                zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+            for name, value in arrays.items():
+                # as np.savez does: stored, zip64 forced (numpy gh-10776)
+                with archive.open(f"{name}.npy", "w",
+                                  force_zip64=True) as member:
+                    _write_npy(member, np.asanyarray(value))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

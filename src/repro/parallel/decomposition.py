@@ -9,13 +9,14 @@ slabs along the streamwise axis, each rank owns a slab plus one-node
 ghost layers, and every step performs an explicit halo exchange whose
 volume is accounted exactly.
 
-**A rank is a solver.** ``dist.ranks[r]`` is the very
+**A rank is a solver.** ``dist.rank(r)`` is the very
 :class:`~repro.solver.STSolver` / :class:`~repro.solver.MRPSolver` /
 :class:`~repro.solver.MRRSolver` a single-domain run constructs, built
-on the rank's ghosted slab of the global domain, initial fields and
-force: one implementation of each scheme, every construction-time check
-of :class:`~repro.solver.base.Solver` holds per rank, and a slab differs
-from the whole domain only in *what crosses its faces*. The classes here
+on first use from views of the rank's ghosted slab of the global domain,
+initial fields and force: one implementation of each scheme, every
+construction-time check of :class:`~repro.solver.base.Solver` holds per
+rank (made on the global inputs up front), and a slab differs from the
+whole domain only in *what crosses its faces*. The classes here
 own exactly that — :class:`SlabDecomposition`,
 :class:`CommunicationReport`, the halo codec, the exchange round — and
 name no collision, streaming routine or :mod:`repro.accel` core.
@@ -48,7 +49,7 @@ import numpy as np
 
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
-from ..solver import SCHEMES, Solver
+from ..solver import SCHEMES, Solver, check_inputs
 
 __all__ = [
     "CommunicationReport",
@@ -130,13 +131,15 @@ class SlabDecomposition:
         width = base + (1 if rank < rem else 0)
         return start, start + width
 
-    def ghosted(self, rank: int) -> list[int]:
-        """Global axis-0 indices of a rank's slab, ghost planes included
-        (wrapping around when periodic)."""
+    def ghosted(self, rank: int) -> slice | list[int]:
+        """A rank's axis-0 planes, ghost planes included.
+
+        A ``slice`` (a cut is a view), the plane indices if it wraps."""
         start, stop = self.bounds(rank)
-        return [k % self.global_shape[0]
-                for k in range(start - self.has_left(rank),
-                               stop + self.has_right(rank))]
+        lo, hi = start - self.has_left(rank), stop + self.has_right(rank)
+        if 0 <= lo and hi <= self.global_shape[0]:
+            return slice(lo, hi)
+        return [k % self.global_shape[0] for k in range(lo, hi)]
 
     def has_left(self, rank: int) -> bool:
         """Whether the rank exchanges across its low-x face."""
@@ -183,12 +186,13 @@ def check_halo_width(lat: LatticeDescriptor) -> None:
 class DistributedSolver:
     """Base class: slab setup, halo-exchange bookkeeping, gathering.
 
-    ``ranks[r]`` is the single-domain solver of the scheme
-    (``SCHEMES[scheme]``) on rank ``r``'s ghosted slab. Subclasses add
-    the halo codec — :meth:`field`, :meth:`_pack_halo`,
-    :meth:`_unpack_halo`, :meth:`halo_values_per_direction` — from which
-    both :meth:`step` (the emulated backend) and the multiprocess
-    runtime in :mod:`repro.parallel.runtime` are assembled.
+    ``rank(r)`` is the single-domain solver of the scheme
+    (``SCHEMES[scheme]``) on rank ``r``'s ghosted slab, built when first
+    asked for; ``ranks`` is all of them. Subclasses add the halo codec
+    — :meth:`field`, :meth:`_pack_halo`, :meth:`_unpack_halo`,
+    :meth:`halo_values_per_direction` — from which both :meth:`step`
+    (the emulated backend) and the multiprocess runtime in
+    :mod:`repro.parallel.runtime` are assembled.
     """
 
     scheme: str = "?"
@@ -212,25 +216,45 @@ class DistributedSolver:
         self.st_exchange = st_exchange
         self.accel = accel
 
-        # Global fields are only cut here (a uniform force vector passes
-        # through); the rank solvers normalize and validate their slabs
-        # exactly like a single-domain run.
-        rho_g = np.broadcast_to(rho0, global_domain.shape)
-        self.ranks: list[Solver] = []
+        # The shell: :meth:`rank` builds a rank from views of these. What
+        # a rank would refuse fails here, in its words, before any rank
+        # is built or forked: its inputs (on the global grid), its class
+        # and backend (a solver of the scheme on one plane, dropped) and
+        # its boundaries (bound to its slab, dropped).
+        check_inputs(lat, global_domain.shape, tau, rho0, u0, force)
+        SCHEMES[self.scheme](lat, Domain(global_domain.node_type[:1]), tau,
+                             force=None if force is None else np.zeros(lat.d),
+                             backend=accel)
         for r in range(n_ranks):
-            gsl = self.decomp.ghosted(r)
-            self.ranks.append(SCHEMES[self.scheme](
-                lat, Domain(global_domain.node_type[gsl]), tau,
-                boundaries=boundary_factory(r, n_ranks),
-                rho0=rho_g[gsl],
-                u0=None if u0 is None else np.asarray(u0)[:, gsl],
-                force=(force if np.ndim(force) < 2
-                       else np.asarray(force)[:, gsl]),
-                backend=accel))
+            slab = Domain(global_domain.node_type[self.decomp.ghosted(r)])
+            for b in boundary_factory(r, n_ranks):
+                b.bind(lat, slab, tau)
+        self._inputs = np.broadcast_to(rho0, global_domain.shape), u0, force
+        self._boundary_factory = boundary_factory
+        self._ranks: list[Solver | None] = [None] * n_ranks
         # Crossing component sets for ST exchanges.
         cx = lat.c[:, 0]
         self._right_going = np.flatnonzero(cx > 0)
         self._left_going = np.flatnonzero(cx < 0)
+
+    def rank(self, r: int) -> Solver:
+        """Rank ``r``'s solver, built on first use on its ghosted slab."""
+        if self._ranks[r] is None:
+            gsl, (rho0, u0, force) = self.decomp.ghosted(r), self._inputs
+            self._ranks[r] = SCHEMES[self.scheme](
+                self.lat, Domain(self.global_domain.node_type[gsl]), self.tau,
+                boundaries=self._boundary_factory(r, self.decomp.n_ranks),
+                rho0=rho0[gsl],
+                u0=None if u0 is None else np.asarray(u0)[:, gsl],
+                force=(force if np.ndim(force) < 2
+                       else np.asarray(force)[:, gsl]),
+                backend=self.accel)
+        return self._ranks[r]
+
+    @property
+    def ranks(self) -> list[Solver]:
+        """Every rank's solver (building the ones not built yet)."""
+        return [self.rank(r) for r in range(self.decomp.n_ranks)]
 
     # -- subclass hooks: the halo codec -----------------------------------
     def field(self, rank: Solver) -> np.ndarray:
@@ -261,11 +285,6 @@ class DistributedSolver:
         """Axis-0 slice selecting a rank's owned (non-ghost) planes."""
         return slice(int(self.decomp.has_left(rank)),
                      -1 if self.decomp.has_right(rank) else None)
-
-    def n_interior_fluid(self, rank: int) -> int:
-        """Number of fluid nodes a rank owns (ghost planes excluded)."""
-        return int(self.ranks[rank].domain.fluid_mask[
-            self.interior(rank)].sum())
 
     def _exchange(self) -> None:
         """One emulated halo-exchange round: pack all faces, then unpack.
@@ -308,16 +327,23 @@ class DistributedSolver:
             self.time += 1
         return self
 
+    def gather_rank(self, r: int, out: np.ndarray) -> None:
+        """Write rank ``r``'s owned planes of ``(rho, u)`` into ``out``.
+
+        ``out`` is the global ``(1 + D, *shape)`` block; one plane at a
+        time (the ``planes`` argument of the rank classes'
+        ``macroscopic``), so no slab-sized field is made on the way."""
+        rank, (start, stop) = self.rank(r), self.decomp.bounds(r)
+        ghost = int(self.decomp.has_left(r))
+        for k in range(start, stop):
+            out[0, k], out[1:, k] = rank.macroscopic(k - start + ghost)
+
     def gather_macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the global (rho, u) fields from all ranks."""
-        rho = np.empty(self.global_domain.shape)
-        u = np.empty((self.lat.d, *self.global_domain.shape))
-        for r, rank in enumerate(self.ranks):
-            gsl, isl = slice(*self.decomp.bounds(r)), self.interior(r)
-            r_loc, u_loc = rank.macroscopic()
-            rho[gsl] = r_loc[isl]
-            u[:, gsl] = u_loc[:, isl]
-        return rho, u
+        out = np.empty((1 + self.lat.d, *self.global_domain.shape))
+        for r in range(self.decomp.n_ranks):
+            self.gather_rank(r, out)
+        return out[0], out[1:]
 
     def communication_values_per_face(self) -> int:
         """Doubles exchanged per cut face per step (both directions)."""

@@ -70,6 +70,7 @@ from ..io.checkpoint import (
 )
 from ..lattice import get_lattice
 from ..obs.merge import merge_rank_reports
+from ..solver import check_inputs
 from .decomposition import (CommunicationReport, DistributedSolver,
                             SlabDecomposition, check_halo_width)
 from .faults import FaultSpec, normalize_fault
@@ -102,10 +103,12 @@ FINGERPRINT_VERSION = 2
 class RunSpec:
     """Picklable description of a distributed problem.
 
-    Built once, in the parent: forked workers step the rank they
-    inherit, workers of another start method rebuild the *same*
-    deterministic initial condition from the spec — so only halo faces
-    and the final ``(rho, u)`` cross process boundaries during a run.
+    What it builds (:meth:`build`) is a shell — lattice, decomposition,
+    global domain, boundary factory and views of the initial fields —
+    and each worker builds its own rank's solver from it, once, in its
+    own process (forked workers inherit the parent's shell, workers of
+    another start method rebuild it from the spec): only halo faces and
+    the final ``(rho, u)`` cross process boundaries during a run.
 
     Parameters
     ----------
@@ -199,13 +202,15 @@ class RunSpec:
         An unknown kind, scheme or ``accel`` name, a kind without a
         distributed form, an option the kind does not take, an unknown
         lattice, a shape of the wrong dimension, ``tau <= 1/2``, a
-        lattice the one-node halo cannot carry or a rank count the grid
-        cannot be cut into used to surface only when :meth:`build` ran
-        — long after the spec had been queued, fingerprinted or pickled,
-        and for some of them as a traceback (or a wrong result) in a
-        worker. Failing here keeps bad specs out of the system entirely.
-        The check is skipped during unpickling (``__reduce__`` restores
-        fields directly), so forked workers pay nothing.
+        lattice the one-node halo cannot carry, a rank count the grid
+        cannot be cut into or a field option of the kind
+        (``ProblemKind.fields``) that does not fit the grid used to
+        surface only when :meth:`build` ran — long after the spec had
+        been queued, fingerprinted or pickled, and for some of them as a
+        traceback (or a wrong result) in a worker. Failing here keeps
+        bad specs out of the system entirely. The check is skipped
+        during unpickling (``__reduce__`` restores fields directly), so
+        forked workers pay nothing.
         """
         from ..service.registry import check_names, get_problem
 
@@ -217,8 +222,8 @@ class RunSpec:
         if len(self.shape) != lat.d:
             raise ValueError(f"shape {tuple(self.shape)} does not match "
                              f"lattice dimension {lat.d}")
-        if not self.tau > 0.5:
-            raise ValueError(f"tau must exceed 1/2, got {self.tau}")
+        check_inputs(lat, self.shape, self.tau, **{
+            k: self.options[k] for k in kind.fields if k in self.options})
         check_halo_width(lat)
         SlabDecomposition(tuple(self.shape), self.n_ranks, periodic=False)
 
@@ -263,6 +268,9 @@ class RunSpec:
 
     def build(self) -> DistributedSolver:
         """Construct the emulated solver this spec describes.
+
+        It is a shell that builds a rank's solver when the rank is first
+        used (:meth:`~repro.parallel.decomposition.DistributedSolver.rank`).
 
         Dispatches through the shared problem registry
         (:mod:`repro.service.registry`), so every kind registered there
@@ -374,7 +382,7 @@ def _build_plan(solver: DistributedSolver) -> ShmPlan:
     # One directed face payload: its components over one cut plane.
     payload = (solver.halo_values_per_direction() // solver.decomp.face_nodes,
                *shape[1:])
-    ranks = range(len(solver.ranks))
+    ranks = range(solver.decomp.n_ranks)
     return ShmPlan(
         prefix, (f"{prefix}-out", (1 + solver.lat.d, *shape)),
         [(f"{prefix}-l{r}", payload) if solver.decomp.has_left(r) else None
@@ -386,14 +394,15 @@ def _build_plan(solver: DistributedSolver) -> ShmPlan:
 class ProcessRuntime:
     """Run a :class:`RunSpec` on real worker processes over shared memory.
 
-    The parent builds the spec once — every construction-time refusal
-    fires here, before any fork — and never steps or writes the solver:
-    it is the *shape oracle* the shared blocks are laid out from and,
-    under ``fork``, the pristine initial state every worker cohort (first
-    launch or retry) inherits copy-on-write, along with the mapped
-    blocks; workers of any other start method rebuild from the pickled
-    spec and attach by name. The ranks gather, each writing its own
-    interior ``macroscopic()`` into the shared output block.
+    The parent builds the spec's shell once — every construction-time
+    refusal fires here, before any fork — and never builds a rank: the
+    shell is the *shape oracle* the shared blocks are laid out from and,
+    under ``fork``, what every worker cohort (first launch or retry)
+    inherits, along with the mapped blocks; workers of any other start
+    method rebuild the shell from the pickled spec and attach by name.
+    Either way a worker builds its own rank's solver, and nobody else
+    does. The ranks gather, each writing its owned planes of ``(rho,
+    u)`` into the shared output block.
 
     Parameters
     ----------

@@ -1,9 +1,10 @@
 """Worker-process entry point for the multiprocess slab runtime.
 
-Each worker steps one rank of the solver the parent built (inherited
-copy-on-write under ``fork``, rebuilt from the pickled
-:class:`~repro.parallel.runtime.RunSpec` otherwise), adopts the blocks of
-the :class:`~repro.parallel.runtime.ShmPlan` (``attach``), and runs the
+Each worker builds its own rank's solver from the problem's shell
+(the parent's, inherited under ``fork``; rebuilt from the pickled
+:class:`~repro.parallel.runtime.RunSpec` otherwise) — the only process
+that ever holds that rank's state —, adopts the blocks of the
+:class:`~repro.parallel.runtime.ShmPlan` (``attach``), and runs the
 barrier-synchronized SPMD loop for its single rank:
 
 1. **pack** — copy the outgoing edge planes into this rank's own send
@@ -19,9 +20,9 @@ barrier-synchronized SPMD loop for its single rank:
    ``macroscopic`` phases land under ``step/compute/...`` in the rank
    report). The slab state never leaves the process.
 
-After its last step the rank writes its own interior ``macroscopic()``
-into the global output block (``gather``): with the halo faces, all the
-field data that crosses a process boundary.
+After its last step the rank writes ``(rho, u)`` of its owned planes
+straight into the global output block (``gather``): with the halo
+faces, all the field data that crosses a process boundary.
 
 Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
 
@@ -31,9 +32,9 @@ Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
   ``COMPLETE`` marker) and prunes old ones. Since all ranks share one
   deterministic schedule, the snapshot is step-consistent by
   construction.
-* **resume** — given a checkpoint directory, the worker reassembles the
-  saved global field and cuts out its own slab
-  (:func:`~repro.io.checkpoint.reshard_field`), so the rank count of the
+* **resume** — given a checkpoint directory, the worker copies the
+  planes of its slab out of whichever rank files hold them
+  (:func:`~repro.io.checkpoint.read_slab`), so the rank count of the
   resumed run is free to differ from the writing run's.
 * **fault injection** — :func:`~repro.parallel.faults.maybe_inject`
   fires the spec's deterministic fault (exception, kill, hang, corrupt)
@@ -64,15 +65,11 @@ import traceback
 from multiprocessing import shared_memory
 from threading import BrokenBarrierError
 
-import numpy as np
-
 from ..io.checkpoint import (
-    assemble_global_field,
     checkpoint_step_dir,
-    load_distributed_checkpoint,
     mark_checkpoint_complete,
     prune_checkpoints,
-    reshard_field,
+    read_slab,
     save_rank_slab,
 )
 from ..obs import Telemetry
@@ -86,15 +83,6 @@ from .runtime import FINGERPRINT_VERSION, RunSpec, ShmPlan, shm_view
 __all__ = ["worker_main"]
 
 
-def _resume_state(spec: RunSpec, solver, rank: int,
-                  resume_dir: str) -> None:
-    """Load this rank's slab from a checkpoint, re-sharding as needed."""
-    _, slabs = load_distributed_checkpoint(resume_dir)
-    global_field = assemble_global_field(slabs, tuple(spec.shape))
-    slab = reshard_field(global_field, solver.decomp, rank)
-    solver.field(solver.ranks[rank])[...] = slab
-
-
 def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
                       barrier, barrier_timeout: float) -> None:
     """Cooperatively snapshot the cohort's state after ``step`` steps.
@@ -106,10 +94,9 @@ def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
     that resume logic ignores.
     """
     step_dir = checkpoint_step_dir(spec.checkpoint_dir, step)
-    field = solver.field(solver.ranks[rank])
+    field = solver.field(solver.rank(rank))
     start, stop = solver.decomp.bounds(rank)
-    save_rank_slab(step_dir, rank,
-                   np.ascontiguousarray(field[:, solver.interior(rank)]),
+    save_rank_slab(step_dir, rank, field[:, solver.interior(rank)],
                    start=start, stop=stop, step=step,
                    scheme=solver.scheme, lattice=solver.lat.name)
     barrier.wait(timeout=barrier_timeout)
@@ -138,8 +125,10 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
     and the ``errq``/``resq`` queues. ``start_step``/``resume_dir``
     continue a checkpointed trajectory; ``attempt`` numbers the
     supervised-retry attempt (0 = first launch) and arms fault
-    injection. A forked worker inherits the parent's unstepped ``solver``
-    and mapped ``blocks``; without them it builds and attaches by name.
+    injection. A forked worker inherits the parent's shell (``solver``,
+    which has built no rank) and mapped ``blocks``; without them it
+    builds the shell from ``spec`` and attaches by name. Either way it
+    builds the solver of its own rank, and no other.
     """
     shms = []
     views = []
@@ -168,16 +157,16 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
         if solver is None:
             solver = spec.build()
         decomp = solver.decomp
-        state = solver.ranks[rank]
+        state = solver.rank(rank)
         interior = solver.interior(rank)
-        n_fluid = solver.n_interior_fluid(rank)
+        n_fluid = int(state.domain.fluid_mask[interior].sum())
         comm = CommunicationReport()     # this run's, not the parent's
         tel = Telemetry(record_spans=False)
         state.attach_telemetry(tel)
 
         if resume_dir:
             with tel.phase("resume"):
-                _resume_state(spec, solver, rank, resume_dir)
+                read_slab(resume_dir, decomp, rank, solver.field(state))
 
         with tel.phase("attach"):
             out = _view_of(plan.output)
@@ -246,10 +235,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 emitter.maybe(step + 1)
 
         with tel.phase("gather"):
-            rho, u = state.macroscopic()
-            owned = slice(*decomp.bounds(rank))
-            out[0, owned] = rho[interior]
-            out[1:, owned] = u[:, interior]
+            solver.gather_rank(rank, out)
         if emitter is not None:
             emitter.end(n_steps, steps=n_steps - start_step)
         resq.put({

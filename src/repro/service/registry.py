@@ -96,6 +96,11 @@ class ProblemKind:
     distributed:
         The option defaults that differ in the distributed form (``{}``:
         none); ``None`` when the kind has no distributed form.
+    fields:
+        The options the setup hands to the solver as they are — its
+        initial fields or body force (names among ``rho0``, ``u0``,
+        ``force``) — so a spec can check their shapes against the grid
+        before anything is built.
     """
 
     name: str
@@ -103,6 +108,7 @@ class ProblemKind:
     setup: Callable[..., ProblemSetup]
     sweepable: bool = False
     distributed: dict | None = field(default_factory=dict)
+    fields: tuple[str, ...] = ()
 
     @cached_property
     def options(self) -> tuple[str, ...]:
@@ -309,10 +315,10 @@ def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
                                       tangential=outlet_tangential))
         return bcs
 
-    u0 = None
-    if start_from_profile:
-        u0 = np.zeros((lat.d, *shape))
-        u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
+    # The profile repeated down the channel, as a read-only view: a
+    # solver copies its own cut of it once, into its private inputs.
+    u0 = (np.broadcast_to(u_in[:, None], (lat.d, *shape))
+          if start_from_profile else None)
     return ProblemSetup(_walled_channel(lat, shape, with_io=True), False,
                         boundaries, u0=u0)
 
@@ -360,7 +366,8 @@ def porous(lat, shape, tau, solid_fraction=0.85, seed=0, force_x=1e-6):
                    _streamwise(lat, float(force_x)))
 
 
-@_kind("periodic", "fully periodic box with caller-supplied initial fields")
+@_kind("periodic", "fully periodic box with caller-supplied initial fields",
+       fields=("rho0", "u0", "force"))
 def periodic(lat, shape, tau, rho0=1.0, u0=None, force=None):
     """Fully periodic box (no boundaries) with caller-supplied fields."""
     return ProblemSetup(periodic_box(shape), True,

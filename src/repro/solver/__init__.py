@@ -1,7 +1,7 @@
 """Reference solvers for the three paper schemes (ST, MR-P, MR-R)."""
 
 from .aa import AASolver
-from .base import Solver, SolverDiagnostics
+from .base import Solver, SolverDiagnostics, check_inputs
 from .moment import MRPSolver, MRRSolver
 from .non_newtonian import (
     PowerLawMRPSolver,
@@ -31,6 +31,7 @@ from .standard import STSolver
 __all__ = [
     "Solver",
     "SolverDiagnostics",
+    "check_inputs",
     "STSolver",
     "AASolver",
     "MRPSolver",

@@ -19,7 +19,7 @@ from ..geometry import Domain
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
 
-__all__ = ["Solver", "SolverDiagnostics"]
+__all__ = ["Solver", "SolverDiagnostics", "check_inputs"]
 
 
 def _dense_state(slot: str, what: str) -> property:
@@ -41,6 +41,37 @@ def _dense_state(slot: str, what: str) -> property:
     return property(get, rebind, doc=(
         f"{what}, current at the moment of access (see the *State "
         "access* notes of :class:`Solver`)."))
+
+
+def check_inputs(lat: LatticeDescriptor, grid: tuple[int, ...], tau: float,
+                 rho0=1.0, u0=None, force=None) -> None:
+    """Refuse what :class:`Solver` refuses of its scalar and field inputs.
+
+    That is ``tau <= 1/2``, and an initial field or a body force that
+    does not fit ``grid``, in the solver's words. The solver calls this
+    on its own grid; a distributed problem (its shell and
+    :class:`~repro.parallel.runtime.RunSpec`) calls it on the global
+    grid, so a rank refuses nothing that was not refused before any
+    rank is cut or forked.
+    """
+    if not tau > 0.5:
+        raise ValueError(f"tau must exceed 1/2, got {tau}")
+    grid = tuple(grid)
+    try:
+        fits = np.broadcast_shapes(np.shape(rho0), grid) == grid
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"rho0 must be a scalar or broadcast to {grid}, "
+                         f"got shape {np.shape(rho0)}")
+    if u0 is not None and np.shape(u0) != (lat.d, *grid):
+        raise ValueError(
+            f"u0 must have shape {(lat.d, *grid)}, got {np.shape(u0)}")
+    if force is not None and np.shape(force) not in ((lat.d,),
+                                                     (lat.d, *grid)):
+        raise ValueError(
+            f"force must have shape {(lat.d,)} or {(lat.d, *grid)}, "
+            f"got {np.shape(force)}")
 
 
 class SolverDiagnostics:
@@ -133,8 +164,7 @@ class Solver(ABC):
             raise ValueError(
                 f"domain dimension {domain.ndim} does not match lattice D={lat.d}"
             )
-        if tau <= 0.5:
-            raise ValueError(f"tau must exceed 1/2, got {tau}")
+        check_inputs(lat, domain.shape, tau, rho0, u0, force)
         if domain.solid_mask.any() and lat.reach > 1:
             raise ValueError(
                 f"{lat.name} is a multi-speed lattice (|c| up to "
@@ -160,24 +190,18 @@ class Solver(ABC):
             force[:, domain.solid_mask] = 0.0
             self.force = force
 
-        # Private copies (the caller's arrays are not written): the
-        # (1 + D, N) inputs are all a build holds beside its state.
-        rho_init = np.array(np.broadcast_to(
-            np.asarray(rho0, dtype=np.float64), domain.shape))
-        if u0 is None:
-            u_init = np.zeros((lat.d, *domain.shape))
-        else:
-            u_init = np.array(u0, dtype=np.float64)
-            if u_init.shape != (lat.d, *domain.shape):
-                raise ValueError(
-                    f"u0 must have shape {(lat.d, *domain.shape)}, got {u_init.shape}"
-                )
-        # Solid nodes start (and are kept) at rest equilibrium so that no
-        # NaN/Inf can ever leak out of unused regions.
+        # One private C-ordered (1 + D, N) copy of the inputs (the
+        # caller's arrays, often views, are not written): all a build
+        # holds beside its state. Solid nodes start (and are kept) at
+        # rest equilibrium so that no NaN/Inf can ever leak out of
+        # unused regions.
+        init = np.empty((1 + lat.d, *domain.shape))
+        init[0] = rho0
+        init[1:] = 0.0 if u0 is None else u0
         solid = domain.solid_mask
-        rho_init[solid] = 1.0
-        u_init[:, solid] = 0.0
-        self._initialize(rho_init, u_init)
+        init[0, solid] = 1.0
+        init[1:, solid] = 0.0
+        self._initialize(init[0], init[1:])
         # Fail fast: check the backend name and the solver/backend
         # feature matrix now, not on the first step. Subclasses that
         # finish configuring themselves after this constructor (e.g.

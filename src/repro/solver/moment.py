@@ -66,15 +66,22 @@ class _MomentSolver(Solver):
         # f_star becomes the scratch buffer for the next step.
         self._f_scratch = f_star
 
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` straight from the moment field (no projection)."""
+    def macroscopic(self, planes: int | slice = slice(None)
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` straight from the moment field (no projection).
+
+        ``planes`` (an axis-0 index or slice) limits it to those planes:
+        how a distributed rank gathers without a slab-sized temporary.
+        """
+        m = self.m[:, planes]
         if self.force is None:
-            return self.m[0], velocity_from_moments(self.lat, self.m)
+            return m[0], velocity_from_moments(self.lat, m)
         from ..core.forcing import half_force_velocity
 
-        rho = self.m[0]
-        j = self.m[1:1 + self.lat.d]
-        return rho, half_force_velocity(self.lat, rho, j, self.force)
+        rho = m[0]
+        j = m[1:1 + self.lat.d]
+        return rho, half_force_velocity(self.lat, rho, j,
+                                        self.force[:, planes])
 
     @property
     def state_values_per_node(self) -> int:

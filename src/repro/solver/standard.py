@@ -120,19 +120,28 @@ class STSolver(Solver):
         return (f + omega * (feq - f)
                 + guo_source(lat, u, self.force, self.tau))
 
-    def _density_velocity(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` of the lattice ``f`` (half-force aware)."""
+    def _density_velocity(self, f: np.ndarray,
+                          planes: int | slice = slice(None)
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` of the lattice ``f``, the axis-0 ``planes`` of the
+        grid (half-force aware)."""
         if self.force is None:
             return macroscopic(self.lat, f)
         from ..core.forcing import half_force_velocity
 
         rho = f.sum(axis=0)
         j = np.einsum("qa,q...->a...", self.lat.c.astype(np.float64), f)
-        return rho, half_force_velocity(self.lat, rho, j, self.force)
+        return rho, half_force_velocity(self.lat, rho, j,
+                                        self.force[:, planes])
 
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho, u)`` of the current lattice (half-force aware)."""
-        return self._density_velocity(self.f)
+    def macroscopic(self, planes: int | slice = slice(None)
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` of the current lattice (half-force aware).
+
+        ``planes`` (an axis-0 index or slice) limits it to those planes:
+        how a distributed rank gathers without a slab-sized temporary.
+        """
+        return self._density_velocity(self.f[:, planes], planes)
 
     @property
     def state_values_per_node(self) -> int:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.lattice import get_lattice
+from repro.solver import Solver
 
 ALL_LATTICES = ["D1Q3", "D2Q9", "D3Q15", "D3Q19", "D3Q27", "D3Q39"]
 MAIN_LATTICES = ["D2Q9", "D3Q19"]          # the paper's evaluation lattices
@@ -23,6 +27,34 @@ def lattice(request):
 def paper_lattice(request):
     """The two lattices evaluated in the paper."""
     return get_lattice(request.param)
+
+
+@pytest.fixture
+def traced():
+    """``traced(fn)`` -> ``(fn(), current, peak)`` bytes under tracemalloc."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            return (fn(), *tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    return run
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Rank-sized solver constructions in this process, per thread (a
+    fork's are its own); the one-plane solver a distributed shell builds
+    to check what its ranks would refuse is not counted."""
+    count, init = collections.Counter(), Solver.__init__
+
+    def counted(self, lat, domain, *args, **kwargs):
+        if domain.shape[0] > 1:
+            count[threading.get_ident()] += 1
+        init(self, lat, domain, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", counted)
+    return count
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ kills, hangs, or corrupts one of them mid-run through
 """
 
 import multiprocessing as mp
-import os
 import time
 
 import numpy as np
@@ -33,7 +32,7 @@ from repro.parallel import (
     run_process,
 )
 
-from test_conformance import assert_agree, fields
+from test_conformance import assert_same_fields
 
 pytestmark = pytest.mark.chaos
 
@@ -47,18 +46,12 @@ def _spec(scheme, n_ranks, **kw):
                    tau=TAU, **kw)
 
 
-def _shm_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return sorted(n for n in os.listdir("/dev/shm")
-                  if n.startswith("mrlbm"))
-
-
-def assert_same_fields(result, clean):
-    """A recovered ``reference`` run is the clean one, bit for bit (the
-    conformance matrix's tolerance rule)."""
-    assert_agree(fields(result.rho, result.u), fields(clean.rho, clean.u),
-                 exact=True)
+@pytest.fixture(autouse=True)
+def no_segment_outlives_a_test(leaked_segments):
+    """Whatever a test breaks, no ``/dev/shm`` segment is left behind."""
+    assert leaked_segments() == []
+    yield
+    assert leaked_segments() == []
 
 
 class TestKillRecovery:
@@ -75,15 +68,15 @@ class TestKillRecovery:
         assert result.restarts == 1
         assert result.failure_history  # the killed attempt is on record
         assert_same_fields(result, clean)
-        assert not _shm_segments()
 
     @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
                         reason="forked workers inherit the parent's build")
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     def test_retry_forks_from_the_parents_unstepped_build(
             self, tmp_path, monkeypatch, refuse_to_build, scheme):
-        """No worker of any attempt builds: the retried cohort inherits
-        the same pristine solver the killed one did."""
+        """No worker of any attempt builds the spec: the retried cohort
+        inherits the same rank-free shell the killed one did, and each
+        rank builds its state from it again."""
         clean = run_process(_spec(scheme, 2), 10)
         runtime = ProcessRuntime(
             _spec(scheme, 2, checkpoint_dir=str(tmp_path / "ck"),
@@ -94,7 +87,6 @@ class TestKillRecovery:
         assert result.restarts == 1 and result.start_step == 4
         assert np.array_equal(result.rho, clean.rho)
         assert np.array_equal(result.u, clean.u)
-        assert not _shm_segments()
 
     def test_kill_without_checkpoint_restarts_from_scratch(self, tmp_path):
         clean = run_process(_spec("MR-P", 2), 8)
@@ -116,14 +108,12 @@ class TestKillRecovery:
         assert err.restarts == 1
         assert len(err.failure_history) == 2  # both attempts recorded
         assert "restart" in str(err)
-        assert not _shm_segments()
 
 
 class TestHangRecovery:
     """A hung rank becomes a structured timeout error, never a deadlock."""
 
     def test_hang_converts_to_structured_error(self):
-        before = _shm_segments()
         spec = _spec("ST", 2,
                      fault=FaultSpec(rank=0, step=2, kind="hang",
                                      hang_s=120.0))
@@ -136,7 +126,6 @@ class TestHangRecovery:
         failures = excinfo.value.failures
         assert any(f.exc_type in ("Straggler", "ProcessExit")
                    for f in failures)
-        assert _shm_segments() == before == []
 
     def test_hang_with_checkpoint_recovers_on_retry(self, tmp_path):
         clean = run_process(_spec("MR-P", 2), 10)
@@ -148,7 +137,6 @@ class TestHangRecovery:
         result = run_process(spec, 10, **FAST)
         assert result.restarts == 1
         assert_same_fields(result, clean)
-        assert not _shm_segments()
 
 
 class TestCorruptionRecovery:
@@ -177,7 +165,6 @@ class TestCorruptionRecovery:
             run_process(spec, 8, **FAST)
         assert any(f.exc_type == "StabilityError"
                    for f in excinfo.value.failures)
-        assert not _shm_segments()
 
 
 class TestCliResume:
@@ -194,4 +181,3 @@ class TestCliResume:
         assert main(args + ["--steps", "10", "--resume", ck]) == 0
         out = capsys.readouterr().out
         assert "resumed from checkpoint at step 3" in out
-        assert not _shm_segments()

@@ -34,14 +34,6 @@ needs_fork = pytest.mark.skipif(
     reason="forked workers inherit the parent's build; no fork here")
 
 
-def _leaked_segments() -> list[str]:
-    """Runtime-owned segments still present in /dev/shm."""
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-        return []
-    return [n for n in os.listdir(shm_dir) if n.startswith("mrlbm")]
-
-
 class TestChannelEquivalence:
     """`--backend process` is the single-domain solver, by the rule."""
 
@@ -161,13 +153,14 @@ class TestMergedReport:
 
 
 class TestOneBuildPerRank:
-    """The parent's build is the only one under ``fork``, nothing but
-    faces and the final ``(rho, u)`` is shared, and the ranks gather."""
+    """The parent's shell is the only spec build under ``fork``, a rank is
+    built by its own worker only, nothing but faces and the final ``(rho,
+    u)`` is shared, and the ranks gather."""
 
     @needs_fork
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
-    def test_forked_workers_never_build(self, monkeypatch, tmp_path,
+    def test_forked_workers_never_build(self, monkeypatch, tmp_path, built,
                                         refuse_to_build, scheme, n_ranks):
         spec = RunSpec("channel", scheme, "D2Q9", (24, 10), n_ranks, tau=0.8,
                        accel="fused", options={"u_max": 0.04})
@@ -194,11 +187,8 @@ class TestOneBuildPerRank:
             assert np.array_equal(result.rho, clean.rho)
             assert np.array_equal(result.u, clean.u)
         assert result.start_step == 8
-        # ... and the parent's build is still the unstepped initial state.
-        pristine = spec.build()
-        for mine, fresh in zip(runtime.solver.ranks, pristine.ranks):
-            assert np.array_equal(runtime.solver.field(mine),
-                                  pristine.field(fresh))
+        # ... and the parent never built a rank: each worker built its own.
+        assert not built
 
     def test_spawned_workers_rebuild_the_same_run(self):
         spec = RunSpec("channel", "MR-P", "D2Q9", (24, 10), 2, tau=0.8,
@@ -246,17 +236,17 @@ class TestFailurePaths:
         assert any(f.step == 2 for f in failures if f.rank == 1)
         assert "injected fault" in str(excinfo.value)
 
-    def test_no_shared_memory_leak_on_abort(self):
+    def test_no_shared_memory_leak_on_abort(self, leaked_segments):
         spec = RunSpec("periodic", "ST", "D2Q9", (24, 10), 3, tau=0.8,
                        fault={"rank": 0, "step": 0})
         with pytest.raises(ParallelRuntimeError):
             run_process(spec, 4, run_timeout=120.0)
-        assert not _leaked_segments()
+        assert not leaked_segments()
 
-    def test_no_shared_memory_leak_on_success(self):
+    def test_no_shared_memory_leak_on_success(self, leaked_segments):
         spec = RunSpec("periodic", "ST", "D2Q9", (24, 10), 2, tau=0.8)
         run_process(spec, 2)
-        assert not _leaked_segments()
+        assert not leaked_segments()
 
     def test_bad_spec_kind_raises_locally(self):
         with pytest.raises(ValueError, match="unknown problem kind"):

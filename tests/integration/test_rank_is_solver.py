@@ -70,7 +70,8 @@ class TestClocklessAARank:
         single.run(steps)
         assert single.accel_path == "lean"
         rho, u = single.macroscopic()
-        owned = [slice(*dist.decomp.bounds(r)) for r in range(len(dist.ranks))]
+        owned = [slice(*dist.decomp.bounds(r))
+                 for r in range(dist.decomp.n_ranks)]
         return [(rho[gsl], u[:, gsl]) for gsl in owned]
 
     @staticmethod
@@ -104,8 +105,8 @@ class TestClocklessAARank:
             "periodic", "ST", "D2Q9", SHAPE, 2, accel="aa",
             options={"u0": self.u0()}))
         result = runtime.run(steps)
-        # The ranks gather their own ``macroscopic()``; the parent's
-        # solver is never written to.
+        # The ranks gather their owned planes; the parent's shell builds
+        # no rank.
         dist = runtime.solver
         for r, (rho_s, u_s) in enumerate(self.single_slabs(dist, steps)):
             gsl = slice(*dist.decomp.bounds(r))

@@ -255,6 +255,12 @@ def fields(rho, u) -> np.ndarray:
     return np.concatenate([rho[None], u])
 
 
+def assert_same_fields(run, clean) -> None:
+    """A ``reference`` process run gathered ``clean``'s fields, bit for bit."""
+    assert_agree(fields(run.rho, run.u), fields(clean.rho, clean.u),
+                 exact=True)
+
+
 def state_of(solver) -> np.ndarray:
     return solver.f if solver.name == "ST" else solver.m
 

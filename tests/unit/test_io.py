@@ -15,6 +15,7 @@ from repro.io import (
     save_rank_slab,
     write_vtk,
 )
+from repro.io.snapshots import _BLOCK
 from repro.solver import make_solver, periodic_problem
 from repro.lattice import get_lattice
 from repro.geometry import periodic_box
@@ -136,11 +137,11 @@ class TestOneArchiveWriter:
         path = self._write(kind, tmp_path, 1.0)
         before = path.read_bytes()
 
-        def torn(fh, **arrays):
-            fh.write(b"PK half an archive")
+        def torn(fh, array):
+            fh.write(b"half a member")
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.io.snapshots.np.savez", torn)
+        monkeypatch.setattr("repro.io.snapshots._write_npy", torn)
         with pytest.raises(OSError, match="disk full"):
             self._write(kind, tmp_path, 2.0)
         assert path.read_bytes() == before
@@ -152,6 +153,18 @@ class TestOneArchiveWriter:
         with zipfile.ZipFile(path) as archive:
             assert {info.compress_type for info in archive.infolist()} \
                 == {zipfile.ZIP_STORED}
+
+    def test_members_are_np_savez_bytes_written_in_blocks(self, tmp_path,
+                                                          traced):
+        strided = np.broadcast_to(np.arange(2000.0), (3000, 2000))[:, ::2]
+        arrays = {"c": np.ones((3, 4)), "strided": strided[:5], "zero_d":
+                  np.asarray(7), "f": np.asfortranarray(strided[:5, :7])}
+        np.savez(tmp_path / "a.npz", **arrays)
+        with zipfile.ZipFile(tmp_path / "a.npz") as ref, zipfile.ZipFile(
+                save_archive(tmp_path / "b", **arrays)) as new:
+            assert all(new.read(n) == ref.read(n) for n in ref.namelist())
+        peak = traced(lambda: save_archive(tmp_path / "big", field=strided))[2]
+        assert peak <= _BLOCK + 65536     # 24 MB: one block, zip's few kB
 
     def test_suffix_and_directories_are_supplied(self, tmp_path):
         path = save_archive(tmp_path / "deep" / "er" / "snap", a=np.arange(3))
