@@ -2,8 +2,10 @@
 
 The moment representation compresses inter-device traffic exactly as it
 compresses DRAM traffic: an MR rank exchanges M moments per cut-face node
-(10 for D3Q19) against 2Q for a naive full exchange — with crossing-only
-ST packing (5 components per direction) as the lean reference point. The
+(10 for D3Q19) against 2Q for a naive full exchange (the analytic
+``2·Q·face_nodes`` doubles per face; nothing here ships it) — with ST's
+crossing-only packing (5 components per direction) as the lean reference
+point. The
 bench also verifies the distributed solvers reproduce single-domain
 physics while the accounting runs.
 """
@@ -12,7 +14,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.bench import render_table
-from repro.parallel import distributed_periodic_problem
+from repro.service.registry import build_distributed
 from repro.solver import periodic_problem
 from repro.validation import taylor_green_fields
 
@@ -22,18 +24,17 @@ def _measure():
     out = {}
     for lattice, shape in (("D2Q9", shape2), ("D3Q19", shape3)):
         row = {}
-        for label, scheme, kwargs in (
-            ("MR", "MR-P", {}),
-            ("ST-crossing", "ST", {}),
-            ("ST-full", "ST", {"st_exchange": "full"}),
-        ):
-            d = distributed_periodic_problem(scheme, lattice, shape, 2, 0.8,
-                                             **kwargs)
+        for label, scheme in (("MR", "MR-P"), ("ST-crossing", "ST")):
+            d = build_distributed("periodic", scheme, lattice, shape, 2)
             d.run(3)
             row[label] = {
                 "per_face": d.communication_values_per_face(),
                 "bytes_per_step": d.comm.bytes_per_step(),
             }
+        # the naive full exchange, analytically: all Q, both directions
+        full = 2 * d.lat.q * d.decomp.face_nodes
+        row["ST-full"] = {"per_face": full, "bytes_per_step": (
+            d.comm.bytes_per_step() * full / row["ST-crossing"]["per_face"])}
         out[lattice] = row
     return out
 
@@ -48,7 +49,8 @@ def test_halo_volume(benchmark, write_result):
                          f"{v['bytes_per_step']:,.0f}"])
     write_result("communication_volume.txt", render_table(
         ["lattice", "exchange", "doubles/face", "bytes/step"], rows,
-        "Halo-exchange volume (distributed extension)"))
+        "Halo-exchange volume (distributed extension; ST-full is the "
+        "analytic 2*Q*face_nodes)"))
 
     for lattice, q, q_cross, m in (("D2Q9", 9, 3, 6), ("D3Q19", 19, 5, 10)):
         row = data[lattice]
@@ -67,8 +69,8 @@ def test_distributed_correctness_under_accounting(benchmark):
 
     def compute():
         ref = periodic_problem("MR-R", "D2Q9", shape, 0.8, rho0=rho0, u0=u0)
-        dist = distributed_periodic_problem("MR-R", "D2Q9", shape, 3, 0.8,
-                                            rho0=rho0, u0=u0)
+        dist = build_distributed("periodic", "MR-R", "D2Q9", shape, 3,
+                                 rho0=rho0, u0=u0)
         ref.run(5)
         dist.run(5)
         rg, ug = dist.gather_macroscopic()

@@ -71,8 +71,7 @@ def _measure():
         })
     # The reference is built after the forks, so the ranks do not
     # inherit its heap (they would reuse it without a page of RSS).
-    ref = channel_problem(SCHEME, "D2Q9", SHAPE, tau=TAU, u_max=U_MAX,
-                          bc_method="nebb", outlet_tangential="zero")
+    ref = channel_problem(SCHEME, "D2Q9", SHAPE, tau=TAU, u_max=U_MAX)
     ref.run(STEPS)
     _, u_ref = ref.macroscopic()
     for d in out:

@@ -10,21 +10,18 @@ on BOTH parallel backends (see docs/PARALLEL.md):
 Verifies that both reproduce the single-domain solver to machine
 precision and that they account identical exchange volumes, prints the
 merged per-rank telemetry of the process run, and compares the
-communication volume of the standard representation (crossing or full
-populations) against the moment representation (M moments per face
-node, reconstructed on the receiving rank) from actual runs.
+communication volume of the standard representation (the crossing
+populations, measured; all Q, the naive payload, analytic) against the
+moment representation (M moments per face node, reconstructed on the
+receiving rank) from actual runs.
 
 Run:  python examples/distributed_channel.py
 """
 
 import numpy as np
 
-from repro.parallel import (
-    RunSpec,
-    distributed_channel_problem,
-    distributed_periodic_problem,
-    run_process,
-)
+from repro.parallel import RunSpec, run_process
+from repro.service.registry import build_distributed
 from repro.solver import channel_problem
 
 
@@ -33,15 +30,14 @@ def main() -> None:
     n_ranks = 4
     steps = 400
 
-    ref = channel_problem("MR-P", "D2Q9", shape, tau=0.9, u_max=0.04,
-                          bc_method="nebb", outlet_tangential="zero")
+    ref = channel_problem("MR-P", "D2Q9", shape, tau=0.9, u_max=0.04)
     ref.run(steps)
     _, ur = ref.macroscopic()
     print(f"channel {shape} on {n_ranks} ranks, {steps} steps")
 
     # Backend 1: sequential in-process emulation.
-    emu = distributed_channel_problem("MR-P", "D2Q9", shape, n_ranks,
-                                      tau=0.9, u_max=0.04)
+    emu = build_distributed("channel", "MR-P", "D2Q9", shape, n_ranks,
+                            tau=0.9, u_max=0.04)
     emu.run(steps)
     _, ue = emu.gather_macroscopic()
     print(f"  emulated backend vs single-domain: "
@@ -69,20 +65,18 @@ def main() -> None:
         print(f"  {path:14s} {phases[path]['total_s']:.3f} s across ranks")
 
     # Communication-volume comparison from real D3Q19 runs: the MR wire
-    # payload is M = 10 moments per face node vs 19 (naive full ST) or
-    # 5 (crossing-only ST) populations.
+    # payload is M = 10 moments per face node vs the 5 crossing ST
+    # populations, and the 19 a naive full exchange would ship.
     shape3, steps3 = (24, 10, 10), 10
     print(f"\nD3Q19 halo volume, {shape3} on 2 ranks, {steps3} steps:")
-    for name, scheme, kwargs in (
-        ("MR (moments, M=10)", "MR-P", {}),
-        ("ST crossing (q=5)", "ST", {}),
-        ("ST full (Q=19)", "ST", {"st_exchange": "full"}),
-    ):
-        d = distributed_periodic_problem(scheme, "D3Q19", shape3, 2, 0.8,
-                                         **kwargs)
+    for name, scheme in (("MR (moments, M=10)", "MR-P"),
+                         ("ST crossing (q=5)", "ST")):
+        d = build_distributed("periodic", scheme, "D3Q19", shape3, 2)
         d.run(steps3)
         print(f"  {name:22s} {d.communication_values_per_face():6d} "
               f"doubles/face  {d.comm.bytes_per_step():10,.0f} B/step")
+    full = 2 * d.lat.q * d.decomp.face_nodes
+    print(f"  {'ST full (Q=19)':22s} {full:6d} doubles/face  (analytic)")
     print("MR halves the naive-full payload; crossing-only ST is leaner\n"
           "still, at the cost of component-wise packing on every face.")
 

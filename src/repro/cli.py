@@ -299,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _problem_options(args, distributed: bool) -> dict:
+def _problem_options(args) -> dict:
     """The ``run`` flags the chosen problem kind takes, as its options.
 
     The kinds live in the shared registry (:mod:`repro.service.registry`);
     the CLI only maps ``--u-max``/``--bc`` onto the kinds that accept
-    them (the porous kind draws its own geometry and takes neither). A
-    distributed channel always runs the node-local ``nebb``
-    reconstruction, whatever ``--bc`` says.
+    them (the porous kind draws its own geometry and takes neither).
     """
     from .service.registry import get_problem
 
@@ -315,7 +313,7 @@ def _problem_options(args, distributed: bool) -> dict:
     if "u_max" in accepted:
         options["u_max"] = args.u_max
     if "bc_method" in accepted:
-        options["bc_method"] = "nebb" if distributed else args.bc
+        options["bc_method"] = args.bc
     return options
 
 
@@ -335,7 +333,7 @@ def _distributed_spec(args):
     }
     return RunSpec(args.problem, args.scheme, args.lattice, args.shape,
                    args.ranks, tau=args.tau, accel=accel,
-                   options=_problem_options(args, distributed=True),
+                   options=_problem_options(args),
                    **fault_tolerance)
 
 
@@ -479,7 +477,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         solver = build_single(args.problem, args.scheme, args.lattice,
                               args.shape, tau=args.tau, backend=accel,
-                              **_problem_options(args, distributed=False))
+                              **_problem_options(args))
     except (ValueError, RuntimeError) as err:
         # Backend validation happens at solver construction (see
         # repro.accel.validate_backend), so an unsupported --accel

@@ -65,6 +65,8 @@ def save_checkpoint(path: str | Path, solver: Solver,
                     manifest: bool = False, seed: int | None = None) -> Path:
     """Write the solver's persistent state to an ``.npz`` checkpoint.
 
+    The state is ``f`` or ``m``, plus the relaxation field
+    ``tau_field`` of a solver that relaxes with the previous step's.
     With ``manifest=True`` a :class:`~repro.obs.RunManifest` JSON (scheme,
     lattice, shape, tau, seed, package version, platform) is written next
     to the checkpoint at :func:`~repro.obs.manifest_path_for`'s location.
@@ -88,6 +90,8 @@ def save_checkpoint(path: str | Path, solver: Solver,
         payload["m"] = solver.m
     else:  # pragma: no cover - future solvers
         raise TypeError(f"cannot checkpoint solver type {type(solver).__name__}")
+    if getattr(solver, "tau_field", None) is not None:
+        payload["tau_field"] = solver.tau_field
     return save_archive(path, **payload)
 
 
@@ -111,6 +115,8 @@ def restore_checkpoint(path: str | Path, solver: Solver) -> Solver:
             solver.f[...] = data["f"]
         else:
             solver.m[...] = data["m"]
+        if "tau_field" in data:
+            solver.tau_field[...] = data["tau_field"]
     return solver
 
 
@@ -355,7 +361,12 @@ def validate_checkpoint_manifest(manifest: dict, *, scheme: str, lattice: str,
                 f"v{saved_version}, this run uses v{fingerprint_version}; "
                 "skipping the problem-fingerprint comparison (scheme/"
                 "lattice/shape/tau still validated). Re-checkpointing "
-                "will record the current version.", UserWarning,
+                "will record the current version." + (
+                    " Kind defaults changed in v3: a distributed channel, "
+                    "forced-channel or cylinder takes its single-domain "
+                    "defaults; pass u_max, bc_method and outlet_tangential "
+                    "explicitly to continue the same problem."
+                    if saved_version < 3 else ""), UserWarning,
                 stacklevel=2)
         elif saved_fp != fingerprint:
             problems.append("problem fingerprint differs (kind/options "

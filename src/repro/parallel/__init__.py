@@ -33,11 +33,6 @@ from .decomposition import (
     SlabDecomposition,
 )
 from .faults import FAULT_KINDS, FaultInjected, FaultSpec, normalize_fault
-from .presets import (
-    distributed_channel_problem,
-    distributed_forced_channel_problem,
-    distributed_periodic_problem,
-)
 from .runtime import (
     ParallelRuntimeError,
     ProcessRunResult,
@@ -53,9 +48,6 @@ __all__ = [
     "DistributedSolver",
     "DistributedST",
     "DistributedMR",
-    "distributed_channel_problem",
-    "distributed_forced_channel_problem",
-    "distributed_periodic_problem",
     "RunSpec",
     "ProcessRuntime",
     "ProcessRunResult",

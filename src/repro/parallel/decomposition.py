@@ -201,7 +201,6 @@ class DistributedSolver:
                  tau: float, n_ranks: int, periodic_axis0: bool,
                  boundary_factory, rho0=1.0, u0: np.ndarray | None = None,
                  force: np.ndarray | None = None,
-                 st_exchange: str = "crossing",
                  accel: str = "reference"):
         check_halo_width(lat)
         self.lat = lat
@@ -211,9 +210,6 @@ class DistributedSolver:
                                         periodic_axis0)
         self.comm = CommunicationReport()
         self.time = 0
-        if st_exchange not in ("crossing", "full"):
-            raise ValueError("st_exchange must be 'crossing' or 'full'")
-        self.st_exchange = st_exchange
         self.accel = accel
 
         # The shell: :meth:`rank` builds a rank from views of these. What
@@ -354,8 +350,7 @@ class DistributedST(DistributedSolver):
     """Distributed standard two-lattice solver (pull configuration).
 
     Exchange payload per face and direction: the crossing populations
-    (``c_x`` pointing into the neighbour) of the slab's edge plane — or
-    the full Q populations in ``st_exchange='full'`` mode.
+    (``c_x`` pointing into the neighbour) of the slab's edge plane.
     """
 
     scheme = "ST"
@@ -364,28 +359,22 @@ class DistributedST(DistributedSolver):
         """The rank's population lattice."""
         return rank.f
 
-    def _send_comps(self, direction: str) -> np.ndarray:
-        """Population components shipped in one direction of travel."""
-        if self.st_exchange == "full":
-            return np.arange(self.lat.q)
-        return self._right_going if direction == "right" else self._left_going
-
     def halo_values_per_direction(self) -> int:
-        """Crossing (or full-Q) populations of one edge plane."""
-        return len(self._send_comps("right")) * self.decomp.face_nodes
+        """Crossing populations of one edge plane."""
+        return len(self._right_going) * self.decomp.face_nodes
 
     def _pack_halo(self, rank, direction):
         """Copy the outgoing edge plane of crossing populations."""
-        comps = self._send_comps(direction)
-        src = -2 if direction == "right" else 1
-        return np.ascontiguousarray(rank.f[comps, src])
+        if direction == "right":
+            return np.ascontiguousarray(rank.f[self._right_going, -2])
+        return np.ascontiguousarray(rank.f[self._left_going, 1])
 
     def _unpack_halo(self, rank, side, buf):
         """Write received crossing populations into a ghost plane."""
         if side == "left":
-            rank.f[self._send_comps("right"), 0] = buf
+            rank.f[self._right_going, 0] = buf
         else:
-            rank.f[self._send_comps("left"), -1] = buf
+            rank.f[self._left_going, -1] = buf
 
 
 class DistributedMR(DistributedSolver):

@@ -12,11 +12,11 @@ waits per step; see ``docs/PARALLEL.md`` for the protocol proof sketch).
 
 The payload on the "wire" (the shared face buffers) is exactly what the
 emulated backend accounts: ST ranks ship the crossing populations of the
-edge plane (or all Q in ``st_exchange='full'`` mode), MR ranks ship the
-compressed M-moment plane (10 values per face node in D3Q19) and
-reconstruct the crossing populations locally. Both backends therefore
-reproduce the single-domain reference solvers to machine precision, and
-:class:`CommunicationReport` totals agree between them.
+edge plane, MR ranks ship the compressed M-moment plane (10 values per
+face node in D3Q19) and reconstruct the crossing populations locally.
+Both backends therefore reproduce the single-domain reference solvers to
+machine precision, and :class:`CommunicationReport` totals agree between
+them.
 
 On any worker failure the runtime degrades gracefully instead of
 deadlocking: the failing rank posts a structured
@@ -93,10 +93,15 @@ SHM_PREFIX = "mrlbm"
 #: Version of the :meth:`RunSpec.fingerprint` encoding, recorded in
 #: checkpoint manifests. Version 1 concatenated key/value reprs with no
 #: separator, so distinct option dicts (``{"x1": 2}`` vs ``{"x": 12}``)
-#: could collide; version 2 length-prefixes every field. Resuming a
-#: checkpoint written under another version warns and skips the digest
-#: comparison instead of failing it spuriously.
-FINGERPRINT_VERSION = 2
+#: could collide; version 2 length-prefixes every field. Version 3 is
+#: the same encoding of other problems: the ``channel``,
+#: ``forced-channel`` and ``cylinder`` kinds lost their distributed
+#: defaults, so a spec that leaves ``u_max``, ``bc_method`` or
+#: ``outlet_tangential`` unset now names the single-domain problem.
+#: Resuming a checkpoint written under another version warns and skips
+#: the digest comparison instead of failing it spuriously; the job
+#: server never serves a result sealed under another version.
+FINGERPRINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,9 @@ class RunSpec:
         BGK relaxation time.
     options:
         The kind's own options (``u_max``, ``bc_method``, ``rho0``,
-        ``u0``, ``force``, ...) plus the distributed builder's
-        ``st_exchange``; any other name is rejected at construction.
+        ``u0``, ``force``, ...), with the kind's defaults: the spec
+        names the single-domain problem of the same options, cut into
+        slabs. Any other name is rejected at construction.
     accel:
         Per-rank execution backend, ``"reference"``, ``"fused"``,
         ``"aa"`` or ``"sparse"`` (see :mod:`repro.accel`): the name is
@@ -215,8 +221,7 @@ class RunSpec:
         from ..service.registry import check_names, get_problem
 
         kind = get_problem(self.kind, distributed=True)
-        # ``st_exchange`` is the distributed builder's own argument.
-        kind.check_options(set(self.options) - {"st_exchange"})
+        kind.check_options(self.options)
         check_names(self.scheme, self.accel)
         lat = get_lattice(self.lattice)
         if len(self.shape) != lat.d:
@@ -242,7 +247,8 @@ class RunSpec:
         their type name), so no two distinct specs can produce the same
         byte stream — version 1 concatenated raw reprs, letting
         ``{"x1": 2}`` and ``{"x": 12}`` collide. Bump
-        :data:`FINGERPRINT_VERSION` when this encoding changes.
+        :data:`FINGERPRINT_VERSION` when this encoding, or the problem a
+        spec names, changes.
         """
         h = hashlib.sha256()
 

@@ -216,13 +216,18 @@ class JobScheduler:
         Only results whose recorded ``fingerprint_version`` matches the
         current one are trusted as cache entries — a sealed directory
         from before the fingerprint fix would otherwise serve a result
-        keyed by a colliding digest.
+        keyed by a colliding digest, and one from before version 3 a
+        result of another problem. A directory not adopted keeps its
+        id: a new job never writes into it.
         """
         for complete in sorted(self.root.glob("job-*/COMPLETE")):
             job_dir = complete.parent
             result_path = job_dir / "result.json"
             m = re.fullmatch(r"job-(\d+)", job_dir.name)
-            if m is None or not result_path.exists():
+            if m is None:
+                continue
+            self._next_id = max(self._next_id, int(m.group(1)) + 1)
+            if not result_path.exists():
                 continue
             try:
                 result = json.loads(result_path.read_text(encoding="utf-8"))
@@ -239,7 +244,6 @@ class JobScheduler:
                       finished_unix=result.get("finished_unix"))
             self.jobs[job.id] = job
             self._by_key.setdefault(key, job)
-            self._next_id = max(self._next_id, int(m.group(1)) + 1)
 
     # -- submission / queries ------------------------------------------
     def submit(self, spec: RunSpec, n_steps: int) -> tuple[Job, bool]:

@@ -9,24 +9,25 @@ forms from that one definition, so they cannot drift apart, and
 everything that runs a problem — the CLI, :meth:`RunSpec.build()
 <repro.parallel.runtime.RunSpec.build>`, the sweep engine, the job
 server, the profiling and benchmark harnesses, the public ``*_problem``
-names of :mod:`repro.solver.presets` and :mod:`repro.parallel.presets` —
-goes through those two functions. A kind's option names are its setup
-function's keyword parameters; any other name is refused when a
-:class:`~repro.parallel.runtime.RunSpec` is constructed and again when a
-solver is built.
+names of :mod:`repro.solver.presets` — goes through those two functions.
+A decomposed kind is its single-domain problem cut into slabs: both
+forms take the same options, with the kind's one set of defaults. A
+kind's option names are its setup function's keyword parameters; any
+other name is refused when a :class:`~repro.parallel.runtime.RunSpec`
+is constructed and again when a solver is built.
 
 Registration is open: downstream code may :func:`register_problem` its
 own kinds and they become visible to ``mrlbm run/serve/submit`` and
 ``RunSpec`` validation without touching this package. The table is
 filled at import, with plain imports: this module sits above
-:mod:`repro.solver` and :mod:`repro.parallel`, whose ``*_problem`` names
-reach it at call time.
+:mod:`repro.solver` and :mod:`repro.parallel`, and the ``*_problem``
+names of :mod:`repro.solver.presets` reach it at call time.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -94,8 +95,8 @@ class ProblemKind:
         Whether ``mrlbm sweep`` may expand over this kind (requires a
         ``u_max`` option).
     distributed:
-        The option defaults that differ in the distributed form (``{}``:
-        none); ``None`` when the kind has no distributed form.
+        Whether the kind has a distributed form (its single-domain
+        problem cut into slabs, same options, same defaults).
     fields:
         The options the setup hands to the solver as they are — its
         initial fields or body force (names among ``rho0``, ``u0``,
@@ -107,7 +108,7 @@ class ProblemKind:
     description: str
     setup: Callable[..., ProblemSetup]
     sweepable: bool = False
-    distributed: dict | None = field(default_factory=dict)
+    distributed: bool = True
     fields: tuple[str, ...] = ()
 
     @cached_property
@@ -146,7 +147,7 @@ def get_problem(name: str, distributed: bool = False) -> ProblemKind:
         raise ValueError(
             f"unknown problem kind {name!r}; registered kinds: "
             f"{', '.join(problem_kinds())}") from None
-    if distributed and kind.distributed is None:
+    if distributed and not kind.distributed:
         raise ValueError(f"problem kind {name!r} has no distributed form")
     return kind
 
@@ -214,24 +215,23 @@ def build_distributed(name: str, scheme: str,
                       lattice: str | LatticeDescriptor,
                       shape: tuple[int, ...], n_ranks: int, *,
                       tau: float = 0.8, accel: str = "reference",
-                      st_exchange: str = "crossing", **options):
+                      **options):
     """Build the slab-decomposed solver of a registered kind.
 
-    This is the engine behind :meth:`RunSpec.build`. Options left unset
-    take the kind's distributed defaults (``ProblemKind.distributed``)
-    before its single-domain ones. Raises ``ValueError`` for unknown
+    This is the engine behind :meth:`RunSpec.build`: the problem
+    :func:`build_single` builds from the same options, cut into
+    ``n_ranks`` streamwise slabs. Raises ``ValueError`` for unknown
     kinds, options and schemes, and for kinds without a distributed
     form.
     """
-    kind = get_problem(name, distributed=True)
-    lat, setup = setup_problem(name, lattice, shape, tau,
-                               **{**kind.distributed, **options})
+    get_problem(name, distributed=True)
+    lat, setup = setup_problem(name, lattice, shape, tau, **options)
     key = check_names(scheme, accel)
     make = (DistributedST if key == "ST"
             else partial(DistributedMR, scheme=key))
     return make(lat, setup.domain, tau, int(n_ranks), setup.periodic_axis0,
                 setup.boundaries, rho0=setup.rho0, u0=setup.u0,
-                force=setup.force, st_exchange=st_exchange, accel=accel)
+                force=setup.force, accel=accel)
 
 
 # -- the definitions -------------------------------------------------------
@@ -272,9 +272,7 @@ def _driven(domain: Domain, force: np.ndarray,
 
 @_kind("channel",
        "rectangular channel with Poiseuille inlet and pressure outlet "
-       "(the paper's proxy app)", sweepable=True,
-       distributed={"u_max": 0.04, "bc_method": "nebb",
-                    "outlet_tangential": "zero"})
+       "(the paper's proxy app)", sweepable=True)
 def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
             start_from_profile=True, outlet_tangential="extrapolate"):
     """The paper's proxy app: a rectangular channel between bounce-back walls.
@@ -291,11 +289,6 @@ def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
     (``"extrapolate"`` or ``"zero"``). ``start_from_profile``
     initializes the whole channel with the inlet profile (fast
     convergence) instead of fluid at rest.
-
-    The distributed form defaults to ``nebb`` / ``zero``: both read the
-    boundary plane only, so the end ranks work at any slab thickness,
-    whereas the finite-difference stencil reads two planes further in
-    (refused on a slab thinner than three) and the extrapolation one.
     """
     u_in = channel_inlet_profile(lat, shape, u_max)
 
@@ -325,7 +318,7 @@ def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
 
 @_kind("forced-channel",
        "body-force-driven channel, streamwise-periodic, bounce-back walls",
-       sweepable=True, distributed={"u_max": 0.04})
+       sweepable=True)
 def forced_channel(lat, shape, tau, u_max=0.05):
     """Body-force-driven channel: periodic streamwise, bounce-back walls.
 
@@ -338,8 +331,7 @@ def forced_channel(lat, shape, tau, u_max=0.05):
                    channel_body_force(lat, shape, tau, u_max))
 
 
-@_kind("cylinder", "force-driven channel with a staircase cylinder obstacle",
-       distributed={"u_max": 0.04})
+@_kind("cylinder", "force-driven channel with a staircase cylinder obstacle")
 def cylinder(lat, shape, tau, u_max=0.05, radius=None):
     """Force-driven channel with a staircase cylinder obstacle.
 
@@ -389,7 +381,7 @@ def taylor_green(lat, shape, tau, u_max=0.05):
 
 @_kind("power-law",
        "force-driven power-law (variable-tau) channel, single-domain only",
-       distributed=None)
+       distributed=False)
 def power_law(lat, shape, tau, u_max=0.05):
     """Force-driven power-law (variable-tau) channel, flow index 0.8.
 

@@ -9,8 +9,8 @@ and rank counts.
 import numpy as np
 import pytest
 
-from repro.parallel import SlabDecomposition, distributed_periodic_problem
-from repro.validation import taylor_green_fields
+from repro.parallel import SlabDecomposition
+from repro.service.registry import build_distributed
 
 from test_conformance import Cell, check_rank_counts_agree
 
@@ -57,20 +57,6 @@ class TestPeriodicEquivalence:
         check_rank_counts_agree(Cell("periodic", scheme, "D3Q19", "reference",
                                      "emulated-3", shape=(12, 6, 5)))
 
-    def test_full_vs_crossing_exchange_identical_physics(self):
-        shape, tau = (24, 10), 0.8
-        rho0, u0 = taylor_green_fields(shape, 0.0, 0.1, 0.04)
-        a = distributed_periodic_problem("ST", "D2Q9", shape, 3, tau,
-                                         rho0=rho0, u0=u0,
-                                         st_exchange="crossing")
-        b = distributed_periodic_problem("ST", "D2Q9", shape, 3, tau,
-                                         rho0=rho0, u0=u0, st_exchange="full")
-        a.run(5)
-        b.run(5)
-        assert np.array_equal(a.gather_macroscopic()[1],
-                              b.gather_macroscopic()[1])
-        assert a.comm.bytes_sent < b.comm.bytes_sent
-
 
 class TestChannelEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -82,9 +68,8 @@ class TestChannelEquivalence:
     def test_forced_periodic_distributed(self):
         """Body forcing works across slabs: exact momentum budget."""
         fx = 1e-4
-        dist = distributed_periodic_problem(
-            "MR-P", "D2Q9", (18, 12), 3, 0.9, force=np.array([fx, 0.0])
-        )
+        dist = build_distributed("periodic", "MR-P", "D2Q9", (18, 12), 3,
+                                 tau=0.9, force=np.array([fx, 0.0]))
         dist.run(5)
         _, u = dist.gather_macroscopic()
         px = u[0].sum()          # rho = 1: momentum = N fx (steps + 1/2)
@@ -100,18 +85,17 @@ class TestCommunicationVolume:
     def test_payload_sizes(self):
         """ST exchanges crossing populations; MR exchanges moments."""
         shape = (24, 10)
-        st = distributed_periodic_problem("ST", "D2Q9", shape, 2, 0.8)
-        mr = distributed_periodic_problem("MR-P", "D2Q9", shape, 2, 0.8)
-        full = distributed_periodic_problem("ST", "D2Q9", shape, 2, 0.8,
-                                            st_exchange="full")
-        # Per face, both directions: 2 x q_cross / 2 x M / 2 x Q values.
+        st = build_distributed("periodic", "ST", "D2Q9", shape, 2)
+        mr = build_distributed("periodic", "MR-P", "D2Q9", shape, 2)
+        # Per face, both directions: 2 x q_cross / 2 x M values, against
+        # the naive full exchange's analytic 2 x Q.
         assert st.communication_values_per_face() == 2 * 3 * 10
         assert mr.communication_values_per_face() == 2 * 6 * 10
-        assert full.communication_values_per_face() == 2 * 9 * 10
+        assert 2 * st.lat.q * st.decomp.face_nodes == 2 * 9 * 10
 
     def test_bytes_accounting(self):
         shape = (24, 10)
-        d = distributed_periodic_problem("MR-P", "D2Q9", shape, 3, 0.8)
+        d = build_distributed("periodic", "MR-P", "D2Q9", shape, 3)
         d.run(4)
         # 3 ranks x 2 faces each x 6 moments x 10 face nodes x 8 B x 4 steps.
         assert d.comm.bytes_sent == 3 * 2 * 6 * 10 * 8 * 4
@@ -121,12 +105,10 @@ class TestCommunicationVolume:
     def test_mr_beats_naive_full_exchange_3d(self):
         """The compression argument on the wire: M=10 < Q=19."""
         shape = (12, 6, 5)
-        mr = distributed_periodic_problem("MR-P", "D3Q19", shape, 2, 0.8)
-        full = distributed_periodic_problem("ST", "D3Q19", shape, 2, 0.8,
-                                            st_exchange="full")
-        crossing = distributed_periodic_problem("ST", "D3Q19", shape, 2, 0.8)
-        assert (mr.communication_values_per_face()
-                < full.communication_values_per_face())
+        mr = build_distributed("periodic", "MR-P", "D3Q19", shape, 2)
+        crossing = build_distributed("periodic", "ST", "D3Q19", shape, 2)
+        full = 2 * mr.lat.q * mr.decomp.face_nodes      # naive: all Q
+        assert mr.communication_values_per_face() < full
         # ...but crossing-only ST is leaner still (5 < 10): MR trades
         # wire volume for recomputation only vs naive implementations.
         assert (crossing.communication_values_per_face()

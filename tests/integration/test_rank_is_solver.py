@@ -29,7 +29,7 @@ from repro.service.registry import (build_distributed, build_single,
                                     get_problem, problem_kinds)
 
 DISTRIBUTED_KINDS = [k for k in problem_kinds()
-                     if get_problem(k).distributed is not None]
+                     if get_problem(k).distributed]
 SHAPE = (24, 12)
 
 

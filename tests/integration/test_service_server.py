@@ -9,11 +9,13 @@ streaming.
 """
 
 import asyncio
+import json
 import threading
 
 import numpy as np
 import pytest
 
+from repro.parallel.runtime import FINGERPRINT_VERSION
 from repro.service import JobScheduler, JobServer, ServiceClient, ServiceError
 
 
@@ -226,6 +228,28 @@ class TestDedupAndConcurrency:
             assert reply["job"]["id"] == first["job"]["id"]
             assert client.health()["runs_executed"] == 0
             assert client.result(reply["job"]["id"])["result"]["steps"] == 40
+
+    def test_result_sealed_under_another_version_is_not_served(self, tmp_path):
+        """A v2 seal may name another problem (v3 dropped the kinds'
+        distributed defaults): after a restart the resubmission runs."""
+        root = tmp_path / "jobs"
+        with ServerThread(root) as srv:
+            client = ServiceClient(srv.address)
+            first = client.submit(payload())["job"]
+            client.wait(first["id"], timeout_s=120)
+        sealed = root / first["id"] / "result.json"
+        result = json.loads(sealed.read_text())
+        sealed.write_text(json.dumps({**result, "fingerprint_version": 2}))
+        with ServerThread(root) as srv:
+            client = ServiceClient(srv.address)
+            reply = client.submit(payload())
+            assert reply["created"] is True
+            assert reply["job"]["id"] != first["id"]
+            done = client.wait(reply["job"]["id"], timeout_s=120)
+            assert done["state"] == "done"
+            assert client.health()["runs_executed"] == 1
+            assert client.result(done["id"])["result"][
+                "fingerprint_version"] == FINGERPRINT_VERSION == 3
 
 
 class TestFaultTolerance:

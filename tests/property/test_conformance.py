@@ -16,15 +16,14 @@ initial state (an option named ``rho0``, ``u0`` or ``force`` gets a
 seeded field, so periodic boxes move and are forced), and
 
 * agrees with the same cell on every other backend, and — every rank
-  count — with the single-domain run of the kind's distributed options,
-  by the tolerance rule below;
+  count — with the single-domain run of the same options (a decomposed
+  kind is its single-domain problem cut into slabs), by the tolerance
+  rule below;
 * conserves mass on a domain closed along axis 0 and gains exactly
   ``N F`` of momentum per step where no boundary acts;
 * single-domain: resumes from a checkpoint taken at an even and at an
-  odd step, on its own backend and on the next one (unless its
-  relaxation lags a step behind its state: a checkpoint holds ``f`` /
-  ``m`` only), and steps the same when its state is read after every
-  step;
+  odd step, on its own backend and on the next one, and steps the same
+  when its state is read after every step;
 * reports the ``accel_path`` and ``state_lattices`` of the table in
   docs/PERFORMANCE.md (*Which path a problem takes*), single-domain and
   on each rank of two.
@@ -184,23 +183,21 @@ def cells(lattices=tuple(SHAPES)) -> list[Cell]:
         problem_kinds(), SCHEMES, lattices, BACKENDS, MODES)]
 
 
-def options(cell: Cell, distributed: bool = False) -> dict:
-    """The cell's kind options: seeded fields for the ones named below,
-    the kind's distributed defaults underneath when ``distributed``."""
+def options(cell: Cell) -> dict:
+    """The cell's kind options: seeded fields for the ones named below."""
     kind = get_problem(cell.kind)
     d, grid = get_lattice(cell.lattice).d, cell.grid
     rng = np.random.default_rng(7)
     seeded = {"rho0": lambda: 1 + 0.02 * rng.standard_normal(grid),
               "u0": lambda: 0.03 * rng.standard_normal((d, *grid)),
               "force": lambda: np.r_[1.2e-5, np.zeros(d - 1)]}
-    chosen = {name: make() for name, make in seeded.items()
-              if name in kind.options}
-    return {**kind.distributed, **chosen} if distributed else chosen
+    return {name: make() for name, make in seeded.items()
+            if name in kind.options}
 
 
 def refused(cell: Cell) -> bool:
     """Whether the registry refuses the cell (nothing is stepped)."""
-    if cell.ranks and get_problem(cell.kind).distributed is None:
+    if cell.ranks and not get_problem(cell.kind).distributed:
         return True
     try:
         setup_problem(cell.kind, cell.lattice, cell.grid, TAU,
@@ -269,20 +266,18 @@ def path_of(solver) -> str:
     return f"`{solver.accel_path}` {solver._stepper.core.state_lattices}"
 
 
-def build(cell: Cell, distributed: bool = False):
-    """The cell's solver (``distributed``: single-domain, distributed
-    options); a distributed cell's emulated solver."""
+def build(cell: Cell):
+    """The cell's solver; a distributed cell's emulated solver."""
     if cell.ranks:
         return build_distributed(cell.kind, cell.scheme, cell.lattice,
                                  cell.grid, cell.ranks, tau=TAU,
                                  accel=cell.backend, **options(cell))
     return build_single(cell.kind, cell.scheme, cell.lattice, cell.grid,
-                        tau=TAU, backend=cell.backend,
-                        **options(cell, distributed))
+                        tau=TAU, backend=cell.backend, **options(cell))
 
 
 @cache
-def run(cell: Cell, distributed: bool = False) -> Run:
+def run(cell: Cell) -> Run:
     """Step one cell ``STEPS`` times (cached: runs are deterministic)."""
     plane = int(np.prod(cell.grid[1:]))
     if cell.mode.startswith("process"):
@@ -295,7 +290,7 @@ def run(cell: Cell, distributed: bool = False) -> Run:
         after.setflags(write=False)
         return replace(twin, after=after, paths=())
     with window(cell.chunk):
-        solver = build(cell, distributed)
+        solver = build(cell)
         if cell.ranks:
             before = fields(*solver.gather_macroscopic())
             solver.run(STEPS)
@@ -332,7 +327,7 @@ def check_backends_agree(cell: Cell) -> None:
 def check_rank_counts_agree(cell: Cell) -> None:
     """A decomposed cell is its single-domain run, by the rule."""
     mine = run(cell)
-    single = run(replace(cell, mode="single"), distributed=True)
+    single = run(replace(cell, mode="single"))
     assert_agree(mine.after, single.after, bit_exact(mine, single))
     if cell.mode.startswith("process"):
         twin = run(replace(cell, mode=f"emulated-{cell.ranks}"))
@@ -343,7 +338,7 @@ def check_conservation(cell: Cell) -> None:
     """Mass on a domain closed along axis 0; ``N F`` of momentum per step
     where no boundary acts."""
     lat, setup = setup_problem(cell.kind, cell.lattice, cell.grid, TAU,
-                               **options(cell, distributed=bool(cell.ranks)))
+                               **options(cell))
     mine = run(cell)
     nodes = int(np.prod(cell.grid))
     if setup.periodic_axis0:
@@ -501,14 +496,8 @@ def test_conservation(cell):
     check_conservation(cell)
 
 
-def resumable(cell: Cell) -> bool:
-    """A checkpoint holds ``f`` / ``m``: a solver whose relaxation lags a
-    step behind its state (``tau_field``) resumes onto another trajectory."""
-    return not hasattr(build(cell), "tau_field")
-
-
 @pytest.mark.parametrize("at", [2, 3], ids=["even", "odd"])
-@ids([c for c in SINGLE if resumable(c)])
+@ids(SINGLE)
 def test_resume(cell, at):
     nxt = BACKENDS[(BACKENDS.index(cell.backend) + 1) % len(BACKENDS)]
     for target in (cell.backend, nxt):
@@ -540,7 +529,7 @@ def test_a_registered_kind_joins_the_matrix():
     periodic = get_problem("periodic")
     name = "conformance-probe"
     register_problem(ProblemKind(name, "a throwaway kind", periodic.setup,
-                                 distributed=None))
+                                 distributed=False))
     try:
         admitted, refused = split([c for c in cells() if c.kind == name])
         assert {c.mode for c in admitted} == {"single"}

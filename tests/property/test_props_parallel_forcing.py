@@ -10,7 +10,7 @@ from repro.core import (
     moments_from_f,
 )
 from repro.lattice import get_lattice
-from repro.parallel import distributed_periodic_problem
+from repro.service.registry import build_distributed
 
 from test_conformance import Cell, check_rank_counts_agree
 
@@ -35,7 +35,7 @@ class TestDistributedProperties:
     def test_communication_accounting_scales(self, n_ranks, steps):
         """bytes_sent = ranks x 2 faces x payload x steps, exactly."""
         shape = (30, 8)
-        d = distributed_periodic_problem("MR-P", "D2Q9", shape, n_ranks, 0.8)
+        d = build_distributed("periodic", "MR-P", "D2Q9", shape, n_ranks)
         d.run(steps)
         per_face_per_dir = 6 * 8                 # M doubles x 8 B
         expected = n_ranks * 2 * per_face_per_dir * shape[1] * steps

@@ -325,10 +325,9 @@ class TestRanksSlideToo:
     OPTIONS = {"channel": {"u_max": 0.03}, "forced-channel": {"u_max": 0.03}}
 
     def single(self, monkeypatch, kind, scheme):
-        options = dict(get_problem(kind).distributed, **self.OPTIONS[kind])
         solver = stepped(monkeypatch, CHUNK, lambda: build_single(
             kind, scheme, "D2Q9", (96, 16), tau=TAU, backend="fused",
-            **options), steps=7)
+            **self.OPTIONS[kind]), steps=7)
         return solver.macroscopic()
 
     @pytest.mark.parametrize("ranks", [1, 2, 3])

@@ -251,7 +251,7 @@ class TestOneSupportMatrix:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     @pytest.mark.parametrize("kind", [
         k for k in problem_kinds()
-        if get_problem(k).distributed is not None])
+        if get_problem(k).distributed])
     def test_single_and_distributed_constructors_agree(self, kind, scheme,
                                                        backend):
         shape = (24, 12)

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+
+from test_conformance import assert_agree, fields
 
 
 class TestParser:
@@ -93,6 +96,23 @@ class TestCommands:
         assert "backend = process" in out
         assert "cohort:" in out
         assert out_file.exists() and metrics.exists()
+
+    def test_ranks_run_the_problem_bc_names(self, tmp_path):
+        """``--ranks 2 --bc X`` is the single-domain ``--bc X`` run cut into
+        two slabs (the matrix's rule: ``reference`` runs bit for bit)."""
+        flags = ["run", "--problem", "channel", "--scheme", "MR-P",
+                 "--shape", "32,14", "--steps", "20"]
+        got = {}
+        for bc in ("nebb", "regularized-fd"):
+            for ranks in ([], ["--ranks", "2", "--backend", "process"]):
+                out = tmp_path / f"{bc}-{len(ranks)}.npz"
+                assert main(flags + ["--bc", bc, "--output", str(out)]
+                            + ranks) == 0
+                with np.load(out) as data:
+                    got[bc, bool(ranks)] = fields(data["rho"], data["u"])
+            assert_agree(got[bc, True], got[bc, False], exact=True)
+        assert not np.array_equal(got["nebb", True],
+                                  got["regularized-fd", True])
 
     def test_distributed_run_imports_only_what_runs(self, tmp_path):
         """A process-backend run needs no HTTP stack and no profiling

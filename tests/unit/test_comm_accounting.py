@@ -2,15 +2,17 @@
 
 Pins the per-step wire volume for ST vs MR on D3Q19 — the paper's
 compression argument on the network: an MR face ships M = 10 moments per
-node where naive ST ships Q = 19 populations (crossing-only ST ships 5) —
-and locks the ``steps`` bookkeeping: every exchange round advances
-``comm.steps`` whether driven through ``run()`` or direct ``step()``
-calls.
+node where a naive ST exchange would ship Q = 19 populations (ST ships
+the 5 that cross) — and locks the ``steps`` bookkeeping: every exchange
+round advances ``comm.steps`` whether driven through ``run()`` or direct
+``step()`` calls.
 """
 
+import numpy as np
 import pytest
 
-from repro.parallel import CommunicationReport, distributed_periodic_problem
+from repro.parallel import CommunicationReport
+from repro.service.registry import build_distributed
 
 SHAPE_3D = (12, 6, 5)
 FACE_NODES = 6 * 5
@@ -22,15 +24,15 @@ MESSAGES_PER_STEP = 4
 
 class TestStepsAdvance:
     def test_direct_step_calls_advance_steps(self):
-        d = distributed_periodic_problem("MR-P", "D2Q9", (24, 10), 2, 0.8)
+        d = build_distributed("periodic", "MR-P", "D2Q9", (24, 10), 2)
         d.step()
         d.step()
         assert d.comm.steps == 2
         assert d.comm.bytes_per_step() == d.comm.bytes_sent / 2
 
     def test_run_and_step_agree(self):
-        via_run = distributed_periodic_problem("ST", "D2Q9", (24, 10), 2, 0.8)
-        via_step = distributed_periodic_problem("ST", "D2Q9", (24, 10), 2, 0.8)
+        via_run = build_distributed("periodic", "ST", "D2Q9", (24, 10), 2)
+        via_step = build_distributed("periodic", "ST", "D2Q9", (24, 10), 2)
         via_run.run(3)
         for _ in range(3):
             via_step.step()
@@ -40,13 +42,13 @@ class TestStepsAdvance:
 class TestD3Q19BytesPerStep:
     @pytest.mark.parametrize("scheme,kwargs,payload", [
         ("ST", {}, 5),                             # crossing populations
-        ("ST", {"st_exchange": "full"}, 19),       # naive full exchange
+        ("ST", {"force": np.r_[1e-5, 0, 0]}, 5),   # forcing ships nothing
         ("MR-P", {}, 10),                          # compressed moments
         ("MR-R", {}, 10),                          # same wire format
     ])
     def test_pinned_bytes_per_step(self, scheme, kwargs, payload):
-        d = distributed_periodic_problem(scheme, "D3Q19", SHAPE_3D, 2, 0.8,
-                                         **kwargs)
+        d = build_distributed("periodic", scheme, "D3Q19", SHAPE_3D, 2,
+                              **kwargs)
         d.run(3)
         expected = MESSAGES_PER_STEP * payload * FACE_NODES * DOUBLE
         assert d.comm.bytes_per_step() == expected
@@ -54,15 +56,13 @@ class TestD3Q19BytesPerStep:
         assert d.comm.steps == 3
 
     def test_mr_between_crossing_and_full_st(self):
-        mr = distributed_periodic_problem("MR-P", "D3Q19", SHAPE_3D, 2, 0.8)
-        st = distributed_periodic_problem("ST", "D3Q19", SHAPE_3D, 2, 0.8)
-        full = distributed_periodic_problem("ST", "D3Q19", SHAPE_3D, 2, 0.8,
-                                            st_exchange="full")
-        for d in (mr, st, full):
+        mr = build_distributed("periodic", "MR-P", "D3Q19", SHAPE_3D, 2)
+        st = build_distributed("periodic", "ST", "D3Q19", SHAPE_3D, 2)
+        for d in (mr, st):
             d.run(2)
-        assert (st.comm.bytes_per_step()
-                < mr.comm.bytes_per_step()
-                < full.comm.bytes_per_step())
+        # the naive full exchange: all Q populations, every directed face
+        full = MESSAGES_PER_STEP * mr.lat.q * FACE_NODES * DOUBLE
+        assert st.comm.bytes_per_step() < mr.comm.bytes_per_step() < full
 
 
 class TestReportArithmetic:

@@ -16,23 +16,31 @@ def d2q9():
 
 class TestParallelErrors:
     def test_unknown_scheme(self):
-        from repro.parallel import distributed_periodic_problem
+        from repro.service.registry import build_distributed
 
         with pytest.raises(ValueError, match="unknown scheme"):
-            distributed_periodic_problem("MRT", "D2Q9", (12, 8), 2)
+            build_distributed("periodic", "MRT", "D2Q9", (12, 8), 2)
 
     def test_shape_mismatch(self):
-        from repro.parallel import distributed_channel_problem
+        from repro.service.registry import build_distributed
 
         with pytest.raises(ValueError, match="shape"):
-            distributed_channel_problem("ST", "D3Q19", (12, 8), 2)
+            build_distributed("channel", "ST", "D3Q19", (12, 8), 2)
 
     def test_bad_exchange_mode(self):
-        from repro.parallel import distributed_periodic_problem
+        """ST always ships the crossing populations: there is no
+        exchange mode to pick, and the name is an unknown option."""
+        from repro.parallel import RunSpec
+        from repro.service.registry import build_distributed
 
-        with pytest.raises(ValueError, match="st_exchange"):
-            distributed_periodic_problem("ST", "D2Q9", (12, 8), 2,
-                                         st_exchange="compressed")
+        said = ("problem kind 'periodic' has no option 'st_exchange'; "
+                "accepted options: rho0, u0, force")
+        with pytest.raises(ValueError, match=f"^{said}$"):
+            build_distributed("periodic", "ST", "D2Q9", (12, 8), 2,
+                              st_exchange="full")
+        with pytest.raises(ValueError, match=f"^{said}$"):
+            RunSpec("periodic", "ST", "D2Q9", (12, 8), 2,
+                    options={"st_exchange": "full"})
 
 
 class TestDistributedFailsClosed:

@@ -156,3 +156,13 @@ class TestVersionedResume:
                 scheme="MR-P", lattice="D2Q9", shape=(32, 16), tau=0.8,
                 fingerprint="def",
                 fingerprint_version=FINGERPRINT_VERSION)
+
+    def test_v2_checkpoint_says_the_defaults_changed(self):
+        """Under v3 a distributed kind takes its single-domain defaults:
+        the warning says how to continue the v2 problem."""
+        with pytest.warns(UserWarning, match="Kind defaults changed in v3.*"
+                          "explicitly to continue the same problem"):
+            validate_checkpoint_manifest(
+                manifest_with("abc", 2),
+                scheme="MR-P", lattice="D2Q9", shape=(16, 16), tau=0.8,
+                fingerprint="def", fingerprint_version=FINGERPRINT_VERSION)

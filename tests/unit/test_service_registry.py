@@ -1,11 +1,9 @@
 """The shared problem registry: one kind table for CLI/runtime/sweep/server."""
 
-import inspect
-
 import numpy as np
 import pytest
 
-from repro.parallel import RunSpec, distributed_channel_problem
+from repro.parallel import RunSpec
 from repro.service.registry import (
     ProblemKind,
     ProblemSetup,
@@ -21,12 +19,6 @@ from repro.solver import channel_problem
 from test_conformance import assert_agree, fields
 
 SHAPE = (24, 14)
-
-
-def explicit_options(name):
-    """Every option of a kind, spelled out at its single-domain default."""
-    params = inspect.signature(get_problem(name).setup).parameters
-    return {opt: params[opt].default for opt in get_problem(name).options}
 
 
 def assert_same_fields(dist, single):
@@ -112,14 +104,6 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="'u_max'"):
             build_single("porous", "ST", "D2Q9", (16, 16), u_max=0.05)
 
-    def test_st_exchange_is_a_builder_argument(self):
-        spec = RunSpec("periodic", "ST", "D2Q9", (16, 16), 2,
-                       options={"st_exchange": "full"})
-        assert spec.build().st_exchange == "full"
-        with pytest.raises(ValueError, match="st_exchange"):
-            build_single("periodic", "ST", "D2Q9", (16, 16),
-                         st_exchange="full")
-
     def test_single_only_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="no distributed form"):
             RunSpec("power-law", "MR-P", "D2Q9", (16, 16), 1)
@@ -137,7 +121,7 @@ class TestBuilders:
 
     def test_build_distributed_every_kind(self):
         for name in problem_kinds():
-            if get_problem(name).distributed is None:
+            if not get_problem(name).distributed:
                 continue
             solver = build_distributed(name, "ST", "D2Q9", SHAPE, 2, tau=0.8)
             solver.run(5)
@@ -156,22 +140,21 @@ class TestBuilders:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     @pytest.mark.parametrize("name", problem_kinds())
     def test_both_forms_are_one_problem(self, name, scheme):
-        """At the same explicit options the two forms are one problem.
+        """With no options the two forms are one problem: a kind has one
+        set of defaults.
 
         Driven by the table, so a kind is covered by being registered;
         a single-only kind must refuse its distributed form at
         construction instead.
         """
-        options = explicit_options(name)
-        if get_problem(name).distributed is None:
+        if not get_problem(name).distributed:
             with pytest.raises(ValueError, match="no distributed form"):
-                build_distributed(name, scheme, "D2Q9", SHAPE, 2, **options)
+                build_distributed(name, scheme, "D2Q9", SHAPE, 2)
             return
-        single = build_single(name, scheme, "D2Q9", SHAPE, tau=0.8,
-                              **options).run(10)
+        single = build_single(name, scheme, "D2Q9", SHAPE, tau=0.8).run(10)
         for n_ranks in (1, 2):
             dist = build_distributed(name, scheme, "D2Q9", SHAPE, n_ranks,
-                                     tau=0.8, **options).run(10)
+                                     tau=0.8).run(10)
             assert_same_fields(dist, single)
 
     def test_distributed_matches_single_domain(self):
@@ -182,12 +165,25 @@ class TestBuilders:
                                  tau=0.8, u_max=0.03).run(20)
         assert_same_fields(dist, single)
 
+    def test_one_spec_names_one_problem(self):
+        """The sweep member and the process run of one channel spec step
+        one problem: the FD faces the kind defaults to."""
+        from repro.ensemble import build_sweep_member
+        from repro.parallel import ProcessRuntime
+
+        spec = RunSpec("channel", "MR-P", "D2Q9", (32, 14), 1,
+                       options={"u_max": 0.05})
+        member = build_sweep_member(spec, backend=spec.accel).run(20)
+        result = ProcessRuntime(spec).run(20)
+        assert_agree(fields(result.rho, result.u),
+                     fields(*member.macroscopic()), exact=True)
+
     def test_channel_per_form_defaults(self):
-        """The three defaults the distributed channel overrides, pinned."""
-        assert get_problem("channel").distributed == {
-            "u_max": 0.04, "bc_method": "nebb", "outlet_tangential": "zero"}
-        dist = distributed_channel_problem("MR-P", "D2Q9", SHAPE, 2).run(10)
-        single = channel_problem("MR-P", "D2Q9", SHAPE, u_max=0.04,
-                                 bc_method="nebb",
-                                 outlet_tangential="zero").run(10)
-        assert_same_fields(dist, single)
+        """There are none: the distributed channel with no options is the
+        single-domain channel with no options (the paper's FD faces)."""
+        assert get_problem("channel").distributed is True
+        single = channel_problem("MR-P", "D2Q9", SHAPE).run(10)
+        for n_ranks in (1, 2):
+            dist = build_distributed("channel", "MR-P", "D2Q9", SHAPE,
+                                     n_ranks).run(10)
+            assert_same_fields(dist, single)
