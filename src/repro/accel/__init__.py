@@ -26,7 +26,7 @@ one collide-and-project kernel per scheme family
     compacted over a :class:`~repro.accel.tables.MaskedNeighborTable`
     between steps, streaming is one bounce-back-folded gather, collision
     runs over ``n_fluid`` columns, and ``solver.f`` / ``solver.m`` are
-    materialised on access.
+    dense only from a look to the next step.
 
 A layout core ``carries`` only some boundary lists (``aa``: none;
 ``sparse``: those that fold into its gather table); :func:`make_core`
@@ -133,7 +133,6 @@ class _Stepper:
 
     def __init__(self, solver, backend: str, caps: dict):
         self.variable_tau = bool(caps.get("variable_tau"))
-        self._field = "_f" if caps["family"] == "st" else "_m"
         self.core = make_core(
             backend, caps, solver.lat, solver.domain, solver.tau,
             solver.boundaries,
@@ -141,30 +140,25 @@ class _Stepper:
             else getattr(solver, "tau_bulk", None))
 
     def step(self, solver) -> None:
-        """One fast-path step on the solver's private state array (the
-        ``f`` / ``m`` accessor is for everybody else: see :meth:`looked`)."""
+        """One fast-path step on the solver's held arrays (the ``f`` /
+        ``m`` accessor is for everybody else: see :meth:`looked`)."""
         tau_field = None
         if self.variable_tau:
             with solver.telemetry.phase("collide"):
                 solver._update_relaxation()
             tau_field = solver.tau_field
-        self.core.step(getattr(solver, self._field), solver.boundaries,
-                       solver.telemetry, force=solver.force,
+        solver._settle()
+        self.core.step(getattr(solver, solver._slot), solver.boundaries,
+                       solver.telemetry, force=solver._force,
                        tau_field=tau_field)
 
-    def looked(self, solver, force: bool = False) -> None:
-        """The solver's dense state (or body ``force``) is being looked at.
-
-        Whoever looks may also write: a core that keeps the state in a
-        layout of its own between steps (compact fluid columns, a
-        pre-streamed lattice) puts what is pending into the dense array
-        once (the ``sync`` phase) and starts its next step from it, one
-        that mirrors the force reloads it; for the others both are no-ops.
+    def looked(self, solver) -> None:
+        """The solver's dense state is being looked at — and possibly
+        written: a core that keeps it in a layout of its own between
+        steps (a pre-streamed lattice) puts it right once (the ``sync``
+        phase) and starts its next step from it; for the others a no-op.
         """
-        if force:
-            self.core.force_loaded = False
-        else:
-            self.core.sync(getattr(solver, self._field), solver.telemetry)
+        self.core.sync(getattr(solver, solver._slot), solver.telemetry)
 
 
 def solver_caps(solver) -> dict | None:

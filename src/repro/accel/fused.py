@@ -50,10 +50,12 @@ selected) and a ``state_lattices`` count (whole ``Q``-lattices the step
 keeps), and is stepped by
 ``core.step(state, boundaries, tel, force=, tau_field=)``. ``state`` is
 the caller's persistent array (``f`` for ST, ``m`` for MR), updated in
-place; ``core.sync(state, tel)`` is called whenever somebody else looks
-at it, so a core may keep the state in a layout of its own between
-steps (``sparse``: compact columns; ``aa``: a pre-streamed lattice) and
-put it right then. The cores here never do: their ``sync`` is a no-op.
+place, and ``force`` the caller's body force, both in the core's layout
+(``sparse``: compact fluid columns, which the solver expands when
+somebody looks). A dense core's ``core.sync(state, tel)`` is called
+whenever somebody else looks at the state, so it may keep it in an
+order of its own between steps (``aa``: a pre-streamed lattice) and put
+it right then. The cores here never do: their ``sync`` is a no-op.
 """
 
 from __future__ import annotations
@@ -148,8 +150,6 @@ class _FusedCore:
 
     #: Lean cores slide; a subclass that needs whole lattices opts out.
     _slides = True
-    #: Core protocol: cleared on ``set_force``, for cores that mirror it.
-    force_loaded = False
 
     @property
     def state_lattices(self) -> int:

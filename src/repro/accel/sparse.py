@@ -15,15 +15,16 @@ to a flat ``(n_fluid,)`` shape:
   half-way bounce-back, so walls cost nothing on top of propagation;
 * **collision** (every feature of the fused kernels) runs as chunked
   BLAS dgemms over ``n_fluid`` columns instead of ``N``;
-* **the compact state is the state** between steps: ``solver.f`` /
-  ``solver.m`` are materialised when somebody looks (:meth:`sync`, one
-  scatter) and reloaded on the next step, because whoever looks may
-  also write; the compact body force is reloaded after ``set_force``
-  only. Solid columns keep their pinned rest values throughout;
-* **what a core holds scales with the fluid**: compact fields, the
-  folded gather, the solid-link lists, the compaction maps it uses and
-  the node list — only that list's inverse is dense-node-sized
-  (docs/ALGORITHMS.md, *Realized allocations*).
+* **the compact state is the state**: a core steps the solver's
+  ``(Q | M, n_fluid)`` array in place, and the solver's body force is
+  held compact too; ``solver.f`` / ``solver.m`` / ``solver.force`` are
+  dense only from a look to the next step (:class:`repro.solver.Solver`,
+  *State access*). Solids are not in the state: a dense look shows them
+  at their pinned rest values;
+* **what a core holds scales with the fluid**: compact buffers, the
+  folded gather, the solid-link lists and the node list — only that
+  list's inverse is dense-node-sized (docs/ALGORITHMS.md, *Realized
+  allocations*).
 
 The cores carry the boundary lists that fold entirely into the gather
 table (:func:`boundaries_fold`: none, or a single plain
@@ -62,21 +63,26 @@ def boundaries_fold(boundaries) -> bool:
 
 
 def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
-                     bb, shape: tuple[int, ...]):
+                     bb) -> list:
     """Compact ``(q, targets, values)`` moving-wall momentum terms of a wall.
 
-    Reuses the boundary's own link targets and ``2 w_i rho0 (c_i . u_w) /
-    cs2`` values (C order, as the compact node list), so the folded adds
-    are value- and order-identical to the dense hook's.
+    The ``2 w_i rho0 (c_i . u_w) / cs2`` values of
+    :class:`~repro.boundary.HalfwayBounceBack`, evaluated on the table's
+    own solid links (the dense hook's links, in the same C order) with
+    the hook's expression, so the folded adds are value-identical.
     """
-    terms = []
     if bb is None or bb.wall_velocity is None:
-        return terms
-    for q in range(lat.q):
-        idx, mom = bb._targets[q], bb._momentum[q]
-        if idx is not None and mom is not None:
-            flat = np.ravel_multi_index(idx, shape)
-            terms.append((q, table.dense_to_compact[flat], np.asarray(mom)))
+        return []
+    uw = np.asarray(bb.wall_velocity, dtype=np.float64).reshape(lat.d, -1)
+    terms = []
+    for q, links in enumerate(table.solid_links):
+        if links.size:
+            at = np.unravel_index(table.fluid_flat[links], table.shape)
+            src = np.ravel_multi_index(
+                [x - c for x, c in zip(at, lat.c[q])], table.shape,
+                mode="wrap")
+            cu = sum(lat.c[q, a] * uw[a][src] for a in range(lat.d))
+            terms.append((q, links, 2.0 * lat.w[q] * bb.rho0 * cu / lat.cs2))
     return terms
 
 
@@ -86,16 +92,8 @@ class _SparseCoreBase:
     #: Core protocol: the folded gather is the only step there is.
     path = "lean"
     carries = staticmethod(boundaries_fold)
-    #: The dense solver field is the only full lattice in the state
-    #: footprint; everything the core owns scales with ``n_fluid``.
+    #: The footprint model's one lattice: the state, held compact.
     state_lattices = 1
-    #: True while the compact ``_state`` is ahead of the dense array: set
-    #: by a step that wrote no dense state, cleared by :meth:`sync`; a
-    #: step that finds it False reloads from the array first.
-    resident = False
-    #: False until the compact force mirrors ``solver.force`` again
-    #: (``set_force`` clears it through ``_Stepper.looked``).
-    force_loaded = False
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
                  boundaries=()):
@@ -105,39 +103,9 @@ class _SparseCoreBase:
                 "HalfwayBounceBack only; make_core steps other lists with "
                 "the fused core")
         self.lat = lat
-        self.shape = tuple(solid_mask.shape)
         self.table = MaskedNeighborTable(lat, solid_mask)
         self._bb = boundaries[0] if boundaries else None
-        self._mom = _folded_momentum(self.table, lat, self._bb, self.shape)
-        #: lazily built compact ``(components, n_fluid)`` buffer per field
-        self._compact_bufs: dict[str, np.ndarray] = {}
-
-    def _compact(self, name: str, field: np.ndarray | None,
-                 components: int) -> np.ndarray | None:
-        """Gather the fluid columns of a dense ``(components, *grid)`` field
-        (``None`` passes through) into a core-owned compact buffer."""
-        if field is None:
-            return None
-        buf = self._compact_bufs.get(name)
-        if buf is None:
-            buf = self._compact_bufs[name] = np.empty(
-                (components, self.table.n_fluid))
-        return self.table.compact(field, buf)
-
-    def _force(self, force: np.ndarray | None) -> np.ndarray | None:
-        """The compact body force, re-gathered only after ``set_force``."""
-        if force is None or self.force_loaded:
-            return self._compact_bufs.get("force")
-        self.force_loaded = True
-        return self._compact("force", force, self.lat.d)
-
-    def sync(self, dense: np.ndarray, tel=NULL_TELEMETRY) -> None:
-        """Scatter pending compact state into ``dense``; reload next step."""
-        if self.resident:
-            with tel.phase("sync"):
-                self.table.scatter(self._state, dense)
-            tel.count("syncs")
-            self.resident = False
+        self._mom = _folded_momentum(self.table, lat, self._bb)
 
     def _apply_folded(self, fc: np.ndarray, rest: np.ndarray) -> None:
         """Finish the folded links of a freshly gathered compact field.
@@ -160,8 +128,7 @@ class SparseSTCore(_SparseCoreBase):
 
     One folded gather of the compact post-collision field (the state)
     into the streamed one and the shared :class:`FusedSTCore` collision
-    over ``n_fluid`` columns. Solid columns of ``f`` keep their pinned
-    ``w_i``.
+    over ``n_fluid`` columns, back into the state.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -170,22 +137,20 @@ class SparseSTCore(_SparseCoreBase):
         n = self.table.n_fluid
         self.arith = FusedSTCore(lat, (n,), tau)    # the shared kernel
         self._fc = np.empty((lat.q, n))        # streamed compact field
-        self._state = self._fc_star = np.empty((lat.q, n))  # f*: the state
         self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None) -> None:
-        """Advance one step; dense ``f`` is current after :meth:`sync`."""
+        """Advance the compact post-collision ``f`` one step in place.
+
+        ``f`` is ``(Q, n_fluid)``, ``force`` compact ``(D, n_fluid)``.
+        """
         tel = NULL_TELEMETRY if tel is None else tel
-        table, fc = self.table, self._fc
         with tel.phase("stream"):
-            if not self.resident:
-                table.compact(f, self._fc_star)
-            table.gather_compact(self._fc_star, fc)
-            self._apply_folded(fc, self._rest)
+            self.table.gather_compact(f, self._fc)
+            self._apply_folded(self._fc, self._rest)
         with tel.phase("collide"):
-            self.arith._relax(fc, self._fc_star, self._force(force))
-            self.resident = True
+            self.arith._relax(self._fc, f, force)
 
 
 class SparseMRCore(_SparseCoreBase):
@@ -195,7 +160,6 @@ class SparseMRCore(_SparseCoreBase):
     collision and Eq. 11/14 reconstruction over ``n_fluid`` columns, one
     folded compact gather for streaming + bounce-back, and the Eq. 1-3
     re-projection into the compact moments — the state.
-    Solid columns of the dense ``m`` keep their pinned ``(1, 0, ..., 0)``.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -207,7 +171,7 @@ class SparseMRCore(_SparseCoreBase):
                                  tau_bulk=tau_bulk)
         #: compact post-collision and streamed fields
         self._fc_star, self._fc = np.empty((2, lat.q, n))
-        self._state = np.empty((lat.n_moments, n))     # compact moments
+        self._tau = None        # compact relaxation field (power law)
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
         self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
@@ -215,18 +179,23 @@ class SparseMRCore(_SparseCoreBase):
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None) -> None:
-        """Advance one step; dense ``m`` is current after :meth:`sync`."""
+        """Advance the compact moments ``m`` one step in place.
+
+        ``m`` is ``(M, n_fluid)``, ``force`` compact, ``tau_field`` the
+        dense ``grid`` field.
+        """
         tel = NULL_TELEMETRY if tel is None else tel
         table, arith = self.table, self.arith
-        fc_star, fc, mc = self._fc_star, self._fc, self._state
+        fc_star, fc = self._fc_star, self._fc
         with tel.phase("collide"):
-            if not self.resident:
-                table.compact(m, mc)
-            arith._reconstruct(mc, fc_star, self._force(force),
-                               self._compact("tau", tau_field, 1))
+            if tau_field is not None:
+                if self._tau is None:
+                    self._tau = np.empty((1, table.n_fluid))
+                table.compact(tau_field, self._tau)
+            arith._reconstruct(m, fc_star, force,
+                               None if tau_field is None else self._tau)
         with tel.phase("stream"):
             table.gather_compact(fc_star, fc)
             self._apply_folded(fc, self._rest)
         with tel.phase("macroscopic"):
-            np.matmul(arith._mm, fc, out=mc)
-            self.resident = True
+            np.matmul(arith._mm, fc, out=m)

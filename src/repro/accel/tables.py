@@ -155,8 +155,6 @@ class MaskedNeighborTable:
             # Fold: pull opposite[q] at the target node itself.
             flat[q, links] = lat.opposite[q] * n + links
         self.flat_compact = flat.reshape(-1)
-        # One-take compaction maps of (C, N) fields, per component count.
-        self._field_idx: dict[int, np.ndarray] = {}
 
     @property
     def src(self) -> np.ndarray:
@@ -168,15 +166,6 @@ class MaskedNeighborTable:
         """``(Q, n_fluid)`` source component per link (folded: opposite)."""
         return (self.flat_compact // self.n_fluid).reshape(-1, self.n_fluid)
 
-    def field_idx(self, n_components: int) -> np.ndarray:
-        """Flat gather indices compacting an ``(n_components, N)`` field."""
-        idx = self._field_idx.get(n_components)
-        if idx is None:
-            idx = self._field_idx[n_components] = (
-                np.arange(n_components, dtype=np.intp)[:, None]
-                * self.n_nodes + self.fluid_flat).ravel()
-        return idx
-
     def gather_compact(self, fc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Stream a compact ``(Q, n_fluid)`` field (folded links included)."""
         np.take(fc.reshape(-1), self.flat_compact, out=out.reshape(-1),
@@ -185,14 +174,35 @@ class MaskedNeighborTable:
 
     def compact(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather the fluid columns of a dense ``(C, *shape)`` field."""
-        np.take(f.reshape(-1), self.field_idx(out.shape[0]),
-                out=out.reshape(-1), mode="clip")
+        np.take(f.reshape(out.shape[0], -1), self.fluid_flat, axis=1,
+                out=out, mode="clip")
         return out
 
     def scatter(self, fc: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Write a compact ``(Q, n_fluid)`` field into the dense fluid columns."""
         f.reshape(fc.shape[0], -1)[:, self.fluid_flat] = fc
         return f
+
+    def expand(self, fc: np.ndarray, rest) -> np.ndarray:
+        """A new dense ``(C, *shape)`` field of a compact one.
+
+        ``fc`` at the fluid columns, ``rest`` (a ``(C,)`` column or a
+        scalar) at the solid ones.
+        """
+        f = np.empty((fc.shape[0], self.n_nodes))
+        f[...] = np.reshape(rest, (-1, 1))
+        return self.scatter(fc, f).reshape(fc.shape[0], *self.shape)
+
+    def plane(self, k: int) -> tuple[slice, np.ndarray]:
+        """The compact columns of leading-axis plane ``k``, and where.
+
+        ``(columns, at)``: a slice (the node list is in C order) and the
+        columns' offsets within the plane.
+        """
+        size = self.n_nodes // self.shape[0]
+        k %= self.shape[0]
+        lo, hi = np.searchsorted(self.fluid_flat, [k * size, (k + 1) * size])
+        return slice(lo, hi), self.fluid_flat[lo:hi] - k * size
 
 
 #: Tables alive somewhere, by (lattice name, grid shape): a table lasts as

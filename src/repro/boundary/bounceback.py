@@ -78,52 +78,65 @@ class HalfwayBounceBack(Boundary):
     def __init__(self, wall_velocity: np.ndarray | None = None, rho0: float = 1.0):
         self.wall_velocity = wall_velocity
         self.rho0 = float(rho0)
-        self._targets: list[tuple[np.ndarray, ...]] = []
-        self._momentum: list[np.ndarray | None] = []
+        self._links = [], []    # unbound: no links
 
     def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float) -> "HalfwayBounceBack":
-        """Precompute the fluid-solid link targets (and momentum terms)."""
-        solid = domain.solid_mask
-        fluidlike = domain.fluid_mask
-        axes = tuple(range(solid.ndim))
+        """Check the inputs; the link lists are built on first use.
+
+        A hook builds them when it first runs; the sparse gather table
+        folds the links and never asks.
+        """
         if self.wall_velocity is not None:
             uw = np.asarray(self.wall_velocity, dtype=np.float64)
             if uw.shape != (lat.d, *domain.shape):
                 raise ValueError(
                     f"wall_velocity must have shape {(lat.d, *domain.shape)}, got {uw.shape}"
                 )
-        self._tail = domain.shape[1:]
-        self._targets = []
-        self._momentum = []
+        self._lat, self._domain, self._links = lat, domain, None
+        return self
+
+    def _targets_momentum(self) -> tuple[list, list]:
+        """Per direction, the fluid-solid link targets (and momentum terms)."""
+        if self._links is not None:
+            return self._links
+        lat, domain = self._lat, self._domain
+        solid = domain.solid_mask
+        fluidlike = domain.fluid_mask
+        axes = tuple(range(solid.ndim))
+        uw = (None if self.wall_velocity is None
+              else np.asarray(self.wall_velocity, dtype=np.float64))
+        targets, momentum = [], []
         for i in range(lat.q):
             if not lat.c[i].any():
-                self._targets.append(None)
-                self._momentum.append(None)
+                targets.append(None)
+                momentum.append(None)
                 continue
             # Node x receives component i from x - c_i; fix it if the
             # source is a solid node.
             from_solid = np.roll(solid, shift=tuple(lat.c[i]), axis=axes) & fluidlike
             idx = np.nonzero(from_solid)
-            self._targets.append(idx if idx[0].size else None)
-            if self.wall_velocity is None or idx[0].size == 0:
-                self._momentum.append(None)
+            targets.append(idx if idx[0].size else None)
+            if uw is None or idx[0].size == 0:
+                momentum.append(None)
             else:
                 src = tuple(
                     (idx[a] - lat.c[i, a]) % domain.shape[a] for a in range(lat.d)
                 )
                 cu = sum(lat.c[i, a] * uw[a][src] for a in range(lat.d))
-                self._momentum.append(2.0 * lat.w[i] * self.rho0 * cu / lat.cs2)
-        return self
+                momentum.append(2.0 * lat.w[i] * self.rho0 * cu / lat.cs2)
+        self._links = targets, momentum
+        return self._links
 
     def post_stream(self, lat: LatticeDescriptor, f_new: np.ndarray,
                     f_source: np.ndarray) -> None:
         """Reflect the populations streamed out of solid nodes."""
+        targets, momentum = self._targets_momentum()
         for i in range(lat.q):
-            idx = self._targets[i]
+            idx = targets[i]
             if idx is None:
                 continue
             vals = f_source[lat.opposite[i]][idx]
-            mom = self._momentum[i]
+            mom = momentum[i]
             if mom is not None:
                 vals = vals + mom
             f_new[i][idx] = vals
@@ -139,20 +152,20 @@ class HalfwayBounceBack(Boundary):
         """
         if type(self) is not HalfwayBounceBack:
             return None
-        live = [i for i, idx in enumerate(self._targets) if idx is not None]
+        targets, momentum = self._targets_momentum()
+        live = [i for i, idx in enumerate(targets) if idx is not None]
         if not live:
             return [None] * len(slabs)
-        row = np.concatenate([self._targets[i][0] for i in live])
+        row = np.concatenate([targets[i][0] for i in live])
         order = np.argsort(row, kind="stable")
         row = row[order]
-        comp = np.repeat(live, [self._targets[i][0].size for i in live])[order]
+        comp = np.repeat(live, [targets[i][0].size for i in live])[order]
         rest = np.concatenate([
-            np.ravel_multi_index(self._targets[i][1:], self._tail)
+            np.ravel_multi_index(targets[i][1:], self._domain.shape[1:])
             for i in live])[order]
         moving = self.wall_velocity is not None
         if moving:
-            momentum = np.concatenate(
-                [self._momentum[i] for i in live])[order]
+            momentum = np.concatenate([momentum[i] for i in live])[order]
         cuts = np.searchsorted(row, [a0 for a0, _ in slabs] + [slabs[-1][1]])
         vals = np.empty(int(np.diff(cuts).max()))
         hooks = []

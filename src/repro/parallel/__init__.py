@@ -4,7 +4,7 @@ Two interchangeable backends share one slab decomposition and one halo
 protocol (see ``docs/PARALLEL.md``):
 
 * **emulated** — every rank stepped sequentially in-process
-  (:class:`DistributedST` / :class:`DistributedMR`), deterministic and
+  (:class:`DistributedSolver`), deterministic and
   dependency-free: the accounting and correctness oracle;
 * **process** — every rank a real OS process over
   ``multiprocessing.shared_memory`` with barrier-synchronized halo
@@ -27,9 +27,7 @@ testing the machinery are injected deterministically via
 
 from .decomposition import (
     CommunicationReport,
-    DistributedMR,
     DistributedSolver,
-    DistributedST,
     SlabDecomposition,
 )
 from .faults import FAULT_KINDS, FaultInjected, FaultSpec, normalize_fault
@@ -46,8 +44,6 @@ __all__ = [
     "CommunicationReport",
     "SlabDecomposition",
     "DistributedSolver",
-    "DistributedST",
-    "DistributedMR",
     "RunSpec",
     "ProcessRuntime",
     "ProcessRunResult",

@@ -33,8 +33,12 @@ Both backends drive the same per-rank primitives —
 :meth:`DistributedSolver._pack_halo`, :meth:`DistributedSolver._unpack_halo`
 and the rank solver's own step — so the emulated exchange and the
 shared-memory exchange move bit-identical payloads
-(see ``docs/PARALLEL.md``). The ghost layer is one node wide, so a
-multi-speed lattice is refused at construction (:func:`check_halo_width`).
+(see ``docs/PARALLEL.md``). The codec asks a rank for its edge rows
+(:meth:`~repro.solver.Solver.read_plane`) and hands it its ghost rows
+(:meth:`~repro.solver.Solver.write_plane`), so a rank whose state is
+compact (``"sparse"``) ships planes without making a dense array. The
+ghost layer is one node wide, so a multi-speed lattice is refused at
+construction (:func:`check_halo_width`).
 
 Correctness: a distributed run over any number of ranks reproduces the
 single-domain solver of the same backend (tested for every registered
@@ -56,8 +60,6 @@ __all__ = [
     "SlabDecomposition",
     "check_halo_width",
     "DistributedSolver",
-    "DistributedST",
-    "DistributedMR",
 ]
 
 DOUBLE = 8
@@ -184,25 +186,32 @@ def check_halo_width(lat: LatticeDescriptor) -> None:
 
 
 class DistributedSolver:
-    """Base class: slab setup, halo-exchange bookkeeping, gathering.
+    """Slab setup, the halo codec, the exchange round, gathering.
 
-    ``rank(r)`` is the single-domain solver of the scheme
-    (``SCHEMES[scheme]``) on rank ``r``'s ghosted slab, built when first
-    asked for; ``ranks`` is all of them. Subclasses add the halo codec
-    — :meth:`field`, :meth:`_pack_halo`, :meth:`_unpack_halo`,
-    :meth:`halo_values_per_direction` — from which both :meth:`step`
-    (the emulated backend) and the multiprocess runtime in
-    :mod:`repro.parallel.runtime` are assembled.
+    ``rank(r)`` is the single-domain solver of ``scheme`` (``"ST"``,
+    ``"MR-P"`` or ``"MR-R"``, a key of ``SCHEMES``) on rank ``r``'s
+    ghosted slab, built when first asked for; ``ranks`` is all of them.
+    The halo codec — :meth:`field`, :meth:`_pack_halo`,
+    :meth:`_unpack_halo`, :meth:`halo_values_per_direction` — is what
+    both :meth:`step` (the emulated backend) and the multiprocess
+    runtime in :mod:`repro.parallel.runtime` are assembled from.
+
+    The codec's one scheme-dependent choice is what a rank ships per
+    face and direction: an ST rank the populations of its edge plane
+    whose ``c_x`` points into the neighbour, an MR rank the plane's M
+    moments (see the module notes).
     """
-
-    scheme: str = "?"
 
     def __init__(self, lat: LatticeDescriptor, global_domain: Domain,
                  tau: float, n_ranks: int, periodic_axis0: bool,
                  boundary_factory, rho0=1.0, u0: np.ndarray | None = None,
                  force: np.ndarray | None = None,
-                 accel: str = "reference"):
+                 accel: str = "reference", scheme: str = "ST"):
+        if scheme not in SCHEMES:
+            raise ValueError(
+                f"scheme must be one of {sorted(SCHEMES)}, got {scheme!r}")
         check_halo_width(lat)
+        self.scheme = scheme
         self.lat = lat
         self.global_domain = global_domain
         self.tau = float(tau)
@@ -215,12 +224,12 @@ class DistributedSolver:
         # The shell: :meth:`rank` builds a rank from views of these. What
         # a rank would refuse fails here, in its words, before any rank
         # is built or forked: its inputs (on the global grid), its class
-        # and backend (a solver of the scheme on one plane, dropped) and
-        # its boundaries (bound to its slab, dropped).
+        # and backend (a solver of the scheme on one fluid plane,
+        # dropped) and its boundaries (bound to its slab, dropped).
         check_inputs(lat, global_domain.shape, tau, rho0, u0, force)
-        SCHEMES[self.scheme](lat, Domain(global_domain.node_type[:1]), tau,
-                             force=None if force is None else np.zeros(lat.d),
-                             backend=accel)
+        SCHEMES[scheme](lat, Domain(np.zeros_like(global_domain.node_type[:1])),
+                        tau, force=None if force is None else np.zeros(lat.d),
+                        backend=accel)
         for r in range(n_ranks):
             slab = Domain(global_domain.node_type[self.decomp.ghosted(r)])
             for b in boundary_factory(r, n_ranks):
@@ -228,10 +237,12 @@ class DistributedSolver:
         self._inputs = np.broadcast_to(rho0, global_domain.shape), u0, force
         self._boundary_factory = boundary_factory
         self._ranks: list[Solver | None] = [None] * n_ranks
-        # Crossing component sets for ST exchanges.
+        # The state rows a rank ships across each face.
         cx = lat.c[:, 0]
-        self._right_going = np.flatnonzero(cx > 0)
-        self._left_going = np.flatnonzero(cx < 0)
+        self._ships = ({"right": np.flatnonzero(cx > 0),
+                        "left": np.flatnonzero(cx < 0)} if scheme == "ST"
+                       else dict.fromkeys(("right", "left"),
+                                          np.arange(lat.n_moments)))
 
     def rank(self, r: int) -> Solver:
         """Rank ``r``'s solver, built on first use on its ghosted slab."""
@@ -252,11 +263,11 @@ class DistributedSolver:
         """Every rank's solver (building the ones not built yet)."""
         return [self.rank(r) for r in range(self.decomp.n_ranks)]
 
-    # -- subclass hooks: the halo codec -----------------------------------
+    # -- the halo codec -----------------------------------------------------
     def field(self, rank: Solver) -> np.ndarray:
         """The exchanged state array of a rank solver (``f`` or ``m``),
         ghost planes included, in the natural layout."""
-        raise NotImplementedError
+        return rank.f if self.scheme == "ST" else rank.m
 
     def _pack_halo(self, rank: Solver, direction: str) -> np.ndarray:
         """Copy the edge-plane payload travelling ``direction`` out of a rank.
@@ -265,16 +276,20 @@ class DistributedSolver:
         ghost) or ``"left"``. Returns a contiguous array of shape
         ``(payload_components, *face_shape)``.
         """
-        raise NotImplementedError
+        return rank.read_plane(self._ships[direction],
+                               -2 if direction == "right" else 1)
 
     def _unpack_halo(self, rank: Solver, side: str, buf: np.ndarray) -> None:
         """Write a received payload into the ``side`` (``"left"``/``"right"``)
         ghost plane of a rank."""
-        raise NotImplementedError
+        if side == "left":
+            rank.write_plane(self._ships["right"], 0, buf)
+        else:
+            rank.write_plane(self._ships["left"], -1, buf)
 
     def halo_values_per_direction(self) -> int:
         """Doubles in one directed face payload (one face, one direction)."""
-        raise NotImplementedError
+        return len(self._ships["right"]) * self.decomp.face_nodes
 
     # -- common API -------------------------------------------------------
     def interior(self, rank: int) -> slice:
@@ -344,70 +359,3 @@ class DistributedSolver:
     def communication_values_per_face(self) -> int:
         """Doubles exchanged per cut face per step (both directions)."""
         return 2 * self.halo_values_per_direction()
-
-
-class DistributedST(DistributedSolver):
-    """Distributed standard two-lattice solver (pull configuration).
-
-    Exchange payload per face and direction: the crossing populations
-    (``c_x`` pointing into the neighbour) of the slab's edge plane.
-    """
-
-    scheme = "ST"
-
-    def field(self, rank):
-        """The rank's population lattice."""
-        return rank.f
-
-    def halo_values_per_direction(self) -> int:
-        """Crossing populations of one edge plane."""
-        return len(self._right_going) * self.decomp.face_nodes
-
-    def _pack_halo(self, rank, direction):
-        """Copy the outgoing edge plane of crossing populations."""
-        if direction == "right":
-            return np.ascontiguousarray(rank.f[self._right_going, -2])
-        return np.ascontiguousarray(rank.f[self._left_going, 1])
-
-    def _unpack_halo(self, rank, side, buf):
-        """Write received crossing populations into a ghost plane."""
-        if side == "left":
-            rank.f[self._right_going, 0] = buf
-        else:
-            rank.f[self._left_going, -1] = buf
-
-
-class DistributedMR(DistributedSolver):
-    """Distributed moment-representation solver (MR-P or MR-R).
-
-    Exchange payload per face and direction: the M moments of the slab's
-    edge plane — the crossing populations are reconstructed on the
-    receiving rank from the exchanged moments (regularization makes this
-    exact), cutting network volume by 1 - M/(2 q_cross) vs naive-full ST
-    and trading arithmetic for bandwidth vs crossing-only ST.
-    """
-
-    def __init__(self, *args, scheme: str = "MR-P", **kwargs):
-        """Build an MR decomposition; ``scheme`` picks the reconstruction
-        (``"MR-P"`` projective, ``"MR-R"`` recursive)."""
-        if scheme not in ("MR-P", "MR-R"):
-            raise ValueError(f"scheme must be MR-P or MR-R, got {scheme!r}")
-        self.scheme = scheme
-        super().__init__(*args, **kwargs)
-
-    def field(self, rank):
-        """The rank's moment field."""
-        return rank.m
-
-    def halo_values_per_direction(self) -> int:
-        """All M moments of one edge plane."""
-        return self.lat.n_moments * self.decomp.face_nodes
-
-    def _pack_halo(self, rank, direction):
-        """Copy the outgoing edge plane of the moment field."""
-        src = -2 if direction == "right" else 1
-        return np.ascontiguousarray(rank.m[:, src])
-
-    def _unpack_halo(self, rank, side, buf):
-        """Write received moments into a ghost plane."""
-        rank.m[:, 0 if side == "left" else -1] = buf

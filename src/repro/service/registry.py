@@ -37,7 +37,7 @@ from ..boundary import HalfwayBounceBack, Plane, PressureOutlet, VelocityInlet
 from ..geometry import (Domain, channel_2d, channel_3d,
                         cylinder_channel_domain, periodic_box, porous_medium)
 from ..lattice import LatticeDescriptor, get_lattice
-from ..parallel.decomposition import DistributedMR, DistributedST
+from ..parallel.decomposition import DistributedSolver
 from ..solver.non_newtonian import PowerLawMRPSolver, power_law_force
 from ..solver.presets import (channel_body_force, channel_inlet_profile,
                               make_solver, scheme_key)
@@ -227,11 +227,10 @@ def build_distributed(name: str, scheme: str,
     get_problem(name, distributed=True)
     lat, setup = setup_problem(name, lattice, shape, tau, **options)
     key = check_names(scheme, accel)
-    make = (DistributedST if key == "ST"
-            else partial(DistributedMR, scheme=key))
-    return make(lat, setup.domain, tau, int(n_ranks), setup.periodic_axis0,
-                setup.boundaries, rho0=setup.rho0, u0=setup.u0,
-                force=setup.force, accel=accel)
+    return DistributedSolver(
+        lat, setup.domain, tau, int(n_ranks), setup.periodic_axis0,
+        setup.boundaries, rho0=setup.rho0, u0=setup.u0, force=setup.force,
+        accel=accel, scheme=key)
 
 
 # -- the definitions -------------------------------------------------------

@@ -23,20 +23,21 @@ __all__ = ["Solver", "SolverDiagnostics", "check_inputs"]
 
 
 def _dense_state(slot: str, what: str) -> property:
-    """The accessor of a dense state array kept in attribute ``slot``.
+    """The accessor of the state array held in attribute ``slot``.
 
-    Reading it and rebinding it both tell the fast-path stepper that the
-    array is being looked at (:meth:`Solver._looked`), so the array is
-    current when it is handed out and a write into it — or a new array
-    bound in its place — is what the next step starts from.
+    Reading it hands out the dense array, current at that moment
+    (:meth:`Solver._dense`); a write into it — or a new array bound in
+    its place — is what the next step starts from.
     """
     def get(self) -> np.ndarray:
-        self._looked()
-        return getattr(self, slot)
+        return self._dense(slot)
 
     def rebind(self, value: np.ndarray) -> None:
-        self._looked()
-        setattr(self, slot, value)
+        if self._table is None:
+            self._looked()
+            setattr(self, slot, value)
+        else:
+            self._views[slot] = value
 
     return property(get, rebind, doc=(
         f"{what}, current at the moment of access (see the *State "
@@ -135,18 +136,20 @@ class Solver(ABC):
     ------------
     The dense state (``solver.f`` for ST, ``solver.m`` for MR) is
     *current at the moment of access* — the natural layout of the
-    reference step, on every backend at every step: a backend may keep
-    the state in a layout of its own between steps (``"sparse"`` steps
-    the compact fluid-node list and touches no dense array, ``"aa"``
-    leaves an odd step's lattice pre-streamed) and puts it right
-    when the attribute is read. The array keeps its identity
-    (``solver.f is solver.f`` across steps), but a reference *held*
-    across a step is not refreshed until the attribute is read again —
-    the reference backend rebinds ``f`` / ``m`` every step, so that was
-    always so. Writes are seen by the very next step when they go
-    through the attribute: ``solver.f[...] = x``, ``solver.f = x``,
-    ``restore_checkpoint``. ``solver.force`` is read-only (NumPy raises
-    on an in-place write); :meth:`set_force` is the writer.
+    reference step, on every backend at every step. ``"aa"`` leaves an
+    odd step's lattice pre-streamed and puts it right when the attribute
+    is read; the array keeps its identity (``solver.f is solver.f``
+    across steps), but a reference *held* across a step is not refreshed
+    until the attribute is read again — the reference backend rebinds
+    ``f`` / ``m`` every step, so that was always so. ``"sparse"`` holds
+    the state, and the body force, on the fluid nodes alone: the dense
+    array exists from a look to the next step (made by the look, solids
+    at their pinned rest values, and dropped by the step), and
+    ``solver.f is solver.f`` holds within that window. Writes are seen
+    by the very next step when they go through the attribute:
+    ``solver.f[...] = x``, ``solver.f = x``, ``restore_checkpoint``.
+    ``solver.force`` is read-only (NumPy raises on an in-place write);
+    :meth:`set_force` is the writer.
     """
 
     #: short scheme label used by benchmarks ("ST", "MR-P", "MR-R")
@@ -159,7 +162,9 @@ class Solver(ABC):
                  force: np.ndarray | None = None,
                  backend: str = "reference"):
         self.backend = backend
-        self._stepper = None
+        self._stepper = self._table = None
+        #: dense arrays handed out since the last step (compact layout)
+        self._views: dict[str, np.ndarray] = {}
         if domain.ndim != lat.d:
             raise ValueError(
                 f"domain dimension {domain.ndim} does not match lattice D={lat.d}"
@@ -180,28 +185,13 @@ class Solver(ABC):
         #: telemetry registry; the disabled singleton by default, so the
         #: instrumented hot loop costs nothing unless one is attached.
         self.telemetry = NULL_TELEMETRY
-        if force is None:
-            self.force = None
-        else:
-            from ..core.forcing import normalize_force
-
-            force = normalize_force(lat, force, domain.shape)
-            # No body force inside walls.
-            force[:, domain.solid_mask] = 0.0
-            self.force = force
-
-        # One private C-ordered (1 + D, N) copy of the inputs (the
-        # caller's arrays, often views, are not written): all a build
-        # holds beside its state. Solid nodes start (and are kept) at
-        # rest equilibrium so that no NaN/Inf can ever leak out of
-        # unused regions.
-        init = np.empty((1 + lat.d, *domain.shape))
-        init[0] = rho0
-        init[1:] = 0.0 if u0 is None else u0
-        solid = domain.solid_mask
-        init[0, solid] = 1.0
-        init[1:, solid] = 0.0
-        self._initialize(init[0], init[1:])
+        # The sparse core decides the layout of what the solver holds, so
+        # it exists first: its table's fluid nodes are all that the state,
+        # the initial fields and the force are built on.
+        if backend == "sparse":
+            self._table = getattr(self._fast_stepper().core, "table", None)
+        self._force = None if force is None else self._held_force(force)
+        self._initialize(*self._initial_fields(rho0, u0))
         # Fail fast: check the backend name and the solver/backend
         # feature matrix now, not on the first step. Subclasses that
         # finish configuring themselves after this constructor (e.g.
@@ -211,10 +201,63 @@ class Solver(ABC):
 
         validate_backend(self)
 
+    def _initial_fields(self, rho0, u0) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, u)`` whose equilibrium is the initial state.
+
+        On the compact layout, the fluid nodes' values (contiguous, so
+        the blocked equilibria evaluate each column exactly as over the
+        grid). Otherwise one private C-ordered ``(1 + D, N)`` copy of the
+        inputs (the caller's arrays, often views, are not written): all
+        a build holds beside its state. Solid nodes start (and are kept)
+        at rest equilibrium so that no NaN/Inf can ever leak out of
+        unused regions.
+        """
+        lat, shape = self.lat, self.domain.shape
+        if self._table is not None:
+            at = np.unravel_index(self._table.fluid_flat, shape)
+            u = (np.zeros((lat.d, at[0].size)) if u0 is None
+                 else np.stack([np.asarray(c)[at] for c in u0]))
+            return np.broadcast_to(rho0, shape)[at], u
+        init = np.empty((1 + lat.d, *shape))
+        init[0] = rho0
+        init[1:] = 0.0 if u0 is None else u0
+        solid = self.domain.solid_mask
+        np.copyto(init[0], 1.0, where=solid)
+        np.copyto(init[1:], 0.0, where=solid)
+        return init[0], init[1:]
+
+    def _held_force(self, force) -> np.ndarray:
+        """A force vector or field as the solver holds it, read-only: the
+        fluid nodes' rows on the compact layout, else the dense field
+        with no force inside walls."""
+        lat, table = self.lat, self._table
+        arr = np.asarray(force, dtype=np.float64)
+        if table is not None and arr.shape == (lat.d,):
+            held = np.empty((lat.d, table.n_fluid))
+            held[...] = arr[:, None]
+        elif table is not None and arr.shape == (lat.d, *self.domain.shape):
+            held = table.compact(arr, np.empty((lat.d, table.n_fluid)))
+        else:
+            from ..core.forcing import normalize_force
+
+            held = normalize_force(lat, arr, self.domain.shape)
+            np.copyto(held, 0.0, where=self.domain.solid_mask)
+        held.flags.writeable = False
+        return held
+
     # -- scheme-specific ------------------------------------------------
+    #: attribute holding the state (``"_f"`` / ``"_m"``)
+    _slot: str = "?"
+
     @abstractmethod
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
-        """Set the internal state to the equilibrium of (rho, u)."""
+        """Set the held state to the equilibrium of (rho, u), in the
+        held layout (``rho`` and ``u`` are given in it)."""
+
+    def _rest(self) -> np.ndarray:
+        """The state of a node at rest: what solid nodes hold (needed on
+        the compact layout, which ST and MR solvers step)."""
+        raise NotImplementedError
 
     @abstractmethod
     def _step_reference(self) -> None:
@@ -241,31 +284,102 @@ class Solver(ABC):
             self._stepper = make_stepper(self)
         return self._stepper
 
-    def _looked(self, force: bool = False) -> None:
-        """Tell the fast-path stepper the dense state (or the body
-        ``force``) is being looked at — and possibly written."""
+    def _looked(self) -> None:
+        """Tell the fast-path stepper the dense state is being looked at
+        — and possibly written."""
         if self._stepper is not None:
-            self._stepper.looked(self, force)
+            self._stepper.looked(self)
+
+    def _dense(self, slot: str) -> np.ndarray:
+        """The array held in ``slot`` in the dense layout, current now.
+
+        On the compact layout the dense array is made by the first look
+        after a step (phase and counter ``sync``: solids at rest, the
+        fluid columns scattered) and kept until the next step, which
+        starts from it (:meth:`_settle`).
+        """
+        if self._table is None:
+            self._looked()
+            return getattr(self, slot)
+        view = self._views.get(slot)
+        if view is None:
+            with self.telemetry.phase("sync"):
+                view = self._table.expand(
+                    getattr(self, slot),
+                    0.0 if slot == "_force" else self._rest())
+            self.telemetry.count("syncs")
+            view.flags.writeable = slot != "_force"
+            self._views[slot] = view
+        return view
+
+    def _settle(self) -> None:
+        """Before a fast-path step: the dense arrays handed out since the
+        last one (written or rebound) are what it starts from — gather
+        their fluid columns into the held state and drop them."""
+        views, self._views = self._views, {}
+        for slot, view in views.items():
+            if slot != "_force":
+                self._table.compact(view, getattr(self, slot))
+
+    def read_plane(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """A copy of components ``rows`` of leading-axis plane ``k``.
+
+        ``(len(rows), *tail)``, what a rank ships to a neighbour. On the
+        compact layout the plane's fluid columns are read from the held
+        state, solids at rest: no dense array is made.
+        """
+        if self._table is None or self._slot in self._views:
+            return np.ascontiguousarray(self._dense(self._slot)[rows, k])
+        cols, at = self._table.plane(k)
+        tail = self.domain.shape[1:]
+        out = np.empty((len(rows), int(np.prod(tail))))
+        out[...] = self._rest()[rows, None]
+        out[:, at] = getattr(self, self._slot)[rows, cols]
+        return out.reshape(len(rows), *tail)
+
+    def write_plane(self, rows: np.ndarray, k: int,
+                    values: np.ndarray) -> None:
+        """Write ``values`` into components ``rows`` of plane ``k``.
+
+        A rank's ghost plane; on the compact layout, the fluid columns
+        go into the held state.
+        """
+        if self._table is None or self._slot in self._views:
+            self._dense(self._slot)[rows, k] = values
+            return
+        cols, at = self._table.plane(k)
+        getattr(self, self._slot)[rows, cols] = (
+            values.reshape(len(rows), -1)[:, at])
 
     @property
     def force(self) -> np.ndarray | None:
         """The body force ``(D, *grid)``, or ``None``; read-only outside
-        :meth:`set_force`, so no core can hold a stale copy of it."""
-        return self._force
+        :meth:`set_force`, so no core can hold a stale copy of it (on
+        ``"sparse"``, dense from a look to the next step, as the state)."""
+        if self._force is None or self._table is None:
+            return self._force
+        return self._dense("_force")
 
     @force.setter
     def force(self, value: np.ndarray | None) -> None:
+        """Hold a dense force field as given (an ensemble binds its
+        members' to its batch); on the compact layout it is the dense
+        look, until the next step, beside the held rows."""
         if value is not None:
             value = value.view()
             value.flags.writeable = False
-        self._force = value
-        self._looked(force=True)
+        if self._table is None:
+            self._force = value
+        elif value is not None:
+            self._force = self._held_force(value)
+            self._views["_force"] = value
 
     @property
     def accel_path(self) -> str | None:
         """Step variant of the core stepping this solver (``"lean"`` or
         ``"bounded"``, on every fast backend); ``None`` on
-        ``"reference"`` and before the first fast-path step builds it."""
+        ``"reference"`` and, on the dense backends, before the first
+        step builds the core (``"sparse"`` builds it with the solver)."""
         return None if self._stepper is None else self._stepper.core.path
 
     @property
@@ -354,23 +468,23 @@ class Solver(ABC):
         are automatically zeroed. The solver must have been constructed
         with a force (the schemes select their forced code paths at
         construction time). This is the one writer of ``solver.force``:
-        the array itself is read-only, so a backend that mirrors it
-        (``"sparse"`` keeps a compact copy) reloads exactly when told.
+        the array itself is read-only, and held compact on ``"sparse"``.
         """
-        if self.force is None:
+        if self._force is None:
             raise ValueError(
                 "solver was built without forcing; construct it with "
                 "force=... to enable time-dependent forces"
             )
-        from ..core.forcing import normalize_force
-
-        new = normalize_force(self.lat, force, self.domain.shape)
-        new[:, self.domain.solid_mask] = 0.0
+        new = self._held_force(force)
         held = self._force
         held.flags.writeable = True
         held[...] = new
         held.flags.writeable = False
-        self._looked(force=True)
+        view = self._views.get("_force")
+        if view is not None:    # a look's dense force: kept current
+            view.flags.writeable = True
+            self._table.scatter(new, view)
+            view.flags.writeable = False
 
     def velocity(self) -> np.ndarray:
         """The current velocity field ``u`` of shape ``(D, *grid)``."""

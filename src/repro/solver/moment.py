@@ -33,14 +33,21 @@ class _MomentSolver(Solver):
     """Shared state handling for the two MR schemes."""
 
     m = _dense_state("_m", "The moment field ``(M, *grid)``")
+    _slot = "_m"
 
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
         """Set the moment field to the equilibrium of ``(rho, u)``."""
-        self.m = equilibrium_moments(self.lat, rho, u)
+        self._m = equilibrium_moments(self.lat, rho, u)
         # Streaming target of the reference step; every fast backend's
         # core owns its own distribution buffers.
         self._f_scratch = (np.empty((self.lat.q, *self.domain.shape))
                            if self.backend == "reference" else None)
+
+    def _rest(self) -> np.ndarray:
+        """The rest moments ``(1, 0, ..., 0)`` (solid nodes of ``m``)."""
+        rest = np.zeros(self.lat.n_moments)
+        rest[0] = 1.0
+        return rest
 
     def _post_collision_f(self) -> np.ndarray:
         """Post-collision distribution reconstructed from moments."""

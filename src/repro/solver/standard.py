@@ -35,6 +35,7 @@ class STSolver(Solver):
     accel_caps = {"family": "st", "batched": True}
 
     f = _dense_state("_f", "The population lattice ``(Q, *grid)``")
+    _slot = "_f"
 
     def __init__(self, *args, collision: CollisionOperator | None = None, **kwargs):
         self._collision_override = collision
@@ -44,7 +45,7 @@ class STSolver(Solver):
             raise ValueError("collision operator tau must match solver tau")
         from ..core.collision import TRTCollision
 
-        if self.force is not None and not isinstance(
+        if self._force is not None and not isinstance(
                 self.collision, (BGKCollision, TRTCollision)):
             raise ValueError(
                 "body forcing in the ST solver is implemented for the BGK "
@@ -60,11 +61,15 @@ class STSolver(Solver):
 
     def _initialize(self, rho: np.ndarray, u: np.ndarray) -> None:
         """Fill the lattice(s) with the equilibrium of ``(rho, u)``."""
-        self.f = equilibrium(self.lat, rho, u)   # current (post-collision)
+        self._f = equilibrium(self.lat, rho, u)   # current (post-collision)
         # The reference step double-buffers through this lattice; every
         # fast backend's core owns whatever scratch it needs.
-        self._f_streamed = (np.empty_like(self.f)
+        self._f_streamed = (np.empty_like(self._f)
                             if self.backend == "reference" else None)
+
+    def _rest(self) -> np.ndarray:
+        """The rest equilibrium ``w_i`` (solid nodes of ``f``)."""
+        return self.lat.w
 
     def _step_reference(self) -> None:
         """One Algorithm 1 step: pull-stream, boundaries, collide, swap."""

@@ -30,6 +30,12 @@ def paper_lattice(request):
 
 
 @pytest.fixture
+def d2q9():
+    """The D2Q9 descriptor."""
+    return get_lattice("D2Q9")
+
+
+@pytest.fixture
 def traced():
     """``traced(fn)`` -> ``(fn(), current, peak)`` bytes under tracemalloc."""
     def run(fn):

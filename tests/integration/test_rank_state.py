@@ -15,7 +15,7 @@ from repro.geometry import channel_2d
 from repro.io import read_slab, save_rank_slab
 from repro.io.checkpoint import checkpoint_step_dir, mark_checkpoint_complete
 from repro.lattice import get_lattice
-from repro.parallel import (DistributedMR, ProcessRuntime, RunSpec,
+from repro.parallel import (DistributedSolver, ProcessRuntime, RunSpec,
                             SlabDecomposition)
 from repro.parallel.runtime import _build_plan
 from repro.parallel.worker import worker_main
@@ -82,8 +82,8 @@ def test_a_boundary_a_rank_would_refuse_fails_in_the_shell(built):
     walls = [HalfwayBounceBack(wall_velocity=np.zeros((2, 24, 10)))]
     with pytest.raises(ValueError, match=r"wall_velocity must have shape "
                        r"\(2, 13, 10\), got \(2, 24, 10\)"):
-        DistributedMR(get_lattice("D2Q9"), channel_2d(24, 10), 0.8, 2,
-                      False, lambda rank, n_ranks: walls)
+        DistributedSolver(get_lattice("D2Q9"), channel_2d(24, 10), 0.8, 2,
+                          False, lambda rank, n_ranks: walls, scheme="MR-P")
     assert not built
 
 

@@ -21,13 +21,7 @@ from repro.lattice import get_lattice
 from repro.solver import AASolver, periodic_problem
 
 from test_conformance import assert_agree, fields
-
-
-def random_state(shape, seed, d=2):
-    rng = np.random.default_rng(seed)
-    rho0 = 1 + 0.04 * rng.standard_normal(shape)
-    u0 = 0.04 * rng.standard_normal((d, *shape))
-    return rho0, u0
+from test_props_patterns import random_state
 
 
 class TestInplaceProperties:

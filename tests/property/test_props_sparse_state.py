@@ -1,25 +1,17 @@
 """Property-based tests (hypothesis): looking must not change the trajectory.
 
-``solver.f`` / ``solver.m`` is the one door to the state: a core may keep
-it in a layout of its own between steps — the ``sparse`` cores the
-compact ``(Q | M, n_fluid)`` columns (:mod:`repro.accel.sparse`), the
-boundary-free ``aa`` core a pre-streamed lattice at odd steps
-(:mod:`repro.accel.inplace`) — and puts it right when the attribute is
-read. The oracle is metamorphic: on every backend a random sequence of
-public operations is applied to
-
-* a solver (*lazy*: it looks only where the sequence looks),
-* a twin whose state is read after **every** step (*eager*: the
-  reload / natural-step path), and
-* a ``reference`` third,
-
-and every observation of the first must be ``np.array_equal`` to the
-second and agree with the third by the conformance matrix's tolerance
-rule (``tests/property/test_conformance.py``: compact, dense and
-reference contractions cut their sums differently). The deterministic
-classes below pin the same contract step by step, across checkpoints
-between every ordered pair of backends, and by counting what a look
-costs.
+``solver.f`` / ``solver.m`` is the one door to the state: ``sparse``
+holds it compact and makes the dense array on a look, kept until the
+next step (:mod:`repro.accel.sparse`); boundary-free ``aa`` un-streams a
+pre-streamed odd lattice when it is read (:mod:`repro.accel.inplace`).
+The oracle is metamorphic: a random sequence of public operations is
+applied to a solver that looks only where the sequence does, to a twin
+that looks after **every** step, and to a ``reference`` third; the first
+two must observe ``np.array_equal`` fields, the third agree by the
+conformance matrix's tolerance rule (``tests/property/test_conformance
+.py``). The classes below pin the same contract step by step, across
+checkpoints between every ordered pair of backends, and by counting
+what a look costs.
 """
 
 import numpy as np
@@ -31,11 +23,12 @@ from repro.boundary import HalfwayBounceBack
 from repro.io import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
 from repro.obs import Telemetry
-from repro.service.registry import build_single, setup_problem
+from repro.service.registry import (build_distributed, build_single,
+                                    setup_problem)
 from repro.solver import make_solver
 
 from test_conformance import (Cell, assert_agree, check_rank_counts_agree,
-                              check_resume)
+                              check_resume, fields, state_of)
 
 TAU = 0.8
 SCHEMES = ["ST", "MR-P", "MR-R"]
@@ -82,15 +75,6 @@ PROBLEMS = {"porous": (_porous, "lean"),
             "periodic": (_periodic, "lean")}
 
 
-def state_of(solver):
-    return solver.f if solver.name == "ST" else solver.m
-
-
-def fields(solver):
-    rho, u = solver.macroscopic()
-    return np.concatenate([rho[None], u])
-
-
 # One operation of a sequence: (name, argument).
 OPS = st.one_of(
     st.tuples(st.just("run"), st.integers(1, 3)),
@@ -114,13 +98,13 @@ def apply(solver, ops, tmp, every_step=False):
             return
         for _ in range(k):
             solver.run(1)
-            state_of(solver)            # a look: scatter now, reload next
+            state_of(solver)            # a look: made now, gathered next
 
     for n, (op, arg) in enumerate(ops):
         if op == "run":
             run(arg)
         elif op == "macroscopic":
-            seen.append(fields(solver))
+            seen.append(fields(*solver.macroscopic()))
         elif op == "read":
             seen.append(state_of(solver).copy())
         elif op == "poke":
@@ -136,7 +120,7 @@ def apply(solver, ops, tmp, every_step=False):
         elif op == "telemetry":
             solver.attach_telemetry(Telemetry() if arg else None)
     run(1)
-    seen.append(fields(solver))
+    seen.append(fields(*solver.macroscopic()))
     seen.append(state_of(solver).copy())
     return seen
 
@@ -198,7 +182,7 @@ class TestLookingDoesNotChangeTheTrajectory:
                 solver.run(1)
             state_of(solvers[1])
         assert np.array_equal(state_of(solvers[0]), state_of(solvers[1]))
-        assert np.array_equal(fields(solvers[0]), fields(solvers[1]))
+        assert np.array_equal(*(fields(*s.macroscopic()) for s in solvers))
 
     def test_force_is_read_only_outside_set_force(self):
         solver = build_single("forced-channel", "ST", "D2Q9", (8, 7),
@@ -233,8 +217,8 @@ class TestOneDoor:
             fast = self.build(problem, scheme, backend).run(steps)
             assert_agree(state_of(fast)[:, fluid], state_of(ref)[:, fluid],
                          exact=False, steps=steps)
-            assert_agree(fields(fast)[:, fluid], fields(ref)[:, fluid],
-                         exact=False, steps=steps)
+            assert_agree(*(fields(*s.macroscopic())[:, fluid]
+                           for s in (fast, ref)), exact=False, steps=steps)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -298,11 +282,11 @@ class TestTheMechanism:
         solver.attach_telemetry(tel).run(10)
         assert calls == {"scatter": 0, "compact": 0}
         assert "syncs" not in tel.counters
-        first = solver.macroscopic()
-        assert calls == {"scatter": 1, "compact": 0}
-        assert tel.counters["syncs"] == 1 and tel.phases["sync"].calls == 1
+        first = solver.macroscopic()    # makes the dense state and force
+        assert calls == {"scatter": 2, "compact": 0}
+        assert tel.counters["syncs"] == 2 and tel.phases["sync"].calls == 2
         again = solver.macroscopic()    # nothing pending: no second scatter
-        assert calls == {"scatter": 1, "compact": 0}
+        assert calls == {"scatter": 2, "compact": 0}
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
         assert state_of(solver) is state_of(solver)
 
@@ -320,11 +304,37 @@ class TestTheMechanism:
         assert solver.state_values_per_node == solver.lat.q
 
     def test_rebinding_the_state_is_seen_by_the_next_step(self):
-        lat = get_lattice("D2Q9")
-        a, b = (build_single("porous", "MR-P", lat, (10, 9), tau=TAU,
-                             backend="sparse", solid_fraction=0.4, seed=2)
-                for _ in range(2))
-        a.run(3)
-        b.run(5)
-        b.m = a.m.copy()
-        assert np.array_equal(b.run(2).m, a.run(2).m)
+        """The dense array lives from a look to the next step: a write
+        through it and a rebind are both what that step starts from."""
+        for scheme, name in (("ST", "f"), ("MR-P", "m")):
+            a, b, c = (_porous(scheme, "D2Q9", (10, 9), "sparse", 2).run(3)
+                       for _ in range(3))
+            look = getattr(a, name)
+            assert getattr(a, name) is look     # one array in the window
+            node = (slice(None), *np.argwhere(a.domain.fluid_mask)[5])
+            look[node] *= 1.01
+            poked = getattr(b, name).copy()
+            poked[node] *= 1.01
+            setattr(b, name, poked)
+            a.run(2), b.run(2), c.run(2)
+            assert getattr(a, name) is not look     # the step dropped it
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert not np.array_equal(getattr(a, name), getattr(c, name))
+
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_a_sparse_rank_ships_planes_not_lattices(self, scheme):
+        """Packing and unpacking read and write the compact state: ten
+        emulated steps of two ranks make no dense array, bit-identical
+        to the single domain."""
+        options = dict(tau=TAU, solid_fraction=0.45, seed=3, force_x=2e-5)
+        dist = build_distributed("porous", scheme, "D2Q9", (24, 14), 2,
+                                 accel="sparse", **options)
+        tels = [Telemetry() for _ in dist.ranks]
+        for rank, tel in zip(dist.ranks, tels):
+            rank.attach_telemetry(tel)
+        dist.run(10)
+        assert [tel.counters.get("syncs", 0) for tel in tels] == [0, 0]
+        single = build_single("porous", scheme, "D2Q9", (24, 14),
+                              backend="sparse", **options).run(10)
+        for got, want in zip(dist.gather_macroscopic(), single.macroscopic()):
+            assert np.array_equal(got, want)

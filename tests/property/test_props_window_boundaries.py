@@ -33,7 +33,7 @@ from repro.service.registry import (build_distributed, build_single,
                                     setup_problem)
 from repro.solver import make_solver
 
-from test_conformance import assert_agree
+from test_conformance import assert_agree, state_of
 
 CHUNK, WHOLE, TAU, STEPS = 32, 10 ** 9, 0.8, 5
 SCHEMES = ("ST", "MR-P", "MR-R")
@@ -47,10 +47,6 @@ WALLED = {
     "forced-channel": [{}], "cylinder": [{}], "power-law": [{}],
     "porous": [{"solid_fraction": 0.3, "seed": 5, "force_x": 1e-5}],
 }
-
-
-def state_of(solver):
-    return solver.f if solver.name == "ST" else solver.m
 
 
 def stepped(monkeypatch, chunk, build, steps=STEPS, look=False):

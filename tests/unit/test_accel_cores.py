@@ -87,7 +87,11 @@ class TestBufferInventory:
         # a fast backend's solver owns nothing but its persistent state
         assert getattr(solver, "_f_streamed", None) is None
         assert getattr(solver, "_f_scratch", None) is None
-        held = field_doubles(state, solver._stepper, min_size=min(n, nf))
+        # the state as held: compact on sparse, with the compact force
+        held = field_doubles(
+            state, getattr(solver, solver._slot), solver._stepper,
+            solver._force if solver._table is not None else None,
+            min_size=min(n, nf))
         assert held == expected_doubles(backend, scheme, problem,
                                         solver.lat, n, nf)
 
@@ -121,10 +125,13 @@ class TestBufferInventory:
 
 
 def path_of(problem, scheme, backend):
-    """``accel_path`` of a solver once its first step has built the core."""
+    """``accel_path`` of a solver once its first step has built the core
+    (a sparse solver's is built with it)."""
     solver = build(problem, scheme, backend)
-    assert solver.accel_path is None
-    return solver.run(1).accel_path
+    before = solver.accel_path
+    path = solver.run(1).accel_path
+    assert before == (path if backend == "sparse" else None)
+    return path
 
 
 class TestPath:
@@ -270,7 +277,7 @@ class TestOneSupportMatrix:
 
         from repro.core.collision import TRTCollision
         from repro.geometry import channel_2d
-        from repro.parallel.decomposition import DistributedST
+        from repro.parallel.decomposition import DistributedSolver
         from repro.solver import SCHEMES, STSolver
 
         lat = get_lattice("D2Q9")
@@ -282,6 +289,7 @@ class TestOneSupportMatrix:
         # every rank is built as SCHEMES["ST"]: make that the TRT solver
         monkeypatch.setitem(SCHEMES, "ST", partial(STSolver, collision=trt))
         with pytest.raises(ValueError) as ranks:
-            DistributedST(lat, domain, 0.8, 2, periodic_axis0=True,
-                          boundary_factory=lambda r, n: [], accel="sparse")
+            DistributedSolver(lat, domain, 0.8, 2, periodic_axis0=True,
+                              boundary_factory=lambda r, n: [],
+                              accel="sparse")
         assert str(single.value) == str(ranks.value)

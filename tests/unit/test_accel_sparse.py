@@ -20,7 +20,8 @@ from repro.service.registry import build_distributed, build_single
 from repro.solver import STSolver, make_solver
 from repro.validation.cylinder import schafer_turek_case
 
-from test_conformance import Cell, assert_agree, check_backends_agree, fields
+from test_conformance import (Cell, assert_agree, check_backends_agree, fields,
+                              state_of)
 
 
 def masked_domain(shape, fraction=0.4, seed=3):
@@ -29,10 +30,6 @@ def masked_domain(shape, fraction=0.4, seed=3):
     nt[rng.random(shape) < fraction] = 1
     nt.flat[0] = 0
     return Domain(nt)
-
-
-def state_of(solver):
-    return solver.f if solver.name == "ST" else solver.m
 
 
 def assert_is_the_fused_cell(build, steps=5):
@@ -80,7 +77,8 @@ class TestRegistration:
                     for scheme in ("ST", "MR-P")]
 
         assert_is_the_fused_cell(build)
-        assert {s.accel_path for s in build("sparse")} == {None}
+        # a sparse solver builds its core with itself
+        assert {s.accel_path for s in build("sparse")} == {"bounded"}
         assert [s.run(1).accel_path for s in build("sparse")] == [
             "bounded", "bounded"]
 
@@ -105,16 +103,29 @@ class TestLeanPathParity:
 
     def test_moving_wall_momentum_folds(self):
         """The lid-driven cavity's moving-wall momentum terms fold into
-        the gather at parity with the dense hook."""
+        the gather at parity with the dense hook: computed on the table's
+        solid links, the hook's values bit for bit, and no link list is
+        built."""
         lat = get_lattice("D2Q9")
         lid = np.zeros((2, 12, 12))
         lid[0, :, -1] = 0.08
+        walls = [HalfwayBounceBack(wall_velocity=lid) for _ in range(2)]
         sparse, fused = (make_solver(
-            "MR-R", lat, lid_driven_cavity(12), 0.8,
-            boundaries=[HalfwayBounceBack(wall_velocity=lid)],
-            backend=backend).run(8) for backend in ("sparse", "fused"))
+            "MR-R", lat, lid_driven_cavity(12), 0.8, boundaries=[wall],
+            backend=backend).run(8)
+            for wall, backend in zip(walls, ("sparse", "fused")))
         assert_agree(fields(*sparse.macroscopic()),
                      fields(*fused.macroscopic()), exact=False, steps=8)
+        assert walls[0]._links is None
+        targets, momentum = walls[1]._targets_momentum()
+        folded = {q: (tgt, mom) for q, tgt, mom in sparse._stepper.core._mom}
+        assert sorted(folded) == [q for q, m in enumerate(momentum)
+                                  if m is not None]
+        for q, (tgt, mom) in folded.items():
+            assert np.array_equal(
+                sparse._table.fluid_flat[tgt],
+                np.ravel_multi_index(targets[q], lid.shape[1:]))
+            assert np.array_equal(mom, momentum[q])
 
     def test_guo_forcing(self):
         check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse",
@@ -185,12 +196,12 @@ class TestDistributedSparse:
 
     def test_post_collide_steps_the_fused_core(self):
         from repro.geometry import channel_2d
-        from repro.parallel.decomposition import DistributedST
+        from repro.parallel.decomposition import DistributedSolver
 
         lat = get_lattice("D2Q9")
 
         def build(backend):
-            return DistributedST(
+            return DistributedSolver(
                 lat, channel_2d(16, 10, with_io=False), 0.8, 2,
                 periodic_axis0=True,
                 boundary_factory=lambda r, n: [FullwayBounceBack()],

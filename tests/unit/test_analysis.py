@@ -14,14 +14,8 @@ from repro.analysis import (
     velocity_gradient,
     vorticity,
 )
-from repro.lattice import get_lattice
 from repro.solver import periodic_problem
 from repro.validation import taylor_green_fields
-
-
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
 
 
 def shear_field(n=32, amp=0.02):

@@ -6,12 +6,6 @@ import pytest
 from repro.boundary import FullwayBounceBack, HalfwayBounceBack
 from repro.core import stream_push
 from repro.geometry import channel_2d, lid_driven_cavity
-from repro.lattice import get_lattice
-
-
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
 
 
 def make_channel_state(lat, nx=8, ny=6, seed=0):

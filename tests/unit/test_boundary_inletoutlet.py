@@ -9,11 +9,6 @@ from repro.geometry import channel_2d, channel_3d
 from repro.lattice import get_lattice
 
 
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
-
-
 class TestPlane:
     def test_inward(self):
         assert Plane(0, 0).inward == 1

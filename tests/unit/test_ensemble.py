@@ -122,14 +122,16 @@ class TestPackingAndRun:
             assert m.time == 3
 
     def test_set_force_drives_the_batch(self):
-        """After enrolment, member.set_force still reaches the kernel."""
-        members = [forced_channel_problem("ST", "D2Q9", (12, 8), tau=0.8,
-                                          u_max=0.04, backend="fused")
-                   for _ in range(2)]
-        runner = EnsembleRunner(members)
-        members[1].set_force(np.array([2e-5, 0.0]))
-        assert np.shares_memory(members[1].force, runner._force[1])
-        assert runner._force[1, 0].max() == pytest.approx(2e-5)
+        """After enrolment, member.set_force still reaches the kernel
+        (a sparse member's too, which holds its own force compact)."""
+        for backend in ("fused", "sparse"):
+            members = [forced_channel_problem(
+                "ST", "D2Q9", (12, 8), tau=0.8, u_max=0.04, backend=backend)
+                for _ in range(2)]
+            runner = EnsembleRunner(members)
+            members[1].set_force(np.array([2e-5, 0.0]))
+            assert np.shares_memory(members[1].force, runner._force[1])
+            assert runner._force[1, 0].max() == pytest.approx(2e-5)
 
     def test_member_callbacks_and_flush(self):
         members = [tg_member(tau=t) for t in (0.7, 0.9, 1.1)]

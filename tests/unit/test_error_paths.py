@@ -9,11 +9,6 @@ from repro.gpu import KernelProblem, LaunchConfig, V100
 from repro.lattice import get_lattice
 
 
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
-
-
 class TestParallelErrors:
     def test_unknown_scheme(self):
         from repro.service.registry import build_distributed

@@ -70,11 +70,13 @@ def traced_build(kind, scheme, lattice, shape, backend, steps,
 
 def problem_bytes(solver) -> int:
     """Grid-scale arrays the problem, not the backend, makes a run hold:
-    the dense body force and the bounce-back boundary's link lists."""
-    held = 0 if solver.force is None else solver.force.nbytes
+    the dense body force and the link lists a dense bounce-back hook
+    built (a sparse run holds its force compact and builds no links)."""
+    held = (0 if solver._force is None or solver._table is not None
+            else solver._force.nbytes)  # a compact force is the row's
     for b in solver.boundaries:
-        for links in getattr(b, "_targets", None) or ():
-            held += sum(a.nbytes for a in links or ())
+        targets = (getattr(b, "_links", None) or ([], []))[0]
+        held += sum(a.nbytes for idx in targets for a in idx or ())
     return held
 
 
@@ -110,11 +112,10 @@ def table_doubles_per_node(row: str, st_family: bool, q: int, m: int, d: int,
         return 2 * q if st_family else m + 2 * q
     if row == "aa":
         return 2 * q if st_family else m
-    # sparse: the node list, its inverse, the solid-link lists
-    shared = phi + 1 + links
-    compact_and_idx = ((2 * q + d) + (2 * q + d) if st_family
-                       else (2 * q + m + d) + (q + m + d))
-    return (q if st_family else m) + compact_and_idx * phi + shared
+    # sparse: compact fields and force, the folded gather; the node list,
+    # its inverse, the solid-link lists
+    compact = 2 * q + d if st_family else 2 * q + m + d
+    return (compact + q) * phi + phi + 1 + links
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -142,10 +143,11 @@ def test_a_run_holds_what_the_table_says(row, scheme):
     assert held <= figure * node + slack
     # ... and the table is not padded: what it lists is really there.
     assert held >= figure * node
-    # A build peaks at what it keeps plus its (1 + D, N) inputs: the
-    # initial state is written block by block, so no further lattice
-    # ever exists beside it.
-    assert build_peak <= build_live + (1 + lat.d) * node + slack
+    # A build peaks at what it keeps plus its (1 + D, N) inputs — on
+    # sparse the fluid nodes' alone: the initial state is written block
+    # by block, so no further lattice ever exists beside it.
+    inputs = (1 + lat.d) * (solver.domain.n_fluid if table else n) * 8
+    assert build_peak <= build_live + inputs + slack
     assert len(tables._CACHE) == 0
 
 
@@ -155,18 +157,32 @@ class TestBenchmarkProblems:
     """The figures ISSUE 20 measured on perfbench's own problems."""
 
     @pytest.mark.parametrize("scheme,live_mb,peak_mb", [
-        ("ST", 106, 85), ("MR-P", 92, 85)])
+        ("ST", 35, 39), ("MR-P", 38, 41)])
     def test_porous2d(self, scheme, live_mb, peak_mb):
-        """D2Q9 768^2, 88,516 fluid nodes: live after the first step was
-        202 MB (ST) / 188 (MR-P), 85 MB of it a cached dense table; the
-        ST build peaked at 215 MB."""
+        """D2Q9 768^2, 88,714 fluid nodes: live after the first step was
+        202 MB (ST) / 188 (MR-P), 85 MB of it a cached dense table, then
+        102 / 89 with a dense state, force and link lists beside the
+        compact ones (measured 32.6 / 35.8 now); the ST build peaked at
+        215, then 78 MB (now 36.1)."""
         solver, _, build_peak, live = traced_build(
             "porous", scheme, "D2Q9", (768, 768), "sparse", steps=1,
             solid_fraction=0.85, seed=1, force_x=1e-6)
         assert solver.accel_path == "lean"
         assert live <= live_mb * MB
         assert build_peak <= peak_mb * MB
-        assert len(tables._CACHE) == 0
+        assert len(tables._CACHE) == 0 and problem_bytes(solver) == 0
+        # No dense-node-sized float array, not even for a moment: the
+        # build peaks at its table row, the compact inputs (and the D
+        # coordinate rows they are gathered at) and the chunk-wide
+        # buffers — less than one (N,) row of doubles more.
+        lat, n = solver.lat, solver.domain.n_nodes
+        phi = solver.domain.n_fluid / n
+        links = sum(x.size for x in solver._table.solid_links) / n
+        figure = table_doubles_per_node("sparse-lean", scheme == "ST", lat.q,
+                                        lat.n_moments, lat.d, phi, links)
+        chunks = 8 * lat.q * blocking._CHUNK * 8
+        assert chunks < 8 * n
+        assert build_peak <= (figure + (1 + 2 * lat.d) * phi) * 8 * n + chunks
 
     def test_box3d_st_build(self):
         """D3Q19 64^3 ST: a 40 MB lattice used to peak at 172 MB."""

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import MomentumExchangeForce, drag_lift_coefficients
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import channel_2d, lid_driven_cavity, periodic_box
-from repro.lattice import get_lattice
 from repro.solver import (
     ConvergenceMonitor,
     EnergyMonitor,
@@ -19,11 +18,6 @@ from repro.solver import (
     periodic_problem,
 )
 from repro.validation import taylor_green_fields
-
-
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
 
 
 class TestMomentumExchange:

@@ -13,13 +13,7 @@ from repro.core import (
     normalize_force,
 )
 from repro.geometry import periodic_box
-from repro.lattice import get_lattice
 from repro.solver import make_solver
-
-
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
 
 
 class TestNormalizeForce:

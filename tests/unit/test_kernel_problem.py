@@ -8,11 +8,6 @@ from repro.gpu import KernelProblem
 from repro.lattice import get_lattice
 
 
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
-
-
 class TestConstruction:
     def test_bad_mode(self, d2q9):
         with pytest.raises(ValueError, match="mode"):

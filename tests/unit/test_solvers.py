@@ -17,11 +17,6 @@ from repro.solver import (
 )
 
 
-@pytest.fixture
-def d2q9():
-    return get_lattice("D2Q9")
-
-
 class TestConstruction:
     def test_scheme_names(self, d2q9):
         dom = periodic_box((4, 4))
