@@ -79,7 +79,7 @@ class TestBatchedEnsembleThroughput:
 
         from repro.ensemble import EnsembleRunner
         from repro.lattice import get_lattice
-        from repro.solver import periodic_problem
+        from repro.service.registry import build_single
         from repro.validation import taylor_green_fields
 
         lat = get_lattice("D2Q9")
@@ -92,9 +92,9 @@ class TestBatchedEnsembleThroughput:
                 rho0, u0 = taylor_green_fields(shape, 0.0,
                                                lat.viscosity(tau),
                                                0.02 + 0.002 * k)
-                out.append(periodic_problem("MR-P", lat, shape, tau,
-                                            rho0=rho0, u0=u0,
-                                            backend="fused"))
+                out.append(build_single("periodic", "MR-P", lat, shape,
+                                        tau=tau, rho0=rho0, u0=u0,
+                                        backend="fused"))
             return out
 
         n_fluid = batch * shape[0] * shape[1]

@@ -15,7 +15,7 @@ from conftest import run_once
 
 from repro.bench import render_table
 from repro.service.registry import build_distributed
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 
@@ -68,7 +68,8 @@ def test_distributed_correctness_under_accounting(benchmark):
     rho0, u0 = taylor_green_fields(shape, 0.0, 0.1, 0.04)
 
     def compute():
-        ref = periodic_problem("MR-R", "D2Q9", shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "MR-R", "D2Q9", shape, tau=0.8,
+                           rho0=rho0, u0=u0)
         dist = build_distributed("periodic", "MR-R", "D2Q9", shape, 3,
                                  rho0=rho0, u0=u0)
         ref.run(5)

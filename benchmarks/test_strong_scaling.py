@@ -29,7 +29,7 @@ from conftest import run_once
 from repro.bench import render_table
 from repro.obs.telemetry import peak_rss_mb
 from repro.parallel import RunSpec, run_process
-from repro.solver import channel_problem
+from repro.service.registry import build_single
 
 SHAPE = (960, 160)
 STEPS = 30
@@ -71,7 +71,7 @@ def _measure():
         })
     # The reference is built after the forks, so the ranks do not
     # inherit its heap (they would reuse it without a page of RSS).
-    ref = channel_problem(SCHEME, "D2Q9", SHAPE, tau=TAU, u_max=U_MAX)
+    ref = build_single("channel", SCHEME, "D2Q9", SHAPE, tau=TAU, u_max=U_MAX)
     ref.run(STEPS)
     _, u_ref = ref.macroscopic()
     for d in out:

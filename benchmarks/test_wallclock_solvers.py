@@ -11,7 +11,7 @@ import pytest
 
 from repro.gpu import KernelProblem, MRKernel, STKernel, V100
 from repro.lattice import get_lattice
-from repro.solver import channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 
@@ -25,19 +25,20 @@ class TestReferenceSolvers:
         shape = (128, 128)
         tau = 0.8
         rho0, u0 = taylor_green_fields(shape, 0.0, (tau - 0.5) / 3, 0.03)
-        solver = periodic_problem(scheme, "D2Q9", shape, tau,
-                                  rho0=rho0, u0=u0)
+        solver = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                              rho0=rho0, u0=u0)
         benchmark(solver.step)
         assert np.isfinite(solver.density()).all()
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_d3q19_step(self, benchmark, scheme):
-        solver = channel_problem(scheme, "D3Q19", (32, 24, 24), tau=0.8)
+        solver = build_single("channel", scheme, "D3Q19", (32, 24, 24),
+                              tau=0.8)
         benchmark(solver.step)
         assert np.isfinite(solver.density()).all()
 
     def test_d2q9_channel_step(self, benchmark):
-        solver = channel_problem("MR-P", "D2Q9", (192, 66), tau=0.8)
+        solver = build_single("channel", "MR-P", "D2Q9", (192, 66), tau=0.8)
         benchmark(solver.step)
         assert solver.diagnostics.max_speed() < 0.3
 

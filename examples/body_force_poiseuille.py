@@ -12,7 +12,7 @@ Run:  python examples/body_force_poiseuille.py
 
 import numpy as np
 
-from repro.solver import forced_channel_problem
+from repro.service.registry import build_single
 from repro.validation import poiseuille_profile
 
 
@@ -25,8 +25,8 @@ def main() -> None:
     print(f"body-force-driven channel {shape}, tau = {tau}, "
           f"target peak velocity {u_max}")
     for scheme in ("ST", "MR-P", "MR-R"):
-        solver = forced_channel_problem(scheme, "D2Q9", shape, tau=tau,
-                                        u_max=u_max)
+        solver = build_single("forced-channel", scheme, "D2Q9", shape, tau=tau,
+                              u_max=u_max)
         solver.run_to_steady_state(tol=1e-10, check_interval=200)
         ux = solver.velocity()[0]
         err = np.abs(ux[8, 1:-1] - analytic[1:-1]).max() / u_max
@@ -35,8 +35,8 @@ def main() -> None:
         assert err < 5e-3
 
     # The momentum budget is exact: total momentum grows by N*F per step.
-    solver = forced_channel_problem("MR-P", "D2Q9", shape, tau=tau,
-                                    u_max=u_max)
+    solver = build_single("forced-channel", "MR-P", "D2Q9", shape, tau=tau,
+                          u_max=u_max)
     fx = solver.force[0].max()
     p0 = solver.diagnostics.momentum()[0]
     solver.run(100)

@@ -12,14 +12,15 @@ Run:  python examples/channel_3d.py
 import numpy as np
 
 from repro.io import write_vtk
-from repro.solver import channel_problem
+from repro.service.registry import build_single
 from repro.validation import duct_profile, relative_l2_error
 
 
 def main() -> None:
     shape = (40, 18, 18)
     u_max = 0.04
-    solver = channel_problem("MR-R", "D3Q19", shape, tau=0.9, u_max=u_max)
+    solver = build_single("channel", "MR-R", "D3Q19", shape, tau=0.9,
+                          u_max=u_max)
     print(f"MR-R / D3Q19 duct {shape}, {solver.domain.n_fluid:,} fluid nodes")
 
     steps = solver.run_to_steady_state(tol=1e-8, check_interval=200)

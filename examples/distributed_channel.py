@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.parallel import RunSpec, run_process
 from repro.service.registry import build_distributed
-from repro.solver import channel_problem
+from repro.service.registry import build_single
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     n_ranks = 4
     steps = 400
 
-    ref = channel_problem("MR-P", "D2Q9", shape, tau=0.9, u_max=0.04)
+    ref = build_single("channel", "MR-P", "D2Q9", shape, tau=0.9, u_max=0.04)
     ref.run(steps)
     _, ur = ref.macroscopic()
     print(f"channel {shape} on {n_ranks} ranks, {steps} steps")

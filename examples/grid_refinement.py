@@ -18,7 +18,7 @@ Run:  python examples/grid_refinement.py   (~1 min)
 import numpy as np
 
 from repro.refinement import RefinedSimulation2D, RefinedTaylorGreen2D, fine_tau
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import relative_l2_error, taylor_green_fields
 
 
@@ -40,7 +40,8 @@ def main() -> None:
           f"(tau_c={tau}, tau_f={fine_tau(tau)}):\n")
     tg = RefinedTaylorGreen2D(shape=shape, band=band, tau=tau, u0=amp)
     rho_i, u_i = taylor_green_fields(shape, 0.0, nu, amp)
-    plain = periodic_problem("MR-P", "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+    plain = build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
 
     print(f"{'step':>6s} {'refined err':>12s} {'unrefined err':>14s}")
     for _ in range(4):

@@ -14,7 +14,7 @@ Run:  python examples/pulsatile_womersley.py   (~1 min)
 
 import numpy as np
 
-from repro.solver import forced_channel_problem
+from repro.service.registry import build_single
 from repro.validation import womersley_number, womersley_profile
 
 
@@ -29,8 +29,8 @@ def main() -> None:
     print(f"channel {shape}, period {period} steps, "
           f"Womersley number alpha = {alpha:.2f}\n")
 
-    solver = forced_channel_problem("MR-P", "D2Q9", shape, tau=tau,
-                                    u_max=0.01)
+    solver = build_single("forced-channel", "MR-P", "D2Q9", shape, tau=tau,
+                          u_max=0.01)
     # Three warm-up cycles, then sample the fourth.
     sample_at = {0: None, period // 4: None, period // 2: None,
                  3 * period // 4: None}

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.solver import channel_problem
+from repro.service.registry import build_single
 from repro.validation import linf_error, poiseuille_profile
 
 
@@ -19,7 +19,8 @@ def main() -> None:
     # velocity 0.04 (lattice units), relaxation time tau = 0.9.
     shape = (120, 42)
     u_max = 0.04
-    solver = channel_problem("MR-P", "D2Q9", shape, tau=0.9, u_max=u_max)
+    solver = build_single("channel", "MR-P", "D2Q9", shape, tau=0.9,
+                          u_max=u_max)
 
     print(f"MR-P / D2Q9 channel {shape}, {solver.domain.n_fluid:,} fluid nodes")
     steps = solver.run_to_steady_state(tol=1e-9, check_interval=200)

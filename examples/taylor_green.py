@@ -12,7 +12,7 @@ Run:  python examples/taylor_green.py
 
 import numpy as np
 
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import (
     kinetic_energy,
     relative_l2_error,
@@ -36,8 +36,8 @@ def main() -> None:
     print(f"analytic kinetic-energy decay rate: {expected_rate:.3e}\n")
 
     for scheme in ("ST", "MR-P", "MR-R"):
-        solver = periodic_problem(scheme, "D2Q9", shape, tau,
-                                  rho0=rho_init, u0=u_init)
+        solver = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                              rho0=rho_init, u0=u_init)
         e0 = kinetic_energy(*solver.macroscopic())
         solver.run(steps)
         rho, u = solver.macroscopic()

@@ -14,7 +14,7 @@ import numpy as np
 from repro.gpu import KernelProblem, MemoryTracker, MRKernel, STKernel, V100, MI100, occupancy
 from repro.lattice import get_lattice
 from repro.perf import PerformanceModel
-from repro.solver import channel_problem
+from repro.service.registry import build_single
 from repro.solver.presets import channel_inlet_profile
 
 
@@ -32,8 +32,8 @@ def main() -> None:
                             outlet_tangential="zero")
 
     # Reference solver (same configuration, NEBB boundaries).
-    ref = channel_problem("MR-P", lat, shape, tau=tau, u_max=u_max,
-                          bc_method="nebb", outlet_tangential="zero")
+    ref = build_single("channel", "MR-P", lat, shape, tau=tau, u_max=u_max,
+                       bc_method="nebb", outlet_tangential="zero")
 
     tracker = MemoryTracker(l2_bytes=int(V100.l2_kb * 1024))
     kernel = MRKernel(problem, V100, scheme="MR-P", tile_cross=(16,), w_t=8,

@@ -39,7 +39,7 @@ def taylor_green_convergence(scheme: str, resolutions: Sequence[int] = (16, 24, 
     Runs the vortex at each resolution for the same physical (diffusive)
     time ``t_phys = nu t / L^2`` and returns ``(errors, order)``.
     """
-    from ..solver import periodic_problem
+    from ..service.registry import build_single
     from ..validation import relative_l2_error, taylor_green_fields
 
     nu = (tau - 0.5) / 3.0
@@ -47,8 +47,8 @@ def taylor_green_convergence(scheme: str, resolutions: Sequence[int] = (16, 24, 
     for n in resolutions:
         steps = max(1, int(round(t_phys * n * n / nu)))
         rho_i, u_i = taylor_green_fields((n, n), 0.0, nu, u0)
-        solver = periodic_problem(scheme, "D2Q9", (n, n), tau,
-                                  rho0=rho_i, u0=u_i)
+        solver = build_single("periodic", scheme, "D2Q9", (n, n), tau=tau,
+                              rho0=rho_i, u0=u_i)
         solver.run(steps)
         _, u_ref = taylor_green_fields((n, n), float(steps), nu, u0)
         errors.append(relative_l2_error(solver.velocity(), u_ref))

@@ -19,15 +19,15 @@ __all__ = ["survives", "max_stable_amplitude", "stability_map"]
 def survives(scheme: str, tau: float, u0: float, shape=(24, 24),
              steps: int = 400, seed: int = 0) -> bool:
     """Does a noisy Taylor-Green run at (tau, u0) stay finite and positive?"""
-    from ..solver import periodic_problem
+    from ..service.registry import build_single
     from ..validation import taylor_green_fields
 
     nu = (tau - 0.5) / 3.0
     rho_i, u_i = taylor_green_fields(shape, 0.0, nu, u0)
     rng = np.random.default_rng(seed)
     u_i = u_i + 0.05 * u0 * rng.standard_normal(u_i.shape)
-    solver = periodic_problem(scheme, "D2Q9", shape, tau,
-                              rho0=rho_i, u0=u_i)
+    solver = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                          rho0=rho_i, u0=u_i)
     with np.errstate(all="ignore"):
         try:
             solver.run(steps)

@@ -2,17 +2,13 @@
 
 Subcommands
 -----------
-``run``      Run a channel or Taylor-Green simulation with any scheme.
+``run``      Run any registered problem kind with any scheme.
 ``profile``  Per-phase time/traffic breakdown for a short workload.
 ``watch``    Tail the per-rank JSONL event streams of a (live) run dir.
-``sweep``    Expand a parameter grid into an ensemble and run member
-             batches of same-shape simulations through one fused kernel
-             (lockstep batched execution; see docs/TUTORIAL.md).
-``serve``    Start the local async job server: queue RunSpecs over HTTP
-             (or a Unix socket), multiplex them over a bounded worker
-             pool of fault-tolerant process runtimes, dedupe identical
-             submissions via the problem fingerprint, and stream
-             per-job event-bus lines (see docs/SERVICE.md).
+``sweep``    Run a parameter grid as batches of same-shape members
+             stepped by one fused kernel (see docs/TUTORIAL.md).
+``serve``    Start the local async job server over the fault-tolerant
+             process runtime (see docs/SERVICE.md).
 ``submit``   Submit one job to a running server; optionally wait for
              the sealed result or follow the live event stream.
 ``jobs``     List a server's jobs, or query one job / its result.
@@ -24,24 +20,13 @@ Subcommands
 ``report``   Write the full reproduction report.
 ``tune``     Rank MR tile configurations on a modelled device.
 
-``run`` takes observability flags (see ``docs/observability.md``):
-``--metrics out.jsonl`` streams per-report-interval metric records,
-``--trace out.json`` writes a Chrome trace-event file of the
-collide/stream/boundary phase spans, ``--manifest`` writes a
-reproducibility manifest next to the output, and ``--watchdog N`` aborts
-cleanly on NaN/Inf/over-speed divergence sampled every N steps.
-
-``run`` also takes distributed flags (see ``docs/PARALLEL.md``):
-``--ranks N`` decomposes the domain into N streamwise slabs and
-``--backend {emulated,process}`` picks between the sequential in-process
-emulation and the real multiprocess shared-memory runtime.
-
-The process backend is fault tolerant: ``--checkpoint-dir DIR
---checkpoint-every N`` writes coordinated distributed checkpoints,
-``--resume DIR`` continues a checkpointed run bit-exactly (the rank
-count may differ from the writing run), ``--max-restarts K`` retries a
-failed cohort from the last checkpoint, and ``--watchdog N`` runs the
-divergence check inside every rank.
+Every ``run`` — single-domain, ``--ranks N`` emulated in this process, or
+``--backend process`` (one OS process per slab, fault tolerant:
+``--checkpoint-dir``, ``--resume``, ``--max-restarts``) — steps one loop
+(:mod:`repro.loop`), so ``--metrics``, ``--trace``, ``--manifest``,
+``--watchdog N`` and ``--events DIR`` work on each; a flag a path cannot
+honour is refused in one sentence before any step runs (see
+``docs/observability.md`` and ``docs/PARALLEL.md``).
 """
 
 from __future__ import annotations
@@ -51,13 +36,39 @@ import sys
 import time
 from pathlib import Path
 
-
 __all__ = ["main", "build_parser"]
 
 
 def _shape(text: str) -> tuple[int, ...]:
     """``argparse`` type of ``--shape``: ``"64,34,34"`` -> ``(64, 34, 34)``."""
     return tuple(int(s) for s in text.split(","))
+
+
+def _add_run_flags(parser, shape: str, steps: int) -> None:
+    """The flags ``run`` and ``submit`` share: what to step, how long, on
+    how many slabs and backends, with which fault-tolerance cadences."""
+    from .accel import BACKENDS
+
+    parser.add_argument("--scheme", default="MR-P",
+                        choices=["ST", "MR-P", "MR-R"])
+    parser.add_argument("--lattice", default="D2Q9")
+    parser.add_argument("--shape", type=_shape, default=shape,
+                        help="comma-separated grid shape, e.g. 128,66")
+    parser.add_argument("--tau", type=float, default=0.8)
+    parser.add_argument("--steps", type=int, default=steps)
+    parser.add_argument("--ranks", type=int, default=1, metavar="N",
+                        help="decompose into N streamwise slabs")
+    parser.add_argument("--accel", default="reference", choices=BACKENDS,
+                        help="execution backend of the step "
+                        "(docs/PERFORMANCE.md)")
+    parser.add_argument("--checkpoint-every", type=int, default=0,
+                        metavar="N", help="checkpoint cadence in steps "
+                        "(0 = off)")
+    parser.add_argument("--max-restarts", type=int, default=0, metavar="K",
+                        help="retry a failed cohort up to K times")
+    parser.add_argument("--watchdog", type=int, default=0, metavar="N",
+                        help="abort on NaN/Inf/over-speed fields, checked "
+                        "every N steps (0 = off)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,60 +85,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a simulation")
-    run.add_argument("--scheme", default="MR-P", choices=["ST", "MR-P", "MR-R"])
-    run.add_argument("--lattice", default="D2Q9")
-    run.add_argument("--shape", type=_shape, default="128,66",
-                     help="comma-separated grid shape, e.g. 128,66 or 64,34,34")
+    _add_run_flags(run, "128,66", 1000)
     run.add_argument("--problem", default="channel",
                      choices=problem_kinds())
-    run.add_argument("--tau", type=float, default=0.8)
     run.add_argument("--u-max", type=float, default=0.05)
-    run.add_argument("--steps", type=int, default=1000)
     run.add_argument("--bc", default="regularized-fd", choices=["regularized-fd", "nebb"])
-    run.add_argument("--ranks", type=int, default=1, metavar="N",
-                     help="decompose into N streamwise slabs (distributed "
-                     "run; see docs/PARALLEL.md)")
     run.add_argument("--backend", default=None,
                      choices=["emulated", "process"],
-                     help="distributed backend: 'emulated' steps every rank "
-                     "sequentially in-process, 'process' runs each rank as "
-                     "a real OS process over shared memory (default: "
-                     "'emulated' when --ranks > 1, 'process' when "
-                     "checkpoint/resume flags are given)")
+                     help="step the slabs in this process, or each in an "
+                     "OS process over shared memory (default: emulated "
+                     "for --ranks > 1, process with checkpoint flags)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="write coordinated distributed checkpoints into "
-                     "DIR (process backend; see docs/PARALLEL.md)")
-    run.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                     help="checkpoint cadence in steps (0 = off)")
+                     help="write coordinated distributed checkpoints here")
     run.add_argument("--resume", default=None, metavar="DIR",
                      help="resume from the newest complete checkpoint in "
-                     "DIR (or from DIR itself if it is a step directory); "
-                     "--steps is the TOTAL trajectory length")
-    run.add_argument("--max-restarts", type=int, default=0, metavar="K",
-                     help="retry a failed cohort up to K times from the "
-                     "last checkpoint (process backend)")
+                     "DIR; --steps is the TOTAL trajectory length")
     run.add_argument("--output", default=None, help="write final fields to .npz/.vtk")
-    run.add_argument("--report-interval", type=int, default=200)
+    run.add_argument("--report-interval", type=int, default=None,
+                     metavar="N", help="print progress every N steps "
+                     "(default 200; in-process runs)")
     run.add_argument("--metrics", default=None, metavar="PATH",
-                     help="stream per-report metric records to a JSON-lines file")
+                     help="write metric records to a JSON-lines file")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="write a Chrome trace-event file of the phase spans")
     run.add_argument("--manifest", default=None, metavar="PATH", nargs="?",
                      const="", help="write a run manifest JSON (default: "
                      "next to --output, or run.manifest.json)")
-    run.add_argument("--watchdog", type=int, default=0, metavar="N",
-                     help="check for NaN/Inf/over-speed divergence every N "
-                     "steps (0 = off)")
-    run.add_argument("--accel", default="reference", choices=BACKENDS,
-                     help="execution backend for the solver step: the "
-                     "reference implementation, the fused NumPy fast "
-                     "path, the single-lattice in-place streaming path "
-                     "(aa), or the sparse fluid-node-list path for masked "
-                     "geometries; see docs/PERFORMANCE.md")
     run.add_argument("--events", default=None, metavar="DIR",
-                     help="append per-rank JSONL event streams "
-                     "(heartbeat/progress/phase/checkpoint/watchdog) "
-                     "into DIR; tail them with 'mrlbm watch DIR'")
+                     help="append per-rank JSONL event streams to DIR "
+                     "(tail them with 'mrlbm watch DIR')")
     run.add_argument("--events-every", type=int, default=25, metavar="N",
                      help="event heartbeat cadence in steps (default 25)")
 
@@ -247,25 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "path (contains '/')")
     sbm.add_argument("--kind", default="forced-channel",
                      help="problem kind (see 'mrlbm jobs --kinds')")
-    sbm.add_argument("--scheme", default="MR-P",
-                     choices=["ST", "MR-P", "MR-R"])
-    sbm.add_argument("--lattice", default="D2Q9")
-    sbm.add_argument("--shape", type=_shape, default="64,34",
-                     help="comma-separated grid shape")
-    sbm.add_argument("--steps", type=int, default=500)
-    sbm.add_argument("--tau", type=float, default=0.8)
-    sbm.add_argument("--ranks", type=int, default=1)
-    sbm.add_argument("--accel", default="reference", choices=BACKENDS)
+    _add_run_flags(sbm, "64,34", 500)
     sbm.add_argument("--option", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="extra problem option forwarded to the "
                      "builder (repeatable; VALUE is parsed as JSON, "
                      "falling back to a string)")
-    sbm.add_argument("--checkpoint-every", type=int, default=0,
-                     metavar="N", help="checkpoint cadence in steps "
-                     "(0 = off); checkpoints live inside the job dir")
-    sbm.add_argument("--max-restarts", type=int, default=0, metavar="K")
-    sbm.add_argument("--watchdog", type=int, default=0, metavar="N")
     sbm.add_argument("--wait", action="store_true",
                      help="block until the job finishes and print the "
                      "sealed result")
@@ -317,133 +290,196 @@ def _problem_options(args) -> dict:
     return options
 
 
-def _distributed_spec(args):
-    """Build the :class:`~repro.parallel.RunSpec` for a distributed run."""
-    from .parallel import RunSpec
+def _refusal(args, backend: str | None) -> str | None:
+    """The one sentence refusing a ``run`` flag the chosen path lacks.
 
-    accel = getattr(args, "accel", "reference")
-    fault_tolerance = {
-        "checkpoint_dir": args.checkpoint_dir,
-        "checkpoint_every": args.checkpoint_every,
-        "resume_from": args.resume,
-        "max_restarts": args.max_restarts,
-        "watchdog_every": args.watchdog,
-        "events_dir": getattr(args, "events", None),
-        "events_every": getattr(args, "events_every", 25),
-    }
-    return RunSpec(args.problem, args.scheme, args.lattice, args.shape,
-                   args.ranks, tau=args.tau, accel=accel,
-                   options=_problem_options(args),
-                   **fault_tolerance)
+    ``backend`` is ``None`` (single domain), ``"emulated"`` or
+    ``"process"``; every other flag works on every path.
+    """
+    parent = ("a supervising parent (--backend process)", ("process",))
+    needs = [("--checkpoint-dir", args.checkpoint_dir, *parent),
+             ("--resume", args.resume, *parent),
+             ("--max-restarts", args.max_restarts, *parent),
+             ("--checkpoint-every", args.checkpoint_every
+              and not args.checkpoint_dir, "--checkpoint-dir", ()),
+             ("--report-interval", args.report_interval is not None,
+              "a progress printer in the stepping process", (None, "emulated"))]
+    path = {None: "a single-domain run", "emulated": "an emulated cohort",
+            "process": "a process run"}[backend]
+    return next((f"{flag} needs {what}, which {path} does not have"
+                 for flag, given, what, paths in needs
+                 if given and backend not in paths), None)
 
 
-def _cmd_run_distributed(args: argparse.Namespace) -> int:
-    """Handle ``mrlbm run --ranks N [--backend {emulated,process}]``."""
-    from .parallel import ParallelRuntimeError, ProcessRuntime
+def _step_here(args, solver, cohort: bool, tel, metrics) -> None:
+    """Step the loop in this process: a single domain's ``solver.step``,
+    or an emulated cohort's (``cohort``)."""
+    import os
 
-    wants_fault_tolerance = bool(args.resume or args.checkpoint_dir
-                                 or args.max_restarts)
-    backend = args.backend or ("process" if wants_fault_tolerance
-                               else "emulated")
-    if wants_fault_tolerance and backend != "process":
-        raise SystemExit("--checkpoint-dir/--resume/--max-restarts need "
-                         "--backend process")
-    if getattr(args, "trace", None):
-        print("note: --trace applies to single-domain runs only; "
-              "ignored for distributed backends", file=sys.stderr)
-    if args.watchdog and backend != "process":
-        print("note: --watchdog on distributed runs needs the process "
-              "backend; ignored", file=sys.stderr)
-    if getattr(args, "events", None) and backend != "process":
-        print("note: --events on distributed runs needs the process "
-              "backend; ignored", file=sys.stderr)
+    import numpy as np
 
+    from .loop import Cadences, Sinks, run_loop
+    from .obs import EventStream, RunEventEmitter
+
+    fluid = (solver.global_domain if cohort else solver.domain).fluid_mask
+    for rank in solver.ranks if cohort else [solver]:
+        rank.attach_telemetry(tel)
+    fields = solver.gather_macroscopic if cohort else solver.macroscopic
+    n_fluid, t0 = int(fluid.sum()), time.perf_counter()
+
+    def step():
+        solver.step()
+        solver.time += 1
+
+    def progress(done):
+        elapsed = time.perf_counter() - t0
+        rho, u = fields()
+        mass = float(rho[fluid].sum())
+        speed = float(np.sqrt(np.einsum("a...,a...->...", u, u))[fluid].max())
+        rate = n_fluid * done / elapsed / 1e6
+        print(f"  step {done:7d}  max|u| = {speed:.5f}  mass = {mass:.6e}  "
+              f"({rate:.2f} CPU-MFLUPS)")
+        if metrics is not None:
+            metrics.write({"step": done, "elapsed_s": elapsed, "mlups": rate,
+                           "max_speed": speed, "mass": mass})
+
+    sinks = Sinks(telemetry=tel, report=progress)
+    if args.events:
+        sinks.events = RunEventEmitter(
+            EventStream(args.events, rank=0), every=args.events_every,
+            n_steps=args.steps, telemetry=tel, n_fluid=n_fluid)
+        sinks.events.start(pid=os.getpid(), scheme=args.scheme,
+                           lattice=args.lattice, accel=args.accel,
+                           n_fluid=n_fluid)
+    run_loop(step, lambda: (*fields(), fluid), 0, args.steps,
+             Cadences(watchdog=args.watchdog,
+                      report=args.report_interval or 200),
+             sinks, {"scheme": args.scheme, "lattice": args.lattice,
+                     "shape": list(args.shape)})
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Handle ``mrlbm run``: build the stepper, run the one loop, write.
+
+    A single domain and an emulated cohort step
+    :func:`repro.loop.run_loop` in this process; a process run's ranks
+    step the same loop in theirs (:mod:`repro.parallel.worker`). The
+    output, metrics, trace and manifest are written once, here.
+    """
+    import json
+
+    from .obs import JsonLinesExporter, StabilityError, Telemetry
+    from .obs.events import end_running_streams
+    from .obs.exporters import rank_registries
+    from .parallel import ParallelRuntimeError, ProcessRuntime, RunSpec
+    from .service.registry import build_single
+
+    ft = bool(args.resume or args.checkpoint_dir or args.max_restarts)
+    backend = args.backend or ("process" if ft else
+                               "emulated" if args.ranks > 1 else None)
+    runtime = None
     try:
-        spec = _distributed_spec(args)
-        # One build serves the header, the run and the manifest: the
-        # process runtime's own solver is the parent's shape oracle.
-        runtime = ProcessRuntime(spec) if backend == "process" else None
-        solver = runtime.solver if runtime else spec.build()
+        refusal = _refusal(args, backend)
+        if refusal:
+            raise ValueError(refusal)
+        if backend is None:
+            solver = build_single(args.problem, args.scheme, args.lattice,
+                                  args.shape, tau=args.tau,
+                                  backend=args.accel,
+                                  **_problem_options(args))
+        else:
+            spec = RunSpec(
+                args.problem, args.scheme, args.lattice, args.shape,
+                args.ranks, tau=args.tau, accel=args.accel,
+                options=_problem_options(args),
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+                resume_from=args.resume, max_restarts=args.max_restarts,
+                watchdog_every=args.watchdog, events_dir=args.events,
+                events_every=args.events_every)
+            # One build serves the header, the run and the manifest: the
+            # process runtime's shell is the parent's shape oracle.
+            runtime = ProcessRuntime(spec) if backend == "process" else None
+            solver = runtime.solver if runtime else spec.build()
     except (ValueError, RuntimeError) as err:
-        # bad spec or unsupported accel/solver combination — fail before
-        # any rank runs
+        # a refused flag, a bad spec or an unsupported accel/solver
+        # combination: one line, before any step runs or rank is forked
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
-    n_fluid = solver.global_domain.n_fluid
+    n_fluid = (solver.global_domain if backend else solver.domain).n_fluid
+    cohort = f", {args.ranks} rank(s), backend = {backend}" if backend else ""
     print(f"{args.scheme} / {args.lattice} on {args.shape} "
-          f"({n_fluid:,} fluid nodes), tau = {args.tau}, "
-          f"{args.ranks} rank(s), backend = {backend}, "
-          f"accel = {spec.accel}")
+          f"({n_fluid:,} fluid nodes), tau = {args.tau}{cohort}, "
+          f"accel = {args.accel}")
 
+    metrics = JsonLinesExporter(args.metrics) if args.metrics else None
+    tel = (Telemetry() if runtime is None
+           and (args.metrics or args.trace or args.events) else None)
+    trace, ended = tel, "rank terminated by the parent"
+    record = {"backend": backend or "single", "ranks": args.ranks,
+              "steps": args.steps, "n_fluid": int(n_fluid)}
     t0 = time.perf_counter()
-    report = None
-    if runtime is not None:
-        try:
-            result = runtime.run(args.steps)
-        except KeyboardInterrupt:
-            # The runtime's interrupt path has already terminated the
-            # rank processes and unlinked every shared-memory block;
-            # exit with the conventional 128+SIGINT status.
-            print("INTERRUPTED: cohort terminated, shared memory "
-                  "released", file=sys.stderr)
-            return 130
-        except ParallelRuntimeError as err:
-            print(f"ABORTED: {err}", file=sys.stderr)
-            return 2
-        except (FileNotFoundError, ValueError) as err:
-            # bad --resume target or incompatible checkpoint manifest
-            print(f"ERROR: {err}", file=sys.stderr)
-            return 2
-        rho, u = result.rho, result.u
-        comm, report = result.comm, result.report
-        wall = result.wall_s
-        if result.start_step:
-            print(f"  resumed from checkpoint at step {result.start_step} "
-                  f"({args.steps - result.start_step} steps run)")
-        if result.restarts:
-            print(f"  recovered after {result.restarts} restart(s) "
-                  f"from the last checkpoint")
-        for entry in report["mlups_per_rank"]:
-            print(f"  rank {entry['rank']}: {entry['n_fluid']:,} fluid "
-                  f"nodes, {entry['mlups']:.2f} MLUPS")
-        print(f"  cohort: {report['mlups']:.2f} MLUPS "
-              f"(slowest-rank pace over {report['steps']} steps)")
-        imb = report.get("imbalance")
-        if imb:
-            print(f"  imbalance: slowest/mean = "
-                  f"{imb['imbalance_ratio']:.2f} "
-                  f"(rank {imb['slowest_rank']}), halo-wait share = "
-                  f"{imb['exchange_wait_share']:.1%} of step time")
+    try:
+        if runtime is None:
+            _step_here(args, solver, backend is not None, tel, metrics)
+            wall = time.perf_counter() - t0
+            record.update(wall_s=wall, mlups=(
+                tel.mlups(n_fluid) if tel
+                else n_fluid * args.steps / wall / 1e6))
+            rho, u = (solver.gather_macroscopic() if backend
+                      else solver.macroscopic())
+            print(f"  {record['mlups']:.2f} MLUPS ({args.steps} steps"
+                  f"{', sequential emulation' if backend else ''})")
+        else:
+            result = runtime.run(args.steps, spans=bool(args.trace))
+            rho, u, report = result.rho, result.u, result.report
+            record.update(wall_s=result.wall_s, mlups=report["mlups"],
+                          report=report)
+            trace = rank_registries(result.spans)
+            _print_cohort(args, result)
+    except (StabilityError, ParallelRuntimeError) as err:
+        if args.events and runtime is not None:
+            end_running_streams(args.events, type(err).__name__, ended)
+        print(f"ABORTED: {err}", file=sys.stderr)
+        for failure in getattr(err, "failures", [err]):
+            if failure.report is not None:
+                print(json.dumps(failure.report, indent=2), file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        # A process run's interrupt path has already terminated the
+        # ranks and unlinked every shared-memory block.
+        if args.events and runtime is not None:
+            end_running_streams(args.events, "KeyboardInterrupt", ended)
+        print("INTERRUPTED: " + ("cohort terminated, shared memory "
+                                 "released" if runtime else "run stopped"),
+              file=sys.stderr)
+        return 130
+    except (FileNotFoundError, ValueError) as err:
+        # bad --resume target or incompatible checkpoint manifest
+        print(f"ERROR: {err}", file=sys.stderr)
+        return 2
+    finally:
         if args.events:
-            print(f"  event streams in {args.events} "
+            print(f"event streams in {args.events} "
                   f"(tail with 'mrlbm watch {args.events}')")
-    else:
-        solver.run(args.steps)
-        wall = time.perf_counter() - t0
-        rho, u = solver.gather_macroscopic()
-        comm = solver.comm
-        print(f"  {n_fluid * args.steps / wall / 1e6:.2f} MLUPS "
-              f"(sequential emulation, {args.steps} steps)")
+        if metrics is not None:
+            if runtime is None:
+                record["summary"] = tel.summary()
+            metrics.write(record)
+            metrics.close()
+            print(f"wrote {args.metrics}")
+        if args.trace and trace is not None:
+            from .obs import write_chrome_trace
 
-    print(f"  halo payload per cut face: "
-          f"{solver.communication_values_per_face()} doubles "
-          f"(both directions)")
-    print(f"  exchange volume: {comm.bytes_per_step():,.0f} B/step, "
-          f"{comm.messages} messages total")
+            write_chrome_trace(trace, args.trace)
+            print(f"wrote {args.trace} (load in chrome://tracing)")
 
-    if args.metrics:
-        from .obs import JsonLinesExporter
-
-        exporter = JsonLinesExporter(args.metrics)
-        record = {"backend": backend, "ranks": args.ranks,
-                  "steps": args.steps, "wall_s": wall,
-                  "comm": comm.to_dict()}
-        if report is not None:
-            record["report"] = report
-        exporter.write(record)
-        exporter.close()
-        print(f"wrote {args.metrics}")
-
+    if backend:
+        print(f"  halo payload per cut face: "
+              f"{solver.communication_values_per_face()} doubles "
+              f"(both directions)")
+        print(f"  exchange volume: {solver.comm.bytes_per_step():,.0f} "
+              f"B/step, {solver.comm.messages} messages total")
     if args.output:
         from .io import save_fields, write_vtk
 
@@ -452,164 +488,36 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
         else:
             save_fields(args.output, rho, u, time=args.steps)
         print(f"wrote {args.output}")
-
     if args.manifest is not None:
         from .obs import manifest_path_for, write_manifest
 
-        mpath = (args.manifest or
-                 (manifest_path_for(args.output) if args.output
-                  else "run.manifest.json"))
-        write_manifest(mpath, solver, problem=args.problem,
-                       u_max=args.u_max, backend=backend, ranks=args.ranks,
+        mpath = args.manifest or (manifest_path_for(args.output)
+                                  if args.output else "run.manifest.json")
+        write_manifest(mpath, solver, problem=args.problem, u_max=args.u_max,
+                       bc=args.bc, accel=args.accel,
+                       backend=backend or "single", ranks=args.ranks,
                        command="mrlbm run")
         print(f"wrote {mpath}")
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .service.registry import build_single
-
-    if (args.ranks > 1 or args.backend is not None or args.resume
-            or args.checkpoint_dir or args.max_restarts):
-        return _cmd_run_distributed(args)
-
-    accel = getattr(args, "accel", "reference")
-    try:
-        solver = build_single(args.problem, args.scheme, args.lattice,
-                              args.shape, tau=args.tau, backend=accel,
-                              **_problem_options(args))
-    except (ValueError, RuntimeError) as err:
-        # Backend validation happens at solver construction (see
-        # repro.accel.validate_backend), so an unsupported --accel
-        # combination dies here with a clean message — never mid-run.
-        print(f"ERROR: {err}", file=sys.stderr)
-        return 2
-
-    n_fluid = solver.domain.n_fluid
-    t0 = time.perf_counter()
-
-    telemetry = None
-    metrics = None
-    if args.metrics or args.trace or args.events:
-        from .obs import Telemetry
-
-        telemetry = Telemetry()
-        solver.attach_telemetry(telemetry)
-    if args.metrics:
-        from .obs import JsonLinesExporter
-
-        metrics = JsonLinesExporter(args.metrics)
-
-    emitter = None
-    if args.events:
-        import os as _os
-
-        from .obs import EventStream, RunEventEmitter
-
-        emitter = RunEventEmitter(
-            EventStream(args.events, rank=0),
-            every=args.events_every, n_steps=args.steps,
-            telemetry=telemetry, n_fluid=n_fluid)
-        emitter.start(pid=_os.getpid(), scheme=args.scheme,
-                      lattice=args.lattice, accel=accel,
-                      n_fluid=int(n_fluid))
-
-    def report(s):
-        elapsed = time.perf_counter() - t0
-        mflups = n_fluid * s.time / elapsed / 1e6
-        print(f"  step {s.time:7d}  max|u| = {s.diagnostics.max_speed():.5f}  "
-              f"mass = {s.diagnostics.mass():.6e}  ({mflups:.2f} CPU-MFLUPS)")
-        if metrics is not None:
-            metrics.write({
-                "step": s.time,
-                "elapsed_s": elapsed,
-                "mlups": mflups,
-                "max_speed": s.diagnostics.max_speed(),
-                "mass": s.diagnostics.mass(),
-            })
-
-    callback = report
-    hooks = []
-    if args.watchdog > 0:
-        from .obs import StabilityWatchdog
-
-        hooks.append(StabilityWatchdog(
-            every=args.watchdog,
-            telemetry=telemetry if telemetry is not None else None))
-    if emitter is not None:
-        hooks.append(lambda s: emitter.maybe(s.time))
-    if hooks:
-        def callback(s, _report=report, _hooks=tuple(hooks)):
-            for hook in _hooks:
-                hook(s)
-            if s.time % args.report_interval == 0:
-                _report(s)
-
-        callback_interval = 1
-    else:
-        callback_interval = args.report_interval
-
-    print(f"{args.scheme} / {args.lattice} on {args.shape} "
-          f"({n_fluid:,} fluid nodes), tau = {args.tau}, "
-          f"accel = {accel}")
-    try:
-        from .obs import StabilityError
-
-        try:
-            solver.run(args.steps, callback=callback,
-                       callback_interval=callback_interval)
-            if emitter is not None:
-                emitter.end(solver.time, steps=solver.time)
-        except StabilityError as err:
-            import json as _json
-
-            if emitter is not None:
-                emitter.error(solver.time, "StabilityError", str(err))
-            print(f"ABORTED: {err}", file=sys.stderr)
-            print(_json.dumps(err.report, indent=2), file=sys.stderr)
-            return 2
-    finally:
-        if emitter is not None:
-            emitter.stream.close()
-            print(f"event stream in {args.events} "
-                  f"(tail with 'mrlbm watch {args.events}')")
-        if metrics is not None:
-            if telemetry is not None:
-                metrics.write({"summary": telemetry.summary(),
-                               "n_fluid": n_fluid,
-                               "mlups": telemetry.mlups(n_fluid)})
-            metrics.close()
-            print(f"wrote {args.metrics}")
-        if telemetry is not None and args.trace:
-            from .obs import write_chrome_trace
-
-            write_chrome_trace(telemetry, args.trace)
-            print(f"wrote {args.trace} (load in chrome://tracing)")
-
-    if args.output:
-        from .io import save_fields, write_vtk
-
-        rho, u = solver.macroscopic()
-        if args.output.endswith(".vtk"):
-            write_vtk(args.output, rho, u)
-        else:
-            save_fields(args.output, rho, u, time=solver.time)
-        print(f"wrote {args.output}")
-
-    if args.manifest is not None:
-        from .obs import manifest_path_for, write_manifest
-
-        if args.manifest:
-            mpath = args.manifest
-        elif args.output:
-            mpath = manifest_path_for(args.output)
-        else:
-            mpath = "run.manifest.json"
-        write_manifest(mpath, solver, problem=args.problem,
-                       u_max=args.u_max, bc=args.bc, accel=accel,
-                       command="mrlbm run")
-        print(f"wrote {mpath}")
-    return 0
+def _print_cohort(args, result) -> None:
+    """What a process run's merged report says, a line a fact."""
+    report, imb = result.report, result.report["imbalance"]
+    if result.start_step:
+        print(f"  resumed from checkpoint at step {result.start_step} "
+              f"({args.steps - result.start_step} steps run)")
+    if result.restarts:
+        print(f"  recovered after {result.restarts} restart(s) "
+              f"from the last checkpoint")
+    for entry in report["mlups_per_rank"]:
+        print(f"  rank {entry['rank']}: {entry['n_fluid']:,} fluid "
+              f"nodes, {entry['mlups']:.2f} MLUPS")
+    print(f"  cohort: {report['mlups']:.2f} MLUPS "
+          f"(slowest-rank pace over {report['steps']} steps)")
+    print(f"  imbalance: slowest/mean = {imb['imbalance_ratio']:.2f} "
+          f"(rank {imb['slowest_rank']}), halo-wait share = "
+          f"{imb['exchange_wait_share']:.1%} of step time")
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -998,7 +906,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .gpu import get_device
     from .lattice import get_lattice
-    from .perf import sweep_tiles
+    from .perf import mr_launch_config, sweep_tiles
 
     lat = get_lattice(args.lattice)
     device = get_device(args.device)
@@ -1009,8 +917,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"{'blk/SM':>7s} {'MFLUPS':>9s} {'bound':>8s}")
     for cand in ranking[: args.top]:
         occ = cand.prediction.occupancy
-        from .perf import mr_launch_config
-
         cfg = mr_launch_config(lat, args.shape, cand.tile_cross, cand.w_t)
         print(f"{str(cand.tile_cross):>10s} {cand.w_t:4d} "
               f"{cfg.threads_per_block:8d} "
@@ -1021,7 +927,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .solver import channel_problem, periodic_problem
+    import numpy as np
+
+    from .service.registry import build_single
     from .validation import (
         poiseuille_profile,
         relative_l2_error,
@@ -1041,8 +949,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     rho_i, u_i = taylor_green_fields(tg_shape, 0.0, nu, u0)
     _, u_ref = taylor_green_fields(tg_shape, float(tg_steps), nu, u0)
     for scheme in ("ST", "MR-P", "MR-R"):
-        s = periodic_problem(scheme, "D2Q9", tg_shape, tau,
-                             rho0=rho_i, u0=u_i)
+        s = build_single("periodic", scheme, "D2Q9", tg_shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
         s.run(tg_steps)
         err = relative_l2_error(s.velocity(), u_ref)
         ok = err < 0.01
@@ -1053,12 +961,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
           f"(tolerance 2% max error):")
     analytic = poiseuille_profile(ch_shape[1], 0.04)
     for scheme in ("ST", "MR-P", "MR-R"):
-        s = channel_problem(scheme, "D2Q9", ch_shape, tau=0.9, u_max=0.04)
+        s = build_single("channel", scheme, "D2Q9", ch_shape, tau=0.9,
+                         u_max=0.04)
         s.run(ch_steps)
-        import numpy as _np
-
         prof = s.velocity()[0][ch_shape[0] // 2]
-        err = _np.abs(prof[1:-1] - analytic[1:-1]).max() / 0.04
+        err = np.abs(prof[1:-1] - analytic[1:-1]).max() / 0.04
         ok = err < 0.02
         failures += not ok
         print(f"  {scheme:5s} error {err:.2e}  {'PASS' if ok else 'FAIL'}")
@@ -1079,24 +986,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "profile": _cmd_profile,
-        "watch": _cmd_watch,
-        "tables": _cmd_tables,
-        "figures": _cmd_figures,
-        "summary": _cmd_summary,
-        "devices": _cmd_devices,
-        "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
-        "tune": _cmd_tune,
-        "report": _cmd_report,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return globals()[f"_cmd_{args.command}"](args)
     except KeyboardInterrupt:
         # 128 + SIGINT: handlers with a cleaner interrupt story (watch,
         # serve, the distributed run path) catch it before this does.

@@ -184,25 +184,13 @@ class EnsembleRunner:
         self._core.step(self._state, self._boundaries, self.telemetry,
                         force=self._force)
 
-    def run(self, n_steps: int,
-            member_callbacks: Sequence[Callable[[Solver], None] | None]
-            | None = None,
-            callback_interval: int = 1) -> "EnsembleRunner":
-        """Advance ``n_steps`` lockstep steps, with per-member callbacks.
+    def run(self, n_steps: int) -> "EnsembleRunner":
+        """Lockstep steps, not ``repro.loop``'s: a sweep has none of its flags.
 
-        ``member_callbacks`` is an optional sequence of ``B`` callables
-        (entries may be ``None``); each is invoked with its member solver
-        every ``callback_interval`` steps, exactly as
-        :meth:`repro.solver.base.Solver.run` invokes its callback — and a
-        callback exposing ``flush(solver)`` (monitors do) is flushed once
-        after the final step. Member ``time`` attributes advance in sync.
+        ``mrlbm sweep`` exposes no watchdog, event, trace or checkpoint
+        flag, so its batches step here; member ``time`` attributes
+        advance in sync.
         """
-        cbs = None
-        if member_callbacks is not None:
-            cbs = list(member_callbacks)
-            if len(cbs) != self.batch:
-                raise ValueError(
-                    f"expected {self.batch} member callbacks, got {len(cbs)}")
         tel = self.telemetry
         completed = 0
         try:
@@ -213,15 +201,6 @@ class EnsembleRunner:
                 for m in self.members:
                     m.time += 1
                 completed += 1
-                if cbs is not None and self.time % callback_interval == 0:
-                    for m, cb in zip(self.members, cbs):
-                        if cb is not None:
-                            cb(m)
-            if cbs is not None:
-                for m, cb in zip(self.members, cbs):
-                    flush = getattr(cb, "flush", None)
-                    if flush is not None:
-                        flush(m)
         finally:
             if tel.enabled and completed:
                 tel.count("steps", completed)

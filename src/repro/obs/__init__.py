@@ -10,8 +10,8 @@ virtual-GPU kernels and the CLI (see ``docs/observability.md``):
   :func:`write_chrome_trace` — metric and span exporters;
 * :class:`RunManifest` — reproducibility metadata written alongside
   outputs and checkpoints;
-* :class:`StabilityWatchdog` — cadence-sampled NaN/Inf/over-speed abort
-  with a structured report;
+* :func:`check_fields` / :class:`StabilityError` — the NaN/Inf/
+  over-speed check the run loop samples, with a structured report;
 * :func:`profile_scheme` — the harness behind ``mrlbm profile``;
 * :class:`EventStream` / :func:`follow_events` — the per-rank JSONL
   event bus behind ``mrlbm watch``.
@@ -41,7 +41,7 @@ from .exporters import (
 from .manifest import RunManifest, load_manifest, manifest_path_for, write_manifest
 from .merge import merge_rank_reports
 from .telemetry import NULL_TELEMETRY, NullTelemetry, PhaseStats, Span, Telemetry
-from .watchdog import SOUND_SPEED, StabilityError, StabilityWatchdog, check_fields
+from .watchdog import SOUND_SPEED, StabilityError, check_fields
 
 __getattr__ = lazy_exports(__name__, {
     "profile": ("PROFILE_SCHEMES", "compare_backends",
@@ -63,7 +63,6 @@ __all__ = [
     "write_manifest",
     "load_manifest",
     "manifest_path_for",
-    "StabilityWatchdog",
     "StabilityError",
     "SOUND_SPEED",
     "check_fields",

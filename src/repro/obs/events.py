@@ -41,6 +41,7 @@ __all__ = [
     "iter_events",
     "follow_events",
     "summarize_events",
+    "end_running_streams",
     "format_watch",
 ]
 
@@ -313,6 +314,20 @@ def summarize_events(events) -> dict:
         "all_done": bool(ranks) and all(
             s["status"] != "running" for s in ranks.values()),
     }
+
+
+def end_running_streams(run_dir: str | Path, exc_type: str,
+                        message: str) -> None:
+    """Append an ``error`` event to every rank stream still ``running``.
+
+    For ranks that could not write their own: a process run's parent
+    terminated them (Ctrl-C on the parent alone, a straggler).
+    """
+    for rank, state in summarize_events(read_events(run_dir))["ranks"].items():
+        if state["status"] == "running":
+            with EventStream(run_dir, rank=rank) as stream:
+                stream.emit("error", step=state["step"], exc_type=exc_type,
+                            message=message)
 
 
 def format_watch(summary: dict) -> str:

@@ -26,6 +26,7 @@ __all__ = [
     "read_jsonl",
     "write_csv_summary",
     "write_chrome_trace",
+    "rank_registries",
 ]
 
 
@@ -167,3 +168,21 @@ def write_chrome_trace(telemetry, path: str | Path,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
+
+
+def rank_registries(rank_spans: list) -> dict[int, Telemetry]:
+    """``{rank: registry}`` of a process run's posted spans, for
+    :func:`write_chrome_trace`.
+
+    ``rank_spans[r]`` is rank ``r``'s ``(name, start, duration, depth)``
+    list, ``start`` on the machine's ``perf_counter`` clock; every
+    registry counts from the earliest start, so the ranks share one
+    time axis.
+    """
+    t0 = min((s[1] for spans in rank_spans for s in spans), default=0.0)
+    registries = {}
+    for rank, spans in enumerate(rank_spans):
+        reg = registries[rank] = Telemetry(clock=lambda: t0)
+        for name, start, duration, depth in spans:
+            reg.add_span(name, start, duration, depth)
+    return registries

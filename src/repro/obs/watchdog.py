@@ -1,9 +1,10 @@
 """Stability watchdog: abort diverging runs with a structured report.
 
 LBM divergence is silent by default — NaNs appear in a corner, spread for
-thousands of steps, and the run "completes" producing garbage. The
-:class:`StabilityWatchdog` is a run callback that samples the macroscopic
-fields on a cadence and raises :class:`StabilityError` the moment it sees
+thousands of steps, and the run "completes" producing garbage. The run
+loop (:func:`repro.loop.run_loop`) samples the macroscopic fields on its
+watchdog cadence with :func:`check_fields`, which raises
+:class:`StabilityError` the moment it sees
 
 * non-finite density or velocity on a fluid node,
 * non-positive density, or
@@ -21,10 +22,7 @@ import math
 
 import numpy as np
 
-from .telemetry import NULL_TELEMETRY
-
-__all__ = ["StabilityWatchdog", "StabilityError", "SOUND_SPEED",
-           "check_fields"]
+__all__ = ["StabilityError", "SOUND_SPEED", "check_fields"]
 
 #: Lattice sound speed in lattice units (all paper lattices share it).
 SOUND_SPEED = 1.0 / math.sqrt(3.0)
@@ -36,10 +34,8 @@ def check_fields(rho: np.ndarray, u: np.ndarray,
                  context: dict | None = None) -> dict:
     """Divergence check on bare ``(rho, u)`` arrays; no solver needed.
 
-    The workhorse behind :meth:`StabilityWatchdog.check`, exposed
-    separately so contexts without a solver object — the per-rank
-    watchdog of the multiprocess runtime checks its slab fields directly
-    — share the same detection rules and report schema. ``context``
+    A single domain, an emulated cohort and a rank's interior slab all
+    share these detection rules and this report schema. ``context``
     entries (e.g. ``step``, ``scheme``, ``rank``) are folded into the
     report. Raises :class:`StabilityError` on divergence, otherwise
     returns the healthy report.
@@ -90,75 +86,3 @@ class StabilityError(RuntimeError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
-
-
-class StabilityWatchdog:
-    """Run callback that samples for divergence every ``every`` steps.
-
-    Parameters
-    ----------
-    every:
-        Sampling cadence in steps (checked against ``solver.time``, so it
-        composes with ``run(..., callback_interval=1)``).
-    u_limit:
-        Maximum tolerated speed; defaults to :data:`SOUND_SPEED`.
-    rho_min:
-        Densities at or below this value count as divergence.
-    telemetry:
-        Optional registry; the watchdog publishes ``watchdog.max_speed`` /
-        ``watchdog.min_density`` gauges and counts its checks.
-    """
-
-    def __init__(self, every: int = 50, u_limit: float | None = None,
-                 rho_min: float = 0.0, telemetry=None):
-        if every < 1:
-            raise ValueError("sampling cadence must be >= 1")
-        self.every = int(every)
-        self.u_limit = float(u_limit) if u_limit is not None else SOUND_SPEED
-        self.rho_min = float(rho_min)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.last_report: dict | None = None
-
-    def __call__(self, solver) -> None:
-        if solver.time % self.every == 0:
-            self.check(solver)
-
-    def check(self, solver) -> dict:
-        """Inspect the solver now; raises :class:`StabilityError` on
-        divergence, otherwise returns the healthy report."""
-        context = {
-            "step": int(solver.time),
-            "scheme": solver.name,
-            "lattice": solver.lat.name,
-            "shape": list(solver.domain.shape),
-        }
-        with self.telemetry.phase("watchdog"):
-            rho, u = solver.macroscopic()
-            try:
-                report = check_fields(rho, u, solver.domain.fluid_mask,
-                                      u_limit=self.u_limit,
-                                      rho_min=self.rho_min, context=context)
-                failure = None
-            except StabilityError as err:
-                report, failure = err.report, err
-
-        self.last_report = report
-        tel = self.telemetry
-        tel.count("watchdog.checks")
-        tel.gauge("watchdog.max_speed", report["max_speed"])
-        if math.isfinite(report["min_density"]):
-            tel.gauge("watchdog.min_density", report["min_density"])
-
-        if failure is not None:
-            tel.count("watchdog.aborts")
-            raise StabilityError(
-                f"{solver.name}/{solver.lat.name} diverged at step "
-                f"{solver.time}: "
-                f"{report['nonfinite_rho'] + report['nonfinite_u']} "
-                f"non-finite, {report['nonpositive_rho']} "
-                f"non-positive-density, {report['supersonic']} "
-                f"over-speed (> {self.u_limit:.3f}) fluid nodes "
-                f"(max |u| = {report['max_speed']:.3g})",
-                report,
-            )
-        return report

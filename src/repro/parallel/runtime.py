@@ -299,6 +299,7 @@ class WorkerFailure:
     traceback: str = ""
     step: int | None = None
     attempt: int = 0
+    report: dict | None = None      # a divergence's structured report
 
     def __str__(self) -> str:
         """One-line ``rank N: Type: message`` rendering."""
@@ -334,7 +335,8 @@ class ProcessRunResult:
     ``steps`` is the trajectory's total step count; ``start_step`` the
     checkpoint step the run was resumed from (0 for a fresh start);
     ``restarts`` how many supervised restarts recovery needed, with the
-    per-attempt failure records in ``failure_history``.
+    per-attempt failure records in ``failure_history``; ``spans`` each
+    rank's phase spans, when the run was asked to keep them.
     """
 
     rho: np.ndarray
@@ -348,6 +350,7 @@ class ProcessRunResult:
     start_step: int = 0
     restarts: int = 0
     failure_history: list = field(default_factory=list)
+    spans: list = field(default_factory=list)
 
 
 def shm_view(shm: shared_memory.SharedMemory,
@@ -583,7 +586,8 @@ class ProcessRuntime:
     # -- API --------------------------------------------------------------
     def run(self, n_steps: int, run_timeout: float | None = None,
             max_restarts: int | None = None,
-            restart_backoff: float = 0.5) -> ProcessRunResult:
+            restart_backoff: float = 0.5,
+            spans: bool = False) -> ProcessRunResult:
         """Run the trajectory to ``n_steps`` total steps on all ranks.
 
         Without ``spec.resume_from`` this executes ``n_steps``
@@ -598,9 +602,10 @@ class ProcessRuntime:
         ``restart_backoff * attempt`` seconds between attempts. Shared
         memory is unlinked after every attempt, successful or not.
 
-        Returns the gathered fields plus the merged telemetry report, or
-        raises :class:`ParallelRuntimeError` carrying every attempt's
-        failure records once the restart budget is exhausted.
+        Returns the gathered fields plus the merged telemetry report
+        (with ``spans``, every rank's phase spans too), or raises
+        :class:`ParallelRuntimeError` carrying every attempt's failure
+        records once the restart budget is exhausted.
         """
         spec = self.spec
         n_steps = int(n_steps)
@@ -617,7 +622,8 @@ class ProcessRuntime:
         while True:
             try:
                 result = self._run_attempt(
-                    n_steps, start_step, attempt, resume_dir, run_timeout)
+                    n_steps, start_step, attempt, resume_dir, run_timeout,
+                    spans)
             except ParallelRuntimeError as err:
                 for f in err.failures:
                     f.attempt = attempt
@@ -650,8 +656,8 @@ class ProcessRuntime:
             return result
 
     def _run_attempt(self, n_steps: int, start_step: int, attempt: int,
-                     resume_dir: str | None,
-                     run_timeout: float | None) -> ProcessRunResult:
+                     resume_dir: str | None, run_timeout: float | None,
+                     spans: bool) -> ProcessRunResult:
         """Launch one worker cohort and harvest it (one retry attempt)."""
         from .worker import worker_main
 
@@ -671,7 +677,7 @@ class ProcessRuntime:
                 args=(spec, r, n_steps, plan, barrier, errq, resq,
                       self.barrier_timeout, start_step, attempt, resume_dir,
                       *inherited),
-                daemon=True)
+                kwargs={"spans": spans}, daemon=True)
             for r in range(spec.n_ranks)
         ]
         t0 = time.perf_counter()
@@ -715,6 +721,7 @@ class ProcessRuntime:
             del out
 
             per_rank = [results[r] for r in range(spec.n_ranks)]
+            rank_spans = [rep.pop("spans") for rep in per_rank]
             report = merge_rank_reports(per_rank, wall_s=wall)
             comm = CommunicationReport(**{
                 k: report["comm"][k]
@@ -722,7 +729,7 @@ class ProcessRuntime:
             return ProcessRunResult(rho=rho, u=u, comm=comm, report=report,
                                     per_rank=per_rank, steps=n_steps,
                                     n_ranks=spec.n_ranks, wall_s=wall,
-                                    start_step=start_step)
+                                    start_step=start_step, spans=rank_spans)
         finally:
             self._destroy_blocks(blocks)
 

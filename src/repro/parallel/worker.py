@@ -5,7 +5,8 @@ Each worker builds its own rank's solver from the problem's shell
 :class:`~repro.parallel.runtime.RunSpec` otherwise) — the only process
 that ever holds that rank's state —, adopts the blocks of the
 :class:`~repro.parallel.runtime.ShmPlan` (``attach``), and runs the
-barrier-synchronized SPMD loop for its single rank:
+barrier-synchronized SPMD loop for its single rank — the one run loop
+of every ``mrlbm run`` (:func:`repro.loop.run_loop`), stepped by:
 
 1. **pack** — copy the outgoing edge planes into this rank's own send
    buffers (crossing populations for ST, the M-moment plane for MR);
@@ -24,7 +25,8 @@ After its last step the rank writes ``(rho, u)`` of its owned planes
 straight into the global output block (``gather``): with the halo
 faces, all the field data that crosses a process boundary.
 
-Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
+Fault tolerance hooks ride on that loop's cadences and sinks (see
+``docs/PARALLEL.md``):
 
 * **checkpoint** — on the ``RunSpec.checkpoint_every`` cadence, every
   rank writes its interior slab into the per-run checkpoint directory
@@ -47,7 +49,8 @@ Fault tolerance hooks ride on this loop (see ``docs/PARALLEL.md``):
   appends heartbeat/progress/phase/checkpoint/watchdog events to its
   own JSONL stream (:mod:`repro.obs.events`) on the
   ``RunSpec.events_every`` cadence, so ``mrlbm watch`` can tail the
-  cohort while it runs; the final report also carries the rank's
+  cohort while it runs, and ends it with ``end`` or ``error`` whatever
+  stops the rank's loop; the final report also carries the rank's
   halo-exchange wait time (``exchange_wait_s``, the barrier phases) for
   the merged load-imbalance attribution.
 
@@ -72,10 +75,10 @@ from ..io.checkpoint import (
     read_slab,
     save_rank_slab,
 )
+from ..loop import Cadences, Sinks, run_loop
 from ..obs import Telemetry
 from ..obs.events import EventStream, RunEventEmitter
 from ..obs.manifest import RunManifest
-from ..obs.watchdog import check_fields
 from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
 from .runtime import FINGERPRINT_VERSION, RunSpec, ShmPlan, shm_view
@@ -116,7 +119,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 start_step: int = 0, attempt: int = 0,
                 resume_dir: str | None = None,
                 solver: DistributedSolver | None = None,
-                blocks: dict | None = None) -> None:
+                blocks: dict | None = None, spans: bool = False) -> None:
     """Run one rank of a distributed problem from ``start_step`` to the end.
 
     Invoked in a child process by
@@ -128,12 +131,13 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
     injection. A forked worker inherits the parent's shell (``solver``,
     which has built no rank) and mapped ``blocks``; without them it
     builds the shell from ``spec`` and attaches by name. Either way it
-    builds the solver of its own rank, and no other.
+    builds the solver of its own rank, and no other. With ``spans`` the
+    rank's telemetry keeps its phase spans and posts them (start times
+    on the machine's ``perf_counter`` clock) for a merged trace.
     """
     shms = []
     views = []
-    step = None
-    emitter = None
+    tel = None
 
     def _view_of(entry):
         """A planned block as an ndarray view.
@@ -161,7 +165,7 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
         interior = solver.interior(rank)
         n_fluid = int(state.domain.fluid_mask[interior].sum())
         comm = CommunicationReport()     # this run's, not the parent's
-        tel = Telemetry(record_spans=False)
+        tel = Telemetry(record_spans=spans)
         state.attach_telemetry(tel)
 
         if resume_dir:
@@ -178,66 +182,58 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             recv_r = (_view_of(plan.send_left[decomp.right_of(rank)])
                       if has_r else None)
 
+        def exchange_and_step():
+            with tel.phase("pack"):
+                if send_r is not None:
+                    send_r[...] = solver._pack_halo(state, "right")
+                    comm.record(send_r.size)
+                if send_l is not None:
+                    send_l[...] = solver._pack_halo(state, "left")
+                    comm.record(send_l.size)
+            with tel.phase("barrier"):
+                barrier.wait(timeout=barrier_timeout)
+            with tel.phase("unpack"):
+                if recv_l is not None:
+                    solver._unpack_halo(state, "left", recv_l)
+                if recv_r is not None:
+                    solver._unpack_halo(state, "right", recv_r)
+            with tel.phase("barrier"):
+                barrier.wait(timeout=barrier_timeout)
+            with tel.phase("compute"):
+                state.step()
+            comm.steps += 1
+
+        def look():
+            rho, u = state.macroscopic()
+            return (rho[interior], u[:, interior],
+                    state.domain.fluid_mask[interior])
+
+        def write_checkpoint(at):
+            _write_checkpoint(spec, solver, rank, at, barrier,
+                              barrier_timeout)
+            return spec.checkpoint_dir
+
         fault = normalize_fault(spec.fault)
-        ckpt_every = int(spec.checkpoint_every or 0)
-        checkpointing = bool(spec.checkpoint_dir) and ckpt_every > 0
-        watch_every = int(spec.watchdog_every or 0)
+        sinks = Sinks(telemetry=tel, checkpoint=(
+            write_checkpoint if spec.checkpoint_dir else None))
+        if fault is not None:     # looking at the field is not free
+            sinks.fault = lambda at: maybe_inject(
+                fault, rank, at, attempt, solver.field(state))
         if spec.events_dir:
-            emitter = RunEventEmitter(
+            sinks.events = RunEventEmitter(
                 EventStream(spec.events_dir, rank=rank, attempt=attempt),
                 every=spec.events_every or 25, n_steps=n_steps,
-                start_step=start_step, telemetry=tel,
-                n_fluid=n_fluid)
-            emitter.start(pid=os.getpid(), scheme=solver.scheme,
-                          lattice=solver.lat.name, accel=solver.accel,
-                          n_fluid=n_fluid,
-                          resumed=bool(resume_dir))
-        for step in range(start_step, n_steps):
-            if checkpointing and step > start_step and step % ckpt_every == 0:
-                with tel.phase("checkpoint"):
-                    _write_checkpoint(spec, solver, rank, step,
-                                      barrier, barrier_timeout)
-                if emitter is not None:
-                    emitter.checkpoint(step, spec.checkpoint_dir)
-            if fault is not None:     # looking at the field is not free
-                maybe_inject(fault, rank, step, attempt, solver.field(state))
-            with tel.phase("step"):
-                with tel.phase("pack"):
-                    if send_r is not None:
-                        send_r[...] = solver._pack_halo(state, "right")
-                        comm.record(send_r.size)
-                    if send_l is not None:
-                        send_l[...] = solver._pack_halo(state, "left")
-                        comm.record(send_l.size)
-                with tel.phase("barrier"):
-                    barrier.wait(timeout=barrier_timeout)
-                with tel.phase("unpack"):
-                    if recv_l is not None:
-                        solver._unpack_halo(state, "left", recv_l)
-                    if recv_r is not None:
-                        solver._unpack_halo(state, "right", recv_r)
-                with tel.phase("barrier"):
-                    barrier.wait(timeout=barrier_timeout)
-                with tel.phase("compute"):
-                    state.step()
-            comm.steps += 1
-            tel.count("steps")
-            if watch_every and (step + 1) % watch_every == 0:
-                with tel.phase("watchdog"):
-                    rho, u = state.macroscopic()
-                    check_fields(rho[interior], u[:, interior],
-                                 state.domain.fluid_mask[interior],
-                                 context={"rank": rank, "step": step + 1,
-                                          "scheme": solver.scheme})
-                if emitter is not None:
-                    emitter.watchdog(step + 1, ok=True)
-            if emitter is not None:
-                emitter.maybe(step + 1)
+                start_step=start_step, telemetry=tel, n_fluid=n_fluid)
+            sinks.events.start(pid=os.getpid(), scheme=solver.scheme,
+                               lattice=solver.lat.name, accel=solver.accel,
+                               n_fluid=n_fluid, resumed=bool(resume_dir))
+        run_loop(exchange_and_step, look, start_step, n_steps,
+                 Cadences(checkpoint=int(spec.checkpoint_every or 0),
+                          watchdog=int(spec.watchdog_every or 0)),
+                 sinks, {"rank": rank, "scheme": solver.scheme})
 
         with tel.phase("gather"):
             solver.gather_rank(rank, out)
-        if emitter is not None:
-            emitter.end(n_steps, steps=n_steps - start_step)
         resq.put({
             "rank": rank,
             "pid": os.getpid(),
@@ -252,25 +248,25 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             "exchange_wait_s": tel.phase_total("step/barrier"),
             "comm": comm.to_dict(),
             "summary": tel.summary(),
+            "spans": [(s.name, s.start + tel._epoch, s.duration, s.depth)
+                      for s in tel.spans],
         })
     except BrokenBarrierError:
         # A sibling failed (or timed out) and aborted the barrier; unwind
         # quietly — the culprit has already posted its failure record (or
         # the parent will synthesize one for a silent death).
-        if emitter is not None:
-            emitter.error(step, "BrokenBarrierError",
-                          "sibling failed; barrier aborted")
+        pass
     except Exception as exc:
-        if emitter is not None:
-            emitter.error(step, type(exc).__name__, str(exc))
         try:
             errq.put({
                 "rank": rank,
                 "exc_type": type(exc).__name__,
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
-                "step": step,
+                "step": (None if tel is None else
+                         start_step + int(tel.counters.get("steps", 0))),
                 "attempt": attempt,
+                "report": getattr(exc, "report", None),
             })
         finally:
             try:
@@ -279,8 +275,6 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 pass
         raise SystemExit(1)
     finally:
-        if emitter is not None:
-            emitter.stream.close()
         del views
         for shm in shms:
             try:

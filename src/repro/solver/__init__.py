@@ -17,15 +17,7 @@ from .monitors import (
     Monitors,
     ProbeMonitor,
 )
-from .presets import (
-    SCHEMES,
-    channel_problem,
-    cylinder_channel_problem,
-    forced_channel_problem,
-    porous_channel_problem,
-    make_solver,
-    periodic_problem,
-)
+from .presets import SCHEMES, make_solver
 from .standard import STSolver
 
 __all__ = [
@@ -41,11 +33,6 @@ __all__ = [
     "power_law_poiseuille_profile",
     "SCHEMES",
     "make_solver",
-    "channel_problem",
-    "periodic_problem",
-    "forced_channel_problem",
-    "cylinder_channel_problem",
-    "porous_channel_problem",
     "Monitor",
     "Monitors",
     "EnergyMonitor",

@@ -1,10 +1,8 @@
-"""Scheme dispatch and the single-domain names of the registered problems.
+"""Scheme dispatch and the shared pieces of the channel problems.
 
-Every problem is defined once, in :mod:`repro.service.registry`; the
-``*_problem`` names here are :func:`~repro.service.registry.build_single`
-with the kind filled in, kept because they read well in examples and
-tests. The registry sits above this package (it imports the solver
-classes), so they reach it at call time.
+Every problem is defined once, in :mod:`repro.service.registry`, and
+built by :func:`~repro.service.registry.build_single` (or, cut into
+slabs, :func:`~repro.service.registry.build_distributed`).
 """
 
 from __future__ import annotations
@@ -18,10 +16,8 @@ from .base import Solver
 from .moment import MRPSolver, MRRSolver
 from .standard import STSolver
 
-__all__ = ["SCHEMES", "scheme_key", "make_solver", "channel_problem",
-           "periodic_problem", "forced_channel_problem",
-           "cylinder_channel_problem", "porous_channel_problem",
-           "channel_body_force", "cylinder_channel_domain"]
+__all__ = ["SCHEMES", "scheme_key", "make_solver", "channel_body_force",
+           "cylinder_channel_domain"]
 
 SCHEMES: dict[str, type[Solver]] = {
     "ST": STSolver,
@@ -72,27 +68,3 @@ def channel_body_force(lat: LatticeDescriptor, shape: tuple[int, ...],
     force = np.zeros(lat.d)
     force[0] = 8.0 * nu * u_max / (h * h)
     return force
-
-
-def _single(kind: str):
-    """:func:`~repro.service.registry.build_single` under a public name."""
-    def problem(scheme: str, lattice: str | LatticeDescriptor,
-                shape: tuple[int, ...], tau: float = 0.8,
-                backend: str = "reference", **options) -> Solver:
-        from ..service.registry import build_single
-
-        return build_single(kind, scheme, lattice, shape, tau=tau,
-                            backend=backend, **options)
-
-    problem.__doc__ = (
-        f"Single-domain solver of the ``{kind}`` kind on ``backend``; "
-        f"``options`` and their defaults are that kind's (see "
-        f":mod:`repro.service.registry`).")
-    return problem
-
-
-channel_problem = _single("channel")
-forced_channel_problem = _single("forced-channel")
-cylinder_channel_problem = _single("cylinder")
-porous_channel_problem = _single("porous")
-periodic_problem = _single("periodic")

@@ -36,6 +36,20 @@ def d2q9():
 
 
 @pytest.fixture
+def mrlbm(capsys):
+    """``mrlbm("run --steps 4 ...", rc=0)`` -> what the CLI printed: its
+    stdout, or — for a non-zero ``rc`` — its stderr, stdout being empty."""
+    from repro.cli import main
+
+    def run(argv: str, rc: int = 0) -> str:
+        assert main(argv.split()) == rc
+        out, err = capsys.readouterr()
+        assert not rc or out == ""
+        return err if rc else out
+    return run
+
+
+@pytest.fixture
 def traced():
     """``traced(fn)`` -> ``(fn(), current, peak)`` bytes under tracemalloc."""
     def run(fn):

@@ -6,7 +6,8 @@ import pytest
 from repro.geometry import channel_2d, periodic_box
 from repro.lattice import get_lattice
 from repro.perf import state_values_per_node
-from repro.solver import AASolver, periodic_problem
+from repro.solver import AASolver
+from repro.service.registry import build_single
 from repro.validation import relative_l2_error, taylor_green_fields
 
 
@@ -16,7 +17,7 @@ def make_pair(lattice_name, shape, tau=0.8, seed=3):
     rho0 = 1 + 0.03 * rng.standard_normal(shape)
     u0 = 0.03 * rng.standard_normal((lat.d, *shape))
     aa = AASolver(lat, periodic_box(shape), tau, rho0=rho0, u0=u0)
-    st = periodic_problem("ST", lat, shape, tau, rho0=rho0, u0=u0)
+    st = build_single("periodic", "ST", lat, shape, tau=tau, rho0=rho0, u0=u0)
     return aa, st
 
 

@@ -1,16 +1,16 @@
 """Integration: distributed checkpoints — save, kill, resume, re-shard.
 
-The acceptance bar of the fault-tolerance layer (docs/PARALLEL.md): a run
-that is checkpointed, killed, and resumed must land on *exactly* the same
-fields as an uninterrupted run — bit for bit (``reference`` ranks cut no
-columns: the conformance matrix's tolerance rule,
-``tests/property/test_conformance.py``), for both the ST and MR
-representations, for 1/2/4 ranks, and when the resumed run uses a
-different rank count than the writing run (a rank copies its planes
-out of the rank files that hold them). Also covers the checkpoint
-directory contract itself: COMPLETE markers, torn-directory rejection,
-pruning, and manifest validation against an incompatible spec.
+A cohort checkpointed, stopped and resumed — on the same or another rank
+count — lands on the uninterrupted run's fields by the conformance
+matrix's rule (``check_process_resume``, tests/property/
+test_conformance.py): bit for bit on ``reference``. The rest is the
+checkpoint directory contract itself: COMPLETE markers, torn-directory
+rejection, pruning, and manifest validation against an incompatible
+spec.
 """
+
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +23,18 @@ from repro.io.checkpoint import (
     load_manifest_for_resume,
     validate_checkpoint_manifest,
 )
-from repro.parallel import RunSpec, run_process
+from repro.parallel import ProcessRuntime, RunSpec, run_process
 
-from test_conformance import assert_same_fields
+from test_conformance import (Cell, assert_same_fields, check_process_resume,
+                              spec)
 
 SHAPE_2D = (24, 10)
 TAU = 0.8
+
+
+def _cell(scheme, n_ranks):
+    return Cell("periodic", scheme, "D2Q9", "reference", f"process-{n_ranks}",
+                SHAPE_2D)
 
 
 def _spec(scheme, n_ranks, **kw):
@@ -41,38 +47,22 @@ class TestSaveKillResume:
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-    def test_roundtrip_machine_precision(self, tmp_path, scheme, n_ranks):
-        ck = str(tmp_path / "ck")
-        clean = run_process(_spec(scheme, n_ranks), 10)
-        # first leg writes a checkpoint at step 5, then "dies" at step 7
-        run_process(_spec(scheme, n_ranks, checkpoint_dir=ck,
-                          checkpoint_every=5), 7)
-        resumed = run_process(_spec(scheme, n_ranks, resume_from=ck), 10)
-        assert resumed.start_step == 5
-        assert_same_fields(resumed, clean)
+    def test_roundtrip_machine_precision(self, scheme, n_ranks):
+        check_process_resume(_cell(scheme, n_ranks), n_ranks, at=4, every=2)
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     @pytest.mark.parametrize("ranks", [(2, 3), (4, 2), (1, 4), (1, 2), (3, 1)])
-    def test_resume_with_different_rank_count(self, tmp_path, scheme, ranks):
-        write_ranks, read_ranks = ranks
-        ck = str(tmp_path / "ck")
-        clean = run_process(_spec(scheme, write_ranks), 12)
-        run_process(_spec(scheme, write_ranks, checkpoint_dir=ck,
-                          checkpoint_every=4), 9)
-        resumed = run_process(_spec(scheme, read_ranks, resume_from=ck), 12)
-        assert resumed.start_step == 8
-        assert_same_fields(resumed, clean)
+    def test_resume_with_different_rank_count(self, scheme, ranks):
+        check_process_resume(_cell(scheme, ranks[0]), ranks[1])
 
     def test_resume_from_explicit_step_dir(self, tmp_path):
-        ck = str(tmp_path / "ck")
-        clean = run_process(_spec("MR-P", 2), 10)
-        run_process(_spec("MR-P", 2, checkpoint_dir=ck, checkpoint_every=3,
-                          checkpoint_keep=10), 10)
-        step_dir = tmp_path / "ck" / "step-00000003"
-        resumed = run_process(_spec("MR-P", 2,
-                                    resume_from=str(step_dir)), 10)
+        cell = _cell("MR-P", 2)
+        run_process(replace(spec(cell), checkpoint_dir=str(tmp_path),
+                            checkpoint_every=1, checkpoint_keep=10), 4)
+        resumed = run_process(replace(spec(cell), resume_from=str(
+            tmp_path / "step-00000003")), 5)
         assert resumed.start_step == 3
-        assert_same_fields(resumed, clean)
+        assert_same_fields(resumed, run_process(spec(cell), 5))
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     def test_resume_from_compressed_rank_files(self, tmp_path, scheme):
@@ -94,93 +84,77 @@ class TestSaveKillResume:
         assert np.array_equal(again.u, resumed.u)
 
     def test_resumed_solver_time_is_total_steps(self, tmp_path):
-        from repro.parallel import ProcessRuntime
-
         ck = str(tmp_path / "ck")
         run_process(_spec("ST", 2, checkpoint_dir=ck, checkpoint_every=3), 5)
         runtime = ProcessRuntime(_spec("ST", 2, resume_from=ck))
-        result = runtime.run(8)
-        assert result.start_step == 3
+        assert runtime.run(8).start_step == 3
         assert runtime.solver.time == 8
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A 2-rank MR-P cohort's checkpoint root: every 2 of 9 steps, all kept."""
+    ck = tmp_path_factory.mktemp("ck")
+    run_process(_spec("MR-P", 2, checkpoint_dir=str(ck), checkpoint_every=2,
+                      checkpoint_keep=10), 9)
+    return ck
 
 
 class TestCheckpointDirectoryContract:
     """Layout, markers, pruning and validation of the on-disk format."""
 
-    def test_layout_and_manifest(self, tmp_path):
-        ck = tmp_path / "ck"
-        run_process(_spec("MR-P", 2, checkpoint_dir=str(ck),
-                          checkpoint_every=4, checkpoint_keep=10), 9)
-        dirs = sorted(p.name for p in ck.iterdir())
-        assert dirs == ["step-00000004", "step-00000008"]
-        step_dir = ck / "step-00000008"
+    def test_layout_and_manifest(self, written):
+        assert sorted(p.name for p in written.iterdir()) == [
+            f"step-0000000{k}" for k in (2, 4, 6, 8)]
+        step_dir = written / "step-00000008"
         assert is_checkpoint_complete(step_dir)
         assert checkpoint_step(step_dir) == 8
-        names = sorted(p.name for p in step_dir.iterdir())
-        assert names == ["COMPLETE", "manifest.json", "rank0000.npz",
-                         "rank0001.npz"]
+        assert sorted(p.name for p in step_dir.iterdir()) == [
+            "COMPLETE", "manifest.json", "rank0000.npz", "rank0001.npz"]
         manifest = load_manifest_for_resume(step_dir)
-        assert manifest["scheme"] == "MR-P"
-        assert manifest["steps"] == 8
+        assert (manifest["scheme"], manifest["steps"]) == ("MR-P", 8)
         assert manifest["extra"]["n_ranks"] == 2
         assert manifest["extra"]["backend"] == "process"
 
     def test_pruning_keeps_newest(self, tmp_path):
-        ck = tmp_path / "ck"
-        run_process(_spec("ST", 2, checkpoint_dir=str(ck),
+        run_process(_spec("ST", 2, checkpoint_dir=str(tmp_path),
                           checkpoint_every=2, checkpoint_keep=2), 9)
-        dirs = sorted(p.name for p in ck.iterdir())
-        assert dirs == ["step-00000006", "step-00000008"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "step-00000006", "step-00000008"]
 
-    def test_torn_checkpoint_is_ignored(self, tmp_path):
-        ck = tmp_path / "ck"
-        run_process(_spec("ST", 2, checkpoint_dir=str(ck),
-                          checkpoint_every=3, checkpoint_keep=10), 7)
-        newest = ck / "step-00000006"
-        (newest / "COMPLETE").unlink()  # simulate a crash mid-write
-        found = latest_checkpoint(ck)
-        assert found is not None and checkpoint_step(found) == 3
+    def test_torn_checkpoint_is_ignored(self, written, tmp_path):
+        ck = shutil.copytree(written, tmp_path / "ck")
+        (ck / "step-00000008" / "COMPLETE").unlink()  # a crash mid-write
+        assert checkpoint_step(latest_checkpoint(ck)) == 6
         with pytest.raises(FileNotFoundError):
-            load_manifest_for_resume(newest)
+            load_manifest_for_resume(ck / "step-00000008")
 
-    def test_resume_validates_spec_compatibility(self, tmp_path):
-        ck = str(tmp_path / "ck")
-        run_process(_spec("MR-P", 2, checkpoint_dir=ck,
-                          checkpoint_every=3), 5)
-        for bad in (dict(scheme="ST"), dict(tau=0.9),
-                    dict(shape=(32, 10))):
-            spec = RunSpec("periodic", bad.get("scheme", "MR-P"), "D2Q9",
-                           bad.get("shape", SHAPE_2D), 2,
-                           tau=bad.get("tau", TAU), resume_from=ck)
+    def test_resume_validates_spec_compatibility(self, written):
+        for bad in (dict(scheme="ST"), dict(tau=0.9), dict(shape=(32, 10))):
+            bad_spec = replace(_spec("MR-P", 2, resume_from=str(written)),
+                               **bad)
             with pytest.raises(ValueError, match="checkpoint"):
-                run_process(spec, 10)
+                run_process(bad_spec, 10)
 
-    def test_resume_past_end_raises(self, tmp_path):
-        ck = str(tmp_path / "ck")
-        run_process(_spec("ST", 2, checkpoint_dir=ck, checkpoint_every=3), 5)
+    def test_resume_past_end_raises(self, written):
         with pytest.raises(ValueError, match="steps"):
-            run_process(_spec("ST", 2, resume_from=ck), 3)
+            run_process(_spec("MR-P", 2, resume_from=str(written)), 8)
 
     def test_resume_from_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             run_process(_spec("ST", 2,
                               resume_from=str(tmp_path / "nothing")), 5)
 
-    def test_loaded_slabs_tile_the_domain(self, tmp_path):
-        ck = tmp_path / "ck"
-        run_process(_spec("MR-P", 4, checkpoint_dir=str(ck),
-                          checkpoint_every=4), 5)
+    def test_loaded_slabs_tile_the_domain(self, written):
         manifest, slabs = load_distributed_checkpoint(
-            latest_checkpoint(ck))
-        assert [s["rank"] for s in slabs] == [0, 1, 2, 3]
-        assert slabs[0]["start"] == 0
+            latest_checkpoint(written))
+        assert [s["rank"] for s in slabs] == [0, 1]
+        assert (slabs[0]["start"], slabs[0]["stop"]) == (0, slabs[1]["start"])
         assert slabs[-1]["stop"] == SHAPE_2D[0]
         validate_checkpoint_manifest(manifest, scheme="MR-P",
                                      lattice="D2Q9", shape=SHAPE_2D,
                                      tau=TAU)
 
-    def test_no_shared_memory_leak(self, tmp_path, leaked_segments):
-        ck = str(tmp_path / "ck")
-        run_process(_spec("ST", 2, checkpoint_dir=ck, checkpoint_every=2), 5)
-        run_process(_spec("ST", 2, resume_from=ck), 8)
+    def test_no_shared_memory_leak(self, leaked_segments):
+        check_process_resume(_cell("ST", 2), 2, at=4, every=2)
         assert leaked_segments() == []

@@ -12,7 +12,7 @@ import pytest
 
 from repro.gpu import KernelProblem, MRKernel, STKernel, V100
 from repro.lattice import get_lattice
-from repro.solver import channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.solver.presets import channel_inlet_profile
 
 STEPS = 4
@@ -36,8 +36,8 @@ def channel_setup(lattice_name, shape, tau=0.9, u_max=0.04,
     u0 = np.zeros((lat.d, *shape))
     u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
     u0[:, prob.node_type_grid() == 1] = 0.0
-    ref = channel_problem("ST", lat, shape, tau=tau, u_max=u_max,
-                          bc_method="nebb", outlet_tangential=outlet_tangential)
+    ref = build_single("channel", "ST", lat, shape, tau=tau, u_max=u_max,
+                       bc_method="nebb", outlet_tangential=outlet_tangential)
     return lat, prob, u0, ref
 
 
@@ -49,7 +49,8 @@ class TestSTKernel:
     ])
     def test_periodic_matches_reference(self, lattice_name, shape):
         lat, prob, rho0, u0 = periodic_setup(lattice_name, shape)
-        ref = periodic_problem("ST", lat, shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "ST", lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         kernel = STKernel(prob, V100, rho0=rho0, u0=u0)
         for _ in range(STEPS):
             ref.step()
@@ -101,7 +102,8 @@ class TestMRKernel:
     ])
     def test_periodic_matches_reference(self, scheme, lattice_name, shape, tile):
         lat, prob, rho0, u0 = periodic_setup(lattice_name, shape)
-        ref = periodic_problem(scheme, lat, shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", scheme, lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         kernel = MRKernel(prob, V100, scheme=scheme, tile_cross=tile,
                           rho0=rho0, u0=u0)
         for _ in range(STEPS):
@@ -116,7 +118,8 @@ class TestMRKernel:
         if 21 % w_t:
             shape = (12, 20)               # for w_t = 2: R = 20
         lat, prob, rho0, u0 = periodic_setup("D2Q9", shape)
-        ref = periodic_problem("MR-P", lat, shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "MR-P", lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         kernel = MRKernel(prob, V100, scheme="MR-P", tile_cross=(6,),
                           w_t=w_t, rho0=rho0, u0=u0)
         for _ in range(STEPS):
@@ -152,8 +155,8 @@ class TestMRKernel:
         u0 = np.zeros((lat.d, *shape))
         u0[:] = u_in[(slice(None), None) + (slice(None),) * (lat.d - 1)]
         u0[:, prob.node_type_grid() == 1] = 0.0
-        ref = channel_problem(scheme, lat, shape, tau=0.9, u_max=0.04,
-                              bc_method="nebb", outlet_tangential=tangential)
+        ref = build_single("channel", scheme, lat, shape, tau=0.9, u_max=0.04,
+                           bc_method="nebb", outlet_tangential=tangential)
         kernel = MRKernel(prob, V100, scheme=scheme, tile_cross=tile,
                           rho0=1.0, u0=u0)
         for _ in range(STEPS):
@@ -203,7 +206,8 @@ class TestMRKernel:
     def test_3d_window_tile_height(self):
         """w_t = 2 in 3D matches the reference like w_t = 1 does."""
         lat, prob, rho0, u0 = periodic_setup("D3Q19", (8, 6, 6))
-        ref = periodic_problem("MR-P", lat, (8, 6, 6), 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "MR-P", lat, (8, 6, 6), tau=0.8,
+                           rho0=rho0, u0=u0)
         kernel = MRKernel(prob, V100, scheme="MR-P", tile_cross=(4, 3),
                           w_t=2, rho0=rho0, u0=u0)
         for _ in range(STEPS):
@@ -216,7 +220,8 @@ class TestMRKernel:
         from repro.gpu import MI100
 
         lat, prob, rho0, u0 = periodic_setup("D2Q9", (16, 10))
-        ref = periodic_problem("MR-R", lat, (16, 10), 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "MR-R", lat, (16, 10), tau=0.8,
+                           rho0=rho0, u0=u0)
         kernel = MRKernel(prob, MI100, scheme="MR-R", tile_cross=(8,),
                           rho0=rho0, u0=u0)
         for _ in range(STEPS):
@@ -227,7 +232,8 @@ class TestMRKernel:
     def test_st_kernel_multispeed_supported(self):
         """The pull ST kernel handles |c| > 1 (gathers with wrap)."""
         lat, prob, rho0, u0 = periodic_setup("D3Q39", (8, 7, 7))
-        ref = periodic_problem("ST", lat, (8, 7, 7), 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "ST", lat, (8, 7, 7), tau=0.8,
+                           rho0=rho0, u0=u0)
         kernel = STKernel(prob, V100, rho0=rho0, u0=u0)
         for _ in range(3):
             ref.step()

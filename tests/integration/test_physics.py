@@ -7,7 +7,7 @@ representation is a reformulation, not a new physical model.
 import numpy as np
 import pytest
 
-from repro.solver import channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.validation import (
     kinetic_energy,
     linf_error,
@@ -26,7 +26,8 @@ class TestTaylorGreen2D:
         shape, tau, u0 = (48, 48), 0.8, 0.03
         nu = (tau - 0.5) / 3
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, u0)
-        s = periodic_problem(scheme, "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+        s = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
         s.run(200)
         _, u_ref = taylor_green_fields(shape, 200.0, nu, u0)
         assert relative_l2_error(s.velocity(), u_ref) < 5e-3
@@ -36,7 +37,8 @@ class TestTaylorGreen2D:
         shape, tau, u0 = (64, 64), 0.7, 0.02
         nu = (tau - 0.5) / 3
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, u0)
-        s = periodic_problem(scheme, "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+        s = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
         e0 = kinetic_energy(*s.macroscopic())
         s.run(300)
         e1 = kinetic_energy(*s.macroscopic())
@@ -52,8 +54,8 @@ class TestTaylorGreen2D:
             nu = (tau - 0.5) / 3
             steps = int(200 * (n / 48) ** 2)     # diffusive time scaling
             rho_i, u_i = taylor_green_fields((n, n), 0.0, nu, 0.02)
-            s = periodic_problem("MR-P", "D2Q9", (n, n), tau,
-                                 rho0=rho_i, u0=u_i)
+            s = build_single("periodic", "MR-P", "D2Q9", (n, n), tau=tau,
+                             rho0=rho_i, u0=u_i)
             s.run(steps)
             _, u_ref = taylor_green_fields((n, n), float(steps), nu, 0.02)
             errors[n] = relative_l2_error(s.velocity(), u_ref)
@@ -66,7 +68,8 @@ class TestTaylorGreen2D:
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, 0.02)
         fields = {}
         for scheme in SCHEMES:
-            s = periodic_problem(scheme, "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+            s = build_single("periodic", scheme, "D2Q9", shape, tau=tau,
+                             rho0=rho_i, u0=u_i)
             s.run(100)
             fields[scheme] = s.velocity()
         # Regularized schemes filter ghost modes; all must stay close.
@@ -79,8 +82,8 @@ class TestChannelPoiseuille2D:
     @pytest.mark.parametrize("bc", ["regularized-fd", "nebb"])
     def test_steady_profile(self, scheme, bc):
         shape, u_max = (48, 26), 0.04
-        s = channel_problem(scheme, "D2Q9", shape, tau=0.9, u_max=u_max,
-                            bc_method=bc)
+        s = build_single("channel", scheme, "D2Q9", shape, tau=0.9,
+                         u_max=u_max, bc_method=bc)
         s.run_to_steady_state(tol=1e-9, check_interval=200, max_steps=40_000)
         ux = s.velocity()[0]
         analytic = poiseuille_profile(shape[1], u_max)
@@ -89,7 +92,8 @@ class TestChannelPoiseuille2D:
 
     def test_streamwise_invariance(self):
         """Developed flow: the profile must not vary along the channel."""
-        s = channel_problem("MR-P", "D2Q9", (60, 22), tau=0.9, u_max=0.04)
+        s = build_single("channel", "MR-P", "D2Q9", (60, 22), tau=0.9,
+                         u_max=0.04)
         s.run_to_steady_state(tol=1e-9, check_interval=200, max_steps=40_000)
         ux = s.velocity()[0]
         mid = ux[30, 1:-1]
@@ -97,7 +101,8 @@ class TestChannelPoiseuille2D:
             assert np.allclose(ux[x, 1:-1], mid, atol=5e-4)
 
     def test_mass_flux_constant_along_channel(self):
-        s = channel_problem("ST", "D2Q9", (48, 20), tau=0.9, u_max=0.04)
+        s = build_single("channel", "ST", "D2Q9", (48, 20), tau=0.9,
+                         u_max=0.04)
         s.run_to_steady_state(tol=1e-8, check_interval=200, max_steps=40_000)
         rho, u = s.macroscopic()
         flux = (rho * u[0])[:, 1:-1].sum(axis=1)
@@ -110,7 +115,8 @@ class TestChannel3D:
         from repro.validation import duct_profile
 
         shape, u_max = (24, 14, 14), 0.04
-        s = channel_problem(scheme, "D3Q19", shape, tau=0.9, u_max=u_max)
+        s = build_single("channel", scheme, "D3Q19", shape, tau=0.9,
+                         u_max=u_max)
         s.run(2500)
         ux = s.velocity()[0]
         mid = ux[shape[0] // 2]
@@ -119,7 +125,8 @@ class TestChannel3D:
         assert err < 5e-2, (scheme, err)
 
     def test_no_slip_at_duct_walls(self):
-        s = channel_problem("MR-R", "D3Q19", (16, 10, 10), tau=0.9, u_max=0.04)
+        s = build_single("channel", "MR-R", "D3Q19", (16, 10, 10), tau=0.9,
+                         u_max=0.04)
         s.run(500)
         u = s.velocity()
         speed = np.sqrt((u ** 2).sum(axis=0))
@@ -137,7 +144,7 @@ class TestStability:
         u0 = 0.12 * rng.standard_normal((2, *shape))   # aggressive IC
 
         def survives(scheme, steps=400):
-            s = periodic_problem(scheme, "D2Q9", shape, tau, u0=u0)
+            s = build_single("periodic", scheme, "D2Q9", shape, tau=tau, u0=u0)
             try:
                 s.run(steps)
             except FloatingPointError:

@@ -11,7 +11,7 @@ import pytest
 from repro.core import stream_pull
 from repro.gpu import KernelProblem, MemoryTracker, STKernel, STPushKernel, V100
 from repro.lattice import get_lattice
-from repro.solver import channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.solver.presets import channel_inlet_profile
 from repro.validation import taylor_green_fields
 
@@ -34,7 +34,8 @@ class TestEquivalence:
         rng = np.random.default_rng(4)
         rho0 = 1 + 0.03 * rng.standard_normal(shape)
         u0 = 0.03 * rng.standard_normal((lat.d, *shape))
-        ref = periodic_problem("ST", lat, shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "ST", lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         prob = KernelProblem(lat, shape, 0.8, mode="periodic")
         kernel = STPushKernel(prob, V100, rho0=rho0, u0=u0)
         for _ in range(4):
@@ -50,8 +51,8 @@ class TestEquivalence:
         u_in = channel_inlet_profile(lat, shape, 0.04)
         u0 = np.zeros((2, *shape))
         u0[:] = u_in[:, None, :]
-        ref = channel_problem("ST", lat, shape, tau=0.9, u_max=0.04,
-                              bc_method="nebb", outlet_tangential=tangential)
+        ref = build_single("channel", "ST", lat, shape, tau=0.9, u_max=0.04,
+                           bc_method="nebb", outlet_tangential=tangential)
         u0[:, ref.domain.solid_mask] = 0.0
         prob = KernelProblem(lat, shape, 0.9, mode="channel", u_inlet=u_in,
                              outlet_tangential=tangential)

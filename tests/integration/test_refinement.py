@@ -9,7 +9,7 @@ from repro.refinement import (
     fine_tau,
     pi_neq_scale,
 )
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import relative_l2_error, taylor_green_fields
 
 
@@ -66,8 +66,8 @@ class TestTaylorGreen:
 
         tg = RefinedTaylorGreen2D(shape=shape, band=band, tau=tau, u0=amp)
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, amp)
-        plain = periodic_problem("MR-P", "D2Q9", shape, tau,
-                                 rho0=rho_i, u0=u_i)
+        plain = build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                             rho0=rho_i, u0=u_i)
         for _ in range(4):
             tg.run(100)
             plain.run(100)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.refinement import RefinedSimulation3D
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import relative_l2_error, taylor_green_fields
 
 
@@ -50,8 +50,8 @@ class TestAccuracy3D:
         rho0, u0 = extruded_tg(shape, 0.0, nu, amp)
         r = RefinedSimulation3D(shape, band, tau, rho0=rho0, u0=u0,
                                 scheme=scheme)
-        plain = periodic_problem(scheme, "D3Q19", shape, tau,
-                                 rho0=rho0, u0=u0)
+        plain = build_single("periodic", scheme, "D3Q19", shape, tau=tau,
+                             rho0=rho0, u0=u0)
         for _ in range(2):
             r.run(50)
             plain.run(50)

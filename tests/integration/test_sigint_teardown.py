@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import read_events, summarize_events
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SHM = Path("/dev/shm")
 
@@ -61,6 +63,8 @@ def test_sigint_exits_130_without_shm_leak(tmp_path):
             proc.communicate()
     assert proc.returncode == 130, (proc.returncode, out, err)
     assert "INTERRUPTED" in err
+    # ranks the parent terminated get their terminal event from it
+    assert summarize_events(read_events(events))["all_done"]
     # the interrupt path must terminate every rank and unlink its blocks
     time.sleep(0.3)
     assert _mrlbm_segments() == []

@@ -8,7 +8,7 @@ benchmark of the moment representation's application domain.
 import numpy as np
 import pytest
 
-from repro.solver import forced_channel_problem
+from repro.service.registry import build_single
 from repro.validation import womersley_number, womersley_profile
 
 
@@ -16,7 +16,8 @@ def run_pulsatile(scheme: str, shape=(10, 26), tau=0.8, period=1200,
                   amplitude=1e-5, cycles=4):
     nu = (tau - 0.5) / 3.0
     omega = 2 * np.pi / period
-    s = forced_channel_problem(scheme, "D2Q9", shape, tau=tau, u_max=0.01)
+    s = build_single("forced-channel", scheme, "D2Q9", shape, tau=tau,
+                     u_max=0.01)
     errs = []
     peak = max(
         np.abs(womersley_profile(shape[1], t, amplitude, omega, nu)).max()
@@ -50,7 +51,8 @@ class TestWomersley:
         shape, tau, period, amplitude = (10, 26), 0.8, 1200, 1e-5
         nu = (tau - 0.5) / 3.0
         omega = 2 * np.pi / period
-        s = forced_channel_problem("MR-P", "D2Q9", shape, tau=tau, u_max=0.01)
+        s = build_single("forced-channel", "MR-P", "D2Q9", shape, tau=tau,
+                         u_max=0.01)
         centre = []
         for t in range(3 * period):
             s.set_force([amplitude * np.cos(omega * (s.time + 0.5)), 0.0])
@@ -70,21 +72,19 @@ class TestWomersley:
 
 class TestSetForce:
     def test_requires_forced_solver(self):
-        from repro.solver import periodic_problem
-
-        s = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8)
         with pytest.raises(ValueError, match="without forcing"):
             s.set_force([1e-4, 0.0])
 
     def test_zeroes_solids(self):
-        s = forced_channel_problem("MR-P", "D2Q9", (8, 10), u_max=0.01)
+        s = build_single("forced-channel", "MR-P", "D2Q9", (8, 10), u_max=0.01)
         s.set_force([5e-5, 0.0])
         assert np.allclose(s.force[:, s.domain.solid_mask], 0.0)
         assert np.allclose(s.force[0][~s.domain.solid_mask], 5e-5)
 
     def test_in_place_update(self):
         """set_force mutates the existing array (kernels keep their view)."""
-        s = forced_channel_problem("ST", "D2Q9", (8, 10), u_max=0.01)
+        s = build_single("forced-channel", "ST", "D2Q9", (8, 10), u_max=0.01)
         ref = s.force
         s.set_force([7e-5, 0.0])
         assert s.force is ref

@@ -23,7 +23,10 @@ seeded field, so periodic boxes move and are forced), and
   ``N F`` of momentum per step where no boundary acts;
 * single-domain: resumes from a checkpoint taken at an even and at an
   odd step, on its own backend and on the next one, and steps the same
-  when its state is read after every step;
+  when its state is read after every step; on the process runtime:
+  resumes from a cohort checkpoint on another rank count;
+* on a periodic box: stepping the state shifted by whole nodes (a
+  translation of the Galilean group) is the stepped state shifted;
 * reports the ``accel_path`` and ``state_lattices`` of the table in
   docs/PERFORMANCE.md (*Which path a problem takes*), single-domain and
   on each rank of two.
@@ -162,6 +165,7 @@ class Cell:
     mode: str = "single"
     shape: tuple | None = None
     chunk: int | None = None
+    shift: tuple | None = None      # nodes the seeded fields are rolled by
 
     @property
     def ranks(self) -> int:
@@ -191,8 +195,13 @@ def options(cell: Cell) -> dict:
     seeded = {"rho0": lambda: 1 + 0.02 * rng.standard_normal(grid),
               "u0": lambda: 0.03 * rng.standard_normal((d, *grid)),
               "force": lambda: np.r_[1.2e-5, np.zeros(d - 1)]}
-    return {name: make() for name, make in seeded.items()
+    made = {name: make() for name, make in seeded.items()
             if name in kind.options}
+    for name, vector in (("rho0", 0), ("u0", 1)):
+        if cell.shift and name in made:
+            made[name] = np.roll(made[name], cell.shift,
+                                 axis=(vector, vector + 1))
+    return made
 
 
 def refused(cell: Cell) -> bool:
@@ -369,6 +378,29 @@ def check_resume(cell: Cell, at: int, target: str) -> None:
                  bit_exact(run(cell), straight))
 
 
+def check_process_resume(cell: Cell, ranks: int, at: int = 3,
+                         every: int | None = None) -> None:
+    """A process cohort checkpointed at step ``at`` (every ``every``)
+    and resumed on ``ranks`` processes is the straight run, by the rule."""
+    with window(cell.chunk), tempfile.TemporaryDirectory() as tmp:
+        ProcessRuntime(replace(spec(cell), checkpoint_dir=tmp,
+                               checkpoint_every=every or at)).run(at + 1)
+        result = ProcessRuntime(replace(spec(cell), n_ranks=ranks,
+                                        resume_from=tmp)).run(STEPS)
+    assert result.start_step == at - at % (every or at)
+    read = run(replace(cell, mode=f"emulated-{ranks}"))
+    assert_agree(fields(result.rho, result.u), run(cell).after,
+                 bit_exact(run(cell), read))
+
+
+def check_shift(cell: Cell, shift=(5, 3)) -> None:
+    """A periodic box stepped from its fields rolled by whole nodes is
+    its stepped fields rolled alike; bit for bit on ``reference``."""
+    moved = run(replace(cell, shift=shift)).after
+    assert_agree(moved, np.roll(run(cell).after, shift, axis=(1, 2)),
+                 cell.backend == BACKENDS[0])
+
+
 def check_looking_changes_nothing(cell: Cell) -> None:
     """Reading the state after every step is the blind run, bit for bit."""
     with window(cell.chunk):
@@ -502,6 +534,18 @@ def test_resume(cell, at):
     nxt = BACKENDS[(BACKENDS.index(cell.backend) + 1) % len(BACKENDS)]
     for target in (cell.backend, nxt):
         check_resume(cell, at, target)
+
+
+@ids([c for c in ADMITTED if c.mode == "process-2" and c.lattice == "D2Q9"
+      and c.backend == BACKENDS[0]])
+def test_process_resume_on_another_rank_count(cell):
+    check_process_resume(cell, 3)
+
+
+@ids([c for c in ADMITTED if not c.mode.startswith("process")
+      and {"rho0", "u0"} <= set(get_problem(c.kind).options)])
+def test_shifted_periodic_box(cell):
+    check_shift(cell)
 
 
 @ids(SINGLE)

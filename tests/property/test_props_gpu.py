@@ -91,9 +91,10 @@ class TestKernelStateProperties:
         u0 = 0.04 * rng.standard_normal((2, *shape))
         prob = KernelProblem(lat, shape, 0.8, mode="periodic")
 
-        from repro.solver import periodic_problem
+        from repro.service.registry import build_single
 
-        ref = periodic_problem("MR-P", lat, shape, 0.8, rho0=rho0, u0=u0)
+        ref = build_single("periodic", "MR-P", lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         kern = MRKernel(prob, V100, scheme="MR-P", tile_cross=(6,),
                         rho0=rho0, u0=u0)
         for _ in range(3):

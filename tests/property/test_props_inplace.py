@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import periodic_box
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
-from repro.solver import AASolver, periodic_problem
+from repro.solver import AASolver
+from repro.service.registry import build_single
 
 from test_conformance import assert_agree, fields
 from test_props_patterns import random_state
@@ -35,8 +36,8 @@ class TestInplaceProperties:
         rho0, u0 = random_state(shape, seed)
 
         def build():
-            return periodic_problem("ST", lat, shape, 0.8, rho0=rho0, u0=u0,
-                                    backend="aa")
+            return build_single("periodic", "ST", lat, shape, tau=0.8,
+                                rho0=rho0, u0=u0, backend="aa")
 
         solver = build()
         solver.run(steps)
@@ -58,8 +59,8 @@ class TestInplaceProperties:
         lat = get_lattice("D2Q9")
         rho0, u0 = random_state(shape, seed)
         ref = AASolver(lat, periodic_box(shape), 0.8, rho0=rho0, u0=u0)
-        fast = periodic_problem("ST", lat, shape, 0.8, rho0=rho0, u0=u0,
-                                backend="aa")
+        fast = build_single("periodic", "ST", lat, shape, tau=0.8, rho0=rho0,
+                            u0=u0, backend="aa")
         ref.run(steps)
         fast.run(steps)
         assert_agree(fields(*fast.macroscopic()), fields(*ref.macroscopic()),

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import periodic_box
 from repro.gpu import AAKernel, KernelProblem, STKernel, STPushKernel, V100
 from repro.lattice import get_lattice
-from repro.solver import AASolver, periodic_problem
+from repro.solver import AASolver
+from repro.service.registry import build_single
 
 
 def random_state(shape, seed, d=2):
@@ -32,7 +33,8 @@ class TestPatternAgreement:
         lat = get_lattice("D2Q9")
         rho0, u0 = random_state(shape, seed)
         aa = AASolver(lat, periodic_box(shape), 0.8, rho0=rho0, u0=u0)
-        stv = periodic_problem("ST", lat, shape, 0.8, rho0=rho0, u0=u0)
+        stv = build_single("periodic", "ST", lat, shape, tau=0.8, rho0=rho0,
+                           u0=u0)
         aa.run(steps)
         stv.run(steps)
         ra, ua = aa.macroscopic()

@@ -20,8 +20,7 @@ from repro.geometry import (channel_2d, channel_3d, lid_driven_cavity,
                             periodic_box)
 from repro.lattice import get_lattice
 from repro.service.registry import build_single
-from repro.solver import (MRPSolver, PowerLawMRPSolver, make_solver,
-                          periodic_problem)
+from repro.solver import MRPSolver, PowerLawMRPSolver, make_solver
 from repro.solver.non_newtonian import power_law_force
 from repro.validation import taylor_green_fields
 
@@ -172,10 +171,11 @@ class TestFusedVariableTauParity:
 class TestBackendValidation:
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            periodic_problem("ST", "D2Q9", (8, 8), 0.8, backend="cuda")
+            build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8,
+                         backend="cuda")
 
     def test_reference_backend_needs_no_stepper(self):
-        solver = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        solver = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         assert make_stepper(solver) is None
 
     def test_uncertified_subclass_rejected_at_construction(self):
@@ -202,9 +202,9 @@ class TestBackendValidation:
     def test_certified_solvers_expose_caps(self):
         """Every shipped solver family declares its own capability set."""
         lat = get_lattice("D2Q9")
-        st = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
-        mrp = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
-        mrr = periodic_problem("MR-R", "D2Q9", (8, 8), 0.8)
+        st = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
+        mrp = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8)
+        mrr = build_single("periodic", "MR-R", "D2Q9", (8, 8), tau=0.8)
         pl = PowerLawMRPSolver(lat, periodic_box((8, 8)), 0.8,
                                consistency=0.05, exponent=0.7)
         assert solver_caps(st) == {"family": "st", "batched": True}
@@ -219,13 +219,13 @@ class TestBackendValidation:
 
     def test_forced_solver_accepted_for_fused(self):
         """Forcing no longer falls back: the fused stepper is built."""
-        solver = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8,
-                                  force=np.array([1e-5, 0.0]))
+        solver = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8,
+                              force=np.array([1e-5, 0.0]))
         assert validate_backend(solver, "fused") is not None
         assert make_stepper(solver, "fused") is not None
 
     def test_validate_backend_reference_is_none(self):
-        solver = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        solver = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         assert validate_backend(solver, "reference") is None
 
     def test_st_non_bgk_collision_rejected_at_construction(self):
@@ -242,7 +242,7 @@ class TestBackendValidation:
         """The fused core guards its per-node tau_field to MR-P."""
         lat = get_lattice("D2Q9")
         core = FusedMRCore(lat, (8, 8), 0.8, scheme="MR-R")
-        solver = periodic_problem("MR-R", "D2Q9", (8, 8), 0.8)
+        solver = build_single("periodic", "MR-R", "D2Q9", (8, 8), tau=0.8)
         tau_field = np.full((8, 8), 0.8)
         with pytest.raises(ValueError, match="MR-P"):
             core.step(solver.m, [], solver.telemetry, tau_field=tau_field)

@@ -25,7 +25,7 @@ from repro.accel.batched import (
 from repro.core.streaming import stream_push
 from repro.ensemble import EnsembleRunner
 from repro.lattice import get_lattice
-from repro.solver import forced_channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 from test_conformance import assert_agree, fields
@@ -43,8 +43,8 @@ def periodic_member(scheme, lattice_name, shape, tau, seed):
         rng = np.random.default_rng(seed)
         rho0 = 1 + 0.02 * rng.standard_normal(shape)
         u0 = 0.03 * rng.standard_normal((lat.d, *shape))
-    return periodic_problem(scheme, lat, shape, tau, rho0=rho0, u0=u0,
-                            backend="fused")
+    return build_single("periodic", scheme, lat, shape, tau=tau, rho0=rho0,
+                        u0=u0, backend="fused")
 
 
 def assert_members_match(solos, members):
@@ -76,9 +76,9 @@ class TestBatchedParity:
     def test_heterogeneous_forcing(self, scheme):
         """Per-member Guo forcing (different tau AND u_max) stays exact."""
         params = [(0.7, 0.03), (0.9, 0.05), (1.2, 0.08), (0.62, 0.04)]
-        build = lambda: [forced_channel_problem(scheme, "D2Q9", (16, 10),
-                                                tau=tau, u_max=u,
-                                                backend="fused")
+        build = lambda: [build_single("forced-channel", scheme, "D2Q9",
+                                      (16, 10), tau=tau, u_max=u,
+                                      backend="fused")
                          for tau, u in params]                # noqa: E731
         solos, members = build(), build()
         for s in solos:
@@ -88,9 +88,9 @@ class TestBatchedParity:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_forcing_3d(self, scheme):
-        build = lambda: [forced_channel_problem(scheme, "D3Q19", (8, 6, 5),
-                                                tau=tau, u_max=0.04,
-                                                backend="fused")
+        build = lambda: [build_single("forced-channel", scheme, "D3Q19",
+                                      (8, 6, 5), tau=tau, u_max=0.04,
+                                      backend="fused")
                          for tau in (0.8, 1.1)]               # noqa: E731
         solos, members = build(), build()
         for s in solos:

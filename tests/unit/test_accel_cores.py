@@ -22,8 +22,7 @@ from repro.boundary import FullwayBounceBack
 from repro.lattice import get_lattice
 from repro.service.registry import (build_distributed, build_single,
                                     get_problem, problem_kinds)
-from repro.solver import (channel_problem, forced_channel_problem,
-                          make_solver, periodic_problem)
+from repro.solver import make_solver
 
 FAST = ("fused", "aa", "sparse")
 SHAPE = (16, 12)
@@ -31,12 +30,13 @@ SHAPE = (16, 12)
 
 def build(problem, scheme, backend):
     if problem == "periodic":
-        return periodic_problem(scheme, "D2Q9", SHAPE, 0.8, backend=backend)
+        return build_single("periodic", scheme, "D2Q9", SHAPE, tau=0.8,
+                            backend=backend)
     if problem == "walled":
-        return forced_channel_problem(scheme, "D2Q9", SHAPE, tau=0.8,
-                                      u_max=0.04, backend=backend)
-    return channel_problem(scheme, "D2Q9", SHAPE, tau=0.8, u_max=0.04,
-                           backend=backend)
+        return build_single("forced-channel", scheme, "D2Q9", SHAPE, tau=0.8,
+                            u_max=0.04, backend=backend)
+    return build_single("channel", scheme, "D2Q9", SHAPE, tau=0.8, u_max=0.04,
+                        backend=backend)
 
 
 def expected_doubles(backend, scheme, problem, lat, n, nf):

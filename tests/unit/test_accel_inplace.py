@@ -20,8 +20,8 @@ from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
-from repro.solver import (channel_problem, forced_channel_problem,
-                          make_solver, periodic_problem)
+from repro.solver import make_solver
+from repro.service.registry import build_single
 
 from test_conformance import assert_agree, fields
 
@@ -90,17 +90,16 @@ class TestInplaceParity:
     def test_poiseuille_channel_fallback(self, scheme):
         """Bounded problems take the conservative path, still exact."""
         assert_aa_is_fused(
-            lambda backend: channel_problem(scheme, "D2Q9", (24, 12),
-                                            tau=0.8, u_max=0.04,
-                                            backend=backend))
+            lambda backend: build_single("channel", scheme, "D2Q9", (24, 12),
+                                         tau=0.8, u_max=0.04, backend=backend))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_forced_channel(self, scheme):
         """Body-forced bounce-back channels (fallback + Guo source)."""
         assert_aa_is_fused(
-            lambda backend: forced_channel_problem(
-                scheme, "D2Q9", (20, 12), tau=0.7, u_max=0.03,
-                backend=backend), steps=10)
+            lambda backend: build_single("forced-channel", scheme, "D2Q9",
+                                         (20, 12), tau=0.7, u_max=0.03,
+                                         backend=backend), steps=10)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_lid_driven_cavity(self, scheme):
@@ -175,14 +174,15 @@ class TestInplaceContracts:
         assert "aa" in BACKENDS
 
     def test_state_values_per_node_halved_for_st(self):
-        st_aa = periodic_problem("ST", "D2Q9", (8, 8), 0.8, backend="aa")
-        st_fused = periodic_problem("ST", "D2Q9", (8, 8), 0.8,
-                                    backend="fused")
+        st_aa = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8,
+                             backend="aa")
+        st_fused = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8,
+                                backend="fused")
         assert st_aa.state_values_per_node == st_aa.lat.q
         # boundary-free, fused slides a window over its one lattice too
         assert st_fused.state_values_per_node == st_fused.lat.q
-        walled = [forced_channel_problem("ST", "D2Q9", (8, 8), tau=0.8,
-                                         u_max=0.04, backend=backend)
+        walled = [build_single("forced-channel", "ST", "D2Q9", (8, 8), tau=0.8,
+                               u_max=0.04, backend=backend)
                   for backend in ("aa", "fused")]
         # ... and the window carries the walls: one lattice either way
         assert [s.state_values_per_node for s in walled] == [9, 9]
@@ -190,14 +190,14 @@ class TestInplaceContracts:
     def test_mr_core_rejects_boundaries(self):
         lat = get_lattice("D2Q9")
         core = FusedMRCore(lat, (8, 8), 0.8, scheme="MR-P")
-        solver = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
+        solver = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8)
         with pytest.raises(ValueError, match="boundary"):
             core.step(solver.m, [HalfwayBounceBack()], None)
 
     def test_mr_core_guards_tau_field_to_mrp(self):
         lat = get_lattice("D2Q9")
         core = FusedMRCore(lat, (8, 8), 0.8, scheme="MR-R")
-        solver = periodic_problem("MR-R", "D2Q9", (8, 8), 0.8)
+        solver = build_single("periodic", "MR-R", "D2Q9", (8, 8), tau=0.8)
         with pytest.raises(ValueError, match="MR-P"):
             core.step(solver.m, [], None,
                       tau_field=np.full((8, 8), 0.8))

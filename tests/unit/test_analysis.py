@@ -14,7 +14,7 @@ from repro.analysis import (
     velocity_gradient,
     vorticity,
 )
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 
@@ -76,7 +76,8 @@ class TestStrainFromMoments:
         shape, tau = (48, 48), 0.8
         nu = (tau - 0.5) / 3
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, 0.03)
-        s = periodic_problem("MR-P", "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+        s = build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
         s.run(60)
         s_mom = strain_rate_from_moments(d2q9, s.m, tau)
         s_fd = strain_rate_fd(d2q9, s.velocity())
@@ -85,8 +86,8 @@ class TestStrainFromMoments:
         assert np.abs(s_mom - s_fd).max() / scale < 0.05
 
     def test_zero_for_uniform_flow(self, d2q9):
-        s = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8,
-                             u0=np.full((2, 8, 8), 0.03))
+        s = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8,
+                         u0=np.full((2, 8, 8), 0.03))
         s.run(3)
         strain = strain_rate_from_moments(d2q9, s.m, 0.8)
         assert np.abs(strain).max() < 1e-12
@@ -96,7 +97,8 @@ class TestStrainFromMoments:
         shape, tau = (32, 32), 0.9
         nu = (tau - 0.5) / 3
         rho_i, u_i = taylor_green_fields(shape, 0.0, nu, 0.02)
-        s = periodic_problem("MR-P", "D2Q9", shape, tau, rho0=rho_i, u0=u_i)
+        s = build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                         rho0=rho_i, u0=u_i)
         s.run(20)
         strain = strain_rate_from_moments(d2q9, s.m, tau)
         stress = deviatoric_stress_from_moments(d2q9, s.m, tau)

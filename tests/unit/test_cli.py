@@ -13,6 +13,10 @@ from repro.cli import build_parser, main
 
 from test_conformance import assert_agree, fields
 
+#: The three ways ``mrlbm run`` steps a problem, as flags.
+PATHS = {"single": [], "emulated": ["--ranks", "2", "--backend", "emulated"],
+         "process": ["--ranks", "2", "--backend", "process"]}
+
 
 class TestParser:
     def test_requires_command(self):
@@ -51,37 +55,22 @@ class TestCommands:
         assert "V100" in out and "MI100" in out
         assert "900.0 GB/s" in out
 
-    def test_run_channel_small(self, capsys, tmp_path):
-        out_file = tmp_path / "final.npz"
-        rc = main([
-            "run", "--scheme", "ST", "--shape", "24,10", "--steps", "20",
-            "--report-interval", "10", "--output", str(out_file),
-        ])
-        assert rc == 0
-        assert out_file.exists()
-        out = capsys.readouterr().out
-        assert "ST / D2Q9" in out
-        assert "step" in out
+    def test_run_channel_small(self, mrlbm, tmp_path):
+        out = mrlbm("run --scheme ST --shape 24,10 --steps 20 "
+                    f"--report-interval 10 --output {tmp_path / 'final.npz'}")
+        assert (tmp_path / "final.npz").exists()
+        assert "ST / D2Q9" in out and "  step      10" in out
 
-    def test_run_taylor_green(self, capsys):
-        rc = main([
-            "run", "--problem", "taylor-green", "--scheme", "MR-R",
-            "--shape", "16,16", "--steps", "10", "--report-interval", "5",
-        ])
-        assert rc == 0
-        assert "MR-R" in capsys.readouterr().out
+    def test_run_taylor_green(self, mrlbm):
+        assert "MR-R" in mrlbm("run --problem taylor-green --scheme MR-R "
+                               "--shape 16,16 --steps 10 --report-interval 5")
 
-    def test_run_taylor_green_needs_2d(self, capsys):
-        rc = main(["run", "--problem", "taylor-green", "--shape", "8,8,8",
-                   "--lattice", "D3Q19", "--steps", "1"])
-        assert rc == 2
-        assert "2D" in capsys.readouterr().err
+    def test_run_taylor_green_needs_2d(self, mrlbm):
+        assert "2D" in mrlbm("run --problem taylor-green --shape 8,8,8 "
+                             "--lattice D3Q19 --steps 1", rc=2)
 
-    def test_run_distributed_emulated(self, capsys):
-        rc = main(["run", "--scheme", "ST", "--shape", "24,10",
-                   "--steps", "4", "--ranks", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
+    def test_run_distributed_emulated(self, mrlbm):
+        out = mrlbm("run --scheme ST --shape 24,10 --steps 4 --ranks 2")
         assert "backend = emulated" in out
         assert "halo payload per cut face" in out
 
@@ -137,32 +126,25 @@ class TestCommands:
         assert done.stdout.splitlines()[-1] == "0 []"
         assert (tmp_path / "out.npz").exists()
 
-    def test_run_distributed_taylor_green(self, capsys):
-        rc = main(["run", "--problem", "taylor-green", "--scheme", "MR-R",
-                   "--shape", "24,24", "--steps", "4", "--ranks", "2",
-                   "--backend", "emulated"])
-        assert rc == 0
-        assert "2 rank(s)" in capsys.readouterr().out
+    def test_run_distributed_taylor_green(self, mrlbm):
+        assert "2 rank(s)" in mrlbm("run --problem taylor-green --scheme "
+                                    "MR-R --shape 24,24 --steps 4 --ranks 2 "
+                                    "--backend emulated")
 
-    def test_run_forced_channel(self, capsys):
-        rc = main(["run", "--problem", "forced-channel", "--scheme", "MR-P",
-                   "--shape", "20,12", "--steps", "8", "--accel", "fused",
-                   "--report-interval", "4"])
-        assert rc == 0
-        assert "MR-P" in capsys.readouterr().out
+    def test_run_forced_channel(self, mrlbm):
+        assert "MR-P" in mrlbm("run --problem forced-channel --scheme MR-P "
+                               "--shape 20,12 --steps 8 --accel fused "
+                               "--report-interval 4")
 
-    def test_run_forced_channel_distributed(self, capsys):
-        rc = main(["run", "--problem", "forced-channel", "--scheme", "ST",
-                   "--shape", "24,12", "--steps", "4", "--ranks", "2"])
-        assert rc == 0
-        assert "2 rank(s)" in capsys.readouterr().out
+    def test_run_forced_channel_distributed(self, mrlbm):
+        assert "2 rank(s)" in mrlbm("run --problem forced-channel --scheme "
+                                    "ST --shape 24,12 --steps 4 --ranks 2")
 
-    def test_run_forced_channel_sparse(self, capsys):
+    def test_run_forced_channel_sparse(self, mrlbm):
         """The sparse fluid-node-list backend is selectable from the CLI."""
-        rc = main(["run", "--problem", "forced-channel", "--scheme", "MR-P",
-                   "--shape", "24,12", "--steps", "4", "--accel", "sparse"])
-        assert rc == 0
-        assert "accel = sparse" in capsys.readouterr().out
+        assert "accel = sparse" in mrlbm("run --problem forced-channel "
+                                         "--shape 24,12 --steps 4 "
+                                         "--accel sparse")
 
     def test_unsupported_accel_exits_2(self, capsys):
         """The removed ``numba`` backend is rejected by the parser (exit 2)."""
@@ -298,17 +280,48 @@ class TestWatchCommand:
         out = capsys.readouterr().out
         assert "start" in out and "all done" in out
 
-    def test_run_with_events_then_watch(self, capsys, tmp_path):
-        """Single-domain --events run round-trips through watch."""
+    @pytest.mark.parametrize("path", PATHS, ids=PATHS)
+    def test_run_with_events_then_watch(self, capsys, tmp_path, path):
+        """An --events run round-trips through watch on every path, and
+        its heartbeats carry the running MLUPS."""
+        from repro.obs import read_events
+
         run_dir = tmp_path / "ev"
         rc = main(["run", "--scheme", "ST", "--shape", "16,8", "--steps",
-                   "6", "--report-interval", "3", "--events", str(run_dir),
-                   "--events-every", "2"])
+                   "6", "--events", str(run_dir), "--events-every", "2"]
+                  + PATHS[path])
         assert rc == 0
         assert "tail with 'mrlbm watch" in capsys.readouterr().out
         rc = main(["watch", str(run_dir)])
         assert rc == 0
-        assert "1 rank(s), all done" in capsys.readouterr().out
+        ranks = 2 if path == "process" else 1
+        assert f"{ranks} rank(s), all done" in capsys.readouterr().out
+        beats = [e for e in read_events(run_dir) if e["kind"] == "heartbeat"]
+        assert len(beats) == 3 * ranks and all(e["mlups"] > 0 for e in beats)
+
+    @pytest.mark.parametrize("path", PATHS, ids=PATHS)
+    def test_trace_and_watchdog_on_every_path(self, capsys, tmp_path, path):
+        """--trace writes its spans, and --watchdog aborts a diverging run
+        with ``ABORTED:`` and the structured report, on every path."""
+        import json
+
+        trace = tmp_path / "t.json"
+        assert main(["run", "--shape", "24,16", "--steps", "4", "--trace",
+                     str(trace)] + PATHS[path]) == 0
+        spans = json.loads(trace.read_text())["traceEvents"]
+        assert {"step", "collide"} <= {e["name"] for e in spans}
+        capsys.readouterr()
+        assert main(["run", "--shape", "24,16", "--steps", "400", "--tau",
+                     "0.505", "--u-max", "0.35", "--watchdog", "20"]
+                    + PATHS[path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ABORTED: ") and '"supersonic"' in err
+
+    def test_a_flag_the_path_lacks_is_refused_before_a_step(self, mrlbm):
+        assert mrlbm("run --ranks 2 --backend emulated --max-restarts 1",
+                     rc=2) == ("ERROR: --max-restarts needs a supervising "
+                               "parent (--backend process), which an "
+                               "emulated cohort does not have\n")
 
 
 class TestSweepCommand:

@@ -13,7 +13,8 @@ from repro.core import (
 )
 from repro.geometry import channel_3d
 from repro.lattice import get_lattice
-from repro.solver import make_solver, periodic_problem
+from repro.solver import make_solver
+from repro.service.registry import build_single
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ class TestPhysics:
     def test_solver_runs_and_conserves(self, q39, rng):
         shape = (6, 6, 6)
         u0 = 0.02 * rng.standard_normal((3, *shape))
-        s = periodic_problem("MR-R", q39, shape, 0.8, u0=u0)
+        s = build_single("periodic", "MR-R", q39, shape, tau=0.8, u0=u0)
         m0 = s.diagnostics.mass()
         p0 = s.diagnostics.momentum()
         s.run(10)
@@ -102,7 +103,7 @@ class TestPhysics:
         shape = (5, 5, 5)
         u0 = np.zeros((3, *shape))
         u0[0] = 0.04
-        s = periodic_problem("MR-P", q39, shape, 0.7, u0=u0)
+        s = build_single("periodic", "MR-P", q39, shape, tau=0.7, u0=u0)
         s.run(5)
         rho, u = s.macroscopic()
         assert np.allclose(rho, 1.0, atol=1e-13)

@@ -24,12 +24,8 @@ from repro.ensemble import (
 from repro.lattice import get_lattice
 from repro.obs import Telemetry
 from repro.parallel.runtime import RunSpec
-from repro.solver import (
-    MRPSolver,
-    PowerLawMRPSolver,
-    forced_channel_problem,
-    periodic_problem,
-)
+from repro.solver import MRPSolver, PowerLawMRPSolver
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 from test_conformance import assert_agree, fields
@@ -39,8 +35,8 @@ def tg_member(scheme="MR-P", shape=(12, 10), tau=0.8, u_max=0.04,
               backend="fused"):
     lat = get_lattice("D2Q9")
     rho0, u0 = taylor_green_fields(shape, 0.0, lat.viscosity(tau), u_max)
-    return periodic_problem(scheme, lat, shape, tau, rho0=rho0, u0=u0,
-                            backend=backend)
+    return build_single("periodic", scheme, lat, shape, tau=tau, rho0=rho0,
+                        u0=u0, backend=backend)
 
 
 class TestEnrolment:
@@ -91,9 +87,8 @@ class TestEnrolment:
             EnsembleRunner([a, b])
 
     def test_rejects_mixed_forcing(self):
-        forced = periodic_problem("MR-P", "D2Q9", (12, 10), tau=0.8,
-                                  force=np.array([1e-5, 0.0]),
-                                  backend="fused")
+        forced = build_single("periodic", "MR-P", "D2Q9", (12, 10), tau=0.8,
+                              force=np.array([1e-5, 0.0]), backend="fused")
         with pytest.raises(ValueError, match="all-or-none"):
             EnsembleRunner([tg_member(), forced])
 
@@ -125,8 +120,8 @@ class TestPackingAndRun:
         """After enrolment, member.set_force still reaches the kernel
         (a sparse member's too, which holds its own force compact)."""
         for backend in ("fused", "sparse"):
-            members = [forced_channel_problem(
-                "ST", "D2Q9", (12, 8), tau=0.8, u_max=0.04, backend=backend)
+            members = [build_single("forced-channel", "ST", "D2Q9", (12, 8),
+                                    tau=0.8, u_max=0.04, backend=backend)
                 for _ in range(2)]
             runner = EnsembleRunner(members)
             members[1].set_force(np.array([2e-5, 0.0]))
@@ -134,30 +129,15 @@ class TestPackingAndRun:
             assert runner._force[1, 0].max() == pytest.approx(2e-5)
 
     def test_member_callbacks_and_flush(self):
+        """The batch steps with no callbacks (a sweep exposes none of the
+        run loop's flags); member clocks advance with it."""
         members = [tg_member(tau=t) for t in (0.7, 0.9, 1.1)]
-        calls = []
-
-        class Monitor:
-            def __init__(self, k):
-                self.k = k
-                self.flushed = False
-
-            def __call__(self, solver):
-                calls.append((self.k, solver.time))
-
-            def flush(self, solver):
-                self.flushed = True
-
-        monitors = [Monitor(0), None, Monitor(2)]
-        EnsembleRunner(members).run(4, member_callbacks=monitors,
-                                    callback_interval=2)
-        assert calls == [(0, 2), (2, 2), (0, 4), (2, 4)]
-        assert monitors[0].flushed and monitors[2].flushed
+        EnsembleRunner(members).run(4)
+        assert [m.time for m in members] == [4, 4, 4]
 
     def test_callback_count_validated(self):
-        members = [tg_member(tau=t) for t in (0.7, 0.9)]
-        with pytest.raises(ValueError, match="member callbacks"):
-            EnsembleRunner(members).run(2, member_callbacks=[None])
+        with pytest.raises(TypeError, match="member_callbacks"):
+            EnsembleRunner([tg_member()]).run(2, member_callbacks=[None])
 
     def test_telemetry_counts_steps(self):
         members = [tg_member(tau=t) for t in (0.7, 0.9)]

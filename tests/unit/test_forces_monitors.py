@@ -13,10 +13,9 @@ from repro.solver import (
     ForceMonitor,
     Monitors,
     ProbeMonitor,
-    forced_channel_problem,
     make_solver,
-    periodic_problem,
 )
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 
@@ -31,8 +30,8 @@ class TestMomentumExchange:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_channel_walls_balance_body_force(self, scheme):
         """At steady state the wall drag balances the driving force."""
-        s = forced_channel_problem(scheme, "D2Q9", (12, 18), tau=0.9,
-                                   u_max=0.03)
+        s = build_single("forced-channel", scheme, "D2Q9", (12, 18), tau=0.9,
+                         u_max=0.03)
         s.run_to_steady_state(tol=1e-11, check_interval=200, max_steps=60_000)
         wall_force = MomentumExchangeForce(s).force()
         driving = s.force[0].sum()          # total force on the fluid
@@ -66,7 +65,8 @@ class TestMonitors:
     def _tg_solver(self, steps=0):
         shape, tau = (24, 24), 0.8
         rho0, u0 = taylor_green_fields(shape, 0.0, 0.1, 0.03)
-        return periodic_problem("MR-P", "D2Q9", shape, tau, rho0=rho0, u0=u0)
+        return build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                            rho0=rho0, u0=u0)
 
     def test_sampling_cadence(self):
         s = self._tg_solver()
@@ -105,7 +105,8 @@ class TestMonitors:
         assert len(pm.values) == 2
 
     def test_convergence_monitor(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)   # rest fluid
+        s = build_single("periodic", "ST", "D2Q9", (8, 8),
+                         tau=0.8)   # rest fluid
         cm = ConvergenceMonitor(every=5)
         s.run(15, callback=cm)
         # The first visit (t=5) only records the baseline; no inf sentinel.
@@ -138,7 +139,8 @@ class TestEndOfRunFlush:
     def _tg_solver(self):
         shape, tau = (16, 16), 0.8
         rho0, u0 = taylor_green_fields(shape, 0.0, 0.1, 0.03)
-        return periodic_problem("MR-P", "D2Q9", shape, tau, rho0=rho0, u0=u0)
+        return build_single("periodic", "MR-P", "D2Q9", shape, tau=tau,
+                            rho0=rho0, u0=u0)
 
     def test_final_state_recorded_off_cadence(self):
         s = self._tg_solver()
@@ -163,7 +165,8 @@ class TestEndOfRunFlush:
         assert np.allclose(pm.values[-1], u[:, 3, 3])
 
     def test_convergence_monitor_flush_no_inf(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)   # rest fluid
+        s = build_single("periodic", "ST", "D2Q9", (8, 8),
+                         tau=0.8)   # rest fluid
         cm = ConvergenceMonitor(every=5)
         s.run(13, callback=cm)
         assert cm.times == [10, 13]
@@ -172,7 +175,7 @@ class TestEndOfRunFlush:
 
     def test_convergence_flush_before_baseline(self):
         """Flush with no baseline yet must not record an inf sample."""
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         cm = ConvergenceMonitor(every=50)
         s.run(3, callback=cm)            # never reaches the cadence
         assert cm.times == []

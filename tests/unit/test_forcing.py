@@ -159,11 +159,11 @@ class TestForcedSolvers:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_forced_poiseuille(self, scheme):
         """Steady body-force-driven channel matches the parabola."""
-        from repro.solver import forced_channel_problem
+        from repro.service.registry import build_single
         from repro.validation import poiseuille_profile
 
-        s = forced_channel_problem(scheme, "D2Q9", (12, 22), tau=0.9,
-                                   u_max=0.03)
+        s = build_single("forced-channel", scheme, "D2Q9", (12, 22), tau=0.9,
+                         u_max=0.03)
         s.run_to_steady_state(tol=1e-10, check_interval=200, max_steps=60_000)
         ux = s.velocity()[0]
         ana = poiseuille_profile(22, 0.03)

@@ -16,7 +16,8 @@ from repro.io import (
     write_vtk,
 )
 from repro.io.snapshots import _BLOCK
-from repro.solver import make_solver, periodic_problem
+from repro.solver import make_solver
+from repro.service.registry import build_single
 from repro.lattice import get_lattice
 from repro.geometry import periodic_box
 
@@ -72,7 +73,7 @@ class TestCheckpoints:
     def _solver(self, scheme, seed=0):
         rng = np.random.default_rng(seed)
         u0 = 0.02 * rng.standard_normal((2, 6, 6))
-        return periodic_problem(scheme, "D2Q9", (6, 6), 0.8, u0=u0)
+        return build_single("periodic", scheme, "D2Q9", (6, 6), tau=0.8, u0=u0)
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_roundtrip_continues_identically(self, tmp_path, scheme):
@@ -124,8 +125,8 @@ class TestOneArchiveWriter:
             return save_fields(directory / "out.npz", np.full((4, 3), value),
                                np.zeros((2, 4, 3)))
         if kind == "checkpoint":
-            solver = periodic_problem("MR-P", "D2Q9", (6, 5), tau=0.8,
-                                      rho0=value)
+            solver = build_single("periodic", "MR-P", "D2Q9", (6, 5), tau=0.8,
+                                  rho0=value)
             return save_checkpoint(directory / "ck.npz", solver)
         return save_rank_slab(directory, 0, np.full((9, 3, 4), value),
                               start=0, stop=3, step=2, scheme="ST",
@@ -183,12 +184,12 @@ class TestOneArchiveWriter:
         assert old.keys() == new.keys()
         assert all(np.array_equal(old[k], new[k]) for k in old)
 
-        solver = periodic_problem("ST", "D2Q9", (6, 5), tau=0.8,
-                                  rho0=1 + 0.01 * rho)
+        solver = build_single("periodic", "ST", "D2Q9", (6, 5), tau=0.8,
+                              rho0=1 + 0.01 * rho)
         solver.run(3)
         with np.load(save_checkpoint(tmp_path / "ck.npz", solver)) as data:
             np.savez_compressed(tmp_path / "ck-old.npz", **data)
-        fresh = periodic_problem("ST", "D2Q9", (6, 5), tau=0.8)
+        fresh = build_single("periodic", "ST", "D2Q9", (6, 5), tau=0.8)
         restore_checkpoint(tmp_path / "ck-old.npz", fresh)
         assert fresh.time == 3 and np.array_equal(fresh.f, solver.f)
 

@@ -5,21 +5,22 @@ import json
 import numpy as np
 import pytest
 
+from repro.loop import Cadences, Sinks, run_loop, watch
 from repro.obs import (
     NULL_TELEMETRY,
     JsonLinesExporter,
     RunManifest,
     StabilityError,
-    StabilityWatchdog,
     Telemetry,
     load_manifest,
     manifest_path_for,
     read_jsonl,
+    summarize_events,
     write_chrome_trace,
     write_csv_summary,
     write_manifest,
 )
-from repro.solver import channel_problem, periodic_problem
+from repro.service.registry import build_single
 from repro.solver.monitors import ConvergenceMonitor, EnergyMonitor, ProbeMonitor
 
 
@@ -109,7 +110,7 @@ class TestNullTelemetry:
         """The disabled path must not allocate per step."""
         import tracemalloc
 
-        s = periodic_problem("MR-P", "D2Q9", (16, 16), 0.8)
+        s = build_single("periodic", "MR-P", "D2Q9", (16, 16), tau=0.8)
         s.run(2)                                   # warm caches
         tracemalloc.start()
         base = tracemalloc.take_snapshot()
@@ -132,7 +133,8 @@ class TestSolverIntegration:
                       "step/boundary", "step/macroscopic"}),
         ]:
             tel = Telemetry()
-            s = channel_problem(scheme, "D2Q9", (16, 10)).attach_telemetry(tel)
+            s = build_single("channel", scheme, "D2Q9",
+                             (16, 10)).attach_telemetry(tel)
             s.run(3)
             assert expected <= set(tel.phases), scheme
             assert tel.counters["steps"] == 3
@@ -154,20 +156,21 @@ class TestSolverIntegration:
         assert "step/stream" not in tel.phases
 
     def test_telemetry_does_not_change_results(self):
-        a = channel_problem("MR-R", "D2Q9", (20, 12))
-        b = channel_problem("MR-R", "D2Q9", (20, 12)).attach_telemetry(Telemetry())
+        a = build_single("channel", "MR-R", "D2Q9", (20, 12))
+        b = build_single("channel", "MR-R", "D2Q9",
+                         (20, 12)).attach_telemetry(Telemetry())
         a.run(20)
         b.run(20)
         np.testing.assert_array_equal(a.m, b.m)
 
     def test_attach_none_restores_null(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         s.attach_telemetry(Telemetry())
         s.attach_telemetry(None)
         assert s.telemetry is NULL_TELEMETRY
 
     def test_run_to_steady_state_forwards_callback(self):
-        s = channel_problem("ST", "D2Q9", (16, 10))
+        s = build_single("channel", "ST", "D2Q9", (16, 10))
         em = EnergyMonitor(every=5)
         s.run_to_steady_state(tol=1e-3, check_interval=10, max_steps=2000,
                               callback=em, callback_interval=1)
@@ -177,7 +180,7 @@ class TestSolverIntegration:
 
 class TestMonitorFixes:
     def test_probe_series_is_dense_stack(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         pm = ProbeMonitor((4, 4), every=3)
         s.run(10, callback=pm)
         times, values = pm.series()
@@ -190,7 +193,7 @@ class TestMonitorFixes:
         assert times.size == 0 and values.size == 0
 
     def test_convergence_monitor_skips_sentinel(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         cm = ConvergenceMonitor(every=5)
         s.run(20, callback=cm)
         assert cm.times == [10, 15, 20]
@@ -236,7 +239,7 @@ class TestExporters:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        s = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8)
         s.run(3)
         path = write_manifest(tmp_path / "m.json", s, seed=42, note="hi")
         m = load_manifest(path)
@@ -250,7 +253,7 @@ class TestManifest:
         assert manifest_path_for("out/flow.npz").name == "flow.manifest.json"
 
     def test_from_solver_is_dataclass(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         m = RunManifest.from_solver(s)
         assert m.scheme == "ST"
         json.dumps(m.to_dict())
@@ -258,7 +261,7 @@ class TestManifest:
     def test_checkpoint_writes_manifest(self, tmp_path):
         from repro.io import save_checkpoint
 
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
         ck = tmp_path / "state.npz"
         save_checkpoint(ck, s, manifest=True, seed=7)
         m = load_manifest(tmp_path / "state.manifest.json")
@@ -267,43 +270,63 @@ class TestManifest:
 
 
 class TestWatchdog:
+    """The run loop's divergence check, on its watchdog cadence."""
+
+    @staticmethod
+    def look(s):
+        return lambda: (*s.macroscopic(), s.domain.fluid_mask)
+
     def test_healthy_run_passes(self):
-        s = channel_problem("MR-P", "D2Q9", (16, 10))
-        wd = StabilityWatchdog(every=5)
-        s.run(10, callback=wd)
-        assert wd.last_report is not None
-        assert wd.last_report["nonfinite_u"] == 0
+        s, tel = build_single("channel", "MR-P", "D2Q9", (16, 10)), Telemetry()
+        run_loop(s.step, self.look(s), 0, 10, Cadences(watchdog=5),
+                 Sinks(telemetry=tel))
+        assert tel.counters["watchdog.checks"] == 2
+        assert watch(self.look(s))["nonfinite_u"] == 0
 
     def test_triggers_on_induced_nan(self):
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "ST", "D2Q9", (8, 8))
         s.f[0, 3, 3] = np.nan
-        wd = StabilityWatchdog(every=1)
         with pytest.raises(StabilityError) as exc:
-            s.run(1, callback=wd)
+            run_loop(s.step, self.look(s), 0, 1, Cadences(watchdog=1),
+                     context={"scheme": "ST"})
         report = exc.value.report
         assert report["nonfinite_rho"] >= 1 or report["nonfinite_u"] >= 1
         assert report["scheme"] == "ST" and report["step"] == 1
         json.dumps(report)               # structured, machine-readable
 
     def test_triggers_on_superluminal_speed(self):
-        s = periodic_problem("MR-P", "D2Q9", (8, 8), 0.8)
+        s = build_single("periodic", "MR-P", "D2Q9", (8, 8))
         s.m[1, :, :] = 2.0               # momentum far above c_s
-        wd = StabilityWatchdog(every=1)
         with pytest.raises(StabilityError) as exc:
-            wd.check(s)
+            watch(self.look(s))
         assert exc.value.report["supersonic"] > 0
 
     def test_telemetry_gauges(self):
         tel = Telemetry()
-        s = periodic_problem("ST", "D2Q9", (8, 8), 0.8)
-        wd = StabilityWatchdog(every=1, telemetry=tel)
-        wd.check(s)
+        watch(self.look(build_single("periodic", "ST", "D2Q9", (8, 8))), tel)
         assert tel.counters["watchdog.checks"] == 1
         assert "watchdog.max_speed" in tel.gauges
 
     def test_invalid_cadence(self):
-        with pytest.raises(ValueError):
-            StabilityWatchdog(every=0)
+        with pytest.raises(ValueError, match="watchdog cadence"):
+            Cadences(watchdog=-1)
+
+    def test_an_interrupted_loop_ends_its_stream(self, tmp_path):
+        """Ctrl-C at step 3 (any exception) still ends the stream: the
+        rank's status is ``error``, not ``running`` for ever."""
+        from repro.obs import EventStream, RunEventEmitter, read_events
+
+        def step():
+            if tel.counters.get("steps") == 3:
+                raise KeyboardInterrupt
+        tel = Telemetry()
+        events = RunEventEmitter(EventStream(tmp_path), every=1, n_steps=9,
+                                 telemetry=tel)
+        with pytest.raises(KeyboardInterrupt):
+            run_loop(step, None, 0, 9, sinks=Sinks(tel, events))
+        summary = summarize_events(read_events(tmp_path))
+        assert summary["all_done"] and summary["ranks"][0]["status"] == "error"
+        assert summary["ranks"][0]["step"] == 3
 
 
 @pytest.mark.parametrize("package, lazy", [

@@ -88,13 +88,10 @@ class TestCLI:
         data = json.loads(path.read_text())
         assert data[0]["scheme"] == "ST"
 
-    def test_run_trace_and_metrics(self, capsys, tmp_path):
-        trace = tmp_path / "out.json"
-        metrics = tmp_path / "m.jsonl"
-        rc = main(["run", "--scheme", "MR-P", "--shape", "20,12",
-                   "--steps", "10", "--report-interval", "5",
-                   "--trace", str(trace), "--metrics", str(metrics)])
-        assert rc == 0
+    def test_run_trace_and_metrics(self, mrlbm, tmp_path):
+        trace, metrics = tmp_path / "out.json", tmp_path / "m.jsonl"
+        mrlbm("run --scheme MR-P --shape 20,12 --steps 10 --report-interval "
+              f"5 --trace {trace} --metrics {metrics}")
         doc = json.loads(trace.read_text())
         assert doc["traceEvents"], "trace must contain phase spans"
         assert all(ev["ph"] == "X" for ev in doc["traceEvents"])
@@ -102,27 +99,23 @@ class TestCLI:
         assert any("summary" in r for r in records)
         assert any(r.get("step") == 10 for r in records)
 
-    def test_run_manifest_flag(self, tmp_path, capsys, monkeypatch):
+    def test_run_manifest_flag(self, tmp_path, mrlbm, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        rc = main(["run", "--scheme", "ST", "--shape", "16,10",
-                   "--steps", "5", "--report-interval", "5",
-                   "--manifest", str(tmp_path / "m.json")])
-        assert rc == 0
+        mrlbm("run --scheme ST --shape 16,10 --steps 5 --manifest m.json")
         m = json.loads((tmp_path / "m.json").read_text())
         assert m["scheme"] == "ST" and m["shape"] == [16, 10]
 
-    def test_run_watchdog_flag_healthy(self, capsys):
-        rc = main(["run", "--scheme", "MR-P", "--shape", "16,10",
-                   "--steps", "10", "--report-interval", "5",
-                   "--watchdog", "5"])
-        assert rc == 0
+    def test_run_watchdog_flag_healthy(self, mrlbm):
+        assert "  step      10" in mrlbm("run --scheme MR-P --shape 16,10 "
+                                        "--steps 10 --report-interval 5 "
+                                        "--watchdog 5")
 
     def test_telemetry_off_by_default_golden(self):
         """Plain `run` must not attach telemetry (numerics & speed path)."""
-        from repro.solver import channel_problem
+        from repro.service.registry import build_single
         from repro.obs import NULL_TELEMETRY
 
-        s = channel_problem("MR-P", "D2Q9", (16, 10))
+        s = build_single("channel", "MR-P", "D2Q9", (16, 10))
         assert s.telemetry is NULL_TELEMETRY
 
 

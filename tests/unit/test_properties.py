@@ -41,7 +41,7 @@ from repro.core.regularization import (
 from repro.core.streaming import stream_push
 from repro.lattice import get_lattice
 from repro.obs.watchdog import SOUND_SPEED
-from repro.solver import periodic_problem
+from repro.service.registry import build_single
 
 from test_conformance import Cell, check_backends_agree, check_conservation
 
@@ -256,11 +256,10 @@ class TestForceProjection:
         rng = np.random.default_rng(seed)
         force = np.zeros(lat.d)
         force[0] = 2.5e-5
-        solver = periodic_problem(
-            scheme, lattice, grid, self.TAU,
-            rho0=1.0 + 0.02 * rng.standard_normal(grid),
-            u0=0.02 * rng.standard_normal((lat.d, *grid)),
-            force=force)
+        solver = build_single("periodic", scheme, lattice, grid, tau=self.TAU,
+                              rho0=1.0 + 0.02 * rng.standard_normal(grid),
+                              u0=0.02 * rng.standard_normal((lat.d, *grid)),
+                              force=force)
         n_nodes = float(np.prod(grid))
 
         def totals():

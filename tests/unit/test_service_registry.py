@@ -14,7 +14,6 @@ from repro.service.registry import (
     register_problem,
     sweep_kinds,
 )
-from repro.solver import channel_problem
 
 from test_conformance import assert_agree, fields
 
@@ -182,7 +181,7 @@ class TestBuilders:
         """There are none: the distributed channel with no options is the
         single-domain channel with no options (the paper's FD faces)."""
         assert get_problem("channel").distributed is True
-        single = channel_problem("MR-P", "D2Q9", SHAPE).run(10)
+        single = build_single("channel", "MR-P", "D2Q9", SHAPE).run(10)
         for n_ranks in (1, 2):
             dist = build_distributed("channel", "MR-P", "D2Q9", SHAPE,
                                      n_ranks).run(10)

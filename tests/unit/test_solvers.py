@@ -6,15 +6,8 @@ import pytest
 from repro.core import BGKCollision, ProjectiveRegularizedCollision
 from repro.geometry import channel_2d, periodic_box
 from repro.lattice import get_lattice
-from repro.solver import (
-    MRPSolver,
-    MRRSolver,
-    SCHEMES,
-    STSolver,
-    channel_problem,
-    make_solver,
-    periodic_problem,
-)
+from repro.solver import MRPSolver, MRRSolver, SCHEMES, STSolver, make_solver
+from repro.service.registry import build_single
 
 
 class TestConstruction:
@@ -125,17 +118,17 @@ class TestStepping:
 
 class TestPresets:
     def test_channel_problem_shapes(self):
-        s = channel_problem("MR-P", "D2Q9", (12, 8), tau=0.8)
+        s = build_single("channel", "MR-P", "D2Q9", (12, 8), tau=0.8)
         assert s.domain.shape == (12, 8)
         assert len(s.boundaries) == 3
 
     def test_channel_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            channel_problem("ST", "D3Q19", (12, 8))
+            build_single("channel", "ST", "D3Q19", (12, 8))
 
     def test_periodic_problem(self, rng):
         u0 = 0.02 * rng.standard_normal((2, 6, 6))
-        s = periodic_problem("MR-R", "D2Q9", (6, 6), 0.8, u0=u0)
+        s = build_single("periodic", "MR-R", "D2Q9", (6, 6), tau=0.8, u0=u0)
         assert not s.boundaries
         assert np.allclose(s.velocity(), u0)
 
@@ -150,5 +143,6 @@ class TestPresets:
         assert np.allclose(u[1:], 0)
 
     def test_start_from_rest(self):
-        s = channel_problem("ST", "D2Q9", (10, 6), start_from_profile=False)
+        s = build_single("channel", "ST", "D2Q9", (10, 6),
+                         start_from_profile=False)
         assert s.diagnostics.max_speed() == pytest.approx(0.0)
