@@ -4,8 +4,8 @@ Splits the paper's channel proxy app into streamwise slabs and runs it
 on BOTH parallel backends (see docs/PARALLEL.md):
 
 * ``emulated`` — every rank stepped sequentially in one process;
-* ``process`` — every rank a real OS process, slabs and halo faces in
-  ``multiprocessing.shared_memory``, barrier-synchronized steps.
+* ``process`` — every rank a forked OS process with a private slab, halo
+  faces in anonymous shared mappings, barrier-synchronized steps.
 
 Verifies that both reproduce the single-domain solver to machine
 precision and that they account identical exchange volumes, prints the

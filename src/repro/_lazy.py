@@ -3,7 +3,7 @@
 ``repro.service`` and ``repro.obs`` re-export names from submodules most
 entry points never run (an asyncio HTTP server and its client; the
 profiling harness). Importing those with
-the package made every ``mrlbm run``, every spawned rank and every
+the package made every ``mrlbm run``, every forked rank and every
 ``build_single`` cell pay for them; a package that assigns
 ``__getattr__ = lazy_exports(__name__, {...})`` keeps the names — and its
 ``__all__`` — and imports the submodule when one of them is first read.

@@ -447,7 +447,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     except KeyboardInterrupt:
         # A process run's interrupt path has already terminated the
-        # ranks and unlinked every shared-memory block.
+        # ranks, and with them their shared memory.
         if args.events and runtime is not None:
             end_running_streams(args.events, "KeyboardInterrupt", ended)
         print("INTERRUPTED: " + ("cohort terminated, shared memory "

@@ -6,9 +6,10 @@ protocol (see ``docs/PARALLEL.md``):
 * **emulated** — every rank stepped sequentially in-process
   (:class:`DistributedSolver`), deterministic and
   dependency-free: the accounting and correctness oracle;
-* **process** — every rank a real OS process over
-  ``multiprocessing.shared_memory`` with barrier-synchronized halo
-  exchanges (:func:`run_process` / :class:`ProcessRuntime`).
+* **process** — every rank a forked OS process; halo faces and the
+  gathered ``(rho, u)`` travel through anonymous shared mappings the
+  ranks inherit, with barrier-synchronized halo exchanges
+  (:func:`run_process` / :class:`ProcessRuntime`).
 
 In both, a rank *is* the single-domain solver of the scheme
 (:mod:`repro.solver`) on its ghosted slab: this package owns the

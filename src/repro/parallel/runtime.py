@@ -3,12 +3,13 @@
 This module turns the emulated decomposition of
 :mod:`repro.parallel.decomposition` into genuinely concurrent execution:
 every :class:`~repro.parallel.decomposition.SlabDecomposition` rank runs
-as a real OS process (``multiprocessing``) that owns its slab state
+as a real OS process, forked from the parent, that owns its slab state
 privately; only its one-node halo face buffers and one global ``(rho,
-u)`` output block, written once by every rank after its last step, live
-in ``multiprocessing.shared_memory``, and the collide -> exchange ->
-stream cadence is synchronized by a ``multiprocessing.Barrier`` (two
-waits per step; see ``docs/PARALLEL.md`` for the protocol proof sketch).
+u)`` output block, written once by every rank after its last step, are
+shared — anonymous shared mappings the parent makes before each fork and
+the ranks inherit — and the collide -> exchange -> stream cadence is
+synchronized by a ``multiprocessing.Barrier`` (two waits per step; see
+``docs/PARALLEL.md`` for the protocol proof sketch).
 
 The payload on the "wire" (the shared face buffers) is exactly what the
 emulated backend accounts: ST ranks ship the crossing populations of the
@@ -21,12 +22,14 @@ them.
 On any worker failure the runtime degrades gracefully instead of
 deadlocking: the failing rank posts a structured
 :class:`WorkerFailure` and aborts the barrier, the surviving ranks
-unwind on ``BrokenBarrierError``, the parent unlinks every shared-memory
-segment and raises :class:`ParallelRuntimeError`. Workers that die
-without a trace (SIGKILL, hangs — see :mod:`repro.parallel.faults`) are
-detected through the barrier timeout and the parent's straggler grace
-period, then terminated with SIGTERM→SIGKILL escalation so no zombie or
-``/dev/shm`` segment outlives the run.
+unwind on ``BrokenBarrierError``, and the parent raises
+:class:`ParallelRuntimeError`. Workers that die without a trace
+(SIGKILL, hangs — see :mod:`repro.parallel.faults`) are detected through
+the barrier timeout and the parent's straggler grace period, then
+terminated with SIGTERM→SIGKILL escalation so no zombie outlives the
+run. The shared blocks have no name: the kernel frees them with the last
+process that maps them, so nothing is left in ``/dev/shm`` however the
+cohort ends — even when its whole process group is killed.
 
 On top of that degrade-cleanly baseline sits *supervised recovery*:
 with ``RunSpec.checkpoint_dir``/``checkpoint_every`` set, the worker
@@ -46,19 +49,17 @@ Entry points
     with the gathered fields, communication accounting and the merged
     per-rank telemetry report.
 :class:`ProcessRuntime`
-    The reusable object behind it, exposing the shared-memory plan for
-    tests and tooling.
+    The reusable object behind it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import mmap
 import multiprocessing as mp
-import os
-import secrets
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -85,11 +86,6 @@ __all__ = [
     "run_process",
 ]
 
-#: Every shared-memory segment created by the runtime starts with this
-#: prefix (visible as ``/dev/shm/<prefix>-...`` on Linux), so leaked
-#: segments are attributable and tests can assert cleanup.
-SHM_PREFIX = "mrlbm"
-
 #: Version of the :meth:`RunSpec.fingerprint` encoding, recorded in
 #: checkpoint manifests. Version 1 concatenated key/value reprs with no
 #: separator, so distinct option dicts (``{"x1": 2}`` vs ``{"x": 12}``)
@@ -111,9 +107,9 @@ class RunSpec:
     What it builds (:meth:`build`) is a shell — lattice, decomposition,
     global domain, boundary factory and views of the initial fields —
     and each worker builds its own rank's solver from it, once, in its
-    own process (forked workers inherit the parent's shell, workers of
-    another start method rebuild it from the spec): only halo faces and
-    the final ``(rho, u)`` cross process boundaries during a run.
+    own process (the forked workers inherit the parent's shell): only
+    halo faces and the final ``(rho, u)`` cross process boundaries
+    during a run.
 
     Parameters
     ----------
@@ -215,8 +211,7 @@ class RunSpec:
         been queued, fingerprinted or pickled, and for some of them as a
         traceback (or a wrong result) in a worker. Failing here keeps
         bad specs out of the system entirely. The check is skipped
-        during unpickling (``__reduce__`` restores fields directly), so
-        forked workers pay nothing.
+        during unpickling (``__reduce__`` restores fields directly).
         """
         from ..service.registry import check_names, get_problem
 
@@ -353,15 +348,9 @@ class ProcessRunResult:
     spans: list = field(default_factory=list)
 
 
-def shm_view(shm: shared_memory.SharedMemory,
-             shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 ndarray view over a shared-memory block."""
-    return np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-
-
 @dataclass
-class ShmPlan:
-    """Names and shapes of every shared block of one run (picklable).
+class SharedBlocks:
+    """The blocks one cohort shares: float64 views of anonymous mappings.
 
     One global ``(1 + D, *shape)`` output block — ``rho`` then ``u``,
     each rank writing its own interior planes once, after its last step
@@ -369,57 +358,49 @@ class ShmPlan:
     payload each. A rank's slab state is private to its process.
     """
 
-    prefix: str
-    output: tuple[str, tuple[int, ...]]
-    send_left: list[tuple[str, tuple[int, ...]] | None]
-    send_right: list[tuple[str, tuple[int, ...]] | None]
-
-    def entries(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Every ``(name, shape)`` block of the plan."""
-        return [self.output, *filter(None, (*self.send_left,
-                                            *self.send_right))]
-
-    def all_names(self) -> list[str]:
-        """Every segment name in the plan."""
-        return [name for name, _ in self.entries()]
+    output: np.ndarray
+    send_left: list[np.ndarray | None]
+    send_right: list[np.ndarray | None]
 
 
-def _build_plan(solver: DistributedSolver) -> ShmPlan:
-    """Lay out the shared-memory blocks for one run (names only)."""
-    prefix = f"{SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(3)}"
-    shape = solver.global_domain.shape
+def _map_blocks(solver: DistributedSolver) -> SharedBlocks:
+    """Map one cohort's blocks as anonymous shared memory, before it forks.
+
+    The forked ranks inherit the mappings; nothing is named, so nothing
+    is attached, unlinked or handed to a resource tracker, and the
+    kernel frees the pages once the last process holding them is gone.
+    """
+    def block(shape):
+        return np.ndarray(shape, np.float64,
+                          mmap.mmap(-1, 8 * math.prod(shape)))
+
+    decomp, shape = solver.decomp, solver.global_domain.shape
     # One directed face payload: its components over one cut plane.
-    payload = (solver.halo_values_per_direction() // solver.decomp.face_nodes,
+    payload = (solver.halo_values_per_direction() // decomp.face_nodes,
                *shape[1:])
-    ranks = range(solver.decomp.n_ranks)
-    return ShmPlan(
-        prefix, (f"{prefix}-out", (1 + solver.lat.d, *shape)),
-        [(f"{prefix}-l{r}", payload) if solver.decomp.has_left(r) else None
-         for r in ranks],
-        [(f"{prefix}-r{r}", payload) if solver.decomp.has_right(r) else None
-         for r in ranks])
+    ranks = range(decomp.n_ranks)
+    return SharedBlocks(
+        block((1 + solver.lat.d, *shape)),
+        [block(payload) if decomp.has_left(r) else None for r in ranks],
+        [block(payload) if decomp.has_right(r) else None for r in ranks])
 
 
 class ProcessRuntime:
-    """Run a :class:`RunSpec` on real worker processes over shared memory.
+    """Run a :class:`RunSpec` on forked worker processes over shared memory.
 
     The parent builds the spec's shell once — every construction-time
     refusal fires here, before any fork — and never builds a rank: the
-    shell is the *shape oracle* the shared blocks are laid out from and,
-    under ``fork``, what every worker cohort (first launch or retry)
-    inherits, along with the mapped blocks; workers of any other start
-    method rebuild the shell from the pickled spec and attach by name.
-    Either way a worker builds its own rank's solver, and nobody else
-    does. The ranks gather, each writing its owned planes of ``(rho,
-    u)`` into the shared output block.
+    shell is the *shape oracle* the shared blocks are laid out from and
+    what every worker cohort (first launch or retry) inherits, along
+    with the blocks, mapped afresh before each fork. A worker builds its
+    own rank's solver, and nobody else does. The ranks gather, each
+    writing its owned planes of ``(rho, u)`` into the shared output
+    block. A platform that cannot ``fork`` is refused.
 
     Parameters
     ----------
     spec:
         The problem to run.
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where
-        available (Linux), else ``"spawn"``.
     barrier_timeout:
         Seconds any rank waits at a halo barrier before declaring the
         cohort broken. Guards against deadlock if a sibling dies without
@@ -431,47 +412,21 @@ class ProcessRuntime:
         a hung rank into a structured error instead of a deadlock.
     """
 
-    def __init__(self, spec: RunSpec, start_method: str | None = None,
-                 barrier_timeout: float = 120.0,
+    def __init__(self, spec: RunSpec, barrier_timeout: float = 120.0,
                  straggler_grace: float = 15.0):
+        if "fork" not in mp.get_all_start_methods():
+            raise ValueError("the process backend forks its ranks and this "
+                             "platform cannot fork; run with --backend "
+                             "emulated")
         # Validate the fault spec eagerly, in the parent.
         normalize_fault(spec.fault)
         self.spec = spec
         self.solver = spec.build()
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork")
         self.barrier_timeout = float(barrier_timeout)
         self.straggler_grace = float(straggler_grace)
-        self.plan: ShmPlan | None = None
 
     # -- internals --------------------------------------------------------
-    def _create_blocks(self, plan: ShmPlan) -> dict[str, shared_memory.SharedMemory]:
-        """Create every shared segment of the plan (parent owns them)."""
-        blocks: dict[str, shared_memory.SharedMemory] = {}
-        try:
-            for name, shape in plan.entries():
-                blocks[name] = shared_memory.SharedMemory(
-                    create=True, name=name, size=int(np.prod(shape)) * 8)
-        except Exception:
-            self._destroy_blocks(blocks)
-            raise
-        return blocks
-
-    @staticmethod
-    def _destroy_blocks(blocks: dict[str, shared_memory.SharedMemory]) -> None:
-        """Close and unlink every created segment, ignoring stragglers."""
-        for shm in blocks.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except Exception:
-                pass
-
     @staticmethod
     def _drain(errq, resq, results: dict[int, dict],
                failures: list[WorkerFailure]) -> None:
@@ -599,8 +554,8 @@ class ProcessRuntime:
         ``max_restarts`` (default ``spec.max_restarts``) fresh cohorts
         are launched from the newest complete checkpoint (or the
         original starting point when none exists yet), waiting
-        ``restart_backoff * attempt`` seconds between attempts. Shared
-        memory is unlinked after every attempt, successful or not.
+        ``restart_backoff * attempt`` seconds between attempts. Every
+        attempt maps blocks of its own, which go with it.
 
         Returns the gathered fields plus the merged telemetry report
         (with ``spans``, every rank's phase spans too), or raises
@@ -658,25 +613,25 @@ class ProcessRuntime:
     def _run_attempt(self, n_steps: int, start_step: int, attempt: int,
                      resume_dir: str | None, run_timeout: float | None,
                      spans: bool) -> ProcessRunResult:
-        """Launch one worker cohort and harvest it (one retry attempt)."""
+        """Launch one worker cohort and harvest it (one retry attempt).
+
+        The cohort's blocks are mapped here and unmapped when the last
+        reference to them goes: the parent's when this returns or
+        raises, a rank's when it exits.
+        """
         from .worker import worker_main
 
         spec = self.spec
-        plan = self.plan = _build_plan(self.solver)
-        blocks = self._create_blocks(plan)
-        # Only ``fork`` hands a worker its arguments unpickled; under any
-        # other start method it builds the spec and attaches by name.
-        inherited = ((self.solver, blocks)
-                     if self._ctx.get_start_method() == "fork" else ())
+        blocks = _map_blocks(self.solver)
         barrier = self._ctx.Barrier(spec.n_ranks)
         errq = self._ctx.Queue()
         resq = self._ctx.Queue()
         procs = [
             self._ctx.Process(
                 target=worker_main, name=f"mrlbm-rank{r}",
-                args=(spec, r, n_steps, plan, barrier, errq, resq,
-                      self.barrier_timeout, start_step, attempt, resume_dir,
-                      *inherited),
+                args=(spec, self.solver, blocks, r, n_steps, barrier, errq,
+                      resq, self.barrier_timeout, start_step, attempt,
+                      resume_dir),
                 kwargs={"spans": spans}, daemon=True)
             for r in range(spec.n_ranks)
         ]
@@ -684,65 +639,53 @@ class ProcessRuntime:
         try:
             for p in procs:
                 p.start()
-            try:
-                results, failures = self._harvest(procs, errq, resq,
-                                                  run_timeout)
-            except KeyboardInterrupt:
-                # SIGINT lands on the whole foreground process group, so
-                # the workers are dying too — but _harvest was unwound
-                # mid-join, skipping its terminate/escalate path. Tear
-                # the cohort down here so the ``finally`` below unlinks
-                # every /dev/shm segment with no worker still attached,
-                # then let the interrupt propagate (the CLI maps it to
-                # exit 130).
-                for p in procs:
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs:
+            results, failures = self._harvest(procs, errq, resq, run_timeout)
+        except KeyboardInterrupt:
+            # SIGINT lands on the whole foreground process group, so the
+            # workers are dying too — but _harvest was unwound mid-join,
+            # skipping its terminate/escalate path. Tear the cohort down
+            # here so no rank outlives the parent, then let the interrupt
+            # propagate (the CLI maps it to exit 130).
+            for p in procs:
+                if p.is_alive():
+                    p.terminate()
+            for p in procs:
+                p.join(timeout=2.0)
+                if p.is_alive():
+                    p.kill()
                     p.join(timeout=2.0)
-                    if p.is_alive():
-                        p.kill()
-                        p.join(timeout=2.0)
-                raise
-            wall = time.perf_counter() - t0
-            if failures or len(results) != spec.n_ranks:
-                if not failures:
-                    missing = sorted(set(range(spec.n_ranks)) - set(results))
-                    failures = [WorkerFailure(
-                        r, "MissingResult",
-                        "worker exited without posting a result")
-                        for r in missing]
-                raise ParallelRuntimeError(failures)
+            raise
+        wall = time.perf_counter() - t0
+        if failures or len(results) != spec.n_ranks:
+            if not failures:
+                missing = sorted(set(range(spec.n_ranks)) - set(results))
+                failures = [WorkerFailure(
+                    r, "MissingResult",
+                    "worker exited without posting a result")
+                    for r in missing]
+            raise ParallelRuntimeError(failures)
 
-            # The ranks gathered: copy the global fields out of the
-            # output block before it is unlinked.
-            out = shm_view(blocks[plan.output[0]], plan.output[1])
-            rho, u = out[0].copy(), out[1:].copy()
-            del out
-
-            per_rank = [results[r] for r in range(spec.n_ranks)]
-            rank_spans = [rep.pop("spans") for rep in per_rank]
-            report = merge_rank_reports(per_rank, wall_s=wall)
-            comm = CommunicationReport(**{
-                k: report["comm"][k]
-                for k in ("bytes_sent", "messages", "steps")})
-            return ProcessRunResult(rho=rho, u=u, comm=comm, report=report,
-                                    per_rank=per_rank, steps=n_steps,
-                                    n_ranks=spec.n_ranks, wall_s=wall,
-                                    start_step=start_step, spans=rank_spans)
-        finally:
-            self._destroy_blocks(blocks)
+        # The ranks gathered: copy the global fields out of the output
+        # block, which goes with this frame.
+        rho, u = blocks.output[0].copy(), blocks.output[1:].copy()
+        per_rank = [results[r] for r in range(spec.n_ranks)]
+        rank_spans = [rep.pop("spans") for rep in per_rank]
+        report = merge_rank_reports(per_rank, wall_s=wall)
+        comm = CommunicationReport(**{
+            k: report["comm"][k] for k in ("bytes_sent", "messages", "steps")})
+        return ProcessRunResult(rho=rho, u=u, comm=comm, report=report,
+                                per_rank=per_rank, steps=n_steps,
+                                n_ranks=spec.n_ranks, wall_s=wall,
+                                start_step=start_step, spans=rank_spans)
 
 
 def run_process(spec: RunSpec, n_steps: int,
-                start_method: str | None = None,
                 barrier_timeout: float = 120.0,
                 run_timeout: float | None = None,
                 max_restarts: int | None = None,
                 straggler_grace: float = 15.0) -> ProcessRunResult:
     """Build and run ``spec`` on ``spec.n_ranks`` worker processes."""
-    runtime = ProcessRuntime(spec, start_method=start_method,
-                             barrier_timeout=barrier_timeout,
+    runtime = ProcessRuntime(spec, barrier_timeout=barrier_timeout,
                              straggler_grace=straggler_grace)
     return runtime.run(n_steps, run_timeout=run_timeout,
                        max_restarts=max_restarts)

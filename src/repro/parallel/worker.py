@@ -1,12 +1,12 @@
 """Worker-process entry point for the multiprocess slab runtime.
 
-Each worker builds its own rank's solver from the problem's shell
-(the parent's, inherited under ``fork``; rebuilt from the pickled
-:class:`~repro.parallel.runtime.RunSpec` otherwise) — the only process
-that ever holds that rank's state —, adopts the blocks of the
-:class:`~repro.parallel.runtime.ShmPlan` (``attach``), and runs the
-barrier-synchronized SPMD loop for its single rank — the one run loop
-of every ``mrlbm run`` (:func:`repro.loop.run_loop`), stepped by:
+Each worker is forked from the parent and inherits the problem's shell
+and the cohort's :class:`~repro.parallel.runtime.SharedBlocks`. It
+builds its own rank's solver from the shell — the only process that
+ever holds that rank's state —, picks its faces out of the blocks
+(``attach``), and runs the barrier-synchronized SPMD loop for its single
+rank — the one run loop of every ``mrlbm run``
+(:func:`repro.loop.run_loop`), stepped by:
 
 1. **pack** — copy the outgoing edge planes into this rank's own send
    buffers (crossing populations for ST, the M-moment plane for MR);
@@ -56,16 +56,15 @@ Fault tolerance hooks ride on that loop's cadences and sinks (see
 
 Failures never deadlock the cohort: an exception posts a structured
 record to the error queue and aborts the barrier, which unwinds every
-sibling with ``BrokenBarrierError``; the parent unlinks all shared
-segments (see :class:`~repro.parallel.runtime.ParallelRuntimeError`) and
-may relaunch the cohort from the last checkpoint.
+sibling with ``BrokenBarrierError``; the parent raises
+:class:`~repro.parallel.runtime.ParallelRuntimeError` or relaunches the
+cohort from the last checkpoint.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from multiprocessing import shared_memory
 from threading import BrokenBarrierError
 
 from ..io.checkpoint import (
@@ -81,7 +80,7 @@ from ..obs.events import EventStream, RunEventEmitter
 from ..obs.manifest import RunManifest
 from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
-from .runtime import FINGERPRINT_VERSION, RunSpec, ShmPlan, shm_view
+from .runtime import FINGERPRINT_VERSION, RunSpec, SharedBlocks
 
 __all__ = ["worker_main"]
 
@@ -114,52 +113,27 @@ def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
         prune_checkpoints(spec.checkpoint_dir, keep=spec.checkpoint_keep)
 
 
-def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
-                barrier, errq, resq, barrier_timeout: float,
-                start_step: int = 0, attempt: int = 0,
-                resume_dir: str | None = None,
-                solver: DistributedSolver | None = None,
-                blocks: dict | None = None, spans: bool = False) -> None:
+def worker_main(spec: RunSpec, solver: DistributedSolver,
+                blocks: SharedBlocks, rank: int, n_steps: int, barrier,
+                errq, resq, barrier_timeout: float, start_step: int = 0,
+                attempt: int = 0, resume_dir: str | None = None,
+                spans: bool = False) -> None:
     """Run one rank of a distributed problem from ``start_step`` to the end.
 
-    Invoked in a child process by
-    :meth:`~repro.parallel.runtime.ProcessRuntime.run`; communicates only
-    through the shared-memory blocks in ``plan``, the step ``barrier``
-    and the ``errq``/``resq`` queues. ``start_step``/``resume_dir``
+    Invoked in a forked child by
+    :meth:`~repro.parallel.runtime.ProcessRuntime.run`, with the
+    parent's shell (``solver``, which has built no rank) and mapped
+    ``blocks``; communicates only through those blocks, the step
+    ``barrier`` and the ``errq``/``resq`` queues. It builds the solver
+    of its own rank, and no other. ``start_step``/``resume_dir``
     continue a checkpointed trajectory; ``attempt`` numbers the
     supervised-retry attempt (0 = first launch) and arms fault
-    injection. A forked worker inherits the parent's shell (``solver``,
-    which has built no rank) and mapped ``blocks``; without them it
-    builds the shell from ``spec`` and attaches by name. Either way it
-    builds the solver of its own rank, and no other. With ``spans`` the
-    rank's telemetry keeps its phase spans and posts them (start times
-    on the machine's ``perf_counter`` clock) for a merged trace.
+    injection. With ``spans`` the rank's telemetry keeps its phase spans
+    and posts them (start times on the machine's ``perf_counter`` clock)
+    for a merged trace.
     """
-    shms = []
-    views = []
     tel = None
-
-    def _view_of(entry):
-        """A planned block as an ndarray view.
-
-        A forked worker uses the parent's mappings and so never calls
-        the resource tracker, whose lock another thread of the parent (a
-        second server job) may have held at fork time. Any other worker
-        attaches by name; the parent stays the owner and unlinks.
-        """
-        name, shape = entry
-        if blocks is not None:
-            shm = blocks[name]
-        else:
-            shm = shared_memory.SharedMemory(name=name)
-            shms.append(shm)
-        view = shm_view(shm, shape)
-        views.append(view)
-        return view
-
     try:
-        if solver is None:
-            solver = spec.build()
         decomp = solver.decomp
         state = solver.rank(rank)
         interior = solver.interior(rank)
@@ -173,14 +147,12 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
                 read_slab(resume_dir, decomp, rank, solver.field(state))
 
         with tel.phase("attach"):
-            out = _view_of(plan.output)
-            has_l, has_r = decomp.has_left(rank), decomp.has_right(rank)
-            send_l = _view_of(plan.send_left[rank]) if has_l else None
-            send_r = _view_of(plan.send_right[rank]) if has_r else None
-            recv_l = (_view_of(plan.send_right[decomp.left_of(rank)])
-                      if has_l else None)
-            recv_r = (_view_of(plan.send_left[decomp.right_of(rank)])
-                      if has_r else None)
+            out = blocks.output
+            send_l, send_r = blocks.send_left[rank], blocks.send_right[rank]
+            recv_l = (blocks.send_right[decomp.left_of(rank)]
+                      if send_l is not None else None)
+            recv_r = (blocks.send_left[decomp.right_of(rank)]
+                      if send_r is not None else None)
 
         def exchange_and_step():
             with tel.phase("pack"):
@@ -274,10 +246,3 @@ def worker_main(spec: RunSpec, rank: int, n_steps: int, plan: ShmPlan,
             except Exception:
                 pass
         raise SystemExit(1)
-    finally:
-        del views
-        for shm in shms:
-            try:
-                shm.close()
-            except Exception:
-                pass

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import collections
-import os
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,15 +139,9 @@ def field_doubles():
 
 @pytest.fixture
 def leaked_segments():
-    """Callable listing the runtime's shared-memory segments still in
-    ``/dev/shm`` (every one is named ``mrlbm-...``; there must be none
-    once a run — or a refused run — has returned)."""
-    def listing() -> list[str]:
-        if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-            return []
-        return sorted(n for n in os.listdir("/dev/shm")
-                      if n.startswith("mrlbm"))
-    return listing
+    """Callable listing ``/dev/shm/mrlbm*``: the process runtime names no
+    shared memory, so there must be none however a run ends."""
+    return lambda: sorted(p.name for p in Path("/dev/shm").glob("mrlbm*"))
 
 
 @pytest.fixture

@@ -15,11 +15,16 @@ kills, hangs, or corrupts one of them mid-run through
 * a NaN-corrupted rank is caught by the in-worker watchdog and likewise
   recovered from the checkpoint;
 * with no checkpoint to restart from, retries restart from scratch and
-  still converge once the fault stops firing.
+  still converge once the fault stops firing;
+* a whole process group killed mid-run leaves nothing in ``/dev/shm``.
 """
 
-import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,8 +74,6 @@ class TestKillRecovery:
         assert result.failure_history  # the killed attempt is on record
         assert_same_fields(result, clean)
 
-    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                        reason="forked workers inherit the parent's build")
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     def test_retry_forks_from_the_parents_unstepped_build(
             self, tmp_path, monkeypatch, refuse_to_build, scheme):
@@ -181,3 +184,25 @@ class TestCliResume:
         assert main(args + ["--steps", "10", "--resume", ck]) == 0
         out = capsys.readouterr().out
         assert "resumed from checkpoint at step 3" in out
+
+
+def test_a_killed_group_leaves_no_segment(tmp_path, leaked_segments):
+    """SIGKILL to the parent, its ranks and anything else it started:
+    no process is left to clean up, and nothing needs it."""
+    events, src = tmp_path / "ev", Path(__file__).parents[2] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "run", "--shape", "64,34",
+         "--steps", "5000000", "--ranks", "2", "--backend", "process",
+         "--events", str(events), "--events-every", "5"],
+        cwd=tmp_path, start_new_session=True, stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    deadline = time.monotonic() + 60
+    try:
+        while not any('"kind": "heartbeat"' in f.read_text()
+                      for f in events.glob("events-rank*.jsonl")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert leaked_segments() == []

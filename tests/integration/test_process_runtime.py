@@ -10,9 +10,9 @@ and shared-memory cleanup (no leaked ``/dev/shm`` segments).
 """
 
 import dataclasses
-import multiprocessing as mp
-import os
+import mmap
 from multiprocessing import resource_tracker
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,15 +23,12 @@ from repro.parallel import (
     RunSpec,
     run_process,
 )
+from repro.parallel import runtime as runtime_module
 from repro.validation import taylor_green_fields
 
 from test_conformance import Cell, check_rank_counts_agree
 
 SCHEMES = ["ST", "MR-P", "MR-R"]
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="forked workers inherit the parent's build; no fork here")
 
 
 class TestChannelEquivalence:
@@ -138,7 +135,6 @@ class TestMergedReport:
         assert runtime.solver.time == 3
         assert runtime.solver.comm.steps == 3
 
-
     def test_repeated_runs_do_not_accumulate(self):
         """Every ``run`` starts from the spec's initial condition, so the
         second call returns the same fields under the same labels."""
@@ -153,11 +149,10 @@ class TestMergedReport:
 
 
 class TestOneBuildPerRank:
-    """The parent's shell is the only spec build under ``fork``, a rank is
-    built by its own worker only, nothing but faces and the final ``(rho,
-    u)`` is shared, and the ranks gather."""
+    """The parent's shell is the only spec build, a rank is built by its
+    own forked worker only, nothing but faces and the final ``(rho, u)``
+    is shared, and the ranks gather."""
 
-    @needs_fork
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
     def test_forked_workers_never_build(self, monkeypatch, tmp_path, built,
@@ -166,14 +161,12 @@ class TestOneBuildPerRank:
                        accel="fused", options={"u_max": 0.04})
         clean = run_process(spec, 9)
         ck = str(tmp_path / "ck")
-        parent, register = os.getpid(), resource_tracker.register
 
-        def parent_only(name, rtype):
-            """A forked rank uses the parent's mapped blocks: it must not
-            call the tracker, whose lock a sibling job thread of the
-            server may have held at fork time (it would block forever)."""
-            assert os.getpid() == parent, "a forked worker attached a block"
-            register(name, rtype)
+        def unregistered(name, rtype):
+            """Nothing is named, so no process — the parent included —
+            hands the resource tracker anything to clean up (its lock a
+            sibling job thread of the server may hold at fork time)."""
+            raise AssertionError(f"{rtype} {name} was registered")
 
         for leg in (spec,
                     dataclasses.replace(spec, checkpoint_dir=ck,
@@ -182,7 +175,7 @@ class TestOneBuildPerRank:
             runtime = ProcessRuntime(leg)
             with monkeypatch.context() as patch:
                 patch.setattr(RunSpec, "build", refuse_to_build)
-                patch.setattr(resource_tracker, "register", parent_only)
+                patch.setattr(resource_tracker, "register", unregistered)
                 result = runtime.run(9)
             assert np.array_equal(result.rho, clean.rho)
             assert np.array_equal(result.u, clean.u)
@@ -190,35 +183,27 @@ class TestOneBuildPerRank:
         # ... and the parent never built a rank: each worker built its own.
         assert not built
 
-    def test_spawned_workers_rebuild_the_same_run(self):
-        spec = RunSpec("channel", "MR-P", "D2Q9", (24, 10), 2, tau=0.8,
-                       accel="fused", options={"u_max": 0.04})
-        forked = run_process(spec, 6)
-        spawned = run_process(spec, 6, start_method="spawn")
-        assert np.array_equal(forked.rho, spawned.rho)
-        assert np.array_equal(forked.u, spawned.u)
-        assert forked.comm == spawned.comm
-
     @pytest.mark.parametrize("kind, n_ranks, faces", [
         ("periodic", 1, 2), ("periodic", 3, 6),
         ("channel", 1, 0), ("channel", 3, 4)])
-    def test_plan_is_one_output_block_plus_faces(self, leaked_segments,
+    def test_plan_is_one_output_block_plus_faces(self, monkeypatch,
+                                                 leaked_segments,
                                                  kind, n_ranks, faces):
-        shape = (24, 10)
+        shape, mapped = (24, 10), []
+        monkeypatch.setattr(runtime_module, "mmap", SimpleNamespace(
+            mmap=lambda fd, n: mapped.append((fd, n)) or mmap.mmap(fd, n)))
         runtime = ProcessRuntime(RunSpec(kind, "MR-P", "D2Q9", shape,
                                          n_ranks, tau=0.8))
         runtime.run(2)
-        plan = runtime.plan
-        assert plan.output[1] == (3, *shape)
-        assert len(plan.all_names()) == len(set(plan.all_names())) \
-            == 1 + faces <= 1 + 2 * n_ranks
-        assert leaked_segments() == []
+        face = 6 * shape[1] * 8          # the M = 6 moments of a D2Q9 face
+        assert mapped == [(-1, 3 * 24 * 10 * 8)] + faces * [(-1, face)]
 
+        mapped.clear()
         failing = ProcessRuntime(dataclasses.replace(
             runtime.spec, fault={"rank": 0, "step": 1}))
         with pytest.raises(ParallelRuntimeError):
             failing.run(4, run_timeout=120.0)
-        assert len(failing.plan.all_names()) == 1 + faces
+        assert len(mapped) == 1 + faces
         assert leaked_segments() == []
 
 

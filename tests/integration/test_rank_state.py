@@ -17,30 +17,26 @@ from repro.io.checkpoint import checkpoint_step_dir, mark_checkpoint_complete
 from repro.lattice import get_lattice
 from repro.parallel import (DistributedSolver, ProcessRuntime, RunSpec,
                             SlabDecomposition)
-from repro.parallel.runtime import _build_plan
+from repro.parallel.runtime import _map_blocks
 from repro.parallel.worker import worker_main
 from repro.service.jobs import spec_from_dict
 from repro.service.registry import build_distributed, build_single
 
 
-def test_a_worker_without_an_inherited_shell_builds_its_rank_only(
-        built, leaked_segments):
-    """``worker_main`` as a ``spawn`` worker runs it (no shell, no mapped
-    blocks), in threads of this process so constructions count."""
+def test_a_worker_builds_its_rank_only(built):
+    """``worker_main`` with the parent's shell and blocks, in threads of
+    this process so constructions count."""
     spec = RunSpec("channel", "MR-P", "D2Q9", (24, 10), 3)
-    runtime = ProcessRuntime(spec, start_method="spawn")
-    plan = _build_plan(runtime.solver)
-    blocks = runtime._create_blocks(plan)
+    shell = ProcessRuntime(spec).solver
+    blocks = _map_blocks(shell)
     barrier, errq, resq = threading.Barrier(3), queue.Queue(), queue.Queue()
-    try:
-        with ThreadPoolExecutor(3) as pool:
-            list(pool.map(lambda r: worker_main(
-                spec, r, 4, plan, barrier, errq, resq, 60.0), range(3)))
-    finally:
-        runtime._destroy_blocks(blocks)
+    with ThreadPoolExecutor(3) as pool:
+        list(pool.map(lambda r: worker_main(
+            spec, shell, blocks, r, 4, barrier, errq, resq, 60.0), range(3)))
     assert errq.empty() and resq.qsize() == 3
     assert sorted(built.values()) == [1, 1, 1]
-    assert leaked_segments() == []
+    assert np.array_equal(blocks.output[0],
+                          spec.build().run(4).gather_macroscopic()[0])
 
 
 def test_a_gather_holds_a_plane_not_a_slab(traced):

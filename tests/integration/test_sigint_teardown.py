@@ -1,4 +1,4 @@
-"""SIGINT during a distributed run must release shared memory and exit 130.
+"""SIGINT during a distributed run must stop every rank and exit 130.
 
 Regression test: Ctrl-C used to leave ``/dev/shm/mrlbm-*`` segments
 behind (the parent unwound past the harvest loop without terminating
@@ -17,23 +17,12 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.obs import read_events, summarize_events
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SHM = Path("/dev/shm")
 
 
-def _mrlbm_segments():
-    if not SHM.is_dir():  # pragma: no cover - non-Linux
-        return []
-    return sorted(p.name for p in SHM.glob("mrlbm*"))
-
-
-@pytest.mark.skipif(not SHM.is_dir(),
-                    reason="needs /dev/shm (POSIX shared memory)")
-def test_sigint_exits_130_without_shm_leak(tmp_path):
+def test_sigint_exits_130_without_shm_leak(tmp_path, leaked_segments):
     events = tmp_path / "events"
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
@@ -65,6 +54,5 @@ def test_sigint_exits_130_without_shm_leak(tmp_path):
     assert "INTERRUPTED" in err
     # ranks the parent terminated get their terminal event from it
     assert summarize_events(read_events(events))["all_done"]
-    # the interrupt path must terminate every rank and unlink its blocks
-    time.sleep(0.3)
-    assert _mrlbm_segments() == []
+    # the interrupt path must terminate every rank; nothing is left behind
+    assert leaked_segments() == []

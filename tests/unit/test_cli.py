@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.parallel import ProcessRuntime, RunSpec
 
 from test_conformance import assert_agree, fields
 
@@ -317,11 +319,19 @@ class TestWatchCommand:
         err = capsys.readouterr().err
         assert err.startswith("ABORTED: ") and '"supersonic"' in err
 
-    def test_a_flag_the_path_lacks_is_refused_before_a_step(self, mrlbm):
+    def test_a_flag_the_path_lacks_is_refused_before_a_step(self, mrlbm,
+                                                            monkeypatch):
         assert mrlbm("run --ranks 2 --backend emulated --max-restarts 1",
                      rc=2) == ("ERROR: --max-restarts needs a supervising "
                                "parent (--backend process), which an "
                                "emulated cohort does not have\n")
+        # ... and a process run where the platform cannot fork
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.raises(ValueError, match="--backend emulated") as no:
+            ProcessRuntime(RunSpec("periodic", "ST", "D2Q9", (24, 10), 2))
+        assert mrlbm("run --ranks 2 --backend process",
+                     rc=2) == f"ERROR: {no.value}\n"
 
 
 class TestSweepCommand:
