@@ -33,16 +33,12 @@ A layout core ``carries`` only some boundary lists (``aa``: none;
 steps any other list — and every ``aa`` MR problem — with the family's
 fused core, whose window carries them all.
 
-*Batch width* is a third axis, not a backend name: a vector of
-relaxation times handed to :func:`make_core` yields the lockstep
-ensemble cores of :mod:`repro.accel.batched`.
-
 Every backend is always available and reproduces the reference
 trajectory by one tolerance rule (``tests/property/test_conformance.py``).
 :func:`validate_backend` checks a solver/backend combination at
 construction time, :func:`make_stepper` binds a backend to a solver
 (a distributed rank is one), and :func:`make_core` is the single
-factory behind it and the ensemble runner.
+factory behind it.
 
 Capability handshake
 --------------------
@@ -58,28 +54,22 @@ itself)::
 ``family`` selects the kernel family (``"st"`` two-lattice BGK, ``"mr"``
 with ``scheme`` ``"MR-P"``/``"MR-R"``); ``variable_tau`` means a
 grid-shaped ``tau_field`` plus an ``_update_relaxation()`` hook the
-stepper runs each step; ``batched`` certifies the solver for lockstep
-execution by :class:`repro.ensemble.EnsembleRunner`.
+stepper runs each step.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .batched import BatchedFusedMRCore, BatchedFusedSTCore
 from .fused import FusedMRCore, FusedSTCore
 from .inplace import InplaceSTCore
 from .sparse import SparseMRCore, SparseSTCore
-from .tables import (MaskedNeighborTable, NeighborTable, clear_cache,
-                     neighbor_table)
+from .tables import MaskedNeighborTable, NeighborTable
 
 __all__ = [
     "BACKENDS", "make_core", "make_stepper",
     "check_backend", "validate_backend", "solver_caps",
-    "FusedSTCore", "FusedMRCore", "BatchedFusedSTCore", "BatchedFusedMRCore",
-    "InplaceSTCore",
+    "FusedSTCore", "FusedMRCore", "InplaceSTCore",
     "SparseSTCore", "SparseMRCore",
-    "NeighborTable", "MaskedNeighborTable", "neighbor_table", "clear_cache",
+    "NeighborTable", "MaskedNeighborTable",
 ]
 
 #: Recognized backend names.
@@ -100,28 +90,18 @@ def make_core(backend: str, caps: dict, lat, domain, tau, boundaries=(),
     ``caps`` is an ``accel_caps`` declaration (``family``, and ``scheme``
     for MR); ``domain`` supplies the grid shape and solid geometry;
     ``boundaries`` the bound boundary objects the core will be stepped
-    with (they select its ``path``; a lean core slides their hooks). A
-    *vector* ``tau`` selects the batch axis: ``B`` lockstep simulations
-    sharing ``domain``, dense ``"bounded"`` step only. The returned core
-    owns every buffer beyond the caller's persistent state and follows
-    the protocol of :mod:`repro.accel.fused`.
+    with (they select its ``path``; a lean core slides their hooks). The
+    returned core owns every buffer beyond the caller's persistent state
+    and follows the protocol of :mod:`repro.accel.fused`.
     """
     family = caps["family"]
-    kwargs = {} if family == "st" else {"scheme": caps["scheme"]}
+    kwargs = {"boundaries": boundaries}
+    if family == "mr":
+        kwargs.update(scheme=caps["scheme"], tau_bulk=tau_bulk)
     solid = domain.solid_mask
-    if np.ndim(tau):
-        if backend != "fused" or tau_bulk is not None:
-            raise ValueError(
-                "a batch of relaxation times runs on the dense 'fused' "
-                f"layout without tau_bulk, got backend={backend!r}")
-        cls = BatchedFusedSTCore if family == "st" else BatchedFusedMRCore
-    else:
-        cls = _CORES[backend, family]
-        if not cls.carries(boundaries):
-            backend, cls = "fused", _CORES["fused", family]
-        if family == "mr":
-            kwargs["tau_bulk"] = tau_bulk
-        kwargs["boundaries"] = boundaries
+    cls = _CORES[backend, family]
+    if not cls.carries(boundaries):
+        backend, cls = "fused", _CORES["fused", family]
     if backend == "sparse":
         return cls(lat, solid, tau, **kwargs)
     return cls(lat, domain.shape, tau,

@@ -25,19 +25,13 @@ family** that every fast backend steps with — :class:`FusedSTCore`
   into the collision stage — a handful of extra FMAs per node, no
   additional field passes;
 * accept a per-node ``tau_field`` in the MR-P collision (the local
-  relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`);
-* are **batch-polymorphic**: arrays may carry leading batch axes
-  (``f[B, Q, *grid]``, ``m[B, M, *grid]``) under a ``(B,)`` vector
-  ``tau``; the arithmetic is written once against ``(..., C, N)``
-  fields, and what a batch axis really changes (streaming, per-member
-  boundaries) lives in :mod:`repro.accel.batched`.
+  relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`).
 
 Every kernel mirrors the reference expressions operation for operation,
 up to BLAS summation order at one ulp per step
 (``tests/property/test_conformance.py``). The other layouts reuse these
 kernels: :mod:`repro.accel.inplace` subclasses the ST one (AA pattern),
-:mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)`` shape,
-:mod:`repro.accel.batched` adds a batch axis.
+:mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)`` shape.
 
 Core protocol
 -------------
@@ -80,30 +74,19 @@ __all__ = ["FusedSTCore", "FusedMRCore"]
 _PAD = 8
 
 
-def _column(tau):
-    """``tau`` as a broadcast factor over ``(..., C, N)`` fields.
-
-    A scalar stays a float (the single-simulation arithmetic, bit for
-    bit); a ``(B,)`` vector becomes a ``(B, 1, 1)`` per-member column.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    return float(tau) if tau.ndim == 0 else tau[:, None, None]
-
-
 def _row(x: np.ndarray, k: int) -> np.ndarray:
-    """Component ``k`` of a ``(..., C, N)`` field as a ``(..., 1, N)`` view.
+    """Component ``k`` of a ``(C, N)`` field as a ``(1, N)`` view.
 
-    Keeping the component axis lets one expression serve both a single
-    simulation and a batch: rows broadcast against scalars, per-member
-    ``(B, 1, 1)`` columns and per-node ``(N,)`` fields alike.
+    Keeping the component axis lets a row broadcast against the other
+    rows of a block, scalars and per-node ``(N,)`` fields alike.
     """
-    return x[..., k:k + 1, :]
+    return x[k:k + 1]
 
 
-def _rows(lead: tuple, components: int, width: int) -> np.ndarray:
-    """A ``lead + (components, width)`` buffer off 4 KiB row strides."""
+def _rows(components: int, width: int) -> np.ndarray:
+    """A ``(components, width)`` buffer off 4 KiB row strides."""
     pad = 0 if (width * 8) % 4096 else _PAD
-    return np.empty(lead + (components, width + pad))[..., :width]
+    return np.empty((components, width + pad))[:, :width]
 
 
 def _shift_blocks(shape: tuple[int, ...], c) -> list[tuple[tuple, tuple]]:
@@ -134,7 +117,7 @@ def _shift_blocks(shape: tuple[int, ...], c) -> list[tuple[tuple, tuple]]:
 class _FusedCore:
     """Construction, slab geometry and hooks common to the two families.
 
-    An unbatched core whose boundaries all have a row extent
+    A core whose boundaries all have a row extent
     (:meth:`repro.boundary.Boundary.slab_hooks`; none is fine) is
     ``"lean"``: it steps a sliding window of leading-axis *slabs* (about
     ``_CHUNK`` nodes — ``_SLAB_CHUNKS`` chunks of planes smaller than one
@@ -142,8 +125,8 @@ class _FusedCore:
     ``post_stream`` hooks in list order on the slab buffer right after
     its gather: the host transplant of the paper's column kernel
     (Algorithm 2, Fig. 1), no lattice-sized buffer beside the caller's
-    state. Batches, ``post_collide`` hooks and boundaries that need
-    whole lattices are ``"bounded"``: the same step over one slab that
+    state. ``post_collide`` hooks and boundaries that need whole
+    lattices are ``"bounded"``: the same step over one slab that
     is the whole grid, which a lean grid of fewer than two slabs (or of
     edge slabs thinner than a boundary's stencil) takes too.
     """
@@ -160,11 +143,8 @@ class _FusedCore:
                  solid_mask: np.ndarray | None, boundaries=()):
         self.lat = lat
         self.shape = tuple(shape)
-        #: relaxation time as a broadcast factor (see :func:`_column`).
-        self.tau = _column(tau)
+        self.tau = float(tau)
         self.keep = 1.0 - 1.0 / self.tau
-        #: leading batch axes of every buffer: ``()`` or ``(B,)``.
-        self._lead = np.shape(tau)
         self._mm = np.ascontiguousarray(lat.moment_matrix)
         #: nodes per leading-axis plane
         self._tail = int(np.prod(self.shape[1:], dtype=np.int64))
@@ -192,8 +172,8 @@ class _FusedCore:
         width = _CHUNK * (_SLAB_CHUNKS if self._tail < _CHUNK else 1)
         rows = max(self.lat.reach, width // self._tail)
         k = max(n0 // rows, 1) if self._slides else 1
-        cuttable = not (self._lead or any(
-            type(b).post_collide is not Boundary.post_collide for b in bcs))
+        cuttable = not any(
+            type(b).post_collide is not Boundary.post_collide for b in bcs)
         while cuttable:  # coarsen until no stencil is deeper than a slab
             slabs = [(n0 * i // k, n0 * (i + 1) // k) for i in range(k)]
             per = [b.slab_hooks(self.lat, slabs) for b in bcs]
@@ -207,13 +187,12 @@ class _FusedCore:
         """Core protocol: ``state`` is being looked at. It is current."""
 
     def _span(self, lo: int, hi: int) -> tuple:
-        """Index of leading-axis rows ``[lo, hi)`` of a ``(..., C, *grid)``."""
+        """Index of leading-axis rows ``[lo, hi)`` of a ``(C, *grid)`` field."""
         return (..., slice(lo, hi)) + (slice(None),) * (len(self.shape) - 1)
 
     def _flat(self, x: np.ndarray | None, components: int):
-        """``x`` viewed as ``(..., components, N)`` (``None`` passes through)."""
-        return None if x is None else x.reshape(
-            self._lead + (components, -1))
+        """``x`` viewed as ``(components, N)`` (``None`` passes through)."""
+        return None if x is None else x.reshape(components, -1)
 
     def _window(self, boundaries=None) -> tuple:
         """``(slabs, stream plans, *buffers)`` of the step, built on first
@@ -253,9 +232,8 @@ class _FusedCore:
         """``(Q, rows, *tail)`` distribution planes; ``None``: a whole lattice."""
         q = self.lat.q
         if rows is None:
-            return np.empty(self._lead + (q, *self.shape))
-        return _rows((), q, rows * self._tail).reshape(q, rows,
-                                                       *self.shape[1:])
+            return np.empty((q, *self.shape))
+        return _rows(q, rows * self._tail).reshape(q, rows, *self.shape[1:])
 
     def _gather(self, plan: list, src: np.ndarray, dst: np.ndarray) -> None:
         """Run a :meth:`_stream_plan`: ``dst[d] = src[s]`` block by block."""
@@ -314,20 +292,20 @@ class FusedSTCore(_FusedCore):
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
                  solid_mask: np.ndarray | None = None, boundaries=()):
         super().__init__(lat, shape, tau, solid_mask, boundaries)
-        lead, w, m = self._lead, self._width, lat.n_moments
+        w, m = self._width, lat.n_moments
         self._rest = lat.w[:, None]         # solid nodes: rest equilibrium
         self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
-        self._x = _rows(lead, lat.q, w)
-        self._m = _rows(lead, m, w)      # moments, then equilibrium moments
-        self._u = _rows(lead, lat.d, w)
-        self._feq = _rows(lead, lat.q, w)
+        self._x = _rows(lat.q, w)
+        self._m = _rows(m, w)      # moments, then equilibrium moments
+        self._u = _rows(lat.d, w)
+        self._feq = _rows(lat.q, w)
         self._force_bufs = (        # chunk scratch of the fused Guo source
             np.ascontiguousarray(lat.c, dtype=np.float64),      # (Q, D)
-            _rows(lead, lat.q, w),                              # c . F
-            _rows(lead, lat.q, w),                              # c . u
-            _rows(lead, lat.d, w),                              # u_a F_a terms
-            _rows(lead, 1, w),                                  # u . F
-            # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1) or (B, Q, 1)
+            _rows(lat.q, w),                                    # c . F
+            _rows(lat.q, w),                                    # c . u
+            _rows(lat.d, w),                                    # u_a F_a terms
+            _rows(1, w),                                        # u . F
+            # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1)
             (1.0 - 0.5 / self.tau) * lat.w[:, None],
         )
 
@@ -344,7 +322,7 @@ class FusedSTCore(_FusedCore):
         Mirrors :func:`repro.core.forcing.guo_source` operation for
         operation (including the division by ``cs2``/``cs4``) so forced
         fused runs track the reference trajectory at the ulp level.
-        Returns a view of the core-owned ``(..., Q, chunk)`` buffer.
+        Returns a view of the core-owned ``(Q, chunk)`` buffer.
         """
         lat, w = self.lat, u.shape[-1]
         cmat, cf, cu, uftmp, uf, wpref = self._force_bufs
@@ -368,8 +346,8 @@ class FusedSTCore(_FusedCore):
 
         The moment projection, (optionally half-force-shifted) velocity
         and Eq. 11 equilibrium reconstruction behind every ST step of
-        every backend — one body, so the single-lattice, compact and
-        batched paths are collide-identical by construction.
+        every backend — one body, so the single-lattice and compact
+        paths are collide-identical by construction.
         """
         lat = self.lat
         d, w = lat.d, fs.shape[-1]
@@ -495,20 +473,20 @@ class FusedMRCore(_FusedCore):
         super().__init__(lat, shape, tau, solid_mask, boundaries)
         self.tau_bulk = tau_bulk
         self.scheme = scheme
-        lead, w, m = self._lead, self._width, lat.n_moments
+        w, m = self._width, lat.n_moments
         self._rest = np.eye(m)[:, :1]       # solid nodes: (1, 0, ..., 0)
         self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
-        self._u = _rows(lead, lat.d, w)
-        self._uu = _rows(lead, lat.n_pairs, w)      # u_a u_b
-        self._pi_eq = _rows(lead, lat.n_pairs, w)
-        self._pi_neq = _rows(lead, lat.n_pairs, w)
+        self._u = _rows(lat.d, w)
+        self._uu = _rows(lat.n_pairs, w)      # u_a u_b
+        self._pi_eq = _rows(lat.n_pairs, w)
+        self._pi_neq = _rows(lat.n_pairs, w)
         # per-node keep / force-prefactor rows, moment-space force scratch
-        self._tau_bufs = _rows((), 2, w)
-        self._src_buf = _rows(lead, 2, w)
+        self._tau_bufs = _rows(2, w)
+        self._src_buf = _rows(2, w)
 
         if scheme == "MR-P":
             self._rcext = np.ascontiguousarray(lat.reconstruction_matrix)
-            self._g = _rows(lead, m, w)
+            self._g = _rows(m, w)
             self._a34_specs = None
         else:
             s3, s4 = lat.h3_supported, lat.h4_supported
@@ -518,7 +496,7 @@ class FusedMRCore(_FusedCore):
             e4 = lat.w[:, None] * lat.h4_reg_cols[:, s4] * w4[None, :]
             self._rcext = np.ascontiguousarray(
                 np.hstack([lat.reconstruction_matrix, e3, e4]))
-            self._g = _rows(lead, m + s3.size + s4.size, w)
+            self._g = _rows(m + s3.size + s4.size, w)
             # Recipes for the supported recursion columns (rows of G):
             # a3_abc = rho u_a u_b u_c + keep (u_a Pi_bc + u_b Pi_ac + u_c Pi_ab)
             # a4_abcd = rho u_a u_b u_c u_d + keep sum_6 (u_r u_s) Pi_pq
@@ -557,8 +535,8 @@ class FusedMRCore(_FusedCore):
                     [distinct.index(term) for term in terms]))
             self._a34_specs = (products, sums)
             self._a34_bufs = (
-                _rows(lead, len(where) - len(targets), w),
-                _rows(lead, max(len(d) for _, _, d, _ in sums), w))
+                _rows(len(where) - len(targets), w),
+                _rows(max(len(d) for _, _, d, _ in sums), w))
 
     def _build_window(self, slabs: list, rows: int) -> tuple:
         """Stream plans out of the ``f*`` ring, ring, slab and wrap planes.
@@ -578,12 +556,12 @@ class FusedMRCore(_FusedCore):
                  tau_field: np.ndarray | None = None) -> np.ndarray:
         """Coefficient block ``G`` of one flat chunk of the moment field.
 
-        With a flat ``(..., D, N)`` ``force`` the equilibria are evaluated
+        With a flat ``(D, N)`` ``force`` the equilibria are evaluated
         at Guo's half-force velocity and the projected source moments
         (momentum input ``F``, second-moment source ``(1 - 1/(2 tau))(u F
         + F u)``) are added, mirroring
         :func:`repro.core.forcing.apply_moment_space_force`. A flat
-        ``(N,)`` ``tau_field`` (MR-P, single simulation) replaces ``tau``
+        ``(N,)`` ``tau_field`` (MR-P) replaces ``tau``
         in the relaxation factor and the force prefactor, as in the
         power-law solver. Returns a view of the core-owned chunk buffer.
         """

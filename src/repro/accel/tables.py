@@ -4,29 +4,24 @@ Exact streaming (paper Eq. 7) on a periodic grid is a fixed permutation:
 component ``i`` of the streamed field at node ``x`` is the pre-stream
 value at ``x - c_i`` (push and pull share the displacement, see
 :mod:`repro.core.streaming`). A :class:`NeighborTable` precomputes the
-flat source index of every ``(component, node)`` pair once per
-``(lattice, shape)``, so the whole propagation step is a single
-``np.take`` — the host-side analogue of the index tables
-indirect-addressing GPU kernels stream through
-(:mod:`repro.gpu.kernels.indirect`). The batched cores stream whole
-ensembles through it; a single dense grid copies wrap blocks instead
-(:mod:`repro.accel.fused`). A dense table is ``2Q`` indices per node, so
-:func:`neighbor_table` shares one per ``(lattice name, shape)`` among the
-cores that hold it and keeps none alive itself; a
-:class:`MaskedNeighborTable` is built from its fluid rows alone, without
-a dense one (inventory: docs/ALGORITHMS.md, *Realized allocations*).
+flat source index of every ``(component, node)`` pair of a dense grid,
+so the whole propagation step is a single ``np.take`` — the host-side
+analogue of the index tables indirect-addressing GPU kernels stream
+through (:mod:`repro.gpu.kernels.indirect`). No core holds one: a dense
+grid copies wrap blocks (:mod:`repro.accel.fused`), and the dense table
+(``2Q`` indices per node) stays the streaming oracle the tests compare
+against. The sparse cores stream through a :class:`MaskedNeighborTable`,
+built from the fluid rows alone, without a dense one (inventory:
+docs/ALGORITHMS.md, *Realized allocations*).
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
 from ..lattice import LatticeDescriptor
 
-__all__ = ["NeighborTable", "MaskedNeighborTable", "neighbor_table",
-           "clear_cache"]
+__all__ = ["NeighborTable", "MaskedNeighborTable"]
 
 
 class NeighborTable:
@@ -204,21 +199,3 @@ class MaskedNeighborTable:
         lo, hi = np.searchsorted(self.fluid_flat, [k * size, (k + 1) * size])
         return slice(lo, hi), self.fluid_flat[lo:hi] - k * size
 
-
-#: Tables alive somewhere, by (lattice name, grid shape): a table lasts as
-#: long as a core holds it, and same-shape cores alive together share it.
-_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def neighbor_table(lat: LatticeDescriptor, shape: tuple[int, ...]) -> NeighborTable:
-    """Build (or fetch the shared live) :class:`NeighborTable` for a grid."""
-    key = (lat.name, tuple(int(s) for s in shape))
-    table = _CACHE.get(key)
-    if table is None:
-        table = _CACHE[key] = NeighborTable(lat, key[1])
-    return table
-
-
-def clear_cache() -> None:
-    """Forget every shared table (holders keep theirs; tests)."""
-    _CACHE.clear()

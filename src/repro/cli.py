@@ -5,8 +5,8 @@ Subcommands
 ``run``      Run any registered problem kind with any scheme.
 ``profile``  Per-phase time/traffic breakdown for a short workload.
 ``watch``    Tail the per-rank JSONL event streams of a (live) run dir.
-``sweep``    Run a parameter grid as batches of same-shape members
-             stepped by one fused kernel (see docs/TUTORIAL.md).
+``sweep``    Run a parameter grid, every member a single-domain fused
+             run (see docs/TUTORIAL.md).
 ``serve``    Start the local async job server over the fault-tolerant
              process runtime (see docs/SERVICE.md).
 ``submit``   Submit one job to a running server; optionally wait for
@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the SVG figures into this directory")
 
     swp = sub.add_parser(
-        "sweep", help="expand a parameter grid into an ensemble and run "
-        "member batches through one fused kernel (see docs/TUTORIAL.md)")
+        "sweep", help="expand a parameter grid and run every member as a "
+        "single-domain fused run (see docs/TUTORIAL.md)")
     swp.add_argument("--problem", default="taylor-green",
                      choices=sweep_kinds())
     swp.add_argument("--scheme", default="MR-P",
@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--u-max", default="0.05",
                      help="comma-separated peak velocities")
     swp.add_argument("--steps", type=int, default=200)
-    swp.add_argument("--batch", type=int, default=16, metavar="B",
-                     help="max members per fused batch (1 = serial "
-                     "per-member execution, for comparison)")
     swp.add_argument("--out", default=None, metavar="DIR",
                      help="write per-member manifests and "
                      "sweep_summary.json into DIR")
@@ -728,13 +725,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         u_maxes = [float(v) for v in args.u_max.split(",") if v.strip()]
         specs, dropped = expand_sweep(args.problem, schemes, lattices,
                                       shapes, taus, u_maxes)
-        if not specs:
-            raise ValueError("the sweep grid is empty")
         print(f"sweep '{args.problem}': {len(specs)} members "
-              f"({dropped} duplicates dropped), {args.steps} steps, "
-              f"batch size <= {args.batch}")
-        result = run_sweep(specs, args.steps, max_batch=args.batch,
-                           out_dir=args.out,
+              f"({dropped} duplicates dropped), {args.steps} steps")
+        result = run_sweep(specs, args.steps, out_dir=args.out,
                            progress=lambda line: print(f"  {line}"))
     except (ValueError, RuntimeError) as err:
         # Bad grid values or an ineligible member configuration — fail
@@ -742,15 +735,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
     summary = result.to_dict()
-    print(f"\n{summary['n_members']} members in {summary['n_batches']} "
-          f"batch(es), {result.wall_s:.2f} s wall, "
+    print(f"{summary['n_members']} members, {result.wall_s:.2f} s wall, "
           f"{summary['aggregate_mlups']:.2f} MLUPS aggregate")
-    for row in result.members:
-        print(f"  {row['scheme']:6s} {row['lattice']:6s} "
-              f"{str(tuple(row['shape'])):>12s} tau={row['tau']:<5g} "
-              f"u_max={row['options'].get('u_max', 0.0):<6g} "
-              f"batch={row['batch']} -> {row['mlups']:7.2f} MLUPS "
-              f"[{row['fingerprint']}]")
     if args.out:
         print(f"manifests + summary written to {args.out}")
     if args.json:

@@ -360,20 +360,6 @@ class Solver(ABC):
             return self._force
         return self._dense("_force")
 
-    @force.setter
-    def force(self, value: np.ndarray | None) -> None:
-        """Hold a dense force field as given (an ensemble binds its
-        members' to its batch); on the compact layout it is the dense
-        look, until the next step, beside the held rows."""
-        if value is not None:
-            value = value.view()
-            value.flags.writeable = False
-        if self._table is None:
-            self._force = value
-        elif value is not None:
-            self._force = self._held_force(value)
-            self._views["_force"] = value
-
     @property
     def accel_path(self) -> str | None:
         """Step variant of the core stepping this solver (``"lean"`` or

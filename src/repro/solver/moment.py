@@ -108,9 +108,8 @@ class MRPSolver(_MomentSolver):
     """
 
     name = "MR-P"
-    #: Fast-path opt-in (see :mod:`repro.accel`); ``batched`` certifies
-    #: lockstep ensembles (:class:`repro.ensemble.EnsembleRunner`).
-    accel_caps = {"family": "mr", "scheme": "MR-P", "batched": True}
+    #: Fast-path opt-in (see :mod:`repro.accel`).
+    accel_caps = {"family": "mr", "scheme": "MR-P"}
 
     def __init__(self, *args, tau_bulk: float | None = None, **kwargs):
         self.tau_bulk = tau_bulk
@@ -133,9 +132,8 @@ class MRRSolver(_MomentSolver):
     """
 
     name = "MR-R"
-    #: Fast-path opt-in (see :mod:`repro.accel`); ``batched`` certifies
-    #: lockstep ensembles (:class:`repro.ensemble.EnsembleRunner`).
-    accel_caps = {"family": "mr", "scheme": "MR-R", "batched": True}
+    #: Fast-path opt-in (see :mod:`repro.accel`).
+    accel_caps = {"family": "mr", "scheme": "MR-R"}
 
     def _post_collision_f(self) -> np.ndarray:
         """Eqs. 10 + 12-13 collision then Eq. 14 reconstruction."""

@@ -30,9 +30,7 @@ class STSolver(Solver):
     name = "ST"
     #: Fast-path opt-in (see :mod:`repro.accel`). The kernels hard-code
     #: plain BGK; non-BGK collisions are caught by ``validate_backend``.
-    #: ``batched`` additionally certifies lockstep ensemble execution
-    #: (:class:`repro.ensemble.EnsembleRunner`).
-    accel_caps = {"family": "st", "batched": True}
+    accel_caps = {"family": "st"}
 
     f = _dense_state("_f", "The population lattice ``(Q, *grid)``")
     _slot = "_f"

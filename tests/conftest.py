@@ -36,6 +36,32 @@ def d2q9():
 
 
 @pytest.fixture
+def swept():
+    """``swept(specs, steps, **kw)`` -> ``(result, members)``: a
+    :func:`repro.ensemble.run_sweep` and the solvers it stepped, each
+    asserted equal, bit for bit, to its own ``fused`` run of the spec."""
+    from unittest import mock
+
+    from repro import ensemble
+    from repro.service.registry import build_single
+
+    def run(specs, steps, **kwargs):
+        members, build = [], ensemble.build_sweep_member
+        with mock.patch.object(ensemble, "build_sweep_member",
+                               lambda spec: members.append(build(spec))
+                               or members[-1]):
+            result = ensemble.run_sweep(specs, steps, **kwargs)
+        for row, member in zip(result.members, members):
+            solo = build_single(row["kind"], row["scheme"], row["lattice"],
+                                tuple(row["shape"]), tau=row["tau"],
+                                backend="fused", **row["options"]).run(steps)
+            for got, want in zip(member.macroscopic(), solo.macroscopic()):
+                assert np.array_equal(got, want)
+        return result, members
+    return run
+
+
+@pytest.fixture
 def mrlbm(capsys):
     """``mrlbm("run --steps 4 ...", rc=0)`` -> what the CLI printed: its
     stdout, or — for a non-zero ``rc`` — its stderr, stdout being empty."""

@@ -207,13 +207,9 @@ class TestBackendValidation:
         mrr = build_single("periodic", "MR-R", "D2Q9", (8, 8), tau=0.8)
         pl = PowerLawMRPSolver(lat, periodic_box((8, 8)), 0.8,
                                consistency=0.05, exponent=0.7)
-        assert solver_caps(st) == {"family": "st", "batched": True}
-        assert solver_caps(mrp) == {"family": "mr", "scheme": "MR-P",
-                                    "batched": True}
-        assert solver_caps(mrr) == {"family": "mr", "scheme": "MR-R",
-                                    "batched": True}
-        # Variable-tau physics is per-node: certified for fused, but NOT
-        # for lockstep batching.
+        assert solver_caps(st) == {"family": "st"}
+        assert solver_caps(mrp) == {"family": "mr", "scheme": "MR-P"}
+        assert solver_caps(mrr) == {"family": "mr", "scheme": "MR-R"}
         assert solver_caps(pl) == {"family": "mr", "scheme": "MR-P",
                                    "variable_tau": True}
 

@@ -74,38 +74,39 @@ def run_core(monkeypatch, chunk, lattice, shape, scheme, variant,
 
     ``group`` is ``_SLAB_CHUNKS``, the chunks per slab of sub-chunk
     planes: 1 keeps one-chunk slabs, so thin test grids hold several.
+    ``batch`` is a sweep's members: three forced runs of their own tau,
+    each its own core, their states stacked.
     """
     monkeypatch.setattr(fused, "_CHUNK", chunk)
     monkeypatch.setattr(fused, "_SLAB_CHUNKS", group)
     lat = get_lattice(lattice)
     rng = np.random.default_rng([int(lattice[3:]), *shape])
-    lead = (3,) if variant == "batch" else ()
-    tau = np.array([0.7, 0.8, 0.95]) if lead else 0.8
     node_type = np.zeros(shape, dtype=np.int8)
     if variant == "solid":
         node_type[rng.random(shape) < 0.2] = SOLID
     domain = Domain(node_type)
     solid = domain.solid_mask
     family = "st" if scheme == "ST" else "mr"
-    core = make_core("fused", {"family": family, "scheme": scheme}, lat,
-                     domain, tau,
-                     tau_bulk=0.9 if variant == "tau_bulk" else None)
-    bare = (1,) * len(shape)
-    f = lat.w.reshape(-1, *bare) * (
-        1.0 + 0.05 * rng.standard_normal(lead + (lat.q, *shape)))
-    f[..., solid] = lat.w[:, None]
-    state = f if family == "st" else np.einsum(
-        "mq,...qn->...mn", lat.moment_matrix,
-        f.reshape(lead + (lat.q, -1))).reshape(lead + (-1, *shape))
-    force = tau_field = None
-    if variant in ("force", "batch"):
-        force = 1e-4 * rng.standard_normal(lead + (lat.d, *shape))
-    if variant == "tau_field":
-        tau_field = 0.6 + 0.4 * rng.random(shape)
-    boundaries = [[]] * 3 if lead else ()
-    for _ in range(steps):
-        core.step(state, boundaries, None, force=force, tau_field=tau_field)
-    return state, core
+    states = []
+    for tau in (0.7, 0.8, 0.95) if variant == "batch" else (0.8,):
+        core = make_core("fused", {"family": family, "scheme": scheme}, lat,
+                         domain, tau,
+                         tau_bulk=0.9 if variant == "tau_bulk" else None)
+        f = lat.w.reshape(-1, *(1,) * len(shape)) * (
+            1.0 + 0.05 * rng.standard_normal((lat.q, *shape)))
+        f[:, solid] = lat.w[:, None]
+        state = f if family == "st" else np.einsum(
+            "mq,qn->mn", lat.moment_matrix,
+            f.reshape(lat.q, -1)).reshape(-1, *shape)
+        force = tau_field = None
+        if variant in ("force", "batch"):
+            force = 1e-4 * rng.standard_normal((lat.d, *shape))
+        if variant == "tau_field":
+            tau_field = 0.6 + 0.4 * rng.random(shape)
+        for _ in range(steps):
+            core.step(state, (), None, force=force, tau_field=tau_field)
+        states.append(state)
+    return (np.stack(states) if len(states) > 1 else state), core
 
 
 def n_slabs(core):
@@ -126,9 +127,8 @@ def test_blocked_equals_unblocked(monkeypatch, lattice, shape, scheme,
     lat = get_lattice(lattice)
     tail = int(np.prod(shape[1:]))
     rows = max(lat.reach, CHUNK // tail, 1)
-    lean = variant != "batch"
-    assert core.path == ("lean" if lean else "bounded")
-    assert n_slabs(core) == (max(shape[0] // rows, 1) if lean else 1)
+    assert core.path == "lean"
+    assert n_slabs(core) == max(shape[0] // rows, 1)
 
 
 @pytest.mark.parametrize("lattice,shape,scheme,variant", cases(UNALIGNED))
@@ -138,7 +138,7 @@ def test_unaligned_slabs_agree_to_rounding(monkeypatch, lattice, shape,
     blocked, core = run_core(monkeypatch, CHUNK, lattice, shape, scheme,
                              variant)
     whole, _ = run_core(monkeypatch, 10**9, lattice, shape, scheme, variant)
-    assert variant == "batch" or n_slabs(core) > 1
+    assert n_slabs(core) > 1
     assert_agree(blocked, whole, exact=False, steps=STEPS)
 
 

@@ -51,11 +51,9 @@ class TestParser:
 
 
 class TestCommands:
-    def test_devices(self, capsys):
-        assert main(["devices"]) == 0
-        out = capsys.readouterr().out
-        assert "V100" in out and "MI100" in out
-        assert "900.0 GB/s" in out
+    def test_devices(self, mrlbm):
+        out = mrlbm("devices")
+        assert "V100" in out and "MI100" in out and "900.0 GB/s" in out
 
     def test_run_channel_small(self, mrlbm, tmp_path):
         out = mrlbm("run --scheme ST --shape 24,10 --steps 20 "
@@ -76,17 +74,13 @@ class TestCommands:
         assert "backend = emulated" in out
         assert "halo payload per cut face" in out
 
-    def test_run_distributed_process(self, capsys, tmp_path):
-        out_file = tmp_path / "fields.npz"
-        metrics = tmp_path / "m.jsonl"
-        rc = main(["run", "--scheme", "MR-P", "--shape", "24,10",
-                   "--steps", "4", "--ranks", "2", "--backend", "process",
-                   "--output", str(out_file), "--metrics", str(metrics)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "backend = process" in out
-        assert "cohort:" in out
-        assert out_file.exists() and metrics.exists()
+    def test_run_distributed_process(self, mrlbm, tmp_path):
+        out = mrlbm("run --scheme MR-P --shape 24,10 --steps 4 --ranks 2 "
+                    f"--backend process --output {tmp_path / 'fields.npz'} "
+                    f"--metrics {tmp_path / 'm.jsonl'}")
+        assert "backend = process" in out and "cohort:" in out
+        assert (tmp_path / "fields.npz").exists()
+        assert (tmp_path / "m.jsonl").exists()
 
     def test_ranks_run_the_problem_bc_names(self, tmp_path):
         """``--ranks 2 --bc X`` is the single-domain ``--bc X`` run cut into
@@ -163,22 +157,17 @@ class TestCommands:
         assert exc.value.code == 2
         assert "invalid choice: 'numba'" in capsys.readouterr().err
 
-    def test_profile_compare_takes_any_registered_problem(self, capsys):
-        rc = main(["profile", "--accel", "compare", "--problem", "channel",
-                   "--scheme", "MR-P", "--shape", "24,12", "--steps", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
+    def test_profile_compare_takes_any_registered_problem(self, mrlbm):
+        out = mrlbm("profile --accel compare --problem channel --scheme MR-P "
+                    "--shape 24,12 --steps 2")
         assert "(channel)" in out and "fused" in out
 
-    def test_profile_refuses_a_problem_it_would_ignore(self, capsys):
+    def test_profile_refuses_a_problem_it_would_ignore(self, mrlbm):
         """Only ``--accel compare`` picks its workload; silently profiling
         the channel under another kind's name would be a wrong answer."""
-        rc = main(["profile", "--problem", "porous", "--no-traffic"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "--problem" in captured.err and "compare" in captured.err
+        err = mrlbm("profile --problem porous --no-traffic", rc=2)
+        assert err.count("\n") == 1
+        assert "--problem" in err and "compare" in err
 
     def test_run_vtk_output(self, tmp_path):
         out_file = tmp_path / "final.vtk"
@@ -241,12 +230,11 @@ class TestCommands:
 class TestWatchCommand:
     """`mrlbm watch`: tail / summarize per-rank event streams."""
 
-    def test_missing_run_dir_exits_2(self, capsys, tmp_path):
-        rc = main(["watch", str(tmp_path / "nowhere")])
-        assert rc == 2
-        assert "no events-rank" in capsys.readouterr().err
+    def test_missing_run_dir_exits_2(self, mrlbm, tmp_path):
+        assert "no events-rank" in mrlbm(f"watch {tmp_path / 'nowhere'}",
+                                         rc=2)
 
-    def test_summarizes_finished_run(self, capsys, tmp_path):
+    def test_summarizes_finished_run(self, mrlbm, tmp_path):
         from repro.obs import EventStream, RunEventEmitter
 
         for rank in range(2):
@@ -255,11 +243,7 @@ class TestWatchCommand:
             emitter.start(pid=1)
             emitter.maybe(10)
             emitter.end(10)
-        rc = main(["watch", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "2 rank(s), all done" in out
-        assert "done" in out
+        assert "2 rank(s), all done" in mrlbm(f"watch {tmp_path}")
 
     def test_error_rank_exits_nonzero(self, capsys, tmp_path):
         from repro.obs import EventStream
@@ -271,15 +255,13 @@ class TestWatchCommand:
         assert rc == 1
         assert "ValueError: boom" in capsys.readouterr().out
 
-    def test_follow_drains_finished_run(self, capsys, tmp_path):
+    def test_follow_drains_finished_run(self, mrlbm, tmp_path):
         from repro.obs import EventStream
 
         stream = EventStream(tmp_path, rank=0)
         stream.emit("start", step=0, n_steps=4)
         stream.emit("end", step=4, mlups=1.0, wall_s=0.5)
-        rc = main(["watch", str(tmp_path), "--follow", "--timeout", "5"])
-        assert rc == 0
-        out = capsys.readouterr().out
+        out = mrlbm(f"watch {tmp_path} --follow --timeout 5")
         assert "start" in out and "all done" in out
 
     @pytest.mark.parametrize("path", PATHS, ids=PATHS)
@@ -335,50 +317,44 @@ class TestWatchCommand:
 
 
 class TestSweepCommand:
-    def test_sweep_runs_batched_grid(self, capsys, tmp_path):
-        rc = main(["sweep", "--problem", "taylor-green", "--scheme", "MR-P",
-                   "--lattice", "D2Q9", "--shape", "16,16",
-                   "--tau", "0.7,0.9,1.1", "--steps", "4",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "3 members in 1 batch(es)" in out
-        assert "MLUPS aggregate" in out
+    SWEEP = "sweep --problem taylor-green --scheme MR-P --lattice D2Q9 "
+
+    def test_sweep_runs_batched_grid(self, mrlbm, tmp_path):
+        """One line per member, one total."""
+        out = mrlbm(self.SWEEP + "--shape 16,16 --tau 0.7,0.9,1.1 "
+                    f"--steps 4 --out {tmp_path}").splitlines()
+        assert len([line for line in out if " s) [" in line]) == 3
+        assert out[-2].startswith("3 members, ")
+        assert "MLUPS aggregate" in out[-2]
         assert (tmp_path / "sweep_summary.json").exists()
         assert len(list(tmp_path.glob("member-*.json"))) == 3
 
-    def test_sweep_multiple_groups_and_json(self, capsys, tmp_path):
-        """Two shapes cannot share a batch; summary JSON is dumped."""
+    def test_sweep_multiple_groups_and_json(self, mrlbm, tmp_path):
+        """Two shapes, one record per member; summary JSON is dumped."""
         import json
 
-        out_json = tmp_path / "sweep.json"
-        rc = main(["sweep", "--problem", "taylor-green", "--scheme", "MR-P",
-                   "--lattice", "D2Q9", "--shape", "12,12;16,16",
-                   "--tau", "0.8,1.0", "--steps", "3",
-                   "--json", str(out_json)])
-        assert rc == 0
-        summary = json.loads(out_json.read_text())
-        assert summary["n_members"] == 4
-        assert summary["n_batches"] == 2
+        mrlbm(self.SWEEP + "--shape 12,12;16,16 --tau 0.8,1.0 --steps 3 "
+              f"--json {tmp_path / 'sweep.json'}")
+        summary = json.loads((tmp_path / "sweep.json").read_text())
+        assert summary["n_members"] == 4 and "batches" not in summary
+        assert all(row["wall_s"] > 0 for row in summary["members"])
         assert summary["duplicates_dropped"] == 0
 
-    def test_sweep_dedupes_fingerprints(self, capsys):
-        rc = main(["sweep", "--problem", "taylor-green",
-                   "--shape", "12,12", "--tau", "0.8,0.8", "--steps", "2"])
-        assert rc == 0
-        assert "(1 duplicates dropped)" in capsys.readouterr().out
+    def test_sweep_dedupes_fingerprints(self, mrlbm):
+        assert "(1 duplicates dropped)" in mrlbm(
+            "sweep --shape 12,12 --tau 0.8,0.8 --steps 2")
 
     def test_sweep_bad_grid_exits_2(self, capsys):
-        """taylor-green on a 3D lattice is a clean error, not a traceback."""
-        rc = main(["sweep", "--problem", "taylor-green",
-                   "--lattice", "D3Q19", "--shape", "8,8,8",
-                   "--steps", "2"])
-        assert rc == 2
+        """taylor-green on a 3D lattice is a clean error, not a traceback;
+        there is no batch size to choose."""
+        assert main("sweep --lattice D3Q19 --shape 8,8,8".split()) == 2
         assert "ERROR:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "--batch", "4"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --batch 4" in capsys.readouterr().err
 
-    def test_sweep_forced_channel(self, capsys):
-        rc = main(["sweep", "--problem", "forced-channel", "--scheme", "ST",
-                   "--shape", "16,10", "--tau", "0.8,1.0",
-                   "--u-max", "0.04", "--steps", "3"])
-        assert rc == 0
-        assert "ST" in capsys.readouterr().out
+    def test_sweep_forced_channel(self, mrlbm):
+        assert "ST" in mrlbm("sweep --problem forced-channel --scheme ST "
+                             "--shape 16,10 --tau 0.8,1.0 --u-max 0.04 "
+                             "--steps 3")

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel import MaskedNeighborTable, NeighborTable, tables
+from repro.accel import MaskedNeighborTable, NeighborTable
 from repro.boundary import FullwayBounceBack
 from repro.core import blocking, equilibrium, equilibrium_moments
 from repro.lattice import get_lattice
@@ -148,7 +148,6 @@ def test_a_run_holds_what_the_table_says(row, scheme):
     # by block, so no further lattice ever exists beside it.
     inputs = (1 + lat.d) * (solver.domain.n_fluid if table else n) * 8
     assert build_peak <= build_live + inputs + slack
-    assert len(tables._CACHE) == 0
 
 
 # -- the benchmark problems ----------------------------------------------------
@@ -170,7 +169,7 @@ class TestBenchmarkProblems:
         assert solver.accel_path == "lean"
         assert live <= live_mb * MB
         assert build_peak <= peak_mb * MB
-        assert len(tables._CACHE) == 0 and problem_bytes(solver) == 0
+        assert problem_bytes(solver) == 0
         # No dense-node-sized float array, not even for a moment: the
         # build peaks at its table row, the compact inputs (and the D
         # coordinate rows they are gathered at) and the chunk-wide

@@ -26,7 +26,7 @@ several seeds; the algebraic identities hold to 1e-12 absolute.
 import numpy as np
 import pytest
 
-from repro.accel import BACKENDS, FusedMRCore, neighbor_table
+from repro.accel import BACKENDS, FusedMRCore, NeighborTable
 from repro.core.equilibrium import equilibrium
 from repro.core.forcing import guo_source
 from repro.core.moments import f_from_moments, macroscopic, moments_from_f
@@ -198,7 +198,7 @@ class TestStreamingInverse:
     def test_gather_matches_roll_streaming(self, lattice, seed):
         lat = get_lattice(lattice)
         _, _, f = _random_state(lat, seed)
-        assert np.array_equal(neighbor_table(lat, f.shape[1:]).gather(f),
+        assert np.array_equal(NeighborTable(lat, f.shape[1:]).gather(f),
                               stream_push(lat, f))
 
 

@@ -172,7 +172,7 @@ class TestBuilders:
 
         spec = RunSpec("channel", "MR-P", "D2Q9", (32, 14), 1,
                        options={"u_max": 0.05})
-        member = build_sweep_member(spec, backend=spec.accel).run(20)
+        member = build_sweep_member(spec).run(20)
         result = ProcessRuntime(spec).run(20)
         assert_agree(fields(result.rho, result.u),
                      fields(*member.macroscopic()), exact=True)
