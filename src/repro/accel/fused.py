@@ -20,18 +20,22 @@ family** that every fast backend steps with — :class:`FusedSTCore`
   so between the caller's state being read and written no ``(Q, N)``
   intermediate ever reaches DRAM — and none is allocated: every buffer
   is the core's, sized once;
-* fold body forcing (Guo's half-force scheme, distribution space for ST
-  and the moment-space projection of :mod:`repro.core.forcing` for MR)
-  into the collision stage — a handful of extra FMAs per node, no
-  additional field passes;
+* apply body forcing (Guo's half-force scheme) in moment space for both
+  families: the source's moments ``(0, pref F, pref (u F + F u))`` join
+  the moments the reconstruction dgemm already reads — ST's
+  equilibrium moments, MR's collided coefficients — so forcing costs a
+  few row operations per chunk and no distribution-space pass;
 * accept a per-node ``tau_field`` in the MR-P collision (the local
   relaxation of :class:`repro.solver.non_newtonian.PowerLawMRPSolver`).
 
-Every kernel mirrors the reference expressions operation for operation,
-up to BLAS summation order at one ulp per step
-(``tests/property/test_conformance.py``). The other layouts reuse these
-kernels: :mod:`repro.accel.inplace` subclasses the ST one (AA pattern),
-:mod:`repro.accel.sparse` binds both to a flat ``(n_fluid,)`` shape.
+Every kernel evaluates the reference expressions up to rounding: BLAS
+summation order, and ST's relaxation regrouped through moments
+(``f* = keep f + R g``, in real arithmetic the reference's ``feq +
+keep (f - feq) + S``) — within the conformance matrix's per-step rule
+(``tests/property/test_conformance.py``; docs/ALGORITHMS.md). The other
+layouts reuse these kernels: :mod:`repro.accel.inplace` subclasses the
+ST one (AA pattern), :mod:`repro.accel.sparse` binds both to a flat
+``(n_fluid,)`` shape.
 
 Core protocol
 -------------
@@ -266,6 +270,26 @@ class _FusedCore:
         if self._pins[s].size:
             state[..., self._pins[s]] = self._rest
 
+    def _source_columns(self) -> np.ndarray:
+        """``(Q, D D)`` reconstruction columns of the products ``u_a (pref
+        F)_b``: each is the column of the pair it feeds, a diagonal
+        pair's doubled (its two equal terms are one product)."""
+        lat = self.lat
+        d, r = lat.d, lat.reconstruction_matrix
+        return np.stack([(1 + (a == b)) * r[:, 1 + d + lat.pair_index(a, b)]
+                         for a in range(d) for b in range(d)], axis=1)
+
+    def _add_moment_force(self, pf: np.ndarray, uf: np.ndarray,
+                          u: np.ndarray, force: np.ndarray, pref) -> None:
+        """Guo's source moments ``(0, pref F, pref (u F + F u))`` into
+        rows of ``G``, factored: ``pf = pref F`` (``pref`` a scalar or a
+        per-node ``(1, N)`` row) and ``uf`` the ``D x D`` products ``u_a
+        (pref F)_b``, each formed once per chunk; the
+        :meth:`_source_columns` of the reconstruction dgemm sum them."""
+        d = self.lat.d
+        np.multiply(force, pref, out=pf)
+        np.multiply(u[:, None], pf, out=uf.reshape(d, d, -1))
+
 
 class FusedSTCore(_FusedCore):
     """Fused stream+collide step for the ST scheme (BGK, Algorithm 1).
@@ -274,12 +298,12 @@ class FusedSTCore(_FusedCore):
     the slab's ``post_stream`` hooks on it, with ``f`` — whose rows of
     that slab are not yet written — as the post-collision source; (2)
     BGK collision *through moment space*, chunk by chunk — ``m = P f``
-    (dgemm), the equilibrium as the Eq. 11 reconstruction of
-    ``[rho, j, rho u u]`` (dgemm), the relaxation in place; (3) the
-    relaxed slab goes back into ``f`` one slab late, once the next slab
-    has been gathered and nothing reads those rows again (the paper's
-    delayed write-back; the last slab wraps onto the first rows and is
-    gathered before anything is written).
+    (dgemm), then ``f* = keep f + R g`` (dgemm) with ``g`` the
+    equilibrium moments ``[rho, j, rho u u]`` over ``tau`` plus Guo's
+    source moments; (3) the relaxed slab goes back into ``f`` one slab
+    late, once the next slab has been gathered and nothing reads those
+    rows again (the paper's delayed write-back; the last slab wraps onto
+    the first rows and is gathered before anything is written).
 
     With a single slab the buffer is a scratch lattice; on the
     ``"bounded"`` form the hooks are the boundaries' whole-lattice ones,
@@ -292,22 +316,15 @@ class FusedSTCore(_FusedCore):
     def __init__(self, lat: LatticeDescriptor, shape: tuple[int, ...], tau,
                  solid_mask: np.ndarray | None = None, boundaries=()):
         super().__init__(lat, shape, tau, solid_mask, boundaries)
-        w, m = self._width, lat.n_moments
+        w, d, r = self._width, lat.d, lat.reconstruction_matrix
         self._rest = lat.w[:, None]         # solid nodes: rest equilibrium
-        self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
-        self._x = _rows(lat.q, w)
-        self._m = _rows(m, w)      # moments, then equilibrium moments
-        self._u = _rows(lat.d, w)
-        self._feq = _rows(lat.q, w)
-        self._force_bufs = (        # chunk scratch of the fused Guo source
-            np.ascontiguousarray(lat.c, dtype=np.float64),      # (Q, D)
-            _rows(lat.q, w),                                    # c . F
-            _rows(lat.q, w),                                    # c . u
-            _rows(lat.d, w),                                    # u_a F_a terms
-            _rows(1, w),                                        # u . F
-            # Guo prefactor (1 - 1/(2 tau)) w_i: (Q, 1)
-            (1.0 - 0.5 / self.tau) * lat.w[:, None],
-        )
+        # R g as [R / tau | R_j | source columns] @ [m_eq; pref F; u pref F]
+        self._rc = np.ascontiguousarray(np.hstack(
+            [r / self.tau, r[:, 1:1 + d], self._source_columns()]))
+        self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
+        self._g = _rows(len(self._rc.T), w)     # moments, then G
+        self._u = _rows(d, w)
+        self._feq = _rows(lat.q, w)     # R g
 
     def _build_window(self, slabs: list, rows: int) -> tuple:
         """Stream plans out of ``f`` and the slab buffers (at most three)."""
@@ -316,85 +333,56 @@ class FusedSTCore(_FusedCore):
                 [self._planes(rows if k > 1 else None)
                  for _ in range(min(k, 3))])
 
-    def _guo_source(self, u: np.ndarray, ff: np.ndarray) -> np.ndarray:
-        """Build the fused Guo source ``S_i`` for one chunk of force ``ff``.
-
-        Mirrors :func:`repro.core.forcing.guo_source` operation for
-        operation (including the division by ``cs2``/``cs4``) so forced
-        fused runs track the reference trajectory at the ulp level.
-        Returns a view of the core-owned ``(Q, chunk)`` buffer.
-        """
-        lat, w = self.lat, u.shape[-1]
-        cmat, cf, cu, uftmp, uf, wpref = self._force_bufs
-        cf, cu, uftmp, uf = (b[..., :w] for b in (cf, cu, uftmp, uf))
-        np.matmul(cmat, ff, out=cf)
-        np.matmul(cmat, u, out=cu)
-        np.multiply(u, ff, out=uftmp)
-        np.sum(uftmp, axis=-2, keepdims=True, out=uf)
-        # S = pref w ((c.F - u.F)/cs2 + (c.u)(c.F)/cs4), built in place:
-        # cu becomes the cs4 term, cf the cs2 term.
-        cu *= cf
-        cu /= lat.cs4
-        cf -= uf
-        cf /= lat.cs2
-        cf += cu
-        cf *= wpref
-        return cf
-
     def _moments_and_feq(self, fs: np.ndarray, ff: np.ndarray | None):
-        """``(u, feq)`` chunk views for the flat lattice chunk ``fs``.
+        """``R g`` for the flat lattice chunk ``fs`` (a core-owned view).
 
-        The moment projection, (optionally half-force-shifted) velocity
-        and Eq. 11 equilibrium reconstruction behind every ST step of
-        every backend — one body, so the single-lattice and compact
-        paths are collide-identical by construction.
+        ``g = m_eq / tau + m_src``: the equilibrium moments ``[rho, rho u,
+        rho u u]`` at Guo's half-force velocity ``u = (j + F/2) / rho``
+        (against ``R / tau``) and the source moments that reconstruct to
+        Guo's ``S_i`` exactly (:meth:`_add_moment_force`). One body, so
+        the single-lattice and compact paths are collide-identical by
+        construction.
         """
         lat = self.lat
-        d, w = lat.d, fs.shape[-1]
-        m, u, feq = (b[..., :w] for b in (self._m, self._u, self._feq))
-        np.matmul(self._mm, fs, out=m)
-        rho, j = _row(m, 0), m[..., 1:1 + d, :]
-        if ff is None:
-            np.divide(j, rho, out=u)
-        else:
-            # u = (j + F/2)/rho; the equilibrium momentum is rho u.
+        d, k, w = lat.d, lat.n_moments, fs.shape[-1]
+        g, u, feq = (b[..., :w] for b in (self._g, self._u, self._feq))
+        np.matmul(self._mm, fs, out=g[:k])
+        rho, j = _row(g, 0), g[1:1 + d]
+        if ff is not None:      # j becomes rho u = j + F/2
             np.multiply(ff, 0.5, out=u)
-            u += j
-            u /= rho
-            np.multiply(u, rho, out=j)
-        # ST never reads Pi: its rows of m become rho u u, and m is meq
-        for k, (a, b) in enumerate(lat.pair_tuples):
-            pair = _row(m, 1 + d + k)
-            np.multiply(_row(u, a), _row(u, b), out=pair)
-            pair *= rho
-        np.matmul(self._rc, m, out=feq)
-        return u, feq
+            j += u
+        np.divide(j, rho, out=u)
+        # ST never reads Pi: its rows become rho u u, the equilibrium's
+        for n, (a, b) in enumerate(lat.pair_tuples):
+            np.multiply(_row(j, a), _row(u, b), out=_row(g, 1 + d + n))
+        if ff is None:
+            g = g[:k]
+        else:
+            self._add_moment_force(g[k:k + d], g[k + d:], u, ff, self._pref)
+        np.matmul(self._rc[:, :len(g)], g, out=feq)
+        return feq
 
     def _relax(self, src: np.ndarray, dst: np.ndarray,
                force: np.ndarray | None) -> None:
         """BGK(+Guo) collision of the streamed lattice ``src`` into ``dst``.
 
-        ``f* = feq + (1 - omega)(f - feq) [+ S]`` over column chunks of
-        ``_CHUNK`` nodes in a contiguous chunk buffer, so every
-        intermediate lives and dies in cache (a smaller field is one
-        chunk: the unblocked arithmetic). ``dst`` may alias ``src``.
+        ``f* = keep f + R g`` (:meth:`_moments_and_feq`) over column
+        chunks of ``_CHUNK`` nodes: each chunk is read straight out of
+        ``src`` and relaxed straight into ``dst``, the moment-space
+        intermediates living and dying in cache (a smaller field is one
+        chunk: the unblocked arithmetic). ``dst`` may alias ``src``: a
+        chunk's moments are taken before it is written.
         """
         q = self.lat.q
         fs, out = self._flat(src, q), self._flat(dst, q)
         ff = self._flat(force, self.lat.d)
-        n = fs.shape[-1]
-        for c0 in range(0, n, _CHUNK):
+        for c0 in range(0, fs.shape[-1], _CHUNK):
             cols = slice(c0, c0 + _CHUNK)
-            fc = None if ff is None else ff[..., cols]
-            x = self._x[..., :min(_CHUNK, n - c0)]
-            np.copyto(x, fs[..., cols])
-            u, feq = self._moments_and_feq(x, fc)
-            x -= feq
-            x *= self.keep
-            x += feq
-            if fc is not None:
-                x += self._guo_source(u, fc)
-            np.copyto(out[..., cols], x)
+            rg = self._moments_and_feq(
+                fs[..., cols], None if ff is None else ff[..., cols])
+            x = out[..., cols]
+            np.multiply(fs[..., cols], self.keep, out=x)
+            x += rg
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None) -> None:
@@ -402,8 +390,8 @@ class FusedSTCore(_FusedCore):
 
         ``force`` is an optional ``(D, *grid)`` body-force field; the
         collision then evaluates the equilibrium at Guo's half-force
-        velocity and adds the fused source term. ``tau_field`` belongs
-        to the shared core protocol and is unused here.
+        velocity and adds Guo's source through its moments. ``tau_field``
+        belongs to the shared core protocol and is unused here.
         """
         tel = NULL_TELEMETRY if tel is None else tel
         slabs, plans, bufs = self._window(boundaries)
@@ -476,17 +464,16 @@ class FusedMRCore(_FusedCore):
         w, m = self._width, lat.n_moments
         self._rest = np.eye(m)[:, :1]       # solid nodes: (1, 0, ..., 0)
         self._pref = 1.0 - 0.5 / self.tau       # Guo force prefactor
+        self._pf = _rows(lat.d, w)      # pref F
         self._u = _rows(lat.d, w)
         self._uu = _rows(lat.n_pairs, w)      # u_a u_b
         self._pi_eq = _rows(lat.n_pairs, w)
         self._pi_neq = _rows(lat.n_pairs, w)
-        # per-node keep / force-prefactor rows, moment-space force scratch
+        # per-node keep / force-prefactor rows
         self._tau_bufs = _rows(2, w)
-        self._src_buf = _rows(2, w)
 
         if scheme == "MR-P":
-            self._rcext = np.ascontiguousarray(lat.reconstruction_matrix)
-            self._g = _rows(m, w)
+            blocks = [lat.reconstruction_matrix]
             self._a34_specs = None
         else:
             s3, s4 = lat.h3_supported, lat.h4_supported
@@ -494,9 +481,7 @@ class FusedMRCore(_FusedCore):
             w4 = lat.quad_mult[s4] / (24.0 * lat.cs8)
             e3 = lat.w[:, None] * lat.h3_reg_cols[:, s3] * w3[None, :]
             e4 = lat.w[:, None] * lat.h4_reg_cols[:, s4] * w4[None, :]
-            self._rcext = np.ascontiguousarray(
-                np.hstack([lat.reconstruction_matrix, e3, e4]))
-            self._g = _rows(m + s3.size + s4.size, w)
+            blocks = [lat.reconstruction_matrix, e3, e4]
             # Recipes for the supported recursion columns (rows of G):
             # a3_abc = rho u_a u_b u_c + keep (u_a Pi_bc + u_b Pi_ac + u_c Pi_ab)
             # a4_abcd = rho u_a u_b u_c u_d + keep sum_6 (u_r u_s) Pi_pq
@@ -537,6 +522,11 @@ class FusedMRCore(_FusedCore):
             self._a34_bufs = (
                 _rows(len(where) - len(targets), w),
                 _rows(max(len(d) for _, _, d, _ in sums), w))
+        # G's unforced rows; a force appends the source products' D D
+        self._k = sum(b.shape[1] for b in blocks)
+        self._rcext = np.ascontiguousarray(
+            np.hstack(blocks + [self._source_columns()]))
+        self._g = _rows(len(self._rcext.T), w)
 
     def _build_window(self, slabs: list, rows: int) -> tuple:
         """Stream plans out of the ``f*`` ring, ring, slab and wrap planes.
@@ -558,9 +548,9 @@ class FusedMRCore(_FusedCore):
 
         With a flat ``(D, N)`` ``force`` the equilibria are evaluated
         at Guo's half-force velocity and the projected source moments
-        (momentum input ``F``, second-moment source ``(1 - 1/(2 tau))(u F
-        + F u)``) are added, mirroring
-        :func:`repro.core.forcing.apply_moment_space_force`. A flat
+        are added (:func:`repro.core.forcing.apply_moment_space_force`):
+        the momentum input ``F`` here, the second-moment source as the
+        rows of :meth:`_add_moment_force` that end ``G``. A flat
         ``(N,)`` ``tau_field`` (MR-P) replaces ``tau``
         in the relaxation factor and the force prefactor, as in the
         power-law solver. Returns a view of the core-owned chunk buffer.
@@ -601,7 +591,8 @@ class FusedMRCore(_FusedCore):
         if force is not None:
             if tau_field is not None:
                 pref = self._per_node(1, -0.5, tau_field)
-            self._add_moment_force(g_pi, u, force, pref)
+            self._add_moment_force(self._pf[..., :w], g[self._k:], u, force,
+                                   pref)
         if self._a34_specs is not None:
             products, sums = self._a34_specs
             pre, tmp = (b[..., :w] for b in self._a34_bufs)
@@ -619,7 +610,7 @@ class FusedMRCore(_FusedCore):
                 acc = _row(g, row)
                 for k in order:
                     acc += _row(tmp, k)
-        return g
+        return g if force is not None else g[:self._k]
 
     def _per_node(self, slot: int, coeff: float,
                   tau_field: np.ndarray) -> np.ndarray:
@@ -628,18 +619,6 @@ class FusedMRCore(_FusedCore):
         np.divide(coeff, tau_field, out=buf)
         buf += 1.0
         return buf
-
-    def _add_moment_force(self, g_pi: np.ndarray, u: np.ndarray,
-                          force: np.ndarray, pref) -> None:
-        """Add the projected Guo second-moment source to ``g_pi`` in place."""
-        src, tmp = (_row(self._src_buf[..., :u.shape[-1]], k) for k in (0, 1))
-        for k, (a, b) in enumerate(self.lat.pair_tuples):
-            np.multiply(_row(u, a), _row(force, b), out=src)
-            np.multiply(_row(u, b), _row(force, a), out=tmp)
-            src += tmp
-            src *= pref
-            pair = _row(g_pi, k)
-            pair += src
 
     def _reconstruct(self, m: np.ndarray, out: np.ndarray,
                      force: np.ndarray | None,
@@ -665,7 +644,7 @@ class FusedMRCore(_FusedCore):
             g = self._collide(mf[..., cols],
                               None if ff is None else ff[..., cols],
                               None if tf is None else tf[cols])
-            np.matmul(self._rcext, g, out=of[..., cols])
+            np.matmul(self._rcext[:, :len(g)], g, out=of[..., cols])
 
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,

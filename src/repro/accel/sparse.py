@@ -10,9 +10,12 @@ collision arithmetic as the fused backend — the
 :class:`~repro.accel.fused.FusedSTCore` / ``FusedMRCore`` methods, bound
 to a flat ``(n_fluid,)`` shape:
 
-* **streaming** is one ``np.take`` through the masked table, whose
+* **streaming** is an ``np.take`` through the masked table, whose
   solid-source links are *bounce-back-folded*: the gather itself realizes
-  half-way bounce-back, so walls cost nothing on top of propagation;
+  half-way bounce-back, so walls cost nothing on top of propagation. MR
+  takes it chunk by chunk into one chunk buffer and projects the moments
+  from there (Algorithm 2 keeps the streamed distribution in shared
+  memory), so no streamed lattice exists;
 * **collision** (every feature of the fused kernels) runs as chunked
   BLAS dgemms over ``n_fluid`` columns instead of ``N``;
 * **the compact state is the state**: a core steps the solver's
@@ -42,6 +45,7 @@ import numpy as np
 
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
+from . import fused
 from .fused import FusedMRCore, FusedSTCore
 from .tables import MaskedNeighborTable
 
@@ -60,30 +64,6 @@ def boundaries_fold(boundaries) -> bool:
     if not boundaries:
         return True
     return len(boundaries) == 1 and type(boundaries[0]) is HalfwayBounceBack
-
-
-def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
-                     bb) -> list:
-    """Compact ``(q, targets, values)`` moving-wall momentum terms of a wall.
-
-    The ``2 w_i rho0 (c_i . u_w) / cs2`` values of
-    :class:`~repro.boundary.HalfwayBounceBack`, evaluated on the table's
-    own solid links (the dense hook's links, in the same C order) with
-    the hook's expression, so the folded adds are value-identical.
-    """
-    if bb is None or bb.wall_velocity is None:
-        return []
-    uw = np.asarray(bb.wall_velocity, dtype=np.float64).reshape(lat.d, -1)
-    terms = []
-    for q, links in enumerate(table.solid_links):
-        if links.size:
-            at = np.unravel_index(table.fluid_flat[links], table.shape)
-            src = np.ravel_multi_index(
-                [x - c for x, c in zip(at, lat.c[q])], table.shape,
-                mode="wrap")
-            cu = sum(lat.c[q, a] * uw[a][src] for a in range(lat.d))
-            terms.append((q, links, 2.0 * lat.w[q] * bb.rho0 * cu / lat.cs2))
-    return terms
 
 
 class _SparseCoreBase:
@@ -105,22 +85,50 @@ class _SparseCoreBase:
         self.lat = lat
         self.table = MaskedNeighborTable(lat, solid_mask)
         self._bb = boundaries[0] if boundaries else None
-        self._mom = _folded_momentum(self.table, lat, self._bb)
 
-    def _apply_folded(self, fc: np.ndarray, rest: np.ndarray) -> None:
-        """Finish the folded links of a freshly gathered compact field.
+    def _fixups(self, rest: np.ndarray, width: int) -> list:
+        """Per chunk of ``width`` compact columns, its folded links' fix-ups.
 
-        Without a bounce-back wall the reflections are overwritten with
-        ``rest[q]`` — what the dense kernels stream out of their pinned
-        solid nodes; a moving wall adds its momentum terms on top.
+        ``(q, links, value)``: the chunk's targets of component ``q``
+        whose source node is solid (chunk-relative), and what they get.
+        Without a wall ``rest[q]`` is written — what the dense kernels
+        stream out of their pinned solid nodes; a moving wall adds the
+        ``2 w_i rho0 (c_i . u_w) / cs2`` terms of
+        :class:`~repro.boundary.HalfwayBounceBack`, evaluated on the
+        table's own links (the dense hook's, in the same C order) with the
+        hook's expression, so the folded adds are value-identical.
         """
-        if self._bb is None:
-            for q, links in enumerate(self.table.solid_links):
-                if links.size:
-                    fc[q, links] = rest[q]
-        else:
-            for q, tgt, mom in self._mom:
-                fc[q, tgt] += mom
+        lat, table, bb = self.lat, self.table, self._bb
+        uw = None if bb is None or bb.wall_velocity is None else np.asarray(
+            bb.wall_velocity, dtype=np.float64).reshape(lat.d, -1)
+        chunks = []
+        for c0 in range(0, table.n_fluid, width):
+            chunks.append(fix := [])
+            if bb is not None and uw is None:
+                continue                        # a stationary wall: none
+            for q, links in enumerate(table.solid_links):
+                links = links[np.searchsorted(links, c0):
+                              np.searchsorted(links, c0 + width)]
+                if not links.size:
+                    continue
+                value = rest[q]
+                if uw is not None:
+                    at = np.unravel_index(table.fluid_flat[links], table.shape)
+                    src = np.ravel_multi_index(
+                        [x - c for x, c in zip(at, lat.c[q])], table.shape,
+                        mode="wrap")
+                    cu = sum(lat.c[q, a] * uw[a][src] for a in range(lat.d))
+                    value = 2.0 * lat.w[q] * bb.rho0 * cu / lat.cs2
+                fix.append((q, links - c0, value))
+        return chunks
+
+    def _apply_folded(self, fc: np.ndarray, fixups: list) -> None:
+        """Finish the folded links of freshly gathered columns ``fc``."""
+        for q, links, value in fixups:
+            if self._bb is None:
+                fc[q, links] = value
+            else:
+                fc[q, links] += value
 
 
 class SparseSTCore(_SparseCoreBase):
@@ -137,7 +145,7 @@ class SparseSTCore(_SparseCoreBase):
         n = self.table.n_fluid
         self.arith = FusedSTCore(lat, (n,), tau)    # the shared kernel
         self._fc = np.empty((lat.q, n))        # streamed compact field
-        self._rest = np.ascontiguousarray(lat.w, dtype=np.float64)
+        self._fix, = self._fixups(lat.w, n)
 
     def step(self, f: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None, tau_field=None) -> None:
@@ -148,7 +156,7 @@ class SparseSTCore(_SparseCoreBase):
         tel = NULL_TELEMETRY if tel is None else tel
         with tel.phase("stream"):
             self.table.gather_compact(f, self._fc)
-            self._apply_folded(self._fc, self._rest)
+            self._apply_folded(self._fc, self._fix)
         with tel.phase("collide"):
             self.arith._relax(self._fc, f, force)
 
@@ -157,9 +165,11 @@ class SparseMRCore(_SparseCoreBase):
     """Compact-state fused MR step (MR-P / MR-R over fluid nodes only).
 
     Algorithm 2 on the compact node list: the shared :class:`FusedMRCore`
-    collision and Eq. 11/14 reconstruction over ``n_fluid`` columns, one
-    folded compact gather for streaming + bounce-back, and the Eq. 1-3
-    re-projection into the compact moments — the state.
+    collision and Eq. 11/14 reconstruction over ``n_fluid`` columns into
+    ``f*``, then, chunk by chunk, the folded gather of the chunk's
+    columns out of ``f*`` (streaming + bounce-back) into one chunk buffer
+    and the Eq. 1-3 re-projection from there into the compact moments —
+    the state. No streamed lattice exists.
     """
 
     def __init__(self, lat: LatticeDescriptor, solid_mask: np.ndarray,
@@ -169,12 +179,13 @@ class SparseMRCore(_SparseCoreBase):
         n = self.table.n_fluid
         self.arith = FusedMRCore(lat, (n,), tau, scheme=scheme,
                                  tau_bulk=tau_bulk)
-        #: compact post-collision and streamed fields
-        self._fc_star, self._fc = np.empty((2, lat.q, n))
+        self._fc_star = np.empty((lat.q, n))    # compact post-collision
+        self._width = min(fused._CHUNK, n)
+        self._chunk = np.empty(lat.q * self._width)  # one streamed chunk
         self._tau = None        # compact relaxation field (power law)
         # Rest-state reconstruction column: exactly what the dense matmul
         # streams out of a pinned solid node (== w_i analytically).
-        self._rest = np.ascontiguousarray(self.arith._rcext[:, 0])
+        self._fix = self._fixups(self.arith._rcext[:, 0], self._width)
 
     def step(self, m: np.ndarray, boundaries=(), tel=None,
              force: np.ndarray | None = None,
@@ -185,17 +196,21 @@ class SparseMRCore(_SparseCoreBase):
         dense ``grid`` field.
         """
         tel = NULL_TELEMETRY if tel is None else tel
-        table, arith = self.table, self.arith
-        fc_star, fc = self._fc_star, self._fc
+        table, arith, q = self.table, self.arith, self.lat.q
         with tel.phase("collide"):
             if tau_field is not None:
                 if self._tau is None:
                     self._tau = np.empty((1, table.n_fluid))
                 table.compact(tau_field, self._tau)
-            arith._reconstruct(m, fc_star, force,
+            arith._reconstruct(m, self._fc_star, force,
                                None if tau_field is None else self._tau)
-        with tel.phase("stream"):
-            table.gather_compact(fc_star, fc)
-            self._apply_folded(fc, self._rest)
-        with tel.phase("macroscopic"):
-            np.matmul(arith._mm, fc, out=m)
+        f_star = self._fc_star.reshape(-1)
+        links = table.flat_compact.reshape(q, -1)
+        for c0, fix in zip(range(0, table.n_fluid, self._width), self._fix):
+            cols = slice(c0, c0 + self._width)
+            fc = self._chunk[:q * links[0, cols].size].reshape(q, -1)
+            with tel.phase("stream"):
+                np.take(f_star, links[:, cols], out=fc, mode="clip")
+                self._apply_folded(fc, fix)
+            with tel.phase("macroscopic"):
+                np.matmul(arith._mm, fc, out=m[:, cols])

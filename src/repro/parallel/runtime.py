@@ -94,10 +94,12 @@ __all__ = [
 #: ``forced-channel`` and ``cylinder`` kinds lost their distributed
 #: defaults, so a spec that leaves ``u_max``, ``bc_method`` or
 #: ``outlet_tangential`` unset now names the single-domain problem.
+#: Version 4 is the same encoding of other numbers: the fast cores force
+#: and relax ST in moment space, which rounds differently.
 #: Resuming a checkpoint written under another version warns and skips
 #: the digest comparison instead of failing it spuriously; the job
 #: server never serves a result sealed under another version.
-FINGERPRINT_VERSION = 3
+FINGERPRINT_VERSION = 4
 
 
 @dataclass(frozen=True)

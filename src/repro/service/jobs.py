@@ -216,9 +216,10 @@ class JobScheduler:
         Only results whose recorded ``fingerprint_version`` matches the
         current one are trusted as cache entries — a sealed directory
         from before the fingerprint fix would otherwise serve a result
-        keyed by a colliding digest, and one from before version 3 a
-        result of another problem. A directory not adopted keeps its
-        id: a new job never writes into it.
+        keyed by a colliding digest, one from before version 3 a
+        result of another problem, and one from before version 4 numbers
+        the current cores round differently. A directory not adopted
+        keeps its id: a new job never writes into it.
         """
         for complete in sorted(self.root.glob("job-*/COMPLETE")):
             job_dir = complete.parent

@@ -80,9 +80,8 @@ class TestEmulatedInplaceParity:
                 lat, n = dist.lat, state.domain.n_nodes
                 q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
                 expected = (
-                    n * (2 * q + q + m + d + q + (2 * q + d + 1))
-                    if scheme == "ST"
-                    else n * (m + 2 * q + m + d + 3 * p + 2 + 2))
+                    n * (2 * q + (m + d + d * d) + d + q) if scheme == "ST"
+                    else n * (m + 2 * q + (m + d * d) + d + 3 * p + 2 + d))
                 core = state._stepper.core
                 assert field_doubles(getattr(state, field), core,
                                      min_size=n) == expected

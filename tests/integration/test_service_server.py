@@ -230,8 +230,9 @@ class TestDedupAndConcurrency:
             assert client.result(reply["job"]["id"])["result"]["steps"] == 40
 
     def test_result_sealed_under_another_version_is_not_served(self, tmp_path):
-        """A v2 seal may name another problem (v3 dropped the kinds'
-        distributed defaults): after a restart the resubmission runs."""
+        """A v3 seal holds numbers the v4 cores round differently (v3
+        also dropped the kinds' distributed defaults): after a restart the
+        resubmission runs."""
         root = tmp_path / "jobs"
         with ServerThread(root) as srv:
             client = ServiceClient(srv.address)
@@ -239,7 +240,7 @@ class TestDedupAndConcurrency:
             client.wait(first["id"], timeout_s=120)
         sealed = root / first["id"] / "result.json"
         result = json.loads(sealed.read_text())
-        sealed.write_text(json.dumps({**result, "fingerprint_version": 2}))
+        sealed.write_text(json.dumps({**result, "fingerprint_version": 3}))
         with ServerThread(root) as srv:
             client = ServiceClient(srv.address)
             reply = client.submit(payload())
@@ -249,7 +250,7 @@ class TestDedupAndConcurrency:
             assert done["state"] == "done"
             assert client.health()["runs_executed"] == 1
             assert client.result(done["id"])["result"][
-                "fingerprint_version"] == FINGERPRINT_VERSION == 3
+                "fingerprint_version"] == FINGERPRINT_VERSION == 4
 
 
 class TestFaultTolerance:

@@ -49,18 +49,20 @@ def expected_doubles(backend, scheme, problem, lat, n, nf):
     q, m, d, p = lat.q, lat.n_moments, lat.d, lat.n_pairs
     forced = problem == "walled"
     if scheme == "ST":
-        # chunk input, moments (they become the equilibrium moments), u,
-        # feq, and the Guo source rows (chunk-wide, so always there)
-        scratch = q + m + d + q + (2 * q + d + 1)
+        # G (the moments, then the equilibrium and source moments: M +
+        # D + D D rows, chunk-wide, so always there), u and R g
+        scratch = (m + d + d * d) + d + q
         lattices, persistent = 2 * q, q
     else:
         # MR-R: G grows by the 2 + 1 supported recursion columns of D2Q9
-        # and the recursion keeps 3 prefix products and 3 term rows
-        g = m if scheme == "MR-P" else m + 3 + 6
-        scratch = g + d + 3 * p + 2 + 2   # + force and per-node tau rows
+        # and the recursion keeps 3 prefix products and 3 term rows; G
+        # ends with the D D source products
+        g = (m if scheme == "MR-P" else m + 3 + 6) + d * d
+        scratch = g + d + 3 * p + 2 + d   # + per-node tau rows, pref F
         lattices, persistent = m + 2 * q, m
     if backend == "sparse" and problem != "inlet-outlet":
-        # dense field + compact columns (+ compact force) over n_fluid;
+        # dense field + compact columns (+ compact force) over n_fluid —
+        # MR: f* and one streamed chunk, here all n_fluid columns wide;
         # inlet and outlet do not fold: that list steps the fused core
         compact = (lattices - persistent) + persistent + scratch
         return n * persistent + nf * (compact + (d if forced else 0))

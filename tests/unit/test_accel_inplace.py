@@ -23,7 +23,8 @@ from repro.lattice import get_lattice
 from repro.solver import make_solver
 from repro.service.registry import build_single
 
-from test_conformance import assert_agree, fields
+from test_conformance import (Cell, assert_agree, check_backends_agree,
+                              fields)
 
 SCHEMES = ("ST", "MR-P", "MR-R")
 
@@ -89,17 +90,14 @@ class TestInplaceParity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_poiseuille_channel_fallback(self, scheme):
         """Bounded problems take the conservative path, still exact."""
-        assert_aa_is_fused(
-            lambda backend: build_single("channel", scheme, "D2Q9", (24, 12),
-                                         tau=0.8, u_max=0.04, backend=backend))
+        check_backends_agree(Cell("channel", scheme, "D2Q9", "aa",
+                                  shape=(24, 12)))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_forced_channel(self, scheme):
         """Body-forced bounce-back channels (fallback + Guo source)."""
-        assert_aa_is_fused(
-            lambda backend: build_single("forced-channel", scheme, "D2Q9",
-                                         (20, 12), tau=0.7, u_max=0.03,
-                                         backend=backend), steps=10)
+        check_backends_agree(Cell("forced-channel", scheme, "D2Q9", "aa",
+                                  shape=(20, 12)))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_lid_driven_cavity(self, scheme):

@@ -16,6 +16,7 @@ from repro.accel.sparse import boundaries_fold
 from repro.boundary import FullwayBounceBack, HalfwayBounceBack
 from repro.geometry import Domain, lid_driven_cavity
 from repro.lattice import get_lattice
+from repro.obs import Telemetry
 from repro.service.registry import build_distributed, build_single
 from repro.solver import STSolver, make_solver
 from repro.validation.cylinder import schafer_turek_case
@@ -118,7 +119,8 @@ class TestLeanPathParity:
                      fields(*fused.macroscopic()), exact=False, steps=8)
         assert walls[0]._links is None
         targets, momentum = walls[1]._targets_momentum()
-        folded = {q: (tgt, mom) for q, tgt, mom in sparse._stepper.core._mom}
+        core = sparse._stepper.core     # one chunk at this size
+        folded = {q: (tgt, mom) for q, tgt, mom in core._fix[0]}
         assert sorted(folded) == [q for q, m in enumerate(momentum)
                                   if m is not None]
         for q, (tgt, mom) in folded.items():
@@ -130,6 +132,14 @@ class TestLeanPathParity:
     def test_guo_forcing(self):
         check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse",
                                   shape=(16, 10)))
+
+    def test_mr_step_records_its_phases(self):
+        """The chunk-by-chunk MR step still times its three phases."""
+        solver = build_single("porous", "MR-P", "D2Q9", (16, 14),
+                              backend="sparse").attach_telemetry(Telemetry())
+        solver.run(1)
+        assert {"step/collide", "step/stream", "step/macroscopic"} <= set(
+            solver.telemetry.phases)
 
     def test_variable_tau_power_law(self):
         check_backends_agree(Cell("power-law", "MR-P", "D2Q9", "sparse",

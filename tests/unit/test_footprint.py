@@ -112,9 +112,10 @@ def table_doubles_per_node(row: str, st_family: bool, q: int, m: int, d: int,
         return 2 * q if st_family else m + 2 * q
     if row == "aa":
         return 2 * q if st_family else m
-    # sparse: compact fields and force, the folded gather; the node list,
-    # its inverse, the solid-link lists
-    compact = 2 * q + d if st_family else 2 * q + m + d
+    # sparse: compact fields (MR streams a chunk at a time: no streamed
+    # field) and force, the folded gather; the node list, its inverse,
+    # the solid-link lists
+    compact = 2 * q + d if st_family else q + m + d
     return (compact + q) * phi + phi + 1 + links
 
 
@@ -161,8 +162,8 @@ class TestBenchmarkProblems:
         """D2Q9 768^2, 88,714 fluid nodes: live after the first step was
         202 MB (ST) / 188 (MR-P), 85 MB of it a cached dense table, then
         102 / 89 with a dense state, force and link lists beside the
-        compact ones (measured 32.6 / 35.8 now); the ST build peaked at
-        215, then 78 MB (now 36.1)."""
+        compact ones (measured 33.7 / 31.0 now: MR streams no field); the
+        ST build peaked at 215, then 78 MB (now 37.2)."""
         solver, _, build_peak, live = traced_build(
             "porous", scheme, "D2Q9", (768, 768), "sparse", steps=1,
             solid_fraction=0.85, seed=1, force_x=1e-6)

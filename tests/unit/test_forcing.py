@@ -66,13 +66,22 @@ class TestGuoSourceMoments:
             assert np.allclose(got[k], expected, atol=2e-5), (a, b)
 
     def test_moment_space_matches_projection(self, lattice, rng):
-        """apply_moment_space_force == moments of the full Guo source, for
-        fully fourth-order-isotropic lattices."""
+        """The Guo source is the reconstruction of its moments ``(0, pref
+        F, pref (u F + F u))`` on every lattice, to roundoff (what the fast
+        cores relax with); apply_moment_space_force == moments of the full
+        Guo source, for fully fourth-order-isotropic lattices."""
+        u, force = self._setup(lattice, rng)
+        tau, d = 0.9, lattice.d
+        s = guo_source(lattice, u, force, tau)
+        src = np.zeros((lattice.n_moments, *u.shape[1:]))
+        src[1:1 + d] = force
+        for k, (a, b) in enumerate(lattice.pair_tuples):
+            src[1 + d + k] = u[a] * force[b] + u[b] * force[a]
+        rebuilt = np.einsum("qm,m...->q...", lattice.reconstruction_matrix,
+                            (1 - 0.5 / tau) * src)
+        assert np.abs(rebuilt - s).max() <= 1e-14 * np.abs(s).max()
         if lattice.name in ("D3Q15", "D3Q19"):
             pytest.skip("anisotropic 4th moments: projection differs slightly")
-        u, force = self._setup(lattice, rng)
-        tau = 0.9
-        s = guo_source(lattice, u, force, tau)
         proj = moments_from_f(lattice, s)
         m = np.zeros_like(proj)
         apply_moment_space_force(lattice, m, u, force, tau)

@@ -56,7 +56,7 @@ def model_values(path: str | None, backend: str, scheme: str, q: int,
         if path != "lean":
             return "-"
         return (f"4Q + Q idx = {5 * q}" if scheme == "ST"
-                else f"4Q + 2M + Q idx = {5 * q + 2 * m}")
+                else f"2Q + 2M + Q idx = {3 * q + 2 * m}")
     if path == "lean" and backend == "aa" and scheme == "ST":
         return f"6Q, 2Q alternating = {6 * q}, {2 * q}"
     if path == "lean":
