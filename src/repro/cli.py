@@ -132,18 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the virtual-GPU DRAM traffic measurement")
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="also dump the raw profile results as JSON")
-    prof.add_argument("--accel", default="reference",
-                      choices=BACKENDS + ("compare",),
-                      help="execution backend to profile, or 'compare' to "
-                      "run every available backend on one problem and "
-                      "report MLUPS side by side")
-    prof.add_argument("--problem", default=None, choices=problem_kinds(),
-                      help="workload for --accel compare (default: "
-                      "periodic): any registered problem kind, e.g. the "
-                      "paper's channel, the power-law (variable-tau) "
-                      "channel, or the masked geometries cylinder and "
-                      "porous; refused without --accel compare (the "
-                      "per-phase profile steps the channel proxy app)")
+    prof.add_argument("--accel", default="reference", choices=BACKENDS,
+                      help="execution backend to profile")
 
     watch = sub.add_parser(
         "watch", help="tail the per-rank event streams of a run directory")
@@ -519,41 +509,17 @@ def _print_cohort(args, result) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import PROFILE_SCHEMES, format_profile, profile_scheme
-    from .obs.profile import compare_backends, format_backend_comparison
 
     schemes = PROFILE_SCHEMES if args.scheme == "all" else (args.scheme,)
-    accel = getattr(args, "accel", "reference")
-    problem = args.problem
-    if problem is not None and accel != "compare":
-        print("ERROR: --problem selects the workload of --accel compare; "
-              f"--accel {accel} profiles the channel proxy app and would "
-              "ignore it", file=sys.stderr)
-        return 2
     results = []
     for i, scheme in enumerate(schemes):
         if i:
             print()
-        if accel == "compare":
-            if scheme.upper() == "AA":
-                print("AA: reference-only scheme; the single-lattice fast "
-                      "path is the 'aa' backend column of the ST/MR rows")
-                continue
-            try:
-                result = compare_backends(scheme, lattice=args.lattice,
-                                          shape=args.shape, steps=args.steps,
-                                          tau=args.tau,
-                                          problem=problem or "periodic")
-            except ValueError as err:   # e.g. taylor-green on a D3 lattice
-                print(f"ERROR: {err}", file=sys.stderr)
-                return 2
-            results.append(result)
-            print(format_backend_comparison(result))
-            continue
         result = profile_scheme(scheme, lattice=args.lattice,
                                 shape=args.shape, steps=args.steps,
                                 tau=args.tau, device=args.device,
                                 measure_traffic=not args.no_traffic,
-                                accel=accel)
+                                accel=args.accel)
         results.append(result)
         print(format_profile(result))
     if args.json:

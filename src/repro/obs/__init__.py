@@ -44,9 +44,7 @@ from .telemetry import NULL_TELEMETRY, NullTelemetry, PhaseStats, Span, Telemetr
 from .watchdog import SOUND_SPEED, StabilityError, check_fields
 
 __getattr__ = lazy_exports(__name__, {
-    "profile": ("PROFILE_SCHEMES", "compare_backends",
-                "format_backend_comparison", "format_profile",
-                "profile_scheme"),
+    "profile": ("PROFILE_SCHEMES", "format_profile", "profile_scheme"),
 })
 
 __all__ = [
@@ -68,8 +66,6 @@ __all__ = [
     "check_fields",
     "profile_scheme",
     "format_profile",
-    "compare_backends",
-    "format_backend_comparison",
     "PROFILE_SCHEMES",
     "merge_rank_reports",
     # live run event streams

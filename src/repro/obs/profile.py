@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from .telemetry import Telemetry, peak_rss_mb
 
-__all__ = ["profile_scheme", "format_profile", "compare_backends",
-           "format_backend_comparison", "PROFILE_SCHEMES"]
+__all__ = ["profile_scheme", "format_profile", "PROFILE_SCHEMES"]
 
 PROFILE_SCHEMES = ("ST", "MR-P", "MR-R", "AA")
 
@@ -178,122 +177,4 @@ def format_profile(result: dict) -> str:
     else:
         lines.append("  DRAM traffic: n/a (no virtual-GPU kernel for this "
                      "scheme/problem)")
-    return "\n".join(lines)
-
-
-def compare_backends(scheme: str = "MR-P", lattice: str = "D3Q19",
-                     shape: tuple[int, ...] | None = None, steps: int = 20,
-                     tau: float = 0.8, u_max: float = 0.05,
-                     backends: tuple[str, ...] | None = None,
-                     problem: str = "periodic",
-                     warmup_steps: int = 2) -> dict:
-    """Run every requested backend on one problem, side by side.
-
-    ``problem`` names a kind of the problem registry
-    (:mod:`repro.service.registry`), built at ``u_max`` where the kind
-    takes it. ``mrlbm profile --accel compare`` offers ``periodic``
-    (every fast backend takes its lean path; started from the
-    Taylor-Green vortex in 2D and a smooth shear field in 3D, so parity
-    is not measured on a rest state), ``forced-channel`` (the fused
-    Guo-source path), ``power-law`` (the per-node ``tau_field``
-    collision; ``scheme`` is ignored, the solver is MR-P based) and the
-    masked geometries ``cylinder`` and ``porous``, where ``sparse`` steps
-    only the fluid-node list while the dense backends pay for the solid
-    nodes.
-
-    Each backend's MLUPS comes from its own telemetry registry (counted
-    over the row's ``n_fluid`` fluid nodes), and each fast backend's end
-    state is compared against the reference run — the ``max_abs_diff``
-    column is the measured parity, expected at machine precision.
-
-    ``backends=None`` selects every backend of
-    :data:`repro.accel.BACKENDS`.
-
-    Every backend first advances ``warmup_steps`` untimed steps (page
-    faults, lazy buffer allocation, cache fill) so the MLUPS column
-    reflects steady-state throughput; the parity column still compares
-    identical total step counts.
-    """
-    import numpy as np
-
-    from ..accel import BACKENDS
-    from ..lattice import get_lattice
-    from ..service.registry import build_single, get_problem
-
-    lat = get_lattice(lattice)
-    if shape is None:
-        shape = _default_shape(lat.d)
-    if backends is None:
-        backends = BACKENDS
-
-    kind = "taylor-green" if (problem, lat.d) == ("periodic", 2) else problem
-    options = ({"u_max": u_max} if "u_max" in get_problem(kind).options
-               else {})
-    if kind == "periodic":
-        # Smooth deterministic shear field so the run is not a trivial
-        # rest state (throughput is data-independent, parity is not).
-        x = [np.linspace(0.0, 2.0 * np.pi, s, endpoint=False)
-             for s in shape]
-        mesh = np.meshgrid(*x, indexing="ij")
-        u0 = np.zeros((lat.d, *shape))
-        for a in range(lat.d):
-            u0[a] = u_max * np.sin(mesh[(a + 1) % lat.d])
-        options = {"u0": u0}
-
-    rows = []
-    reference_state = None
-    reference_mlups = None
-    for backend in backends:
-        solver = build_single(kind, scheme, lattice, shape, tau=tau,
-                              backend=backend, **options)
-        if warmup_steps > 0:
-            solver.run(int(warmup_steps))
-        tel = Telemetry(record_spans=False)
-        solver.attach_telemetry(tel)
-        solver.run(int(steps))
-        rho, u = solver.macroscopic()
-        state = np.concatenate([rho[None], u])
-        mlups = tel.mlups(solver.domain.n_fluid)
-        if backend == "reference":
-            reference_state = state
-            reference_mlups = mlups
-        diff = (float(np.abs(state - reference_state).max())
-                if reference_state is not None else float("nan"))
-        rows.append({
-            "backend": backend,
-            "n_fluid": int(solver.domain.n_fluid),
-            "mlups": mlups,
-            "speedup": (mlups / reference_mlups)
-            if reference_mlups else float("nan"),
-            "max_abs_diff": diff,
-            "phases": {k: v.to_dict() for k, v in sorted(tel.phases.items())},
-        })
-
-    return {
-        "scheme": "MR-P-PL" if problem == "power-law" else scheme.upper(),
-        "problem": problem,
-        "lattice": lat.name,
-        "shape": list(shape),
-        "tau": tau,
-        "steps": int(steps),
-        "backends": rows,
-    }
-
-
-def format_backend_comparison(result: dict) -> str:
-    """Render one :func:`compare_backends` result as a fixed-width table."""
-    shape = "x".join(str(s) for s in result["shape"])
-    problem = result.get("problem", "periodic")
-    lines = [
-        f"{result['scheme']} / {result['lattice']} on {shape} ({problem}), "
-        f"tau = {result['tau']}, {result['steps']} steps per backend",
-        "",
-        f"  {'backend':<12s} {'MLUPS':>10s} {'speedup':>9s} "
-        f"{'max |diff| vs reference':>25s}",
-    ]
-    for row in result["backends"]:
-        lines.append(
-            f"  {row['backend']:<12s} {row['mlups']:10.3f} "
-            f"{row['speedup']:8.2f}x {row['max_abs_diff']:25.3e}"
-        )
     return "\n".join(lines)

@@ -87,15 +87,7 @@ __all__ = [
 ]
 
 #: Version of the :meth:`RunSpec.fingerprint` encoding, recorded in
-#: checkpoint manifests. Version 1 concatenated key/value reprs with no
-#: separator, so distinct option dicts (``{"x1": 2}`` vs ``{"x": 12}``)
-#: could collide; version 2 length-prefixes every field. Version 3 is
-#: the same encoding of other problems: the ``channel``,
-#: ``forced-channel`` and ``cylinder`` kinds lost their distributed
-#: defaults, so a spec that leaves ``u_max``, ``bc_method`` or
-#: ``outlet_tangential`` unset now names the single-domain problem.
-#: Version 4 is the same encoding of other numbers: the fast cores force
-#: and relax ST in moment space, which rounds differently.
+#: checkpoint manifests; CHANGES.md records why each bump was made.
 #: Resuming a checkpoint written under another version warns and skips
 #: the digest comparison instead of failing it spuriously; the job
 #: server never serves a result sealed under another version.

@@ -23,8 +23,7 @@ momentum-exchange method — the staircase case through
 from the boundary's own link-consistent accumulator.
 
 These cases power the cylinder validation test tier
-(``tests/integration/test_cylinder_validation.py``) and the
-``problem="cylinder"`` mode of :func:`repro.obs.profile.compare_backends`.
+(``tests/integration/test_cylinder_validation.py``).
 """
 
 from __future__ import annotations

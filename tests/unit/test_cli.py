@@ -41,13 +41,13 @@ class TestParser:
 
         parser = build_parser()
         for command, kinds in (("run", problem_kinds()),
-                               ("profile", problem_kinds()),
                                ("sweep", sweep_kinds())):
             for kind in kinds:
                 args = parser.parse_args([command, "--problem", kind])
                 assert args.problem == kind
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--problem", "porous"])
+        for command in ("sweep", "profile"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--problem", "porous"])
 
 
 class TestCommands:
@@ -143,12 +143,16 @@ class TestCommands:
                                          "--accel sparse")
 
     def test_unsupported_accel_exits_2(self, capsys):
-        """The removed ``numba`` backend is rejected by the parser (exit 2)."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "channel", "--scheme", "ST",
-                  "--shape", "24,10", "--steps", "4", "--accel", "numba"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'numba'" in capsys.readouterr().err
+        """A backend the parser does not offer is refused (exit 2): the
+        removed ``numba`` backend, and ``compare`` on ``profile``, whose
+        choices are exactly the backends."""
+        for argv in (["run", "--problem", "channel", "--scheme", "ST",
+                      "--shape", "24,10", "--steps", "4", "--accel", "numba"],
+                     ["profile", "--accel", "compare"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
 
     def test_unsupported_accel_distributed_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,18 +160,6 @@ class TestCommands:
                   "--ranks", "2", "--accel", "numba"])
         assert exc.value.code == 2
         assert "invalid choice: 'numba'" in capsys.readouterr().err
-
-    def test_profile_compare_takes_any_registered_problem(self, mrlbm):
-        out = mrlbm("profile --accel compare --problem channel --scheme MR-P "
-                    "--shape 24,12 --steps 2")
-        assert "(channel)" in out and "fused" in out
-
-    def test_profile_refuses_a_problem_it_would_ignore(self, mrlbm):
-        """Only ``--accel compare`` picks its workload; silently profiling
-        the channel under another kind's name would be a wrong answer."""
-        err = mrlbm("profile --problem porous --no-traffic", rc=2)
-        assert err.count("\n") == 1
-        assert "--problem" in err and "compare" in err
 
     def test_run_vtk_output(self, tmp_path):
         out_file = tmp_path / "final.vtk"

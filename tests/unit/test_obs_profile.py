@@ -8,8 +8,6 @@ from repro.cli import main
 from repro.gpu import MRKernel, STKernel, KernelProblem, MemoryTracker, V100
 from repro.obs import Telemetry, format_profile, profile_scheme
 
-from test_conformance import tolerance
-
 
 class TestKernelTelemetry:
     def _problem(self):
@@ -119,55 +117,13 @@ class TestCLI:
         assert s.telemetry is NULL_TELEMETRY
 
 
-class TestBackendComparison:
-    def test_compare_backends_rows(self):
-        from repro.obs import compare_backends, format_backend_comparison
-
-        result = compare_backends("MR-P", "D2Q9", shape=(20, 14), steps=4)
-        names = [row["backend"] for row in result["backends"]]
-        assert names[0] == "reference" and "fused" in names
-        rows = {row["backend"]: row for row in result["backends"]}
-        assert rows["fused"]["max_abs_diff"] <= tolerance(steps=4)
-        assert rows["reference"]["max_abs_diff"] == 0.0
-        assert all(row["mlups"] > 0 for row in result["backends"])
-        # Each backend carries its own per-phase telemetry breakdown.
-        assert "step" in rows["fused"]["phases"]
-        text = format_backend_comparison(result)
-        assert "speedup" in text and "fused" in text
-        json.dumps(result["backends"][0]["phases"])   # serializable
-
+class TestAccelFlag:
     def test_profile_accel_flag(self, capsys):
         rc = main(["profile", "--scheme", "MR-P", "--lattice", "D2Q9",
                    "--shape", "24,14", "--steps", "4", "--accel", "fused"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "backend = fused" in out
-
-    def test_profile_compare_mode(self, capsys):
-        rc = main(["profile", "--shape", "20,12", "--steps", "3",
-                   "--accel", "compare"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-
-    def test_compare_backends_cylinder_problem(self):
-        from repro.obs import compare_backends
-
-        result = compare_backends("MR-R", "D2Q9", shape=(48, 26), steps=4,
-                                  problem="cylinder")
-        rows = {row["backend"]: row for row in result["backends"]}
-        assert "sparse" in rows
-        assert rows["sparse"]["max_abs_diff"] <= tolerance(steps=4)
-        assert rows["fused"]["max_abs_diff"] <= tolerance(steps=4)
-
-    def test_profile_compare_cylinder_cli(self, capsys):
-        """CLI smoke test: backend comparison on the cylinder problem."""
-        rc = main(["profile", "--scheme", "MR-P", "--lattice", "D2Q9",
-                   "--shape", "32,18", "--steps", "3", "--accel", "compare",
-                   "--problem", "cylinder"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "sparse" in out
 
     def test_run_accel_flag(self, capsys):
         rc = main(["run", "--scheme", "MR-P", "--shape", "20,12",
