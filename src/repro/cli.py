@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=int, default=2, metavar="N",
                      help="number of jobs run concurrently (default 2)")
     srv.add_argument("--run-timeout", type=float, default=None,
-                     metavar="S", help="per-attempt wall-clock timeout "
-                     "forwarded to the process runtime")
+                     metavar="S", help="per-job wall-clock timeout: a job "
+                     "past it fails and its job process is replaced")
 
     sbm = sub.add_parser(
         "submit", help="submit a job to a running 'mrlbm serve' server")
@@ -483,7 +483,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_manifest(mpath, solver, problem=args.problem, u_max=args.u_max,
                        bc=args.bc, accel=args.accel,
                        backend=backend or "single", ranks=args.ranks,
-                       command="mrlbm run")
+                       command="mrlbm run", **({"blas_threads": [
+                           r["blas_threads"] for r in result.per_rank]}
+                           if runtime else {}))
         print(f"wrote {mpath}")
     return 0
 
@@ -515,6 +517,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for i, scheme in enumerate(schemes):
         if i:
             print()
+        if scheme == "AA" and args.accel != "reference":
+            note = (f"the AA scheme has no --accel {args.accel}; profile it "
+                    f"with --accel reference")
+            if len(schemes) == 1:
+                print(f"ERROR: {note}", file=sys.stderr)
+                return 2
+            print(f"AA: skipped ({note})")
+            continue
         result = profile_scheme(scheme, lattice=args.lattice,
                                 shape=args.shape, steps=args.steps,
                                 tau=args.tau, device=args.device,

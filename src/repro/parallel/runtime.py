@@ -91,7 +91,7 @@ __all__ = [
 #: Resuming a checkpoint written under another version warns and skips
 #: the digest comparison instead of failing it spuriously; the job
 #: server never serves a result sealed under another version.
-FINGERPRINT_VERSION = 4
+FINGERPRINT_VERSION = 5
 
 
 @dataclass(frozen=True)

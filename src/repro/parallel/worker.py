@@ -78,6 +78,7 @@ from ..loop import Cadences, Sinks, run_loop
 from ..obs import Telemetry
 from ..obs.events import EventStream, RunEventEmitter
 from ..obs.manifest import RunManifest
+from .blas import share_cores
 from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
 from .runtime import FINGERPRINT_VERSION, RunSpec, SharedBlocks
@@ -134,6 +135,7 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
     """
     tel = None
     try:
+        blas_threads = share_cores(spec.n_ranks)
         decomp = solver.decomp
         state = solver.rank(rank)
         interior = solver.interior(rank)
@@ -198,7 +200,8 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
                 start_step=start_step, telemetry=tel, n_fluid=n_fluid)
             sinks.events.start(pid=os.getpid(), scheme=solver.scheme,
                                lattice=solver.lat.name, accel=solver.accel,
-                               n_fluid=n_fluid, resumed=bool(resume_dir))
+                               n_fluid=n_fluid, resumed=bool(resume_dir),
+                               blas_threads=blas_threads)
         run_loop(exchange_and_step, look, start_step, n_steps,
                  Cadences(checkpoint=int(spec.checkpoint_every or 0),
                           watchdog=int(spec.watchdog_every or 0)),
@@ -216,6 +219,7 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
             "start_step": start_step,
             "attempt": attempt,
             "n_fluid": n_fluid,
+            "blas_threads": blas_threads,
             "wall_s": tel.phase_total("step"),
             "exchange_wait_s": tel.phase_total("step/barrier"),
             "comm": comm.to_dict(),

@@ -9,11 +9,14 @@ service (ROADMAP open item 2):
     engine and the job server, replacing the open-coded dispatch that
     each entry point used to duplicate.
 :mod:`repro.service.jobs`
-    The job model and scheduler: a bounded worker pool multiplexing
-    queued :class:`~repro.parallel.runtime.RunSpec` jobs over the
-    fault-tolerant :class:`~repro.parallel.runtime.ProcessRuntime`, with
+    The job model and scheduler: a bounded pool of workers running
+    queued :class:`~repro.parallel.runtime.RunSpec` jobs, with
     fingerprint-keyed dedup serving repeat submissions from sealed
     result manifests.
+:mod:`repro.service.jobproc`
+    The warm job process each worker owns: a one-rank job is a
+    single-domain run in place, every other job goes through the
+    fault-tolerant :class:`~repro.parallel.runtime.ProcessRuntime`.
 :mod:`repro.service.server`
     ``mrlbm serve`` — a stdlib-only asyncio HTTP server (TCP or Unix
     socket) exposing submit / list / status / result / event-stream

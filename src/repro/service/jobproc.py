@@ -1,0 +1,303 @@
+"""Job processes: where a served job runs.
+
+Every worker of the :class:`~repro.service.jobs.JobScheduler` pool owns
+one long-lived *job process*, forked when the scheduler starts (before
+the server binds its socket, and before any job runs) and kept warm from
+job to job. The worker sends a job over a pipe and awaits the reply on
+the event loop; the job process runs it to its sealed directory
+(``_execute``) and answers ``("done", result)`` or ``("failed",
+"Type: message")``.
+
+Inside the job process a job takes one of two routes:
+
+* a one-rank job without ``max_restarts``, ``fault`` or
+  ``checkpoint_every`` is a single-domain run in place — the problem's
+  :func:`~repro.service.registry.build_single` solver stepped by
+  :func:`repro.loop.run_loop`, its events on ``events-rank0000.jsonl``
+  like a rank's: no ghost planes, no barrier, no fork;
+* every other job runs through
+  :class:`~repro.parallel.runtime.ProcessRuntime`, whose ranks fork from
+  the single-threaded job process.
+
+A job process leads its own process group, so one ``killpg`` stops it
+together with any cohort it forked: on a run timeout (the job fails and
+a new job process replaces the old one), at :meth:`JobProcess.stop` and
+at interpreter exit. A job process that dies mid-job fails that job and
+is replaced as well. It sets its BLAS threads to its share of the cores
+(:func:`repro.parallel.blas.share_cores` over the pool's workers).
+"""
+
+from __future__ import annotations
+
+import asyncio
+import atexit
+import ctypes
+import dataclasses
+import json
+import multiprocessing as mp
+import multiprocessing.util  # noqa: F401  (its exit hook joins children)
+import os
+import signal
+import stat
+import time
+import weakref
+
+from ..io.snapshots import save_archive
+from ..obs.manifest import RunManifest
+from ..parallel.blas import share_cores
+from ..parallel.runtime import FINGERPRINT_VERSION
+
+__all__ = ["JobProcess"]
+
+_LIVE: "weakref.WeakSet[JobProcess]" = weakref.WeakSet()
+
+
+@atexit.register
+def _stop_all() -> None:
+    """Stop every job process still running when the interpreter exits.
+
+    Registered after :mod:`multiprocessing.util`'s own exit hook, so it
+    runs first: that hook joins non-daemon children, and an idle job
+    process would wait on its pipe for ever.
+    """
+    for handle in list(_LIVE):
+        handle.stop()
+
+
+class JobProcess:
+    """The server's handle of one job process (see the module docstring).
+
+    ``workers`` is the pool width the job process shares the cores with.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = max(int(workers), 1)
+        self._fork()
+
+    def _fork(self) -> None:
+        ctx = mp.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve,
+                                args=(child, self.workers, os.getpid()),
+                                name="mrlbm-job-process")
+        self.proc.start()
+        child.close()
+        try:
+            os.setpgid(self.proc.pid, self.proc.pid)
+        except OSError:
+            pass                # the child got there first
+        # Readable once the job process ends — its pipe need not report
+        # EOF then: the ranks it forked hold its end.
+        try:
+            self._ended = os.pidfd_open(self.proc.pid)
+        except (AttributeError, OSError):   # pragma: no cover - not Linux
+            self._ended = os.dup(self.proc.sentinel)
+        _LIVE.add(self)
+
+    @property
+    def pid(self) -> int:
+        """The job process's pid (its process group's id too)."""
+        return self.proc.pid
+
+    def stop(self) -> None:
+        """SIGKILL the job process's group (its cohort too); reap it."""
+        _LIVE.discard(self)
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except OSError:
+            self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+        os.close(self._ended)
+
+    async def run(self, job, timeout: float | None) -> tuple[str, object]:
+        """Run ``job`` in the job process; ``(state, result or error)``.
+
+        Past ``timeout`` seconds, or when the job process dies mid-job,
+        the job fails with a structured error and a fresh job process
+        replaces this one.
+        """
+        if not self.proc.is_alive():
+            self.stop()
+            self._fork()
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        watched = (self.conn.fileno(), self._ended)
+        try:
+            self.conn.send(job)
+            for fd in watched:
+                loop.add_reader(fd, lambda: ready.done()
+                                or ready.set_result(0))
+            try:
+                await asyncio.wait_for(ready, timeout)
+            finally:
+                for fd in watched:
+                    loop.remove_reader(fd)
+            if not self.conn.poll():
+                raise EOFError      # it ended without a reply
+            return self.conn.recv()
+        except asyncio.TimeoutError:
+            error = (f"TimeoutError: the job ran past the run timeout of "
+                     f"{timeout:g} s; its job process was killed")
+        except (EOFError, OSError):
+            self.proc.join(1.0)
+            error = (f"JobProcessDied: the job process (pid {self.pid}) "
+                     f"ended mid-job, exit code {self.proc.exitcode}")
+        self.stop()
+        self._fork()
+        return "failed", f"{error} and replaced"
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a fork handed down but ``keep``.
+
+    A job process forked after the server bound its socket (a
+    replacement) must not hold it, nor a client connection — a client
+    reading an event stream to EOF would wait for it — nor another job
+    process's pipe, nor the server's end of its own.
+    """
+    try:
+        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except OSError:             # pragma: no cover - no procfs
+        return
+    for fd in fds:
+        try:
+            if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass
+
+
+def _die_with(server_pid: int) -> None:
+    """End this process's group when the server ends, however it ends.
+
+    An idle job process sees the end of its pipe anyway; this also stops
+    one that is mid-job, with its cohort: the kernel sends SIGTERM when
+    the server dies (Linux), and the handler SIGKILLs the whole group.
+    """
+    group = os.getpid()                 # it leads its own process group
+    signal.signal(signal.SIGTERM, lambda *_: os.killpg(group, signal.SIGKILL))
+    os.register_at_fork(after_in_child=lambda: signal.signal(
+        signal.SIGTERM, signal.SIG_DFL))     # a rank's own SIGTERM is its own
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):   # pragma: no cover - not Linux
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(1, signal.SIGTERM) == 0 and os.getppid() != server_pid:
+        os.killpg(group, signal.SIGKILL)    # PR_SET_PDEATHSIG came too late
+
+
+def _serve(conn, workers: int, server_pid: int) -> None:
+    """Job-process main loop: run each job received on ``conn`` until EOF."""
+    try:
+        os.setpgid(0, 0)
+    except OSError:
+        pass
+    _die_with(server_pid)
+    try:
+        signal.set_wakeup_fd(-1)    # may name a socket closed below
+    except (ValueError, OSError):
+        pass
+    _close_inherited_sockets(keep=conn.fileno())
+    blas_threads = share_cores(workers)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return                  # the server is gone
+        try:
+            reply = "done", _execute(job, blas_threads)
+        except Exception as exc:
+            reply = "failed", f"{type(exc).__name__}: {exc}"
+        conn.send(reply)
+
+
+def _runs_here(spec) -> bool:
+    """Whether a job is a single-domain run in the job process itself."""
+    return spec.n_ranks == 1 and not (spec.max_restarts or spec.fault
+                                      or spec.checkpoint_every)
+
+
+def _run_here(spec, n_steps: int, job_dir, blas_threads):
+    """A one-rank job as a single-domain run: ``(rho, u, wall, mlups)``."""
+    from ..loop import Cadences, Sinks, run_loop
+    from ..obs import Telemetry
+    from ..obs.events import EventStream, RunEventEmitter
+    from .registry import build_single
+
+    solver = build_single(spec.kind, spec.scheme, spec.lattice,
+                          tuple(spec.shape), tau=spec.tau,
+                          backend=spec.accel, **spec.options)
+    tel = Telemetry(record_spans=False)
+    solver.attach_telemetry(tel)
+    fluid = solver.domain.fluid_mask
+    n_fluid = int(fluid.sum())
+    events = RunEventEmitter(
+        EventStream(job_dir, rank=0), every=spec.events_every or 25,
+        n_steps=n_steps, telemetry=tel, n_fluid=n_fluid)
+    events.start(pid=os.getpid(), scheme=spec.scheme, lattice=spec.lattice,
+                 accel=spec.accel, n_fluid=n_fluid, resumed=False,
+                 blas_threads=blas_threads)
+
+    def step():
+        solver.step()
+        solver.time += 1
+
+    run_loop(step, lambda: (*solver.macroscopic(), fluid), 0, n_steps,
+             Cadences(watchdog=int(spec.watchdog_every or 0)),
+             Sinks(telemetry=tel, events=events),
+             {"scheme": spec.scheme, "lattice": spec.lattice})
+    rho, u = solver.macroscopic()
+    return rho, u, tel.phase_total("step"), tel.mlups(n_fluid)
+
+
+def _execute(job, blas_threads: int | str) -> dict:
+    """Run one job to completion and seal its directory (job process)."""
+    spec = job.spec
+    assert spec is not None
+    job.dir.mkdir(parents=True, exist_ok=True)
+    restarts = 0
+    if _runs_here(spec):
+        rho, u, wall, mlups = _run_here(spec, job.n_steps, job.dir,
+                                        blas_threads)
+    else:
+        from ..parallel.runtime import ProcessRuntime
+
+        outcome = ProcessRuntime(dataclasses.replace(
+            spec, events_dir=str(job.dir),
+            checkpoint_dir=(str(job.dir / "ckpt") if spec.checkpoint_every
+                            else spec.checkpoint_dir))).run(job.n_steps)
+        rho, u, wall = outcome.rho, outcome.u, outcome.wall_s
+        mlups, restarts = outcome.report.get("mlups", 0.0), outcome.restarts
+
+    save_archive(job.dir / "fields.npz", rho=rho, u=u)
+    fingerprint = spec.fingerprint()
+    result = {
+        "job_key": job.key,
+        "fingerprint": fingerprint,
+        "fingerprint_version": FINGERPRINT_VERSION,
+        "spec": {
+            "kind": spec.kind, "scheme": spec.scheme,
+            "lattice": spec.lattice, "shape": list(spec.shape),
+            "n_ranks": spec.n_ranks, "tau": spec.tau,
+            "accel": spec.accel,
+        },
+        "steps": job.n_steps,
+        "restarts": restarts,
+        "wall_s": wall,
+        "mlups": mlups,
+        "fields": "fields.npz",
+        "finished_unix": time.time(),
+    }
+    (job.dir / "result.json").write_text(
+        json.dumps(result, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    RunManifest.from_run_spec(
+        spec, job.n_steps, kind=spec.kind, n_ranks=spec.n_ranks,
+        fingerprint=fingerprint, fingerprint_version=FINGERPRINT_VERSION,
+        job_key=job.key, mlups=mlups, blas_threads=blas_threads,
+    ).write(job.dir / "manifest.json")
+    (job.dir / "COMPLETE").write_text("sealed\n", encoding="utf-8")
+    return result

@@ -1,12 +1,14 @@
-"""Job model and scheduler: a bounded pool over the fault-tolerant runtime.
+"""Job model and scheduler: a bounded pool of warm job processes.
 
 A *job* is one :class:`~repro.parallel.runtime.RunSpec` plus a step
 count. The :class:`JobScheduler` queues submitted jobs and multiplexes
-them over a bounded worker pool — each worker drives one blocking
-:class:`~repro.parallel.runtime.ProcessRuntime` run in a thread, so a
-job transparently inherits the runtime's checkpointing, supervised
-retry and watchdog machinery. Every job gets its own directory under
-the scheduler root holding the per-rank event streams (tailed by the
+them over a bounded worker pool — each worker owns one long-lived job
+process (:mod:`repro.service.jobproc`) that runs a one-rank job as a
+single-domain run in place and every other job through the
+fault-tolerant :class:`~repro.parallel.runtime.ProcessRuntime`, so such
+a job inherits the runtime's checkpointing, supervised retry and
+watchdog machinery. Every job gets its own directory under the
+scheduler root holding the per-rank event streams (tailed by the
 server's ``/jobs/<id>/events``), the gathered fields, a manifest and a
 ``COMPLETE`` seal.
 
@@ -23,17 +25,14 @@ one, so the cache survives restarts.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..io.snapshots import save_archive
-from ..obs.manifest import RunManifest
 from ..parallel.runtime import FINGERPRINT_VERSION, RunSpec
+from .jobproc import JobProcess
 
 __all__ = ["Job", "JobScheduler", "job_key", "spec_from_dict"]
 
@@ -159,22 +158,18 @@ class JobScheduler:
         results so the dedup cache survives restarts.
     workers:
         Worker-pool width: how many jobs run concurrently. Each worker
-        occupies one thread driving a blocking ProcessRuntime run (the
-        run's rank processes parallelize beneath it).
+        owns one job process (a process run's ranks fork beneath it).
     run_timeout:
-        Per-job wall-clock budget in seconds forwarded to
-        :meth:`ProcessRuntime.run` (``None`` = unbounded).
+        Per-job wall-clock budget in seconds (``None`` = unbounded): a
+        job past it fails, and its job process — with any cohort it
+        forked — is killed and replaced.
 
     Notes
     -----
-    All public methods must be called from the event-loop thread; only
-    the private ``_execute`` body runs in job threads, and it touches
-    no scheduler state. Jobs run on *dedicated* ``threading.Thread``s
-    (one per running job, bounded by the worker coroutines), never on a
-    ``ThreadPoolExecutor``: the runtime forks its rank processes from
-    the executing thread, and a child forked from a pool thread dies at
-    interpreter shutdown when ``concurrent.futures``' atexit hook tries
-    to join what is now the child's own main thread.
+    All public methods must be called from the event-loop thread. The
+    job processes are forked in :meth:`start`, before any job runs and
+    before a server binds its socket; a job's execution touches no
+    scheduler state.
     """
 
     def __init__(self, root: str | Path, workers: int = 2,
@@ -187,20 +182,23 @@ class JobScheduler:
         self._by_key: dict[str, Job] = {}
         self._queue: asyncio.Queue[Job] | None = None
         self._tasks: list[asyncio.Task] = []
+        self._procs: list[JobProcess] = []
         self._next_id = 1
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "JobScheduler":
-        """Create the root, re-adopt sealed jobs, start the worker pool."""
+        """Create the root, re-adopt sealed jobs, fork the job processes."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._rescan()
         self._queue = asyncio.Queue()
-        self._tasks = [asyncio.create_task(self._worker(), name=f"job-w{i}")
-                       for i in range(self.workers)]
+        self._procs = [JobProcess(self.workers) for _ in range(self.workers)]
+        self._tasks = [asyncio.create_task(self._worker(proc),
+                                           name=f"job-w{i}")
+                       for i, proc in enumerate(self._procs)]
         return self
 
     async def close(self) -> None:
-        """Cancel the worker tasks (running job threads finish detached)."""
+        """Cancel the workers; kill the job processes and their cohorts."""
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -209,6 +207,14 @@ class JobScheduler:
             except (asyncio.CancelledError, Exception):
                 pass
         self._tasks = []
+        for proc in self._procs:
+            proc.stop()
+        self._procs = []
+
+    @property
+    def job_pids(self) -> list[int]:
+        """The pids of the pool's job processes, one per worker."""
+        return [proc.pid for proc in self._procs]
 
     def _rescan(self) -> None:
         """Re-adopt sealed job directories left by a previous scheduler.
@@ -217,8 +223,10 @@ class JobScheduler:
         current one are trusted as cache entries — a sealed directory
         from before the fingerprint fix would otherwise serve a result
         keyed by a colliding digest, one from before version 3 a
-        result of another problem, and one from before version 4 numbers
-        the current cores round differently. A directory not adopted
+        result of another problem, one from before version 4 numbers
+        the current cores round differently, and one from before version
+        5 a one-rank job stepped on a ghosted slab, not as the single
+        domain it now is. A directory not adopted
         keeps its id: a new job never writes into it.
         """
         for complete in sorted(self.root.glob("job-*/COMPLETE")):
@@ -281,86 +289,23 @@ class JobScheduler:
         return [self.jobs[k] for k in sorted(self.jobs)]
 
     # -- execution -----------------------------------------------------
-    async def _run_in_thread(self, job: Job) -> dict:
-        """Run ``_execute(job)`` on a dedicated thread; await its outcome."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-
-        def target() -> None:
-            """Job-thread body: run, then post the outcome to the loop."""
-            try:
-                outcome = self._execute(job)
-            except BaseException as exc:
-                result, value = future.set_exception, exc
-            else:
-                result, value = future.set_result, outcome
-            try:
-                loop.call_soon_threadsafe(result, value)
-            except RuntimeError:
-                pass                        # loop already closed
-
-        threading.Thread(target=target, name=f"mrlbm-{job.id}",
-                         daemon=True).start()
-        return await future
-
-    async def _worker(self) -> None:
-        """One pool worker: drain the queue, run each job on its thread."""
+    async def _worker(self, proc: JobProcess) -> None:
+        """One pool worker: drain the queue, run each job in its process."""
         assert self._queue is not None
         while True:
             job = await self._queue.get()
             job.state = "running"
             job.started_unix = time.time()
             try:
-                job.result = await self._run_in_thread(job)
-                job.state = "done"
-                self.runs_executed += 1
+                state, outcome = await proc.run(job, self.run_timeout)
             except Exception as exc:
-                job.state = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
+                state, outcome = "failed", f"{type(exc).__name__}: {exc}"
             finally:
-                job.finished_unix = time.time()
                 self._queue.task_done()
-
-    def _execute(self, job: Job) -> dict:
-        """Run one job to completion and seal its directory (pool thread)."""
-        from ..parallel.runtime import ProcessRuntime
-
-        spec = job.spec
-        assert spec is not None
-        job.dir.mkdir(parents=True, exist_ok=True)
-        run_spec = dataclasses.replace(
-            spec, events_dir=str(job.dir),
-            checkpoint_dir=(str(job.dir / "ckpt") if spec.checkpoint_every
-                            else spec.checkpoint_dir))
-        runtime = ProcessRuntime(run_spec)
-        outcome = runtime.run(job.n_steps, run_timeout=self.run_timeout)
-
-        save_archive(job.dir / "fields.npz", rho=outcome.rho, u=outcome.u)
-        fingerprint = spec.fingerprint()
-        result = {
-            "job_key": job.key,
-            "fingerprint": fingerprint,
-            "fingerprint_version": FINGERPRINT_VERSION,
-            "spec": {
-                "kind": spec.kind, "scheme": spec.scheme,
-                "lattice": spec.lattice, "shape": list(spec.shape),
-                "n_ranks": spec.n_ranks, "tau": spec.tau,
-                "accel": spec.accel,
-            },
-            "steps": outcome.steps,
-            "restarts": outcome.restarts,
-            "wall_s": outcome.wall_s,
-            "mlups": outcome.report.get("mlups", 0.0),
-            "fields": "fields.npz",
-            "finished_unix": time.time(),
-        }
-        (job.dir / "result.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        RunManifest.from_run_spec(
-            spec, outcome.steps, kind=spec.kind, n_ranks=spec.n_ranks,
-            fingerprint=fingerprint, fingerprint_version=FINGERPRINT_VERSION,
-            job_key=job.key, mlups=result["mlups"],
-        ).write(job.dir / "manifest.json")
-        (job.dir / "COMPLETE").write_text("sealed\n", encoding="utf-8")
-        return result
+            job.finished_unix = time.time()
+            if state == "done":
+                job.result = outcome
+                self.runs_executed += 1
+            else:
+                job.error = outcome
+            job.state = state

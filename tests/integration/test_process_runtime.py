@@ -19,6 +19,7 @@ import pytest
 
 from repro.parallel import (
     ParallelRuntimeError,
+    blas,
     ProcessRuntime,
     RunSpec,
     run_process,
@@ -127,6 +128,15 @@ class TestMergedReport:
         merged = result.report["phases"]
         assert merged["step/compute/collide"]["calls"] == steps * ranks
         assert merged["step/compute"]["calls"] == steps * ranks
+
+    def test_two_ranks_on_two_cores_run_one_blas_thread_each(self,
+                                                             monkeypatch):
+        if blas.share_cores(1) == blas.NO_SETTER:
+            pytest.skip(blas.NO_SETTER)
+        monkeypatch.setattr(blas, "_cores", lambda: 2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        result = run_process(RunSpec("periodic", "ST", "D2Q9", (24, 10), 2), 2)
+        assert [rep["blas_threads"] for rep in result.per_rank] == [1, 1]
 
     def test_solver_time_and_comm_advance(self):
         spec = RunSpec("periodic", "ST", "D2Q9", (24, 10), 2, tau=0.8)

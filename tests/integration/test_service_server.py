@@ -1,6 +1,6 @@
 """End-to-end tests for the async job server (``mrlbm serve``).
 
-The server runs on a dedicated event-loop thread (the suite has no
+The server runs on an event-loop thread of its own (the suite has no
 async test runner) and the blocking :class:`ServiceClient` — the same
 one behind ``mrlbm submit``/``jobs`` — talks to it over a real TCP
 socket, so these tests cover the full wire path: HTTP parsing, payload
@@ -9,57 +9,44 @@ streaming.
 """
 
 import asyncio
+import contextlib
 import json
+import os
+import signal
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.obs import read_events
 from repro.parallel.runtime import FINGERPRINT_VERSION
-from repro.service import JobScheduler, JobServer, ServiceClient, ServiceError
+from repro.service import (JobScheduler, JobServer, ServiceClient,
+                           ServiceError, build_single)
 
 
-class ServerThread:
-    """A JobServer + scheduler running on its own event-loop thread."""
+@contextlib.contextmanager
+def serving(root, workers=2, run_timeout=None):
+    """A JobServer and its scheduler on an event-loop thread of their own."""
+    server = JobServer(JobScheduler(root, workers, run_timeout), port=0)
+    up = threading.Event()
 
-    def __init__(self, root, workers=2):
-        self.root = root
-        self.workers = workers
-        self.address = None
-        self.scheduler = None
-        self._thread = None
+    async def main():
+        await server.start()
+        up.set()
+        await server.serve_forever()
+        await server.close()
 
-    def __enter__(self):
-        started = threading.Event()
-
-        def runner():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-
-            async def main():
-                self.scheduler = JobScheduler(self.root,
-                                              workers=self.workers)
-                server = JobServer(self.scheduler, port=0)
-                await server.start()
-                self.address = server.address
-                started.set()
-                await server.serve_forever()
-                await server.close()
-
-            loop.run_until_complete(main())
-            loop.close()
-
-        self._thread = threading.Thread(target=runner, daemon=True)
-        self._thread.start()
-        assert started.wait(10), "server failed to start"
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            ServiceClient(self.address, timeout=5).shutdown()
-        except Exception:
-            pass
-        self._thread.join(60)
+    thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    thread.start()
+    assert up.wait(10), "server failed to start"
+    try:
+        yield server
+    finally:
+        with contextlib.suppress(Exception):
+            ServiceClient(server.address, timeout=5).shutdown()
+        thread.join(60)
 
 
 def payload(**overrides):
@@ -75,25 +62,33 @@ class TestLifecycle:
     """submit -> poll -> result, and the sealed job directory."""
 
     def test_submit_poll_result(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        """A one-rank job is the single-domain run, stepped in the job
+        process itself: its sealed fields are that run's, bit for bit."""
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             assert client.health()["ok"]
             reply = client.submit(payload())
-            assert reply["created"] is True
-            assert reply["job"]["state"] in ("queued", "running")
+            assert reply["created"] is True and reply["job"]["state"] in (
+                "queued", "running")
             job = client.wait(reply["job"]["id"], timeout_s=120)
             assert job["state"] == "done"
             result = client.result(job["id"])["result"]
-            assert result["steps"] == 40
-            assert result["mlups"] > 0
+            assert result["steps"] == 40 and result["mlups"] > 0
             job_dir = tmp_path / "jobs" / job["id"]
             assert (job_dir / "COMPLETE").exists()
-            assert (job_dir / "manifest.json").exists()
-            fields = np.load(job_dir / "fields.npz")
-            assert np.all(np.isfinite(fields["u"]))
+            assert json.loads((job_dir / "manifest.json").read_text())[
+                "extra"]["blas_threads"]
+            starts = [e["pid"] for e in client.events(job["id"])
+                      if e["kind"] == "start"]
+            assert len(starts) == 1 and starts[0] in srv.scheduler.job_pids
+        sealed = np.load(job_dir / "fields.npz")
+        solver = build_single("forced-channel", "MR-P", "D2Q9", (24, 14),
+                              u_max=0.03).run(40)
+        assert np.array_equal(sealed["rho"], solver.macroscopic()[0])
+        assert np.array_equal(sealed["u"], solver.macroscopic()[1])
 
     def test_result_conflicts_until_done(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             job = client.submit(payload(steps=200))["job"]
             if client.job(job["id"])["state"] in ("queued", "running"):
@@ -104,7 +99,7 @@ class TestLifecycle:
             assert client.result(job["id"])["result"]["steps"] == 200
 
     def test_kinds_endpoint(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             kinds = ServiceClient(srv.address).kinds()
             assert "forced-channel" in kinds and "cylinder" in kinds
 
@@ -113,7 +108,7 @@ class TestValidation:
     """Bad submissions come back as HTTP 400, not server errors."""
 
     def test_unknown_kind_400(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             with pytest.raises(ServiceError) as err:
                 ServiceClient(srv.address).submit(
                     payload(kind="no-such-problem"))
@@ -126,7 +121,7 @@ class TestValidation:
         scheme or backend, a shape of the wrong dimension or a rank count
         the grid cannot be cut into is refused at submit: no job record,
         no job directory that a later scan could adopt."""
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             for bad, text in [
                     (payload(kind="porous", options={"u_max": 0.05}),
@@ -156,22 +151,23 @@ class TestValidation:
             assert not list((tmp_path / "jobs").glob("job-*"))
 
     def test_unknown_field_400(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             with pytest.raises(ServiceError) as err:
                 ServiceClient(srv.address).submit(payload(typo_field=1))
             assert err.value.status == 400
             assert "typo_field" in str(err.value)
 
     def test_missing_steps_400(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             bad = payload()
             del bad["steps"]
             with pytest.raises(ServiceError) as err:
                 ServiceClient(srv.address).submit(bad)
             assert err.value.status == 400
+            assert "steps must be a positive integer, got 0" in str(err.value)
 
     def test_unknown_job_404(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             with pytest.raises(ServiceError) as err:
                 ServiceClient(srv.address).job("job-999999")
             assert err.value.status == 404
@@ -181,7 +177,7 @@ class TestDedupAndConcurrency:
     """Fingerprint dedup and the bounded worker pool."""
 
     def test_identical_resubmission_served_from_cache(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             first = client.submit(payload())
             client.wait(first["job"]["id"], timeout_s=120)
@@ -194,15 +190,14 @@ class TestDedupAndConcurrency:
             assert client.health()["runs_executed"] == 1
 
     def test_different_steps_not_coalesced(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             a = client.submit(payload(steps=40))["job"]
             b = client.submit(payload(steps=80))["job"]
-            assert a["id"] != b["id"]
-            assert a["key"] != b["key"]
+            assert a["id"] != b["id"] and a["key"] != b["key"]
 
     def test_two_concurrent_jobs_two_workers(self, tmp_path):
-        with ServerThread(tmp_path / "jobs", workers=2) as srv:
+        with serving(tmp_path / "jobs", workers=2) as srv:
             client = ServiceClient(srv.address)
             a = client.submit(payload(steps=300))["job"]
             b = client.submit(payload(scheme="ST", steps=300))["job"]
@@ -216,11 +211,11 @@ class TestDedupAndConcurrency:
 
     def test_cache_survives_scheduler_restart(self, tmp_path):
         root = tmp_path / "jobs"
-        with ServerThread(root) as srv:
+        with serving(root) as srv:
             client = ServiceClient(srv.address)
             first = client.submit(payload())
             client.wait(first["job"]["id"], timeout_s=120)
-        with ServerThread(root) as srv:
+        with serving(root) as srv:
             client = ServiceClient(srv.address)
             reply = client.submit(payload())
             assert reply["created"] is False
@@ -230,47 +225,54 @@ class TestDedupAndConcurrency:
             assert client.result(reply["job"]["id"])["result"]["steps"] == 40
 
     def test_result_sealed_under_another_version_is_not_served(self, tmp_path):
-        """A v3 seal holds numbers the v4 cores round differently (v3
-        also dropped the kinds' distributed defaults): after a restart the
-        resubmission runs."""
+        """The cache survives a restart, but only what the current version
+        sealed: a v4 seal holds a one-rank job stepped on a ghosted slab,
+        which v5 steps as a single domain, so that resubmission runs."""
         root = tmp_path / "jobs"
-        with ServerThread(root) as srv:
+        with serving(root) as srv:
             client = ServiceClient(srv.address)
-            first = client.submit(payload())["job"]
-            client.wait(first["id"], timeout_s=120)
-        sealed = root / first["id"] / "result.json"
+            first, old = (client.submit(payload(steps=n))["job"]
+                          for n in (40, 60))
+            for job in (first, old):
+                client.wait(job["id"], timeout_s=120)
+        sealed = root / old["id"] / "result.json"
         result = json.loads(sealed.read_text())
-        sealed.write_text(json.dumps({**result, "fingerprint_version": 3}))
-        with ServerThread(root) as srv:
+        sealed.write_text(json.dumps({**result, "fingerprint_version": 4}))
+        with serving(root) as srv:
             client = ServiceClient(srv.address)
-            reply = client.submit(payload())
-            assert reply["created"] is True
-            assert reply["job"]["id"] != first["id"]
-            done = client.wait(reply["job"]["id"], timeout_s=120)
+            cached, rerun = (client.submit(payload(steps=n)) for n in (40, 60))
+            assert not cached["created"] and cached["job"]["id"] == first["id"]
+            assert client.result(first["id"])["result"]["steps"] == 40
+            assert rerun["created"] and rerun["job"]["id"] != old["id"]
+            done = client.wait(rerun["job"]["id"], timeout_s=120)
             assert done["state"] == "done"
             assert client.health()["runs_executed"] == 1
             assert client.result(done["id"])["result"][
-                "fingerprint_version"] == FINGERPRINT_VERSION == 4
+                "fingerprint_version"] == FINGERPRINT_VERSION == 5
 
 
 class TestFaultTolerance:
     """Jobs inherit the runtime's supervised retry."""
 
     def test_worker_death_retried_from_checkpoint(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        """A job with ``max_restarts`` runs through the process runtime
+        on one rank as on two: a killed rank restarts from a checkpoint."""
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
-            job = client.submit(payload(
-                n_ranks=2, steps=20, checkpoint_every=8, max_restarts=2,
-                fault={"rank": 1, "step": 12, "kind": "kill",
-                       "attempt": 0}))["job"]
-            done = client.wait(job["id"], timeout_s=180)
-            assert done["state"] == "done", done
-            result = client.result(job["id"])["result"]
-            assert result["restarts"] == 1
-            assert result["steps"] == 20
+            jobs = [client.submit(payload(
+                n_ranks=n, steps=20, checkpoint_every=8, max_restarts=2,
+                options={"u_max": 0.03 + n / 1000},
+                fault={"rank": n - 1, "step": 12, "kind": "kill",
+                       "attempt": 0}))["job"] for n in (1, 2)]
+            for job in jobs:
+                done = client.wait(job["id"], timeout_s=180)
+                assert done["state"] == "done", done
+                result = client.result(job["id"])["result"]
+                assert result["restarts"] == 1
+                assert result["steps"] == 20
 
     def test_permanent_failure_reported_and_retryable(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             bad = payload(n_ranks=2, steps=20,
                           fault={"rank": 0, "step": 3, "kind": "exception",
@@ -287,7 +289,7 @@ class TestEventStreaming:
     """/jobs/<id>/events tails the per-rank event bus."""
 
     def test_follow_streams_until_done(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             job = client.submit(payload(steps=100))["job"]
             events = list(client.events(job["id"], follow=True))
@@ -296,9 +298,50 @@ class TestEventStreaming:
             assert client.job(job["id"])["state"] == "done"
 
     def test_snapshot_without_follow(self, tmp_path):
-        with ServerThread(tmp_path / "jobs") as srv:
+        with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             job = client.submit(payload())["job"]
             client.wait(job["id"], timeout_s=120)
             events = list(client.events(job["id"]))
             assert {e.get("kind") for e in events} >= {"start", "end"}
+
+
+def living(pids):
+    """Those of ``pids`` that name a running (not a zombie) process."""
+    def state(pid):
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1][1]
+        except OSError:
+            return "gone"
+    return [pid for pid in pids if state(pid) not in ("Z", "gone")]
+
+
+class TestJobProcess:
+    """A job process that overruns or dies fails its job, is replaced,
+    and leaves no process behind."""
+
+    @pytest.mark.parametrize("end", ["timeout", "crash"])
+    def test_lost_job_process_is_replaced(self, tmp_path, end):
+        with serving(tmp_path / "jobs", 1, 4 if end == "timeout" else None
+                     ) as srv:
+            client = ServiceClient(srv.address)
+            (old,) = srv.scheduler.job_pids
+            job = client.submit(payload(n_ranks=2, steps=10**6))["job"]
+            job_dir, ranks = tmp_path / "jobs" / job["id"], []
+            while len(ranks) < 2 and client.job(job["id"])["state"] in (
+                    "queued", "running"):
+                time.sleep(0.05)
+                ranks = [e["pid"] for e in read_events(job_dir)
+                         if e["kind"] == "start"]
+            if end == "crash":
+                os.kill(old, signal.SIGKILL)
+            done = client.wait(job["id"], timeout_s=60)
+            assert done["state"] == "failed" and len(ranks) == 2
+            assert done["error"].startswith({"timeout": "TimeoutError",
+                                             "crash": "JobProcessDied"}[end])
+            assert done["error"].endswith("and replaced")
+            (new,) = srv.scheduler.job_pids
+            assert new != old and living([old, *ranks]) == []
+            again = client.submit(payload())["job"]
+            assert client.wait(again["id"], timeout_s=120)["state"] == "done"
+        assert living([new]) == []

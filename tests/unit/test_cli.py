@@ -167,13 +167,10 @@ class TestCommands:
               "--output", str(out_file)])
         assert "DATASET STRUCTURED_POINTS" in out_file.read_text()
 
-    def test_tune(self, capsys):
-        rc = main(["tune", "--lattice", "D3Q19", "--device", "V100",
-                   "--shape", "64,64,64", "--top", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "legal configurations" in out
-        assert "MFLUPS" in out
+    def test_tune(self, mrlbm):
+        out = mrlbm("tune --lattice D3Q19 --device V100 --shape 64,64,64 "
+                    "--top 3")
+        assert "legal configurations" in out and "MFLUPS" in out
         # Three ranked rows after the header lines.
         assert len([l for l in out.splitlines() if l.strip().startswith("(")]) == 3
 
@@ -184,6 +181,15 @@ class TestCommands:
         top_row = [l for l in out.splitlines() if l.strip().startswith("(")][0]
         # blocks/SM column must satisfy the 2-block rule.
         assert int(top_row.split()[-3]) >= 2
+
+    def test_profile_all_off_reference_skips_aa(self, mrlbm):
+        """``--scheme all`` profiles what the backend steps, and one line
+        says that AA, a reference-only scheme, was left out."""
+        out = mrlbm("profile --scheme all --accel fused --shape 16,10 "
+                    "--steps 2 --no-traffic")
+        assert out.count("backend = fused") == 3 and "AA: skipped" in out
+        assert "ERROR: the AA scheme has no --accel fused" in mrlbm(
+            "profile --scheme AA --accel fused --no-traffic", rc=2)
 
     @pytest.mark.parametrize("command", ["run", "profile", "submit", "tune"])
     def test_malformed_shape_exits_2(self, command, capsys):
@@ -257,21 +263,17 @@ class TestWatchCommand:
         assert "start" in out and "all done" in out
 
     @pytest.mark.parametrize("path", PATHS, ids=PATHS)
-    def test_run_with_events_then_watch(self, capsys, tmp_path, path):
+    def test_run_with_events_then_watch(self, mrlbm, tmp_path, path):
         """An --events run round-trips through watch on every path, and
         its heartbeats carry the running MLUPS."""
         from repro.obs import read_events
 
         run_dir = tmp_path / "ev"
-        rc = main(["run", "--scheme", "ST", "--shape", "16,8", "--steps",
-                   "6", "--events", str(run_dir), "--events-every", "2"]
-                  + PATHS[path])
-        assert rc == 0
-        assert "tail with 'mrlbm watch" in capsys.readouterr().out
-        rc = main(["watch", str(run_dir)])
-        assert rc == 0
+        assert "tail with 'mrlbm watch" in mrlbm(
+            f"run --scheme ST --shape 16,8 --steps 6 --events {run_dir} "
+            "--events-every 2 " + " ".join(PATHS[path]))
         ranks = 2 if path == "process" else 1
-        assert f"{ranks} rank(s), all done" in capsys.readouterr().out
+        assert f"{ranks} rank(s), all done" in mrlbm(f"watch {run_dir}")
         beats = [e for e in read_events(run_dir) if e["kind"] == "heartbeat"]
         assert len(beats) == 3 * ranks and all(e["mlups"] > 0 for e in beats)
 

@@ -6,10 +6,8 @@ import pytest
 from repro.cli import main
 
 
-def test_validate_fast_passes(capsys):
-    rc = main(["validate", "--fast"])
-    out = capsys.readouterr().out
-    assert rc == 0
+def test_validate_fast_passes(mrlbm):
+    out = mrlbm("validate --fast")
     assert out.count("PASS") == 6          # 3 schemes x 2 flows
     assert "FAIL" not in out
     assert "all validations passed" in out

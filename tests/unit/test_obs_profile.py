@@ -70,21 +70,15 @@ class TestProfileScheme:
 
 
 class TestCLI:
-    def test_profile_command(self, capsys):
-        rc = main(["profile", "--scheme", "MR-P", "--lattice", "D2Q9",
-                   "--shape", "24,14", "--steps", "5"])
-        assert rc == 0
-        out = capsys.readouterr().out
+    def test_profile_command(self, mrlbm):
+        out = mrlbm("profile --scheme MR-P --shape 24,14 --steps 5")
         assert "MLUPS" in out and "GB/s" in out
         assert "step/collide" in out
 
-    def test_profile_json_dump(self, capsys, tmp_path):
+    def test_profile_json_dump(self, mrlbm, tmp_path):
         path = tmp_path / "prof.json"
-        rc = main(["profile", "--scheme", "ST", "--shape", "20,12",
-                   "--steps", "4", "--json", str(path)])
-        assert rc == 0
-        data = json.loads(path.read_text())
-        assert data[0]["scheme"] == "ST"
+        mrlbm(f"profile --scheme ST --shape 20,12 --steps 4 --json {path}")
+        assert json.loads(path.read_text())[0]["scheme"] == "ST"
 
     def test_run_trace_and_metrics(self, mrlbm, tmp_path):
         trace, metrics = tmp_path / "out.json", tmp_path / "m.jsonl"
@@ -118,18 +112,13 @@ class TestCLI:
 
 
 class TestAccelFlag:
-    def test_profile_accel_flag(self, capsys):
-        rc = main(["profile", "--scheme", "MR-P", "--lattice", "D2Q9",
-                   "--shape", "24,14", "--steps", "4", "--accel", "fused"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "backend = fused" in out
+    def test_profile_accel_flag(self, mrlbm):
+        assert "backend = fused" in mrlbm("profile --scheme MR-P --shape "
+                                          "24,14 --steps 4 --accel fused")
 
-    def test_run_accel_flag(self, capsys):
-        rc = main(["run", "--scheme", "MR-P", "--shape", "20,12",
-                   "--steps", "6", "--accel", "fused"])
-        assert rc == 0
-        assert "accel = fused" in capsys.readouterr().out
+    def test_run_accel_flag(self, mrlbm):
+        assert "accel = fused" in mrlbm("run --scheme MR-P --shape 20,12 "
+                                        "--steps 6 --accel fused")
 
     def test_run_distributed_rejects_numba(self, capsys):
         with pytest.raises(SystemExit) as exc:
