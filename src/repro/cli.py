@@ -21,12 +21,13 @@ Subcommands
 ``tune``     Rank MR tile configurations on a modelled device.
 
 Every ``run`` — single-domain, ``--ranks N`` emulated in this process, or
-``--backend process`` (one OS process per slab, fault tolerant:
-``--checkpoint-dir``, ``--resume``, ``--max-restarts``) — steps one loop
+``--backend process`` (one OS process per slab) — steps one loop
 (:mod:`repro.loop`), so ``--metrics``, ``--trace``, ``--manifest``,
-``--watchdog N`` and ``--events DIR`` work on each; a flag a path cannot
-honour is refused in one sentence before any step runs (see
-``docs/observability.md`` and ``docs/PARALLEL.md``).
+``--watchdog N``, ``--events DIR``, ``--checkpoint-dir`` and ``--resume``
+(one checkpoint format, resumable on any path and rank count) work on
+each; a flag a path cannot honour (``--max-restarts`` needs the process
+backend's supervisor) is refused in one sentence before any step runs
+(see ``docs/observability.md`` and ``docs/PARALLEL.md``).
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["emulated", "process"],
                      help="step the slabs in this process, or each in an "
                      "OS process over shared memory (default: emulated "
-                     "for --ranks > 1, process with checkpoint flags)")
+                     "for --ranks > 1, process with --max-restarts)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="write coordinated distributed checkpoints here")
+                     help="write a checkpoint step directory here every "
+                     "--checkpoint-every steps (any path)")
     run.add_argument("--resume", default=None, metavar="DIR",
                      help="resume from the newest complete checkpoint in "
                      "DIR; --steps is the TOTAL trajectory length")
@@ -283,10 +285,8 @@ def _refusal(args, backend: str | None) -> str | None:
     ``backend`` is ``None`` (single domain), ``"emulated"`` or
     ``"process"``; every other flag works on every path.
     """
-    parent = ("a supervising parent (--backend process)", ("process",))
-    needs = [("--checkpoint-dir", args.checkpoint_dir, *parent),
-             ("--resume", args.resume, *parent),
-             ("--max-restarts", args.max_restarts, *parent),
+    needs = [("--max-restarts", args.max_restarts,
+              "a supervising parent (--backend process)", ("process",)),
              ("--checkpoint-every", args.checkpoint_every
               and not args.checkpoint_dir, "--checkpoint-dir", ()),
              ("--report-interval", args.report_interval is not None,
@@ -298,16 +298,29 @@ def _refusal(args, backend: str | None) -> str | None:
                  if given and backend not in paths), None)
 
 
-def _step_here(args, solver, cohort: bool, tel, metrics) -> None:
+def _step_here(args, solver, cohort: bool, tel, metrics) -> int:
     """Step the loop in this process: a single domain's ``solver.step``,
-    or an emulated cohort's (``cohort``)."""
+    or an emulated cohort's (``cohort``). A single domain checkpoints and
+    resumes as a one-slab cohort (:mod:`repro.io.checkpoint`); returns
+    the step the run started from."""
     import os
 
     import numpy as np
 
+    from .io.checkpoint import checkpoint_sink, load_slabs, resolve_resume
     from .loop import Cadences, Sinks, run_loop
     from .obs import EventStream, RunEventEmitter
+    from .parallel.runtime import problem_identity
 
+    identity = problem_identity(args.problem, args.scheme, args.lattice,
+                                args.shape, args.tau, _problem_options(args))
+    start = 0
+    if args.resume:
+        step_dir, start = resolve_resume(args.resume, args.steps, identity)
+        load_slabs(step_dir, solver)
+        solver.time = start
+        print(f"  resumed from checkpoint at step {start} "
+              f"({args.steps - start} steps run)")
     fluid = (solver.global_domain if cohort else solver.domain).fluid_mask
     for rank in solver.ranks if cohort else [solver]:
         rank.attach_telemetry(tel)
@@ -323,26 +336,33 @@ def _step_here(args, solver, cohort: bool, tel, metrics) -> None:
         rho, u = fields()
         mass = float(rho[fluid].sum())
         speed = float(np.sqrt(np.einsum("a...,a...->...", u, u))[fluid].max())
-        rate = n_fluid * done / elapsed / 1e6
+        rate = n_fluid * (done - start) / elapsed / 1e6
         print(f"  step {done:7d}  max|u| = {speed:.5f}  mass = {mass:.6e}  "
               f"({rate:.2f} CPU-MFLUPS)")
         if metrics is not None:
             metrics.write({"step": done, "elapsed_s": elapsed, "mlups": rate,
                            "max_speed": speed, "mass": mass})
 
-    sinks = Sinks(telemetry=tel, report=progress)
+    sinks = Sinks(telemetry=tel, report=progress, checkpoint=checkpoint_sink(
+        args.checkpoint_dir, solver, identity, kind=args.problem,
+        n_ranks=args.ranks, accel=args.accel,
+        backend="emulated" if cohort else "single")
+        if args.checkpoint_dir else None)
     if args.events:
         sinks.events = RunEventEmitter(
             EventStream(args.events, rank=0), every=args.events_every,
-            n_steps=args.steps, telemetry=tel, n_fluid=n_fluid)
+            n_steps=args.steps, start_step=start, telemetry=tel,
+            n_fluid=n_fluid)
         sinks.events.start(pid=os.getpid(), scheme=args.scheme,
                            lattice=args.lattice, accel=args.accel,
-                           n_fluid=n_fluid)
-    run_loop(step, lambda: (*fields(), fluid), 0, args.steps,
-             Cadences(watchdog=args.watchdog,
+                           n_fluid=n_fluid, resumed=bool(args.resume))
+    run_loop(step, lambda: (*fields(), fluid), start, args.steps,
+             Cadences(checkpoint=args.checkpoint_every,
+                      watchdog=args.watchdog,
                       report=args.report_interval or 200),
              sinks, {"scheme": args.scheme, "lattice": args.lattice,
                      "shape": list(args.shape)})
+    return start
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -361,8 +381,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .parallel import ParallelRuntimeError, ProcessRuntime, RunSpec
     from .service.registry import build_single
 
-    ft = bool(args.resume or args.checkpoint_dir or args.max_restarts)
-    backend = args.backend or ("process" if ft else
+    backend = args.backend or ("process" if args.max_restarts else
                                "emulated" if args.ranks > 1 else None)
     runtime = None
     try:
@@ -408,14 +427,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         if runtime is None:
-            _step_here(args, solver, backend is not None, tel, metrics)
+            ran = args.steps - _step_here(args, solver, backend is not None,
+                                          tel, metrics)
             wall = time.perf_counter() - t0
             record.update(wall_s=wall, mlups=(
-                tel.mlups(n_fluid) if tel
-                else n_fluid * args.steps / wall / 1e6))
+                tel.mlups(n_fluid) if tel else n_fluid * ran / wall / 1e6))
             rho, u = (solver.gather_macroscopic() if backend
                       else solver.macroscopic())
-            print(f"  {record['mlups']:.2f} MLUPS ({args.steps} steps"
+            print(f"  {record['mlups']:.2f} MLUPS ({ran} steps"
                   f"{', sequential emulation' if backend else ''})")
         else:
             result = runtime.run(args.steps, spans=bool(args.trace))

@@ -16,13 +16,14 @@ from .checkpoint import (
     checkpoint_step,
     checkpoint_step_dir,
     latest_checkpoint,
-    load_distributed_checkpoint,
-    load_rank_slab,
+    load_slabs,
     prune_checkpoints,
     read_slab,
-    restore_checkpoint,
-    save_checkpoint,
+    resolve_resume,
     save_rank_slab,
+    save_slabs,
+    seal_checkpoint,
+    checkpoint_sink,
     validate_checkpoint_manifest,
 )
 from .snapshots import load_fields, save_archive, save_fields, write_vtk
@@ -32,16 +33,17 @@ __all__ = [
     "save_fields",
     "load_fields",
     "write_vtk",
-    "save_checkpoint",
-    "restore_checkpoint",
     "checkpoint_step_dir",
     "checkpoint_step",
     "save_rank_slab",
-    "load_rank_slab",
+    "save_slabs",
+    "seal_checkpoint",
+    "checkpoint_sink",
     "latest_checkpoint",
     "prune_checkpoints",
-    "load_distributed_checkpoint",
+    "resolve_resume",
     "read_slab",
+    "load_slabs",
     "validate_checkpoint_manifest",
     "RunManifest",
     "write_manifest",

@@ -1,30 +1,36 @@
-"""Checkpoint/restore for the reference and distributed solvers.
+"""Checkpoint/resume: one on-disk format for every way a run steps.
 
 Checkpoints capture the minimal persistent state of each scheme: the
 current distribution lattice for ST, the moment field for MR-P/MR-R —
 which is itself a nice demonstration of the paper's compression claim
-(an MR checkpoint of the same simulation is ``M/Q`` the size).
+(an MR checkpoint of the same simulation is ``M/Q`` the size). A
+solver that relaxes with the previous step's field (the power-law
+kind's ``tau_field``) adds that field: it is state too.
 
-Single-domain checkpoints (:func:`save_checkpoint` /
-:func:`restore_checkpoint`) are one ``.npz`` per run. Distributed runs
-use a *per-run checkpoint directory* instead, written cooperatively by
-the worker ranks of :mod:`repro.parallel.runtime` at barrier-aligned
-steps::
+A single domain, an emulated cohort and the ranks of
+:mod:`repro.parallel.runtime` all write the same *per-run checkpoint
+directory*, at the checkpoint steps of their run loop
+(:func:`repro.loop.run_loop`)::
 
     ckpt/
       step-00000040/
-        rank0000.npz        # one interior slab per rank (f or m payload)
-        rank0001.npz
+        rank0000.npz        # one interior slab per rank (f or m payload);
+        rank0001.npz        # a single domain writes one, [0, nx)
         manifest.json       # RunManifest: scheme/lattice/shape/tau/step
-        COMPLETE            # written last, by rank 0, after a barrier
+        COMPLETE            # written last, after every rank file
 
-A step directory without its ``COMPLETE`` marker is a torn checkpoint
-(a rank died mid-write) and is never resumed from. Rank files hold the
-*interior* planes only — ghost planes are filled from the neighbouring
-files on restore, and are overwritten by the first halo exchange of the
-resumed run before any kernel reads them, so restarts are bit-exact for
-any rank count: :func:`read_slab` copies each slab of the (possibly
-different) new decomposition out of the rank files that hold its planes.
+Every writer saves its slabs (:func:`save_slabs`) and one of them seals
+the step (:func:`seal_checkpoint`: manifest, ``COMPLETE``, prune); the
+run loop's sink that does both is :func:`checkpoint_sink`. A step
+directory without its ``COMPLETE`` marker is a torn checkpoint (a writer
+died mid-write) and is never resumed from. Every reader finds and
+validates its checkpoint with :func:`resolve_resume` and fills its slabs
+with :func:`load_slabs`. Rank files hold the *interior* planes only —
+ghost planes are filled from the neighbouring files on restore, and are
+overwritten by the first halo exchange of the resumed run before any
+kernel reads them, so restarts are bit-exact on any path and any rank
+count: :func:`read_slab` copies the planes a slab of the (possibly
+different) new decomposition holds out of the rank files that hold them.
 """
 
 from __future__ import annotations
@@ -36,23 +42,23 @@ from pathlib import Path
 
 import numpy as np
 
-from ..solver import MRPSolver, MRRSolver, Solver, STSolver
+from ..obs.manifest import RunManifest
 from .snapshots import save_archive
 
 __all__ = [
-    "save_checkpoint",
-    "restore_checkpoint",
     "checkpoint_step_dir",
     "checkpoint_step",
     "save_rank_slab",
-    "load_rank_slab",
-    "mark_checkpoint_complete",
+    "save_slabs",
+    "seal_checkpoint",
+    "checkpoint_sink",
     "is_checkpoint_complete",
     "latest_checkpoint",
     "prune_checkpoints",
     "load_manifest_for_resume",
-    "load_distributed_checkpoint",
+    "resolve_resume",
     "read_slab",
+    "load_slabs",
     "validate_checkpoint_manifest",
 ]
 
@@ -60,67 +66,6 @@ __all__ = [
 COMPLETE_MARKER = "COMPLETE"
 _STEP_PREFIX = "step-"
 
-
-def save_checkpoint(path: str | Path, solver: Solver,
-                    manifest: bool = False, seed: int | None = None) -> Path:
-    """Write the solver's persistent state to an ``.npz`` checkpoint.
-
-    The state is ``f`` or ``m``, plus the relaxation field
-    ``tau_field`` of a solver that relaxes with the previous step's.
-    With ``manifest=True`` a :class:`~repro.obs.RunManifest` JSON (scheme,
-    lattice, shape, tau, seed, package version, platform) is written next
-    to the checkpoint at :func:`~repro.obs.manifest_path_for`'s location.
-    """
-    path = Path(path)
-    if manifest:
-        from ..obs.manifest import manifest_path_for, write_manifest
-
-        write_manifest(manifest_path_for(path), solver, seed=seed,
-                       artifact=path.name, kind="checkpoint")
-    payload = {
-        "scheme": np.asarray(solver.name),
-        "lattice": np.asarray(solver.lat.name),
-        "tau": np.asarray(solver.tau),
-        "time": np.asarray(solver.time),
-        "node_type": solver.domain.node_type,
-    }
-    if isinstance(solver, STSolver):
-        payload["f"] = solver.f
-    elif isinstance(solver, (MRPSolver, MRRSolver)):
-        payload["m"] = solver.m
-    else:  # pragma: no cover - future solvers
-        raise TypeError(f"cannot checkpoint solver type {type(solver).__name__}")
-    if getattr(solver, "tau_field", None) is not None:
-        payload["tau_field"] = solver.tau_field
-    return save_archive(path, **payload)
-
-
-def restore_checkpoint(path: str | Path, solver: Solver) -> Solver:
-    """Restore a checkpoint into a compatibly-constructed solver.
-
-    The solver must have been built with the same scheme, lattice and
-    domain (verified); tau and boundaries come from the constructor.
-    """
-    with np.load(Path(path)) as data:
-        scheme = str(data["scheme"])
-        lattice = str(data["lattice"])
-        if scheme != solver.name:
-            raise ValueError(f"checkpoint is for scheme {scheme}, solver is {solver.name}")
-        if lattice != solver.lat.name:
-            raise ValueError(f"checkpoint lattice {lattice} != solver {solver.lat.name}")
-        if not np.array_equal(data["node_type"], solver.domain.node_type):
-            raise ValueError("checkpoint domain does not match solver domain")
-        solver.time = int(data["time"])
-        if isinstance(solver, STSolver):
-            solver.f[...] = data["f"]
-        else:
-            solver.m[...] = data["m"]
-        if "tau_field" in data:
-            solver.tau_field[...] = data["tau_field"]
-    return solver
-
-
-# -- distributed checkpoints ----------------------------------------------
 
 def checkpoint_step_dir(root: str | Path, step: int) -> Path:
     """Directory of the checkpoint taken after ``step`` steps."""
@@ -137,40 +82,86 @@ def checkpoint_step(step_dir: str | Path) -> int:
 
 def save_rank_slab(step_dir: str | Path, rank: int, field: np.ndarray, *,
                    start: int, stop: int, step: int, scheme: str,
-                   lattice: str) -> Path:
+                   lattice: str, tau_field: np.ndarray | None = None) -> Path:
     """Atomically write one rank's interior slab into a step directory.
 
     ``field`` is the rank's ``(C, width, *rest)`` interior payload
-    (populations for ST, moments for MR); ``[start, stop)`` are its
-    global axis-0 bounds. :func:`~repro.io.snapshots.save_archive` keeps
-    a crash mid-write from leaving a plausible-looking but torn rank file.
+    (populations for ST, moments for MR), ``tau_field`` its relaxation
+    field if it steps with one, ``[start, stop)`` its global axis-0
+    bounds. :func:`~repro.io.snapshots.save_archive` keeps a crash
+    mid-write from leaving a plausible-looking but torn rank file.
     """
+    extra = {} if tau_field is None else {"tau_field": tau_field}
     return save_archive(
         Path(step_dir) / f"rank{rank:04d}.npz", field=field,
         start=np.asarray(start), stop=np.asarray(stop),
         rank=np.asarray(rank), step=np.asarray(step),
-        scheme=np.asarray(scheme), lattice=np.asarray(lattice))
+        scheme=np.asarray(scheme), lattice=np.asarray(lattice), **extra)
 
 
-def load_rank_slab(path: str | Path) -> dict:
-    """Load one rank slab file back into a plain dict."""
-    with np.load(Path(path)) as data:
-        return {
-            "field": np.array(data["field"]),
-            "start": int(data["start"]),
-            "stop": int(data["stop"]),
-            "rank": int(data["rank"]),
-            "step": int(data["step"]),
-            "scheme": str(data["scheme"]),
-            "lattice": str(data["lattice"]),
-        }
+def _state(solver) -> np.ndarray:
+    """A solver's persistent state array: ``f`` for ST, ``m`` for MR (the
+    rule of :meth:`~repro.parallel.decomposition.DistributedSolver.field`)."""
+    return solver.f if solver.name == "ST" else solver.m
 
 
-def mark_checkpoint_complete(step_dir: str | Path) -> Path:
-    """Drop the ``COMPLETE`` marker declaring a step directory usable."""
-    marker = Path(step_dir) / COMPLETE_MARKER
-    marker.write_text("ok\n", encoding="utf-8")
-    return marker
+def _slabs(solver, ranks=None) -> list:
+    """``(rank, its solver, its owned state planes, its global start, the
+    global planes its state holds)`` of each rank of an emulated cohort
+    (``ranks``, default all) — or of a single domain, a one-slab cohort."""
+    if not hasattr(solver, "decomp"):
+        return [(0, solver, slice(None), 0,
+                 np.arange(solver.domain.shape[0]))]
+    decomp, nx = solver.decomp, solver.decomp.global_shape[0]
+    return [(r, solver.rank(r), solver.interior(r), decomp.bounds(r)[0],
+             np.arange(nx)[decomp.ghosted(r)])
+            for r in (range(decomp.n_ranks) if ranks is None else ranks)]
+
+
+def save_slabs(root: str | Path, step: int, solver, ranks=None) -> Path:
+    """Write the rank files of ``solver`` after ``step`` steps: a single
+    domain's one, ``[0, nx)``, with its ``tau_field`` if it has one, or
+    one per rank in ``ranks`` (default all) of a
+    :class:`~repro.parallel.decomposition.DistributedSolver`. Returns the
+    step directory, for :func:`seal_checkpoint` to seal."""
+    step_dir = checkpoint_step_dir(root, step)
+    for r, rank, owned, start, _ in _slabs(solver, ranks):
+        field, tau = _state(rank)[:, owned], getattr(rank, "tau_field", None)
+        save_rank_slab(step_dir, r, field, start=start,
+                       stop=start + field.shape[1], step=step,
+                       scheme=rank.name, lattice=rank.lat.name,
+                       tau_field=None if tau is None else tau[owned])
+    return step_dir
+
+
+def seal_checkpoint(root: str | Path, step: int, identity: dict,
+                    keep: int = 2, **extra) -> Path:
+    """Seal the step directory of ``step`` once every rank file is in it:
+    the manifest — the problem ``identity``
+    (:func:`repro.parallel.runtime.problem_identity`) and ``extra`` (kind,
+    rank count, backend, ...) —, then ``COMPLETE``, then prune all but
+    the newest ``keep`` snapshots. Returns the step directory."""
+    step_dir = checkpoint_step_dir(root, step)
+    RunManifest.from_identity(identity, step, **extra).write(
+        step_dir / "manifest.json")
+    (step_dir / COMPLETE_MARKER).write_text("ok\n", encoding="utf-8")
+    prune_checkpoints(root, keep=keep)
+    return step_dir
+
+
+def checkpoint_sink(root: str | Path, solver, identity: dict, keep: int = 2,
+                    *, rank: int | None = None, barrier=None, **extra):
+    """The run loop's checkpoint writer ``sink(at)``: :func:`save_slabs`
+    (only ``rank``'s, when given), ``barrier()`` (a process rank: every
+    file is on disk before rank 0 seals), :func:`seal_checkpoint`."""
+    def sink(at: int) -> str:
+        save_slabs(root, at, solver, None if rank is None else [rank])
+        if barrier is not None:
+            barrier()
+        if not rank:
+            seal_checkpoint(root, at, identity, keep, **extra)
+        return str(root)
+    return sink
 
 
 def is_checkpoint_complete(step_dir: str | Path) -> bool:
@@ -180,17 +171,10 @@ def is_checkpoint_complete(step_dir: str | Path) -> bool:
 
 def _step_dirs(root: Path) -> list[Path]:
     """Checkpoint step directories under ``root``, oldest first."""
-    if not root.is_dir():
-        return []
-    out = []
-    for entry in root.iterdir():
-        if entry.is_dir() and entry.name.startswith(_STEP_PREFIX):
-            try:
-                checkpoint_step(entry)
-            except ValueError:
-                continue
-            out.append(entry)
-    return sorted(out, key=checkpoint_step)
+    found = root.glob(f"{_STEP_PREFIX}*") if root.is_dir() else ()
+    return sorted((d for d in found if d.is_dir()
+                   and d.name[len(_STEP_PREFIX):].isdigit()),
+                  key=checkpoint_step)
 
 
 def latest_checkpoint(root: str | Path) -> Path | None:
@@ -204,10 +188,8 @@ def latest_checkpoint(root: str | Path) -> Path | None:
     root = Path(root)
     if root.name.startswith(_STEP_PREFIX) and root.is_dir():
         return root if is_checkpoint_complete(root) else None
-    for step_dir in reversed(_step_dirs(root)):
-        if is_checkpoint_complete(step_dir):
-            return step_dir
-    return None
+    return next((d for d in reversed(_step_dirs(root))
+                 if is_checkpoint_complete(d)), None)
 
 
 def prune_checkpoints(root: str | Path, keep: int = 2) -> list[Path]:
@@ -219,48 +201,39 @@ def prune_checkpoints(root: str | Path, keep: int = 2) -> list[Path]:
     complete = [d for d in _step_dirs(Path(root)) if is_checkpoint_complete(d)]
     survivors = {d.name for d in complete[-max(int(keep), 1):]}
     newest = checkpoint_step(complete[-1]) if complete else -1
-    removed = []
-    for step_dir in _step_dirs(Path(root)):
-        torn = not is_checkpoint_complete(step_dir)
-        if step_dir.name in survivors or (torn and
-                                          checkpoint_step(step_dir) >= newest):
-            continue
+    removed = [d for d in _step_dirs(Path(root)) if d.name not in survivors
+               and (is_checkpoint_complete(d) or checkpoint_step(d) < newest)]
+    for step_dir in removed:
         shutil.rmtree(step_dir, ignore_errors=True)
-        removed.append(step_dir)
     return removed
 
 
-def load_manifest_for_resume(step_dir: str | Path) -> dict:
-    """Read just the manifest dict of a complete step directory.
-
-    The cheap validation path: the parent checks compatibility from the
-    manifest alone and leaves loading the (much larger) rank slabs to
-    the worker processes.
-    """
-    step_dir = Path(step_dir)
-    if not is_checkpoint_complete(step_dir):
-        raise FileNotFoundError(
-            f"{step_dir} is not a complete checkpoint (no "
-            f"{COMPLETE_MARKER} marker)")
-    return json.loads((step_dir / "manifest.json").read_text(encoding="utf-8"))
-
-
-def _rank_files(step_dir: Path, extent: int | None = None
-                ) -> list[tuple[Path, int, int]]:
-    """``(path, start, stop)`` of every rank file of a complete step
-    directory, in axis-0 order, read from the files' small members only.
-
-    Raises ``FileNotFoundError`` for a missing/torn directory and
-    ``ValueError`` when the files do not tile axis 0 (up to ``extent``,
-    when given).
-    """
+def _complete(step_dir: str | Path) -> Path:
+    """``step_dir``; ``FileNotFoundError`` unless it is sealed."""
     if not is_checkpoint_complete(step_dir):
         raise FileNotFoundError(
             f"{step_dir} is not a complete checkpoint (no "
             f"{COMPLETE_MARKER} marker; the writing run may have died "
             "mid-checkpoint)")
+    return Path(step_dir)
+
+
+def load_manifest_for_resume(step_dir: str | Path) -> dict:
+    """Read just the manifest dict of a complete step directory."""
+    return json.loads((_complete(step_dir) / "manifest.json").read_text(
+        encoding="utf-8"))
+
+
+def _rank_files(step_dir: Path, extent: int) -> list[tuple[Path, int, int]]:
+    """``(path, start, stop)`` of every rank file of a complete step
+    directory, in axis-0 order, read from the files' small members only.
+
+    Raises ``FileNotFoundError`` for a missing/torn directory and
+    ``ValueError`` when the files do not tile axis 0 from plane 0 up to
+    ``extent``.
+    """
     files = []
-    for path in step_dir.glob("rank*.npz"):
+    for path in _complete(step_dir).glob("rank*.npz"):
         with np.load(path) as data:
             files.append((int(data["rank"]), path, int(data["start"]),
                           int(data["stop"])))
@@ -273,50 +246,76 @@ def _rank_files(step_dir: Path, extent: int | None = None
                 f"rank files in {step_dir} do not tile the domain: rank "
                 f"{rank} starts at {start}, expected {stop}")
         stop = end
-    if extent is not None and stop != extent:
+    if stop != extent:
         raise ValueError(f"rank files cover axis 0 up to {stop}, global "
                          f"extent is {extent}")
     return [entry[1:] for entry in sorted(files)]
 
 
-def load_distributed_checkpoint(step_dir: str | Path) -> tuple[dict, list[dict]]:
-    """Load a complete step directory: ``(manifest dict, rank slabs)``.
+def resolve_resume(where: str | Path, n_steps: int,
+                   identity: dict) -> tuple[Path, int]:
+    """Find, validate and step the checkpoint a run resumes from.
 
-    Raises ``FileNotFoundError`` for a missing/torn directory and
-    ``ValueError`` when the rank files do not tile the global domain.
+    ``where`` is a checkpoint root (its newest complete step is taken)
+    or one step directory; ``identity`` is the resuming run's
+    :func:`~repro.parallel.runtime.problem_identity`. Returns
+    ``(step_dir, start_step)``; raises ``FileNotFoundError`` when no
+    complete checkpoint exists and ``ValueError`` when the manifest is
+    incompatible with the run or the checkpoint already reached
+    ``n_steps``.
     """
-    step_dir = Path(step_dir)
-    files = _rank_files(step_dir)
-    manifest = json.loads(
-        (step_dir / "manifest.json").read_text(encoding="utf-8"))
-    return manifest, [load_rank_slab(path) for path, _, _ in files]
+    found = latest_checkpoint(where)
+    if found is None:
+        raise FileNotFoundError(
+            f"no complete checkpoint under {str(where)!r} to resume from")
+    validate_checkpoint_manifest(load_manifest_for_resume(found), **identity)
+    start_step = checkpoint_step(found)
+    if start_step >= int(n_steps):
+        raise ValueError(
+            f"checkpoint {found} is at step {start_step}, which already "
+            f"reaches the requested total of {n_steps} steps")
+    return found, start_step
 
 
-def read_slab(step_dir: str | Path, decomp, rank: int,
-              out: np.ndarray) -> None:
-    """Fill ``out`` with rank ``rank``'s slab from a checkpoint.
+def read_slab(step_dir: str | Path, planes: np.ndarray, out: np.ndarray,
+              extent: int, tau_field: np.ndarray | None = None) -> None:
+    """Fill ``out`` with the global axis-0 ``planes`` of a checkpoint
+    whose rank files tile ``[0, extent)`` (the resumed run's ``nx``).
 
-    ``out`` is the rank's ghosted ``(C, planes, *rest)`` slab and
-    ``decomp`` the :class:`~repro.parallel.decomposition.SlabDecomposition`
-    of the *resumed* run — it need not match the one that wrote the
-    checkpoint. Only the rank files holding some of the slab's planes
-    are loaded, one at a time, and only those planes are copied, so a
-    resume holds the slab plus one rank file whatever the two rank
-    counts. Ghost planes get the neighbours' values (wrapping when
-    periodic); the first halo exchange overwrites them, but starting
-    finite keeps watchdogs and diagnostics sane.
+    ``out`` is a ``(C, len(planes), *rest)`` state array — a single
+    domain's whole lattice (``planes`` is ``arange(nx)``) or a rank's
+    ghosted slab of the *resumed* run's decomposition, which need not
+    match the one that wrote the checkpoint; ``tau_field``, when given,
+    gets the same planes of the saved relaxation field. Only the rank
+    files holding some of the planes are loaded, one at a time, and only
+    those planes are copied, so a resume holds the slab plus one rank
+    file whatever the two rank counts. Ghost planes get the neighbours'
+    values (wrapping when periodic); the first halo exchange overwrites
+    them, but starting finite keeps watchdogs and diagnostics sane.
     """
-    extent = decomp.global_shape[0]
-    planes = np.arange(extent)[decomp.ghosted(rank)]
     for path, start, stop in _rank_files(Path(step_dir), extent):
         wanted = [(k, g - start) for k, g in enumerate(planes)
                   if start <= g < stop]
         if wanted:
             with np.load(path) as data:
                 field = data["field"]
+                tau = None if tau_field is None else data["tau_field"]
             for k, row in wanted:
                 out[:, k] = field[:, row]
-            del field               # before the next file is loaded
+                if tau is not None:
+                    tau_field[k] = tau[row]
+            del field, tau          # before the next file is loaded
+
+
+def load_slabs(step_dir: str | Path, solver, ranks=None) -> None:
+    """Fill the state of ``solver`` — a single domain, or the ranks of a
+    cohort in ``ranks`` (default all) — from a complete step directory
+    (:func:`read_slab`); the step count is the caller's to set."""
+    extent = (solver.global_domain if hasattr(solver, "decomp")
+              else solver.domain).shape[0]
+    for _, rank, _, _, planes in _slabs(solver, ranks):
+        read_slab(step_dir, planes, _state(rank), extent,
+                  getattr(rank, "tau_field", None))
 
 
 def validate_checkpoint_manifest(manifest: dict, *, scheme: str, lattice: str,

@@ -4,8 +4,8 @@ A :class:`RunManifest` captures everything needed to re-run (or audit) a
 simulation whose fields/checkpoint live next to it on disk: scheme,
 lattice, grid shape, relaxation time, RNG seed, package version and the
 host platform. Manifests are plain JSON so any tool can read them, and
-are written by the CLI (``mrlbm run --manifest``) and the checkpoint
-writer (``save_checkpoint(..., manifest=True)``).
+are written by the CLI (``mrlbm run --manifest``) and into every
+checkpoint step directory and every sealed job directory.
 """
 
 from __future__ import annotations
@@ -76,27 +76,27 @@ class RunManifest:
         )
 
     @classmethod
-    def from_run_spec(cls, spec, step: int, **extra) -> "RunManifest":
-        """Build a manifest straight from a distributed ``RunSpec``.
+    def from_identity(cls, identity: dict, step: int,
+                      **extra) -> "RunManifest":
+        """Build a manifest from a problem identity after ``step`` steps.
 
-        Used by the checkpoint writer of the multiprocess runtime: the
-        spec alone (no RNG, no live solver) determines the problem, so a
-        resumed run can rebuild and validate against this manifest.
-        ``extra`` entries (problem kind, rank count, fingerprint, ...)
-        land in :attr:`extra`.
+        ``identity`` is :func:`repro.parallel.runtime.problem_identity`'s:
+        the problem alone (no live solver, no ``RunSpec``), so a resume on
+        any path validates against this manifest. Its fingerprint and
+        version, and ``extra`` (kind, rank count, ...), land in
+        :attr:`extra`.
         """
         from .. import __version__
 
+        core = ("scheme", "lattice", "shape", "tau")
         return cls(
-            scheme=spec.scheme,
-            lattice=spec.lattice,
-            shape=tuple(spec.shape),
-            tau=float(spec.tau),
+            *(identity[k] for k in core),
             steps=int(step),
             version=__version__,
             platform=_platform_info(),
             created_unix=time.time(),
-            extra=dict(extra),
+            extra={**{k: v for k, v in identity.items() if k not in core},
+                   **extra},
         )
 
     def to_dict(self) -> dict:

@@ -63,12 +63,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..io.checkpoint import (
-    checkpoint_step,
-    latest_checkpoint,
-    load_manifest_for_resume,
-    validate_checkpoint_manifest,
-)
+from ..io.checkpoint import checkpoint_step, latest_checkpoint, resolve_resume
 from ..lattice import get_lattice
 from ..obs.merge import merge_rank_reports
 from ..solver import check_inputs
@@ -78,6 +73,7 @@ from .faults import FaultSpec, normalize_fault
 
 __all__ = [
     "FINGERPRINT_VERSION",
+    "problem_identity",
     "RunSpec",
     "WorkerFailure",
     "ParallelRuntimeError",
@@ -92,6 +88,51 @@ __all__ = [
 #: the digest comparison instead of failing it spuriously; the job
 #: server never serves a result sealed under another version.
 FINGERPRINT_VERSION = 5
+
+
+def problem_identity(kind: str, scheme: str, lattice: str, shape, tau: float,
+                     options: dict) -> dict:
+    """What a checkpoint records of its problem and a resume checks.
+
+    ``scheme``, ``lattice``, ``shape`` and ``tau`` field by field, and a
+    ``fingerprint`` digest of them with the kind and its preset options
+    (initial fields, forcing, boundary method, ...) that equally shape
+    the trajectory, under :data:`FINGERPRINT_VERSION`. A single-domain
+    kind without a :class:`RunSpec` (``power-law``) has one too. The
+    fingerprint is also the dedup key of the job server's result cache.
+    Array-valued options hash their dtype, shape and bytes.
+
+    Every field is length-prefixed before hashing (and values carry
+    their type name), so no two distinct problems can produce the same
+    byte stream — version 1 concatenated raw reprs, letting
+    ``{"x1": 2}`` and ``{"x": 12}`` collide. Bump
+    :data:`FINGERPRINT_VERSION` when this encoding, or the problem a
+    spec names, changes.
+    """
+    h = hashlib.sha256()
+
+    def feed(data: bytes) -> None:
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+
+    shape = tuple(int(s) for s in shape)
+    feed(b"fingerprint-v%d" % FINGERPRINT_VERSION)
+    for part in (kind, scheme, lattice):
+        feed(str(part).encode())
+    feed(repr(shape).encode())
+    feed(repr(float(tau)).encode())
+    for key in sorted(options):
+        value = options[key]
+        feed(key.encode())
+        if isinstance(value, np.ndarray):
+            feed(b"ndarray")
+            feed(repr((tuple(value.shape), str(value.dtype))).encode())
+            feed(np.ascontiguousarray(value).tobytes())
+        else:
+            feed(f"{type(value).__name__}:{value!r}".encode())
+    return {"scheme": scheme, "lattice": lattice, "shape": shape,
+            "tau": float(tau), "fingerprint": h.hexdigest()[:16],
+            "fingerprint_version": FINGERPRINT_VERSION}
 
 
 @dataclass(frozen=True)
@@ -221,45 +262,15 @@ class RunSpec:
         check_halo_width(lat)
         SlabDecomposition(tuple(self.shape), self.n_ranks, periodic=False)
 
+    def identity(self) -> dict:
+        """The spec's :func:`problem_identity`."""
+        return problem_identity(self.kind, self.scheme, self.lattice,
+                                self.shape, self.tau, self.options)
+
     def fingerprint(self) -> str:
-        """Injective digest of the problem identity (kind + preset options).
-
-        Stored in every checkpoint manifest and compared on resume, and
-        the dedup key of the job server's result cache:
-        scheme/lattice/shape/tau are validated field by field, and this
-        digest extends the check to the preset options (initial fields,
-        forcing, boundary method, ...) that equally shape the
-        trajectory. Array-valued options hash their dtype, shape and
-        bytes.
-
-        Every field is length-prefixed before hashing (and values carry
-        their type name), so no two distinct specs can produce the same
-        byte stream — version 1 concatenated raw reprs, letting
-        ``{"x1": 2}`` and ``{"x": 12}`` collide. Bump
-        :data:`FINGERPRINT_VERSION` when this encoding, or the problem a
-        spec names, changes.
-        """
-        h = hashlib.sha256()
-
-        def feed(data: bytes) -> None:
-            h.update(len(data).to_bytes(8, "big"))
-            h.update(data)
-
-        feed(b"fingerprint-v%d" % FINGERPRINT_VERSION)
-        for part in (self.kind, self.scheme, self.lattice):
-            feed(str(part).encode())
-        feed(repr(tuple(int(s) for s in self.shape)).encode())
-        feed(repr(float(self.tau)).encode())
-        for key in sorted(self.options):
-            value = self.options[key]
-            feed(key.encode())
-            if isinstance(value, np.ndarray):
-                feed(b"ndarray")
-                feed(repr((tuple(value.shape), str(value.dtype))).encode())
-                feed(np.ascontiguousarray(value).tobytes())
-            else:
-                feed(f"{type(value).__name__}:{value!r}".encode())
-        return h.hexdigest()[:16]
+        """Injective digest of the problem identity (kind + preset
+        options; see :func:`problem_identity`)."""
+        return self.identity()["fingerprint"]
 
     def build(self) -> DistributedSolver:
         """Construct the emulated solver this spec describes.
@@ -506,32 +517,6 @@ class ProcessRuntime:
                     "without reporting a failure"))
         return results, failures
 
-    def _resolve_resume(self, where: str, n_steps: int) -> tuple[str, int]:
-        """Locate and validate a checkpoint to resume from.
-
-        Returns ``(step_dir, start_step)``; raises ``FileNotFoundError``
-        when no complete checkpoint exists under ``where`` and
-        ``ValueError`` when the manifest is incompatible with this spec
-        or the checkpoint already reached ``n_steps``.
-        """
-        spec = self.spec
-        found = latest_checkpoint(where)
-        if found is None:
-            raise FileNotFoundError(
-                f"no complete checkpoint under {where!r} to resume from")
-        manifest = load_manifest_for_resume(found)
-        validate_checkpoint_manifest(
-            manifest, scheme=spec.scheme, lattice=spec.lattice,
-            shape=tuple(spec.shape), tau=spec.tau,
-            fingerprint=spec.fingerprint(),
-            fingerprint_version=FINGERPRINT_VERSION)
-        start_step = checkpoint_step(found)
-        if start_step >= int(n_steps):
-            raise ValueError(
-                f"checkpoint {found} is at step {start_step}, which already "
-                f"reaches the requested total of {n_steps} steps")
-        return str(found), start_step
-
     # -- API --------------------------------------------------------------
     def run(self, n_steps: int, run_timeout: float | None = None,
             max_restarts: int | None = None,
@@ -563,8 +548,8 @@ class ProcessRuntime:
         resume_dir: str | None = None
         start_step = 0
         if spec.resume_from:
-            resume_dir, start_step = self._resolve_resume(
-                spec.resume_from, n_steps)
+            resume_dir, start_step = resolve_resume(
+                spec.resume_from, n_steps, spec.identity())
 
         failure_history: list[list[WorkerFailure]] = []
         attempt = 0
@@ -588,8 +573,8 @@ class ProcessRuntime:
                         resume_dir = str(found)
                         start_step = checkpoint_step(found)
                 if resume_dir is None and spec.resume_from:
-                    resume_dir, start_step = self._resolve_resume(
-                        spec.resume_from, n_steps)
+                    resume_dir, start_step = resolve_resume(
+                        spec.resume_from, n_steps, spec.identity())
                 time.sleep(restart_backoff * attempt)
                 continue
             # Labels of the last run; every run starts from scratch.

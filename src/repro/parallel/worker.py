@@ -30,14 +30,14 @@ Fault tolerance hooks ride on that loop's cadences and sinks (see
 
 * **checkpoint** — on the ``RunSpec.checkpoint_every`` cadence, every
   rank writes its interior slab into the per-run checkpoint directory
-  and waits at the barrier; rank 0 then seals the snapshot (manifest +
-  ``COMPLETE`` marker) and prunes old ones. Since all ranks share one
-  deterministic schedule, the snapshot is step-consistent by
+  and waits at the barrier; rank 0 then seals the snapshot
+  (:func:`~repro.io.checkpoint.checkpoint_sink`). Since all ranks share
+  one deterministic schedule, the snapshot is step-consistent by
   construction.
 * **resume** — given a checkpoint directory, the worker copies the
   planes of its slab out of whichever rank files hold them
-  (:func:`~repro.io.checkpoint.read_slab`), so the rank count of the
-  resumed run is free to differ from the writing run's.
+  (:func:`~repro.io.checkpoint.load_slabs`), so the path and rank count
+  of the resumed run are free to differ from the writing run's.
 * **fault injection** — :func:`~repro.parallel.faults.maybe_inject`
   fires the spec's deterministic fault (exception, kill, hang, corrupt)
   at the configured (rank, step, attempt).
@@ -67,51 +67,16 @@ import os
 import traceback
 from threading import BrokenBarrierError
 
-from ..io.checkpoint import (
-    checkpoint_step_dir,
-    mark_checkpoint_complete,
-    prune_checkpoints,
-    read_slab,
-    save_rank_slab,
-)
+from ..io.checkpoint import checkpoint_sink, load_slabs
 from ..loop import Cadences, Sinks, run_loop
 from ..obs import Telemetry
 from ..obs.events import EventStream, RunEventEmitter
-from ..obs.manifest import RunManifest
 from .blas import share_cores
 from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
-from .runtime import FINGERPRINT_VERSION, RunSpec, SharedBlocks
+from .runtime import RunSpec, SharedBlocks
 
 __all__ = ["worker_main"]
-
-
-def _write_checkpoint(spec: RunSpec, solver, rank: int, step: int,
-                      barrier, barrier_timeout: float) -> None:
-    """Cooperatively snapshot the cohort's state after ``step`` steps.
-
-    Every rank writes its own interior slab (atomic rename), then waits;
-    once all slabs are on disk rank 0 seals the snapshot with the
-    manifest and the ``COMPLETE`` marker and prunes old snapshots. A
-    crash anywhere in here leaves at worst a torn, marker-less directory
-    that resume logic ignores.
-    """
-    step_dir = checkpoint_step_dir(spec.checkpoint_dir, step)
-    field = solver.field(solver.rank(rank))
-    start, stop = solver.decomp.bounds(rank)
-    save_rank_slab(step_dir, rank, field[:, solver.interior(rank)],
-                   start=start, stop=stop, step=step,
-                   scheme=solver.scheme, lattice=solver.lat.name)
-    barrier.wait(timeout=barrier_timeout)
-    if rank == 0:
-        RunManifest.from_run_spec(
-            spec, step, kind=spec.kind, n_ranks=spec.n_ranks,
-            backend="process", accel=spec.accel,
-            fingerprint=spec.fingerprint(),
-            fingerprint_version=FINGERPRINT_VERSION,
-        ).write(step_dir / "manifest.json")
-        mark_checkpoint_complete(step_dir)
-        prune_checkpoints(spec.checkpoint_dir, keep=spec.checkpoint_keep)
 
 
 def worker_main(spec: RunSpec, solver: DistributedSolver,
@@ -146,7 +111,7 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
 
         if resume_dir:
             with tel.phase("resume"):
-                read_slab(resume_dir, decomp, rank, solver.field(state))
+                load_slabs(resume_dir, solver, [rank])
 
         with tel.phase("attach"):
             out = blocks.output
@@ -182,14 +147,12 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
             return (rho[interior], u[:, interior],
                     state.domain.fluid_mask[interior])
 
-        def write_checkpoint(at):
-            _write_checkpoint(spec, solver, rank, at, barrier,
-                              barrier_timeout)
-            return spec.checkpoint_dir
-
         fault = normalize_fault(spec.fault)
-        sinks = Sinks(telemetry=tel, checkpoint=(
-            write_checkpoint if spec.checkpoint_dir else None))
+        sinks = Sinks(telemetry=tel, checkpoint=checkpoint_sink(
+            spec.checkpoint_dir, solver, spec.identity(), spec.checkpoint_keep,
+            rank=rank, barrier=lambda: barrier.wait(timeout=barrier_timeout),
+            kind=spec.kind, n_ranks=spec.n_ranks, backend="process",
+            accel=spec.accel) if spec.checkpoint_dir else None)
         if fault is not None:     # looking at the field is not free
             sinks.fault = lambda at: maybe_inject(
                 fault, rank, at, attempt, solver.field(state))

@@ -10,11 +10,12 @@ the event loop; the job process runs it to its sealed directory
 
 Inside the job process a job takes one of two routes:
 
-* a one-rank job without ``max_restarts``, ``fault`` or
-  ``checkpoint_every`` is a single-domain run in place — the problem's
+* a one-rank job without ``max_restarts`` or ``fault`` is a
+  single-domain run in place — the problem's
   :func:`~repro.service.registry.build_single` solver stepped by
   :func:`repro.loop.run_loop`, its events on ``events-rank0000.jsonl``
-  like a rank's: no ghost planes, no barrier, no fork;
+  and its checkpoints in ``ckpt/`` like a cohort's: no ghost planes, no
+  barrier, no fork;
 * every other job runs through
   :class:`~repro.parallel.runtime.ProcessRuntime`, whose ranks fork from
   the single-threaded job process.
@@ -216,12 +217,12 @@ def _serve(conn, workers: int, server_pid: int) -> None:
 
 def _runs_here(spec) -> bool:
     """Whether a job is a single-domain run in the job process itself."""
-    return spec.n_ranks == 1 and not (spec.max_restarts or spec.fault
-                                      or spec.checkpoint_every)
+    return spec.n_ranks == 1 and not (spec.max_restarts or spec.fault)
 
 
 def _run_here(spec, n_steps: int, job_dir, blas_threads):
     """A one-rank job as a single-domain run: ``(rho, u, wall, mlups)``."""
+    from ..io.checkpoint import checkpoint_sink
     from ..loop import Cadences, Sinks, run_loop
     from ..obs import Telemetry
     from ..obs.events import EventStream, RunEventEmitter
@@ -246,8 +247,13 @@ def _run_here(spec, n_steps: int, job_dir, blas_threads):
         solver.time += 1
 
     run_loop(step, lambda: (*solver.macroscopic(), fluid), 0, n_steps,
-             Cadences(watchdog=int(spec.watchdog_every or 0)),
-             Sinks(telemetry=tel, events=events),
+             Cadences(checkpoint=int(spec.checkpoint_every or 0),
+                      watchdog=int(spec.watchdog_every or 0)),
+             Sinks(telemetry=tel, events=events, checkpoint=checkpoint_sink(
+                 job_dir / "ckpt", solver, spec.identity(),
+                 spec.checkpoint_keep, kind=spec.kind, n_ranks=1,
+                 backend="single", accel=spec.accel)
+                 if spec.checkpoint_every else None),
              {"scheme": spec.scheme, "lattice": spec.lattice})
     rho, u = solver.macroscopic()
     return rho, u, tel.phase_total("step"), tel.mlups(n_fluid)
@@ -273,10 +279,9 @@ def _execute(job, blas_threads: int | str) -> dict:
         mlups, restarts = outcome.report.get("mlups", 0.0), outcome.restarts
 
     save_archive(job.dir / "fields.npz", rho=rho, u=u)
-    fingerprint = spec.fingerprint()
     result = {
         "job_key": job.key,
-        "fingerprint": fingerprint,
+        "fingerprint": spec.fingerprint(),
         "fingerprint_version": FINGERPRINT_VERSION,
         "spec": {
             "kind": spec.kind, "scheme": spec.scheme,
@@ -294,9 +299,8 @@ def _execute(job, blas_threads: int | str) -> dict:
     (job.dir / "result.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    RunManifest.from_run_spec(
-        spec, job.n_steps, kind=spec.kind, n_ranks=spec.n_ranks,
-        fingerprint=fingerprint, fingerprint_version=FINGERPRINT_VERSION,
+    RunManifest.from_identity(
+        spec.identity(), job.n_steps, kind=spec.kind, n_ranks=spec.n_ranks,
         job_key=job.key, mlups=mlups, blas_threads=blas_threads,
     ).write(job.dir / "manifest.json")
     (job.dir / "COMPLETE").write_text("sealed\n", encoding="utf-8")

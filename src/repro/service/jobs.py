@@ -13,7 +13,9 @@ server's ``/jobs/<id>/events``), the gathered fields, a manifest and a
 ``COMPLETE`` seal.
 
 Dedup: jobs are keyed by :func:`job_key` — the (collision-fixed)
-:meth:`RunSpec.fingerprint` plus the step count. Re-submitting an
+:meth:`RunSpec.fingerprint`, the step count and everything else that
+changes the sealed bits: the rank count, the ``accel`` backend and
+whether the job steps in place. Re-submitting an
 identical spec while the first is queued or running coalesces onto it;
 re-submitting after it finished serves the sealed result from cache
 without recomputation. Failed keys are cleared so a retry actually
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..parallel.runtime import FINGERPRINT_VERSION, RunSpec
-from .jobproc import JobProcess
+from .jobproc import JobProcess, _runs_here
 
 __all__ = ["Job", "JobScheduler", "job_key", "spec_from_dict"]
 
@@ -47,9 +49,15 @@ _SPEC_FIELDS = ("kind", "scheme", "lattice", "shape", "n_ranks", "tau",
 _REQUIRED = ("kind", "scheme", "lattice", "shape")
 
 
-def job_key(fingerprint: str, n_steps: int) -> str:
-    """Dedup key of a submission: problem fingerprint + step count."""
-    return f"{fingerprint}-{int(n_steps):08d}"
+def job_key(spec: RunSpec, n_steps: int) -> str:
+    """Dedup key of a submission: the problem fingerprint, the step
+    count, and what else changes the sealed bits — the rank count, the
+    ``accel`` backend, and whether the job steps in place as a single
+    domain or as a cohort of processes. A seal keyed by fingerprint and
+    steps alone never matches this form."""
+    where = "here" if _runs_here(spec) else "cohort"
+    return (f"{spec.fingerprint()}-{int(n_steps):08d}-r{spec.n_ranks}-"
+            f"{spec.accel}-{where}")
 
 
 def spec_from_dict(payload: dict) -> tuple[RunSpec, int]:
@@ -259,14 +267,14 @@ class JobScheduler:
         """Submit a run; returns ``(job, created)``.
 
         An identical in-flight or completed submission (same
-        fingerprint, same step count) coalesces: the existing job is
+        :func:`job_key`) coalesces: the existing job is
         returned with ``created=False`` and its ``hits`` counter bumped
         — a completed one serves its sealed result with no recompute.
         A previously *failed* key is cleared and rerun.
         """
         if self._queue is None:
             raise RuntimeError("scheduler is not started")
-        key = job_key(spec.fingerprint(), n_steps)
+        key = job_key(spec, n_steps)
         existing = self._by_key.get(key)
         if existing is not None and existing.state != "failed":
             existing.hits += 1

@@ -147,7 +147,8 @@ class Solver(ABC):
     at their pinned rest values, and dropped by the step), and
     ``solver.f is solver.f`` holds within that window. Writes are seen
     by the very next step when they go through the attribute:
-    ``solver.f[...] = x``, ``solver.f = x``, ``restore_checkpoint``.
+    ``solver.f[...] = x``, ``solver.f = x``, a checkpoint resume
+    (:func:`repro.io.checkpoint.load_slabs`).
     ``solver.force`` is read-only (NumPy raises on an in-place write);
     :meth:`set_force` is the writer.
     """

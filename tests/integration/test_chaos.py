@@ -26,16 +26,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.parallel import (
-    FaultSpec,
-    ParallelRuntimeError,
-    ProcessRuntime,
-    RunSpec,
-    run_process,
-)
+from repro.parallel import (FaultSpec, ParallelRuntimeError, ProcessRuntime,
+                            RunSpec, run_process)
 
 from test_conformance import assert_same_fields
 
@@ -88,8 +82,7 @@ class TestKillRecovery:
         monkeypatch.setattr(RunSpec, "build", refuse_to_build)
         result = runtime.run(10)
         assert result.restarts == 1 and result.start_step == 4
-        assert np.array_equal(result.rho, clean.rho)
-        assert np.array_equal(result.u, clean.u)
+        assert_same_fields(result, clean)
 
     def test_kill_without_checkpoint_restarts_from_scratch(self, tmp_path):
         clean = run_process(_spec("MR-P", 2), 8)
@@ -173,17 +166,12 @@ class TestCorruptionRecovery:
 class TestCliResume:
     """End-to-end: the documented CLI kill -> resume workflow."""
 
-    def test_cli_checkpoint_then_resume(self, tmp_path, capsys):
-        from repro.cli import main
-
-        ck = str(tmp_path / "ck")
-        args = ["run", "--problem", "taylor-green", "--shape", "24,24",
-                "--scheme", "MR-P", "--ranks", "2"]
-        assert main(args + ["--steps", "6", "--checkpoint-dir", ck,
-                            "--checkpoint-every", "3"]) == 0
-        assert main(args + ["--steps", "10", "--resume", ck]) == 0
-        out = capsys.readouterr().out
-        assert "resumed from checkpoint at step 3" in out
+    def test_cli_checkpoint_then_resume(self, mrlbm, tmp_path):
+        """A single domain writes, two process ranks resume."""
+        run = "run --problem taylor-green --shape 24,24 --steps "
+        mrlbm(run + f"6 --checkpoint-dir {tmp_path} --checkpoint-every 3")
+        assert "resumed from checkpoint at step 3" in mrlbm(
+            run + f"10 --resume {tmp_path} --ranks 2 --backend process")
 
 
 def test_a_killed_group_leaves_no_segment(tmp_path, leaked_segments):

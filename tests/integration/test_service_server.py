@@ -62,12 +62,12 @@ class TestLifecycle:
     """submit -> poll -> result, and the sealed job directory."""
 
     def test_submit_poll_result(self, tmp_path):
-        """A one-rank job is the single-domain run, stepped in the job
-        process itself: its sealed fields are that run's, bit for bit."""
+        """A one-rank job, checkpointing too, is the single-domain run in
+        the job process itself: its sealed fields are that run's."""
         with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
             assert client.health()["ok"]
-            reply = client.submit(payload())
+            reply = client.submit(payload(checkpoint_every=16))
             assert reply["created"] is True and reply["job"]["state"] in (
                 "queued", "running")
             job = client.wait(reply["job"]["id"], timeout_s=120)
@@ -76,6 +76,7 @@ class TestLifecycle:
             assert result["steps"] == 40 and result["mlups"] > 0
             job_dir = tmp_path / "jobs" / job["id"]
             assert (job_dir / "COMPLETE").exists()
+            assert len(list(job_dir.glob("ckpt/step-*/COMPLETE"))) == 2
             assert json.loads((job_dir / "manifest.json").read_text())[
                 "extra"]["blas_threads"]
             starts = [e["pid"] for e in client.events(job["id"])
@@ -190,11 +191,16 @@ class TestDedupAndConcurrency:
             assert client.health()["runs_executed"] == 1
 
     def test_different_steps_not_coalesced(self, tmp_path):
+        """A new step count, rank count or backend is a fresh run."""
         with serving(tmp_path / "jobs") as srv:
             client = ServiceClient(srv.address)
-            a = client.submit(payload(steps=40))["job"]
-            b = client.submit(payload(steps=80))["job"]
-            assert a["id"] != b["id"] and a["key"] != b["key"]
+            for a, b in ((payload(), payload(steps=80)),
+                         (payload(), payload(n_ranks=2)),
+                         (payload(steps=50, accel="fused"), payload(steps=50))):
+                first = client.submit(a)["job"]
+                client.wait(first["id"], timeout_s=120)
+                then = client.submit(b)
+                assert then["created"] and then["job"]["key"] != first["key"]
 
     def test_two_concurrent_jobs_two_workers(self, tmp_path):
         with serving(tmp_path / "jobs", workers=2) as srv:

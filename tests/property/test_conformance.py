@@ -24,7 +24,8 @@ seeded field, so periodic boxes move and are forced), and
 * single-domain: resumes from a checkpoint taken at an even and at an
   odd step, on its own backend and on the next one, and steps the same
   when its state is read after every step; on the process runtime:
-  resumes from a cohort checkpoint on another rank count;
+  resumes a cohort's checkpoint on 3 ranks, a single domain's on 3
+  ranks and a cohort's on a single domain (one checkpoint format);
 * on a periodic box: stepping the state shifted by whole nodes (a
   translation of the Galilean group) is the stepped state shifted;
 * reports the ``accel_path`` and ``state_lattices`` of the table in
@@ -88,9 +89,10 @@ from repro.core.regularization import (hermite_delta_higher_order,
                                        recursive_a4_neq_cols,
                                        regularize_projective)
 from repro.geometry import Domain
-from repro.io import restore_checkpoint, save_checkpoint
+from repro.io import load_slabs, resolve_resume, save_slabs, seal_checkpoint
 from repro.lattice import get_lattice
 from repro.parallel import ProcessRuntime, RunSpec
+from repro.parallel.runtime import problem_identity
 from repro.service.jobs import spec_from_dict
 from repro.service.registry import (ProblemKind, build_distributed,
                                     build_single, get_problem, problem_kinds,
@@ -362,16 +364,36 @@ def check_conservation(cell: Cell) -> None:
                      scale=np.abs(momenta[1]).sum())
 
 
+def identity(solver) -> dict:
+    """A single domain's problem: its scheme, lattice, shape and tau."""
+    return problem_identity("", solver.name, solver.lat.name,
+                            solver.domain.shape, solver.tau, {})
+
+
+def save(solver, root, ident=None) -> Path:
+    """Checkpoint a single domain after its ``time`` steps: one slab."""
+    save_slabs(root, solver.time, solver)
+    return seal_checkpoint(root, solver.time, ident or identity(solver))
+
+
+def restore(root, solver, stop: int = STEPS, ident=None):
+    """``solver`` resumed from the checkpoint under ``root`` for a run of
+    ``stop`` steps in all; refused as a process resume would be."""
+    found, solver.time = resolve_resume(root, stop, ident or identity(solver))
+    load_slabs(found, solver)
+    return solver
+
+
 def check_resume(cell: Cell, at: int, target: str) -> None:
-    """Save at step ``at`` on the cell's backend, restore on ``target``,
-    finish; it is the straight ``target`` run, by the rule."""
+    """Save at step ``at`` on the cell's backend, restore (``tau_field``
+    too) on ``target``, finish: it is the straight run, by the rule."""
     with window(cell.chunk), tempfile.TemporaryDirectory() as tmp:
-        first = build(cell).run(at)
-        path = save_checkpoint(Path(tmp) / "ck.npz", first)
-        resumed = build(replace(cell, backend=target))
-        restore_checkpoint(path, resumed)
+        save(first := build(cell).run(at), tmp)
+        resumed = restore(tmp, build(replace(cell, backend=target)))
         assert resumed.time == at
         assert np.array_equal(state_of(resumed), state_of(first))
+        assert np.array_equal(getattr(resumed, "tau_field", 0),
+                              getattr(first, "tau_field", 0))
         resumed.run(STEPS - at)
     straight = run(replace(cell, backend=target))
     assert_agree(state_of(resumed), straight.state,
@@ -391,6 +413,24 @@ def check_process_resume(cell: Cell, ranks: int, at: int = 3,
     read = run(replace(cell, mode=f"emulated-{ranks}"))
     assert_agree(fields(result.rho, result.u), run(cell).after,
                  bit_exact(run(cell), read))
+
+
+def check_resume_across_paths(cell: Cell, at: int = 3) -> None:
+    """A single domain's checkpoint resumed on 3 process ranks, a 2-rank
+    cohort's on a single domain: the straight single run, by the rule."""
+    single, ident = replace(cell, mode="single"), spec(cell).identity()
+    with window(cell.chunk), tempfile.TemporaryDirectory() as one, \
+            tempfile.TemporaryDirectory() as two:
+        save(build(single).run(at), one, ident)
+        three = ProcessRuntime(replace(spec(cell), n_ranks=3,
+                                       resume_from=one)).run(STEPS)
+        ProcessRuntime(replace(spec(cell), checkpoint_dir=two,
+                               checkpoint_every=at)).run(at + 1)
+        back = restore(two, build(single), ident=ident).run(STEPS - at)
+    assert_agree(fields(three.rho, three.u), run(single).after, bit_exact(
+        run(single), run(replace(cell, mode="emulated-3"))))
+    assert_agree(state_of(back), run(single).state,
+                 bit_exact(run(cell), run(single)))
 
 
 def check_shift(cell: Cell, shift=(5, 3)) -> None:
@@ -540,6 +580,7 @@ def test_resume(cell, at):
       and c.backend == BACKENDS[0]])
 def test_process_resume_on_another_rank_count(cell):
     check_process_resume(cell, 3)
+    check_resume_across_paths(cell)
 
 
 @ids([c for c in ADMITTED if not c.mode.startswith("process")

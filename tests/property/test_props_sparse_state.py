@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.accel import BACKENDS, MaskedNeighborTable
 from repro.boundary import HalfwayBounceBack
-from repro.io import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
 from repro.obs import Telemetry
 from repro.service.registry import (build_distributed, build_single,
@@ -28,7 +27,7 @@ from repro.service.registry import (build_distributed, build_single,
 from repro.solver import make_solver
 
 from test_conformance import (Cell, assert_agree, check_rank_counts_agree,
-                              check_resume, fields, state_of)
+                              check_resume, fields, restore, save, state_of)
 
 TAU = 0.8
 SCHEMES = ["ST", "MR-P", "MR-R"]
@@ -114,9 +113,9 @@ def apply(solver, ops, tmp, every_step=False):
             if solver.force is not None:
                 solver.set_force(arg * solver.force)
         elif op == "checkpoint":
-            path = save_checkpoint(tmp / f"{id(solver)}-{n}.npz", solver)
+            save(solver, tmp / f"{id(solver)}-{n}")
             run(arg)
-            restore_checkpoint(path, solver)
+            restore(tmp / f"{id(solver)}-{n}", solver, solver.time)
         elif op == "telemetry":
             solver.attach_telemetry(Telemetry() if arg else None)
     run(1)

@@ -25,7 +25,6 @@ from repro.boundary import (FullwayBounceBack, HalfwayBounceBack,
                             InterpolatedBounceBack, Plane, PressureOutlet,
                             VelocityInlet, circle_sdf)
 from repro.geometry import channel_2d, cylinder_in_channel
-from repro.io import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
 from repro.parallel import ProcessRuntime, RunSpec
 from repro.service.registry import (build_distributed, build_single,
@@ -33,7 +32,7 @@ from repro.service.registry import (build_distributed, build_single,
                                     setup_problem)
 from repro.solver import make_solver
 
-from test_conformance import assert_agree, state_of
+from test_conformance import assert_agree, restore, save, state_of
 
 CHUNK, WHOLE, TAU, STEPS = 32, 10 ** 9, 0.8, 5
 SCHEMES = ("ST", "MR-P", "MR-R")
@@ -378,11 +377,8 @@ class TestLookingAndResuming:
                                 backend=backend)
 
         straight = stepped(monkeypatch, CHUNK, build, steps=7)
-        first = stepped(monkeypatch, CHUNK, build, steps=at)
-        path = save_checkpoint(tmp_path / "ck.npz", first)
-        resumed = build()
-        restore_checkpoint(path, resumed)
-        resumed.run(7 - at)
+        save(stepped(monkeypatch, CHUNK, build, steps=at), tmp_path)
+        resumed = restore(tmp_path, build(), stop=7).run(7 - at)
         assert resumed.time == 7
         if not (backend == "aa" and scheme == "ST"):
             assert resumed.accel_path == "lean" and n_slabs(resumed) == 3

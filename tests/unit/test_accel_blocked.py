@@ -18,17 +18,17 @@ tolerance rule (``test_unaligned_*``; ``tests/property/test_conformance
 exact permutation and is pinned bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.accel.fused as fused
 from repro.accel import make_core
 from repro.geometry import SOLID, Domain
-from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
-from repro.service.registry import build_single
 
-from test_conformance import assert_agree
+from test_conformance import Cell, assert_agree, check_resume, run
 
 CHUNK = 32
 STEPS = 4
@@ -183,30 +183,12 @@ def test_lean_core_refuses_boundaries_it_was_not_built_with(monkeypatch,
 
 @pytest.mark.parametrize("backend", ["fused", "aa"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_checkpoint_resume_mid_run_on_the_lean_path(monkeypatch, tmp_path,
-                                                    scheme, backend):
-    monkeypatch.setattr(fused, "_CHUNK", CHUNK)
-    monkeypatch.setattr(fused, "_SLAB_CHUNKS", 1)
-    shape = (9, 2, 4)
-    u0 = 0.03 * np.random.default_rng(5).standard_normal((3, *shape))
-
-    def build():
-        return build_single("periodic", scheme, "D3Q19", shape, tau=0.8,
-                            backend=backend, u0=u0)
-
-    def state(solver):
-        return solver.f if scheme == "ST" else solver.m
-
-    straight = build().run(7)
-    assert straight.accel_path == "lean"
+def test_checkpoint_resume_mid_run_on_the_lean_path(scheme, backend):
+    cell = Cell("periodic", scheme, "D3Q19", backend, shape=(9, 2, 4),
+                chunk=CHUNK)
+    check_resume(cell, 3, backend)  # odd time: AA holds a shifted lattice
+    assert run(cell).paths[0].startswith("`lean`")
     if not (backend == "aa" and scheme == "ST"):    # AA keeps its scratch
-        assert n_slabs(straight._stepper.core) == 2
-    first = build().run(3)          # odd time: AA holds a shifted lattice
-    path = save_checkpoint(tmp_path / "ck.npz", first)
-    resumed = build()
-    restore_checkpoint(path, resumed)
-    resumed.run(4)
-    assert resumed.time == 7
-    assert np.array_equal(state(resumed), state(straight))
-    monkeypatch.setattr(fused, "_CHUNK", 10**9)
-    assert np.array_equal(state(build().run(7)), state(straight))
+        assert len(run(cell).cuts[0]) == 2
+    assert np.array_equal(run(replace(cell, chunk=None)).state,
+                          run(cell).state)

@@ -18,15 +18,16 @@ import pytest
 from repro.accel import BACKENDS, FusedMRCore
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
-from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
 from repro.solver import make_solver
 from repro.service.registry import build_single
 
 from test_conformance import (Cell, assert_agree, check_backends_agree,
-                              fields)
+                              check_resume, fields)
 
 SCHEMES = ("ST", "MR-P", "MR-R")
+#: a boundary-free ST box: the problem ``aa`` steps with its own core
+AA_BOX = Cell("periodic", "ST", "D2Q9", "aa", shape=(12, 10))
 
 
 def assert_aa_is_fused(build, steps=8):
@@ -140,31 +141,12 @@ class TestInplaceCheckpoint:
     """Checkpoints hold the natural lattice at any parity."""
 
     @pytest.mark.parametrize("steps", [3, 5])
-    def test_odd_step_round_trip_bit_exact(self, tmp_path, steps):
-        build = random_periodic_builder("ST", "D2Q9", (12, 10))
-        s = build("aa")
-        s.run(steps)
-        path = save_checkpoint(tmp_path / "ck.npz", s)
-        fresh = build("aa")
-        restore_checkpoint(path, fresh)
-        assert fresh.time == steps
-        assert np.array_equal(fresh.f, s.f)
-        # and the continuation stays on the same bit-exact trajectory
-        s.run(4)
-        fresh.run(4)
-        assert np.array_equal(fresh.f, s.f)
+    def test_odd_step_round_trip_bit_exact(self, steps):
+        check_resume(AA_BOX, steps - 2, "aa")       # odd, before the end
 
-    def test_cross_backend_restore_at_odd_time(self, tmp_path):
+    def test_cross_backend_restore_at_odd_time(self):
         """An aa checkpoint taken at odd parity resumes under fused."""
-        build = random_periodic_builder("ST", "D2Q9", (12, 10))
-        s = build("aa")
-        s.run(5)
-        path = save_checkpoint(tmp_path / "ck.npz", s)
-        other = build("fused")
-        restore_checkpoint(path, other)
-        other.run(3)
-        s.run(3)
-        assert np.array_equal(other.f, s.f)
+        check_resume(AA_BOX, 3, "fused")
 
 
 class TestInplaceContracts:

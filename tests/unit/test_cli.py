@@ -295,6 +295,20 @@ class TestWatchCommand:
         err = capsys.readouterr().err
         assert err.startswith("ABORTED: ") and '"supersonic"' in err
 
+    @pytest.mark.parametrize("path", PATHS, ids=PATHS)
+    def test_checkpoint_then_resume_on_every_path(self, mrlbm, tmp_path,
+                                                  path):
+        """Checkpointed at 4, resumed to 10: the straight run, bit for bit."""
+        run = (f"run --problem taylor-green --shape 24,16 --steps {{}} "
+               f"--output {tmp_path}/{{}}.npz " + " ".join(PATHS[path]))
+        mrlbm(run.format(6, 0) + f" --checkpoint-dir {tmp_path} "
+              "--checkpoint-every 4")
+        assert "from checkpoint at step 4" in mrlbm(
+            run.format(10, 1) + f" --resume {tmp_path}")
+        mrlbm(run.format(10, 2))
+        a, b = (np.load(tmp_path / f"{n}.npz") for n in (1, 2))
+        assert all(np.array_equal(a[k], b[k]) for k in ("rho", "u"))
+
     def test_a_flag_the_path_lacks_is_refused_before_a_step(self, mrlbm,
                                                             monkeypatch):
         assert mrlbm("run --ranks 2 --backend emulated --max-restarts 1",

@@ -216,11 +216,10 @@ class TestBenchErrors:
 
 class TestIOErrors:
     def test_restore_into_wrong_time_type(self, tmp_path, d2q9):
-        from repro.io import restore_checkpoint, save_checkpoint
         from repro.solver import make_solver
+        from test_conformance import restore, save
 
-        a = make_solver("MR-P", d2q9, periodic_box((6, 6)), 0.8)
-        path = save_checkpoint(tmp_path / "c.npz", a)
+        save(make_solver("MR-P", d2q9, periodic_box((6, 6)), 0.8), tmp_path)
         b = make_solver("MR-R", d2q9, periodic_box((6, 6)), 0.8)
         with pytest.raises(ValueError, match="scheme"):
-            restore_checkpoint(path, b)
+            restore(tmp_path, b)

@@ -109,13 +109,18 @@ def test_distinct_options_distinct_fingerprints(d1, d2):
     assert spec_with(d1).fingerprint() != spec_with(d2).fingerprint()
 
 
-def manifest_with(fingerprint, version=None):
-    """A minimal checkpoint manifest with an ``extra`` fingerprint block."""
-    extra = {"fingerprint": fingerprint}
+def resume(saved, version=None, fingerprint="def", shape=(16, 16)) -> None:
+    """Validate a 16x16 MR-P checkpoint whose manifest holds the digest
+    ``saved`` under ``version`` (none: v1, the pre-fix encoding) against a
+    run of ``fingerprint`` and ``shape``."""
+    extra = {"fingerprint": saved}
     if version is not None:
         extra["fingerprint_version"] = version
-    return {"scheme": "MR-P", "lattice": "D2Q9", "shape": [16, 16],
-            "tau": 0.8, "extra": extra}
+    validate_checkpoint_manifest(
+        {"scheme": "MR-P", "lattice": "D2Q9", "shape": [16, 16], "tau": 0.8,
+         "extra": extra}, scheme="MR-P", lattice="D2Q9", shape=shape,
+        tau=0.8, fingerprint=fingerprint,
+        fingerprint_version=FINGERPRINT_VERSION)
 
 
 class TestVersionedResume:
@@ -124,45 +129,26 @@ class TestVersionedResume:
     def test_same_version_match_passes(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            validate_checkpoint_manifest(
-                manifest_with("abc", FINGERPRINT_VERSION),
-                scheme="MR-P", lattice="D2Q9", shape=(16, 16), tau=0.8,
-                fingerprint="abc",
-                fingerprint_version=FINGERPRINT_VERSION)
+            resume("abc", FINGERPRINT_VERSION, fingerprint="abc")
 
     def test_same_version_mismatch_raises(self):
         with pytest.raises(ValueError, match="fingerprint differs"):
-            validate_checkpoint_manifest(
-                manifest_with("abc", FINGERPRINT_VERSION),
-                scheme="MR-P", lattice="D2Q9", shape=(16, 16), tau=0.8,
-                fingerprint="def",
-                fingerprint_version=FINGERPRINT_VERSION)
+            resume("abc", FINGERPRINT_VERSION)
 
     def test_old_version_mismatch_warns_not_raises(self):
         """A v1 checkpoint resumes under v2 with a warning, not an error."""
         with pytest.warns(UserWarning, match="fingerprint encoding"):
-            validate_checkpoint_manifest(
-                manifest_with("abc"),        # no version = v1 (pre-fix)
-                scheme="MR-P", lattice="D2Q9", shape=(16, 16), tau=0.8,
-                fingerprint="def",
-                fingerprint_version=FINGERPRINT_VERSION)
+            resume("abc")
 
     def test_old_version_still_checks_fields(self):
         """Version skew only skips the digest check, not the field checks."""
         with pytest.warns(UserWarning, match="fingerprint encoding"), \
                 pytest.raises(ValueError, match="shape"):
-            validate_checkpoint_manifest(
-                manifest_with("abc"),
-                scheme="MR-P", lattice="D2Q9", shape=(32, 16), tau=0.8,
-                fingerprint="def",
-                fingerprint_version=FINGERPRINT_VERSION)
+            resume("abc", shape=(32, 16))
 
     def test_v2_checkpoint_says_the_defaults_changed(self):
         """Under v3 a distributed kind takes its single-domain defaults:
         the warning says how to continue the v2 problem."""
         with pytest.warns(UserWarning, match="Kind defaults changed in v3.*"
                           "explicitly to continue the same problem"):
-            validate_checkpoint_manifest(
-                manifest_with("abc", 2),
-                scheme="MR-P", lattice="D2Q9", shape=(16, 16), tau=0.8,
-                fingerprint="def", fingerprint_version=FINGERPRINT_VERSION)
+            resume("abc", 2)

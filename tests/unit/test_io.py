@@ -1,25 +1,17 @@
 """Unit tests for snapshot and checkpoint I/O."""
 
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.io import (
-    load_fields,
-    load_rank_slab,
-    restore_checkpoint,
-    save_archive,
-    save_checkpoint,
-    save_fields,
-    save_rank_slab,
-    write_vtk,
-)
+from repro.io import (load_fields, load_slabs, save_archive, save_fields,
+                      save_rank_slab, save_slabs, write_vtk)
 from repro.io.snapshots import _BLOCK
-from repro.solver import make_solver
 from repro.service.registry import build_single
-from repro.lattice import get_lattice
-from repro.geometry import periodic_box
+
+from test_conformance import Cell, build, check_resume, identity, restore, save
 
 
 class TestSnapshots:
@@ -70,46 +62,38 @@ class TestSnapshots:
 
 
 class TestCheckpoints:
-    def _solver(self, scheme, seed=0):
-        rng = np.random.default_rng(seed)
-        u0 = 0.02 * rng.standard_normal((2, 6, 6))
-        return build_single("periodic", scheme, "D2Q9", (6, 6), tau=0.8, u0=u0)
+    """A single domain checkpoints as a one-slab cohort."""
+
+    CELL = Cell("periodic", "ST", "D2Q9", "reference", shape=(6, 6))
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
-    def test_roundtrip_continues_identically(self, tmp_path, scheme):
-        a = self._solver(scheme)
-        a.run(5)
-        path = save_checkpoint(tmp_path / "ck.npz", a)
-
-        b = self._solver(scheme)                  # same construction
-        restore_checkpoint(path, b)
-        assert b.time == 5
-        a.run(5)
-        b.run(5)
-        ra, ua = a.macroscopic()
-        rb, ub = b.macroscopic()
-        assert np.allclose(ra, rb, atol=1e-14)
-        assert np.allclose(ua, ub, atol=1e-14)
+    def test_roundtrip_continues_identically(self, scheme):
+        check_resume(replace(self.CELL, scheme=scheme), 3, "reference")
 
     def test_scheme_mismatch_rejected(self, tmp_path):
-        a = self._solver("ST")
-        path = save_checkpoint(tmp_path / "ck.npz", a)
-        b = self._solver("MR-P")
-        with pytest.raises(ValueError, match="scheme"):
-            restore_checkpoint(path, b)
+        save(build(self.CELL).run(2), tmp_path)
+        for field, value in (("scheme", "MR-P"), ("tau", 0.9)):
+            solver = build(self.CELL)
+            with pytest.raises(ValueError, match="checkpoint is incompatible"
+                               f" with this run:\n  {field}"):
+                restore(tmp_path, solver, ident={**identity(solver),
+                                                 field: value})
 
     def test_domain_mismatch_rejected(self, tmp_path):
-        a = self._solver("ST")
-        path = save_checkpoint(tmp_path / "ck.npz", a)
-        lat = get_lattice("D2Q9")
-        b = make_solver("ST", lat, periodic_box((7, 6)), 0.8)
-        with pytest.raises(ValueError, match="domain"):
-            restore_checkpoint(path, b)
+        save(build(self.CELL).run(2), tmp_path)
+        with pytest.raises(ValueError, match="incompatible.*\n  shape"):
+            restore(tmp_path, build(replace(self.CELL, shape=(7, 6))))
+
+    def test_a_longer_axis_0_is_refused_by_the_reader(self, tmp_path):
+        """The rank files must end at the resumed run's ``nx`` exactly."""
+        wider = save(build(replace(self.CELL, shape=(7, 6))), tmp_path)
+        with pytest.raises(ValueError, match="up to 7, global extent is 6"):
+            load_slabs(wider, build(self.CELL))
 
     def test_mr_checkpoint_smaller_than_st(self, tmp_path):
         """The compression claim applies to checkpoints too (M < Q)."""
-        st = save_checkpoint(tmp_path / "st.npz", self._solver("ST", 1))
-        mr = save_checkpoint(tmp_path / "mr.npz", self._solver("MR-P", 1))
+        st, mr = (save_slabs(tmp_path / s, 0, build(replace(self.CELL,
+                  scheme=s))) / "rank0000.npz" for s in ("ST", "MR-P"))
         assert mr.stat().st_size < st.stat().st_size
 
 
@@ -124,10 +108,10 @@ class TestOneArchiveWriter:
         if kind == "fields":
             return save_fields(directory / "out.npz", np.full((4, 3), value),
                                np.zeros((2, 4, 3)))
-        if kind == "checkpoint":
-            solver = build_single("periodic", "MR-P", "D2Q9", (6, 5), tau=0.8,
+        if kind == "checkpoint":        # a single domain's one slab
+            solver = build_single("periodic", "MR-P", "D2Q9", (6, 5),
                                   rho0=value)
-            return save_checkpoint(directory / "ck.npz", solver)
+            return save_slabs(directory, 0, solver) / "rank0000.npz"
         return save_rank_slab(directory, 0, np.full((9, 3, 4), value),
                               start=0, stop=3, step=2, scheme="ST",
                               lattice="D2Q9")
@@ -146,7 +130,7 @@ class TestOneArchiveWriter:
         with pytest.raises(OSError, match="disk full"):
             self._write(kind, tmp_path, 2.0)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("kind", ["fields", "checkpoint", "rank_slab"])
     def test_archives_are_stored_not_deflated(self, tmp_path, kind):
@@ -185,19 +169,12 @@ class TestOneArchiveWriter:
         assert all(np.array_equal(old[k], new[k]) for k in old)
 
         solver = build_single("periodic", "ST", "D2Q9", (6, 5), tau=0.8,
-                              rho0=1 + 0.01 * rho)
-        solver.run(3)
-        with np.load(save_checkpoint(tmp_path / "ck.npz", solver)) as data:
-            np.savez_compressed(tmp_path / "ck-old.npz", **data)
-        fresh = build_single("periodic", "ST", "D2Q9", (6, 5), tau=0.8)
-        restore_checkpoint(tmp_path / "ck-old.npz", fresh)
+                              rho0=1 + 0.01 * rho).run(3)
+        save(solver, tmp_path)
+        rank_file = tmp_path / "step-00000003" / "rank0000.npz"
+        with np.load(rank_file) as data:
+            arrays = dict(data)
+        np.savez_compressed(rank_file, **arrays)
+        fresh = restore(tmp_path, build_single("periodic", "ST", "D2Q9",
+                                               (6, 5), tau=0.8))
         assert fresh.time == 3 and np.array_equal(fresh.f, solver.f)
-
-        slab = save_rank_slab(tmp_path, 1, u, start=2, stop=8, step=5,
-                              scheme="MR-P", lattice="D2Q9")
-        with np.load(slab) as data:
-            np.savez_compressed(tmp_path / "rank-old.npz", **data)
-        old, new = (load_rank_slab(tmp_path / "rank-old.npz"),
-                    load_rank_slab(slab))
-        assert np.array_equal(old.pop("field"), new.pop("field"))
-        assert old == new

@@ -6,20 +6,10 @@ import numpy as np
 import pytest
 
 from repro.loop import Cadences, Sinks, run_loop, watch
-from repro.obs import (
-    NULL_TELEMETRY,
-    JsonLinesExporter,
-    RunManifest,
-    StabilityError,
-    Telemetry,
-    load_manifest,
-    manifest_path_for,
-    read_jsonl,
-    summarize_events,
-    write_chrome_trace,
-    write_csv_summary,
-    write_manifest,
-)
+from repro.obs import (NULL_TELEMETRY, JsonLinesExporter, RunManifest,
+                       StabilityError, Telemetry, load_manifest,
+                       manifest_path_for, read_jsonl, summarize_events,
+                       write_chrome_trace, write_csv_summary, write_manifest)
 from repro.service.registry import build_single
 from repro.solver.monitors import ConvergenceMonitor, EnergyMonitor, ProbeMonitor
 
@@ -259,14 +249,13 @@ class TestManifest:
         json.dumps(m.to_dict())
 
     def test_checkpoint_writes_manifest(self, tmp_path):
-        from repro.io import save_checkpoint
+        from test_conformance import identity, save
 
-        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
-        ck = tmp_path / "state.npz"
-        save_checkpoint(ck, s, manifest=True, seed=7)
-        m = load_manifest(tmp_path / "state.manifest.json")
-        assert m.scheme == "ST" and m.seed == 7
-        assert m.extra["kind"] == "checkpoint"
+        save(s := build_single("periodic", "ST", "D2Q9", (8, 8)).run(2),
+             tmp_path)
+        m = load_manifest(tmp_path / "step-00000002" / "manifest.json")
+        assert (m.scheme, m.shape, m.tau, m.steps) == ("ST", (8, 8), 0.8, 2)
+        assert m.extra["fingerprint"] == identity(s)["fingerprint"]
 
 
 class TestWatchdog:
