@@ -26,7 +26,13 @@ subpackages for the full API:
 * :mod:`repro.bench` — paper table/figure regeneration harness.
 """
 
-from .lattice import D2Q9, D3Q19, D3Q27, D3Q39, get_lattice
+from ._lazy import lazy_exports
+
+# Resolved on first use, so ``import repro`` (and the job server's front
+# end) loads no numpy; the descriptors are built by their first reader.
+__getattr__ = lazy_exports(__name__, {
+    "lattice": ("get_lattice", "D2Q9", "D3Q19", "D3Q27", "D3Q39"),
+})
 
 __version__ = "1.0.0"
 

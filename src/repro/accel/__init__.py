@@ -59,6 +59,7 @@ stepper runs each step.
 
 from __future__ import annotations
 
+from ..spec import BACKENDS, check_backend
 from .fused import FusedMRCore, FusedSTCore
 from .inplace import InplaceSTCore
 from .sparse import SparseMRCore, SparseSTCore
@@ -71,9 +72,6 @@ __all__ = [
     "SparseSTCore", "SparseMRCore",
     "NeighborTable", "MaskedNeighborTable",
 ]
-
-#: Recognized backend names.
-BACKENDS = ("reference", "fused", "aa", "sparse")
 
 #: Core class per (layout/streaming backend, kernel family).
 _CORES = {
@@ -150,13 +148,6 @@ def solver_caps(solver) -> dict | None:
     the module docstring).
     """
     return type(solver).__dict__.get("accel_caps")
-
-
-def check_backend(backend: str) -> None:
-    """Refuse a backend name that is not one of :data:`BACKENDS`."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
 def validate_backend(solver, backend: str | None = None) -> dict | None:

@@ -48,7 +48,7 @@ def _shape(text: str) -> tuple[int, ...]:
 def _add_run_flags(parser, shape: str, steps: int) -> None:
     """The flags ``run`` and ``submit`` share: what to step, how long, on
     how many slabs and backends, with which fault-tolerance cadences."""
-    from .accel import BACKENDS
+    from .spec import BACKENDS
 
     parser.add_argument("--scheme", default="MR-P",
                         choices=["ST", "MR-P", "MR-R"])
@@ -75,9 +75,8 @@ def _add_run_flags(parser, shape: str, steps: int) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # every --problem list is the registry's and every --accel list the
     # backend tuple, so a new kind or backend is offered the moment it
-    # exists
-    from .accel import BACKENDS
-    from .service.registry import problem_kinds, sweep_kinds
+    # exists; both are the numpy-free spec layer's
+    from .spec import BACKENDS, problem_kinds, sweep_kinds
 
     p = argparse.ArgumentParser(
         prog="mrlbm",
@@ -264,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _problem_options(args) -> dict:
     """The ``run`` flags the chosen problem kind takes, as its options.
 
-    The kinds live in the shared registry (:mod:`repro.service.registry`);
-    the CLI only maps ``--u-max``/``--bc`` onto the kinds that accept
-    them (the porous kind draws its own geometry and takes neither).
+    The kinds live in the shared kind table (:mod:`repro.spec`); the CLI
+    only maps ``--u-max``/``--bc`` onto the kinds that accept them (the
+    porous kind draws its own geometry and takes neither).
     """
-    from .service.registry import get_problem
+    from .spec import get_problem
 
     accepted = get_problem(args.problem).options
     options = {}
@@ -289,6 +288,8 @@ def _refusal(args, backend: str | None) -> str | None:
               "a supervising parent (--backend process)", ("process",)),
              ("--checkpoint-every", args.checkpoint_every
               and not args.checkpoint_dir, "--checkpoint-dir", ()),
+             ("--checkpoint-dir", args.checkpoint_dir
+              and not args.checkpoint_every, "--checkpoint-every", ()),
              ("--report-interval", args.report_interval is not None,
               "a progress printer in the stepping process", (None, "emulated"))]
     path = {None: "a single-domain run", "emulated": "an emulated cohort",
@@ -310,7 +311,7 @@ def _step_here(args, solver, cohort: bool, tel, metrics) -> int:
     from .io.checkpoint import checkpoint_sink, load_slabs, resolve_resume
     from .loop import Cadences, Sinks, run_loop
     from .obs import EventStream, RunEventEmitter
-    from .parallel.runtime import problem_identity
+    from .spec import problem_identity
 
     identity = problem_identity(args.problem, args.scheme, args.lattice,
                                 args.shape, args.tau, _problem_options(args))
@@ -752,8 +753,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = JobServer(scheduler, host=args.host, port=args.port,
                        uds=args.uds)
 
-    async def _serve() -> None:
-        await server.start()
+    async def _serve() -> int:
+        try:
+            await server.start()
+        except OSError as err:      # a live server on --uds, a busy port
+            print(f"ERROR: {err}", file=sys.stderr)
+            return 2
         print(f"mrlbm serve: listening on {server.address} "
               f"({scheduler.workers} worker(s), jobs under "
               f"{scheduler.root})")
@@ -763,9 +768,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await server.serve_forever()
         finally:
             await server.close()
+        return 0
 
     try:
-        asyncio.run(_serve())
+        return asyncio.run(_serve())
     except KeyboardInterrupt:
         print("mrlbm serve: stopped", file=sys.stderr)
     return 0

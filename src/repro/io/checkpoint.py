@@ -138,14 +138,15 @@ def seal_checkpoint(root: str | Path, step: int, identity: dict,
                     keep: int = 2, **extra) -> Path:
     """Seal the step directory of ``step`` once every rank file is in it:
     the manifest — the problem ``identity``
-    (:func:`repro.parallel.runtime.problem_identity`) and ``extra`` (kind,
-    rank count, backend, ...) —, then ``COMPLETE``, then prune all but
-    the newest ``keep`` snapshots. Returns the step directory."""
+    (:func:`repro.spec.problem_identity`) and ``extra`` (kind, rank
+    count, backend, ...) —, then ``COMPLETE``, then prune all but the
+    newest ``keep`` snapshots of that problem. Returns the step
+    directory."""
     step_dir = checkpoint_step_dir(root, step)
     RunManifest.from_identity(identity, step, **extra).write(
         step_dir / "manifest.json")
     (step_dir / COMPLETE_MARKER).write_text("ok\n", encoding="utf-8")
-    prune_checkpoints(root, keep=keep)
+    prune_checkpoints(root, keep=keep, fingerprint=identity["fingerprint"])
     return step_dir
 
 
@@ -192,17 +193,31 @@ def latest_checkpoint(root: str | Path) -> Path | None:
                  if is_checkpoint_complete(d)), None)
 
 
-def prune_checkpoints(root: str | Path, keep: int = 2) -> list[Path]:
-    """Delete all but the newest ``keep`` complete step directories.
+def _fingerprint(step_dir: Path) -> str | None:
+    """The problem fingerprint a complete step's manifest records."""
+    try:
+        return load_manifest_for_resume(step_dir)["extra"].get("fingerprint")
+    except (OSError, ValueError, KeyError, AttributeError):
+        return None
 
-    Torn directories older than the newest complete one are deleted too
-    (they can never be resumed from). Returns the removed paths.
+
+def prune_checkpoints(root: str | Path, keep: int = 2, *,
+                      fingerprint: str) -> list[Path]:
+    """Delete all but the newest ``keep`` complete step directories of
+    the problem ``fingerprint``: in a reused directory, another
+    problem's snapshots are not this run's to delete.
+
+    Torn directories older than the newest complete one kept are deleted
+    too (they can never be resumed from). Returns the removed paths.
     """
-    complete = [d for d in _step_dirs(Path(root)) if is_checkpoint_complete(d)]
+    steps = _step_dirs(Path(root))
+    complete = [d for d in steps if is_checkpoint_complete(d)
+                and _fingerprint(d) == fingerprint]
     survivors = {d.name for d in complete[-max(int(keep), 1):]}
     newest = checkpoint_step(complete[-1]) if complete else -1
-    removed = [d for d in _step_dirs(Path(root)) if d.name not in survivors
-               and (is_checkpoint_complete(d) or checkpoint_step(d) < newest)]
+    removed = [d for d in steps if d.name not in survivors and (
+        d in complete or (not is_checkpoint_complete(d)
+                          and checkpoint_step(d) < newest))]
     for step_dir in removed:
         shutil.rmtree(step_dir, ignore_errors=True)
     return removed
@@ -258,7 +273,7 @@ def resolve_resume(where: str | Path, n_steps: int,
 
     ``where`` is a checkpoint root (its newest complete step is taken)
     or one step directory; ``identity`` is the resuming run's
-    :func:`~repro.parallel.runtime.problem_identity`. Returns
+    :func:`~repro.spec.problem_identity`. Returns
     ``(step_dir, start_step)``; raises ``FileNotFoundError`` when no
     complete checkpoint exists and ``ValueError`` when the manifest is
     incompatible with the run or the checkpoint already reached

@@ -16,35 +16,26 @@ virtual-GPU kernels and the CLI (see ``docs/observability.md``):
 * :class:`EventStream` / :func:`follow_events` — the per-rank JSONL
   event bus behind ``mrlbm watch``.
 
-The profiling harness is resolved on first use of its names; a run that
-only measures itself does not import it.
+Every name is resolved on first use of it: a run that only measures
+itself does not import the profiling harness, and ``mrlbm watch`` or the
+job server (the event streams) import no numpy.
 """
 
 from .._lazy import lazy_exports
-from .events import (
-    EventStream,
-    RunEventEmitter,
-    event_files,
-    follow_events,
-    format_watch,
-    iter_event_lines,
-    iter_events,
-    read_events,
-    summarize_events,
-)
-from .exporters import (
-    JsonLinesExporter,
-    read_jsonl,
-    write_chrome_trace,
-    write_csv_summary,
-)
-from .manifest import RunManifest, load_manifest, manifest_path_for, write_manifest
-from .merge import merge_rank_reports
-from .telemetry import NULL_TELEMETRY, NullTelemetry, PhaseStats, Span, Telemetry
-from .watchdog import SOUND_SPEED, StabilityError, check_fields
 
 __getattr__ = lazy_exports(__name__, {
+    "events": ("EventStream", "RunEventEmitter", "event_files",
+               "follow_events", "format_watch", "iter_event_lines",
+               "iter_events", "read_events", "summarize_events"),
+    "exporters": ("JsonLinesExporter", "read_jsonl", "write_chrome_trace",
+                  "write_csv_summary"),
+    "manifest": ("RunManifest", "load_manifest", "manifest_path_for",
+                 "write_manifest"),
+    "merge": ("merge_rank_reports",),
     "profile": ("PROFILE_SCHEMES", "format_profile", "profile_scheme"),
+    "telemetry": ("NULL_TELEMETRY", "NullTelemetry", "PhaseStats", "Span",
+                  "Telemetry"),
+    "watchdog": ("SOUND_SPEED", "StabilityError", "check_fields"),
 })
 
 __all__ = [

@@ -80,7 +80,7 @@ class RunManifest:
                       **extra) -> "RunManifest":
         """Build a manifest from a problem identity after ``step`` steps.
 
-        ``identity`` is :func:`repro.parallel.runtime.problem_identity`'s:
+        ``identity`` is :func:`repro.spec.problem_identity`'s:
         the problem alone (no live solver, no ``RunSpec``), so a resume on
         any path validates against this manifest. Its fingerprint and
         version, and ``extra`` (kind, rank count, ...), land in

@@ -26,20 +26,18 @@ testing the machinery are injected deterministically via
 :class:`FaultSpec` (see :mod:`repro.parallel.faults`).
 """
 
-from .decomposition import (
-    CommunicationReport,
-    DistributedSolver,
-    SlabDecomposition,
-)
-from .faults import FAULT_KINDS, FaultInjected, FaultSpec, normalize_fault
-from .runtime import (
-    ParallelRuntimeError,
-    ProcessRunResult,
-    ProcessRuntime,
-    RunSpec,
-    WorkerFailure,
-    run_process,
-)
+from .._lazy import lazy_exports
+
+# Resolved on first use: a job server imports repro.parallel.blas without
+# the decomposition's numpy.
+__getattr__ = lazy_exports(__name__, {
+    "decomposition": ("CommunicationReport", "SlabDecomposition",
+                      "DistributedSolver"),
+    "faults": ("FAULT_KINDS", "FaultInjected", "FaultSpec",
+               "normalize_fault"),
+    "runtime": ("ParallelRuntimeError", "ProcessRunResult", "ProcessRuntime",
+                "RunSpec", "WorkerFailure", "run_process"),
+})
 
 __all__ = [
     "CommunicationReport",

@@ -54,6 +54,7 @@ import numpy as np
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
 from ..solver import SCHEMES, Solver, check_inputs
+from ..spec import SlabDecomposition, check_halo_width
 
 __all__ = [
     "CommunicationReport",
@@ -103,86 +104,6 @@ class CommunicationReport:
             "steps": self.steps,
             "bytes_per_step": self.bytes_per_step(),
         }
-
-
-@dataclass(frozen=True)
-class SlabDecomposition:
-    """1D decomposition of the global grid along axis 0."""
-
-    global_shape: tuple[int, ...]
-    n_ranks: int
-    periodic: bool
-
-    def __post_init__(self) -> None:
-        """Validate that every slab keeps at least 3 interior planes."""
-        nx = self.global_shape[0]
-        if self.n_ranks < 1:
-            raise ValueError("need at least one rank")
-        if nx < 3 * self.n_ranks:
-            raise ValueError(
-                f"{self.n_ranks} slabs need a global extent of at least "
-                f"{3 * self.n_ranks} along axis 0, got {nx}"
-            )
-
-    def bounds(self, rank: int) -> tuple[int, int]:
-        """Global [start, stop) of a rank's interior slab."""
-        nx = self.global_shape[0]
-        base = nx // self.n_ranks
-        rem = nx % self.n_ranks
-        start = rank * base + min(rank, rem)
-        width = base + (1 if rank < rem else 0)
-        return start, start + width
-
-    def ghosted(self, rank: int) -> slice | list[int]:
-        """A rank's axis-0 planes, ghost planes included.
-
-        A ``slice`` (a cut is a view), the plane indices if it wraps."""
-        start, stop = self.bounds(rank)
-        lo, hi = start - self.has_left(rank), stop + self.has_right(rank)
-        if 0 <= lo and hi <= self.global_shape[0]:
-            return slice(lo, hi)
-        return [k % self.global_shape[0] for k in range(lo, hi)]
-
-    def has_left(self, rank: int) -> bool:
-        """Whether the rank exchanges across its low-x face."""
-        return self.periodic or rank > 0
-
-    def has_right(self, rank: int) -> bool:
-        """Whether the rank exchanges across its high-x face."""
-        return self.periodic or rank < self.n_ranks - 1
-
-    def left_of(self, rank: int) -> int:
-        """Rank id of the low-x neighbour (wraps when periodic)."""
-        return (rank - 1) % self.n_ranks
-
-    def right_of(self, rank: int) -> int:
-        """Rank id of the high-x neighbour (wraps when periodic)."""
-        return (rank + 1) % self.n_ranks
-
-    @property
-    def face_nodes(self) -> int:
-        """Number of lattice nodes in one cut face (a constant-x plane)."""
-        out = 1
-        for s in self.global_shape[1:]:
-            out *= s
-        return out
-
-
-def check_halo_width(lat: LatticeDescriptor) -> None:
-    """Refuse a lattice the one-node ghost layer cannot carry.
-
-    Shared by :class:`DistributedSolver` and
-    :class:`~repro.parallel.runtime.RunSpec`, so a multi-speed lattice
-    is rejected when the spec is written down, not after a wrong field
-    has been computed.
-    """
-    reach = lat.reach
-    if reach > 1:
-        raise ValueError(
-            f"{lat.name} is a multi-speed lattice (|c_x| up to {reach}): "
-            f"the slab decomposition exchanges a halo 1 node wide, so "
-            f"populations would jump over the ghost plane; run it "
-            f"single-domain")
 
 
 class DistributedSolver:

@@ -2,7 +2,7 @@
 
 This module turns the emulated decomposition of
 :mod:`repro.parallel.decomposition` into genuinely concurrent execution:
-every :class:`~repro.parallel.decomposition.SlabDecomposition` rank runs
+every :class:`~repro.spec.SlabDecomposition` rank runs
 as a real OS process, forked from the parent, that owns its slab state
 privately; only its one-node halo face buffers and one global ``(rho,
 u)`` output block, written once by every rank after its last step, are
@@ -36,9 +36,9 @@ with ``RunSpec.checkpoint_dir``/``checkpoint_every`` set, the worker
 ranks write barrier-aligned distributed checkpoints (see
 :mod:`repro.io.checkpoint`), and ``ProcessRuntime.run(...,
 max_restarts=K)`` restarts a failed cohort from the newest complete
-checkpoint up to ``K`` times with linear backoff — a run killed at an
-arbitrary step finishes with fields bit-identical to an uninterrupted
-one. ``RunSpec.resume_from`` starts a *new* run from a saved
+checkpoint of the same problem up to ``K`` times with linear backoff —
+a run killed at an arbitrary step finishes with fields bit-identical to
+an uninterrupted one. ``RunSpec.resume_from`` starts a *new* run from a saved
 checkpoint, re-sharding when the rank count changed.
 
 Entry points
@@ -54,7 +54,6 @@ Entry points
 
 from __future__ import annotations
 
-import hashlib
 import math
 import mmap
 import multiprocessing as mp
@@ -63,13 +62,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..io.checkpoint import checkpoint_step, latest_checkpoint, resolve_resume
-from ..lattice import get_lattice
+from ..io.checkpoint import resolve_resume
 from ..obs.merge import merge_rank_reports
-from ..solver import check_inputs
-from .decomposition import (CommunicationReport, DistributedSolver,
-                            SlabDecomposition, check_halo_width)
-from .faults import FaultSpec, normalize_fault
+from ..spec import FINGERPRINT_VERSION, RunSpec, problem_identity
+from .decomposition import CommunicationReport, DistributedSolver
+from .faults import normalize_fault
 
 __all__ = [
     "FINGERPRINT_VERSION",
@@ -81,213 +78,6 @@ __all__ = [
     "ProcessRuntime",
     "run_process",
 ]
-
-#: Version of the :meth:`RunSpec.fingerprint` encoding, recorded in
-#: checkpoint manifests; CHANGES.md records why each bump was made.
-#: Resuming a checkpoint written under another version warns and skips
-#: the digest comparison instead of failing it spuriously; the job
-#: server never serves a result sealed under another version.
-FINGERPRINT_VERSION = 5
-
-
-def problem_identity(kind: str, scheme: str, lattice: str, shape, tau: float,
-                     options: dict) -> dict:
-    """What a checkpoint records of its problem and a resume checks.
-
-    ``scheme``, ``lattice``, ``shape`` and ``tau`` field by field, and a
-    ``fingerprint`` digest of them with the kind and its preset options
-    (initial fields, forcing, boundary method, ...) that equally shape
-    the trajectory, under :data:`FINGERPRINT_VERSION`. A single-domain
-    kind without a :class:`RunSpec` (``power-law``) has one too. The
-    fingerprint is also the dedup key of the job server's result cache.
-    Array-valued options hash their dtype, shape and bytes.
-
-    Every field is length-prefixed before hashing (and values carry
-    their type name), so no two distinct problems can produce the same
-    byte stream — version 1 concatenated raw reprs, letting
-    ``{"x1": 2}`` and ``{"x": 12}`` collide. Bump
-    :data:`FINGERPRINT_VERSION` when this encoding, or the problem a
-    spec names, changes.
-    """
-    h = hashlib.sha256()
-
-    def feed(data: bytes) -> None:
-        h.update(len(data).to_bytes(8, "big"))
-        h.update(data)
-
-    shape = tuple(int(s) for s in shape)
-    feed(b"fingerprint-v%d" % FINGERPRINT_VERSION)
-    for part in (kind, scheme, lattice):
-        feed(str(part).encode())
-    feed(repr(shape).encode())
-    feed(repr(float(tau)).encode())
-    for key in sorted(options):
-        value = options[key]
-        feed(key.encode())
-        if isinstance(value, np.ndarray):
-            feed(b"ndarray")
-            feed(repr((tuple(value.shape), str(value.dtype))).encode())
-            feed(np.ascontiguousarray(value).tobytes())
-        else:
-            feed(f"{type(value).__name__}:{value!r}".encode())
-    return {"scheme": scheme, "lattice": lattice, "shape": shape,
-            "tau": float(tau), "fingerprint": h.hexdigest()[:16],
-            "fingerprint_version": FINGERPRINT_VERSION}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Picklable description of a distributed problem.
-
-    What it builds (:meth:`build`) is a shell — lattice, decomposition,
-    global domain, boundary factory and views of the initial fields —
-    and each worker builds its own rank's solver from it, once, in its
-    own process (the forked workers inherit the parent's shell): only
-    halo faces and the final ``(rho, u)`` cross process boundaries
-    during a run.
-
-    Parameters
-    ----------
-    kind:
-        A registered problem kind with a distributed form (see
-        :func:`repro.service.registry.problem_kinds`).
-    scheme:
-        ``"ST"``, ``"MR-P"`` or ``"MR-R"``.
-    lattice:
-        Lattice name, e.g. ``"D2Q9"`` or ``"D3Q19"``.
-    shape:
-        Global grid shape.
-    n_ranks:
-        Number of slabs along axis 0 == number of worker processes.
-    tau:
-        BGK relaxation time.
-    options:
-        The kind's own options (``u_max``, ``bc_method``, ``rho0``,
-        ``u0``, ``force``, ...), with the kind's defaults: the spec
-        names the single-domain problem of the same options, cut into
-        slabs. Any other name is rejected at construction.
-    accel:
-        Per-rank execution backend, ``"reference"``, ``"fused"``,
-        ``"aa"`` or ``"sparse"`` (see :mod:`repro.accel`): the name is
-        checked here, the combination when the ranks are built. A rank
-        reads its state through ``solver.f`` / ``solver.m`` like anybody
-        else, so a backend that keeps it in a layout of its own between
-        steps (``"sparse"``, boundary-free ``"aa"``) puts it right when
-        the exchange or a checkpoint looks, at odd and even steps alike.
-    fault:
-        Deterministic fault injection: a
-        :class:`~repro.parallel.faults.FaultSpec` (or a plain dict of
-        its fields) makes one rank raise, die, hang or corrupt its slab
-        at a chosen step — the test harness for every failure path (see
-        :mod:`repro.parallel.faults`).
-    checkpoint_dir:
-        Per-run checkpoint directory; workers write barrier-aligned
-        distributed checkpoints here (see :mod:`repro.io.checkpoint`).
-        ``None`` disables checkpointing.
-    checkpoint_every:
-        Checkpoint cadence in steps (0 disables). A snapshot taken "at
-        step s" captures the state after ``s`` completed steps.
-    checkpoint_keep:
-        How many complete checkpoints to retain; older ones are pruned
-        by rank 0 after each new complete snapshot.
-    resume_from:
-        Checkpoint root (or one specific ``step-*`` directory) to resume
-        from: the run continues bit-exactly from the saved step, after
-        manifest validation, re-sharding if ``n_ranks`` differs from the
-        writing run. With ``resume_from`` set, ``run(n_steps)`` treats
-        ``n_steps`` as the *total* step count of the trajectory.
-    max_restarts:
-        Default supervised-retry budget of :meth:`ProcessRuntime.run`:
-        on worker failure the runtime restarts from the newest complete
-        checkpoint up to this many times.
-    watchdog_every:
-        Per-rank stability-watchdog cadence in steps (0 disables): every
-        worker checks its interior slab for NaN/Inf/over-speed nodes and
-        converts silent corruption into a structured failure.
-    events_dir:
-        Run directory for the per-rank JSONL event streams (see
-        :mod:`repro.obs.events`): every worker appends heartbeat /
-        progress / phase / checkpoint / watchdog events there, so a
-        live run can be tailed with ``mrlbm watch``. ``None`` disables
-        event streaming.
-    events_every:
-        Heartbeat cadence in steps (default 25 when ``events_dir`` is
-        set).
-    """
-
-    kind: str
-    scheme: str
-    lattice: str
-    shape: tuple[int, ...]
-    n_ranks: int
-    tau: float = 0.8
-    options: dict = field(default_factory=dict)
-    fault: FaultSpec | dict | None = None
-    accel: str = "reference"
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 0
-    checkpoint_keep: int = 2
-    resume_from: str | None = None
-    max_restarts: int = 0
-    watchdog_every: int = 0
-    events_dir: str | None = None
-    events_every: int = 25
-
-    def __post_init__(self) -> None:
-        """Validate everything that can be checked without building.
-
-        An unknown kind, scheme or ``accel`` name, a kind without a
-        distributed form, an option the kind does not take, an unknown
-        lattice, a shape of the wrong dimension, ``tau <= 1/2``, a
-        lattice the one-node halo cannot carry, a rank count the grid
-        cannot be cut into or a field option of the kind
-        (``ProblemKind.fields``) that does not fit the grid used to
-        surface only when :meth:`build` ran — long after the spec had
-        been queued, fingerprinted or pickled, and for some of them as a
-        traceback (or a wrong result) in a worker. Failing here keeps
-        bad specs out of the system entirely. The check is skipped
-        during unpickling (``__reduce__`` restores fields directly).
-        """
-        from ..service.registry import check_names, get_problem
-
-        kind = get_problem(self.kind, distributed=True)
-        kind.check_options(self.options)
-        check_names(self.scheme, self.accel)
-        lat = get_lattice(self.lattice)
-        if len(self.shape) != lat.d:
-            raise ValueError(f"shape {tuple(self.shape)} does not match "
-                             f"lattice dimension {lat.d}")
-        check_inputs(lat, self.shape, self.tau, **{
-            k: self.options[k] for k in kind.fields if k in self.options})
-        check_halo_width(lat)
-        SlabDecomposition(tuple(self.shape), self.n_ranks, periodic=False)
-
-    def identity(self) -> dict:
-        """The spec's :func:`problem_identity`."""
-        return problem_identity(self.kind, self.scheme, self.lattice,
-                                self.shape, self.tau, self.options)
-
-    def fingerprint(self) -> str:
-        """Injective digest of the problem identity (kind + preset
-        options; see :func:`problem_identity`)."""
-        return self.identity()["fingerprint"]
-
-    def build(self) -> DistributedSolver:
-        """Construct the emulated solver this spec describes.
-
-        It is a shell that builds a rank's solver when the rank is first
-        used (:meth:`~repro.parallel.decomposition.DistributedSolver.rank`).
-
-        Dispatches through the shared problem registry
-        (:mod:`repro.service.registry`), so every kind registered there
-        — built-in or site-specific — is runnable from a spec.
-        """
-        from ..service.registry import build_distributed
-
-        return build_distributed(
-            self.kind, self.scheme, self.lattice, tuple(self.shape),
-            self.n_ranks, tau=self.tau, accel=self.accel, **self.options)
-
 
 @dataclass
 class WorkerFailure:
@@ -531,8 +321,9 @@ class ProcessRuntime:
 
         Supervised recovery: when any worker fails, up to
         ``max_restarts`` (default ``spec.max_restarts``) fresh cohorts
-        are launched from the newest complete checkpoint (or the
-        original starting point when none exists yet), waiting
+        are launched from the newest complete checkpoint, when
+        :func:`~repro.io.checkpoint.resolve_resume` accepts it for this
+        spec (or from the original starting point), waiting
         ``restart_backoff * attempt`` seconds between attempts. Every
         attempt maps blocks of its own, which go with it.
 
@@ -568,10 +359,13 @@ class ProcessRuntime:
                 attempt += 1
                 resume_dir, start_step = None, 0
                 if spec.checkpoint_dir:
-                    found = latest_checkpoint(spec.checkpoint_dir)
-                    if found is not None:
-                        resume_dir = str(found)
-                        start_step = checkpoint_step(found)
+                    # this problem's newest snapshot, validated like any
+                    # resume: another run's in a reused directory is none
+                    try:
+                        resume_dir, start_step = resolve_resume(
+                            spec.checkpoint_dir, n_steps, spec.identity())
+                    except (FileNotFoundError, ValueError):
+                        pass
                 if resume_dir is None and spec.resume_from:
                     resume_dir, start_step = resolve_resume(
                         spec.resume_from, n_steps, spec.identity())

@@ -4,13 +4,13 @@ This package turns the one-shot CLI/runtime stack into a long-lived
 service (ROADMAP open item 2):
 
 :mod:`repro.service.registry`
-    The shared problem registry — one ``kind -> builders`` table used by
-    the CLI, the distributed runtime (:meth:`RunSpec.build`), the sweep
-    engine and the job server, replacing the open-coded dispatch that
-    each entry point used to duplicate.
+    The shared problem registry — every kind's setup function, from
+    which the CLI, the distributed runtime (:meth:`RunSpec.build`), the
+    sweep engine and the job processes build both solver forms; the
+    kind table it fills is :mod:`repro.spec`'s.
 :mod:`repro.service.jobs`
     The job model and scheduler: a bounded pool of workers running
-    queued :class:`~repro.parallel.runtime.RunSpec` jobs, with
+    queued :class:`~repro.spec.RunSpec` jobs, with
     fingerprint-keyed dedup serving repeat submissions from sealed
     result manifests.
 :mod:`repro.service.jobproc`
@@ -24,23 +24,18 @@ service (ROADMAP open item 2):
 :mod:`repro.service.client`
     The blocking client behind ``mrlbm submit`` / ``mrlbm jobs``.
 
-Only the registry is imported with the package: every ``RunSpec`` and
-``build_single`` call reaches it, while the scheduler, server and client
-(``asyncio``, ``http.client``) are resolved on first use of their names.
+Every name is resolved on first use: the scheduler, server and client
+(``asyncio``, ``http.client``) load no numerics — they read the
+numpy-free :mod:`repro.spec` — and the registry, which does, is imported
+only by what builds a problem (``mrlbm run``, a job process).
 """
 
 from .._lazy import lazy_exports
-from .registry import (
-    ProblemKind,
-    build_distributed,
-    build_single,
-    get_problem,
-    problem_kinds,
-    register_problem,
-    sweep_kinds,
-)
 
 __getattr__ = lazy_exports(__name__, {
+    "registry": ("ProblemKind", "build_distributed", "build_single",
+                 "get_problem", "problem_kinds", "register_problem",
+                 "sweep_kinds"),
     "client": ("ServiceClient", "ServiceError"),
     "jobs": ("Job", "JobScheduler", "job_key", "spec_from_dict"),
     "server": ("JobServer",),

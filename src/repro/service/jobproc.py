@@ -24,8 +24,19 @@ A job process leads its own process group, so one ``killpg`` stops it
 together with any cohort it forked: on a run timeout (the job fails and
 a new job process replaces the old one), at :meth:`JobProcess.stop` and
 at interpreter exit. A job process that dies mid-job fails that job and
-is replaced as well. It sets its BLAS threads to its share of the cores
-(:func:`repro.parallel.blas.share_cores` over the pool's workers).
+is replaced as well.
+
+The server holds no numerics: it validates, fingerprints and queues with
+the numpy-free :mod:`repro.spec`. A job process imports what a job
+builds and steps right after its fork (:func:`_warm`: numpy, the
+registry's setup bodies, the cores, the run loop and
+:class:`~repro.parallel.runtime.ProcessRuntime`), once for all the jobs
+it runs — a replacement imports them again — and only then sets its BLAS
+threads to its share of the cores
+(:func:`repro.parallel.blas.share_cores` over the pool's workers), so
+the setter is found in the OpenBLAS numpy mapped. Its reply is plain
+Python: one numpy scalar in it would import numpy into the server that
+unpickles it.
 """
 
 from __future__ import annotations
@@ -42,15 +53,18 @@ import signal
 import stat
 import time
 import weakref
+from importlib import import_module
 
-from ..io.snapshots import save_archive
-from ..obs.manifest import RunManifest
 from ..parallel.blas import share_cores
-from ..parallel.runtime import FINGERPRINT_VERSION
+from ..spec import FINGERPRINT_VERSION
 
 __all__ = ["JobProcess"]
 
 _LIVE: "weakref.WeakSet[JobProcess]" = weakref.WeakSet()
+
+#: What a job builds and steps, imported by :func:`_warm`.
+_NUMERICS = ("numpy", "repro.service.registry", "repro.accel", "repro.loop",
+             "repro.io", "repro.parallel.runtime", "repro.parallel.worker")
 
 
 @atexit.register
@@ -190,6 +204,12 @@ def _die_with(server_pid: int) -> None:
         os.killpg(group, signal.SIGKILL)    # PR_SET_PDEATHSIG came too late
 
 
+def _warm() -> None:
+    """Import :data:`_NUMERICS` — in the job process, never the server."""
+    for name in _NUMERICS:
+        import_module(name)
+
+
 def _serve(conn, workers: int, server_pid: int) -> None:
     """Job-process main loop: run each job received on ``conn`` until EOF."""
     try:
@@ -202,6 +222,7 @@ def _serve(conn, workers: int, server_pid: int) -> None:
     except (ValueError, OSError):
         pass
     _close_inherited_sockets(keep=conn.fileno())
+    _warm()
     blas_threads = share_cores(workers)
     while True:
         try:
@@ -260,7 +281,11 @@ def _run_here(spec, n_steps: int, job_dir, blas_threads):
 
 
 def _execute(job, blas_threads: int | str) -> dict:
-    """Run one job to completion and seal its directory (job process)."""
+    """Run one job to completion and seal its directory (job process);
+    returns the sealed result, plain Python only."""
+    from ..io.snapshots import save_archive
+    from ..obs.manifest import RunManifest
+
     spec = job.spec
     assert spec is not None
     job.dir.mkdir(parents=True, exist_ok=True)
@@ -290,9 +315,9 @@ def _execute(job, blas_threads: int | str) -> dict:
             "accel": spec.accel,
         },
         "steps": job.n_steps,
-        "restarts": restarts,
-        "wall_s": wall,
-        "mlups": mlups,
+        "restarts": int(restarts),
+        "wall_s": float(wall),
+        "mlups": float(mlups),
         "fields": "fields.npz",
         "finished_unix": time.time(),
     }

@@ -1,9 +1,9 @@
 """Job model and scheduler: a bounded pool of warm job processes.
 
-A *job* is one :class:`~repro.parallel.runtime.RunSpec` plus a step
-count. The :class:`JobScheduler` queues submitted jobs and multiplexes
-them over a bounded worker pool — each worker owns one long-lived job
-process (:mod:`repro.service.jobproc`) that runs a one-rank job as a
+A *job* is one :class:`~repro.spec.RunSpec` plus a step count. The
+:class:`JobScheduler` queues submitted jobs and multiplexes them over a
+bounded worker pool — each worker owns one long-lived job process
+(:mod:`repro.service.jobproc`) that runs a one-rank job as a
 single-domain run in place and every other job through the
 fault-tolerant :class:`~repro.parallel.runtime.ProcessRuntime`, so such
 a job inherits the runtime's checkpointing, supervised retry and
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..parallel.runtime import FINGERPRINT_VERSION, RunSpec
+from ..spec import FINGERPRINT_VERSION, RunSpec
 from .jobproc import JobProcess, _runs_here
 
 __all__ = ["Job", "JobScheduler", "job_key", "spec_from_dict"]

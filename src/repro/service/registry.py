@@ -16,19 +16,24 @@ kind's option names are its setup function's keyword parameters; any
 other name is refused when a :class:`~repro.parallel.runtime.RunSpec`
 is constructed and again when a solver is built.
 
+The table itself — each kind's name, description and option names,
+:func:`get_problem`, :func:`register_problem` — is the numpy-free
+:mod:`repro.spec`, which the job server's front end reads without this
+module; importing this module attaches every built-in kind's setup
+function to its declared entry (re-exporting the table's names).
 Registration is open: downstream code may :func:`register_problem` its
 own kinds and they become visible to ``mrlbm run/serve/submit`` and
-``RunSpec`` validation without touching this package. The table is
-filled at import, with plain imports: this module sits above
-:mod:`repro.solver` and :mod:`repro.parallel`, and the ``*_problem``
-names of :mod:`repro.solver.presets` reach it at call time.
+``RunSpec`` validation without touching this package. This module sits
+above :mod:`repro.solver` and :mod:`repro.parallel`, and the
+``*_problem`` names of :mod:`repro.solver.presets` reach it at call
+time.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,7 +45,10 @@ from ..lattice import LatticeDescriptor, get_lattice
 from ..parallel.decomposition import DistributedSolver
 from ..solver.non_newtonian import PowerLawMRPSolver, power_law_force
 from ..solver.presets import (channel_body_force, channel_inlet_profile,
-                              make_solver, scheme_key)
+                              make_solver)
+from ..spec import _REGISTRY  # noqa: F401  (the one table, reachable here)
+from ..spec import (ProblemKind, check_names, get_problem, problem_kinds,
+                    register_problem, sweep_kinds)
 from ..validation.analytic import taylor_green_fields
 
 __all__ = [
@@ -77,91 +85,6 @@ class ProblemSetup:
     solver: Callable | None = None
 
 
-@dataclass(frozen=True)
-class ProblemKind:
-    """One registered problem: a name plus its setup function.
-
-    Parameters
-    ----------
-    name:
-        The ``RunSpec.kind`` string (e.g. ``"forced-channel"``).
-    description:
-        One-line human description, surfaced by ``mrlbm jobs --kinds``
-        and the server's ``GET /kinds``.
-    setup:
-        ``(lat, shape, tau, **options) -> ProblemSetup``; its keyword
-        parameters name the kind's options and their defaults.
-    sweepable:
-        Whether ``mrlbm sweep`` may expand over this kind (requires a
-        ``u_max`` option).
-    distributed:
-        Whether the kind has a distributed form (its single-domain
-        problem cut into slabs, same options, same defaults).
-    fields:
-        The options the setup hands to the solver as they are — its
-        initial fields or body force (names among ``rho0``, ``u0``,
-        ``force``) — so a spec can check their shapes against the grid
-        before anything is built.
-    """
-
-    name: str
-    description: str
-    setup: Callable[..., ProblemSetup]
-    sweepable: bool = False
-    distributed: bool = True
-    fields: tuple[str, ...] = ()
-
-    @cached_property
-    def options(self) -> tuple[str, ...]:
-        """The option names this kind accepts, in declaration order."""
-        return tuple(inspect.signature(self.setup).parameters)[3:]
-
-    def check_options(self, names) -> None:
-        """Raise ``ValueError`` if ``names`` holds an option the kind lacks."""
-        unknown = sorted(set(names) - set(self.options))
-        if unknown:
-            raise ValueError(
-                f"problem kind {self.name!r} has no option "
-                f"{', '.join(map(repr, unknown))}; accepted options: "
-                f"{', '.join(self.options) or '(none)'}")
-
-
-_REGISTRY: dict[str, ProblemKind] = {}
-
-
-def register_problem(kind: ProblemKind) -> ProblemKind:
-    """Register (or replace) a problem kind; returns it for chaining."""
-    if not kind.name:
-        raise ValueError("a problem kind needs a non-empty name")
-    _REGISTRY[kind.name] = kind
-    return kind
-
-
-def get_problem(name: str, distributed: bool = False) -> ProblemKind:
-    """Look up a registered kind; raise ``ValueError`` for unknown names.
-
-    With ``distributed``, refuse a kind without a distributed form too."""
-    try:
-        kind = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem kind {name!r}; registered kinds: "
-            f"{', '.join(problem_kinds())}") from None
-    if distributed and not kind.distributed:
-        raise ValueError(f"problem kind {name!r} has no distributed form")
-    return kind
-
-
-def problem_kinds() -> tuple[str, ...]:
-    """Sorted names of every registered kind."""
-    return tuple(sorted(_REGISTRY))
-
-
-def sweep_kinds() -> tuple[str, ...]:
-    """Sorted names of the kinds ``mrlbm sweep`` may expand over."""
-    return tuple(sorted(k for k, v in _REGISTRY.items() if v.sweepable))
-
-
 # -- derivation: one setup, two solver forms ------------------------------
 
 def setup_problem(name: str, lattice: str | LatticeDescriptor,
@@ -180,19 +103,6 @@ def setup_problem(name: str, lattice: str | LatticeDescriptor,
         raise ValueError(
             f"shape {shape} does not match lattice dimension {lat.d}")
     return lat, kind.setup(lat, shape, tau, **options)
-
-
-def check_names(scheme: str, backend: str) -> str:
-    """Refuse an unknown scheme or backend name in the solvers' own words.
-
-    What :class:`~repro.parallel.runtime.RunSpec` can say about the two
-    before anything is built; returns the canonical scheme name.
-    """
-    # here, so a server or CLI client that builds nothing loads no kernels
-    from ..accel import check_backend
-
-    check_backend(backend)
-    return scheme_key(scheme)
 
 
 def build_single(name: str, scheme: str, lattice: str | LatticeDescriptor,
@@ -235,12 +145,23 @@ def build_distributed(name: str, scheme: str,
 
 # -- the definitions -------------------------------------------------------
 
-def _kind(name: str, description: str, **fields):
-    """Register the decorated setup function as problem kind ``name``."""
-    def register(setup):
-        register_problem(ProblemKind(name, description, setup, **fields))
+def _kind(name: str):
+    """Attach the decorated setup function to the declared kind ``name``.
+
+    The kind's name, description and option names are declared in
+    :mod:`repro.spec`, which the job server's front end reads without
+    this module; a setup whose keyword parameters are not exactly those
+    option names is refused here, at import.
+    """
+    def attach(setup):
+        kind = get_problem(name)
+        params = tuple(inspect.signature(setup).parameters)[3:]
+        if params != kind.options:
+            raise TypeError(f"setup of {name!r} takes {params}, the kind "
+                            f"declares {kind.options}")
+        register_problem(replace(kind, setup=setup))
         return setup
-    return register
+    return attach
 
 
 def _walled_channel(lat: LatticeDescriptor, shape: tuple[int, ...],
@@ -269,9 +190,7 @@ def _driven(domain: Domain, force: np.ndarray,
                         force=force, solver=solver)
 
 
-@_kind("channel",
-       "rectangular channel with Poiseuille inlet and pressure outlet "
-       "(the paper's proxy app)", sweepable=True)
+@_kind("channel")
 def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
             start_from_profile=True, outlet_tangential="extrapolate"):
     """The paper's proxy app: a rectangular channel between bounce-back walls.
@@ -315,9 +234,7 @@ def channel(lat, shape, tau, u_max=0.05, bc_method="regularized-fd",
                         boundaries, u0=u0)
 
 
-@_kind("forced-channel",
-       "body-force-driven channel, streamwise-periodic, bounce-back walls",
-       sweepable=True)
+@_kind("forced-channel")
 def forced_channel(lat, shape, tau, u_max=0.05):
     """Body-force-driven channel: periodic streamwise, bounce-back walls.
 
@@ -330,7 +247,7 @@ def forced_channel(lat, shape, tau, u_max=0.05):
                    channel_body_force(lat, shape, tau, u_max))
 
 
-@_kind("cylinder", "force-driven channel with a staircase cylinder obstacle")
+@_kind("cylinder")
 def cylinder(lat, shape, tau, u_max=0.05, radius=None):
     """Force-driven channel with a staircase cylinder obstacle.
 
@@ -342,7 +259,7 @@ def cylinder(lat, shape, tau, u_max=0.05, radius=None):
                    channel_body_force(lat, shape, tau, u_max))
 
 
-@_kind("porous", "force-driven flow through a seeded random porous medium")
+@_kind("porous")
 def porous(lat, shape, tau, solid_fraction=0.85, seed=0, force_x=1e-6):
     """Force-driven flow through a seeded random porous medium.
 
@@ -357,17 +274,14 @@ def porous(lat, shape, tau, solid_fraction=0.85, seed=0, force_x=1e-6):
                    _streamwise(lat, float(force_x)))
 
 
-@_kind("periodic", "fully periodic box with caller-supplied initial fields",
-       fields=("rho0", "u0", "force"))
+@_kind("periodic")
 def periodic(lat, shape, tau, rho0=1.0, u0=None, force=None):
     """Fully periodic box (no boundaries) with caller-supplied fields."""
     return ProblemSetup(periodic_box(shape), True,
                         lambda rank, n_ranks: [], rho0, u0, force)
 
 
-@_kind("taylor-green",
-       "2D Taylor-Green vortex in a periodic box (analytic decay)",
-       sweepable=True)
+@_kind("taylor-green")
 def taylor_green(lat, shape, tau, u_max=0.05):
     """2D Taylor-Green vortex at ``t = 0`` in a periodic box."""
     if lat.d != 2:
@@ -378,9 +292,7 @@ def taylor_green(lat, shape, tau, u_max=0.05):
         shape, 0.0, lat.viscosity(tau), float(u_max)))
 
 
-@_kind("power-law",
-       "force-driven power-law (variable-tau) channel, single-domain only",
-       distributed=False)
+@_kind("power-law")
 def power_law(lat, shape, tau, u_max=0.05):
     """Force-driven power-law (variable-tau) channel, flow index 0.8.
 

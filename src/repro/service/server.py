@@ -25,18 +25,22 @@ POST   ``/shutdown``                  graceful stop
 Submission payloads are validated by
 :func:`repro.service.jobs.spec_from_dict`; validation errors come back
 as ``400 {"error": ...}``, which is also how unknown problem kinds
-surface (the registry raises at RunSpec construction).
+surface (the kind table raises at RunSpec construction). The server
+validates, fingerprints and queues with the numpy-free
+:mod:`repro.spec`: numpy, the descriptors and the cores load only in the
+job processes (:mod:`repro.service.jobproc`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.events import iter_event_lines
+from ..spec import get_problem, problem_kinds
 from .jobs import JobScheduler, spec_from_dict
-from .registry import get_problem, problem_kinds
 
 __all__ = ["JobServer"]
 
@@ -49,6 +53,19 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+def _refuse_live(path: str) -> None:
+    """Raise ``OSError`` if a server accepts connections on ``path``."""
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(path)
+    except OSError:
+        return                  # no file, or a stale one: bind replaces it
+    finally:
+        probe.close()
+    raise OSError(f"a server is already listening on {path}; stop it or "
+                  f"pick another --uds path")
 
 
 class JobServer:
@@ -78,15 +95,27 @@ class JobServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "JobServer":
-        """Start the scheduler and bind the listening socket."""
-        await self.scheduler.start()
+        """Start the scheduler and bind the listening socket.
+
+        Raises ``OSError`` — before any job process is forked — when a
+        live server answers on ``uds`` (binding would unlink its socket
+        and leave it unreachable); a socket file nobody listens on is
+        replaced. A failed bind stops the scheduler again.
+        """
         if self.uds is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle, path=self.uds)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port)
-            self.port = self._server.sockets[0].getsockname()[1]
+            _refuse_live(self.uds)
+        await self.scheduler.start()
+        try:
+            if self.uds is not None:
+                self._server = await asyncio.start_unix_server(
+                    self._handle, path=self.uds)
+            else:
+                self._server = await asyncio.start_server(
+                    self._handle, host=self.host, port=self.port)
+                self.port = self._server.sockets[0].getsockname()[1]
+        except BaseException:
+            await self.scheduler.close()
+            raise
         return self
 
     @property

@@ -18,6 +18,7 @@ from ..boundary import Boundary
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
+from ..spec import check_inputs
 
 __all__ = ["Solver", "SolverDiagnostics", "check_inputs"]
 
@@ -42,37 +43,6 @@ def _dense_state(slot: str, what: str) -> property:
     return property(get, rebind, doc=(
         f"{what}, current at the moment of access (see the *State "
         "access* notes of :class:`Solver`)."))
-
-
-def check_inputs(lat: LatticeDescriptor, grid: tuple[int, ...], tau: float,
-                 rho0=1.0, u0=None, force=None) -> None:
-    """Refuse what :class:`Solver` refuses of its scalar and field inputs.
-
-    That is ``tau <= 1/2``, and an initial field or a body force that
-    does not fit ``grid``, in the solver's words. The solver calls this
-    on its own grid; a distributed problem (its shell and
-    :class:`~repro.parallel.runtime.RunSpec`) calls it on the global
-    grid, so a rank refuses nothing that was not refused before any
-    rank is cut or forked.
-    """
-    if not tau > 0.5:
-        raise ValueError(f"tau must exceed 1/2, got {tau}")
-    grid = tuple(grid)
-    try:
-        fits = np.broadcast_shapes(np.shape(rho0), grid) == grid
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ValueError(f"rho0 must be a scalar or broadcast to {grid}, "
-                         f"got shape {np.shape(rho0)}")
-    if u0 is not None and np.shape(u0) != (lat.d, *grid):
-        raise ValueError(
-            f"u0 must have shape {(lat.d, *grid)}, got {np.shape(u0)}")
-    if force is not None and np.shape(force) not in ((lat.d,),
-                                                     (lat.d, *grid)):
-        raise ValueError(
-            f"force must have shape {(lat.d,)} or {(lat.d, *grid)}, "
-            f"got {np.shape(force)}")
 
 
 class SolverDiagnostics:

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..geometry import Domain, cylinder_channel_domain
 from ..lattice import LatticeDescriptor
+from ..spec import scheme_key
 from ..validation.analytic import duct_profile, poiseuille_profile
 from .base import Solver
 from .moment import MRPSolver, MRRSolver
@@ -24,14 +25,6 @@ SCHEMES: dict[str, type[Solver]] = {
     "MR-P": MRPSolver,
     "MR-R": MRRSolver,
 }
-
-
-def scheme_key(scheme: str) -> str:
-    """Canonical name of a paper scheme — the one refusal of an unknown one."""
-    key = scheme.upper().replace("_", "-")
-    if key not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
-    return key
 
 
 def make_solver(scheme: str, lat: LatticeDescriptor, domain: Domain, tau: float,

@@ -18,7 +18,7 @@ import pytest
 from repro.io.checkpoint import (checkpoint_step, is_checkpoint_complete,
                                  latest_checkpoint, load_manifest_for_resume,
                                  read_slab, resolve_resume)
-from repro.parallel import ProcessRuntime, RunSpec, run_process
+from repro.parallel import FaultSpec, ProcessRuntime, RunSpec, run_process
 
 from test_conformance import (Cell, assert_same_fields, check_process_resume,
                               spec)
@@ -115,6 +115,18 @@ class TestCheckpointDirectoryContract:
                           checkpoint_every=2, checkpoint_keep=2), 9)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "step-00000006", "step-00000008"]
+
+    def test_a_retry_never_resumes_another_problems_step(self, written,
+                                                         tmp_path):
+        """The newest step of a reused directory is MR-P's: the ST retry's
+        resume refuses it and restarts from scratch, to the straight run."""
+        ck = shutil.copytree(written, tmp_path / "ck")
+        result = run_process(_spec(
+            "ST", 2, checkpoint_dir=str(ck), checkpoint_every=5,
+            max_restarts=1, fault=FaultSpec(rank=1, step=7)), 10)
+        assert result.restarts == 1 and result.start_step == 0
+        assert_same_fields(result, run_process(_spec("ST", 2), 10))
+        assert {2, 4, 6, 8} <= {checkpoint_step(d) for d in ck.iterdir()}
 
     def test_torn_checkpoint_is_ignored(self, written, tmp_path):
         ck = shutil.copytree(written, tmp_path / "ck")

@@ -13,6 +13,9 @@ import contextlib
 import json
 import os
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,9 +30,10 @@ from repro.service import (JobScheduler, JobServer, ServiceClient,
 
 
 @contextlib.contextmanager
-def serving(root, workers=2, run_timeout=None):
+def serving(root, workers=2, run_timeout=None, uds=None):
     """A JobServer and its scheduler on an event-loop thread of their own."""
-    server = JobServer(JobScheduler(root, workers, run_timeout), port=0)
+    server = JobServer(JobScheduler(root, workers, run_timeout), port=0,
+                       uds=uds)
     up = threading.Event()
 
     async def main():
@@ -351,3 +355,69 @@ class TestJobProcess:
             again = client.submit(payload())["job"]
             assert client.wait(again["id"], timeout_s=120)["state"] == "done"
         assert living([new]) == []
+
+
+def python(cwd, *argv):
+    """``python *argv`` in ``cwd`` over this checkout: (rc, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[2] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=180)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestFrontEnd:
+    """The server holds no numerics and takes no live server's socket."""
+
+    def test_a_live_socket_is_refused_a_stale_one_replaced(self, tmp_path):
+        sock = str(tmp_path / "s.sock")
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(sock)            # a socket file nobody listens on
+        stale.close()
+        with serving(tmp_path / "jobs", 1, uds=sock) as srv:
+            pids = srv.scheduler.job_pids
+            assert python(tmp_path, "-m", "repro", "serve", "--uds", sock,
+                          "--root", "other") == (
+                2, "", f"ERROR: a server is already listening on {sock}; "
+                "stop it or pick another --uds path\n")
+            assert not (tmp_path / "other").exists()
+            assert ServiceClient(sock).health()["ok"]
+            assert living(pids) == pids
+
+    def test_the_server_imports_no_numpy(self, tmp_path):
+        """Health, kinds, a refused payload, a fresh job to its seal and
+        its cache hit, in a server that never loads numpy; its job
+        process found the OpenBLAS thread setter."""
+        rc, out, err = python(tmp_path, "-c", (
+            "import asyncio, json, sys, threading\n"
+            "from repro.service import (JobScheduler, JobServer,\n"
+            "                           ServiceClient, ServiceError)\n"
+            "srv, up = JobServer(JobScheduler('jobs', 1), uds='s.sock'), "
+            "threading.Event()\n"
+            "async def main():\n"
+            "    await srv.start(); up.set()\n"
+            "    await srv.serve_forever(); await srv.close()\n"
+            "loop = threading.Thread(target=asyncio.run, args=(main(),))\n"
+            "loop.start(); up.wait(30); client = ServiceClient('./s.sock')\n"
+            "seen = [client.health()['ok'], sorted(client.kinds())]\n"
+            "try:\n"
+            f"    client.submit({payload(kind='porous')!r})\n"
+            "except ServiceError as err:\n"
+            "    seen.append(str(err))\n"
+            f"job = client.submit({payload()!r})['job']\n"
+            "seen.append(client.wait(job['id'], timeout_s=120)['state'])\n"
+            f"hit = client.submit({payload()!r})\n"
+            "seen.append([hit['created'], hit['job']['id'] == job['id']])\n"
+            "client.shutdown(); loop.join(60)\n"
+            "print(json.dumps(seen + ['numpy' in sys.modules]))\n"))
+        assert rc == 0, err
+        assert json.loads(out.splitlines()[-1]) == [
+            True, ["channel", "cylinder", "forced-channel", "periodic",
+                   "porous", "power-law", "taylor-green"],
+            "HTTP 400: problem kind 'porous' has no option 'u_max'; "
+            "accepted options: solid_fraction, seed, force_x",
+            "done", [False, True], False]
+        manifest = json.loads(
+            (tmp_path / "jobs/job-000001/manifest.json").read_text())
+        assert isinstance(manifest["extra"]["blas_threads"], int)

@@ -4,19 +4,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    BGKCollision,
-    ProjectiveRegularizedCollision,
-    RecursiveRegularizedCollision,
-    collide_moments_projective,
-    collide_moments_recursive,
-    equilibrium,
-    f_from_moments,
-    macroscopic,
-    moments_from_f,
-    regularize_projective,
-    stream_push,
-)
+from repro.core import (BGKCollision, ProjectiveRegularizedCollision,
+                        RecursiveRegularizedCollision,
+                        collide_moments_projective, collide_moments_recursive,
+                        equilibrium, f_from_moments, macroscopic,
+                        moments_from_f, regularize_projective, stream_push)
 from repro.lattice import get_lattice
 
 LATTICES = ["D1Q3", "D2Q9", "D3Q19"]

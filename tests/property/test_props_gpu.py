@@ -3,14 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu import (
-    KernelProblem,
-    LaunchConfig,
-    MemoryTracker,
-    MRKernel,
-    V100,
-    occupancy,
-)
+from repro.gpu import (KernelProblem, LaunchConfig, MemoryTracker, MRKernel,
+                       V100, occupancy)
 from repro.gpu.memory import ITEM_BYTES, SECTOR_BYTES, GlobalArray
 from repro.lattice import get_lattice
 

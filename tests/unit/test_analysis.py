@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    deviatoric_stress_from_moments,
-    enstrophy,
-    fit_convergence_order,
-    mach_number,
-    reynolds_number,
-    strain_rate_fd,
-    strain_rate_from_moments,
-    velocity_gradient,
-    vorticity,
-)
+from repro.analysis import (deviatoric_stress_from_moments, enstrophy,
+                            fit_convergence_order, mach_number,
+                            reynolds_number, strain_rate_fd,
+                            strain_rate_from_moments, velocity_gradient,
+                            vorticity)
 from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 

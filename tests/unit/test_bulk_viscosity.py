@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    ProjectiveRegularizedCollision,
-    collide_moments_projective,
-    equilibrium,
-    f_from_moments,
-    macroscopic,
-    moments_from_f,
-)
+from repro.core import (ProjectiveRegularizedCollision,
+                        collide_moments_projective, equilibrium,
+                        f_from_moments, macroscopic, moments_from_f)
 from repro.core.collision import _split_trace
 from repro.lattice import get_lattice
 from repro.solver import MRPSolver

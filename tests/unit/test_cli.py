@@ -315,6 +315,11 @@ class TestWatchCommand:
                      rc=2) == ("ERROR: --max-restarts needs a supervising "
                                "parent (--backend process), which an "
                                "emulated cohort does not have\n")
+        for path, name in (("", "a single-domain run"),
+                           (" --ranks 2 --backend process", "a process run")):
+            assert mrlbm("run --checkpoint-dir ck" + path, rc=2) == (
+                f"ERROR: --checkpoint-dir needs --checkpoint-every, which "
+                f"{name} does not have\n")
         # ... and a process run where the platform cannot fork
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])

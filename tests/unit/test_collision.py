@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    BGKCollision,
-    ProjectiveRegularizedCollision,
-    RecursiveRegularizedCollision,
-    collide_moments_projective,
-    collide_moments_recursive,
-    collision_from_name,
-    equilibrium,
-    f_from_moments,
-    macroscopic,
-    moments_from_f,
-)
+from repro.core import (BGKCollision, ProjectiveRegularizedCollision,
+                        RecursiveRegularizedCollision,
+                        collide_moments_projective, collide_moments_recursive,
+                        collision_from_name, equilibrium, f_from_moments,
+                        macroscopic, moments_from_f)
 
 OPERATORS = [BGKCollision, ProjectiveRegularizedCollision, RecursiveRegularizedCollision]
 

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    RecursiveRegularizedCollision,
-    collide_moments_recursive,
-    equilibrium,
-    macroscopic,
-    moments_from_f,
-    stream_push,
-)
+from repro.core import (RecursiveRegularizedCollision,
+                        collide_moments_recursive, equilibrium, macroscopic,
+                        moments_from_f, stream_push)
 from repro.geometry import channel_3d
 from repro.lattice import get_lattice
 from repro.solver import make_solver

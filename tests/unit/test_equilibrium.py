@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    a3_equilibrium_cols,
-    a4_equilibrium_cols,
-    equilibrium,
-    equilibrium_extended,
-    equilibrium_moments,
-    macroscopic,
-    moments_from_f,
-)
+from repro.core import (a3_equilibrium_cols, a4_equilibrium_cols, equilibrium,
+                        equilibrium_extended, equilibrium_moments, macroscopic,
+                        moments_from_f)
 
 
 class TestSecondOrderEquilibrium:

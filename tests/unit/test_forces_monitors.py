@@ -6,15 +6,8 @@ import pytest
 from repro.analysis import MomentumExchangeForce, drag_lift_coefficients
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import channel_2d, lid_driven_cavity, periodic_box
-from repro.solver import (
-    ConvergenceMonitor,
-    EnergyMonitor,
-    EnstrophyMonitor,
-    ForceMonitor,
-    Monitors,
-    ProbeMonitor,
-    make_solver,
-)
+from repro.solver import (ConvergenceMonitor, EnergyMonitor, EnstrophyMonitor,
+                          ForceMonitor, Monitors, ProbeMonitor, make_solver)
 from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 

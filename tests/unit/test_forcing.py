@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    apply_moment_space_force,
-    collide_moments_projective,
-    collide_moments_recursive,
-    equilibrium,
-    guo_source,
-    moments_from_f,
-    normalize_force,
-)
+from repro.core import (apply_moment_space_force, collide_moments_projective,
+                        collide_moments_recursive, equilibrium, guo_source,
+                        moments_from_f, normalize_force)
 from repro.geometry import periodic_box
 from repro.solver import make_solver
 

@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.geometry import (
-    FLUID,
-    INLET,
-    OUTLET,
-    SOLID,
-    channel_2d,
-    channel_3d,
-    cylinder_in_channel,
-    lid_driven_cavity,
-    periodic_box,
-)
+from repro.geometry import (FLUID, INLET, OUTLET, SOLID, channel_2d,
+                            channel_3d, cylinder_in_channel, lid_driven_cavity,
+                            periodic_box)
 
 
 class TestDomain:

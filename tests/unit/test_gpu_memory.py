@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gpu.memory import (
-    ITEM_BYTES,
-    SECTOR_BYTES,
-    GlobalArray,
-    MemoryTracker,
-    TrafficReport,
-)
+from repro.gpu.memory import (ITEM_BYTES, SECTOR_BYTES, GlobalArray,
+                              MemoryTracker, TrafficReport)
 
 
 class TestTrafficReport:

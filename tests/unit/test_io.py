@@ -90,6 +90,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="up to 7, global extent is 6"):
             load_slabs(wider, build(self.CELL))
 
+    def test_sealing_prunes_only_its_own_problem(self, tmp_path):
+        """A reused directory: another problem's steps 10 and 20 neither
+        push this run's step 4 out nor are pruned by its steps 8, 12."""
+        for cell, steps in ((replace(self.CELL, scheme="MR-P"), (10, 20)),
+                            (self.CELL, (4, 8, 12))):
+            solver = build(cell)
+            for solver.time in steps:
+                save(solver, tmp_path)
+                assert (tmp_path / f"step-{solver.time:08d}").is_dir()
+        assert sorted(int(d.name[5:]) for d in tmp_path.iterdir()) == [
+            8, 10, 12, 20]
+
     def test_mr_checkpoint_smaller_than_st(self, tmp_path):
         """The compression claim applies to checkpoints too (M < Q)."""
         st, mr = (save_slabs(tmp_path / s, 0, build(replace(self.CELL,

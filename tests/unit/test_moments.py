@@ -2,18 +2,10 @@
 
 import numpy as np
 
-from repro.core import (
-    equilibrium,
-    f_from_moments,
-    macroscopic,
-    moments_from_f,
-    pack_moments,
-    pi_cols_from_tensor,
-    pi_tensor_from_cols,
-    second_moment_cols,
-    split_moments,
-    velocity_from_moments,
-)
+from repro.core import (equilibrium, f_from_moments, macroscopic,
+                        moments_from_f, pack_moments, pi_cols_from_tensor,
+                        pi_tensor_from_cols, second_moment_cols, split_moments,
+                        velocity_from_moments)
 
 
 class TestProjection:

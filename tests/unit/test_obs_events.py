@@ -8,16 +8,9 @@ follow loop's termination rule and the per-rank summary/table rendering.
 
 import json
 
-from repro.obs import (
-    EventStream,
-    RunEventEmitter,
-    Telemetry,
-    event_files,
-    follow_events,
-    format_watch,
-    read_events,
-    summarize_events,
-)
+from repro.obs import (EventStream, RunEventEmitter, Telemetry, event_files,
+                       follow_events, format_watch, read_events,
+                       summarize_events)
 from repro.obs.events import EVENT_KINDS, iter_events
 
 

@@ -5,22 +5,12 @@ import pytest
 
 from repro.gpu import MI100, V100
 from repro.lattice import get_lattice
-from repro.perf import (
-    PerformanceModel,
-    arithmetic_intensity,
-    bandwidth_efficiency,
-    bytes_per_flup,
-    flops_per_node,
-    fp64_efficiency,
-    halo_factor,
-    memory_reduction,
-    mrp_flops_per_node,
-    mrr_flops_per_node,
-    roofline_mflups,
-    st_flops_per_node,
-    state_gib,
-    values_per_update,
-)
+from repro.perf import (PerformanceModel, arithmetic_intensity,
+                        bandwidth_efficiency, bytes_per_flup, flops_per_node,
+                        fp64_efficiency, halo_factor, memory_reduction,
+                        mrp_flops_per_node, mrr_flops_per_node,
+                        roofline_mflups, st_flops_per_node, state_gib,
+                        values_per_update)
 from repro.perf.footprint import circular_shift_state_bytes, max_problem_size
 
 

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    equilibrium,
-    hermite_delta_higher_order,
-    hermite_delta_second_order,
-    macroscopic,
-    pi_neq_cols_from_f,
-    recursive_a3_neq_cols,
-    recursive_a4_neq_cols,
-    regularize_projective,
-)
+from repro.core import (equilibrium, hermite_delta_higher_order,
+                        hermite_delta_second_order, macroscopic,
+                        pi_neq_cols_from_f, recursive_a3_neq_cols,
+                        recursive_a4_neq_cols, regularize_projective)
 
 
 class TestPiNeq:

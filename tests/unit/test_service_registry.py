@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from repro.parallel import RunSpec
-from repro.service.registry import (
-    ProblemKind,
-    ProblemSetup,
-    build_distributed,
-    build_single,
-    get_problem,
-    problem_kinds,
-    register_problem,
-    sweep_kinds,
-)
+from repro.service.registry import (ProblemKind, ProblemSetup,
+                                    build_distributed, build_single,
+                                    get_problem, problem_kinds,
+                                    register_problem, sweep_kinds)
 
 from test_conformance import assert_agree, fields
 

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.validation import (
-    duct_profile,
-    kinetic_energy,
-    l2_error,
-    linf_error,
-    poiseuille_pressure_gradient,
-    poiseuille_profile,
-    relative_l2_error,
-    taylor_green_decay_rate,
-    taylor_green_fields,
-)
+from repro.validation import (duct_profile, kinetic_energy, l2_error,
+                              linf_error, poiseuille_pressure_gradient,
+                              poiseuille_profile, relative_l2_error,
+                              taylor_green_decay_rate, taylor_green_fields)
 
 
 class TestPoiseuille:
