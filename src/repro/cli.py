@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -299,91 +298,30 @@ def _refusal(args, backend: str | None) -> str | None:
                  if given and backend not in paths), None)
 
 
-def _step_here(args, solver, cohort: bool, tel, metrics) -> int:
-    """Step the loop in this process: a single domain's ``solver.step``,
-    or an emulated cohort's (``cohort``). A single domain checkpoints and
-    resumes as a one-slab cohort (:mod:`repro.io.checkpoint`); returns
-    the step the run started from."""
-    import os
-
-    import numpy as np
-
-    from .io.checkpoint import checkpoint_sink, load_slabs, resolve_resume
-    from .loop import Cadences, Sinks, run_loop
-    from .obs import EventStream, RunEventEmitter
-    from .spec import problem_identity
-
-    identity = problem_identity(args.problem, args.scheme, args.lattice,
-                                args.shape, args.tau, _problem_options(args))
-    start = 0
-    if args.resume:
-        step_dir, start = resolve_resume(args.resume, args.steps, identity)
-        load_slabs(step_dir, solver)
-        solver.time = start
-        print(f"  resumed from checkpoint at step {start} "
-              f"({args.steps - start} steps run)")
-    fluid = (solver.global_domain if cohort else solver.domain).fluid_mask
-    for rank in solver.ranks if cohort else [solver]:
-        rank.attach_telemetry(tel)
-    fields = solver.gather_macroscopic if cohort else solver.macroscopic
-    n_fluid, t0 = int(fluid.sum()), time.perf_counter()
-
-    def step():
-        solver.step()
-        solver.time += 1
-
-    def progress(done):
-        elapsed = time.perf_counter() - t0
-        rho, u = fields()
-        mass = float(rho[fluid].sum())
-        speed = float(np.sqrt(np.einsum("a...,a...->...", u, u))[fluid].max())
-        rate = n_fluid * (done - start) / elapsed / 1e6
-        print(f"  step {done:7d}  max|u| = {speed:.5f}  mass = {mass:.6e}  "
-              f"({rate:.2f} CPU-MFLUPS)")
-        if metrics is not None:
-            metrics.write({"step": done, "elapsed_s": elapsed, "mlups": rate,
-                           "max_speed": speed, "mass": mass})
-
-    sinks = Sinks(telemetry=tel, report=progress, checkpoint=checkpoint_sink(
-        args.checkpoint_dir, solver, identity, kind=args.problem,
-        n_ranks=args.ranks, accel=args.accel,
-        backend="emulated" if cohort else "single")
-        if args.checkpoint_dir else None)
-    if args.events:
-        sinks.events = RunEventEmitter(
-            EventStream(args.events, rank=0), every=args.events_every,
-            n_steps=args.steps, start_step=start, telemetry=tel,
-            n_fluid=n_fluid)
-        sinks.events.start(pid=os.getpid(), scheme=args.scheme,
-                           lattice=args.lattice, accel=args.accel,
-                           n_fluid=n_fluid, resumed=bool(args.resume))
-    run_loop(step, lambda: (*fields(), fluid), start, args.steps,
-             Cadences(checkpoint=args.checkpoint_every,
-                      watchdog=args.watchdog,
-                      report=args.report_interval or 200),
-             sinks, {"scheme": args.scheme, "lattice": args.lattice,
-                     "shape": list(args.shape)})
-    return start
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     """Handle ``mrlbm run``: build the stepper, run the one loop, write.
 
-    A single domain and an emulated cohort step
-    :func:`repro.loop.run_loop` in this process; a process run's ranks
-    step the same loop in theirs (:mod:`repro.parallel.worker`). The
-    output, metrics, trace and manifest are written once, here.
+    A single domain and an emulated cohort step on the in-process
+    launcher (:func:`repro.loop.launch`); a process run's ranks step the
+    same loop in theirs (:mod:`repro.parallel.worker`). Every path runs
+    under one record (:func:`repro.spec.run_record`). The output,
+    metrics, trace and manifest are written once, here.
     """
     import json
 
-    from .obs import JsonLinesExporter, StabilityError, Telemetry
+    from .loop import Cadences, Sinks, launch
+    from .obs import JsonLinesExporter, RunManifest, StabilityError, Telemetry
     from .obs.events import end_running_streams
     from .obs.exporters import rank_registries
     from .parallel import ParallelRuntimeError, ProcessRuntime, RunSpec
     from .service.registry import build_single
+    from .spec import run_record
 
     backend = args.backend or ("process" if args.max_restarts else
                                "emulated" if args.ranks > 1 else None)
+    record = run_record(args.problem, args.scheme, args.lattice, args.shape,
+                        args.tau, _problem_options(args), n_ranks=args.ranks,
+                        backend=backend or "single", accel=args.accel)
     runtime = None
     try:
         refusal = _refusal(args, backend)
@@ -423,25 +361,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tel = (Telemetry() if runtime is None
            and (args.metrics or args.trace or args.events) else None)
     trace, ended = tel, "rank terminated by the parent"
-    record = {"backend": backend or "single", "ranks": args.ranks,
-              "steps": args.steps, "n_fluid": int(n_fluid)}
-    t0 = time.perf_counter()
+    row = {"backend": backend or "single", "ranks": args.ranks,
+           "steps": args.steps, "n_fluid": int(n_fluid)}
+
+    def progress(sample):
+        print(f"  step {sample['step']:7d}  max|u| = "
+              f"{sample['max_speed']:.5f}  mass = {sample['mass']:.6e}  "
+              f"({sample['mlups']:.2f} CPU-MFLUPS)")
+        if metrics is not None:
+            metrics.write(sample)
+
     try:
         if runtime is None:
-            ran = args.steps - _step_here(args, solver, backend is not None,
-                                          tel, metrics)
-            wall = time.perf_counter() - t0
-            record.update(wall_s=wall, mlups=(
-                tel.mlups(n_fluid) if tel else n_fluid * ran / wall / 1e6))
-            rho, u = (solver.gather_macroscopic() if backend
-                      else solver.macroscopic())
-            print(f"  {record['mlups']:.2f} MLUPS ({ran} steps"
+            rho, u, start, wall, mlups = launch(
+                solver, record, args.steps,
+                Cadences(checkpoint=args.checkpoint_every,
+                         watchdog=args.watchdog,
+                         report=args.report_interval or 200,
+                         events=args.events_every),
+                Sinks(telemetry=tel, events=args.events,
+                      checkpoint=args.checkpoint_dir, report=progress),
+                resume=args.resume)
+            row.update(wall_s=wall, mlups=mlups)
+            if start:
+                print(f"  resumed from checkpoint at step {start} "
+                      f"({args.steps - start} steps run)")
+            print(f"  {mlups:.2f} MLUPS ({args.steps - start} steps"
                   f"{', sequential emulation' if backend else ''})")
         else:
             result = runtime.run(args.steps, spans=bool(args.trace))
             rho, u, report = result.rho, result.u, result.report
-            record.update(wall_s=result.wall_s, mlups=report["mlups"],
-                          report=report)
+            row.update(wall_s=result.wall_s, mlups=report["mlups"],
+                       report=report)
             trace = rank_registries(result.spans)
             _print_cohort(args, result)
     except (StabilityError, ParallelRuntimeError) as err:
@@ -471,8 +422,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"(tail with 'mrlbm watch {args.events}')")
         if metrics is not None:
             if runtime is None:
-                record["summary"] = tel.summary()
-            metrics.write(record)
+                row["summary"] = tel.summary()
+            metrics.write(row)
             metrics.close()
             print(f"wrote {args.metrics}")
         if args.trace and trace is not None:
@@ -496,16 +447,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             save_fields(args.output, rho, u, time=args.steps)
         print(f"wrote {args.output}")
     if args.manifest is not None:
-        from .obs import manifest_path_for, write_manifest
+        from .obs import manifest_path_for
 
         mpath = args.manifest or (manifest_path_for(args.output)
                                   if args.output else "run.manifest.json")
-        write_manifest(mpath, solver, problem=args.problem, u_max=args.u_max,
-                       bc=args.bc, accel=args.accel,
-                       backend=backend or "single", ranks=args.ranks,
-                       command="mrlbm run", **({"blas_threads": [
-                           r["blas_threads"] for r in result.per_rank]}
-                           if runtime else {}))
+        RunManifest.from_identity(
+            record, args.steps, wall_s=row["wall_s"], mlups=row["mlups"],
+            accel_path=getattr(solver, "accel_path", None),
+            blas_threads=([r["blas_threads"] for r in result.per_rank]
+                          if runtime else None)).write(mpath)
         print(f"wrote {mpath}")
     return 0
 

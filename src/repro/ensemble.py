@@ -2,11 +2,11 @@
 
 A sweep is a grid of single-domain runs. :func:`expand_sweep` turns a
 parameter grid into :class:`~repro.parallel.runtime.RunSpec` records
-(fingerprint-deduped, each naming the ``fused`` backend it runs on),
-:func:`build_sweep_member` builds the solver one spec describes, and
-:func:`run_sweep` steps every member alone — the solver and step of its
-own single-domain run, bit for bit — recording the member's own wall
-time and MLUPS, with a manifest per member and a sweep summary.
+(fingerprint-deduped, each naming the ``fused`` backend it runs on), and
+:func:`run_sweep` builds and steps every member alone on the in-process
+launcher of ``mrlbm run`` (:func:`repro.loop.launch`) — the solver and
+step of its own single-domain run, bit for bit — recording the member's
+own wall time and MLUPS, with a manifest per member and a sweep summary.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .obs.manifest import write_manifest
+from .loop import launch
+from .obs.manifest import RunManifest
 from .parallel.runtime import RunSpec
 from .service.registry import build_single, sweep_kinds
-from .solver.base import Solver
 
 __all__ = [
     "SWEEP_PROBLEMS",
     "expand_sweep",
-    "build_sweep_member",
     "run_sweep",
     "SweepResult",
 ]
@@ -80,22 +79,6 @@ def expand_sweep(problem: str, schemes: Sequence[str],
     return specs, dropped
 
 
-def build_sweep_member(spec: RunSpec) -> Solver:
-    """Construct the single-domain solver one sweep RunSpec describes.
-
-    Delegates to the registry's single-domain builders
-    (:func:`repro.service.registry.build_single`) on ``spec.accel``, so
-    any sweepable kind — including ones registered downstream — is
-    buildable here.
-    """
-    if spec.kind not in SWEEP_PROBLEMS:
-        raise ValueError(f"unknown sweep problem kind {spec.kind!r}; "
-                         f"expected one of {SWEEP_PROBLEMS}")
-    return build_single(spec.kind, spec.scheme, spec.lattice,
-                        tuple(spec.shape), tau=spec.tau, backend=spec.accel,
-                        **spec.options)
-
-
 @dataclass
 class SweepResult:
     """Outcome of :func:`run_sweep`.
@@ -146,16 +129,20 @@ def run_sweep(specs: Sequence[RunSpec], steps: int,
     """Execute a sweep: every member a single-domain run, one after another.
 
     Specs are fingerprint-deduplicated (defensively — :func:`expand_sweep`
-    already dedupes); each member is built by :func:`build_sweep_member`
-    and stepped alone, so it ends bit for bit where its own run of the
-    same spec ends. With ``out_dir`` set, every member gets a
-    ``member-<fingerprint>.json`` manifest and the sweep a
-    ``sweep_summary.json``. ``progress`` (e.g. ``print``) receives one
-    line per completed member.
+    already dedupes) and must be of a sweepable kind; each member is
+    built by the registry (:func:`repro.service.registry.build_single`)
+    on ``spec.accel`` and stepped alone by :func:`repro.loop.launch`, so
+    it ends bit for bit where its own run of the same spec ends. With
+    ``out_dir`` set, every member gets a ``member-<fingerprint>.json``
+    manifest and the sweep a ``sweep_summary.json``. ``progress`` (e.g.
+    ``print``) receives one line per completed member.
     """
     unique: list[tuple[RunSpec, str]] = []
     seen: set[str] = set()
     for spec in specs:
+        if spec.kind not in SWEEP_PROBLEMS:
+            raise ValueError(f"unknown sweep problem kind {spec.kind!r}; "
+                             f"expected one of {SWEEP_PROBLEMS}")
         fp = spec.fingerprint()
         if fp not in seen:
             seen.add(fp)
@@ -170,12 +157,11 @@ def run_sweep(specs: Sequence[RunSpec], steps: int,
         out_path.mkdir(parents=True, exist_ok=True)
     t_sweep = time.perf_counter()
     for spec, fp in unique:
-        solver = build_sweep_member(spec)
-        t0 = time.perf_counter()
-        solver.run(int(steps))
-        wall = time.perf_counter() - t0
-        nf = int(solver.domain.n_fluid)
-        mlups = (nf * steps / wall / 1e6) if wall > 0 else 0.0
+        solver = build_single(spec.kind, spec.scheme, spec.lattice,
+                              tuple(spec.shape), tau=spec.tau,
+                              backend=spec.accel, **spec.options)
+        record = spec.record("single")
+        *_, wall, mlups = launch(solver, record, int(steps))
         result.members.append({
             "fingerprint": fp,
             "kind": spec.kind,
@@ -190,9 +176,10 @@ def run_sweep(specs: Sequence[RunSpec], steps: int,
             "max_speed": solver.diagnostics.max_speed(),
         })
         if out_path is not None:
-            write_manifest(out_path / f"member-{fp}.json", solver,
-                           kind=spec.kind, fingerprint=fp, wall_s=wall,
-                           mlups=mlups, u_max=spec.options.get("u_max"))
+            RunManifest.from_identity(
+                record, steps, wall_s=wall, mlups=mlups,
+                accel_path=solver.accel_path,
+            ).write(out_path / f"member-{fp}.json")
         if progress is not None:
             progress(f"{spec.scheme:6s} {spec.lattice:6s} "
                      f"{str(tuple(spec.shape)):>12s} tau={spec.tau:<5g} "

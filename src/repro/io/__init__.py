@@ -10,7 +10,6 @@ from ..obs.manifest import (
     RunManifest,
     load_manifest,
     manifest_path_for,
-    write_manifest,
 )
 from .checkpoint import (
     checkpoint_step,
@@ -23,7 +22,6 @@ from .checkpoint import (
     save_rank_slab,
     save_slabs,
     seal_checkpoint,
-    checkpoint_sink,
     validate_checkpoint_manifest,
 )
 from .snapshots import load_fields, save_archive, save_fields, write_vtk
@@ -38,7 +36,6 @@ __all__ = [
     "save_rank_slab",
     "save_slabs",
     "seal_checkpoint",
-    "checkpoint_sink",
     "latest_checkpoint",
     "prune_checkpoints",
     "resolve_resume",
@@ -46,7 +43,6 @@ __all__ = [
     "load_slabs",
     "validate_checkpoint_manifest",
     "RunManifest",
-    "write_manifest",
     "load_manifest",
     "manifest_path_for",
 ]

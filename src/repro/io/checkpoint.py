@@ -16,7 +16,7 @@ directory*, at the checkpoint steps of their run loop
       step-00000040/
         rank0000.npz        # one interior slab per rank (f or m payload);
         rank0001.npz        # a single domain writes one, [0, nx)
-        manifest.json       # RunManifest: scheme/lattice/shape/tau/step
+        manifest.json       # RunManifest of the run record, at this step
         COMPLETE            # written last, after every rank file
 
 Every writer saves its slabs (:func:`save_slabs`) and one of them seals
@@ -65,6 +65,9 @@ __all__ = [
 #: Marker file whose presence declares a step directory fully written.
 COMPLETE_MARKER = "COMPLETE"
 _STEP_PREFIX = "step-"
+#: The keys of a run record a resume validates: the problem identity.
+_IDENTITY = ("scheme", "lattice", "shape", "tau", "fingerprint",
+             "fingerprint_version")
 
 
 def checkpoint_step_dir(root: str | Path, step: int) -> Path:
@@ -134,24 +137,21 @@ def save_slabs(root: str | Path, step: int, solver, ranks=None) -> Path:
     return step_dir
 
 
-def seal_checkpoint(root: str | Path, step: int, identity: dict,
-                    keep: int = 2, **extra) -> Path:
+def seal_checkpoint(root: str | Path, step: int, record: dict,
+                    keep: int = 2) -> Path:
     """Seal the step directory of ``step`` once every rank file is in it:
-    the manifest — the problem ``identity``
-    (:func:`repro.spec.problem_identity`) and ``extra`` (kind, rank
-    count, backend, ...) —, then ``COMPLETE``, then prune all but the
-    newest ``keep`` snapshots of that problem. Returns the step
-    directory."""
+    the manifest of the run's ``record`` (:func:`repro.spec.run_record`),
+    then ``COMPLETE``, then prune all but the newest ``keep`` snapshots
+    of that problem. Returns the step directory."""
     step_dir = checkpoint_step_dir(root, step)
-    RunManifest.from_identity(identity, step, **extra).write(
-        step_dir / "manifest.json")
+    RunManifest.from_identity(record, step).write(step_dir / "manifest.json")
     (step_dir / COMPLETE_MARKER).write_text("ok\n", encoding="utf-8")
-    prune_checkpoints(root, keep=keep, fingerprint=identity["fingerprint"])
+    prune_checkpoints(root, keep=keep, fingerprint=record["fingerprint"])
     return step_dir
 
 
-def checkpoint_sink(root: str | Path, solver, identity: dict, keep: int = 2,
-                    *, rank: int | None = None, barrier=None, **extra):
+def checkpoint_sink(root: str | Path, solver, record: dict, keep: int = 2,
+                    *, rank: int | None = None, barrier=None):
     """The run loop's checkpoint writer ``sink(at)``: :func:`save_slabs`
     (only ``rank``'s, when given), ``barrier()`` (a process rank: every
     file is on disk before rank 0 seals), :func:`seal_checkpoint`."""
@@ -160,7 +160,7 @@ def checkpoint_sink(root: str | Path, solver, identity: dict, keep: int = 2,
         if barrier is not None:
             barrier()
         if not rank:
-            seal_checkpoint(root, at, identity, keep, **extra)
+            seal_checkpoint(root, at, record, keep)
         return str(root)
     return sink
 
@@ -268,22 +268,25 @@ def _rank_files(step_dir: Path, extent: int) -> list[tuple[Path, int, int]]:
 
 
 def resolve_resume(where: str | Path, n_steps: int,
-                   identity: dict) -> tuple[Path, int]:
+                   record: dict) -> tuple[Path, int]:
     """Find, validate and step the checkpoint a run resumes from.
 
-    ``where`` is a checkpoint root (its newest complete step is taken)
-    or one step directory; ``identity`` is the resuming run's
-    :func:`~repro.spec.problem_identity`. Returns
-    ``(step_dir, start_step)``; raises ``FileNotFoundError`` when no
-    complete checkpoint exists and ``ValueError`` when the manifest is
-    incompatible with the run or the checkpoint already reached
-    ``n_steps``.
+    ``where`` is one step directory or a checkpoint root, of which the
+    newest complete step of the run's ``record``
+    (:func:`~repro.spec.run_record`) fingerprint is taken — or, without
+    one, its newest complete step. Returns ``(step_dir, start_step)``;
+    raises ``FileNotFoundError`` when no complete checkpoint exists and
+    ``ValueError`` when the manifest is incompatible with the run or the
+    checkpoint already reached ``n_steps``.
     """
-    found = latest_checkpoint(where)
+    own = [d for d in _step_dirs(Path(where)) if is_checkpoint_complete(d)
+           and _fingerprint(d) == record["fingerprint"]]
+    found = own[-1] if own else latest_checkpoint(where)
     if found is None:
         raise FileNotFoundError(
             f"no complete checkpoint under {str(where)!r} to resume from")
-    validate_checkpoint_manifest(load_manifest_for_resume(found), **identity)
+    validate_checkpoint_manifest(load_manifest_for_resume(found), **{
+        k: record[k] for k in _IDENTITY})
     start_step = checkpoint_step(found)
     if start_step >= int(n_steps):
         raise ValueError(

@@ -29,8 +29,7 @@ __getattr__ = lazy_exports(__name__, {
                "iter_events", "read_events", "summarize_events"),
     "exporters": ("JsonLinesExporter", "read_jsonl", "write_chrome_trace",
                   "write_csv_summary"),
-    "manifest": ("RunManifest", "load_manifest", "manifest_path_for",
-                 "write_manifest"),
+    "manifest": ("RunManifest", "load_manifest", "manifest_path_for"),
     "merge": ("merge_rank_reports",),
     "profile": ("PROFILE_SCHEMES", "format_profile", "profile_scheme"),
     "telemetry": ("NULL_TELEMETRY", "NullTelemetry", "PhaseStats", "Span",
@@ -49,7 +48,6 @@ __all__ = [
     "write_csv_summary",
     "write_chrome_trace",
     "RunManifest",
-    "write_manifest",
     "load_manifest",
     "manifest_path_for",
     "StabilityError",

@@ -10,7 +10,7 @@ substrate to stream from.
 
 Event vocabulary (the ``kind`` field):
 
-``start``       worker came up: pid, scheme, lattice, accel, step range;
+``start``       a rank came up: pid, step range, the run ``record``;
 ``heartbeat``   cadence sample: step, wall seconds, running MLUPS;
 ``progress``    fraction complete (rides on the heartbeat cadence);
 ``phase``       phase-time snapshot (step/compute/barrier/... totals);
@@ -101,7 +101,7 @@ class EventStream:
 class RunEventEmitter:
     """Cadence logic between a stepping loop and an :class:`EventStream`.
 
-    The worker calls :meth:`maybe` once per completed step; every
+    The run loop calls :meth:`maybe` once per completed step; every
     ``every`` steps (and on the final step) it emits a ``heartbeat``
     (wall seconds + running MLUPS from the attached telemetry), a
     ``progress`` fraction and a ``phase`` snapshot. Checkpoint and
@@ -119,7 +119,7 @@ class RunEventEmitter:
         self.n_fluid = int(n_fluid)
 
     def start(self, **info) -> None:
-        """Emit the ``start`` event (worker identity + step range)."""
+        """Emit the ``start`` event (the rank's run + step range)."""
         self.stream.emit("start", step=self.start_step,
                          n_steps=self.n_steps, **info)
 

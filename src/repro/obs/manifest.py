@@ -1,11 +1,14 @@
 """Run manifests: reproducibility metadata written alongside outputs.
 
 A :class:`RunManifest` captures everything needed to re-run (or audit) a
-simulation whose fields/checkpoint live next to it on disk: scheme,
-lattice, grid shape, relaxation time, RNG seed, package version and the
-host platform. Manifests are plain JSON so any tool can read them, and
-are written by the CLI (``mrlbm run --manifest``) and into every
-checkpoint step directory and every sealed job directory.
+simulation whose fields/checkpoint live next to it on disk: the run's
+record (:func:`repro.spec.run_record`: scheme, lattice, grid shape,
+relaxation time, problem fingerprint, kind, rank count, backend and
+accel), the step count, package version and the host platform.
+Manifests are plain JSON so any tool can read them, and every writer
+builds one the same way (:meth:`RunManifest.from_identity`): ``mrlbm run
+--manifest``, every checkpoint step directory, every sealed job
+directory and every sweep member.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-__all__ = ["RunManifest", "write_manifest", "load_manifest", "manifest_path_for"]
+__all__ = ["RunManifest", "load_manifest", "manifest_path_for"]
 
 
 def _platform_info() -> dict:
@@ -40,7 +43,6 @@ class RunManifest:
     lattice: str
     shape: tuple[int, ...]
     tau: float
-    seed: int | None = None
     steps: int | None = None
     version: str = ""
     platform: dict = field(default_factory=dict)
@@ -48,55 +50,29 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     @classmethod
-    def from_solver(cls, solver, seed: int | None = None,
-                    **extra) -> "RunManifest":
-        """Build a manifest from a live solver (duck-typed: needs ``name``
-        or ``scheme``, ``lat``, ``domain`` or ``global_domain``, ``tau``,
-        ``time`` — so distributed solvers work too). A fast-path solver's
-        step variant (``solver.accel_path``) lands in ``extra``."""
-        from .. import __version__
+    def from_identity(cls, record: dict, step: int,
+                      **results) -> "RunManifest":
+        """The manifest of a run's ``record`` after ``step`` steps.
 
-        domain = getattr(solver, "domain", None)
-        if domain is None:
-            domain = solver.global_domain
-        accel_path = getattr(solver, "accel_path", None)
-        if accel_path is not None:
-            extra = {"accel_path": accel_path, **extra}
-        return cls(
-            scheme=getattr(solver, "name", None) or solver.scheme,
-            lattice=solver.lat.name,
-            shape=tuple(domain.shape),
-            tau=float(solver.tau),
-            seed=seed,
-            steps=int(solver.time),
-            version=__version__,
-            platform=_platform_info(),
-            created_unix=time.time(),
-            extra=dict(extra),
-        )
-
-    @classmethod
-    def from_identity(cls, identity: dict, step: int,
-                      **extra) -> "RunManifest":
-        """Build a manifest from a problem identity after ``step`` steps.
-
-        ``identity`` is :func:`repro.spec.problem_identity`'s:
-        the problem alone (no live solver, no ``RunSpec``), so a resume on
-        any path validates against this manifest. Its fingerprint and
-        version, and ``extra`` (kind, rank count, ...), land in
-        :attr:`extra`.
+        ``record`` is :func:`repro.spec.run_record`'s (or a bare
+        :func:`~repro.spec.problem_identity`): the problem and where it
+        steps, no live solver, so a resume on any path validates against
+        it. Its fingerprint, kind and path land in :attr:`extra`, with
+        ``results`` — what only the writer knows (``wall_s``, ``mlups``,
+        ``blas_threads``, ``accel_path``, ``job_key``); a ``None`` result
+        is left out.
         """
         from .. import __version__
 
         core = ("scheme", "lattice", "shape", "tau")
         return cls(
-            *(identity[k] for k in core),
+            *(record[k] for k in core),
             steps=int(step),
             version=__version__,
             platform=_platform_info(),
             created_unix=time.time(),
-            extra={**{k: v for k, v in identity.items() if k not in core},
-                   **extra},
+            extra={**{k: v for k, v in record.items() if k not in core},
+                   **{k: v for k, v in results.items() if v is not None}},
         )
 
     def to_dict(self) -> dict:
@@ -119,12 +95,6 @@ def manifest_path_for(output_path: str | Path) -> Path:
     ``flow.npz`` → ``flow.manifest.json``."""
     p = Path(output_path)
     return p.with_name(p.stem + ".manifest.json")
-
-
-def write_manifest(path: str | Path, solver, seed: int | None = None,
-                   **extra) -> Path:
-    """Write a manifest for ``solver`` to ``path`` (returns the path)."""
-    return RunManifest.from_solver(solver, seed=seed, **extra).write(path)
 
 
 def load_manifest(path: str | Path) -> RunManifest:

@@ -321,9 +321,9 @@ class ProcessRuntime:
 
         Supervised recovery: when any worker fails, up to
         ``max_restarts`` (default ``spec.max_restarts``) fresh cohorts
-        are launched from the newest complete checkpoint, when
-        :func:`~repro.io.checkpoint.resolve_resume` accepts it for this
-        spec (or from the original starting point), waiting
+        are launched from the newest complete checkpoint of this problem
+        (:func:`~repro.io.checkpoint.resolve_resume`), or from the
+        original starting point, waiting
         ``restart_backoff * attempt`` seconds between attempts. Every
         attempt maps blocks of its own, which go with it.
 
@@ -337,10 +337,10 @@ class ProcessRuntime:
         if max_restarts is None:
             max_restarts = int(spec.max_restarts)
         resume_dir: str | None = None
-        start_step = 0
+        start_step, record = 0, spec.record("process")
         if spec.resume_from:
             resume_dir, start_step = resolve_resume(
-                spec.resume_from, n_steps, spec.identity())
+                spec.resume_from, n_steps, record)
 
         failure_history: list[list[WorkerFailure]] = []
         attempt = 0
@@ -360,15 +360,15 @@ class ProcessRuntime:
                 resume_dir, start_step = None, 0
                 if spec.checkpoint_dir:
                     # this problem's newest snapshot, validated like any
-                    # resume: another run's in a reused directory is none
+                    # resume; another problem's newer ones are passed over
                     try:
                         resume_dir, start_step = resolve_resume(
-                            spec.checkpoint_dir, n_steps, spec.identity())
+                            spec.checkpoint_dir, n_steps, record)
                     except (FileNotFoundError, ValueError):
                         pass
                 if resume_dir is None and spec.resume_from:
                     resume_dir, start_step = resolve_resume(
-                        spec.resume_from, n_steps, spec.identity())
+                        spec.resume_from, n_steps, record)
                 time.sleep(restart_backoff * attempt)
                 continue
             # Labels of the last run; every run starts from scratch.

@@ -30,8 +30,8 @@ Fault tolerance hooks ride on that loop's cadences and sinks (see
 
 * **checkpoint** — on the ``RunSpec.checkpoint_every`` cadence, every
   rank writes its interior slab into the per-run checkpoint directory
-  and waits at the barrier; rank 0 then seals the snapshot
-  (:func:`~repro.io.checkpoint.checkpoint_sink`). Since all ranks share
+  and waits at the barrier; rank 0 then seals the snapshot under the
+  run's record (``RunSpec.record("process")``). Since all ranks share
   one deterministic schedule, the snapshot is step-consistent by
   construction.
 * **resume** — given a checkpoint directory, the worker copies the
@@ -67,10 +67,9 @@ import os
 import traceback
 from threading import BrokenBarrierError
 
-from ..io.checkpoint import checkpoint_sink, load_slabs
+from ..io.checkpoint import load_slabs
 from ..loop import Cadences, Sinks, run_loop
 from ..obs import Telemetry
-from ..obs.events import EventStream, RunEventEmitter
 from .blas import share_cores
 from .decomposition import CommunicationReport, DistributedSolver
 from .faults import maybe_inject, normalize_fault
@@ -147,28 +146,20 @@ def worker_main(spec: RunSpec, solver: DistributedSolver,
             return (rho[interior], u[:, interior],
                     state.domain.fluid_mask[interior])
 
+        # no fault, no hook: looking at the field is not free
         fault = normalize_fault(spec.fault)
-        sinks = Sinks(telemetry=tel, checkpoint=checkpoint_sink(
-            spec.checkpoint_dir, solver, spec.identity(), spec.checkpoint_keep,
-            rank=rank, barrier=lambda: barrier.wait(timeout=barrier_timeout),
-            kind=spec.kind, n_ranks=spec.n_ranks, backend="process",
-            accel=spec.accel) if spec.checkpoint_dir else None)
-        if fault is not None:     # looking at the field is not free
-            sinks.fault = lambda at: maybe_inject(
-                fault, rank, at, attempt, solver.field(state))
-        if spec.events_dir:
-            sinks.events = RunEventEmitter(
-                EventStream(spec.events_dir, rank=rank, attempt=attempt),
-                every=spec.events_every or 25, n_steps=n_steps,
-                start_step=start_step, telemetry=tel, n_fluid=n_fluid)
-            sinks.events.start(pid=os.getpid(), scheme=solver.scheme,
-                               lattice=solver.lat.name, accel=solver.accel,
-                               n_fluid=n_fluid, resumed=bool(resume_dir),
-                               blas_threads=blas_threads)
+        inject = None if fault is None else lambda at: maybe_inject(
+            fault, rank, at, attempt, solver.field(state))
         run_loop(exchange_and_step, look, start_step, n_steps,
                  Cadences(checkpoint=int(spec.checkpoint_every or 0),
-                          watchdog=int(spec.watchdog_every or 0)),
-                 sinks, {"rank": rank, "scheme": solver.scheme})
+                          watchdog=int(spec.watchdog_every or 0),
+                          events=spec.events_every),
+                 Sinks(telemetry=tel, events=spec.events_dir,
+                       checkpoint=spec.checkpoint_dir,
+                       keep=spec.checkpoint_keep, fault=inject),
+                 spec.record("process"), solver=solver, rank=rank,
+                 attempt=attempt, n_fluid=n_fluid, blas_threads=blas_threads,
+                 barrier=lambda: barrier.wait(timeout=barrier_timeout))
 
         with tel.phase("gather"):
             solver.gather_rank(rank, out)

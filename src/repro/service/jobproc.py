@@ -1,9 +1,9 @@
 """Job processes: where a served job runs.
 
 Every worker of the :class:`~repro.service.jobs.JobScheduler` pool owns
-one long-lived *job process*, forked when the scheduler starts (before
-the server binds its socket, and before any job runs) and kept warm from
-job to job. The worker sends a job over a pipe and awaits the reply on
+one long-lived *job process*, forked when the scheduler starts (after
+the server binds its socket, which the job process closes, and before
+any job runs) and kept warm from job to job. The worker sends a job over a pipe and awaits the reply on
 the event loop; the job process runs it to its sealed directory
 (``_execute``) and answers ``("done", result)`` or ``("failed",
 "Type: message")``.
@@ -12,10 +12,10 @@ Inside the job process a job takes one of two routes:
 
 * a one-rank job without ``max_restarts`` or ``fault`` is a
   single-domain run in place — the problem's
-  :func:`~repro.service.registry.build_single` solver stepped by
-  :func:`repro.loop.run_loop`, its events on ``events-rank0000.jsonl``
-  and its checkpoints in ``ckpt/`` like a cohort's: no ghost planes, no
-  barrier, no fork;
+  :func:`~repro.service.registry.build_single` solver stepped by the
+  in-process launcher :func:`repro.loop.launch` (``mrlbm run``'s), its
+  events on ``events-rank0000.jsonl`` and its checkpoints in ``ckpt/``
+  like a cohort's: no ghost planes, no barrier, no fork;
 * every other job runs through
   :class:`~repro.parallel.runtime.ProcessRuntime`, whose ranks fork from
   the single-threaded job process.
@@ -56,7 +56,6 @@ import weakref
 from importlib import import_module
 
 from ..parallel.blas import share_cores
-from ..spec import FINGERPRINT_VERSION
 
 __all__ = ["JobProcess"]
 
@@ -166,8 +165,8 @@ class JobProcess:
 def _close_inherited_sockets(keep: int) -> None:
     """Close every socket a fork handed down but ``keep``.
 
-    A job process forked after the server bound its socket (a
-    replacement) must not hold it, nor a client connection — a client
+    A job process — every one is forked after the server bound its
+    socket — must not hold it, nor a client connection — a client
     reading an event stream to EOF would wait for it — nor another job
     process's pipe, nor the server's end of its own.
     """
@@ -241,45 +240,6 @@ def _runs_here(spec) -> bool:
     return spec.n_ranks == 1 and not (spec.max_restarts or spec.fault)
 
 
-def _run_here(spec, n_steps: int, job_dir, blas_threads):
-    """A one-rank job as a single-domain run: ``(rho, u, wall, mlups)``."""
-    from ..io.checkpoint import checkpoint_sink
-    from ..loop import Cadences, Sinks, run_loop
-    from ..obs import Telemetry
-    from ..obs.events import EventStream, RunEventEmitter
-    from .registry import build_single
-
-    solver = build_single(spec.kind, spec.scheme, spec.lattice,
-                          tuple(spec.shape), tau=spec.tau,
-                          backend=spec.accel, **spec.options)
-    tel = Telemetry(record_spans=False)
-    solver.attach_telemetry(tel)
-    fluid = solver.domain.fluid_mask
-    n_fluid = int(fluid.sum())
-    events = RunEventEmitter(
-        EventStream(job_dir, rank=0), every=spec.events_every or 25,
-        n_steps=n_steps, telemetry=tel, n_fluid=n_fluid)
-    events.start(pid=os.getpid(), scheme=spec.scheme, lattice=spec.lattice,
-                 accel=spec.accel, n_fluid=n_fluid, resumed=False,
-                 blas_threads=blas_threads)
-
-    def step():
-        solver.step()
-        solver.time += 1
-
-    run_loop(step, lambda: (*solver.macroscopic(), fluid), 0, n_steps,
-             Cadences(checkpoint=int(spec.checkpoint_every or 0),
-                      watchdog=int(spec.watchdog_every or 0)),
-             Sinks(telemetry=tel, events=events, checkpoint=checkpoint_sink(
-                 job_dir / "ckpt", solver, spec.identity(),
-                 spec.checkpoint_keep, kind=spec.kind, n_ranks=1,
-                 backend="single", accel=spec.accel)
-                 if spec.checkpoint_every else None),
-             {"scheme": spec.scheme, "lattice": spec.lattice})
-    rho, u = solver.macroscopic()
-    return rho, u, tel.phase_total("step"), tel.mlups(n_fluid)
-
-
 def _execute(job, blas_threads: int | str) -> dict:
     """Run one job to completion and seal its directory (job process);
     returns the sealed result, plain Python only."""
@@ -289,10 +249,25 @@ def _execute(job, blas_threads: int | str) -> dict:
     spec = job.spec
     assert spec is not None
     job.dir.mkdir(parents=True, exist_ok=True)
-    restarts = 0
-    if _runs_here(spec):
-        rho, u, wall, mlups = _run_here(spec, job.n_steps, job.dir,
-                                        blas_threads)
+    here, restarts, accel_path = _runs_here(spec), 0, None
+    record = spec.record("single" if here else "process")
+    if here:
+        from ..loop import Cadences, Sinks, launch
+        from ..obs import Telemetry
+        from .registry import build_single
+
+        solver = build_single(spec.kind, spec.scheme, spec.lattice,
+                              tuple(spec.shape), tau=spec.tau,
+                              backend=spec.accel, **spec.options)
+        rho, u, _, wall, mlups = launch(
+            solver, record, job.n_steps,
+            Cadences(checkpoint=int(spec.checkpoint_every or 0),
+                     watchdog=int(spec.watchdog_every or 0),
+                     events=spec.events_every),
+            Sinks(telemetry=Telemetry(record_spans=False), events=job.dir,
+                  checkpoint=job.dir / "ckpt", keep=spec.checkpoint_keep),
+            blas_threads=blas_threads)
+        accel_path = solver.accel_path
     else:
         from ..parallel.runtime import ProcessRuntime
 
@@ -306,14 +281,10 @@ def _execute(job, blas_threads: int | str) -> dict:
     save_archive(job.dir / "fields.npz", rho=rho, u=u)
     result = {
         "job_key": job.key,
-        "fingerprint": spec.fingerprint(),
-        "fingerprint_version": FINGERPRINT_VERSION,
-        "spec": {
-            "kind": spec.kind, "scheme": spec.scheme,
-            "lattice": spec.lattice, "shape": list(spec.shape),
-            "n_ranks": spec.n_ranks, "tau": spec.tau,
-            "accel": spec.accel,
-        },
+        "fingerprint": record["fingerprint"],
+        "fingerprint_version": record["fingerprint_version"],
+        "spec": {k: record[k] for k in ("kind", "scheme", "lattice", "shape",
+                                        "n_ranks", "tau", "accel")},
         "steps": job.n_steps,
         "restarts": int(restarts),
         "wall_s": float(wall),
@@ -325,8 +296,8 @@ def _execute(job, blas_threads: int | str) -> dict:
         json.dumps(result, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     RunManifest.from_identity(
-        spec.identity(), job.n_steps, kind=spec.kind, n_ranks=spec.n_ranks,
-        job_key=job.key, mlups=mlups, blas_threads=blas_threads,
+        record, job.n_steps, job_key=job.key, wall_s=float(wall),
+        mlups=float(mlups), blas_threads=blas_threads, accel_path=accel_path,
     ).write(job.dir / "manifest.json")
     (job.dir / "COMPLETE").write_text("sealed\n", encoding="utf-8")
     return result

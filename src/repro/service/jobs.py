@@ -176,8 +176,8 @@ class JobScheduler:
     -----
     All public methods must be called from the event-loop thread. The
     job processes are forked in :meth:`start`, before any job runs and
-    before a server binds its socket; a job's execution touches no
-    scheduler state.
+    after a server binds its socket (which they close); a job's
+    execution touches no scheduler state.
     """
 
     def __init__(self, root: str | Path, workers: int = 2,

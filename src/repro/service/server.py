@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 from urllib.parse import parse_qs, urlsplit
 
@@ -74,8 +75,9 @@ class JobServer:
     Parameters
     ----------
     scheduler:
-        The scheduler to front. :meth:`start` starts it too, so one
-        ``await JobServer(...).start()`` brings the whole service up.
+        The scheduler to front. :meth:`start` starts it too, once the
+        socket is bound, so one ``await JobServer(...).start()`` brings
+        the whole service up.
     host, port:
         TCP bind address; ``port=0`` picks an ephemeral port (read the
         resolved one back from :attr:`address`). Ignored when ``uds``
@@ -91,30 +93,36 @@ class JobServer:
         self.port = int(port)
         self.uds = uds
         self._server: asyncio.AbstractServer | None = None
+        self._bound: tuple[int, int] | None = None   # the uds's inode
         self._stop = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "JobServer":
-        """Start the scheduler and bind the listening socket.
+        """Bind the listening socket, start the scheduler, then serve.
 
-        Raises ``OSError`` — before any job process is forked — when a
-        live server answers on ``uds`` (binding would unlink its socket
-        and leave it unreachable); a socket file nobody listens on is
-        replaced. A failed bind stops the scheduler again.
+        The bind comes first, so a busy port, or a live server answering
+        on ``uds`` (binding would unlink its socket and leave it
+        unreachable), raises ``OSError`` before any job process is
+        forked; a socket file nobody listens on is replaced. The job
+        processes forked after the bind close the socket they inherit.
+        A failed scheduler start releases the socket again.
         """
         if self.uds is not None:
             _refuse_live(self.uds)
-        await self.scheduler.start()
+            self._server = await asyncio.start_unix_server(
+                self._handle, path=self.uds, start_serving=False)
+            stat = os.stat(self.uds)
+            self._bound = stat.st_dev, stat.st_ino
+        else:
+            self._server = await asyncio.start_server(
+                self._handle, host=self.host, port=self.port,
+                start_serving=False)
+            self.port = self._server.sockets[0].getsockname()[1]
         try:
-            if self.uds is not None:
-                self._server = await asyncio.start_unix_server(
-                    self._handle, path=self.uds)
-            else:
-                self._server = await asyncio.start_server(
-                    self._handle, host=self.host, port=self.port)
-                self.port = self._server.sockets[0].getsockname()[1]
+            await self.scheduler.start()
+            await self._server.start_serving()
         except BaseException:
-            await self.scheduler.close()
+            await self.close()
             raise
         return self
 
@@ -128,12 +136,22 @@ class JobServer:
         await self._stop.wait()
 
     async def close(self) -> None:
-        """Stop accepting, shut the scheduler down, release the socket."""
+        """Stop accepting, shut the scheduler down, release the socket.
+
+        A ``uds`` path is unlinked while it still names the socket this
+        server bound (another server may have replaced it since).
+        """
         self._stop.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            try:
+                stat = os.stat(self.uds) if self.uds is not None else None
+                if stat and (stat.st_dev, stat.st_ino) == self._bound:
+                    os.unlink(self.uds)
+            except OSError:
+                pass
         await self.scheduler.close()
 
     # -- request plumbing ----------------------------------------------

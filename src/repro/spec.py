@@ -37,7 +37,8 @@ __all__ = [
     "SCHEME_NAMES", "BACKENDS", "scheme_key", "check_backend", "check_names",
     "check_inputs", "check_halo_width", "SlabDecomposition",
     "ProblemKind", "register_problem", "get_problem", "problem_kinds",
-    "sweep_kinds", "FINGERPRINT_VERSION", "problem_identity", "RunSpec",
+    "sweep_kinds", "FINGERPRINT_VERSION", "problem_identity", "run_record",
+    "RunSpec",
 ]
 
 #: The paper's schemes, by canonical name.
@@ -373,6 +374,22 @@ def problem_identity(kind: str, scheme: str, lattice: str, shape, tau: float,
             "fingerprint_version": FINGERPRINT_VERSION}
 
 
+def run_record(kind: str, scheme: str, lattice: str, shape, tau: float,
+               options: dict, *, n_ranks: int, backend: str,
+               accel: str) -> dict:
+    """The one record of a run, built once.
+
+    Its :func:`problem_identity`, the problem ``kind``, and where it
+    steps — ``n_ranks`` slabs on the ``backend`` (``single``,
+    ``emulated`` or ``process``) with the ``accel`` step. Its ``start``
+    event, watchdog reports, checkpoint manifests and final manifest
+    carry it.
+    """
+    return {**problem_identity(kind, scheme, lattice, shape, tau, options),
+            "kind": kind, "n_ranks": int(n_ranks), "backend": backend,
+            "accel": accel}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Picklable description of a distributed problem.
@@ -499,15 +516,18 @@ class RunSpec:
         check_halo_width(lat)
         SlabDecomposition(tuple(self.shape), self.n_ranks, periodic=False)
 
-    def identity(self) -> dict:
-        """The spec's :func:`problem_identity`."""
-        return problem_identity(self.kind, self.scheme, self.lattice,
-                                self.shape, self.tau, self.options)
+    def record(self, backend: str) -> dict:
+        """The spec's :func:`run_record` on ``backend``."""
+        return run_record(self.kind, self.scheme, self.lattice, self.shape,
+                          self.tau, self.options, n_ranks=self.n_ranks,
+                          backend=backend, accel=self.accel)
 
     def fingerprint(self) -> str:
         """Injective digest of the problem identity (kind + preset
         options; see :func:`problem_identity`)."""
-        return self.identity()["fingerprint"]
+        return problem_identity(self.kind, self.scheme, self.lattice,
+                                self.shape, self.tau,
+                                self.options)["fingerprint"]
 
     def build(self):
         """Construct the emulated solver this spec describes.

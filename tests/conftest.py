@@ -38,18 +38,18 @@ def d2q9():
 @pytest.fixture
 def swept():
     """``swept(specs, steps, **kw)`` -> ``(result, members)``: a
-    :func:`repro.ensemble.run_sweep` and the solvers it stepped, each
-    asserted equal, bit for bit, to its own ``fused`` run of the spec."""
+    :func:`repro.ensemble.run_sweep` and the solvers its launcher
+    stepped, each asserted equal, bit for bit, to its own ``fused`` run
+    of the spec."""
     from unittest import mock
 
     from repro import ensemble
     from repro.service.registry import build_single
 
     def run(specs, steps, **kwargs):
-        members, build = [], ensemble.build_sweep_member
-        with mock.patch.object(ensemble, "build_sweep_member",
-                               lambda spec: members.append(build(spec))
-                               or members[-1]):
+        members, launch = [], ensemble.launch
+        with mock.patch.object(ensemble, "launch", lambda solver, *a:
+                               members.append(solver) or launch(solver, *a)):
             result = ensemble.run_sweep(specs, steps, **kwargs)
         for row, member in zip(result.members, members):
             solo = build_single(row["kind"], row["scheme"], row["lattice"],
@@ -59,6 +59,42 @@ def swept():
                 assert np.array_equal(got, want)
         return result, members
     return run
+
+
+@pytest.fixture
+def one_record(tmp_path, mrlbm):
+    """``one_record(spec, *artifacts)``: ``mrlbm run --manifest`` (with
+    events and a checkpoint), a served job and a sweep member of the
+    problem of ``spec`` (its one option ``u_max``), and the manifests or
+    event directories ``artifacts``, carry one run record's keys and
+    fingerprint."""
+    import dataclasses
+    import json
+
+    from repro.ensemble import run_sweep
+    from repro.obs import read_events
+    from repro.service.jobproc import _execute
+    from repro.service.jobs import Job
+
+    def check(spec, *artifacts):
+        at, want = tmp_path / "writers", spec.record("single")
+        mrlbm(f"run --problem {spec.kind} --scheme {spec.scheme} --lattice "
+              f"{spec.lattice} --shape {','.join(map(str, spec.shape))} "
+              f"--tau {spec.tau} --u-max {spec.options['u_max']} --steps 4 "
+              f"--manifest {at}/cli.json --events {at}/ev --checkpoint-dir "
+              f"{at}/ck --checkpoint-every 2")
+        run_sweep([dataclasses.replace(spec, accel="fused")], 2, out_dir=at)
+        _execute(Job("job", "key", spec, 2, at / "job"), 1)
+        paths = [at / "cli.json", *at.glob("ck/*/manifest.json"),
+                 *at.glob("member-*.json"), at / "job/manifest.json"]
+        found = [{**m, **m["extra"]} for m in (json.loads(p.read_text())
+                 for p in paths + list(artifacts) if p.is_file())]
+        found += [e["record"] for p in (at / "ev", at / "job", *artifacts)
+                  if p.is_dir() for e in read_events(p) if e["kind"] == "start"]
+        assert len(found) == 6 + len(artifacts)
+        assert all(set(want) <= set(record) for record in found)
+        assert {r["fingerprint"] for r in found} == {want["fingerprint"]}
+    return check
 
 
 @pytest.fixture

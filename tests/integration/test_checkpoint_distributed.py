@@ -118,13 +118,13 @@ class TestCheckpointDirectoryContract:
 
     def test_a_retry_never_resumes_another_problems_step(self, written,
                                                          tmp_path):
-        """The newest step of a reused directory is MR-P's: the ST retry's
-        resume refuses it and restarts from scratch, to the straight run."""
+        """The newest step of a reused directory is MR-P's: the ST retry
+        resumes its own step 5 beside it, to the straight run."""
         ck = shutil.copytree(written, tmp_path / "ck")
         result = run_process(_spec(
             "ST", 2, checkpoint_dir=str(ck), checkpoint_every=5,
             max_restarts=1, fault=FaultSpec(rank=1, step=7)), 10)
-        assert result.restarts == 1 and result.start_step == 0
+        assert result.restarts == 1 and result.start_step == 5
         assert_same_fields(result, run_process(_spec("ST", 2), 10))
         assert {2, 4, 6, 8} <= {checkpoint_step(d) for d in ck.iterdir()}
 
@@ -154,7 +154,7 @@ class TestCheckpointDirectoryContract:
     def test_loaded_slabs_tile_the_domain(self, written):
         """Every plane read out of the two rank files is the cohort's."""
         spec, whole = _spec("MR-P", 2), np.empty((6, *SHAPE_2D))
-        step_dir, at = resolve_resume(written, 9, spec.identity())
+        step_dir, at = resolve_resume(written, 9, spec.record("process"))
         read_slab(step_dir, np.arange(SHAPE_2D[0]), whole, SHAPE_2D[0])
         cohort = spec.build().run(at)
         assert np.array_equal(whole, np.concatenate(

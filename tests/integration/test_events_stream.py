@@ -11,12 +11,8 @@ import threading
 
 import pytest
 
-from repro.obs.events import (
-    event_files,
-    iter_events,
-    read_events,
-    summarize_events,
-)
+from repro.obs.events import (event_files, iter_events, read_events,
+                              summarize_events)
 from repro.parallel import RunSpec, run_process
 
 

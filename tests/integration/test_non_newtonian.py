@@ -12,11 +12,8 @@ import pytest
 from repro.boundary import HalfwayBounceBack
 from repro.geometry import channel_2d, periodic_box
 from repro.lattice import get_lattice
-from repro.solver.non_newtonian import (
-    PowerLawMRPSolver,
-    power_law_force,
-    power_law_poiseuille_profile,
-)
+from repro.solver.non_newtonian import (PowerLawMRPSolver, power_law_force,
+                                        power_law_poiseuille_profile)
 
 
 def run_power_law(n, K, u_max, shape=(8, 26), max_steps=120_000):

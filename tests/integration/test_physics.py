@@ -8,14 +8,9 @@ import numpy as np
 import pytest
 
 from repro.service.registry import build_single
-from repro.validation import (
-    kinetic_energy,
-    linf_error,
-    poiseuille_profile,
-    relative_l2_error,
-    taylor_green_decay_rate,
-    taylor_green_fields,
-)
+from repro.validation import (kinetic_energy, linf_error, poiseuille_profile,
+                              relative_l2_error, taylor_green_decay_rate,
+                              taylor_green_fields)
 
 SCHEMES = ["ST", "MR-P", "MR-R"]
 

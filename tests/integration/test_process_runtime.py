@@ -17,13 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ParallelRuntimeError,
-    blas,
-    ProcessRuntime,
-    RunSpec,
-    run_process,
-)
+from repro.parallel import (ParallelRuntimeError, blas, ProcessRuntime,
+                            RunSpec, run_process)
 from repro.parallel import runtime as runtime_module
 from repro.validation import taylor_green_fields
 

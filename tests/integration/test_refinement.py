@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.refinement import (
-    RefinedSimulation2D,
-    RefinedTaylorGreen2D,
-    fine_tau,
-    pi_neq_scale,
-)
+from repro.refinement import (RefinedSimulation2D, RefinedTaylorGreen2D,
+                              fine_tau, pi_neq_scale)
 from repro.service.registry import build_single
 from repro.validation import relative_l2_error, taylor_green_fields
 

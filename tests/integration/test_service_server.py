@@ -26,7 +26,7 @@ import pytest
 from repro.obs import read_events
 from repro.parallel.runtime import FINGERPRINT_VERSION
 from repro.service import (JobScheduler, JobServer, ServiceClient,
-                           ServiceError, build_single)
+                           ServiceError, build_single, spec_from_dict)
 
 
 @contextlib.contextmanager
@@ -384,8 +384,19 @@ class TestFrontEnd:
             assert not (tmp_path / "other").exists()
             assert ServiceClient(sock).health()["ok"]
             assert living(pids) == pids
+        assert not os.path.exists(sock)     # unlinked at /shutdown
 
-    def test_the_server_imports_no_numpy(self, tmp_path):
+    def test_a_busy_port_forks_no_job_process(self, tmp_path):
+        """The bind comes first: a busy port forks no job process."""
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            server = JobServer(JobScheduler(tmp_path / "jobs", 1),
+                               port=busy.getsockname()[1])
+            with pytest.raises(OSError):
+                asyncio.run(server.start())
+        assert server.scheduler.job_pids == []
+        assert not (tmp_path / "jobs").exists()
+
+    def test_the_server_imports_no_numpy(self, tmp_path, one_record):
         """Health, kinds, a refused payload, a fresh job to its seal and
         its cache hit, in a server that never loads numpy; its job
         process found the OpenBLAS thread setter."""
@@ -418,6 +429,8 @@ class TestFrontEnd:
             "HTTP 400: problem kind 'porous' has no option 'u_max'; "
             "accepted options: solid_fraction, seed, force_x",
             "done", [False, True], False]
-        manifest = json.loads(
-            (tmp_path / "jobs/job-000001/manifest.json").read_text())
+        job_dir = tmp_path / "jobs/job-000001"
+        manifest = json.loads((job_dir / "manifest.json").read_text())
         assert isinstance(manifest["extra"]["blas_threads"], int)
+        one_record(spec_from_dict(payload())[0], job_dir / "manifest.json",
+                   job_dir)

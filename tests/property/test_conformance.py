@@ -82,12 +82,9 @@ from repro.boundary import HalfwayBounceBack
 from repro.cli import main as cli_main
 from repro.core.equilibrium import equilibrium
 from repro.core.moments import f_from_moments, macroscopic, moments_from_f
-from repro.core.regularization import (hermite_delta_higher_order,
-                                       hermite_delta_second_order,
-                                       pi_neq_cols_from_f,
-                                       recursive_a3_neq_cols,
-                                       recursive_a4_neq_cols,
-                                       regularize_projective)
+from repro.core.regularization import (
+    hermite_delta_higher_order, hermite_delta_second_order, pi_neq_cols_from_f,
+    recursive_a3_neq_cols, recursive_a4_neq_cols, regularize_projective)
 from repro.geometry import Domain
 from repro.io import load_slabs, resolve_resume, save_slabs, seal_checkpoint
 from repro.lattice import get_lattice
@@ -418,7 +415,7 @@ def check_process_resume(cell: Cell, ranks: int, at: int = 3,
 def check_resume_across_paths(cell: Cell, at: int = 3) -> None:
     """A single domain's checkpoint resumed on 3 process ranks, a 2-rank
     cohort's on a single domain: the straight single run, by the rule."""
-    single, ident = replace(cell, mode="single"), spec(cell).identity()
+    single, ident = replace(cell, mode="single"), spec(cell).record("single")
     with window(cell.chunk), tempfile.TemporaryDirectory() as one, \
             tempfile.TemporaryDirectory() as two:
         save(build(single).run(at), one, ident)

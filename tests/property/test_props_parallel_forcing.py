@@ -3,12 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    collide_moments_projective,
-    equilibrium,
-    guo_source,
-    moments_from_f,
-)
+from repro.core import (collide_moments_projective, equilibrium, guo_source,
+                        moments_from_f)
 from repro.lattice import get_lattice
 from repro.service.registry import build_distributed
 

@@ -184,12 +184,15 @@ class TestPath:
     def test_manifest_records_path(self):
         from repro.obs.manifest import RunManifest
 
+        record = {"scheme": "MR-P", "lattice": "D2Q9", "shape": (8, 8),
+                  "tau": 0.8}
         solver = build("inlet-outlet", "MR-P", "sparse")
         solver.run(1)
-        manifest = RunManifest.from_solver(solver, accel="sparse")
+        manifest = RunManifest.from_identity(record, 1,
+                                             accel_path=solver.accel_path)
         assert manifest.extra["accel_path"] == "lean"
-        reference = RunManifest.from_solver(build("periodic", "ST",
-                                                  "reference"))
+        reference = RunManifest.from_identity(record, 1, accel_path=build(
+            "periodic", "ST", "reference").accel_path)
         assert "accel_path" not in reference.extra
 
     def test_profile_header_names_path(self):

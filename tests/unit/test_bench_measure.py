@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.measure import (
-    TrafficMeasurement,
-    measure_channel_traffic,
-    measurement_shape,
-)
+from repro.bench.measure import (TrafficMeasurement, measure_channel_traffic,
+                                 measurement_shape)
 
 
 @pytest.fixture

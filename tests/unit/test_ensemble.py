@@ -13,12 +13,7 @@ import json
 
 import pytest
 
-from repro.ensemble import (
-    SWEEP_PROBLEMS,
-    build_sweep_member,
-    expand_sweep,
-    run_sweep,
-)
+from repro.ensemble import SWEEP_PROBLEMS, expand_sweep, run_sweep
 from repro.parallel.runtime import RunSpec
 
 
@@ -42,7 +37,7 @@ class TestEnrolment:
         spec = RunSpec(kind="porous", scheme="MR-P", lattice="D2Q9",
                        shape=(16, 16), n_ranks=1, tau=0.8)
         with pytest.raises(ValueError, match="unknown sweep problem kind"):
-            build_sweep_member(spec)
+            run_sweep([spec], steps=1)
 
     def test_enrols_aa_backend_members_at_an_odd_step(self, swept):
         """A member runs on the backend its spec names: ``aa`` ST after an
@@ -106,7 +101,7 @@ class TestSweepExpansion:
         spec = RunSpec(kind="taylor-green", scheme="MR-P", lattice="D3Q19",
                        shape=(8, 8, 8), n_ranks=1, tau=0.8)
         with pytest.raises(ValueError, match="2D"):
-            build_sweep_member(spec)
+            run_sweep([spec], steps=1)
 
     def test_pack_batches_validates_max_batch(self):
         """There is no batch to size: a sweep takes its members and steps."""
@@ -115,9 +110,9 @@ class TestSweepExpansion:
 
 
 class TestRunSweep:
-    def test_sweep_executes_and_writes_artifacts(self, tmp_path):
-        lines = []
-        result = run_sweep(grid(0.7, 0.9, 1.1), steps=4, out_dir=tmp_path,
+    def test_sweep_executes_and_writes_artifacts(self, tmp_path, one_record):
+        lines, specs = [], grid(0.7, 0.9, 1.1)
+        result = run_sweep(specs, steps=4, out_dir=tmp_path,
                            progress=lines.append)
         assert len(result.members) == 3 and len(lines) == 3
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
@@ -128,6 +123,7 @@ class TestRunSweep:
             assert manifest["extra"]["fingerprint"] == row["fingerprint"]
             assert manifest["extra"]["wall_s"] == row["wall_s"]
             assert row["mlups"] > 0
+        one_record(specs[-1], path)         # the last member's manifest
 
     def test_sweep_parity_with_solo_runs(self, swept):
         """Heterogeneous-tau forced members end bit for bit on their solo

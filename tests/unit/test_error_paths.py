@@ -109,10 +109,10 @@ class TestDistributedFailsClosed:
                               accel=spec["accel"])
         assert str(from_spec.value) == str(from_ranks.value) == text
         if single:      # a rank count is nothing a single domain has
-            with pytest.raises(ValueError) as from_solver:
+            with pytest.raises(ValueError) as from_single:
                 build_single(spec["kind"], spec["scheme"], spec["lattice"],
                              spec["shape"], backend=spec["accel"])
-            assert str(from_solver.value) == text
+            assert str(from_single.value) == text
 
     @pytest.mark.parametrize("accel", ["reference", "fused"])
     def test_every_rank_checks_what_the_solver_checks(self, accel):

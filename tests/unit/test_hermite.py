@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.lattice import get_lattice
-from repro.lattice.hermite import (
-    distinct_index_tuples,
-    distinct_tensor_columns,
-    hermite_tensors,
-    index_multiplicity,
-    symmetric_contraction_weights,
-)
+from repro.lattice.hermite import (distinct_index_tuples,
+                                   distinct_tensor_columns, hermite_tensors,
+                                   index_multiplicity,
+                                   symmetric_contraction_weights)
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ from repro.loop import Cadences, Sinks, run_loop, watch
 from repro.obs import (NULL_TELEMETRY, JsonLinesExporter, RunManifest,
                        StabilityError, Telemetry, load_manifest,
                        manifest_path_for, read_jsonl, summarize_events,
-                       write_chrome_trace, write_csv_summary, write_manifest)
+                       write_chrome_trace, write_csv_summary)
 from repro.service.registry import build_single
 from repro.solver.monitors import ConvergenceMonitor, EnergyMonitor, ProbeMonitor
+from repro.spec import RunSpec
 
 
 class TestPhaseTimers:
@@ -228,24 +229,24 @@ class TestExporters:
 
 
 class TestManifest:
+    RECORD = RunSpec("periodic", "MR-P", "D2Q9", (8, 8), 1).record("single")
+
     def test_round_trip(self, tmp_path):
-        s = build_single("periodic", "MR-P", "D2Q9", (8, 8), tau=0.8)
-        s.run(3)
-        path = write_manifest(tmp_path / "m.json", s, seed=42, note="hi")
+        path = RunManifest.from_identity(self.RECORD, 3, note="hi").write(
+            tmp_path / "m.json")
         m = load_manifest(path)
         assert m.scheme == "MR-P" and m.lattice == "D2Q9"
-        assert m.shape == (8, 8) and m.tau == 0.8
-        assert m.seed == 42 and m.steps == 3
-        assert m.extra["note"] == "hi"
+        assert m.shape == (8, 8) and m.tau == 0.8 and m.steps == 3
+        assert (m.extra["note"], m.extra["kind"], m.extra["fingerprint"]) == (
+            "hi", "periodic", self.RECORD["fingerprint"])
         assert m.version and m.platform["python"]
 
     def test_manifest_path_for(self):
         assert manifest_path_for("out/flow.npz").name == "flow.manifest.json"
 
-    def test_from_solver_is_dataclass(self):
-        s = build_single("periodic", "ST", "D2Q9", (8, 8), tau=0.8)
-        m = RunManifest.from_solver(s)
-        assert m.scheme == "ST"
+    def test_from_identity_is_dataclass(self):
+        m = RunManifest.from_identity(self.RECORD, 0, accel_path=None)
+        assert m.scheme == "MR-P" and "accel_path" not in m.extra
         json.dumps(m.to_dict())
 
     def test_checkpoint_writes_manifest(self, tmp_path):
@@ -277,7 +278,7 @@ class TestWatchdog:
         s.f[0, 3, 3] = np.nan
         with pytest.raises(StabilityError) as exc:
             run_loop(s.step, self.look(s), 0, 1, Cadences(watchdog=1),
-                     context={"scheme": "ST"})
+                     record={"scheme": "ST"})
         report = exc.value.report
         assert report["nonfinite_rho"] >= 1 or report["nonfinite_u"] >= 1
         assert report["scheme"] == "ST" and report["step"] == 1
@@ -303,16 +304,15 @@ class TestWatchdog:
     def test_an_interrupted_loop_ends_its_stream(self, tmp_path):
         """Ctrl-C at step 3 (any exception) still ends the stream: the
         rank's status is ``error``, not ``running`` for ever."""
-        from repro.obs import EventStream, RunEventEmitter, read_events
+        from repro.obs import read_events
 
         def step():
             if tel.counters.get("steps") == 3:
                 raise KeyboardInterrupt
         tel = Telemetry()
-        events = RunEventEmitter(EventStream(tmp_path), every=1, n_steps=9,
-                                 telemetry=tel)
         with pytest.raises(KeyboardInterrupt):
-            run_loop(step, None, 0, 9, sinks=Sinks(tel, events))
+            run_loop(step, None, 0, 9, Cadences(events=1),
+                     Sinks(tel, events=tmp_path))
         summary = summarize_events(read_events(tmp_path))
         assert summary["all_done"] and summary["ranks"][0]["status"] == "error"
         assert summary["ranks"][0]["step"] == 3

@@ -11,12 +11,8 @@ import json
 
 import pytest
 
-from repro.obs import (
-    NULL_TELEMETRY,
-    Telemetry,
-    merge_rank_reports,
-    write_chrome_trace,
-)
+from repro.obs import (NULL_TELEMETRY, Telemetry, merge_rank_reports,
+                       write_chrome_trace)
 
 
 def rank_report(rank, wall_s=1.0, steps=4, n_fluid=100, wait_s=0.25,

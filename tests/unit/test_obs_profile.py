@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.gpu import MRKernel, STKernel, KernelProblem, MemoryTracker, V100
 from repro.obs import Telemetry, format_profile, profile_scheme
+from repro.spec import RunSpec
 
 
 class TestKernelTelemetry:
@@ -91,11 +92,15 @@ class TestCLI:
         assert any("summary" in r for r in records)
         assert any(r.get("step") == 10 for r in records)
 
-    def test_run_manifest_flag(self, tmp_path, mrlbm, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        mrlbm("run --scheme ST --shape 16,10 --steps 5 --manifest m.json")
+    def test_run_manifest_flag(self, tmp_path, mrlbm, one_record):
+        """One record with every other writer's; the fast path named."""
+        mrlbm("run --problem forced-channel --scheme ST --shape 16,10 --u-max "
+              f"0.03 --steps 5 --accel fused --manifest {tmp_path}/m.json")
         m = json.loads((tmp_path / "m.json").read_text())
         assert m["scheme"] == "ST" and m["shape"] == [16, 10]
+        assert m["extra"]["accel_path"] and m["extra"]["accel"] == "fused"
+        one_record(RunSpec("forced-channel", "ST", "D2Q9", (16, 10), 1,
+                           options={"u_max": 0.03}), tmp_path / "m.json")
 
     def test_run_watchdog_flag_healthy(self, mrlbm):
         assert "  step      10" in mrlbm("run --scheme MR-P --shape 16,10 "

@@ -30,14 +30,12 @@ from repro.accel import BACKENDS, FusedMRCore, NeighborTable
 from repro.core.equilibrium import equilibrium
 from repro.core.forcing import guo_source
 from repro.core.moments import f_from_moments, macroscopic, moments_from_f
-from repro.core.regularization import (
-    hermite_delta_higher_order,
-    hermite_delta_second_order,
-    pi_neq_cols_from_f,
-    recursive_a3_neq_cols,
-    recursive_a4_neq_cols,
-    regularize_projective,
-)
+from repro.core.regularization import (hermite_delta_higher_order,
+                                       hermite_delta_second_order,
+                                       pi_neq_cols_from_f,
+                                       recursive_a3_neq_cols,
+                                       recursive_a4_neq_cols,
+                                       regularize_projective)
 from repro.core.streaming import stream_push
 from repro.lattice import get_lattice
 from repro.obs.watchdog import SOUND_SPEED

@@ -161,15 +161,15 @@ class TestBuilders:
     def test_one_spec_names_one_problem(self):
         """The sweep member and the process run of one channel spec step
         one problem: the FD faces the kind defaults to."""
-        from repro.ensemble import build_sweep_member
+        from repro.loop import launch
         from repro.parallel import ProcessRuntime
 
         spec = RunSpec("channel", "MR-P", "D2Q9", (32, 14), 1,
                        options={"u_max": 0.05})
-        member = build_sweep_member(spec).run(20)
+        member = build_single("channel", "MR-P", "D2Q9", (32, 14), u_max=0.05)
+        rho, u, *_ = launch(member, spec.record("single"), 20)
         result = ProcessRuntime(spec).run(20)
-        assert_agree(fields(result.rho, result.u),
-                     fields(*member.macroscopic()), exact=True)
+        assert_agree(fields(result.rho, result.u), fields(rho, u), exact=True)
 
     def test_channel_per_form_defaults(self):
         """There are none: the distributed channel with no options is the
