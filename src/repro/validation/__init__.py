@@ -1,11 +1,6 @@
-"""Analytic solutions, error norms and benchmark cases for validation."""
+"""Analytic solutions, error norms and benchmark reference data for validation."""
 
-from .cylinder import (
-    SCHAFER_TUREK,
-    CylinderCase,
-    schafer_turek_case,
-    strouhal_number,
-)
+from .cylinder import SCHAFER_TUREK, schafer_turek_tau, strouhal_number
 from .analytic import (
     couette_profile,
     duct_profile,
@@ -32,7 +27,6 @@ __all__ = [
     "relative_l2_error",
     "kinetic_energy",
     "SCHAFER_TUREK",
-    "CylinderCase",
-    "schafer_turek_case",
+    "schafer_turek_tau",
     "strouhal_number",
 ]

@@ -4,16 +4,17 @@ The table in docs/PERFORMANCE.md (*Which path a problem takes*) and its
 check belong to the conformance matrix (``tests/property/test_conformance
 .py``), which asserts the same columns on every cell it steps; here each
 cell of the table is one id, on the 48×16 D2Q9 grid the table was
-written for, with the curved-wall Schäfer–Turek rows (a validation case,
-not a kind) that the matrix does not step.
+written for, with the kind the matrix does not step: ``schafer-turek``
+on its d = 4 grid, whose ids name what they check, its curved wall.
 """
 
 import pytest
 
 from repro.service.registry import problem_kinds
 
-from test_conformance import (CURVED, FAST, check_path,
-                              check_table_covers_every_kind)
+from test_conformance import FAST, check_path, check_table_covers_every_kind
+
+IDS = {"schafer-turek": "Schäfer–Turek, curved"}
 
 
 def test_the_table_covers_every_kind_and_fast_backend():
@@ -23,6 +24,6 @@ def test_the_table_covers_every_kind_and_fast_backend():
 @pytest.mark.parametrize("mode", ["single", "rank of 2"])
 @pytest.mark.parametrize("backend", FAST)
 @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
-@pytest.mark.parametrize("kind", list(problem_kinds()) + [CURVED])
+@pytest.mark.parametrize("kind", problem_kinds(), ids=lambda k: IDS.get(k, k))
 def test_accel_path_and_state_lattices(kind, scheme, backend, mode):
     check_path(kind, scheme, backend, mode)

@@ -19,7 +19,7 @@ from repro.lattice import get_lattice
 from repro.obs import Telemetry
 from repro.service.registry import build_distributed, build_single
 from repro.solver import STSolver, make_solver
-from repro.validation.cylinder import schafer_turek_case
+from repro.validation import schafer_turek_tau
 
 from test_conformance import (Cell, assert_agree, check_backends_agree, fields,
                               state_of)
@@ -177,9 +177,9 @@ class TestDenseFallbackParity:
         """The curved Schäfer–Turek wall: Bouzidi has no row extent, so
         both step the bounded fused core; the drag is the same too."""
         for scheme in ("ST", "MR-P", "MR-R"):
-            assert_is_the_fused_cell(lambda backend: [schafer_turek_case(
-                d=4, scheme=scheme, backend=backend, curved=True).solver],
-                steps=4)
+            assert_is_the_fused_cell(lambda backend: [build_single(
+                "schafer-turek", scheme, "D2Q9", (88, 18), backend=backend,
+                tau=schafer_turek_tau(20, 4, 0.1))], steps=4)
 
     def test_fallback_flag_matches_boundaries(self):
         """The sparse cores carry what folds and refuse the rest, which

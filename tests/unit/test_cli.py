@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.parallel import ProcessRuntime, RunSpec
+from repro.validation import schafer_turek_tau
 
 from test_conformance import assert_agree, fields
 
@@ -136,6 +138,15 @@ class TestCommands:
         assert "2 rank(s)" in mrlbm("run --problem forced-channel --scheme "
                                     "ST --shape 24,12 --steps 4 --ranks 2")
 
+    def test_run_schafer_turek_writes_its_drag(self, mrlbm, tmp_path):
+        """The kind's run results land in the run's manifest."""
+        mrlbm(f"run --problem schafer-turek --scheme MR-R --shape 88,18 --tau "
+              f"{schafer_turek_tau(20, 4, 0.05)!r} --steps 10 --manifest "
+              f"{tmp_path / 'm.json'}")
+        extra = json.loads((tmp_path / "m.json").read_text())["extra"]
+        assert extra["c_d"] > 0 and abs(extra["c_l"]) < extra["c_d"]
+        assert extra["re"] == pytest.approx(20)
+
     def test_run_forced_channel_sparse(self, mrlbm):
         """The sparse fluid-node-list backend is selectable from the CLI."""
         assert "accel = sparse" in mrlbm("run --problem forced-channel "
@@ -153,13 +164,6 @@ class TestCommands:
                 main(argv)
             assert exc.value.code == 2
             assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
-
-    def test_unsupported_accel_distributed_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--scheme", "ST", "--shape", "24,10", "--steps", "4",
-                  "--ranks", "2", "--accel", "numba"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'numba'" in capsys.readouterr().err
 
     def test_run_vtk_output(self, tmp_path):
         out_file = tmp_path / "final.vtk"
