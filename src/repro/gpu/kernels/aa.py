@@ -32,7 +32,7 @@ from ...obs.telemetry import NULL_TELEMETRY
 from ..device import GPUDevice
 from ..launch import LaunchConfig, LaunchStats, publish_launch, validate_launch
 from ..memory import GlobalArray, MemoryTracker
-from .problem import KernelProblem
+from .problem import KernelProblem, node_coords, node_index
 
 __all__ = ["AAKernel"]
 
@@ -67,23 +67,6 @@ class AAKernel:
         init = np.concatenate([feq[i].ravel(order="F") for i in range(lat.q)])
         self.f = GlobalArray("f", lat.q * self.n, self.tracker, init=init)
         self.time = 0
-
-    # -- indexing ---------------------------------------------------------
-    def _coords(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        coords = []
-        rem = idx
-        for extent in self.shape:
-            coords.append(rem % extent)
-            rem = rem // extent
-        return tuple(coords)
-
-    def _linear(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        idx = np.zeros(np.shape(coords[0]), dtype=np.int64)
-        stride = 1
-        for axis, extent in enumerate(self.shape):
-            idx = idx + (coords[axis] % extent) * stride
-            stride *= extent
-        return idx
 
     # -- stepping -----------------------------------------------------------
     def step(self) -> LaunchStats:
@@ -134,18 +117,18 @@ class AAKernel:
 
     def _odd_block(self, idx: np.ndarray) -> None:
         lat = self.problem.lat
-        coords = self._coords(idx)
+        coords = node_coords(self.shape, idx)
         src_idx = []
         f_in = np.empty((lat.q, idx.size))
         for i in range(lat.q):
             src = tuple(coords[a] - lat.c[i, a] for a in range(lat.d))
-            flat = self._linear(src)
+            flat = node_index(self.shape, src)
             src_idx.append(flat)
             f_in[i] = self.f.read(lat.opposite[i] * self.n + flat)
         f_star = self._collide(f_in)
         for i in range(lat.q):
             dest = tuple(coords[a] + lat.c[i, a] for a in range(lat.d))
-            self.f.write(i * self.n + self._linear(dest), f_star[i])
+            self.f.write(i * self.n + node_index(self.shape, dest), f_star[i])
 
     # -- host access --------------------------------------------------------
     def distribution(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from ...core.moments import macroscopic
 from ..device import GPUDevice
 from ..launch import LaunchConfig, LaunchStats, validate_launch
 from ..memory import GlobalArray, MemoryTracker
-from .problem import KernelProblem
+from .problem import KernelProblem, node_coords, node_index
 
 __all__ = ["STIndirectKernel"]
 
@@ -75,12 +75,12 @@ class STIndirectKernel:
         # Adjacency: flat index into the (Q * n_fluid) distribution array
         # of the value that becomes f_i(x) after streaming. Fluid-solid
         # links point at the node's own opposite slot (fused bounce-back).
-        coords = self._slot_coords()
+        coords = node_coords(self.shape, self.node_of_slot)
         adj = np.empty((lat.q, self.n_fluid), dtype=np.int64)
         for i in range(lat.q):
             src = tuple((coords[a] - lat.c[i, a]) % self.shape[a]
                         for a in range(lat.d))
-            src_flat = self._linear(src)
+            src_flat = node_index(self.shape, src)
             src_slot = self.slot_of_node[src_flat]
             from_solid = src_slot < 0
             regular = i * self.n_fluid + src_slot
@@ -106,23 +106,6 @@ class STIndirectKernel:
         self.f2 = GlobalArray("f2", lat.q * self.n_fluid, self.tracker,
                               init=init)
         self.time = 0
-
-    # ------------------------------------------------------------------
-    def _slot_coords(self) -> tuple[np.ndarray, ...]:
-        coords = []
-        rem = self.node_of_slot
-        for extent in self.shape:
-            coords.append(rem % extent)
-            rem = rem // extent
-        return tuple(coords)
-
-    def _linear(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        idx = np.zeros(np.shape(coords[0]), dtype=np.int64)
-        stride = 1
-        for axis, extent in enumerate(self.shape):
-            idx = idx + (coords[axis] % extent) * stride
-            stride *= extent
-        return idx
 
     # ------------------------------------------------------------------
     def step(self) -> LaunchStats:

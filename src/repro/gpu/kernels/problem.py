@@ -204,3 +204,26 @@ class KernelProblem:
         for i in unknown:
             ibar = lat.opposite[i]
             f_nodes[i] = feq[i] + (f_nodes[ibar] - feq[ibar])
+
+
+def node_coords(shape: tuple[int, ...],
+                idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coordinates of the linear node indices ``idx`` (axis 0 fastest,
+    the kernels' column-major node order)."""
+    coords = []
+    for extent in shape:
+        coords.append(idx % extent)
+        idx = idx // extent
+    return tuple(coords)
+
+
+def node_index(shape: tuple[int, ...],
+               coords: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Linear node index of ``coords``, each wrapped periodically
+    (the inverse of :func:`node_coords`)."""
+    idx = np.zeros(np.shape(coords[0]), dtype=np.int64)
+    stride = 1
+    for axis, extent in enumerate(shape):
+        idx = idx + (coords[axis] % extent) * stride
+        stride *= extent
+    return idx

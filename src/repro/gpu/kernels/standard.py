@@ -25,7 +25,7 @@ from ...obs.telemetry import NULL_TELEMETRY
 from ..device import GPUDevice
 from ..launch import LaunchConfig, LaunchStats, publish_launch, validate_launch
 from ..memory import GlobalArray, MemoryTracker
-from .problem import KernelProblem
+from .problem import KernelProblem, node_coords, node_index
 
 __all__ = ["STKernel"]
 
@@ -94,22 +94,6 @@ class STKernel:
         self.time = 0
 
     # ------------------------------------------------------------------
-    def _coords(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        coords = []
-        rem = idx
-        for extent in self.shape:
-            coords.append(rem % extent)
-            rem = rem // extent
-        return tuple(coords)
-
-    def _linear(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        idx = np.zeros(np.shape(coords[0]), dtype=np.int64)
-        stride = 1
-        for axis, extent in enumerate(self.shape):
-            idx = idx + (coords[axis] % extent) * stride
-            stride *= extent
-        return idx
-
     def _post_stream_at(self, coords: tuple[np.ndarray, ...],
                         self_idx: np.ndarray) -> np.ndarray:
         """Gather the post-stream populations for a set of fluid nodes,
@@ -123,7 +107,7 @@ class STKernel:
             bb = self.problem.is_solid(src)
             plain = ~bb
             if plain.any():
-                src_idx = self._linear(tuple(s[plain] for s in src))
+                src_idx = node_index(self.shape, tuple(s[plain] for s in src))
                 f[i, plain] = self.f1.read(i * self.n + src_idx)
             if bb.any():
                 # Link from a wall: take the node's own opposite
@@ -161,7 +145,7 @@ class STKernel:
 
     def _run_block(self, idx: np.ndarray) -> None:
         lat = self.problem.lat
-        coords = self._coords(idx)
+        coords = node_coords(self.shape, idx)
         if self.node_types is not None:
             # Counted fetch of the geometry (each thread reads its type).
             solid = self.node_types.read(idx) > 0.5
@@ -218,7 +202,7 @@ class STKernel:
                 # extrapolate the tangential velocity (extra gathers,
                 # counted as real traffic).
                 ncoords = (x[outlet] - 1, *[c[outlet] for c in coords[1:]])
-                nidx = self._linear(ncoords)
+                nidx = node_index(self.shape, ncoords)
                 f_nb = self._post_stream_at(ncoords, nidx)
                 _, u_t = macroscopic(self.problem.lat, f_nb)
             self.problem.apply_outlet_nebb(f_out, u_t)

@@ -30,7 +30,7 @@ from ...core.moments import macroscopic
 from ..device import GPUDevice
 from ..launch import LaunchConfig, LaunchStats, validate_launch
 from ..memory import GlobalArray, MemoryTracker
-from .problem import KernelProblem
+from .problem import KernelProblem, node_coords, node_index
 
 __all__ = ["STPushKernel"]
 
@@ -87,23 +87,6 @@ class STPushKernel:
             self.tracker.enabled = was_enabled
         self.f1, self.f2 = self.f2, self.f1
 
-    # -- indexing helpers (same conventions as STKernel) -----------------
-    def _coords(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        coords = []
-        rem = idx
-        for extent in self.shape:
-            coords.append(rem % extent)
-            rem = rem // extent
-        return tuple(coords)
-
-    def _linear(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        idx = np.zeros(np.shape(coords[0]), dtype=np.int64)
-        stride = 1
-        for axis, extent in enumerate(self.shape):
-            idx = idx + (coords[axis] % extent) * stride
-            stride *= extent
-        return idx
-
     def step(self) -> LaunchStats:
         lat = self.problem.lat
         bs = self.config.threads_per_block
@@ -129,7 +112,7 @@ class STPushKernel:
 
     def _run_block(self, idx: np.ndarray) -> None:
         lat = self.problem.lat
-        coords = self._coords(idx)
+        coords = node_coords(self.shape, idx)
         solid = self.problem.is_solid(coords)
         fluid = ~solid
 
@@ -158,7 +141,7 @@ class STPushKernel:
             dest_solid = self.problem.is_solid(dest)
             dest_ok = self.problem.in_domain(dest) & ~dest_solid
             if dest_ok.any():
-                didx = self._linear(tuple(d[dest_ok] for d in dest))
+                didx = node_index(self.shape, tuple(d[dest_ok] for d in dest))
                 self.f2.write(i * self.n + didx, f_star[i, dest_ok])
             reflect = dest_solid
             if reflect.any():
@@ -182,7 +165,7 @@ class STPushKernel:
             if not fluid.any():
                 continue
             coords = tuple(c[fluid] for c in coords)
-            nidx = self._linear(coords)
+            nidx = node_index(self.shape, coords)
             f = np.empty((lat.q, nidx.size))
             for i in range(lat.q):
                 f[i] = self.f2.read(i * self.n + nidx)
@@ -192,7 +175,7 @@ class STPushKernel:
                 u_t = None
                 if self.problem.outlet_tangential == "extrapolate":
                     ncoords = (coords[0] - 1, *coords[1:])
-                    n2 = self._linear(ncoords)
+                    n2 = node_index(self.shape, ncoords)
                     f_nb = np.empty((lat.q, n2.size))
                     for i in range(lat.q):
                         f_nb[i] = self.f2.read(i * self.n + n2)

@@ -1,5 +1,7 @@
 """Integration: AA-pattern virtual-GPU kernel vs the AA reference solver."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,9 @@ from repro.gpu import AAKernel, KernelProblem, MemoryTracker, STKernel, V100
 from repro.lattice import get_lattice
 from repro.solver import AASolver
 
+from test_kernel_equivalence import periodic_setup
 
-def setup(lattice_name, shape, tau=0.8, seed=9):
-    lat = get_lattice(lattice_name)
-    rng = np.random.default_rng(seed)
-    rho0 = 1 + 0.03 * rng.standard_normal(shape)
-    u0 = 0.03 * rng.standard_normal((lat.d, *shape))
-    prob = KernelProblem(lat, shape, tau, mode="periodic")
-    return lat, prob, rho0, u0
+setup = partial(periodic_setup, seed=9)
 
 
 class TestEquivalence:

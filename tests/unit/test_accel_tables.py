@@ -7,12 +7,9 @@ from repro.accel import NeighborTable
 from repro.core.streaming import stream_push
 from repro.lattice import get_lattice
 
+from test_props_sparse import random_field
+
 D2Q9 = get_lattice("D2Q9")
-
-
-def random_field(lat, shape, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((lat.q, *shape))
 
 
 def table_and_field(shape, seed):
@@ -30,7 +27,7 @@ class TestGatherEquivalence:
     def test_matches_stream_push(self, lattice_name, shape):
         """One np.take gather equals the Q-pass roll streaming, bit for bit."""
         lat = get_lattice(lattice_name)
-        f = random_field(lat, shape)
+        f = random_field(lat, shape, 0)
         assert np.array_equal(NeighborTable(lat, shape).gather(f),
                               stream_push(lat, f))
 
