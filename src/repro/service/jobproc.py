@@ -178,7 +178,9 @@ class JobProcess:
             error = (f"TimeoutError: the job ran past the run timeout of "
                      f"{timeout:g} s; its job process was killed")
         except (EOFError, OSError):
-            self.proc.join(1.0)
+            until = time.monotonic() + 1.0     # as _replace waits: no join
+            while self.proc.is_alive() and time.monotonic() < until:
+                await asyncio.sleep(0.005)
             error = (f"JobProcessDied: the job process (pid {self.pid}) "
                      f"ended mid-job, exit code {self.proc.exitcode}")
         await self._replace()

@@ -26,7 +26,8 @@ import pytest
 from repro.obs import read_events
 from repro.parallel.runtime import FINGERPRINT_VERSION
 from repro.service import (JobScheduler, JobServer, ServiceClient,
-                           ServiceError, build_single, spec_from_dict)
+                           ServiceError, build_single, jobproc,
+                           spec_from_dict)
 
 
 @contextlib.contextmanager
@@ -366,6 +367,41 @@ class TestJobProcess:
             again = client.submit(payload())["job"]
             assert client.wait(again["id"], timeout_s=120)["state"] == "done"
         assert living([new]) == []
+
+    def test_a_lingering_job_process_never_blocks_the_loop(self,
+                                                           monkeypatch):
+        """A job process that closes its pipe and exits 0.5 s later: its
+        job fails and it is replaced while a ticker on the same loop never
+        waits more than 100 ms."""
+        def linger(conn, workers, parent):
+            conn.recv()
+            conn.close()
+            time.sleep(0.5)
+
+        monkeypatch.setattr(jobproc, "_serve", linger)
+        handle, ticks = jobproc.JobProcess(1), [time.monotonic()]
+        old = handle.pid
+
+        async def main():
+            async def tick():
+                while True:
+                    await asyncio.sleep(0.01)
+                    ticks.append(time.monotonic())
+
+            ticker = asyncio.create_task(tick())
+            try:
+                return await handle.run(None, None)
+            finally:
+                ticker.cancel()
+                ticks.append(time.monotonic())
+
+        try:
+            state, error = asyncio.run(main())
+        finally:
+            handle.stop()
+        assert state == "failed" and error.startswith("JobProcessDied")
+        assert error.endswith("and replaced") and handle.pid != old
+        assert np.diff(ticks).max() < 0.1, np.diff(ticks).max()
 
 
 def python(cwd, *argv):

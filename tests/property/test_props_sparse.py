@@ -7,22 +7,21 @@ Three invariant families pin the compact-state machinery of
   on fluid columns and never touches solid columns;
 * **table identities** — the masked neighbor table is a valid indexed
   permutation whose folded links realize half-way bounce-back exactly;
-* **backend parity** — the sparse solver trajectory matches the fused
-  backend on random masks, by the conformance matrix's tolerance rule
-  (``tests/property/test_conformance.py``; the registered kinds are its
-  cells).
+* **backend parity** — on random masks of the ``porous`` kind, the
+  conformance matrix's backend agreement
+  (``tests/property/test_conformance.py``).
+
+The first two are the compact layout's own: no other backend has them.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.accel import MaskedNeighborTable
-from repro.boundary import HalfwayBounceBack
 from repro.core.streaming import stream_push
-from repro.geometry import Domain
 from repro.lattice import get_lattice
 
-from test_conformance import assert_agree
+from test_conformance import Cell, check_backends_agree
 
 LATTICES = ["D2Q9", "D3Q19"]
 GRIDS = {"D2Q9": (6, 5), "D3Q19": (4, 3, 3)}
@@ -135,31 +134,13 @@ class TestTableIdentities:
 
 
 class TestSparseFusedParity:
-    @given(masked_lattice(), st.sampled_from(["ST", "MR-P", "MR-R"]),
-           st.integers(0, 2**31 - 1))
+    @given(st.sampled_from(LATTICES), st.sampled_from(["ST", "MR-P", "MR-R"]),
+           st.floats(0.0, 0.6), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_random_mask_trajectories_match(self, ml, scheme, seed):
-        """Sparse and fused runs agree on a random masked periodic box
-        with bounce-back obstacles."""
-        from repro.solver import make_solver
-
-        lat, solid = ml
-        nt = np.zeros(solid.shape, dtype=np.int8)
-        nt[solid] = 1
-        domain = Domain(nt)
-        boundaries = [HalfwayBounceBack()] if solid.any() else []
-
-        states = []
-        for backend in ("fused", "sparse"):
-            rng = np.random.default_rng(seed)
-            rho0 = 1.0 + 0.02 * rng.standard_normal(solid.shape)
-            u0 = 0.03 * rng.standard_normal((lat.d, *solid.shape))
-            s = make_solver(scheme, lat, domain, 0.8,
-                            boundaries=list(boundaries), rho0=rho0, u0=u0,
-                            backend=backend)
-            s.run(3)
-            rho, u = s.macroscopic()
-            states.append(np.concatenate([rho[None], u]))
-        fluid = ~solid
-        assert_agree(states[1][:, fluid], states[0][:, fluid], exact=False,
-                     steps=3)
+    def test_random_mask_trajectories_match(self, lattice, scheme, fraction,
+                                            seed):
+        """A random porous mask: the matrix's backend agreement."""
+        check_backends_agree(Cell(
+            "porous", scheme, lattice, "sparse", shape=GRIDS[lattice],
+            extra=(("solid_fraction", fraction), ("seed", seed),
+                   ("force_x", 1e-4))))

@@ -2,11 +2,11 @@
 
 Registered kinds are the conformance matrix's
 (``tests/property/test_conformance.py``): the ids below that name one
-check its cell on their own extents. The others build a case the
-registry does not have — the lid-driven cavity, the bulk-viscosity
-split, a time-dependent force, power-law flow indices other than the
-kind's — and hold ``fused`` to ``reference`` by the matrix's tolerance
-rule. :class:`TestBackendValidation` pins what
+run the matrix's check on the matrix's own cell. The others build a
+case the registry does not have — the lid-driven cavity, the
+bulk-viscosity split, a time-dependent force, power-law flow indices
+other than the kind's — and hold ``fused`` to ``reference`` by the
+matrix's tolerance rule. :class:`TestBackendValidation` pins what
 :func:`repro.accel.validate_backend` refuses, and when.
 """
 
@@ -24,7 +24,8 @@ from repro.solver import MRPSolver, PowerLawMRPSolver, make_solver
 from repro.solver.non_newtonian import power_law_force
 from repro.validation import taylor_green_fields
 
-from test_conformance import Cell, assert_agree, check_backends_agree, fields
+from test_conformance import (SHAPES, Cell, assert_agree, check_backends_agree,
+                              fields)
 
 SCHEMES = ("ST", "MR-P", "MR-R")
 
@@ -47,10 +48,7 @@ def cavity_builder(scheme, n=10, tau=0.8):
 
 class TestFusedParity:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("lattice_name,shape", [
-        ("D2Q9", (20, 14)),
-        ("D3Q19", (8, 7, 6)),
-    ])
+    @pytest.mark.parametrize("lattice_name,shape", SHAPES.items())
     def test_taylor_green_periodic(self, scheme, lattice_name, shape):
         """Every backend agrees on vortices (2D) and random states (3D)."""
         kind = "taylor-green" if lattice_name == "D2Q9" else "periodic"
@@ -60,8 +58,7 @@ class TestFusedParity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_poiseuille_channel(self, scheme):
         """... with inlet/outlet + wall boundaries."""
-        check_backends_agree(Cell("channel", scheme, "D2Q9", "fused",
-                                  shape=(24, 12)))
+        check_backends_agree(Cell("channel", scheme, "D2Q9", "fused"))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_lid_driven_cavity(self, scheme):
@@ -88,19 +85,13 @@ class TestFusedForcedParity:
     """The fused Guo-source path reproduces every forced reference solver."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("lattice_name,shape", [
-        ("D2Q9", (14, 10)),
-        ("D3Q19", (7, 6, 5)),
-    ])
+    @pytest.mark.parametrize("lattice_name,shape", SHAPES.items())
     def test_forced_periodic(self, scheme, lattice_name, shape):
         check_backends_agree(Cell("periodic", scheme, lattice_name, "fused",
                                   shape=shape))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("lattice_name,shape", [
-        ("D2Q9", (20, 12)),
-        ("D3Q19", (8, 8, 6)),
-    ])
+    @pytest.mark.parametrize("lattice_name,shape", SHAPES.items())
     def test_forced_channel(self, scheme, lattice_name, shape):
         check_backends_agree(Cell("forced-channel", scheme, lattice_name,
                                   "fused", shape=shape))

@@ -6,7 +6,10 @@ single-domain run. These checks keep what the batch had to guarantee —
 a member with its own relaxation time, state or forcing ends bit for
 bit on its independent ``fused`` run (the ``swept`` fixture asserts it)
 — across ST / MR-P / MR-R, D2Q9 and D3Q19, plus the fused core's own
-validation, streaming and steady-state allocation behaviour.
+validation, streaming and steady-state allocation behaviour. None of it
+is a conformance-matrix cell: the matrix steps one relaxation time per
+cell and builds no sweep. The file keeps its old name so that its test
+ids stay stable.
 """
 
 import numpy as np

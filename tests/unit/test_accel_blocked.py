@@ -16,6 +16,12 @@ such shapes blocked and unblocked agree by the conformance matrix's
 tolerance rule (``test_unaligned_*``; ``tests/property/test_conformance
 .py``); everything else — gather, wrap, ring, delayed write-back — is
 exact permutation and is pinned bit for bit.
+
+The matrix's window column (``check_window``) states the same rule for
+every kind × backend on the matrix's grids. The matrix builds problems;
+this file steps the core alone, so it reaches what no registered kind
+has: D3Q27 and D3Q39, one- and two-plane grids, a per-node or a bulk
+relaxation time, and the window's own allocation.
 """
 
 from dataclasses import replace

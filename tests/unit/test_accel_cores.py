@@ -1,5 +1,11 @@
 """Contracts of the one core protocol behind every fast backend.
 
+Which path each registered kind takes on each backend is the
+conformance matrix's table column (``test_path_is_documented``,
+``tests/property/test_conformance.py``). The matrix compares what runs
+compute; it cannot state what a run *holds*, when a core is built, what
+a manifest or a profile header says, or what construction refuses:
+
 * the buffer inventory — persistent state plus everything a core owns —
   equals the documented footprint (docs/PERFORMANCE.md "state" column and
   the realized-allocation table of docs/ALGORITHMS.md); this is the guard
@@ -116,14 +122,18 @@ class TestBufferInventory:
     def test_post_collide_hooks_keep_the_streamed_lattice_whole(self):
         """Full-way bounce-back reads the pre-collision lattice after the
         collision: the bounded fused step keeps two."""
-        from repro.geometry import channel_2d
-
-        lat = get_lattice("D2Q9")
-        solver = make_solver("ST", lat, channel_2d(*SHAPE, with_io=False),
-                             0.8, boundaries=[FullwayBounceBack()],
-                             backend="fused")
-        assert solver.state_values_per_node == 2 * lat.q
+        solver = fullway("ST")
+        assert solver.state_values_per_node == 2 * solver.lat.q
         assert solver.accel_path == "bounded"
+
+
+def fullway(scheme):
+    """A channel of full-way walls: a post-collide hook, no row extent."""
+    from repro.geometry import channel_2d
+
+    return make_solver(scheme, get_lattice("D2Q9"),
+                       channel_2d(*SHAPE, with_io=False), 0.8,
+                       boundaries=[FullwayBounceBack()], backend="fused")
 
 
 def path_of(problem, scheme, backend):
@@ -137,15 +147,15 @@ def path_of(problem, scheme, backend):
 
 
 class TestPath:
-    """One test per ``path`` value, through the public seam."""
+    """One test per ``path`` value, through the public seam: a core is
+    built by the first step (a sparse one with its solver)."""
 
     def test_fused_is_lean_or_bounded(self):
+        # walls, inlet and outlet have a row extent: the window carries
+        # them
         for scheme in ("ST", "MR-P"):
-            assert path_of("periodic", scheme, "fused") == "lean"
-            # walls, inlet and outlet have a row extent: the window
-            # carries them
-            assert path_of("walled", scheme, "fused") == "lean"
-            assert path_of("inlet-outlet", scheme, "fused") == "lean"
+            for problem in ("periodic", "walled", "inlet-outlet"):
+                assert path_of(problem, scheme, "fused") == "lean"
 
     def test_lean(self):
         assert path_of("periodic", "ST", "aa") == "lean"
@@ -154,19 +164,12 @@ class TestPath:
         assert path_of("walled", "MR-P", "sparse") == "lean"
 
     def test_bounded(self):
-        # walled ST and MR problems step the fused cores on "aa": lean,
-        # walls and all (tests/property/test_conformance.py checks the table)
+        # walled problems step the fused cores on "aa": lean, walls and
+        # all; a post-collide hook has no row extent
         assert path_of("walled", "ST", "aa") == "lean"
         assert path_of("inlet-outlet", "MR-P", "aa") == "lean"
-        # a post-collide hook has no row extent
-        from repro.geometry import channel_2d
-
         for scheme in ("ST", "MR-P"):
-            solver = make_solver(
-                scheme, get_lattice("D2Q9"),
-                channel_2d(*SHAPE, with_io=False), 0.8,
-                boundaries=[FullwayBounceBack()], backend="fused")
-            assert solver.run(1).accel_path == "bounded"
+            assert fullway(scheme).run(1).accel_path == "bounded"
 
     def test_unfolded_list_steps_the_fused_core(self):
         # inlet and outlet do not fold into the sparse gather table: the

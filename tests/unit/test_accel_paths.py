@@ -4,8 +4,8 @@ The table in docs/PERFORMANCE.md (*Which path a problem takes*) and its
 check belong to the conformance matrix (``tests/property/test_conformance
 .py``), which asserts the same columns on every cell it steps; here each
 cell of the table is one id, on the 48×16 D2Q9 grid the table was
-written for, with the kind the matrix does not step: ``schafer-turek``
-on its d = 4 grid, whose ids name what they check, its curved wall.
+written for (``schafer-turek``: its d = 4 grid, whose ids name what they
+check, its curved wall), and a "refused" cell is the refusal itself.
 """
 
 import pytest

@@ -1,11 +1,15 @@
-"""Unit tests for the sparse fluid-node-list backend (repro.accel.sparse).
+"""What the sparse fluid-node-list backend (repro.accel.sparse) alone has.
 
 Its parity on the registered kinds is the conformance matrix's
 (``tests/property/test_conformance.py``): the ids below that name a kind
-check the matrix cell on their own extents. What is the backend's own —
-which lists it carries, that every other list steps the fused core, the
-folded moving-wall momentum — is pinned here.
+run the matrix's check on the matrix's own cell. The matrix cannot state
+what belongs to this layout: which lists fold into the compact gather
+table, that every other list steps the ``fused`` core itself (its class,
+path and lattices, not only its answer), the folded moving-wall
+momentum and the phases a compact step times.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,12 +21,11 @@ from repro.boundary import FullwayBounceBack, HalfwayBounceBack
 from repro.geometry import Domain, lid_driven_cavity
 from repro.lattice import get_lattice
 from repro.obs import Telemetry
-from repro.service.registry import build_distributed, build_single
+from repro.service.registry import build_single
 from repro.solver import STSolver, make_solver
-from repro.validation import schafer_turek_tau
 
-from test_conformance import (Cell, assert_agree, check_backends_agree, fields,
-                              state_of)
+from test_conformance import (MODES, Cell, assert_agree, check_backends_agree,
+                              fields, run, state_of)
 
 
 def masked_domain(shape, fraction=0.4, seed=3):
@@ -95,12 +98,10 @@ class TestLeanPathParity:
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_porous_bounceback(self, scheme):
         """Folded bounce-back gather matches the dense step."""
-        check_backends_agree(Cell("porous", scheme, "D2Q9", "sparse",
-                                  shape=(16, 14)))
+        check_backends_agree(Cell("porous", scheme, "D2Q9", "sparse"))
 
     def test_d3q19_cylinder_mask(self):
-        check_backends_agree(Cell("cylinder", "MR-P", "D3Q19", "sparse",
-                                  shape=(8, 7, 6)))
+        check_backends_agree(Cell("cylinder", "MR-P", "D3Q19", "sparse"))
 
     def test_moving_wall_momentum_folds(self):
         """The lid-driven cavity's moving-wall momentum terms fold into
@@ -130,8 +131,7 @@ class TestLeanPathParity:
             assert np.array_equal(mom, momentum[q])
 
     def test_guo_forcing(self):
-        check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse",
-                                  shape=(16, 10)))
+        check_backends_agree(Cell("forced-channel", "MR-P", "D2Q9", "sparse"))
 
     def test_mr_step_records_its_phases(self):
         """The chunk-by-chunk MR step still times its three phases."""
@@ -142,44 +142,25 @@ class TestLeanPathParity:
             solver.telemetry.phases)
 
     def test_variable_tau_power_law(self):
-        check_backends_agree(Cell("power-law", "MR-P", "D2Q9", "sparse",
-                                  shape=(14, 10)))
+        check_backends_agree(Cell("power-law", "MR-P", "D2Q9", "sparse"))
 
 
 class TestDenseFallbackParity:
     """A boundary list the gather table cannot fold steps the fused core:
-    on ``sparse`` such a problem *is* its ``fused`` cell, bit for bit."""
+    on ``sparse`` such a problem *is* its ``fused`` cell, bit for bit (the
+    matrix's rule: the same layout cut the same way)."""
 
     @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
     def test_channel_with_inlet_outlet(self, scheme):
-        for bc in ("regularized-fd", "nebb"):
-            options = {"u_max": 0.04, "bc_method": bc}
-            assert_is_the_fused_cell(lambda backend: [build_single(
-                "channel", scheme, "D2Q9", (20, 12), backend=backend,
-                **options)], steps=6)
-            for ranks in (1, 2):
-                assert_is_the_fused_cell(lambda backend: build_distributed(
-                    "channel", scheme, "D2Q9", (20, 12), ranks,
-                    accel=backend, **options).ranks, steps=6)
-            # three ranks: the interior one's plain walls fold, so its
-            # compact step feeds the others' halos (machine precision)
-            sparse, fused = (build_distributed(
-                "channel", scheme, "D2Q9", (20, 12), 3, accel=backend,
-                **options).run(6) for backend in ("sparse", "fused"))
-            assert [isinstance(r._stepper.core, (SparseSTCore, SparseMRCore))
-                    for r in sparse.ranks] == [False, True, False]
-            assert [r.accel_path for r in sparse.ranks] == ["lean"] * 3
-            assert_agree(fields(*sparse.gather_macroscopic()),
-                         fields(*fused.gather_macroscopic()), exact=False,
-                         steps=6)
-
-    def test_cylinder_channel(self):
-        """The curved Schäfer–Turek wall: Bouzidi has no row extent, so
-        both step the bounded fused core; the drag is the same too."""
-        for scheme in ("ST", "MR-P", "MR-R"):
-            assert_is_the_fused_cell(lambda backend: [build_single(
-                "schafer-turek", scheme, "D2Q9", (88, 18), backend=backend,
-                tau=schafer_turek_tau(20, 4, 0.1))], steps=4)
+        for bc, mode in itertools.product(("regularized-fd", "nebb"),
+                                          MODES[:4]):
+            check_backends_agree(Cell("channel", scheme, "D2Q9", "sparse",
+                                      mode, extra=(("bc_method", bc),)))
+        # three ranks: the interior one's plain walls fold, so its compact
+        # step feeds the others' halos (machine precision)
+        three = Cell("channel", scheme, "D2Q9", "sparse", "emulated-3")
+        assert [isinstance(c[0], int) for c in run(three).cuts] == [
+            False, True, False]
 
     def test_fallback_flag_matches_boundaries(self):
         """The sparse cores carry what folds and refuse the rest, which

@@ -1,4 +1,8 @@
-"""Unit tests for the dense neighbor-index streaming table (the oracle)."""
+"""Unit tests for the dense neighbor-index streaming table (the oracle).
+
+The table is the streaming oracle of the cores' tests, not a backend, so
+the conformance matrix does not reach it; no core holds one.
+"""
 
 import numpy as np
 import pytest

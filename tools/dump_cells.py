@@ -13,8 +13,7 @@ cylinder has one grid per diameter and no distributed form, so it is
 dumped apart, at d = 4, Re = 20 and ``u_max = 0.1``: the curved wall
 (the one boundary without a row extent) and the staircase, a cell per
 scheme, backend and step count each — built as the ``schafer-turek``
-kind, or, in a checkout from before it was one, by that checkout's
-``repro.validation.cylinder.schafer_turek_case``. Each admitted cell's
+kind. Each admitted cell's
 state (``solver.f`` / ``solver.m``), ``rho`` / ``u``, ``accel_path`` and
 every boundary ``last_force`` are recorded; a refused cell records the
 refusal's message. "Bit-identical to the parent" in a PR is ``--compare``
@@ -130,14 +129,7 @@ def _run_cell(kind, scheme, lattice, shape, backend, mode, options, steps):
 
 def _schafer_turek(scheme: str, backend: str, curved: bool):
     """The d = 4, Re = 20 Schäfer–Turek solver (see the module doc)."""
-    from repro.service.registry import build_single, problem_kinds
-
-    # A checkout from before the kind; this branch goes next (ROADMAP 13).
-    if "schafer-turek" not in problem_kinds():
-        from repro.validation.cylinder import schafer_turek_case
-
-        return schafer_turek_case(d=4, scheme=scheme, backend=backend,
-                                  curved=curved).solver
+    from repro.service.registry import build_single
     from repro.validation import schafer_turek_tau
 
     return build_single("schafer-turek", scheme, "D2Q9", (88, 18),
