@@ -9,10 +9,9 @@ from repro.service.registry import (ProblemKind, ProblemSetup,
                                     get_problem, problem_kinds,
                                     register_problem, sweep_kinds)
 
-from test_conformance import assert_agree, fields
+from test_conformance import GRIDS, assert_agree, fields
 
 SHAPE = (24, 14)
-GRIDS = {"schafer-turek": (88, 18)}     # a kind's one grid (ProblemKind.grid)
 
 
 def assert_same_fields(dist, single):
